@@ -184,12 +184,13 @@ class IndexPage(Page):
     def child_for(self, key: IndexKey) -> int:
         """Route ``key``: the first child whose high key is > key, else
         the rightmost child."""
-        if not self.child_ids:
+        child_ids = self.child_ids
+        if not child_ids:
             raise IndexError_(f"nonleaf page {self.page_id} has no children")
-        for child_id, high in zip(self.child_ids, self.high_keys):
-            if high is None or key < high:
-                return child_id
-        return self.child_ids[-1]
+        # The trailing None (the unbounded rightmost child) is kept out
+        # of the search; a key >= every high key lands on it.
+        last = len(child_ids) - 1
+        return child_ids[bisect.bisect_right(self.high_keys, key, 0, last)]
 
     def child_position(self, child_id: int) -> int:
         try:

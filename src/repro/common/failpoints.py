@@ -37,6 +37,8 @@ class _PausePoint:
 
     reached: threading.Event = field(default_factory=threading.Event)
     release: threading.Event = field(default_factory=threading.Event)
+    #: Hits for which this returns False pass straight through.
+    when: Callable[[], bool] | None = None
     _mutex: threading.Lock = field(default_factory=threading.Lock)
     _crash_after: bool = False
 
@@ -72,13 +74,18 @@ class FailpointRegistry:
         with self._lock:
             self._crash_points[name] = skip
 
-    def arm_pause(self, name: str) -> _PausePoint:
+    def arm_pause(
+        self, name: str, when: Callable[[], bool] | None = None
+    ) -> _PausePoint:
         """Arm ``name`` to block the hitting thread.
 
         Returns the pause-point handle; the test calls
-        :meth:`wait_until_paused` and later :meth:`release`.
+        :meth:`wait_until_paused` and later :meth:`release`.  With
+        ``when``, only a hit for which it returns True blocks (so a
+        test can arm up front and park, say, the first flush after the
+        fortieth acknowledgement); it runs on the hitting thread.
         """
-        point = _PausePoint()
+        point = _PausePoint(when=when)
         with self._lock:
             self._pause_points[name] = point
         return point
@@ -151,7 +158,7 @@ class FailpointRegistry:
             callback()
         if crash_skip is not None:
             raise SimulatedCrash(name)
-        if pause is not None:
+        if pause is not None and (pause.when is None or pause.when()):
             pause.reached.set()
             pause.release.wait()
             if pause.should_crash():

@@ -55,7 +55,12 @@ class IndexKey:
     rid: RID
 
     def __lt__(self, other: "IndexKey") -> bool:
-        return (self.value, self.rid) < (other.value, other.rid)
+        # Values differ on nearly every comparison of a descent, so the
+        # RID tiebreak (and two tuples) is skipped unless they are equal.
+        value, other_value = self.value, other.value
+        if value != other_value:
+            return value < other_value
+        return self.rid < other.rid
 
     def encoded_size(self) -> int:
         """Bytes this key occupies in a serialized leaf page."""

@@ -16,7 +16,7 @@ operation label installed by the index manager (``"fetch"``,
 from __future__ import annotations
 
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -46,33 +46,103 @@ class LatchAuditEntry:
 class StatsRegistry:
     """Thread-safe named counters plus optional audit trails.
 
-    Every mutation and every read happens under one internal lock:
-    ``incr`` is an atomic read-modify-write, ``snapshot``/``diff``
-    observe a consistent point-in-time copy (never a half-applied
-    increment), and ``max_gauge`` is an atomic compare-and-raise.  The
-    server's executor pool hammers one registry from many threads, so
-    these guarantees are load-bearing, not decorative — see
+    ``incr`` is the hot path (30-odd calls per index operation), so
+    counters are *sharded per thread*: each thread bumps a dict that
+    only it writes, with no lock, and readers merge the shards under
+    the registry lock.  What a reader may rely on:
+
+    - ``snapshot``/``diff``/``get``/``iter_sorted`` see every ``incr``
+      that completed before the call on the calling thread, and every
+      ``incr`` of a thread that has been joined;
+    - an ``incr`` running concurrently on another thread is seen whole
+      or not at all — never half-applied, including an ``incr`` of a
+      tuple of names, whose counters all move together;
+    - ``gauge``/``max_gauge`` stay under the lock (``max_gauge`` is an
+      atomic compare-and-raise); a name is either a gauge or a counter,
+      never both;
+    - ``reset`` orders every concurrent ``incr`` either before it
+      (dropped) or after it (kept).
+
+    The server's executor pool hammers one registry from many threads,
+    so these guarantees are load-bearing, not decorative — see
     ``tests/common/test_stats.py::TestConcurrency``.
+
+    Shards are bounded by *live* threads: every reader, and every
+    thread's first ``incr``, folds the shards of threads that have
+    exited into the base dict and drops them.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
+        #: Gauges, plus the folded counts of threads that have exited.
         self._counters: Counter[str] = Counter()
-        self._audit_locks = False
-        self._audit_latches = False
+        #: ``.shard`` is the calling thread's counter dict.
+        self._local = threading.local()
+        #: (owning thread, its shard) for every thread that has counted.
+        self._shards: list[tuple[threading.Thread, dict]] = []
+        #: Read by the latch and lock hot paths to skip building an
+        #: audit entry nobody asked for.
+        self.audit_locks = False
+        self.audit_latches = False
         self._lock_audit: list[LockAuditEntry] = []
         self._latch_audit: list[LatchAuditEntry] = []
         self._operation = threading.local()
 
     # -- counters ---------------------------------------------------------
 
-    def incr(self, name: str, amount: int = 1) -> None:
-        """Atomically increment counter ``name`` by ``amount``."""
+    def incr(self, name: str | tuple[str, ...], amount: int = 1) -> None:
+        """Increment counter ``name`` by ``amount``.
+
+        A tuple of names bumps each of them by ``amount`` in one step
+        (the latch counts every acquisition in total and by mode).
+        """
         if not self.enabled:
             return
+        try:
+            shard = self._local.shard
+        except AttributeError:
+            shard = self._new_shard()
+        shard[name] += amount
+
+    def _new_shard(self) -> dict:
+        shard: dict = defaultdict(int)
         with self._lock:
-            self._counters[name] += amount
+            self._fold_exited()
+            # ``_local`` is read under the lock: ``reset`` replaces it.
+            self._local.shard = shard
+            self._shards.append((threading.current_thread(), shard))
+        return shard
+
+    @staticmethod
+    def _fold(into: dict[str, int], shard: dict) -> None:
+        for name, value in shard.items():
+            for part in name if type(name) is tuple else (name,):
+                into[part] = into.get(part, 0) + value
+
+    def _fold_exited(self) -> None:
+        """Move the counts of threads that have exited into the base
+        dict and drop their shards, so ``_shards`` is bounded by live
+        threads however many come and go.  Caller holds ``_lock``."""
+        live = []
+        for entry in self._shards:
+            thread, shard = entry
+            if thread.is_alive():
+                live.append(entry)
+            else:
+                self._fold(self._counters, shard)
+        self._shards = live
+
+    def _merged(self) -> dict[str, int]:
+        """Base counters plus every live shard."""
+        with self._lock:
+            self._fold_exited()
+            total = dict(self._counters)
+            for _, shard in self._shards:
+                # ``dict(shard)`` copies in one C call, so the owning
+                # thread cannot resize the shard under the iteration.
+                self._fold(total, dict(shard))
+            return total
 
     def gauge(self, name: str, value: int) -> None:
         """Set counter ``name`` to an absolute value — progress gauges
@@ -92,13 +162,11 @@ class StatsRegistry:
                 self._counters[name] = value
 
     def get(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
+        return self._merged().get(name, 0)
 
     def snapshot(self) -> dict[str, int]:
         """Copy of all counters, for later diffing."""
-        with self._lock:
-            return dict(self._counters)
+        return self._merged()
 
     def diff(self, before: dict[str, int]) -> dict[str, int]:
         """Counters changed since ``before`` (only nonzero deltas)."""
@@ -113,6 +181,12 @@ class StatsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
+            # Drop every shard and the thread-local that points at
+            # them: each thread starts a fresh shard on its next
+            # ``incr``, and an ``incr`` already past its lookup lands in
+            # a dropped dict — ordered before the reset.
+            self._shards = []
+            self._local = threading.local()
             self._lock_audit.clear()
             self._latch_audit.clear()
 
@@ -132,12 +206,12 @@ class StatsRegistry:
     # -- audit trails -----------------------------------------------------
 
     def enable_lock_audit(self, latches: bool = False) -> None:
-        self._audit_locks = True
-        self._audit_latches = latches
+        self.audit_locks = True
+        self.audit_latches = latches
 
     def disable_lock_audit(self) -> None:
-        self._audit_locks = False
-        self._audit_latches = False
+        self.audit_locks = False
+        self.audit_latches = False
 
     def record_lock(
         self,
@@ -147,7 +221,7 @@ class StatsRegistry:
         duration: str,
         granted_immediately: bool,
     ) -> None:
-        if not self._audit_locks:
+        if not self.audit_locks:
             return
         entry = LockAuditEntry(
             txn_id=txn_id,
@@ -161,7 +235,7 @@ class StatsRegistry:
             self._lock_audit.append(entry)
 
     def record_latch(self, owner: int, name: object, mode: str) -> None:
-        if not self._audit_latches:
+        if not self.audit_latches:
             return
         entry = LatchAuditEntry(
             owner=owner, name=name, mode=mode, operation=self.operation
@@ -185,9 +259,7 @@ class StatsRegistry:
     # -- reporting --------------------------------------------------------
 
     def iter_sorted(self) -> Iterator[tuple[str, int]]:
-        with self._lock:
-            items = sorted(self._counters.items())
-        yield from items
+        yield from sorted(self._merged().items())
 
     def format_table(self, prefix: str = "") -> str:
         """Human-readable counter dump, optionally filtered by prefix."""

@@ -82,7 +82,7 @@ class Database:
         if fault_injector is not None:
             fault_injector.attach_stats(self.stats)
         self.disk = DiskManager(config.page_size, self.stats, fault_injector)
-        self.log = LogManager(self.stats)
+        self.log = LogManager(self.stats, self.failpoints)
         self.log.flush_latency_seconds = config.log_flush_latency_seconds
         if config.group_commit:
             self.log.start_group_commit(

@@ -494,6 +494,10 @@ def _join_all(threads: list, seed: int, timeout: float = 30.0) -> None:
         _check(not thread.is_alive(), seed, "session worker thread wedged")
 
 
+#: Where the group-commit flusher has taken a batch and not yet forced it.
+_FLUSH_WINDOW = "log.group_commit.before_flush"
+
+
 def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
     """One multi-session group-commit durability round."""
     import threading
@@ -541,6 +545,16 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
             if key % spec.sessions == worker.worker_id:
                 worker.state[key] = True
     threads = [threading.Thread(target=worker.run) for worker in workers]
+
+    def total_acked() -> int:
+        return sum(w.acked for w in workers)
+
+    if spec.crash_mode == "held_flush":
+        # Armed before any request is sent, so the rendezvous cannot be
+        # missed however fast the sessions run.
+        db.failpoints.arm_pause(
+            _FLUSH_WINDOW, when=lambda: total_acked() >= spec.crash_after_requests
+        )
     for thread in threads:
         thread.start()
     readers = [
@@ -553,9 +567,6 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
     report = MultiSessionReport(seed=spec.seed, crash_mode=spec.crash_mode)
     stats_before = db.stats.snapshot()
 
-    def total_acked() -> int:
-        return sum(w.acked for w in workers)
-
     def stop_readers() -> None:
         for reader in readers:
             reader.stop = True
@@ -567,20 +578,17 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
         _check(server.shutdown(drain=True), spec.seed, "graceful drain timed out")
         db.crash()
     elif spec.crash_mode == "held_flush":
-        # Let the workload warm up, then pin the flusher so commits park
-        # in the enqueue→flush window, and crash into it.
-        deadline = time.monotonic() + 5.0
-        while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-            time.sleep(0.001)
-        db.log.hold_group_commit()
-        deadline = time.monotonic() + 1.0
-        while db.log.group_commit_parked == 0 and time.monotonic() < deadline:
-            if not any(t.is_alive() for t in threads):
-                break  # workload already finished; nothing to park
-            time.sleep(0.001)
+        # The flusher stopped at its first batch after the warm-up (see
+        # the pause armed above): that batch's committers are parked in
+        # the enqueue→flush window, later ones queue behind them, and
+        # the crash — which also resumes the flusher, as crashed —
+        # lands on all of them.
+        try:
+            db.failpoints.wait_until_paused(_FLUSH_WINDOW, timeout=10.0)
+        except TimeoutError:
+            pass  # the workload ended below the warm-up count: nothing parked
         report.parked_at_crash = db.log.group_commit_parked
         db.crash()
-        db.log.release_group_commit()
         _join_all(threads, spec.seed)
         stop_readers()
         server.abort()

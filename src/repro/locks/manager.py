@@ -82,7 +82,10 @@ class LockManager:
         deadlock_detection: bool = True,
     ) -> None:
         self._stats = stats or StatsRegistry(enabled=False)
-        self._cond = threading.Condition()
+        # One plain mutex guards the table; the condition variable over
+        # it is touched only by requests that have to wait.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._table: dict[LockName, _LockHead] = {}
         self._held_by_txn: dict[int, set[LockName]] = {}
         self.timeout = timeout
@@ -91,7 +94,7 @@ class LockManager:
         #: by the transaction manager: given the holders blocking a
         #: request, complete any whose commit is appended-but-deferred
         #: (server batch execution) so their locks drop now instead of
-        #: at end of batch.  Called strictly *outside* ``_cond`` — the
+        #: at end of batch.  Called strictly *outside* ``_mutex`` — the
         #: resolver releases locks, which re-enters the manager.
         self.pending_commit_resolver = None
 
@@ -99,7 +102,7 @@ class LockManager:
 
     def held_mode(self, txn_id: int, name: LockName) -> LockMode | None:
         """Mode ``txn_id`` holds ``name`` in, or None."""
-        with self._cond:
+        with self._mutex:
             head = self._table.get(name)
             if head is None:
                 return None
@@ -107,7 +110,7 @@ class LockManager:
             return holder.mode if holder else None
 
     def locks_of(self, txn_id: int) -> list[tuple[LockName, LockMode, LockDuration]]:
-        with self._cond:
+        with self._mutex:
             out = []
             for name in self._held_by_txn.get(txn_id, ()):
                 holder = self._table[name].holders[txn_id]
@@ -115,7 +118,7 @@ class LockManager:
             return out
 
     def lock_count(self, txn_id: int) -> int:
-        with self._cond:
+        with self._mutex:
             return len(self._held_by_txn.get(txn_id, ()))
 
     # -- requesting -----------------------------------------------------------
@@ -141,35 +144,26 @@ class LockManager:
             _REQUEST_STAT_KEYS[(mode, duration)] = stat_key
         self._stats.incr(stat_key)
         resolver = self.pending_commit_resolver
-        with self._cond:
-            head = self._table.setdefault(name, _LockHead())
-            if self._grantable_now(head, txn_id, mode):
-                self._grant(head, txn_id, name, mode, duration)
-                self._stats.record_lock(
-                    txn_id, name, str(mode), str(duration), granted_immediately=True
-                )
+        with self._mutex:
+            if self._grant_now(txn_id, name, mode, duration):
                 return True
             if conditional:
                 self._stats.incr("lock.conditional_misses")
                 raise LockNotGrantedError(f"lock {name!r} not immediately grantable")
             blockers = (
-                self._blocking_holders(head, txn_id, mode) if resolver else ()
+                self._blocking_holders(self._table[name], txn_id, mode)
+                if resolver
+                else ()
             )
         # A blocker may be a transaction whose commit is appended but
         # deferred (server batch execution).  Complete it now — outside
-        # ``_cond``, since finishing a commit releases its locks and
+        # ``_mutex``, since finishing a commit releases its locks and
         # re-enters this manager — then retry the immediate grant.
         if blockers and resolver(blockers):
-            with self._cond:
-                head = self._table.setdefault(name, _LockHead())
-                if self._grantable_now(head, txn_id, mode):
-                    self._grant(head, txn_id, name, mode, duration)
-                    self._stats.record_lock(
-                        txn_id, name, str(mode), str(duration),
-                        granted_immediately=True,
-                    )
+            with self._mutex:
+                if self._grant_now(txn_id, name, mode, duration):
                     return True
-        with self._cond:
+        with self._mutex:
             head = self._table.setdefault(name, _LockHead())
             waiter = _Waiter(
                 txn_id=txn_id, mode=mode, is_conversion=txn_id in head.holders
@@ -207,13 +201,13 @@ class LockManager:
                 pending = self._blocking_holders(head, txn_id, mode)
                 if not pending:
                     continue
-                self._cond.release()
+                self._mutex.release()
                 try:
                     resolver(pending)
                 finally:
-                    # Re-enters the surrounding ``with self._cond``
+                    # Re-enters the surrounding ``with self._mutex``
                     # block, whose exit performs the release.
-                    self._cond.acquire()  # noqa: RPR001 - paired with the enclosing with-block
+                    self._mutex.acquire()  # noqa: RPR001 - paired with the enclosing with-block
             # _process_queue installed the holder entry; fix up duration.
             self._finish_grant(head, txn_id, name, mode, duration)
             self._stats.record_lock(
@@ -225,13 +219,14 @@ class LockManager:
 
     def release(self, txn_id: int, name: LockName) -> None:
         """Manually release one lock."""
-        with self._cond:
+        with self._mutex:
             head = self._table.get(name)
             if head is None or txn_id not in head.holders:
                 raise LockError(f"txn {txn_id} does not hold {name!r}")
             del head.holders[txn_id]
             self._held_by_txn.get(txn_id, set()).discard(name)
-            self._process_queue(head, name)
+            if head.queue:
+                self._process_queue(head, name)
             self._maybe_gc(name, head)
 
     def release_all(self, txn_id: int) -> int:
@@ -239,16 +234,41 @@ class LockManager:
 
         Returns the number of locks released.
         """
-        with self._cond:
+        with self._mutex:
             names = list(self._held_by_txn.pop(txn_id, ()))
             for name in names:
                 head = self._table[name]
                 head.holders.pop(txn_id, None)
-                self._process_queue(head, name)
+                if head.queue:
+                    self._process_queue(head, name)
                 self._maybe_gc(name, head)
             return len(names)
 
     # -- internals -----------------------------------------------------------------
+
+    def _grant_now(
+        self, txn_id: int, name: LockName, mode: LockMode, duration: LockDuration
+    ) -> bool:
+        """Grant the request if nothing stands in its way.  Caller
+        holds ``_mutex``."""
+        head = self._table.get(name)
+        if head is None:
+            # Nobody holds or waits for the name: there is nothing to
+            # check, and an instant-duration request leaves no trace.
+            if duration is not LockDuration.INSTANT:
+                self._table[name] = _LockHead(
+                    holders={txn_id: _Holder(mode=mode, duration=duration)}
+                )
+                self._held_by_txn.setdefault(txn_id, set()).add(name)
+        elif self._grantable_now(head, txn_id, mode):
+            self._grant(head, txn_id, name, mode, duration)
+        else:
+            return False
+        if self._stats.audit_locks:
+            self._stats.record_lock(
+                txn_id, name, str(mode), str(duration), granted_immediately=True
+            )
+        return True
 
     def _grantable_now(self, head: _LockHead, txn_id: int, mode: LockMode) -> bool:
         holder = head.holders.get(txn_id)
@@ -357,7 +377,7 @@ class LockManager:
         """Txn ids of holders incompatible with what ``txn_id`` wants.
 
         Callers pass the result to :attr:`pending_commit_resolver` after
-        dropping ``_cond``; queued-waiter blockers (no-barging) are not
+        dropping ``_mutex``; queued-waiter blockers (no-barging) are not
         included — resolving a holder unblocks the queue head, which in
         turn unblocks us.
         """

@@ -23,7 +23,6 @@ are not starved.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 from repro.common.errors import LatchError, LockNotGrantedError
 from repro.common.stats import StatsRegistry
@@ -53,14 +52,23 @@ def get_latch_monitor():
     return _monitor
 
 
-@dataclass
-class _Hold:
-    mode: str
-    count: int = 1
+#: ``latch.acquisitions`` and its per-mode breakdown move together, in
+#: one counter bump (see ``StatsRegistry.incr``).
+_ACQUISITION_STATS = {
+    mode: ("latch.acquisitions", f"latch.acquisitions.{mode}") for mode in ("S", "X")
+}
 
 
 class Latch:
     """One S/X latch.
+
+    A latch is meant to cost tens of instructions (§1.2), so the holder
+    table is guarded by a plain ``threading.Lock`` and an acquisition
+    that conflicts with nobody — free latch, re-entry, or S beside S
+    with no X waiting — is granted under that lock alone.  Only a
+    conflicting request touches the condition variable (built over the
+    same lock), and ``release`` notifies only while somebody is parked
+    on it.
 
     ``monitor`` pins the observer this latch reports to.  Latches made
     by a :class:`LatchManager` inherit the monitor captured when the
@@ -79,8 +87,14 @@ class Latch:
     ) -> None:
         self.name = name
         self._stats = stats or StatsRegistry(enabled=False)
-        self._cond = threading.Condition()
-        self._holders: dict[int, _Hold] = {}
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        #: Mode held by each owning thread, and — only for a thread that
+        #: has re-entered — how many releases it owes beyond the first.
+        self._holders: dict[int, str] = {}
+        self._reentries: dict[int, int] = {}
+        #: Threads parked in ``acquire``, and how many of them want X.
+        self._waiters = 0
         self._x_waiters = 0
         self._monitor = monitor
 
@@ -89,25 +103,41 @@ class Latch:
 
     # -- internals -----------------------------------------------------------
 
-    @staticmethod
-    def _owner() -> int:
-        return threading.get_ident()
-
-    def _grantable(self, owner: int, mode: str) -> bool:
-        held = self._holders.get(owner)
-        if held is not None:
-            # Re-entrant: S under S or S under X is fine; X under S is an
-            # upgrade and is a protocol bug in this codebase.
-            if mode == "S":
-                return True
-            return held.mode == "X"
-        others = [h for o, h in self._holders.items() if o != owner]
+    def _grantable(self, mode: str) -> bool:
+        """May a thread that holds nothing here be granted ``mode``?
+        Caller holds ``_lock``."""
+        holders = self._holders
         if mode == "X":
-            return not others
+            return not holders
         # New S grant: blocked by an X holder or by a pending X waiter.
-        if any(h.mode == "X" for h in others):
+        if self._x_waiters:
             return False
-        return self._x_waiters == 0
+        return "X" not in holders.values()
+
+    def _wait(self, mode: str, conditional: bool, timeout: float) -> None:
+        """The slow path of a conflicting request: a conditional one
+        fails, any other parks until ``mode`` is grantable.  Caller
+        holds ``_lock``."""
+        if conditional:
+            self._stats.incr("latch.conditional_misses")
+            raise LockNotGrantedError(f"latch {self.name!r} busy")
+        self._waiters += 1
+        if mode == "X":
+            self._x_waiters += 1
+        try:
+            granted = self._cond.wait_for(
+                lambda: self._grantable(mode), timeout=timeout
+            )
+        finally:
+            self._waiters -= 1
+            if mode == "X":
+                self._x_waiters -= 1
+        if not granted:
+            raise LatchError(
+                f"latch {self.name!r} not granted within {timeout}s "
+                "(protocol bug: latch deadlocks are impossible by design)"
+            )
+        self._stats.incr("latch.waits")
 
     # -- API -------------------------------------------------------------------
 
@@ -125,43 +155,35 @@ class Latch:
         waiting — the building block of the paper's "release all
         latches, then request unconditionally" discipline.
         """
-        if mode not in ("S", "X"):
+        stat_key = _ACQUISITION_STATS.get(mode)
+        if stat_key is None:
             raise LatchError(f"invalid latch mode {mode!r}")
-        owner = self._owner()
-        with self._cond:
-            held = self._holders.get(owner)
-            reentrant = held is not None
-            if held is not None and mode == "X" and held.mode == "S":
-                raise LatchError(f"latch {self.name!r}: S→X upgrade attempted")
-            if not self._grantable(owner, mode):
-                if conditional:
-                    self._stats.incr("latch.conditional_misses")
-                    raise LockNotGrantedError(f"latch {self.name!r} busy")
-                if mode == "X":
-                    self._x_waiters += 1
-                try:
-                    granted = self._cond.wait_for(
-                        lambda: self._grantable(owner, mode), timeout=timeout
-                    )
-                finally:
-                    if mode == "X":
-                        self._x_waiters -= 1
-                if not granted:
-                    raise LatchError(
-                        f"latch {self.name!r} not granted within {timeout}s "
-                        "(protocol bug: latch deadlocks are impossible by design)"
-                    )
-                self._stats.incr("latch.waits")
-            held = self._holders.get(owner)
-            if held is not None:
-                held.count += 1
-                if mode == "X" and held.mode == "X":
-                    pass  # X re-entry keeps X
-            else:
-                self._holders[owner] = _Hold(mode=mode)
-        self._stats.incr("latch.acquisitions")
-        self._stats.incr(f"latch.acquisitions.{mode}")
-        self._stats.record_latch(owner, self.name, mode)
+        owner = threading.get_ident()
+        reentrant = False
+        with self._lock:
+            holders = self._holders
+            # A free latch nobody waits for is granted with no further
+            # checks — the common case by far.
+            if holders or self._x_waiters:
+                held = holders.get(owner)
+                if held is not None:
+                    # Re-entrant: S under S or S under X is fine; X under
+                    # S is an upgrade and is a protocol bug in this
+                    # codebase.
+                    if mode == "X" and held == "S":
+                        raise LatchError(
+                            f"latch {self.name!r}: S→X upgrade attempted"
+                        )
+                    self._reentries[owner] = self._reentries.get(owner, 0) + 1
+                    reentrant = True
+                elif not self._grantable(mode):
+                    self._wait(mode, conditional, timeout)
+            if not reentrant:
+                holders[owner] = mode
+        stats = self._stats
+        stats.incr(stat_key)
+        if stats.audit_latches:
+            stats.record_latch(owner, self.name, mode)
         monitor = self._observer()
         if monitor is not None:
             monitor.note_acquire(
@@ -173,19 +195,23 @@ class Latch:
             )
 
     def release(self) -> None:
-        owner = self._owner()
-        fully_released = False
-        with self._cond:
-            held = self._holders.get(owner)
-            if held is None:
+        owner = threading.get_ident()
+        with self._lock:
+            if owner not in self._holders:
                 raise LatchError(f"latch {self.name!r} released by non-holder")
-            held.count -= 1
-            if held.count == 0:
-                del self._holders[owner]
-                fully_released = True
-            self._cond.notify_all()
+            depth = self._reentries.get(owner)
+            if depth:
+                # One level of a re-entrant hold; the latch stays held.
+                if depth == 1:
+                    del self._reentries[owner]
+                else:
+                    self._reentries[owner] = depth - 1
+                return
+            del self._holders[owner]
+            if self._waiters:
+                self._cond.notify_all()
         monitor = self._observer()
-        if monitor is not None and fully_released:
+        if monitor is not None:
             monitor.note_release(self.name)
 
     def instant(self, mode: str, conditional: bool = False, timeout: float = 30.0) -> None:
@@ -201,12 +227,11 @@ class Latch:
 
     def held_by_me(self) -> str | None:
         """Mode this thread holds the latch in, or None."""
-        with self._cond:
-            held = self._holders.get(self._owner())
-            return held.mode if held else None
+        with self._lock:
+            return self._holders.get(threading.get_ident())
 
     def is_held(self) -> bool:
-        with self._cond:
+        with self._lock:
             return bool(self._holders)
 
 
@@ -238,12 +263,16 @@ class LatchManager:
         self._monitor = get_latch_monitor()
 
     def page_latch(self, page_id: int) -> Latch:
-        with self._mutex:
-            latch = self._page_latches.get(page_id)
-            if latch is None:
-                latch = Latch(("page", page_id), self._stats, monitor=self._monitor)
-                self._page_latches[page_id] = latch
-            return latch
+        # Entries are only ever added, so a hit needs no mutex (a dict
+        # lookup is atomic); only creation is serialized.
+        latch = self._page_latches.get(page_id)
+        if latch is None:
+            with self._mutex:
+                latch = self._page_latches.get(page_id)
+                if latch is None:
+                    latch = Latch(("page", page_id), self._stats, monitor=self._monitor)
+                    self._page_latches[page_id] = latch
+        return latch
 
     def tree_latch(self, index_id: int) -> Latch:
         with self._mutex:
@@ -256,11 +285,11 @@ class LatchManager:
     # -- page-latch helpers that maintain the ≤2 invariant ------------------------
 
     def _held_set(self) -> set[int]:
-        held = getattr(self._held_pages, "pages", None)
-        if held is None:
-            held = set()
-            self._held_pages.pages = held
-        return held
+        try:
+            return self._held_pages.pages
+        except AttributeError:
+            held = self._held_pages.pages = set()
+            return held
 
     def latch_page(
         self, page_id: int, mode: str, conditional: bool = False

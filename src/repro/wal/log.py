@@ -32,8 +32,10 @@ from repro.common.errors import (
     CorruptLogError,
     LogHaltedError,
     LSNOutOfRangeError,
+    SimulatedCrash,
     WALError,
 )
+from repro.common.failpoints import FailpointRegistry
 from repro.common.stats import StatsRegistry
 from repro.wal.records import (
     NULL_LSN,
@@ -75,8 +77,13 @@ class _CommitWaiter:
 class LogManager:
     """Append-only WAL with explicit force and crash simulation."""
 
-    def __init__(self, stats: StatsRegistry | None = None) -> None:
+    def __init__(
+        self,
+        stats: StatsRegistry | None = None,
+        failpoints: FailpointRegistry | None = None,
+    ) -> None:
         self._stats = stats or StatsRegistry(enabled=False)
+        self._failpoints = failpoints or FailpointRegistry()
         self._mutex = threading.Lock()
         self._buffer = bytearray()
         self._flushed_len = 0
@@ -424,6 +431,21 @@ class LogManager:
                 self._gc_waiters = []
                 batch = self._gc_inflight
                 target = max(w.target for w in batch)
+            try:
+                # The enqueue→flush window: the batch is taken, nothing
+                # is forced yet.  A test pauses here to land a crash on
+                # committers that are certainly parked.
+                self._failpoints.hit("log.group_commit.before_flush")
+            except SimulatedCrash:
+                # A dead machine forces nothing.  ``Database.crash`` has
+                # settled the batch already; a bare crash-armed point
+                # has not, and its committers must not park forever.
+                with self._gc_cond:
+                    for waiter in batch:
+                        waiter.settle("lost")
+                    if self._gc_inflight is batch:
+                        self._gc_inflight = []
+                continue
             self._force_bytes(target)  # ONE synchronous I/O for the batch
             with self._gc_cond:
                 durable = self.flushed_lsn

@@ -167,3 +167,35 @@ def test_leaf_remove_inverse_of_insert(values, data):
     page.remove_key(key(victim))
     assert key(victim) not in page.keys
     assert page.keys == sorted(page.keys)
+
+
+def linear_child_for(page: IndexPage, probe: IndexKey) -> int:
+    """The routing rule as written before it became a bisect: the first
+    child whose high key is > probe, else the rightmost child."""
+    for child_id, high in zip(page.child_ids, page.high_keys):
+        if high is None or probe < high:
+            return child_id
+    return page.child_ids[-1]
+
+
+# Few distinct values and RIDs, so equal values ordered by RID and
+# probes equal to a high key are the common case, not the rare one.
+index_keys = st.builds(
+    key, st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=4)
+)
+
+
+@given(st.lists(index_keys, unique=True, max_size=12), index_keys)
+def test_bisect_routing_equals_the_linear_scan(highs, probe):
+    page = IndexPage(1, index_id=1, level=1)
+    page.high_keys = [*sorted(highs), None]
+    page.child_ids = list(range(100, 100 + len(page.high_keys)))
+    assert page.child_for(probe) == linear_child_for(page, probe)
+    for high in highs:
+        assert page.child_for(high) == linear_child_for(page, high)
+
+
+@given(index_keys, index_keys)
+def test_index_key_order_is_the_tuple_order(a, b):
+    assert (a < b) == ((a.value, a.rid.page_id, a.rid.slot) < (b.value, b.rid.page_id, b.rid.slot))
+    assert (a <= b) == (a < b or a == b)

@@ -69,6 +69,25 @@ class TestPauseFailpoints:
         t.join(timeout=5)
         assert progressed.is_set()
 
+    def test_conditional_pause_lets_earlier_hits_through(self):
+        fp = FailpointRegistry()
+        passed = []
+        fp.arm_pause("nth", when=lambda: len(passed) >= 2)
+
+        def worker():
+            for i in range(3):
+                fp.hit("nth")
+                passed.append(i)
+
+        t = threading.Thread(target=worker)
+        t.start()
+        fp.wait_until_paused("nth")
+        assert passed == [0, 1]  # two hits went through, the third parked
+        fp.release("nth")
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert passed == [0, 1, 2]
+
     def test_wait_until_paused_requires_arming(self):
         fp = FailpointRegistry()
         with pytest.raises(KeyError):

@@ -1,5 +1,6 @@
 """Counter registry, diffs, and the lock audit trail."""
 
+import sys
 import threading
 
 from repro.common.stats import OperationProbe, StatsRegistry
@@ -124,6 +125,105 @@ class TestConcurrency:
         stats = StatsRegistry(enabled=False)
         stats.max_gauge("peak", 10)
         assert stats.get("peak") == 0
+
+
+class TestShards:
+    """Counters live in per-thread shards merged by the readers."""
+
+    def test_exited_threads_are_folded_and_their_shards_dropped(self):
+        stats = StatsRegistry()
+        threads = [threading.Thread(target=stats.incr, args=("n",)) for _ in range(200)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        stats.incr("n", 0)  # this thread has a shard of its own too
+        assert stats.snapshot()["n"] == 200
+        assert len(stats._shards) <= threading.active_count()  # noqa: SLF001
+        assert stats.get("n") == 200  # folded counts are kept, not dropped
+
+    def test_reset_drops_shards_and_later_increments_count_from_zero(self):
+        stats = StatsRegistry()
+        worker = threading.Thread(target=stats.incr, args=("n", 5))
+        worker.start()
+        worker.join(10)
+        stats.incr("n", 2)
+        stats.gauge("g", 9)
+        stats.reset()
+        assert stats._shards == []  # noqa: SLF001
+        assert stats.snapshot() == {}
+        stats.incr("n")
+        assert stats.snapshot() == {"n": 1}
+
+    def test_tuple_of_names_bumps_each_counter_once(self):
+        stats = StatsRegistry()
+        stats.incr(("latch.acquisitions", "latch.acquisitions.S"))
+        stats.incr(("latch.acquisitions", "latch.acquisitions.X"), 2)
+        stats.incr("latch.acquisitions.S")
+        assert stats.snapshot() == {
+            "latch.acquisitions": 3,
+            "latch.acquisitions.S": 2,
+            "latch.acquisitions.X": 2,
+        }
+        assert stats.get("latch.acquisitions") == 3
+        assert dict(stats.iter_sorted()) == stats.snapshot()
+
+    def test_gauges_and_counters_merge_in_one_snapshot(self):
+        stats = StatsRegistry()
+        stats.gauge("pending", 7)
+        stats.max_gauge("peak", 3)
+        stats.incr("done", 2)
+        before = stats.snapshot()
+        assert before == {"pending": 7, "peak": 3, "done": 2}
+        stats.gauge("pending", 4)
+        stats.incr("done")
+        assert stats.diff(before) == {"pending": -3, "done": 1}
+
+    def test_stress_no_lost_update_and_no_torn_pair(self):
+        """More writers than cores, a short switch interval, readers
+        snapshotting throughout: no increment is lost, and the two
+        counters of one tuple bump are never seen apart."""
+        stats = StatsRegistry()
+        pair = ("total", "total.a")
+        rounds, writers = 3000, 8
+        torn = []
+        stop = threading.Event()
+
+        def write() -> None:
+            for _ in range(rounds):
+                stats.incr(pair)
+                stats.incr("solo", 2)
+
+        def read() -> None:
+            while not stop.is_set():
+                snap = stats.snapshot()
+                if snap.get("total", 0) != snap.get("total.a", 0) or snap.get("solo", 0) % 2:
+                    torn.append(snap)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            threads = [threading.Thread(target=write) for _ in range(writers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+            stop.set()
+            reader.join(10)
+            assert not reader.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert torn == []
+        assert stats.snapshot() == {
+            "total": rounds * writers,
+            "total.a": rounds * writers,
+            "solo": 2 * rounds * writers,
+        }
 
 
 class TestLockAudit:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.common.config import DatabaseConfig
@@ -52,3 +54,24 @@ def populated_db() -> Database:
     database.create_index("t", "by_id", column="id", unique=True)
     populate(database, range(0, 400, 2))
     return database
+
+
+class SpyCondition(threading.Condition):
+    """A condition variable that says when a thread parks on it and
+    counts notifies.  Tests install it over a latch's or the lock
+    manager's own mutex to rendezvous with a waiter without sleeping:
+    ``parked`` is set while the waiter still holds that mutex, so
+    whoever sees it and then takes the mutex finds the waiter queued."""
+
+    def __init__(self, lock) -> None:
+        super().__init__(lock)
+        self.parked = threading.Event()
+        self.notifies = 0
+
+    def wait(self, timeout=None):
+        self.parked.set()
+        return super().wait(timeout)
+
+    def notify_all(self) -> None:
+        self.notifies += 1
+        super().notify_all()

@@ -42,15 +42,14 @@ def test_crash_in_flush_window_loses_only_unacknowledged_commits():
     """Commits parked between batch enqueue and flush when the crash
     lands must resolve as lost — run_multisession_round itself asserts
     no acked write is missing and no lost write survives."""
-    caught_in_window = 0
     for seed in range(12):
         report = run_multisession_round(
             MultiSessionSpec(seed=seed, crash_mode="held_flush")
         )
-        caught_in_window += report.parked_at_crash
-        if report.parked_at_crash:
-            assert report.lost_commits > 0
-    assert caught_in_window > 0, "no round caught a commit in the window"
+        # The round pauses the flusher on a batch it has already taken,
+        # so the crash cannot miss the window.
+        assert report.parked_at_crash > 0, f"seed {seed}: nothing parked at the crash"
+        assert report.lost_commits > 0
 
 
 def test_racing_crash_rounds_hold_invariants():

@@ -10,8 +10,10 @@ from repro.common.errors import (
     LockNotGrantedError,
     LockTimeoutError,
 )
+from repro.common.stats import LockAuditEntry, StatsRegistry
 from repro.locks.manager import LockManager
 from repro.locks.modes import LockDuration, LockMode
+from tests.conftest import SpyCondition
 
 NAME = ("rec", 1, "a")
 OTHER = ("rec", 1, "b")
@@ -214,3 +216,93 @@ class TestDeadlocks:
         locks.release_all(1)
         # The abandoned waiter must not corrupt the queue.
         assert locks.request(3, NAME, LockMode.X, LockDuration.COMMIT)
+
+
+def _spy_on(locks: LockManager) -> SpyCondition:
+    locks._cond = SpyCondition(locks._mutex)  # noqa: SLF001 - test instruments the wait path
+    return locks._cond  # noqa: SLF001
+
+
+class TestUncontendedFastPath:
+    """A request on a name nobody holds is granted without a lock head
+    being built per call; everything after that first grant — queueing,
+    deadlock detection, timeouts — must behave as it always did."""
+
+    def test_conflict_after_fast_grant_queues_and_is_woken(self):
+        stats = StatsRegistry()
+        locks = LockManager(stats, timeout=5.0)
+        cond = _spy_on(locks)
+        assert locks.request(1, NAME, LockMode.X, LockDuration.COMMIT) is True
+        immediate = []
+
+        def second():
+            immediate.append(locks.request(2, NAME, LockMode.S, LockDuration.COMMIT))
+
+        t = threading.Thread(target=second)
+        t.start()
+        assert cond.parked.wait(5)
+        assert stats.get("lock.waits") == 1
+        assert locks.held_mode(2, NAME) is None
+        assert locks.release_all(1) == 1
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert immediate == [False]
+        assert locks.held_mode(2, NAME) is LockMode.S
+        assert locks.locks_of(2) == [(NAME, LockMode.S, LockDuration.COMMIT)]
+
+    def test_deadlock_between_two_fast_grants_is_detected(self):
+        locks = manager()
+        cond = _spy_on(locks)
+        locks.request(1, NAME, LockMode.X, LockDuration.COMMIT)
+        locks.request(2, OTHER, LockMode.X, LockDuration.COMMIT)
+
+        def txn1():
+            try:
+                locks.request(1, OTHER, LockMode.X, LockDuration.COMMIT)
+            finally:
+                locks.release_all(1)
+
+        t = threading.Thread(target=txn1)
+        t.start()
+        assert cond.parked.wait(5)
+        with pytest.raises(DeadlockError) as info:
+            locks.request(2, NAME, LockMode.X, LockDuration.COMMIT)
+        assert info.value.txn_id == 2
+        locks.release_all(2)
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert locks._table == {}  # noqa: SLF001 - every head was collected
+
+    def test_timeout_behind_a_fast_grant(self):
+        stats = StatsRegistry()
+        locks = LockManager(stats, timeout=0.05)
+        locks.request(1, NAME, LockMode.X, LockDuration.COMMIT)
+        with pytest.raises(LockTimeoutError):
+            locks.request(2, NAME, LockMode.X, LockDuration.COMMIT)
+        assert stats.get("lock.timeouts") == 1
+        assert locks.held_mode(1, NAME) is LockMode.X
+        locks.release_all(1)
+        assert locks._table == {}  # noqa: SLF001
+
+    def test_instant_request_on_a_free_name_leaves_no_trace(self):
+        stats = StatsRegistry()
+        locks = LockManager(stats)
+        assert locks.request(1, NAME, LockMode.X, LockDuration.INSTANT) is True
+        assert locks._table == {}  # noqa: SLF001
+        assert locks.lock_count(1) == 0
+        assert locks.release_all(1) == 0
+        assert stats.get("lock.requests.X.instant") == 1
+
+    def test_fast_grant_is_audited_like_any_other(self):
+        stats = StatsRegistry()
+        locks = LockManager(stats)
+        locks.request(1, NAME, LockMode.S, LockDuration.COMMIT)
+        assert stats.lock_audit() == []
+        stats.enable_lock_audit()
+        stats.set_operation("fetch")
+        locks.request(1, OTHER, LockMode.S, LockDuration.COMMIT)
+        locks.request(2, OTHER, LockMode.S, LockDuration.INSTANT)
+        assert stats.lock_audit() == [
+            LockAuditEntry(1, OTHER, "S", "commit", "fetch", True),
+            LockAuditEntry(2, OTHER, "S", "instant", "fetch", True),
+        ]

@@ -222,6 +222,43 @@ class TestDatabaseIntegration:
         db.commit(txn)
         db.close()
 
+    def test_crash_on_a_flusher_paused_in_the_window_forces_nothing(self):
+        """The flusher stops at its failpoint with the batch taken and
+        unforced; the crash resumes it as crashed, so the parked commit
+        is lost and its bytes never reach stable storage."""
+        db = build_db(group_commit=True)
+        db.create_table("t")
+        db.create_index("t", "by_id", column="id", unique=True)
+        db.failpoints.arm_pause("log.group_commit.before_flush")
+        result: list[str] = []
+
+        def committer() -> None:
+            txn = db.begin()
+            db.insert(txn, "t", {"id": 1})
+            try:
+                db.commit(txn)
+            except CommitNotDurableError:
+                result.append("lost")
+            else:
+                result.append("durable")
+
+        thread = threading.Thread(target=committer)
+        thread.start()
+        db.failpoints.wait_until_paused("log.group_commit.before_flush")
+        assert db.log.group_commit_parked == 1
+        durable_before = db.log.flushed_lsn
+        db.crash()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert result == ["lost"]
+        assert db.log.flushed_lsn == durable_before
+        db.restart()
+        # The flusher survived its simulated crash and serves new commits.
+        with db.transaction() as txn:
+            assert db.fetch(txn, "t", "by_id", 1) is None
+            db.insert(txn, "t", {"id": 2})
+        db.close()
+
     def test_acknowledged_commits_survive_crash(self):
         db = build_db(group_commit=True, group_commit_max_wait_seconds=0.001)
         db.create_table("t")
