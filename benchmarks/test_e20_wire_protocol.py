@@ -4,8 +4,8 @@ group commit.
 Sixteen closed-loop sessions drive the embedded server over loopback
 transports in four configurations:
 
-- ``v1_json``       — the v1 length-prefixed JSON protocol, strict
-                      request/response per op (the E15 configuration).
+- ``v2_strict``     — binary v2 frames, strict request/response per op
+                      (the E15 configuration).
 - ``v2_pipelined``  — binary v2 frames, 16 autocommit ops per pipeline
                       flush; the server drains each flush as one batch
                       (one admission pass, commits coalesced into one
@@ -16,8 +16,8 @@ transports in four configurations:
   synchronous force per writing commit and once with pipelined batch
   execution plus group commit coalescing the forces.
 
-Expected shape: pipelined v2 beats the v1 strict loop (fewer wakeups
-and protocol round-trips per op), and batched group commit strictly
+Expected shape: pipelining beats the strict loop (fewer wakeups and
+protocol round-trips per op), and batched group commit strictly
 dominates force-per-commit once the flush has a price — the §1
 synchronous-I/O claim carried through the wire protocol.  The 3x
 headline bar from the issue needs real parallel hardware (the engine
@@ -54,7 +54,6 @@ FLUSH_LATENCY_SECONDS = 0.0002
 
 def run_one(
     *,
-    protocol: str,
     pipeline_depth: int,
     group_commit: bool,
     flush_latency: float = 0.0,
@@ -79,14 +78,12 @@ def run_one(
         pipeline_depth=pipeline_depth,
     )
     before = db.stats.snapshot()
-    report = run_loadgen(
-        lambda: server.connect_loopback(protocol=protocol), spec
-    )
+    report = run_loadgen(server.connect_loopback, spec)
     delta = db.stats.diff(before)
     drained = server.shutdown(drain=True)
     db.close()
     result = report.to_dict()
-    result["protocol"] = protocol
+    result["pipeline_depth"] = pipeline_depth
     result["group_commit"] = group_commit
     result["flush_latency_seconds"] = flush_latency
     result["drained_clean"] = drained
@@ -101,22 +98,17 @@ def run_one(
 def run() -> dict:
     return {
         "cpus": len(os.sched_getaffinity(0)),
-        "v1_json": run_one(
-            protocol="json", pipeline_depth=1, group_commit=True
-        ),
+        "v2_strict": run_one(pipeline_depth=1, group_commit=True),
         "v2_pipelined": run_one(
-            protocol="binary",
             pipeline_depth=PIPELINE_DEPTH,
             group_commit=True,
         ),
         "force_per_commit": run_one(
-            protocol="binary",
             pipeline_depth=1,
             group_commit=False,
             flush_latency=FLUSH_LATENCY_SECONDS,
         ),
         "batched_group_commit": run_one(
-            protocol="binary",
             pipeline_depth=PIPELINE_DEPTH,
             group_commit=True,
             flush_latency=FLUSH_LATENCY_SECONDS,
@@ -127,7 +119,7 @@ def run() -> dict:
 def test_e20_wire_protocol(benchmark):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     legs = (
-        ("v1 json, strict loop", "v1_json"),
+        ("v2 binary, strict loop", "v2_strict"),
         ("v2 binary, pipeline 16", "v2_pipelined"),
         ("force per commit (priced flush)", "force_per_commit"),
         ("batched group commit (priced flush)", "batched_group_commit"),
@@ -180,7 +172,7 @@ def test_e20_wire_protocol(benchmark):
         # flushes, so the floor is the spec'd total, not equality.
         assert r["requests"] >= SESSIONS * REQUESTS_PER_SESSION
 
-    v1 = results["v1_json"]
+    strict = results["v2_strict"]
     piped = results["v2_pipelined"]
     # Pipelined v2 actually exercised batch execution and deferred
     # commits, not just a fatter client buffer.
@@ -189,14 +181,14 @@ def test_e20_wire_protocol(benchmark):
     assert piped["deferred_commits"] > 0
     # Direction asserts everywhere: pipelining must beat the strict
     # loop on the same hardware.
-    assert piped["throughput_rps"] > 1.1 * v1["throughput_rps"], (
-        f"pipelined v2 {piped['throughput_rps']} req/s vs v1 "
-        f"{v1['throughput_rps']} req/s — pipelining bought too little"
+    assert piped["throughput_rps"] > 1.1 * strict["throughput_rps"], (
+        f"pipelined {piped['throughput_rps']} req/s vs strict "
+        f"{strict['throughput_rps']} req/s — pipelining bought too little"
     )
     # The issue's 3x headline needs parallel hardware (E18 precedent:
     # scaling bars arm only with real cores to scale onto).
     if results["cpus"] >= 4:
-        assert piped["throughput_rps"] >= 3.0 * v1["throughput_rps"]
+        assert piped["throughput_rps"] >= 3.0 * strict["throughput_rps"]
 
     force = results["force_per_commit"]
     grouped = results["batched_group_commit"]

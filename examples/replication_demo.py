@@ -13,7 +13,6 @@ Run:  python examples/replication_demo.py
 """
 
 import threading
-import time
 
 from repro import Database, DatabaseConfig
 from repro.common.errors import CommitNotDurableError, ServerError
@@ -22,6 +21,8 @@ from repro.server import DatabaseServer, ServerConfig
 
 ROWS_BEFORE_STANDBY = 50
 LOAD_ROWS = 300
+#: Where the group-commit flusher has taken a batch and not yet forced it.
+FLUSH_WINDOW = "log.group_commit.before_flush"
 
 
 def build_primary() -> tuple[Database, DatabaseServer]:
@@ -72,18 +73,17 @@ def main() -> None:
     # Kill the primary with commits parked between group-commit enqueue
     # and flush — the worst possible instant.  Parked committers get
     # CommitNotDurableError (never a false ack); the standby has only
-    # the durable prefix, which is exactly what may survive.
-    db.log.hold_group_commit()
+    # the durable prefix, which is exactly what may survive.  The
+    # flusher pauses at its failpoint with the batch taken; the crash
+    # resumes it as crashed.
+    db.failpoints.arm_pause(FLUSH_WINDOW)
     blocked = threading.Thread(
         target=lambda: _try_insert(server, 9_999), daemon=True
     )
     blocked.start()
-    deadline = time.monotonic() + 2.0
-    while db.log.group_commit_parked == 0 and time.monotonic() < deadline:
-        time.sleep(0.002)
+    db.failpoints.wait_until_paused(FLUSH_WINDOW, timeout=2.0)
     print(f"crashing primary with {db.log.group_commit_parked} commit(s) parked")
     db.crash()
-    db.log.release_group_commit()
     blocked.join(timeout=2.0)
 
     # Drain whatever durable WAL the dead primary still serves, then

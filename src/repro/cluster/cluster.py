@@ -112,7 +112,6 @@ class Cluster:
         """Shard process failure: volatile WAL tail and server gone."""
         shard = self.shards[shard_id]
         shard.db.crash()
-        shard.db.log.release_group_commit()
         shard.server.abort()
         shard.up = False
 

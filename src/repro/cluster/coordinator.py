@@ -14,8 +14,9 @@ participant already applied.
 The coordinator's log is an ordinary :class:`~repro.wal.log.LogManager`
 (same CRC framing, group commit, crash/halt semantics as a shard's
 WAL), so concurrent commit decisions coalesce into batched flushes and
-the torture harness can crash it inside the flush window like any
-other log.
+the torture harness can pause its flusher at the
+``log.group_commit.before_flush`` failpoint and crash it inside the
+flush window like any other log.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import threading
 from typing import Callable
 
 from repro.common.errors import LogHaltedError
+from repro.common.failpoints import FailpointRegistry
 from repro.common.stats import StatsRegistry
 from repro.server.client import DatabaseClient
 from repro.wal.log import LogManager
@@ -47,7 +49,8 @@ class Coordinator:
     ) -> None:
         self.name = name
         self.stats = stats or StatsRegistry(enabled=True)
-        self.log = LogManager(self.stats)
+        self.failpoints = FailpointRegistry()
+        self.log = LogManager(self.stats, self.failpoints)
         self._group_commit = group_commit
         if group_commit:
             self.log.start_group_commit(
@@ -141,6 +144,8 @@ class Coordinator:
         definite abort)."""
         self.log.halt()
         self.log.crash()
+        # A flusher paused at a failpoint resumes as crashed.
+        self.failpoints.disarm_all(crash_paused=True)
         with self._mutex:
             self._committed.clear()
             self._outstanding.clear()

@@ -2,7 +2,7 @@
 
 The :class:`ShardRouter` listens like a
 :class:`~repro.server.server.DatabaseServer` and speaks the same
-length-prefixed JSON protocol, so an **unmodified**
+binary wire protocol, so an **unmodified**
 :class:`~repro.server.client.DatabaseClient` talks to the whole
 cluster through one address.  Each router session owns a
 :class:`~repro.cluster.client.ClusterClient` (one back-end session per
@@ -282,18 +282,16 @@ class ShardRouter:
             raise ServerShutdownError("router is not listening")
         return self._address
 
-    def connect(
-        self, timeout: float | None = 30.0, protocol: str | None = None
-    ) -> DatabaseClient:
+    def connect(self, timeout: float | None = 30.0) -> DatabaseClient:
         host, port = self.address
-        return DatabaseClient.connect(host, port, timeout=timeout, protocol=protocol)
+        return DatabaseClient.connect(host, port, timeout=timeout)
 
-    def connect_loopback(self, protocol: str | None = None) -> DatabaseClient:
+    def connect_loopback(self) -> DatabaseClient:
         if self._stopping or not self._started:
             raise ServerShutdownError("router is not accepting sessions")
         server_end, client_end = loopback_pair()
         self._spawn_session(server_end)
-        return DatabaseClient(FrameConn(client_end), protocol=protocol)
+        return DatabaseClient(FrameConn(client_end))
 
     def _spawn_session(self, transport: SocketTransport) -> RouterSession:
         session = RouterSession(

@@ -20,7 +20,6 @@ from repro.codec.frames import (
     HEADER_SIZE,
     MAGIC,
     MAX_FRAME_BYTES,
-    PROTOCOL_V1,
     PROTOCOL_V2,
     Frame,
     encode_frame,
@@ -50,7 +49,6 @@ __all__ = [
     "OPS",
     "OP_BY_CODE",
     "OP_BY_NAME",
-    "PROTOCOL_V1",
     "PROTOCOL_V2",
     "WIRE_ERRORS",
     "Frame",

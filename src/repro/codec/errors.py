@@ -14,9 +14,8 @@ An error payload is a plain dict::
 matching class so ``UniqueKeyViolationError`` round-trips as itself.
 ``args`` carries structured constructor fields for the classes that
 have them (``DeadlockError`` keeps its victim and cycle,
-``UniqueKeyViolationError`` its key bytes) — v1 JSON responses drop
-``args`` on the floor when the field is not JSON-representable, which
-is exactly the information loss the v2 binary frames fix.
+``UniqueKeyViolationError`` its key bytes); the binary frames carry
+them as-is, ``bytes`` included.
 """
 
 from __future__ import annotations
@@ -67,24 +66,16 @@ _ARG_CODECS: dict[
 }
 
 
-def error_payload(exc: BaseException, *, binary: bool = True) -> dict:
-    """Serialize ``exc`` into a wire error payload.
-
-    ``binary=False`` (the v1 JSON path) omits ``args`` whose values a
-    JSON encoder would reject (bytes), preserving v1's exact shape.
-    """
+def error_payload(exc: BaseException) -> dict:
+    """Serialize ``exc`` into a wire error payload."""
     kind = getattr(exc, "kind", None) or type(exc).__name__
     payload: dict[str, Any] = {"error": kind, "message": str(exc)}
     codec = _ARG_CODECS.get(type(exc).__name__)
     if codec is not None:
         try:
-            args = codec[0](exc)
+            payload["args"] = codec[0](exc)
         except AttributeError:
-            args = None  # hand-built instance missing its fields
-        if args is not None and (
-            binary or not any(isinstance(v, bytes) for v in args.values())
-        ):
-            payload["args"] = args
+            pass  # hand-built instance missing its fields
     return payload
 
 
@@ -108,8 +99,8 @@ def rebuild_error(payload: dict) -> Exception:
         return cls(message)
     except TypeError:
         # The class wants structured constructor args that didn't cross
-        # the wire (a v1 peer, or a stale args shape); rebuild it bare
-        # so callers can still dispatch on the type.
+        # the wire (missing or a stale args shape); rebuild it bare so
+        # callers can still dispatch on the type.
         exc = cls.__new__(cls)
         Exception.__init__(exc, message)
         return exc

@@ -16,12 +16,12 @@ Responses echo the correlation id of their request, which is what makes
 client-side pipelining possible: many requests go out before the first
 response is read, and each response finds its waiter by id.
 
-Version negotiation: a v2 client opens the connection with the 4-byte
-:data:`MAGIC` preamble followed by a ``hello`` frame.  Read as a v1
-length header, the preamble's u32 value exceeds ``MAX_FRAME_BYTES`` —
-no legal v1 client can produce it — so a server can sniff the first 4
-bytes and speak v1 JSON or v2 binary per connection without breaking
-old clients.
+Connection preamble: a client opens the connection with the 4-byte
+:data:`MAGIC` preamble followed by a ``hello`` frame, and a server
+refuses a connection whose first 4 bytes are anything else.  Read as a
+length header, the preamble's u32 value exceeds ``MAX_FRAME_BYTES``,
+so a peer speaking a length-prefixed framing rejects it as oversize
+instead of waiting for a body that never comes.
 
 Every malformed input raises
 :class:`~repro.common.errors.ProtocolError` — bad version byte,
@@ -38,14 +38,13 @@ from repro.common.errors import ProtocolError, WALError
 from repro.codec.values import decode_value, encode_value
 
 MAX_FRAME_BYTES = 4 << 20
-"""Largest body either protocol version accepts."""
+"""Largest frame body accepted."""
 
-PROTOCOL_V1 = 1
 PROTOCOL_V2 = 2
 
 MAGIC = b"RPC2"
 """Connection preamble announcing protocol v2.  As a big-endian u32
-(0x52504332) it is far beyond ``MAX_FRAME_BYTES``, so a v1 reader that
+(0x52504332) it is far beyond ``MAX_FRAME_BYTES``, so a reader that
 receives it as a length header rejects the frame instead of waiting
 for gigabytes that never come."""
 

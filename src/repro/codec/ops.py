@@ -1,7 +1,7 @@
 """The typed op registry: one place that knows every wire operation.
 
 Each op is one :class:`OpSpec`: its name, its stable u16 opcode (the
-v2 binary header carries the code; v1 JSON carries the name), the
+code the frame header carries), the
 argument names its request body may carry, which server-side handler
 method runs it, and how the server schedules it.  Client stubs, server
 dispatch, the cluster router, and the docs table all read this registry

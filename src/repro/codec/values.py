@@ -12,9 +12,7 @@ frames:
 
 The format is a one-byte type tag followed by a fixed or
 length-prefixed body.  It is deterministic, which lets tests compare
-serialized page images directly, and it is byte-identical to the codec
-that used to live in ``repro.wal.serialization`` — logs and disk
-images written before the extraction still decode.
+serialized page images directly.
 
 Two things matter for speed here (this codec is ~a quarter of the
 engine's hot path, and every wire frame rides it too):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro.codec.values import decode_value, encode_value
 from repro.common.errors import (
     KeyNotFoundError,
     LockError,
@@ -42,7 +43,6 @@ from repro.btree.fetch import Cursor, _search_bound, index_fetch, index_fetch_ne
 from repro.btree.insert import index_insert
 from repro.btree.delete import index_delete
 from repro.data.heap import HeapFile
-from repro.wal.serialization import decode_value, encode_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.btree.tree import BTree

@@ -73,10 +73,6 @@ class LoadgenSpec:
     autocommit ops per pipeline flush (one batched write, server-side
     batch execution).  Applies when ``ops_per_txn == 1``; explicit
     transactions keep the strict loop."""
-    protocol: str | None = None
-    """Wire protocol for CLI-created clients: ``binary`` (v2, default)
-    or ``json`` (v1).  Callers of :func:`run_loadgen` encode the choice
-    in their ``connect`` callable instead."""
 
     def __post_init__(self) -> None:
         if self.read_fraction is not None:
@@ -508,12 +504,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help="autocommit ops queued per pipeline flush (1 = no pipelining)",
     )
-    parser.add_argument(
-        "--protocol",
-        choices=("binary", "json"),
-        default=None,
-        help="wire protocol: binary (v2, default) or json (v1)",
-    )
     args = parser.parse_args(argv)
 
     spec = LoadgenSpec(
@@ -526,14 +516,8 @@ def main(argv: list[str] | None = None) -> int:
         read_fraction=args.read_fraction,
         snapshot_reads=args.snapshot_reads,
         pipeline_depth=args.pipeline_depth,
-        protocol=args.protocol,
     )
-    report = run_loadgen(
-        lambda: DatabaseClient.connect(
-            args.host, args.port, protocol=spec.protocol
-        ),
-        spec,
-    )
+    report = run_loadgen(lambda: DatabaseClient.connect(args.host, args.port), spec)
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if not report.errors else 1
 

@@ -802,38 +802,38 @@ def run_failover_round(spec: FailoverSpec) -> FailoverReport:
             if key % spec.sessions == worker.worker_id:
                 worker.state[key] = True
     threads = [threading.Thread(target=worker.run) for worker in workers]
-    for thread in threads:
-        thread.start()
-
     report = FailoverReport(seed=spec.seed, crash_mode=spec.crash_mode, sync=sync)
 
     def total_acked() -> int:
         return sum(w.acked for w in workers)
 
-    deadline = time.monotonic() + 10.0
-    while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-        if not any(t.is_alive() for t in threads):
-            break
-        time.sleep(0.001)
+    if spec.crash_mode == "held_flush":
+        # Armed before any request is sent (see run_multisession_round).
+        db.failpoints.arm_pause(
+            _FLUSH_WINDOW, when=lambda: total_acked() >= spec.crash_after_requests
+        )
+    elif spec.crash_mode not in ("racing", "sync"):
+        raise ValueError(f"unknown crash_mode {spec.crash_mode!r}")
+    for thread in threads:
+        thread.start()
 
     if spec.crash_mode == "held_flush":
         # Crash with commits parked between group-commit enqueue and
         # flush: their records exist only in the volatile tail, and the
-        # standby must never have seen them.
-        db.log.hold_group_commit()
-        deadline = time.monotonic() + 1.0
-        while db.log.group_commit_parked == 0 and time.monotonic() < deadline:
+        # standby must never have seen them.  The crash resumes the
+        # paused flusher as crashed.
+        try:
+            db.failpoints.wait_until_paused(_FLUSH_WINDOW, timeout=10.0)
+        except TimeoutError:
+            pass  # the workload ended below the warm-up count: nothing parked
+    else:
+        deadline = time.monotonic() + 10.0
+        while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
             if not any(t.is_alive() for t in threads):
                 break
             time.sleep(0.001)
-        report.parked_at_crash = db.log.group_commit_parked
-        db.crash()
-        db.log.release_group_commit()
-    elif spec.crash_mode in ("racing", "sync"):
-        report.parked_at_crash = db.log.group_commit_parked
-        db.crash()
-    else:
-        raise ValueError(f"unknown crash_mode {spec.crash_mode!r}")
+    report.parked_at_crash = db.log.group_commit_parked
+    db.crash()
 
     durable_horizon = db.log.flushed_lsn
     _check(
@@ -1460,47 +1460,45 @@ def run_cluster_round(spec: ClusterTortureSpec) -> ClusterTortureReport:
 
     workers = [_ClusterWorker(i, spec, cluster) for i in range(spec.sessions)]
     threads = [threading.Thread(target=worker.run) for worker in workers]
-    for thread in threads:
-        thread.start()
-
     report = ClusterTortureReport(seed=spec.seed, crash_mode=spec.crash_mode)
 
     def total_acked() -> int:
         return sum(w.acked for w in workers)
 
-    # Aim the crash: let the workload warm up, then pin the victim
-    # log's flusher so commits/prepares/decisions park in the
-    # enqueue->flush window, and crash into it.
-    victim_logs = []
+    # Aim the crash: once the workload has warmed up, the victim log's
+    # flusher pauses with a batch taken, so commits/prepares/decisions
+    # park in the enqueue->flush window, and the crash lands on them.
+    victims = []
     if spec.crash_mode in ("shard", "both"):
-        victim_logs.append(cluster.shards[victim_shard].db.log)
+        shard_db = cluster.shards[victim_shard].db
+        victims.append((shard_db.log, shard_db.failpoints))
     if spec.crash_mode in ("coordinator", "both"):
-        victim_logs.append(cluster.coordinator.log)
+        victims.append((cluster.coordinator.log, cluster.coordinator.failpoints))
     if spec.crash_mode not in ("shard", "coordinator", "both"):
         raise ValueError(f"unknown crash_mode {spec.crash_mode!r}")
+    pauses = [
+        failpoints.arm_pause(
+            _FLUSH_WINDOW, when=lambda: total_acked() >= spec.crash_after_requests
+        )
+        for _, failpoints in victims
+    ]
+    for thread in threads:
+        thread.start()
 
-    deadline = time.monotonic() + 5.0
-    while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-        if not any(t.is_alive() for t in threads):
-            break
-        time.sleep(0.001)
-    for log in victim_logs:
-        log.hold_group_commit()
-    deadline = time.monotonic() + 1.0
+    deadline = time.monotonic() + 6.0
     while (
-        all(log.group_commit_parked == 0 for log in victim_logs)
+        not any(pause.reached.is_set() for pause in pauses)
         and time.monotonic() < deadline
     ):
         if not any(t.is_alive() for t in threads):
             break  # workload already finished; nothing to park
         time.sleep(0.001)
-    report.parked_at_crash = sum(log.group_commit_parked for log in victim_logs)
+    report.parked_at_crash = sum(log.group_commit_parked for log, _ in victims)
+    # Each crash resumes its log's paused flusher as crashed.
     if spec.crash_mode in ("coordinator", "both"):
         cluster.crash_coordinator()
     if spec.crash_mode in ("shard", "both"):
         cluster.crash_shard(victim_shard)
-    for log in victim_logs:
-        log.release_group_commit()
     _join_all(threads, spec.seed)
 
     # Recover the crashed pieces, then run in-doubt resolution.

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.codec.values import decode_lock_table
 from repro.locks.modes import LockDuration, LockMode
 from repro.recovery.analysis import AnalysisResult, run_analysis
 from repro.recovery.checkpoint import take_checkpoint
 from repro.recovery.media import ScrubResult, run_scrub
 from repro.recovery.redo import RedoResult, run_redo
 from repro.recovery.undo import UndoResult, run_undo
-from repro.wal.serialization import decode_lock_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database

@@ -1,8 +1,8 @@
 """Primary-side replication: snapshot service, WAL shipper, sync gate.
 
 The manager implements the primary's half of the log-shipping protocol.
-Everything it serves is expressed in raw stream bytes (base64 on the
-wire) so the standby's log is a byte-exact continuation of the
+Everything it serves is expressed in raw stream bytes (``bytes`` values
+in the wire frames) so the standby's log is a byte-exact continuation of the
 primary's — LSNs are byte offsets, and identical bytes mean identical
 LSNs, which is what lets the standby reuse every recovery pass
 unchanged at promotion time.
@@ -22,7 +22,6 @@ Two invariants are enforced here:
 
 from __future__ import annotations
 
-import base64
 import threading
 import time
 from typing import TYPE_CHECKING
@@ -39,8 +38,8 @@ from repro.wal.records import NULL_LSN, LogRecord
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
 
-#: Default cap on one poll response (stays well under MAX_FRAME_BYTES
-#: after base64 expansion and JSON framing).
+#: Default cap on one poll response's log bytes (well under
+#: MAX_FRAME_BYTES; the frame carries them unexpanded).
 DEFAULT_POLL_BYTES = 256 * 1024
 
 
@@ -122,10 +121,8 @@ class ReplicationManager:
         ship_start = max(min(candidates), db.log.truncation_point)
         db.stats.incr("repl.snapshots")
         return {
-            "pages": {
-                str(page_id): base64.b64encode(raw).decode("ascii")
-                for page_id, raw in copy.pages.items()
-            },
+            # Page ids become str keys: the codec's dicts are str-keyed.
+            "pages": {str(page_id): raw for page_id, raw in copy.pages.items()},
             "copy_start_lsn": copy.start_lsn,
             "copy_end_lsn": copy.end_lsn,
             "ship_start_lsn": ship_start,
@@ -172,7 +169,7 @@ class ReplicationManager:
             self.db.stats.incr("repl.bytes_shipped", len(data))
         return {
             "base_lsn": from_lsn,
-            "data": base64.b64encode(data).decode("ascii"),
+            "data": data,
             "flushed_lsn": log.flushed_lsn,
             "end_lsn": log.end_lsn,
         }

@@ -30,7 +30,6 @@ the standby is a read-write primary and can host a
 
 from __future__ import annotations
 
-import base64
 import threading
 import time
 from dataclasses import replace
@@ -112,9 +111,9 @@ class Standby:
         )
         db = Database(config)
         max_page_id = 0
-        for page_id_str, encoded in snap["pages"].items():
+        for page_id_str, raw in snap["pages"].items():
             page_id = int(page_id_str)
-            db.disk.restore_page(page_id, base64.b64decode(encoded))
+            db.disk.restore_page(page_id, raw)
             max_page_id = max(max_page_id, page_id)
         db.disk.ensure_allocator_above(max_page_id)
         install_catalog(db, snap["catalog"])
@@ -161,7 +160,7 @@ class Standby:
                     wait_seconds=self._poll_wait_seconds,
                 )
                 self._primary_flushed = int(response["flushed_lsn"])
-                data = base64.b64decode(response["data"])
+                data = response["data"]
                 if data:
                     self._apply_chunk(int(response["base_lsn"]), data)
                     acked = self.db.log.flushed_lsn

@@ -1,7 +1,7 @@
 """Embedded multi-threaded database server.
 
 The serving surface the ROADMAP's north star asks for: many concurrent
-client sessions over a simple length-prefixed wire protocol (TCP on
+client sessions over a binary framed wire protocol (TCP on
 localhost, plus an in-process loopback transport for tests), a
 :class:`~repro.server.session.Session` owning transaction lifecycle,
 an executor pool with admission control, and graceful shutdown that

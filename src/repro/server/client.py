@@ -1,11 +1,11 @@
 """Client library for the database server.
 
-Speaks wire protocol v2 (binary frames, the default) or v1
-(length-prefixed JSON, ``protocol="json"``) over TCP or an in-process
-loopback transport; server-reported errors are re-raised as the
-matching library exception class (``UniqueKeyViolationError`` on the
-server is ``UniqueKeyViolationError`` here, and over v2 structured
-fields like a deadlock's victim and cycle survive the trip).
+Speaks the binary wire protocol (:mod:`repro.server.protocol`) over
+TCP or an in-process loopback transport; server-reported errors are
+re-raised as the matching library exception class
+(``UniqueKeyViolationError`` on the server is
+``UniqueKeyViolationError`` here, with structured fields like a
+deadlock's victim and cycle intact).
 
 One client = one session = at most one open transaction::
 
@@ -15,16 +15,12 @@ One client = one session = at most one open transaction::
     row = client.fetch("accounts", "by_id", 7)   # autocommit read
     client.close()
 
-Pipelining (v2): queue many requests, send them in one write, and let
-the server batch-execute them — each queued op returns a future::
+Pipelining: queue many requests, send them in one write, and let the
+server batch-execute them — each queued op returns a future::
 
     with client.pipeline() as pipe:
         futures = [pipe.insert("accounts", row) for row in rows]
     results = [f.result() for f in futures]   # or f.error
-
-The default protocol honours the ``REPRO_WIRE_PROTOCOL`` environment
-variable (``binary`` or ``json``) so a whole test suite can be pointed
-at either version without code changes.
 
 Clients are **not** thread-safe — one per worker thread (each gets its
 own server session, which is the unit of concurrency server-side).
@@ -32,7 +28,6 @@ own server session, which is the unit of concurrency server-side).
 
 from __future__ import annotations
 
-import os
 import socket
 from contextlib import contextmanager
 from typing import Iterator
@@ -40,23 +35,10 @@ from typing import Iterator
 from repro.codec.errors import rebuild_error
 from repro.common.errors import ProtocolError, ServerError
 from repro.server.protocol import (
-    PROTOCOL_V2,
     FrameConn,
     SocketTransport,
     raise_from_response,
 )
-
-_PROTOCOL_ENV = "REPRO_WIRE_PROTOCOL"
-
-
-def _resolve_protocol(protocol: str | None) -> str:
-    if protocol is None:
-        protocol = os.environ.get(_PROTOCOL_ENV, "binary")
-    if protocol not in ("binary", "json"):
-        raise ProtocolError(
-            f"unknown protocol {protocol!r} (want 'binary' or 'json')"
-        )
-    return protocol
 
 
 class RemoteTransaction:
@@ -112,8 +94,8 @@ class Pipeline:
     Created by :meth:`DatabaseClient.pipeline`.  Queued ops return
     :class:`PipelineFuture`; :meth:`flush` (or queue pressure at
     ``depth``, or clean context exit) sends every queued frame in one
-    write and resolves the futures from the responses — matched by
-    correlation id on v2, by order on v1.  While a pipeline has queued
+    write and resolves the futures from the responses, matched by
+    correlation id.  While a pipeline has queued
     ops, do not issue plain ``client.request`` calls — the reply stream
     would interleave.
     """
@@ -169,20 +151,16 @@ class Pipeline:
             for _, future in queued:
                 future._fail(error)
             raise
-        if client.protocol_version == PROTOCOL_V2:
-            by_id = {r.get("corr_id"): r for r in responses}
-            for message, future in queued:
-                response = by_id.get(message["corr_id"])
-                if response is None:
-                    future._fail(
-                        ProtocolError(
-                            f"no response for correlation id {message['corr_id']}"
-                        )
+        by_id = {r.get("corr_id"): r for r in responses}
+        for message, future in queued:
+            response = by_id.get(message["corr_id"])
+            if response is None:
+                future._fail(
+                    ProtocolError(
+                        f"no response for correlation id {message['corr_id']}"
                     )
-                else:
-                    future._settle(response)
-        else:
-            for (_, future), response in zip(queued, responses):
+                )
+            else:
                 future._settle(response)
 
     @property
@@ -231,29 +209,19 @@ class Pipeline:
 class DatabaseClient:
     """One session against a :class:`~repro.server.server.DatabaseServer`."""
 
-    def __init__(self, conn: FrameConn, protocol: str | None = None) -> None:
+    def __init__(self, conn: FrameConn) -> None:
         self._conn = conn
         self._closed = False
         self._corr = 0
-        if _resolve_protocol(protocol) == "binary":
-            conn.start_client_v2()
+        conn.start_client()
 
     @classmethod
     def connect(
-        cls,
-        host: str,
-        port: int,
-        timeout: float | None = 30.0,
-        protocol: str | None = None,
+        cls, host: str, port: int, timeout: float | None = 30.0
     ) -> "DatabaseClient":
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return cls(FrameConn(SocketTransport(sock)), protocol=protocol)
-
-    @property
-    def protocol_version(self) -> int:
-        """Negotiated wire version (1 = JSON, 2 = binary)."""
-        return self._conn.version
+        return cls(FrameConn(SocketTransport(sock)))
 
     def _next_corr_id(self) -> int:
         self._corr = (self._corr + 1) & 0xFFFFFFFF

@@ -1,27 +1,23 @@
-"""The wire protocol: v2 binary frames, v1 length-prefixed JSON.
+"""The wire protocol: binary frames over a byte transport.
 
-Protocol v2 (the default) is the struct-packed binary framing of
+Every message travels as one struct-packed frame of
 :mod:`repro.codec.frames`: a 12-byte header (length, version, flags,
 opcode, correlation id) over the tagged value codec the WAL already
 uses.  Responses echo their request's correlation id, which is what
 makes client-side pipelining work.
 
-Protocol v1 is the original framing: a 4-byte big-endian length
-followed by that many bytes of UTF-8 JSON.  Requests are objects with
-an ``"op"`` key plus op-specific arguments; responses are
-``{"ok": true, "result": ...}`` or ``{"ok": false, "error": "<kind>",
-"message": "..."}``.
+A client opens the connection with the 4-byte ``RPC2`` preamble plus a
+``hello`` frame before anything else; the server reads the preamble
+and rejects anything else with :class:`ProtocolError`.  A peer that
+sends some other framing (say a 4-byte length header and a JSON body)
+is dropped at its first four bytes, and a server of some other
+framing that reads the preamble as a length header sees a size beyond
+``MAX_FRAME_BYTES`` — both directions fail cleanly instead of hanging.
 
-Negotiation is a connection-open sniff: a v2 client sends the 4-byte
-``RPC2`` preamble plus a ``hello`` frame before anything else.  Read as
-a v1 length header, the preamble exceeds ``MAX_FRAME_BYTES`` — no legal
-v1 client can produce it — so the server peeks the first 4 bytes and
-speaks v1 or v2 per connection.  Old clients need zero changes.
-
-Both versions normalize to the same message dicts at this layer:
-requests are ``{"op": ..., "corr_id": ..., **args}`` and responses are
+Frames normalize to plain message dicts at this layer: requests are
+``{"op": ..., "corr_id": ..., **args}`` and responses are
 ``{"ok": ..., "corr_id": ..., ...}``, so the session and client code
-above are version-blind.
+above never see a header.
 
 Two transports speak it: a TCP socket on localhost and an in-process
 loopback built from :func:`socket.socketpair` — same framing, same
@@ -30,19 +26,15 @@ code path, no TCP stack in unit tests.
 
 from __future__ import annotations
 
-import json
 import select
 import socket
-import struct
 
 from repro.codec.errors import WIRE_ERRORS, error_payload, raise_from_payload
 from repro.codec.frames import (
     FLAG_ERROR,
     FLAG_RESPONSE,
-    HEADER_SIZE,
     MAGIC,
     MAX_FRAME_BYTES,
-    PROTOCOL_V1,
     PROTOCOL_V2,
     encode_frame,
     hello_ack_payload,
@@ -54,48 +46,18 @@ from repro.common.errors import ProtocolError
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
     "WIRE_ERRORS",
     "FrameConn",
     "SocketTransport",
-    "decode_body",
-    "encode_message",
     "error_response",
     "loopback_pair",
     "raise_from_response",
 ]
 
-_HEADER = struct.Struct(">I")
-
-
-def encode_message(message: dict) -> bytes:
-    """Serialize ``message`` into one v1 frame (header + JSON body)."""
-    try:
-        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"message is not JSON-serializable: {exc}") from exc
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _HEADER.pack(len(body)) + body
-
-
-def decode_body(body: bytes) -> dict:
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError(f"frame body is {type(message).__name__}, not an object")
-    return message
-
 
 def error_response(exc: BaseException) -> dict:
-    """The ``{"ok": false, ...}`` response message for ``exc``.
-
-    Carries the structured ``args`` of :func:`error_payload`; the v1
-    JSON write path strips what JSON cannot represent.
-    """
+    """The ``{"ok": false, ...}`` response message for ``exc``, with
+    the structured ``args`` of :func:`error_payload`."""
     return {"ok": False, **error_payload(exc)}
 
 
@@ -170,22 +132,17 @@ _META_KEYS = frozenset(("op", "corr_id"))
 
 
 class FrameConn:
-    """Message-level reader/writer over a transport, version-aware.
+    """Message-level reader/writer over a transport.
 
-    A server-side conn starts unnegotiated and sniffs the first 4 bytes
-    of the connection inside the first :meth:`read_message`.  A
-    client-side conn either calls :meth:`start_client_v2` (send the
-    preamble and hello eagerly; the ack is consumed before the first
-    response) or stays v1 by doing nothing.
+    A server-side conn reads the connection preamble and ``hello``
+    frame inside the first :meth:`read_message`.  A client-side conn
+    calls :meth:`start_client` before its first request.
     """
 
     def __init__(self, transport: SocketTransport) -> None:
         self.transport = transport
-        self.version = PROTOCOL_V1
         self._negotiated = False
-        #: v1 length header sniffed during server negotiation.
-        self._stash = b""
-        #: v2 receive buffer (frames parsed in place via memoryview).
+        #: Receive buffer (frames parsed in place via memoryview).
         self._buf = bytearray()
         self._off = 0
         #: Client side: hello ack not yet consumed.
@@ -193,27 +150,26 @@ class FrameConn:
 
     # -- negotiation ---------------------------------------------------------
 
-    def start_client_v2(self, client: str = "repro-client") -> None:
-        """Open the connection as a v2 client: send the ``RPC2``
-        preamble and the hello frame now; consume the ack lazily just
-        before the first response read (one round trip saved)."""
-        self.version = PROTOCOL_V2
+    def start_client(self, client: str = "repro-client") -> None:
+        """Open the connection as a client: send the ``RPC2`` preamble
+        and the hello frame now; consume the ack lazily just before the
+        first response read (one round trip saved)."""
         self._negotiated = True
         self._awaiting_ack = True
         hello = encode_frame(OP_HELLO.code, 0, hello_payload(client))
         self.transport.send_bytes(MAGIC + hello)
 
     def _negotiate_server(self) -> bool:
-        """Sniff the connection's first 4 bytes; False on clean EOF."""
+        """Read the preamble and hello frame, send the ack; False on a
+        clean EOF before the preamble."""
         self._negotiated = True
-        preamble = self.transport.recv_exactly(4)
+        preamble = self.transport.recv_exactly(len(MAGIC))
         if not preamble:
             return False
         if preamble != MAGIC:
-            # A v1 length header; stash it for the first v1 read.
-            self._stash = preamble
-            return True
-        self.version = PROTOCOL_V2
+            raise ProtocolError(
+                f"connection preamble {preamble!r} is not {MAGIC!r}"
+            )
         frame = self._read_frame()
         if frame is None:
             raise ProtocolError("connection closed before hello frame")
@@ -249,7 +205,7 @@ class FrameConn:
                 f"expected hello ack, got opcode {frame.opcode}"
             )
 
-    # -- v2 frame buffer ------------------------------------------------------
+    # -- frame buffer -----------------------------------------------------------
 
     def _read_frame(self, block: bool = True):
         """Next complete frame; None on clean EOF (or, when ``block``
@@ -301,9 +257,7 @@ class FrameConn:
     # -- writing ---------------------------------------------------------------
 
     def encode(self, message: dict) -> bytes:
-        """Serialize one message for this connection's version."""
-        if self.version != PROTOCOL_V2:
-            return encode_message(self._sanitize_v1(message))
+        """Serialize one message into its frame."""
         op = message.get("op")
         if op is not None:
             spec = OP_BY_NAME.get(op)
@@ -324,29 +278,6 @@ class FrameConn:
             }
         return encode_frame(0, corr_id, payload, flags=flags)
 
-    @staticmethod
-    def _sanitize_v1(message: dict) -> dict:
-        """Project a message onto what v1 JSON can say: drop the
-        correlation id (v1 responses match by order) and any structured
-        error args JSON cannot represent."""
-        if "corr_id" not in message and "args" not in message:
-            return message
-        out = {k: v for k, v in message.items() if k != "corr_id"}
-        args = out.get("args")
-        if isinstance(args, dict) and any(
-            isinstance(v, (bytes, bytearray, memoryview)) for v in args.values()
-        ):
-            safe = {
-                k: v
-                for k, v in args.items()
-                if not isinstance(v, (bytes, bytearray, memoryview))
-            }
-            if safe:
-                out["args"] = safe
-            else:
-                del out["args"]
-        return out
-
     def write_message(self, message: dict) -> None:
         self.transport.send_bytes(self.encode(message))
 
@@ -363,42 +294,25 @@ class FrameConn:
         """Next message, or None on clean EOF."""
         if not self._negotiated and not self._negotiate_server():
             return None
-        if self.version == PROTOCOL_V2:
-            if self._awaiting_ack:
-                self._consume_ack()
-            frame = self._read_frame()
-            return None if frame is None else self._frame_to_message(frame)
-        return self._read_v1()
+        if self._awaiting_ack:
+            self._consume_ack()
+        frame = self._read_frame()
+        return None if frame is None else self._frame_to_message(frame)
 
     def read_message_batch(self, limit: int) -> list[dict] | None:
         """One blocking message plus every further message already
         buffered or immediately readable, up to ``limit`` total; None
-        on clean EOF.  v1 connections always yield one message —
-        batching is a v2 feature."""
+        on clean EOF."""
         first = self.read_message()
         if first is None:
             return None
         batch = [first]
-        if self.version != PROTOCOL_V2:
-            return batch
         while len(batch) < limit:
             frame = self._read_frame(block=False)
             if frame is None:
                 break
             batch.append(self._frame_to_message(frame))
         return batch
-
-    def _read_v1(self) -> dict | None:
-        if self._stash:
-            header, self._stash = self._stash, b""
-        else:
-            header = self.transport.recv_exactly(_HEADER.size)
-        if not header:
-            return None
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-        return decode_body(self.transport.recv_exactly(length) if length else b"{}")
 
     def close(self) -> None:
         self.transport.close()

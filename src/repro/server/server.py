@@ -187,13 +187,13 @@ class DatabaseServer:
         host, port = self.address
         return DatabaseClient.connect(host, port, timeout=timeout)
 
-    def connect_loopback(self, protocol: str | None = None) -> DatabaseClient:
+    def connect_loopback(self) -> DatabaseClient:
         """New client over an in-process socketpair (no TCP stack)."""
         if self._stopping or not self._started:
             raise ServerShutdownError("server is not accepting sessions")
         server_end, client_end = loopback_pair()
         self._spawn_session(server_end)
-        return DatabaseClient(FrameConn(client_end), protocol=protocol)
+        return DatabaseClient(FrameConn(client_end))
 
     def _spawn_session(self, transport: SocketTransport) -> Session:
         session = Session(self, FrameConn(transport), next(self._session_ids))
@@ -220,6 +220,9 @@ class DatabaseServer:
                 sock, _ = self._listener.accept()
             except OSError:
                 return  # listener closed by shutdown
+            if self._stopping:
+                sock.close()
+                return
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._spawn_session(SocketTransport(sock))
 
@@ -345,6 +348,13 @@ class DatabaseServer:
         self._shutdown_done = True
         self._stopping = True
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the accept thread exits before the
+            # session threads are joined below.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)

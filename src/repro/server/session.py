@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Callable
 
+from repro.codec.frames import PROTOCOL_V2
 from repro.codec.ops import OP_BY_NAME
 from repro.common.errors import (
     DeadlockError,
@@ -269,7 +270,7 @@ class Session:
     def _op_hello(self, request: dict) -> dict:
         """In-band hello (the connection-open handshake hello is
         consumed by the protocol layer before it reaches dispatch)."""
-        return {"version": self.conn.version, "server": "repro"}
+        return {"version": PROTOCOL_V2, "server": "repro"}
 
     def _op_begin(self, request: dict) -> int:
         if self.txn is not None:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import abc
 from typing import Any, ClassVar
 
+from repro.codec.values import decode_value, encode_value
 from repro.common.errors import StorageError
 from repro.wal.records import NULL_LSN
-from repro.wal.serialization import decode_value, encode_value
 
 _PAGE_KINDS: dict[str, type["Page"]] = {}
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
+from repro.codec.values import encode_lock_table
 from repro.common.errors import (
     CommitNotDurableError,
     LogHaltedError,
@@ -36,7 +37,6 @@ from repro.wal.records import (
     dummy_clr,
     prepare_record,
 )
-from repro.wal.serialization import encode_lock_table
 
 #: Phase-1 vote values (two-phase commit).
 VOTE_YES = "yes"

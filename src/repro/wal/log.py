@@ -27,6 +27,7 @@ import threading
 import time
 from typing import Callable, Iterator
 
+from repro.codec.values import unframe_record
 from repro.common.errors import (
     CommitNotDurableError,
     CorruptLogError,
@@ -44,7 +45,6 @@ from repro.wal.records import (
     RecordKind,
     header_from_bytes,
 )
-from repro.wal.serialization import unframe_record
 
 
 class _CommitWaiter:
@@ -111,7 +111,6 @@ class LogManager:
         self._gc_max_wait = 0.002
         self._gc_waiters: list[_CommitWaiter] = []
         self._gc_inflight: list[_CommitWaiter] = []
-        self._gc_hold = False
         self._gc_thread: threading.Thread | None = None
         # Flush notification: waited on by follow-mode iterators (WAL
         # shippers), notified whenever the durable prefix advances and
@@ -313,7 +312,6 @@ class LogManager:
             if not self._gc_enabled:
                 return
             self._gc_enabled = False
-            self._gc_hold = False
             leftovers = self._gc_waiters
             self._gc_waiters = []
             self._gc_cond.notify_all()
@@ -342,17 +340,6 @@ class LogManager:
         window."""
         with self._gc_cond:
             return len(self._gc_waiters) + len(self._gc_inflight)
-
-    def hold_group_commit(self) -> None:
-        """Test hook: park incoming commits without flushing them, so a
-        crash can be landed between batch enqueue and flush."""
-        with self._gc_cond:
-            self._gc_hold = True
-
-    def release_group_commit(self) -> None:
-        with self._gc_cond:
-            self._gc_hold = False
-            self._gc_cond.notify_all()
 
     def force_for_commit(self, lsn: int) -> None:
         """Durability point of a commit.
@@ -405,27 +392,23 @@ class LogManager:
     def _flusher_loop(self) -> None:
         while True:
             with self._gc_cond:
-                while self._gc_enabled and (not self._gc_waiters or self._gc_hold):
+                while self._gc_enabled and not self._gc_waiters:
                     self._gc_cond.wait()
                 if not self._gc_enabled:
                     return
                 # Coalescing window: wait for stragglers up to max_wait
                 # or until the batch is full.
                 deadline = time.monotonic() + self._gc_max_wait
-                while (
-                    self._gc_enabled
-                    and not self._gc_hold
-                    and len(self._gc_waiters) < self._gc_max_batch
-                ):
+                while self._gc_enabled and len(self._gc_waiters) < self._gc_max_batch:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
                     self._gc_cond.wait(remaining)
                 if not self._gc_enabled:
                     return
-                if self._gc_hold or not self._gc_waiters:
-                    # Held, or a crash settled every waiter while we sat
-                    # in the coalescing window — nothing to flush.
+                if not self._gc_waiters:
+                    # A crash settled every waiter while we sat in the
+                    # coalescing window — nothing to flush.
                     continue
                 self._gc_inflight = self._gc_waiters
                 self._gc_waiters = []

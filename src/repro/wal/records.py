@@ -38,14 +38,14 @@ from typing import Any
 
 from typing import NamedTuple
 
-from repro.common.errors import WALError
-from repro.wal.serialization import (
+from repro.codec.values import (
     decode_dict_prefix,
     decode_value,
     encode_value,
     frame_record,
     unframe_record,
 )
+from repro.common.errors import WALError
 
 NULL_LSN = 0
 """LSN value meaning "none"; real LSNs start at 1."""
@@ -122,7 +122,7 @@ class LogRecord:
 
     def to_bytes(self) -> bytes:
         """Serialize as a CRC-framed record (see
-        :func:`~repro.wal.serialization.frame_record`)."""
+        :func:`~repro.codec.values.frame_record`)."""
         body = {
             "kind": self.kind.value,
             "txn_id": self.txn_id,
@@ -260,7 +260,7 @@ def prepare_record(
 
     ``gid`` names the global transaction; ``locks`` is the transaction's
     COMMIT-duration lock set as encoded by
-    :func:`~repro.wal.serialization.encode_lock_table` — enough for a
+    :func:`~repro.codec.values.encode_lock_table` — enough for a
     restarted shard to reacquire them and hold the transaction in-doubt.
     """
     return LogRecord(

@@ -1,9 +1,8 @@
 """Structured error payload round-trips (:mod:`repro.codec.errors`).
 
-v2 binary frames must carry an exception's structured constructor args
+Binary frames must carry an exception's structured constructor args
 across the wire (a ``DeadlockError`` keeps its victim and cycle, a
-``UniqueKeyViolationError`` its key bytes); the v1 JSON path drops the
-bytes-valued args but must still re-raise the right class.
+``UniqueKeyViolationError`` its key bytes).
 """
 
 from __future__ import annotations
@@ -29,11 +28,9 @@ from repro.common.errors import (
 )
 
 
-def _roundtrip(exc: BaseException, *, binary: bool = True) -> Exception:
-    payload = error_payload(exc, binary=binary)
-    if binary:
-        # Structured args must survive the codec, not just Python dicts.
-        payload, _ = decode_value(encode_value(payload))
+def _roundtrip(exc: BaseException) -> Exception:
+    # Structured args must survive the codec, not just Python dicts.
+    payload, _ = decode_value(encode_value(error_payload(exc)))
     return rebuild_error(payload)
 
 
@@ -62,22 +59,6 @@ class TestStructuredArgs:
         rebuilt = _roundtrip(SimulatedCrash("wal.force"))
         assert isinstance(rebuilt, SimulatedCrash)
         assert rebuilt.failpoint == "wal.force"
-
-
-class TestV1JsonPath:
-    def test_bytes_args_dropped_but_class_survives(self):
-        payload = error_payload(
-            UniqueKeyViolationError(b"\x01\x02"), binary=False
-        )
-        assert "args" not in payload
-        rebuilt = rebuild_error(payload)
-        # No args on the wire: rebuilt bare, but the right class so
-        # client except-clauses still dispatch correctly.
-        assert isinstance(rebuilt, UniqueKeyViolationError)
-
-    def test_int_args_kept_in_json(self):
-        payload = error_payload(DeadlockError(3, (3, 5)), binary=False)
-        assert payload["args"] == {"txn_id": 3, "cycle": [3, 5]}
 
 
 class TestPlainErrors:

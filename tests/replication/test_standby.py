@@ -15,6 +15,9 @@ from repro.db import Database
 from repro.replication import Standby
 from repro.server import DatabaseServer, ServerConfig
 
+#: Where the group-commit flusher has taken a batch and not yet forced it.
+FLUSH_WINDOW = "log.group_commit.before_flush"
+
 
 def make_primary(sync=False, **server_kwargs):
     db = Database(DatabaseConfig(group_commit=True))
@@ -64,6 +67,15 @@ class TestCatchUp:
         assert status["local_flushed_lsn"] == db.log.flushed_lsn
         primary_view = db.replication.status()
         assert primary_view["subscribers"]["s"]["lag_bytes"] == 0
+        # The shipped stream crosses the wire as raw bytes, identical to
+        # the standby's own log from its ship-start position.
+        ship_start = standby.db.log.truncation_point
+        with server.connect_loopback() as client:
+            response = client.request("repl_poll", name="s", from_lsn=ship_start)
+        assert isinstance(response["data"], bytes)
+        assert response["data"] == standby.db.log.raw_slice(
+            ship_start, ship_start + len(response["data"])
+        )
         standby.close()
         server.abort()
         db.close()
@@ -99,12 +111,10 @@ class TestFlushBoundary:
         insert(db, 1)
         assert caught_up(db, standby)
 
-        db.log.hold_group_commit()
+        db.failpoints.arm_pause(FLUSH_WINDOW)
         committer = threading.Thread(target=insert, args=(db, 2), daemon=True)
         committer.start()
-        deadline = time.monotonic() + 2.0
-        while db.log.group_commit_parked == 0 and time.monotonic() < deadline:
-            time.sleep(0.002)
+        db.failpoints.wait_until_paused(FLUSH_WINDOW, timeout=2.0)
         assert db.log.group_commit_parked > 0
         # the records exist in the primary's volatile tail...
         assert db.log.end_lsn - 1 > db.log.flushed_lsn
@@ -113,7 +123,7 @@ class TestFlushBoundary:
         assert standby.db.log.end_lsn <= db.log.flushed_lsn + 1
         assert standby.fetch("t", "by_id", 2) is None
 
-        db.log.release_group_commit()
+        db.failpoints.release(FLUSH_WINDOW)
         committer.join(timeout=2.0)
         assert caught_up(db, standby)
         assert standby.fetch("t", "by_id", 2) is not None

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.codec.frames import FLAG_RESPONSE, HEADER, PROTOCOL_V2
 from repro.common.errors import (
     DeadlockError,
     KeyNotFoundError,
@@ -17,79 +18,98 @@ from repro.common.errors import (
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     FrameConn,
-    encode_message,
     error_response,
     loopback_pair,
     raise_from_response,
 )
 
 
+def _negotiated_pair() -> tuple[FrameConn, FrameConn]:
+    """A (server, client) conn pair past the preamble, hello and ack."""
+    server_end, client_end = loopback_pair()
+    server, client = FrameConn(server_end), FrameConn(client_end)
+    client.start_client()
+    client.write_message({"op": "ping", "corr_id": 1})
+    assert server.read_message() == {"op": "ping", "corr_id": 1}
+    server.write_message({"ok": True, "corr_id": 1, "result": "pong"})
+    assert client.read_message() == {"ok": True, "corr_id": 1, "result": "pong"}
+    return server, client
+
+
+def _response_header(length: int) -> bytes:
+    return HEADER.pack(length, PROTOCOL_V2, FLAG_RESPONSE, 0, 2)
+
+
 class TestFraming:
     def test_round_trip(self):
-        server_end, client_end = loopback_pair()
-        a, b = FrameConn(server_end), FrameConn(client_end)
-        message = {"op": "insert", "row": {"id": 7, "pad": "x" * 100}}
-        a.write_message(message)
-        assert b.read_message() == message
-        b.write_message({"ok": True, "result": None})
-        assert a.read_message() == {"ok": True, "result": None}
-        a.close()
-        b.close()
+        server, client = _negotiated_pair()
+        message = {
+            "op": "insert",
+            "corr_id": 7,
+            "table": "t",
+            "row": {"id": 7, "pad": "x" * 100, "raw": b"\x00\xff"},
+        }
+        client.write_message(message)
+        assert server.read_message() == message
+        server.write_message({"ok": True, "corr_id": 7, "result": None})
+        assert client.read_message() == {"ok": True, "corr_id": 7, "result": None}
+        server.close()
+        client.close()
 
     def test_eof_at_boundary_is_none(self):
-        server_end, client_end = loopback_pair()
-        a, b = FrameConn(server_end), FrameConn(client_end)
-        a.close()
-        assert b.read_message() is None
-        b.close()
+        server, client = _negotiated_pair()
+        server.close()
+        assert client.read_message() is None
+        client.close()
 
     def test_eof_mid_frame_raises(self):
-        server_end, client_end = loopback_pair()
-        b = FrameConn(client_end)
+        server, client = _negotiated_pair()
         # A header promising 100 bytes, then the line dies.
-        server_end.send_bytes(b"\x00\x00\x00\x64partial")
-        server_end.close()
+        server.transport.send_bytes(_response_header(100) + b"partial")
+        server.close()
         with pytest.raises(ProtocolError, match="mid-frame"):
-            b.read_message()
-        b.close()
+            client.read_message()
+        client.close()
 
-    def test_non_json_body_raises(self):
-        server_end, client_end = loopback_pair()
-        b = FrameConn(client_end)
-        server_end.send_bytes(b"\x00\x00\x00\x03zzz")
-        with pytest.raises(ProtocolError, match="not valid JSON"):
-            b.read_message()
-        server_end.close()
-        b.close()
+    def test_garbage_body_raises(self):
+        server, client = _negotiated_pair()
+        server.transport.send_bytes(_response_header(3) + b"zzz")
+        with pytest.raises(ProtocolError, match="failed to decode"):
+            client.read_message()
+        server.close()
+        client.close()
 
     def test_oversized_header_rejected_before_reading(self):
-        server_end, client_end = loopback_pair()
-        b = FrameConn(client_end)
-        server_end.send_bytes((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+        server, client = _negotiated_pair()
+        # Only the header is sent: a reader that waited for the body
+        # would hang here instead of raising.
+        server.transport.send_bytes(_response_header(MAX_FRAME_BYTES + 1))
         with pytest.raises(ProtocolError, match="exceeds"):
-            b.read_message()
-        server_end.close()
-        b.close()
+            client.read_message()
+        server.close()
+        client.close()
 
     def test_unserializable_message_rejected(self):
-        with pytest.raises(ProtocolError, match="JSON-serializable"):
-            encode_message({"op": object()})
+        server, client = _negotiated_pair()
+        with pytest.raises(ProtocolError, match="not codec-encodable"):
+            client.write_message({"op": "ping", "corr_id": 2, "x": object()})
+        server.close()
+        client.close()
 
     def test_interleaved_messages_keep_order(self):
-        server_end, client_end = loopback_pair()
-        a, b = FrameConn(server_end), FrameConn(client_end)
+        server, client = _negotiated_pair()
 
         def writer():
             for i in range(50):
-                a.write_message({"seq": i})
+                server.write_message({"ok": True, "corr_id": i, "result": i})
 
         thread = threading.Thread(target=writer)
         thread.start()
-        got = [b.read_message()["seq"] for _ in range(50)]
+        got = [client.read_message()["result"] for _ in range(50)]
         thread.join(5.0)
         assert got == list(range(50))
-        a.close()
-        b.close()
+        server.close()
+        client.close()
 
 
 class TestErrorRoundTrip:

@@ -7,30 +7,23 @@ the same code path TCP takes, minus the kernel socket.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
-from repro.codec.frames import PROTOCOL_V1, PROTOCOL_V2
+from repro.codec.frames import MAGIC, PROTOCOL_V2, try_parse_frame
+from repro.codec.ops import OP_HELLO
 from repro.common.errors import (
-    KeyNotFoundError,
     LogHaltedError,
-    ProtocolError,
     ServerError,
     SessionStateError,
     UniqueKeyViolationError,
 )
-from repro.server import DatabaseServer, ServerConfig
+from repro.server import DatabaseClient, DatabaseServer, FrameConn, ServerConfig
+from repro.server.protocol import loopback_pair
 
 from tests.conftest import build_db
-
-
-@pytest.fixture(autouse=True)
-def _default_protocol(monkeypatch):
-    """These tests assert default-protocol behavior; neutralize the CI
-    compat job's ``REPRO_WIRE_PROTOCOL`` override (tests that care set
-    it themselves)."""
-    monkeypatch.delenv("REPRO_WIRE_PROTOCOL", raising=False)
 
 
 @pytest.fixture
@@ -44,69 +37,52 @@ def server():
     db.close()
 
 
+def _read_until_closed(transport) -> bytes:
+    chunks = []
+    try:
+        while chunk := transport.recv_some():
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass  # the server hung up with bytes of ours still unread
+    return b"".join(chunks)
+
+
 class TestNegotiation:
-    def test_default_client_speaks_v2(self, server):
-        with server.connect_loopback() as client:
-            assert client.ping()
-            assert client.protocol_version == PROTOCOL_V2
-
-    def test_json_escape_hatch_speaks_v1(self, server):
-        with server.connect_loopback(protocol="json") as client:
-            assert client.ping()
-            assert client.protocol_version == PROTOCOL_V1
-
-    def test_env_var_selects_protocol(self, server, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "json")
-        with server.connect_loopback() as client:
-            assert client.protocol_version == PROTOCOL_V1
-            assert client.ping()
-
-    def test_invalid_protocol_name_rejected(self, server):
-        with pytest.raises(ProtocolError, match="unknown protocol"):
-            server.connect_loopback(protocol="carrier-pigeon")
+    def test_default_client_speaks_v2(self):
+        server_end, client_end = loopback_pair()
+        DatabaseClient(FrameConn(client_end))
+        assert server_end.recv_exactly(len(MAGIC)) == MAGIC
+        hello, _ = try_parse_frame(server_end.recv_some())
+        assert hello.opcode == OP_HELLO.code
+        assert hello.payload["versions"] == [PROTOCOL_V2]
+        server_end.close()
+        client_end.close()
 
     def test_hello_op_reports_negotiated_version(self, server):
         with server.connect_loopback() as client:
             assert client.request("hello")["version"] == PROTOCOL_V2
-        with server.connect_loopback(protocol="json") as client:
-            assert client.request("hello")["version"] == PROTOCOL_V1
 
-
-class TestV1Compat:
-    """A v1 JSON client against a v2 server: full session lifecycle."""
-
-    def test_v1_crud_lifecycle(self, server):
-        with server.connect_loopback(protocol="json") as client:
-            with client.transaction():
-                client.insert("t", {"id": 1, "name": "one"})
-                client.insert("t", {"id": 2, "name": "two"})
-            assert client.fetch("t", "by_id", 1)["name"] == "one"
-            assert client.delete_by_key("t", "by_id", 2)["name"] == "two"
-            with pytest.raises(KeyNotFoundError):
-                client.delete_by_key("t", "by_id", 2)
-
-    def test_v1_and_v2_clients_share_a_server(self, server):
-        with server.connect_loopback(protocol="json") as v1:
-            with server.connect_loopback(protocol="binary") as v2:
-                v1.insert("t", {"id": 10, "name": "from-v1"})
-                assert v2.fetch("t", "by_id", 10)["name"] == "from-v1"
-                v2.insert("t", {"id": 11, "name": "from-v2"})
-                assert v1.fetch("t", "by_id", 11)["name"] == "from-v2"
-
-    def test_v1_pipeline_matches_by_order(self, server):
-        with server.connect_loopback(protocol="json") as client:
-            with client.pipeline() as pipe:
-                futures = [
-                    pipe.insert("t", {"id": 100 + i, "name": f"n{i}"})
-                    for i in range(8)
-                ]
-            assert all("slot" in f.result() for f in futures)
-
-    def test_v1_structured_error_still_raises_right_class(self, server):
-        with server.connect_loopback(protocol="json") as client:
-            client.insert("t", {"id": 50, "name": "x"})
-            with pytest.raises(UniqueKeyViolationError):
-                client.insert("t", {"id": 50, "name": "dup"})
+    def test_stray_v1_peer_is_dropped_cleanly(self, server):
+        """A peer speaking length-prefixed JSON gets one error frame and
+        a closed connection; its session thread ends and frees its
+        slot, and the server keeps serving binary clients."""
+        server_end, client_end = loopback_pair()
+        session = server._spawn_session(server_end)
+        (thread,) = [
+            t for t in server._threads if t.name == f"db-session-{session.session_id}"
+        ]
+        body = json.dumps({"op": "ping"}).encode()
+        client_end.send_bytes(len(body).to_bytes(4, "big") + body)
+        reply = _read_until_closed(client_end)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert server.session_count == 0
+        frame, end = try_parse_frame(reply)
+        assert end == len(reply)
+        assert frame.is_error and frame.payload["error"] == "ProtocolError"
+        client_end.close()
+        with server.connect_loopback() as client:
+            assert client.ping()
 
 
 class TestPipelining:

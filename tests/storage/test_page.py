@@ -44,7 +44,7 @@ class TestEnvelope:
         assert loaded.high_keys == page.high_keys
 
     def test_unknown_kind_rejected(self):
-        from repro.wal.serialization import encode_value
+        from repro.codec.values import encode_value
 
         raw = encode_value({"kind": "bogus", "page_id": 1, "page_lsn": 0, "body": {}})
         with pytest.raises(StorageError):

@@ -6,6 +6,10 @@ mechanism directly through LogManager and through the Database facade:
 coalescing actually saves flushes, an acknowledged commit is always
 durable, and a crash landing between batch enqueue and flush settles
 every parked committer with CommitNotDurableError.
+
+The enqueue→flush window is reached deterministically: the flusher
+pauses at the ``log.group_commit.before_flush`` failpoint with a batch
+taken and nothing forced.
 """
 
 from __future__ import annotations
@@ -16,14 +20,31 @@ import time
 import pytest
 
 from repro.common.errors import CommitNotDurableError, LogHaltedError
+from repro.common.failpoints import FailpointRegistry
+from repro.common.stats import StatsRegistry
 from repro.wal.log import LogManager
 from repro.wal.records import LogRecord, RecordKind
 
 from tests.conftest import build_db
 
+FLUSH_WINDOW = "log.group_commit.before_flush"
+
 
 def _append(log: LogManager, txn_id: int = 1) -> int:
     return log.append(LogRecord(kind=RecordKind.COMMIT, txn_id=txn_id))
+
+
+def _park_flusher(log: LogManager, failpoints: FailpointRegistry) -> threading.Thread:
+    """Pause the flusher on a sentinel commit, so committers that
+    arrive next queue behind it as waiters not yet taken.  Returns the
+    sentinel's thread (it finishes once the pause is released)."""
+    failpoints.arm_pause(FLUSH_WINDOW)
+    sentinel = threading.Thread(
+        target=log.force_for_commit, args=(_append(log, txn_id=999),)
+    )
+    sentinel.start()
+    failpoints.wait_until_paused(FLUSH_WINDOW)
+    return sentinel
 
 
 def _wait_until(predicate, timeout: float = 5.0) -> bool:
@@ -53,9 +74,10 @@ class TestLifecycle:
         assert not log.group_commit_enabled
 
     def test_stop_flushes_leftovers(self):
-        log = LogManager()
+        failpoints = FailpointRegistry()
+        log = LogManager(failpoints=failpoints)
         log.start_group_commit(max_wait_seconds=0.001)
-        log.hold_group_commit()
+        sentinel = _park_flusher(log, failpoints)
         lsn = _append(log)
         done = threading.Event()
 
@@ -65,20 +87,31 @@ class TestLifecycle:
 
         thread = threading.Thread(target=committer)
         thread.start()
-        assert _wait_until(lambda: log.group_commit_parked == 1)
-        # Stop while held: leftovers must still be flushed and acked.
-        log.stop_group_commit()
+        # The sentinel's batch is in flight; the committer is a waiter.
+        assert _wait_until(lambda: log.group_commit_parked == 2)
+        # Stop with the waiter still queued.  stop_group_commit joins
+        # the paused flusher, so it runs on a helper thread and the
+        # pause is released once the stop has taken the leftovers.
+        stopper = threading.Thread(target=log.stop_group_commit)
+        stopper.start()
+        assert _wait_until(lambda: not log.group_commit_enabled)
+        failpoints.release(FLUSH_WINDOW)
+        stopper.join(5.0)
+        # Leftovers must still be flushed and acked.
         assert done.wait(5.0)
         thread.join(5.0)
+        sentinel.join(5.0)
         assert log.flushed_lsn >= lsn
 
 
 class TestCoalescing:
     def test_batch_costs_one_sync_force(self):
         """N parked committers resolve with a single synchronous I/O."""
-        log = LogManager()
+        failpoints = FailpointRegistry()
+        stats = StatsRegistry()
+        log = LogManager(stats, failpoints)
         log.start_group_commit(max_wait_seconds=0.05)
-        log.hold_group_commit()
+        sentinel = _park_flusher(log, failpoints)
         lsns = [_append(log, txn_id=i + 1) for i in range(8)]
         threads = [
             threading.Thread(target=log.force_for_commit, args=(lsn,))
@@ -86,11 +119,15 @@ class TestCoalescing:
         ]
         for thread in threads:
             thread.start()
-        assert _wait_until(lambda: log.group_commit_parked == 8)
-        log.release_group_commit()
-        for thread in threads:
+        assert _wait_until(lambda: log.group_commit_parked == 9)
+        forces_before = stats.get("log.sync_forces")
+        failpoints.release(FLUSH_WINDOW)
+        for thread in threads + [sentinel]:
             thread.join(5.0)
         assert log.flushed_lsn >= max(lsns)
+        # One force for the sentinel's batch, one for all eight.
+        assert stats.get("log.sync_forces") - forces_before == 2
+        assert stats.get("log.group_commit_flushes_saved") == 7
         log.stop_group_commit()
 
     def test_flushes_saved_counter(self):
@@ -134,9 +171,10 @@ class TestCrashResolution:
     def test_crash_between_enqueue_and_flush_raises(self):
         """The acceptance-criteria window: committers parked when the
         crash lands were never acknowledged and must learn it."""
-        log = LogManager()
+        failpoints = FailpointRegistry()
+        log = LogManager(failpoints=failpoints)
         log.start_group_commit()
-        log.hold_group_commit()
+        failpoints.arm_pause(FLUSH_WINDOW)
         lsns = [_append(log, txn_id=i + 1) for i in range(3)]
         outcomes: list[str] = []
         lock = threading.Lock()
@@ -154,9 +192,12 @@ class TestCrashResolution:
         threads = [threading.Thread(target=committer, args=(lsn,)) for lsn in lsns]
         for thread in threads:
             thread.start()
+        failpoints.wait_until_paused(FLUSH_WINDOW)
         assert _wait_until(lambda: log.group_commit_parked == 3)
         log.halt()
         log.crash()
+        # The paused flusher resumes as crashed, as in Database.crash.
+        failpoints.disarm_all(crash_paused=True)
         for thread in threads:
             thread.join(5.0)
         assert outcomes == ["lost", "lost", "lost"]
@@ -187,49 +228,17 @@ class TestCrashResolution:
 
 
 class TestDatabaseIntegration:
-    def test_lost_commit_never_visible_after_restart(self):
-        """A transaction whose commit raised CommitNotDurableError is
-        rolled back by restart — its row must not reappear."""
+    def test_crash_on_a_flusher_paused_in_the_window_forces_nothing(self):
+        """The flusher stops at its failpoint with the batch taken and
+        unforced; the crash resumes it as crashed, so the parked commit
+        is lost, its bytes never reach stable storage, and restart rolls
+        it back while the commit acknowledged before it survives."""
         db = build_db(group_commit=True)
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)
         with db.transaction() as txn:
-            db.insert(txn, "t", {"id": 1})
-        db.log.hold_group_commit()
-        result: list[str] = []
-
-        def committer() -> None:
-            txn = db.begin()
-            db.insert(txn, "t", {"id": 2})
-            try:
-                db.commit(txn)
-            except CommitNotDurableError:
-                result.append("lost")
-            else:
-                result.append("durable")
-
-        thread = threading.Thread(target=committer)
-        thread.start()
-        assert _wait_until(lambda: db.log.group_commit_parked > 0)
-        db.crash()
-        db.log.release_group_commit()
-        thread.join(5.0)
-        assert result == ["lost"]
-        db.restart()
-        txn = db.begin()
-        assert db.fetch(txn, "t", "by_id", 1) is not None  # acked → durable
-        assert db.fetch(txn, "t", "by_id", 2) is None  # lost → gone
-        db.commit(txn)
-        db.close()
-
-    def test_crash_on_a_flusher_paused_in_the_window_forces_nothing(self):
-        """The flusher stops at its failpoint with the batch taken and
-        unforced; the crash resumes it as crashed, so the parked commit
-        is lost and its bytes never reach stable storage."""
-        db = build_db(group_commit=True)
-        db.create_table("t")
-        db.create_index("t", "by_id", column="id", unique=True)
-        db.failpoints.arm_pause("log.group_commit.before_flush")
+            db.insert(txn, "t", {"id": 0})
+        db.failpoints.arm_pause(FLUSH_WINDOW)
         result: list[str] = []
 
         def committer() -> None:
@@ -244,7 +253,7 @@ class TestDatabaseIntegration:
 
         thread = threading.Thread(target=committer)
         thread.start()
-        db.failpoints.wait_until_paused("log.group_commit.before_flush")
+        db.failpoints.wait_until_paused(FLUSH_WINDOW)
         assert db.log.group_commit_parked == 1
         durable_before = db.log.flushed_lsn
         db.crash()
@@ -255,7 +264,8 @@ class TestDatabaseIntegration:
         db.restart()
         # The flusher survived its simulated crash and serves new commits.
         with db.transaction() as txn:
-            assert db.fetch(txn, "t", "by_id", 1) is None
+            assert db.fetch(txn, "t", "by_id", 0) is not None  # acked → durable
+            assert db.fetch(txn, "t", "by_id", 1) is None  # lost → gone
             db.insert(txn, "t", {"id": 2})
         db.close()
 

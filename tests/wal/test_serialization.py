@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.codec.values import decode_value, encode_value, encoded_size
 from repro.common.errors import WALError
 from repro.common.rid import RID, IndexKey
-from repro.wal.serialization import decode_value, encode_value, encoded_size
 
 rids = st.builds(
     RID,

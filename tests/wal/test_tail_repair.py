@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.common.errors import CorruptLogError, TruncatedLogError
-from repro.wal.log import LogManager
-from repro.wal.records import update_record
-from repro.wal.serialization import (
+from repro.codec.values import (
     RECORD_FRAME,
     frame_record,
     unframe_record,
 )
+from repro.common.errors import CorruptLogError, TruncatedLogError
+from repro.wal.log import LogManager
+from repro.wal.records import update_record
 
 
 def rec(txn_id=1, op="op", page=1):
