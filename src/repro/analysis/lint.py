@@ -77,6 +77,8 @@ MUTATOR_METHODS = {
     "place_record",
     "set_ghost",
     "remove_record",
+    "free_slot",
+    "reformat",
     "insert_key",
     "remove_key",
     "insert_split_entry",

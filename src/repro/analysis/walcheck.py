@@ -39,14 +39,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from repro.common.errors import CorruptLogError, ReproError
+from repro.common.errors import CorruptLogError, ReproError, WALError
 from repro.wal.records import NULL_LSN, LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wal.log import LogManager
 
 #: File header for dumped logs: magic, then the stream's first LSN.
-MAGIC = b"RPRWAL1\x00"
+#: Version 2 dumps hold fixed-header record bodies (see
+#: :mod:`repro.wal.records`); version 1 held tagged-dict bodies.
+MAGIC = b"RPRWAL2\x00"
 
 #: Record kinds outside any transaction's prev_lsn chain: checkpoints
 #: and 2PC coordinator records are logged with txn_id 0.
@@ -305,11 +307,17 @@ def write_log_file(log: "LogManager", path: str | Path) -> int:
 def read_log_file(path: str | Path) -> tuple[int, list[LogRecord]]:
     """Parse a dump back into records.  Also accepts a bare frame
     stream (no header), assuming first LSN 1.  Parsing stops cleanly at
-    a torn tail, exactly like live-log iteration."""
+    a torn tail, exactly like live-log iteration.  A dump or stream of
+    an older record format raises :class:`WalCheckError`."""
     data = Path(path).read_bytes()
     if data.startswith(MAGIC):
         (first_lsn,) = struct.unpack_from("<Q", data, len(MAGIC))
         stream = data[len(MAGIC) + 8 :]
+    elif data.startswith(MAGIC[:6]):
+        raise WalCheckError(
+            f"{path}: dump format {data[:8]!r} is not {MAGIC!r}; "
+            "re-dump the log with this version"
+        )
     else:
         first_lsn = 1
         stream = data
@@ -317,10 +325,18 @@ def read_log_file(path: str | Path) -> tuple[int, list[LogRecord]]:
     offset = 0
     while offset < len(stream):
         try:
-            record, next_offset = LogRecord.from_bytes(stream, offset)
+            record, next_offset = LogRecord.from_bytes(
+                stream, offset, lsn=first_lsn + offset
+            )
         except CorruptLogError:
             break
-        record.lsn = first_lsn + offset
+        except WALError as exc:
+            # A CRC-valid frame whose body is not a record in this
+            # layout: e.g. a version 1 stream of tagged-dict bodies.
+            raise WalCheckError(
+                f"{path}: record at LSN {first_lsn + offset} is not in the "
+                f"version 2 record format: {exc}"
+            ) from exc
         records.append(record)
         offset = next_offset
     return first_lsn, records
@@ -335,6 +351,10 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python -m repro.analysis walcheck <log-file>")
         return 2
-    report = check_file(argv[0])
+    try:
+        report = check_file(argv[0])
+    except WalCheckError as exc:
+        print(f"walcheck: {exc}")
+        return 2
     print(report.format())
     return 0 if report.ok else 1

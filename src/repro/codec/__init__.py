@@ -29,7 +29,6 @@ from repro.codec.frames import (
 )
 from repro.codec.ops import OP_BY_CODE, OP_BY_NAME, OPS, OpSpec
 from repro.codec.values import (
-    decode_dict_prefix,
     decode_lock_table,
     decode_value,
     encode_lock_table,
@@ -53,7 +52,6 @@ __all__ = [
     "WIRE_ERRORS",
     "Frame",
     "OpSpec",
-    "decode_dict_prefix",
     "decode_lock_table",
     "decode_value",
     "encode_frame",

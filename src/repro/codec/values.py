@@ -335,27 +335,3 @@ def decode_lock_table(payload: Any) -> list[tuple[tuple, str]]:
     """Inverse of :func:`encode_lock_table` after a codec round-trip."""
     return [(tuple(name), mode) for name, mode in payload or []]
 
-
-def decode_dict_prefix(body: bytes, stop_key: str) -> dict:
-    """Decode a serialized dict's leading entries, stopping *before*
-    the value of ``stop_key``.
-
-    Log-record bodies put the small fixed fields ahead of the payload
-    (see ``LogRecord.to_bytes``); scans that only need those fields can
-    skip decoding the payload entirely — which is most of the bytes of
-    a typical update record.
-    """
-    if body[:1] != _TAG_DICT:
-        raise WALError("expected a serialized dict")
-    (count,) = _UNPACK_U32(body, 1)
-    offset = 5
-    out: dict = {}
-    for _ in range(count):
-        (key_len,) = _UNPACK_U32(body, offset)
-        offset += 4
-        key = body[offset : offset + key_len].decode("utf-8")
-        offset += key_len
-        if key == stop_key:
-            break
-        out[key], offset = decode_value(body, offset)
-    return out

@@ -50,7 +50,9 @@ class HeapPage(Page):
 
     Slots hold ``(bytes, visible, xmin, xmax)`` or None.  ``xmin`` is
     the inserter's transaction id, ``xmax`` the deleter's (0 = none;
-    pre-MVCC/bootstrap data is stamped ``[0, 0]``)."""
+    pre-MVCC/bootstrap data is stamped ``[0, 0]``).  ``slots`` is
+    read-only outside this class: every slot mutation goes through a
+    method, which keeps the page's used size current."""
 
     KIND = "heap"
 
@@ -58,6 +60,7 @@ class HeapPage(Page):
         super().__init__(page_id)
         self.table_id = table_id
         self.slots: list[tuple[bytes, bool, int, int] | None] = []
+        self._used = PAGE_OVERHEAD
 
     # -- serialization ------------------------------------------------------
 
@@ -74,7 +77,9 @@ class HeapPage(Page):
     @classmethod
     def from_payload(cls, page_id: int, payload: dict[str, Any]) -> "HeapPage":
         page = cls(page_id, payload["table_id"])
+        used = PAGE_OVERHEAD
         for slot in payload["slots"]:
+            used += _SLOT_OVERHEAD
             if slot is None:
                 page.slots.append(None)
             else:
@@ -82,15 +87,12 @@ class HeapPage(Page):
                 xmin = slot[2] if len(slot) > 2 else 0
                 xmax = slot[3] if len(slot) > 3 else 0
                 page.slots.append((slot[0], slot[1], xmin, xmax))
+                used += len(slot[0])
+        page._used = used
         return page
 
     def used_size(self) -> int:
-        total = PAGE_OVERHEAD
-        for slot in self.slots:
-            total += _SLOT_OVERHEAD
-            if slot is not None:
-                total += len(slot[0])
-        return total
+        return self._used
 
     # -- record operations -----------------------------------------------------
 
@@ -99,7 +101,20 @@ class HeapPage(Page):
 
     def append_record(self, data: bytes, xmin: int = 0) -> int:
         self.slots.append((data, True, xmin, 0))
+        self._used += _SLOT_OVERHEAD + len(data)
         return len(self.slots) - 1
+
+    def reformat(self, table_id: int) -> None:
+        """Empty the page for ``table_id`` (redo of a format record)."""
+        self.table_id = table_id
+        self.slots = []
+        self._used = PAGE_OVERHEAD
+
+    def _grow_to(self, slot: int) -> None:
+        missing = slot + 1 - len(self.slots)
+        if missing > 0:
+            self.slots.extend([None] * missing)
+            self._used += missing * _SLOT_OVERHEAD
 
     def place_record(
         self,
@@ -112,14 +127,16 @@ class HeapPage(Page):
         """Install a record at an exact slot (redo path).  Stamps left
         as None keep the slot's current value (0 if the slot was
         empty)."""
-        while len(self.slots) <= slot:
-            self.slots.append(None)
+        self._grow_to(slot)
         current = self.slots[slot]
+        if current is None:
+            current = (b"", False, 0, 0)
         if xmin is None:
-            xmin = current[2] if current is not None else 0
+            xmin = current[2]
         if xmax is None:
-            xmax = current[3] if current is not None else 0
+            xmax = current[3]
         self.slots[slot] = (data, visible, xmin, xmax)
+        self._used += len(data) - len(current[0])
 
     def record(self, slot: int) -> bytes:
         entry = self._entry(slot)
@@ -142,7 +159,17 @@ class HeapPage(Page):
     def remove_record(self, slot: int) -> bytes:
         entry = self._entry(slot)
         self.slots[slot] = None
+        self._used -= len(entry[0])
         return entry[0]
+
+    def free_slot(self, slot: int) -> None:
+        """Empty ``slot`` whether or not it holds a record (redo of a
+        remove or purge, which must be idempotent)."""
+        self._grow_to(slot)
+        entry = self.slots[slot]
+        if entry is not None:
+            self.slots[slot] = None
+            self._used -= len(entry[0])
 
     def is_visible(self, slot: int) -> bool:
         entry = self.slots[slot] if slot < len(self.slots) else None
@@ -174,6 +201,23 @@ class HeapFile:
         self._ctx = ctx
         self.table_id = table_id
         self.page_ids: list[int] = []
+        #: Page id → free bytes, as last measured.  The insert scan
+        #: skips a page whose entry is too small without fixing it, so
+        #: every change that frees space on a page must update its entry
+        #: (:meth:`note_room`); a page without an entry is fixed and
+        #: measured.  Written under the page's X latch, except a first
+        #: measurement, which never overwrites a latched writer's entry.
+        self._room: dict[int, int] = {}
+
+    def adopt_pages(self, page_ids: list[int]) -> None:
+        """Replace the page list after a restart and forget every
+        free-space entry: recovery rebuilt the pages behind them."""
+        self.page_ids = page_ids
+        self._room = {}
+
+    def note_room(self, page: "HeapPage") -> None:
+        """Record ``page``'s free bytes after a change (X latch held)."""
+        self._room[page.page_id] = self._ctx.config.page_size - page.used_size()
 
     # -- locking helper -----------------------------------------------------------
 
@@ -207,6 +251,7 @@ class HeapFile:
             self._ctx.buffer.unfix(page.page_id)
         try:
             slot = page.append_record(data, xmin=txn.txn_id)
+            self.note_room(page)
             rid = RID(page.page_id, slot)
             self._lock(txn, rid, LockMode.X)
             record = update_record(
@@ -307,11 +352,18 @@ class HeapFile:
     def _find_page_with_room(self, txn: "Transaction", data: bytes) -> HeapPage:
         """Return a *fixed* page with room for ``data`` (newest first)."""
         page_size = self._ctx.config.page_size
-        if len(data) + _SLOT_OVERHEAD + PAGE_OVERHEAD > page_size:
+        need = len(data) + _SLOT_OVERHEAD
+        if need + PAGE_OVERHEAD > page_size:
             raise PageOverflowError(f"record of {len(data)} bytes exceeds page size")
+        room = self._room
         for page_id in reversed(self.page_ids):
+            free = room.get(page_id)
+            if free is not None and free < need:
+                continue
             page = self._fix_heap_page(page_id)
-            if page.has_room_for(data, page_size):
+            free = page_size - page.used_size()
+            room.setdefault(page_id, free)
+            if free >= need:
                 return page
             self._ctx.buffer.unfix(page_id)
         return self._format_new_page(txn)
@@ -342,8 +394,7 @@ class HeapResourceManager:
     def apply_redo(self, ctx: "Database", page: HeapPage, record: LogRecord) -> None:
         if record.op == "format":
             ctx.disk.ensure_allocator_above(record.page_id)
-            page.table_id = record.payload["table_id"]
-            page.slots = []
+            page.reformat(record.payload["table_id"])
             return
         rid: RID = record.payload["rid"]
         if record.op == "insert":
@@ -373,9 +424,7 @@ class HeapResourceManager:
                 page.table_id, rid, record.payload["data"], record.txn_id
             )
         elif record.op in ("remove_c", "purge"):
-            while len(page.slots) <= rid.slot:
-                page.slots.append(None)
-            page.slots[rid.slot] = None
+            page.free_slot(rid.slot)
             if record.op == "purge":
                 ctx.mvcc_forget_raw(page.table_id, rid, record.payload["data"])
         else:
@@ -393,6 +442,9 @@ class HeapResourceManager:
             assert isinstance(page, HeapPage)
             if record.op == "insert":
                 page.remove_record(rid.slot)
+                table = ctx._table_by_id(page.table_id)
+                if table is not None:
+                    table.heap.note_room(page)
                 clr = clr_record(
                     txn.txn_id,
                     RM_HEAP,

@@ -869,7 +869,7 @@ class Database:
             finally:
                 self.buffer.unfix(page_id)
         for table in self.tables.values():
-            table.heap.page_ids = by_table.get(table.table_id, [])
+            table.heap.adopt_pages(by_table.get(table.table_id, []))
 
     def note_heap_page(self, table_id: int, page_id: int) -> None:
         """Register a heap page with its table's in-memory page view
@@ -884,9 +884,9 @@ class Database:
     def _bump_txn_ids(self) -> None:
         """Never reuse a transaction id that appears in the log."""
         highest = 0
-        for record in self.log.records():
-            if record.txn_id > highest:
-                highest = record.txn_id
+        for header in self.log.record_headers():
+            if header.txn_id > highest:
+                highest = header.txn_id
         self.txns.adopt_floor(highest + 1)
 
     def _rebuild_mvcc_state(self) -> None:

@@ -140,7 +140,8 @@ def _purge_slots(db: "Database", purge_rids: dict[int, list]) -> int:
                         undoable=False,
                     )
                     lsn = db.txns.log_for(txn, record)
-                    page.slots[rid.slot] = None
+                    page.remove_record(rid.slot)
+                    table.heap.note_room(page)
                     page.page_lsn = lsn
                     db.buffer.mark_dirty(rid.page_id, lsn)
                     purged += 1

@@ -87,7 +87,11 @@ def run_analysis(ctx: "Database") -> AnalysisResult:
     start_lsn = ctx.log.master_lsn or 1
     checkpoint_begin_seen = False
 
-    for record in ctx.log.records(start_lsn):
+    # Headers only: the few records whose payload matters here
+    # (checkpoint end, PREPARE's gid, a heap format's table id) are
+    # decoded individually with ``read``.
+    log = ctx.log
+    for record in log.record_headers(start_lsn):
         result.records_scanned += 1
         result.end_lsn = record.lsn
         kind = record.kind
@@ -97,7 +101,7 @@ def run_analysis(ctx: "Database") -> AnalysisResult:
             continue
         if kind is RecordKind.CKPT_END:
             if checkpoint_begin_seen:
-                _merge_checkpoint(result, record.payload)
+                _merge_checkpoint(result, log.read(record.lsn).payload)
             continue
 
         if record.txn_id > result.max_txn_id:
@@ -117,7 +121,7 @@ def run_analysis(ctx: "Database") -> AnalysisResult:
                 txn.status = TxnStatus.COMMITTED
             elif kind is RecordKind.PREPARE:
                 txn.status = TxnStatus.PREPARED
-                txn.gid = record.payload.get("gid")
+                txn.gid = log.read(record.lsn).payload.get("gid")
                 txn.prepare_lsn = record.lsn
             elif kind is RecordKind.ROLLBACK:
                 txn.status = TxnStatus.ROLLING_BACK
@@ -129,7 +133,7 @@ def run_analysis(ctx: "Database") -> AnalysisResult:
             result.dirty_pages.setdefault(record.page_id, record.lsn)
             result.page_heads[record.page_id] = record.lsn
             if record.rm == RM_HEAP and record.op == "format":
-                table_id = record.payload.get("table_id", 0)
+                table_id = log.read(record.lsn).payload.get("table_id", 0)
                 result.heap_formats.setdefault(table_id, set()).add(
                     record.page_id
                 )

@@ -163,7 +163,7 @@ class RecoveryGovernor:
                 p for p in table.heap.page_ids if p in disk_ids or p in dpt
             ]
             extra = heap_formats.get(table.table_id, set()) - set(keep)
-            table.heap.page_ids = sorted(set(keep) | extra)
+            table.heap.adopt_pages(sorted(set(keep) | extra))
 
     # -- the hook ------------------------------------------------------------
 
@@ -230,42 +230,43 @@ class RecoveryGovernor:
         finally:
             lock.release()
 
-    def _chain_lsns(self, page_id: int, rec_lsn: int) -> list[int]:
-        """The page's redo-relevant record LSNs, oldest first, from
-        walking its backward log chain.  The walk stops below the
-        page's recLSN: earlier records (including any earlier
-        incarnation of a recycled page id) are already on disk.  Falls
-        back to a header-only scan of the redo span when no chain head
-        is known — e.g. a ``last_lsn``-less checkpoint written by an
-        older build."""
-        ctx = self.ctx
+    def _chain_records(self, page_id: int, rec_lsn: int) -> list[LogRecord]:
+        """The page's redo-relevant records, oldest first, from walking
+        its backward log chain.  The walk stops below the page's
+        recLSN: earlier records (including any earlier incarnation of a
+        recycled page id) are already on disk.  Falls back to a
+        header-only scan of the redo span when no chain head is known —
+        e.g. a ``last_lsn``-less checkpoint written by an older build."""
+        log = self.ctx.log
         lsn = self.analysis.page_heads.get(page_id, NULL_LSN)
-        lsns: list[int] = []
+        records: list[LogRecord] = []
         while lsn != NULL_LSN and lsn >= rec_lsn:
-            lsns.append(lsn)
-            lsn = ctx.log.read(lsn).prev_page_lsn
-        if lsns:
-            lsns.reverse()
-            return lsns
-        for header in ctx.log.record_headers(rec_lsn):
-            if header.is_redoable and header.page_id == page_id:
-                lsns.append(header.lsn)
-        return lsns
+            record = log.read(lsn)
+            records.append(record)
+            lsn = record.prev_page_lsn
+        if records:
+            records.reverse()
+            return records
+        return [
+            log.read(header.lsn)
+            for header in log.record_headers(rec_lsn)
+            if header.is_redoable and header.page_id == page_id
+        ]
 
     def _recover_page(self, page_id: int, pending: bool) -> None:
         ctx = self.ctx
         if pending:
             rec_lsn = self.analysis.dirty_pages[page_id]
-            lsns = self._chain_lsns(page_id, rec_lsn)
+            records = self._chain_records(page_id, rec_lsn)
             applied = 0
-            for lsn in lsns:
+            for record in records:
                 # apply_record materialises a missing page from its
                 # format record and rebuilds a torn one from history;
                 # the page-LSN test keeps replay idempotent.
-                if apply_record(ctx, ctx.log.read(lsn), rec_lsn=rec_lsn):
+                if apply_record(ctx, record, rec_lsn=rec_lsn):
                     applied += 1
             with self._mutex:
-                self.redo.records_examined += len(lsns)
+                self.redo.records_examined += len(records)
                 self.redo.records_redone += applied
                 self.redo.pages_touched += 1
             # A page whose disk image already contained every change
@@ -302,17 +303,23 @@ class RecoveryGovernor:
         shards: list[list[int]] = [[] for _ in range(workers)]
         for page_id in backlog:
             shards[page_id % workers].append(page_id)
+        # Workers wait for every sibling to be started: a worker that
+        # began draining at once would hold the interpreter lock this
+        # thread needs to start the next one and to open the database.
+        go = threading.Event()
         for index, shard in enumerate(shards):
             if not shard:
                 continue
             thread = threading.Thread(
-                target=self._worker, args=(shard,), name=f"redo-worker-{index}",
+                target=self._worker, args=(shard, go), name=f"redo-worker-{index}",
                 daemon=True,
             )
             self._threads.append(thread)
             thread.start()
+        go.set()
 
-    def _worker(self, shard: list[int]) -> None:
+    def _worker(self, shard: list[int], go: threading.Event) -> None:
+        go.wait()
         for page_id in shard:
             if self._stop.is_set():
                 return

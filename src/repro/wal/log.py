@@ -5,6 +5,13 @@ of a record in that stream plus one (so ``NULL_LSN == 0`` is never a
 valid record address), which makes LSNs monotonically increasing — the
 property ARIES page-state comparison relies on (§1.2).
 
+The stream is stored as sealed segments — immutable ``bytes`` of about
+:data:`SEGMENT_BYTES` each, never copied again once sealed — plus one
+open ``bytearray`` that appends extend.  A segment is sealed at a frame
+boundary, so every CRC frame lies inside one segment and readers decode
+straight out of a segment through ``memoryview`` slices.  Nothing else
+is kept per record: reading a record decodes its frame again.
+
 Crash semantics: the volatile tail (records appended but not yet
 forced) vanishes on :meth:`crash`.  The *master record* — the LSN of
 the last complete checkpoint's begin record — is stored in a separate
@@ -25,9 +32,10 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
 from typing import Callable, Iterator
 
-from repro.codec.values import unframe_record
+from repro.codec.values import RECORD_FRAME, unframe_record
 from repro.common.errors import (
     CommitNotDurableError,
     CorruptLogError,
@@ -45,6 +53,10 @@ from repro.wal.records import (
     RecordKind,
     header_from_bytes,
 )
+
+#: Size at which the open segment is sealed (a frame larger than this
+#: gets a segment of its own).
+SEGMENT_BYTES = 1 << 20
 
 
 class _CommitWaiter:
@@ -85,9 +97,13 @@ class LogManager:
         self._stats = stats or StatsRegistry(enabled=False)
         self._failpoints = failpoints or FailpointRegistry()
         self._mutex = threading.Lock()
-        self._buffer = bytearray()
+        #: Sealed segments and the stream offset of each one's first
+        #: byte; then the open segment and its stream offset.
+        self._sealed: list[bytes] = []
+        self._starts: list[int] = []
+        self._open = bytearray()
+        self._open_start = 0
         self._flushed_len = 0
-        self._records: dict[int, LogRecord] = {}
         self._master_lsn = NULL_LSN
         self._append_count = 0
         #: Bytes dropped from the front by truncation.  LSNs are offsets
@@ -141,7 +157,7 @@ class LogManager:
         with self._mutex:
             if self._halted:
                 raise LogHaltedError("log halted by crash; restart first")
-            lsn = self._truncated + len(self._buffer) + 1
+            lsn = self._open_start + len(self._open) + 1
             record.lsn = lsn
             if record.page_id is not None and record.kind in (
                 RecordKind.UPDATE,
@@ -152,9 +168,9 @@ class LogManager:
                 )
                 self._page_chain[record.page_id] = lsn
             framed = record.to_bytes()
-            record.framed_size = len(framed)
-            self._buffer += framed
-            self._records[lsn] = record
+            if self._open and len(self._open) + len(framed) > SEGMENT_BYTES:
+                self._seal_locked()
+            self._open += framed
             self._append_count += 1
         self._stats.incr("log.records_written")
         self._stats.incr(f"log.records.{record.kind.value}")
@@ -176,24 +192,23 @@ class LogManager:
         while offset < len(data):
             start = offset
             try:
-                record, offset = LogRecord.from_bytes(data, offset)
+                record, offset = LogRecord.from_bytes(
+                    data, offset, lsn=base_lsn + start
+                )
             except CorruptLogError as exc:
                 raise WALError(
                     f"shipped chunk corrupt at relative offset {start}: {exc}"
                 ) from exc
-            record.lsn = base_lsn + start
             records.append(record)
         with self._mutex:
             if self._halted:
                 raise LogHaltedError("log halted by crash; restart first")
-            expected = self._truncated + len(self._buffer) + 1
+            expected = self._open_start + len(self._open) + 1
             if base_lsn != expected:
                 raise WALError(
                     f"shipped chunk starts at LSN {base_lsn}; log ends at {expected}"
                 )
-            self._buffer += data
-            for record in records:
-                self._records[record.lsn] = record
+            self._extend_locked(data)
             self._append_count += len(records)
         self._stats.incr("log.records_shipped_in", len(records))
         return records
@@ -207,9 +222,9 @@ class LogManager:
         just pretends the first ``base_lsn - 1`` bytes were truncated.
         """
         with self._mutex:
-            if self._buffer or self._truncated:
+            if self._sealed or self._open or self._truncated:
                 raise WALError("rebase requires a pristine (empty) log")
-            self._truncated = base_lsn - 1
+            self._truncated = self._open_start = base_lsn - 1
             self._flushed_len = self._truncated
 
     def load_stream(self, base_lsn: int, data: bytes) -> None:
@@ -219,7 +234,7 @@ class LogManager:
         it came from stable storage."""
         self.rebase(base_lsn)
         with self._mutex:
-            self._buffer += data
+            self._extend_locked(data)
             self._flushed_len = self._truncated + len(data)
 
     def raw_slice(self, from_lsn: int, upto: int | None = None) -> bytes:
@@ -229,7 +244,7 @@ class LogManager:
         should be shipped — callers bound ``upto`` at record/flush
         boundaries."""
         with self._mutex:
-            end = self._truncated + len(self._buffer) + 1
+            end = self._open_start + len(self._open) + 1
             if upto is None:
                 upto = end
             upto = min(upto, end)
@@ -239,9 +254,7 @@ class LogManager:
                 )
             if from_lsn >= upto:
                 return b""
-            lo = from_lsn - 1 - self._truncated
-            hi = upto - 1 - self._truncated
-            return bytes(self._buffer[lo:hi])
+            return self._copy_locked(from_lsn - 1, upto - 1)
 
     def force(self, lsn: int | None = None) -> None:
         """Make the log durable up to and including ``lsn`` (or all of it).
@@ -253,23 +266,25 @@ class LogManager:
         self._force_bytes(target)
 
     def _force_target_locked(self, lsn: int | None) -> int:
-        """Byte offset a force covering ``lsn`` must reach (mutex held)."""
+        """Byte offset a force covering ``lsn`` must reach (mutex held):
+        the end of the frame at ``lsn``, read from the stream."""
+        end = self._open_start + len(self._open)
         if lsn is None or lsn == NULL_LSN:
-            return self._truncated + len(self._buffer)
-        record = self._records.get(lsn)
-        if record is None:
-            # The record may predate this process (recovered log);
-            # forcing to at least ``lsn`` bytes is always safe.
-            return min(lsn, self._truncated + len(self._buffer))
-        size = record.framed_size
-        if size is None:
-            size = len(record.to_bytes())
-        return lsn - 1 + size
+            return end
+        pos = lsn - 1
+        if self._truncated <= pos and pos + RECORD_FRAME.size <= end:
+            segment, offset = self._locate_locked(pos)
+            if offset + RECORD_FRAME.size <= len(segment):
+                _, length = RECORD_FRAME.unpack_from(segment, offset)
+                return min(pos + RECORD_FRAME.size + length, end)
+        # Truncated away (so already durable) or past the end: forcing
+        # to at least ``lsn`` bytes is always safe.
+        return min(lsn, end)
 
     def _force_bytes(self, target: int) -> None:
         """Make the stream durable up to byte offset ``target``."""
         with self._mutex:
-            target = min(target, self._truncated + len(self._buffer))
+            target = min(target, self._open_start + len(self._open))
             if target > self._flushed_len:
                 self._flushed_len = target
                 moved = True
@@ -525,19 +540,101 @@ class LogManager:
     def end_lsn(self) -> int:
         """LSN that the *next* appended record will receive."""
         with self._mutex:
-            return self._truncated + len(self._buffer) + 1
+            return self._open_start + len(self._open) + 1
 
     @property
     def unforced_bytes(self) -> int:
         """Bytes appended but not yet covered by a force."""
         with self._mutex:
-            return self._truncated + len(self._buffer) - self._flushed_len
+            return self._open_start + len(self._open) - self._flushed_len
 
     @property
     def truncation_point(self) -> int:
         """Smallest LSN still present (1 if never truncated)."""
         with self._mutex:
             return self._truncated + 1
+
+    @property
+    def sealed_segments(self) -> int:
+        """Sealed (immutable) segments the retained stream spans."""
+        with self._mutex:
+            return len(self._sealed)
+
+    # -- segments ------------------------------------------------------------
+
+    def _seal_locked(self) -> None:
+        """Freeze the open segment and start an empty one (mutex held)."""
+        self._sealed.append(bytes(self._open))
+        self._starts.append(self._open_start)
+        self._open_start += len(self._open)
+        self._open = bytearray()
+
+    def _extend_locked(self, data: bytes) -> None:
+        """Append a run of frames, sealing only at frame boundaries
+        (mutex held).  Frames are found by their length fields alone; a
+        cut-short or garbled tail goes in as it is — readers stop at it
+        and :meth:`repair_tail` drops it."""
+        with memoryview(data) as view:
+            start = offset = 0
+            while offset + RECORD_FRAME.size <= len(view):
+                _, length = RECORD_FRAME.unpack_from(view, offset)
+                end = offset + RECORD_FRAME.size + length
+                if end > len(view):
+                    break
+                if (
+                    len(self._open) + end - start > SEGMENT_BYTES
+                    and (self._open or offset > start)
+                ):
+                    self._open += view[start:offset]
+                    self._seal_locked()
+                    start = offset
+                offset = end
+            self._open += view[start:]
+
+    def _locate_locked(self, pos: int) -> tuple[bytes | bytearray, int]:
+        """The segment holding stream offset ``pos`` (at or after the
+        truncation point) and ``pos``'s offset inside it (mutex held)."""
+        if pos >= self._open_start:
+            return self._open, pos - self._open_start
+        index = bisect_right(self._starts, pos) - 1
+        return self._sealed[index], pos - self._starts[index]
+
+    def _pieces_locked(self, lo: int, hi: int) -> list[tuple[int, bytes | memoryview]]:
+        """Stream offsets ``[lo, hi)`` as ``(offset, buffer)`` pieces, one
+        per segment touched (mutex held).  Sealed parts are zero-copy
+        views; the open part is copied, so the pieces stay valid after
+        the mutex is released."""
+        pieces: list[tuple[int, bytes | memoryview]] = []
+        index = max(bisect_right(self._starts, lo) - 1, 0)
+        for start, segment in zip(self._starts[index:], self._sealed[index:]):
+            if start >= hi:
+                break
+            a = max(lo - start, 0)
+            b = min(hi - start, len(segment))
+            if b > a:
+                pieces.append((start + a, memoryview(segment)[a:b]))
+        a = max(lo - self._open_start, 0)
+        b = hi - self._open_start
+        if b > a:
+            pieces.append((self._open_start + a, bytes(self._open[a:b])))
+        return pieces
+
+    def _copy_locked(self, lo: int, hi: int) -> bytes:
+        """Stream offsets ``[lo, hi)`` as one ``bytes`` (mutex held)."""
+        return b"".join(piece for _, piece in self._pieces_locked(lo, hi))
+
+    def _cut_locked(self, end: int) -> None:
+        """Drop every stream byte from offset ``end`` on (mutex held).
+        A cut inside a sealed segment makes its head the open one."""
+        if end >= self._open_start:
+            del self._open[end - self._open_start :]
+            return
+        index = max(bisect_right(self._starts, end) - 1, 0)
+        start = self._starts[index]
+        self._open = bytearray(self._sealed[index][: end - start])
+        self._open_start = start
+        del self._sealed[index:]
+        del self._starts[index:]
 
     # -- per-page chain ------------------------------------------------------
 
@@ -575,23 +672,24 @@ class LogManager:
     # -- reading -------------------------------------------------------------
 
     def read(self, lsn: int) -> LogRecord:
-        """Return the record at ``lsn``."""
+        """Return the record at ``lsn``, decoded from the stream."""
         with self._mutex:
-            record = self._records.get(lsn)
-            if record is not None:
-                return record
-            buffer = bytes(self._buffer)
             truncated = self._truncated
+            end = self._open_start + len(self._open)
+            if truncated < lsn <= end:
+                segment, offset = self._locate_locked(lsn - 1)
+                if segment is self._open:
+                    # Copy the one frame out (its end is where a force
+                    # of it would stop): the open segment keeps growing
+                    # once the mutex is released.
+                    frame_end = self._force_target_locked(lsn) - self._open_start
+                    segment = bytes(segment[offset:frame_end])
+                    offset = 0
         if lsn <= truncated:
             raise LSNOutOfRangeError(f"LSN {lsn} was truncated away")
-        if not 1 <= lsn <= truncated + len(buffer):
-            raise LSNOutOfRangeError(
-                f"LSN {lsn} beyond log end {truncated + len(buffer)}"
-            )
-        record, _ = LogRecord.from_bytes(buffer, lsn - 1 - truncated)
-        record.lsn = lsn
-        with self._mutex:
-            self._records.setdefault(lsn, record)
+        if not 1 <= lsn <= end:
+            raise LSNOutOfRangeError(f"LSN {lsn} beyond log end {end}")
+        record, _ = LogRecord.from_bytes(segment, offset, lsn=lsn)
         return record
 
     def records(
@@ -619,48 +717,38 @@ class LogManager:
         busy-polling.  The iterator ends when ``stop()`` returns true or
         the log halts (crash).
         """
-        if not follow:
-            with self._mutex:
-                buffer = bytes(self._buffer)
-                truncated = self._truncated
-            offset = max(from_lsn - 1 - truncated, 0)
-            while offset < len(buffer):
+        if follow:
+            return self._follow_records(from_lsn, stop, poll_interval)
+        return self._scan(from_lsn, LogRecord.from_bytes)
+
+    def record_headers(self, from_lsn: int = 1) -> Iterator[RecordHeader]:
+        """Iterate record *headers* in LSN order — every field but the
+        payload — without ever decoding payload bytes.
+
+        Analysis, the instant-restart page index and the restart-time
+        transaction-id and commit scans need only these.  Like
+        :meth:`records`, iteration stops cleanly at the first torn
+        frame.
+        """
+        return self._scan(from_lsn, header_from_bytes)
+
+    def _scan(self, from_lsn: int, decode) -> Iterator:
+        with self._mutex:
+            lo = max(from_lsn - 1, self._truncated)
+            pieces = self._pieces_locked(lo, self._open_start + len(self._open))
+        for start, buffer in pieces:
+            offset = 0
+            size = len(buffer)
+            while offset < size:
                 try:
-                    record, next_offset = LogRecord.from_bytes(buffer, offset)
+                    item, next_offset = decode(
+                        buffer, offset, lsn=start + offset + 1
+                    )
                 except CorruptLogError:
                     self._stats.incr("log.tail_frame_errors")
                     return
-                record.lsn = truncated + offset + 1
-                yield record
+                yield item
                 offset = next_offset
-            return
-        yield from self._follow_records(from_lsn, stop, poll_interval)
-
-    def record_headers(self, from_lsn: int = 1) -> Iterator[RecordHeader]:
-        """Iterate record *headers* in LSN order — kind, txn, rm, op,
-        page id — without ever decoding payload bytes.
-
-        This is the fast scan the instant-restart governor uses to
-        index the redo span by page: on payload-heavy logs it is
-        several times cheaper than :meth:`records`, and the payloads of
-        the few records that matter individually can be fetched later
-        with :meth:`read`.  Like :meth:`records`, iteration stops
-        cleanly at the first torn frame.
-        """
-        with self._mutex:
-            buffer = bytes(self._buffer)
-            truncated = self._truncated
-        offset = max(from_lsn - 1 - truncated, 0)
-        while offset < len(buffer):
-            try:
-                header, next_offset = header_from_bytes(
-                    buffer, offset, lsn=truncated + offset + 1
-                )
-            except CorruptLogError:
-                self._stats.incr("log.tail_frame_errors")
-                return
-            yield header
-            offset = next_offset
 
     def _follow_records(
         self,
@@ -673,28 +761,29 @@ class LogManager:
             if stop is not None and stop():
                 return
             with self._mutex:
-                truncated = self._truncated
                 halted = self._halted
-                if next_lsn <= truncated:
+                if next_lsn <= self._truncated:
                     raise LSNOutOfRangeError(
                         f"LSN {next_lsn} was truncated away (archive required)"
                     )
-                lo = next_lsn - 1 - truncated
-                hi = self._flushed_len - truncated
-                chunk = bytes(self._buffer[lo:hi]) if hi > lo else b""
-            offset = 0
-            while offset < len(chunk):
-                try:
-                    record, next_offset = LogRecord.from_bytes(chunk, offset)
-                except CorruptLogError:
-                    # The durable prefix ends mid-frame (a torn tail a
-                    # crash left behind): nothing more to ship until
-                    # repair or until the flush boundary moves past it.
+                pieces = self._pieces_locked(next_lsn - 1, self._flushed_len)
+            for start, buffer in pieces:
+                offset = 0
+                while offset < len(buffer):
+                    try:
+                        record, next_offset = LogRecord.from_bytes(
+                            buffer, offset, lsn=start + offset + 1
+                        )
+                    except CorruptLogError:
+                        # The durable prefix ends mid-frame (a torn tail a
+                        # crash left behind): nothing more to ship until
+                        # repair or until the flush boundary moves past it.
+                        break
+                    yield record
+                    offset = next_offset
+                next_lsn = start + offset + 1
+                if offset < len(buffer):
                     break
-                record.lsn = next_lsn + offset
-                yield record
-                offset = next_offset
-            next_lsn += offset
             if halted:
                 return
             # Caught up: park until the durable prefix advances.  The
@@ -740,11 +829,14 @@ class LogManager:
         """
         with self._mutex:
             target = min(lsn - 1, self._flushed_len)
-            drop = target - self._truncated
-            if drop <= 0:
+            if target <= self._truncated:
                 return 0
             archiver = self._archiver
-            chunk = bytes(self._buffer[:drop]) if archiver is not None else b""
+            chunk = (
+                self._copy_locked(self._truncated, target)
+                if archiver is not None
+                else b""
+            )
             first_lsn = self._truncated + 1
         if archiver is not None:
             # Outside the mutex: archivers may do real I/O.  Raising
@@ -758,11 +850,17 @@ class LogManager:
             drop = target - self._truncated
             if drop <= 0:
                 return 0
-            self._buffer = self._buffer[drop:]
+            # Whole segments go; at most one is sliced.
+            while self._sealed and self._starts[0] + len(self._sealed[0]) <= target:
+                del self._sealed[0]
+                del self._starts[0]
+            if self._sealed and self._starts[0] < target:
+                self._sealed[0] = self._sealed[0][target - self._starts[0] :]
+                self._starts[0] = target
+            elif not self._sealed:
+                del self._open[: target - self._open_start]
+                self._open_start = target
             self._truncated = target
-            self._records = {
-                l: r for l, r in self._records.items() if l > target
-            }
         self._stats.incr("log.bytes_reclaimed", drop)
         return drop
 
@@ -781,20 +879,21 @@ class LogManager:
         Returns the number of bytes discarded.
         """
         with self._mutex:
-            buffer = bytes(self._buffer)
-            offset = 0
-            while offset < len(buffer):
-                try:
-                    _, offset = unframe_record(buffer, offset)
-                except CorruptLogError:
+            end = self._open_start + len(self._open)
+            limit = end
+            for start, buffer in self._pieces_locked(self._truncated, end):
+                offset = 0
+                while offset < len(buffer):
+                    try:
+                        _, offset = unframe_record(buffer, offset)
+                    except CorruptLogError:
+                        limit = start + offset
+                        break
+                if limit < end:
                     break
-            dropped = len(buffer) - offset
+            dropped = end - limit
             if dropped:
-                limit = self._truncated + offset
-                self._buffer = self._buffer[:offset]
-                self._records = {
-                    lsn: rec for lsn, rec in self._records.items() if lsn <= limit
-                }
+                self._cut_locked(limit)
                 self._flushed_len = min(self._flushed_len, limit)
         if dropped:
             self._stats.incr("log.tail_bytes_discarded", dropped)
@@ -814,16 +913,14 @@ class LogManager:
         suffix via :meth:`repair_tail`.
         """
         with self._mutex:
-            keep = self._flushed_len - self._truncated
+            keep = self._flushed_len
             if keep_partial_tail > 0:
-                keep = min(keep + keep_partial_tail, len(self._buffer))
-            self._buffer = self._buffer[:keep]
-            survivors = {
-                lsn: rec for lsn, rec in self._records.items() if lsn <= self._flushed_len
-            }
-            self._records = survivors
+                keep = min(
+                    keep + keep_partial_tail, self._open_start + len(self._open)
+                )
+            self._cut_locked(keep)
             # Whatever survived is on stable storage by definition.
-            self._flushed_len = self._truncated + keep
+            self._flushed_len = keep
             # Chain tails are volatile; restart re-seeds them from the
             # analysis pass before any new append can need them.
             self._page_chain = {}

@@ -33,19 +33,19 @@ Record categories (``kind``):
 from __future__ import annotations
 
 import enum
+import struct
+import zlib
 from dataclasses import dataclass, field
-from typing import Any
-
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from repro.codec.values import (
-    decode_dict_prefix,
+    RECORD_FRAME,
     decode_value,
     encode_value,
     frame_record,
     unframe_record,
 )
-from repro.common.errors import WALError
+from repro.common.errors import CorruptLogError, WALError
 
 NULL_LSN = 0
 """LSN value meaning "none"; real LSNs start at 1."""
@@ -72,6 +72,93 @@ RM_HEAP = "heap"
 RM_BTREE = "btree"
 RM_TXN = "txn"
 
+# -- body layout ---------------------------------------------------------------
+#
+# A record body is one fixed struct header, then ``rm`` and ``op`` as
+# u8-length UTF-8 strings, then — only when it is non-empty — the
+# payload dict in the tagged value codec:
+#
+#   kind u8 | flags u8 | txn_id u64 | prev_lsn u64 | page_id u32 |
+#   prev_page_lsn u64 | undo_next_lsn u64 | rm | op | [payload]
+#
+# ``flags`` says whether the record is undoable and whether ``page_id``
+# and ``undo_next_lsn`` are present (absent ones are stored as 0).  Kind
+# codes are positions in this tuple, so new kinds go at the end; 0 is
+# never a kind, and no code is the tagged codec's dict tag (``D``), so a
+# body of the old tagged-dict format fails to decode instead of
+# misparsing.
+_KIND_BY_CODE: tuple[RecordKind | None, ...] = (None, *RecordKind)
+_CODE_BY_KIND = {kind: code for code, kind in enumerate(_KIND_BY_CODE) if kind}
+
+_HEAD = struct.Struct(">BBQQIQQ")
+_PACK_HEAD = _HEAD.pack
+#: The CRC frame and the struct header in one unpack.
+_UNPACK_FRAMED_HEAD = struct.Struct(">II" + _HEAD.format[1:]).unpack_from
+#: Struct header plus two empty names: the shortest valid body.
+_MIN_BODY = _HEAD.size + 2
+_F_UNDOABLE = 1
+_F_PAGE = 2
+_F_UNDO_NEXT = 4
+
+#: ``(rm, op)`` → their packed length-prefixed bytes; a handful of pairs
+#: cover every record, bounded like the codec's dict-key cache.
+_NAMES: dict[tuple[str, str], bytes] = {}
+_NAMES_MAX = 4096
+
+
+def _pack_names(rm: str, op: str) -> bytes:
+    packed = _NAMES.get((rm, op))
+    if packed is None:
+        rm_raw = rm.encode("utf-8")
+        op_raw = op.encode("utf-8")
+        if len(rm_raw) > 255 or len(op_raw) > 255:
+            raise WALError(f"rm/op names longer than 255 bytes: {rm!r}.{op!r}")
+        packed = bytes((len(rm_raw),)) + rm_raw + bytes((len(op_raw),)) + op_raw
+        if len(_NAMES) < _NAMES_MAX:
+            _NAMES[(rm, op)] = packed
+    return packed
+
+
+def _parse(raw, offset: int) -> tuple:
+    """Validate the frame at ``offset`` and split its body.
+
+    Returns ``(head, rm, op, body, payload_start, next_offset)`` where
+    ``head`` is the unpacked struct header.  A frame that is cut short
+    or fails its CRC raises :class:`~repro.common.errors.CorruptLogError`
+    (the torn-tail signal); a CRC-valid body that is not a record in
+    this layout raises plain :class:`~repro.common.errors.WALError`.
+    """
+    try:
+        crc, length, *head = _UNPACK_FRAMED_HEAD(raw, offset)
+    except struct.error:
+        length = -1
+    start = offset + RECORD_FRAME.size
+    next_offset = start + length
+    if length < _MIN_BODY or next_offset > len(raw):
+        # Too short to hold a header: let the frame check say whether
+        # the frame itself is cut short or damaged.
+        body, _ = unframe_record(raw, offset)
+        raise WALError(f"log record body at offset {offset} is only {len(body)} bytes")
+    body = raw[start:next_offset]
+    if zlib.crc32(body) != crc:
+        raise CorruptLogError(f"log record at offset {offset} failed its CRC check")
+    try:
+        pos = _HEAD.size
+        size = body[pos]
+        rm = str(body[pos + 1 : pos + 1 + size], "utf-8")
+        pos += 1 + size
+        size = body[pos]
+        op = str(body[pos + 1 : pos + 1 + size], "utf-8")
+        pos += 1 + size
+    except (IndexError, UnicodeDecodeError) as exc:
+        raise WALError(f"malformed log record body at offset {offset}") from exc
+    if pos > length or not 0 < head[0] < len(_KIND_BY_CODE):
+        raise WALError(
+            f"malformed log record body at offset {offset} "
+            f"(kind code {head[0]}, {length} bytes)"
+        )
+    return head, rm, op, body, pos, next_offset
+
 
 @dataclass
 class LogRecord:
@@ -97,12 +184,6 @@ class LogRecord:
     undo_next_lsn: int | None = None
     undoable: bool = True
     lsn: int = NULL_LSN
-    #: Size of this record's CRC frame in the log stream, recorded when
-    #: the record enters or leaves the byte stream (append / parse).
-    #: Lets the commit force path compute its byte target without
-    #: re-serializing the record.  Never set ahead of append — fields
-    #: are still mutable until then.
-    framed_size: int | None = field(default=None, compare=False, repr=False)
 
     # -- classification helpers -------------------------------------------
 
@@ -122,40 +203,59 @@ class LogRecord:
 
     def to_bytes(self) -> bytes:
         """Serialize as a CRC-framed record (see
-        :func:`~repro.codec.values.frame_record`)."""
-        body = {
-            "kind": self.kind.value,
-            "txn_id": self.txn_id,
-            "prev_lsn": self.prev_lsn,
-            "rm": self.rm,
-            "op": self.op,
-            "page_id": self.page_id,
-            "prev_page_lsn": self.prev_page_lsn,
-            "payload": self.payload,
-            "undo_next_lsn": self.undo_next_lsn,
-            "undoable": self.undoable,
-        }
-        return frame_record(encode_value(body))
+        :func:`~repro.codec.values.frame_record`) in the fixed-header
+        layout described at the top of this module."""
+        page_id = self.page_id
+        undo_next = self.undo_next_lsn
+        flags = (
+            (_F_UNDOABLE if self.undoable else 0)
+            | (0 if page_id is None else _F_PAGE)
+            | (0 if undo_next is None else _F_UNDO_NEXT)
+        )
+        try:
+            body = _PACK_HEAD(
+                _CODE_BY_KIND[self.kind],
+                flags,
+                self.txn_id,
+                self.prev_lsn,
+                page_id or 0,
+                self.prev_page_lsn,
+                undo_next or 0,
+            )
+        except struct.error as exc:
+            raise WALError(f"log record field out of range: {exc}") from exc
+        body += _pack_names(self.rm, self.op)
+        if self.payload:
+            body += encode_value(self.payload)
+        return frame_record(body)
 
     @classmethod
-    def from_bytes(cls, raw: bytes, offset: int = 0) -> tuple["LogRecord", int]:
-        body_raw, next_offset = unframe_record(raw, offset)
-        body, _ = decode_value(body_raw)
-        if not isinstance(body, dict):
-            raise WALError("malformed log record")
-        record = cls(
-            kind=RecordKind(body["kind"]),
-            txn_id=body["txn_id"],
-            prev_lsn=body["prev_lsn"],
-            rm=body["rm"],
-            op=body["op"],
-            page_id=body["page_id"],
-            prev_page_lsn=body.get("prev_page_lsn", NULL_LSN),
-            payload=body["payload"],
-            undo_next_lsn=body["undo_next_lsn"],
-            undoable=body["undoable"],
+    def from_bytes(
+        cls, raw, offset: int = 0, lsn: int = NULL_LSN
+    ) -> tuple["LogRecord", int]:
+        """Decode the framed record at ``offset`` (``raw`` may be any
+        buffer, ``memoryview`` included); returns it, stamped with
+        ``lsn``, and the offset of the next frame."""
+        head, rm, op, body, pos, next_offset = _parse(raw, offset)
+        code, flags, txn_id, prev_lsn, page_id, prev_page_lsn, undo_next = head
+        payload: Any = {}
+        if pos < len(body):
+            payload, end = decode_value(body, pos)
+            if not isinstance(payload, dict) or end != len(body):
+                raise WALError(f"malformed log record payload at offset {offset}")
+        record = cls(  # positional: field order, half the cost of keywords
+            _KIND_BY_CODE[code],
+            txn_id,
+            prev_lsn,
+            rm,
+            op,
+            page_id if flags & _F_PAGE else None,
+            prev_page_lsn,
+            payload,
+            undo_next if flags & _F_UNDO_NEXT else None,
+            bool(flags & _F_UNDOABLE),
+            lsn,
         )
-        record.framed_size = next_offset - offset
         return record, next_offset
 
     def __repr__(self) -> str:
@@ -170,19 +270,21 @@ class LogRecord:
 
 
 class RecordHeader(NamedTuple):
-    """The cheap-to-decode prefix of one log record: everything that
-    precedes the payload in the serialized body, plus the frame
-    position.  A header scan answers "which pages does the redo span
-    touch, and with which LSNs?" without paying for payload decoding —
-    see :meth:`~repro.wal.log.LogManager.record_headers`."""
+    """Every field of one log record except its payload, plus its LSN.
+    A header scan answers "which pages does the redo span touch, which
+    transactions are in flight, and with which LSNs?" without decoding
+    a payload — see :meth:`~repro.wal.log.LogManager.record_headers`."""
 
     lsn: int
     kind: RecordKind
     txn_id: int
+    prev_lsn: int
     rm: str
     op: str
     page_id: int | None
     prev_page_lsn: int
+    undo_next_lsn: int | None
+    undoable: bool
 
     @property
     def is_redoable(self) -> bool:
@@ -193,20 +295,23 @@ class RecordHeader(NamedTuple):
 
 
 def header_from_bytes(
-    raw: bytes, offset: int = 0, lsn: int = NULL_LSN
+    raw, offset: int = 0, lsn: int = NULL_LSN
 ) -> tuple[RecordHeader, int]:
     """Decode one framed record's header fields only (no payload)."""
-    body, next_offset = unframe_record(raw, offset)
-    fields = decode_dict_prefix(body, stop_key="payload")
+    head, rm, op, _, _, next_offset = _parse(raw, offset)
+    code, flags, txn_id, prev_lsn, page_id, prev_page_lsn, undo_next = head
     return (
         RecordHeader(
-            lsn=lsn,
-            kind=RecordKind(fields["kind"]),
-            txn_id=fields["txn_id"],
-            rm=fields["rm"],
-            op=fields["op"],
-            page_id=fields["page_id"],
-            prev_page_lsn=fields.get("prev_page_lsn", NULL_LSN),
+            lsn,
+            _KIND_BY_CODE[code],
+            txn_id,
+            prev_lsn,
+            rm,
+            op,
+            page_id if flags & _F_PAGE else None,
+            prev_page_lsn,
+            undo_next if flags & _F_UNDO_NEXT else None,
+            bool(flags & _F_UNDOABLE),
         ),
         next_offset,
     )

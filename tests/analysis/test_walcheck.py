@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import struct
 
+import pytest
+
 from repro.analysis.walcheck import (
     MAGIC,
+    WalCheckError,
     check_file,
     check_log,
     check_records,
@@ -14,6 +17,7 @@ from repro.analysis.walcheck import (
     write_log_file,
 )
 from repro.analysis.walcheck import main as walcheck_main
+from repro.codec.values import encode_value, frame_record
 from repro.wal.records import NULL_LSN, LogRecord, RecordKind
 
 from tests.conftest import build_db, populate
@@ -190,3 +194,30 @@ def test_cli_fails_on_a_broken_chain(tmp_path, capsys):
     path.write_bytes(MAGIC + struct.pack("<Q", 1) + stream)
     assert walcheck_main([str(path)]) == 1
     assert "breaks the chain" in capsys.readouterr().out
+
+
+def test_old_dump_version_is_refused(tmp_path, capsys):
+    stream = upd(0, 1, NULL_LSN, page_id=3).to_bytes()
+    path = tmp_path / "v1.dump"
+    path.write_bytes(b"RPRWAL1\x00" + struct.pack("<Q", 1) + stream)
+    with pytest.raises(WalCheckError, match="re-dump"):
+        read_log_file(path)
+    assert walcheck_main([str(path)]) == 2
+    assert "RPRWAL1" in capsys.readouterr().out
+
+
+def test_bare_tagged_dict_stream_is_refused(tmp_path):
+    body = encode_value({"kind": "commit", "txn_id": 1, "payload": {}})
+    path = tmp_path / "v1.stream"
+    path.write_bytes(frame_record(body))
+    with pytest.raises(WalCheckError, match="version 2 record format"):
+        read_log_file(path)
+
+
+def test_bare_v2_stream_is_read(tmp_path):
+    stream = upd(1, 1, NULL_LSN, page_id=3).to_bytes()
+    path = tmp_path / "v2.stream"
+    path.write_bytes(stream)
+    first_lsn, records = read_log_file(path)
+    assert first_lsn == 1
+    assert [(r.lsn, r.page_id) for r in records] == [(1, 3)]

@@ -106,14 +106,18 @@ class TestTornTailCrash:
         assert len(list(log.records())) == 5
 
     def test_bit_flip_mid_log_truncates_from_there(self):
+        source = LogManager()
+        first = source.append(rec(op="keep"))
+        source.append(rec(op="damaged"))
+        source.append(rec(op="after"))
+        source.force()
+        # Flip one byte inside the second record's frame of a copy of
+        # the stream, and load the damaged copy.
+        stream = bytearray(source.raw_slice(first))
+        second_offset = len(source.read(first).to_bytes())
+        stream[second_offset + RECORD_FRAME.size + 2] ^= 0xFF
         log = LogManager()
-        first = log.append(rec(op="keep"))
-        log.append(rec(op="damaged"))
-        log.append(rec(op="after"))
-        log.force()
-        # Flip one byte inside the second record's frame.
-        second_offset = first - 1 + len(log.read(first).to_bytes())
-        log._buffer[second_offset + RECORD_FRAME.size + 2] ^= 0xFF
+        log.load_stream(first, bytes(stream))
         assert [r.op for r in log.records()] == ["keep"]
         dropped = log.repair_tail()
         assert dropped > 0
