@@ -21,7 +21,7 @@ from repro.server import DatabaseServer, ServerConfig
 
 ROWS_BEFORE_STANDBY = 50
 LOAD_ROWS = 300
-#: Where the group-commit flusher has taken a batch and not yet forced it.
+#: Where a group-commit leader has taken a batch and not yet forced it.
 FLUSH_WINDOW = "log.group_commit.before_flush"
 
 
@@ -74,8 +74,8 @@ def main() -> None:
     # and flush — the worst possible instant.  Parked committers get
     # CommitNotDurableError (never a false ack); the standby has only
     # the durable prefix, which is exactly what may survive.  The
-    # flusher pauses at its failpoint with the batch taken; the crash
-    # resumes it as crashed.
+    # committer leading the flush pauses at its failpoint with the
+    # batch taken; the crash resumes it as crashed.
     db.failpoints.arm_pause(FLUSH_WINDOW)
     blocked = threading.Thread(
         target=lambda: _try_insert(server, 9_999), daemon=True

@@ -14,7 +14,7 @@ participant already applied.
 The coordinator's log is an ordinary :class:`~repro.wal.log.LogManager`
 (same CRC framing, group commit, crash/halt semantics as a shard's
 WAL), so concurrent commit decisions coalesce into batched flushes and
-the torture harness can pause its flusher at the
+the torture harness can pause a group-commit leader at the
 ``log.group_commit.before_flush`` failpoint and crash it inside the
 flush window like any other log.
 """
@@ -144,7 +144,7 @@ class Coordinator:
         definite abort)."""
         self.log.halt()
         self.log.crash()
-        # A flusher paused at a failpoint resumes as crashed.
+        # A group-commit leader paused at a failpoint resumes as crashed.
         self.failpoints.disarm_all(crash_paused=True)
         with self._mutex:
             self._committed.clear()

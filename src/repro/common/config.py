@@ -56,14 +56,17 @@ class DatabaseConfig:
 
     group_commit: bool = False
     """Coalesce concurrent commit forces into batched synchronous log
-    flushes (one flusher thread; committers park on a condition
-    variable).  Off by default: single-threaded experiments want the
-    paper's one-force-per-commit accounting."""
+    flushes (the first committer to find no flush in progress leads
+    one on its own thread; the others park behind it).  Off by default:
+    single-threaded experiments want the paper's one-force-per-commit
+    accounting."""
     group_commit_max_batch: int = 64
     """Flush as soon as this many commits are parked."""
     group_commit_max_wait_seconds: float = 0.002
-    """Flush no later than this after the first commit of a batch parks
-    (bounds added commit latency)."""
+    """Upper bound on how long a leader waits for partners before it
+    flushes.  The wait is also capped by ``log_flush_latency_seconds``
+    (waiting longer than a flush costs cannot pay for itself), so with
+    an unpriced flush a commit forces at once."""
     log_flush_latency_seconds: float = 0.0
     """Simulated device latency charged per synchronous log flush
     (0 disables).  The in-memory log makes flushes free, which hides

@@ -676,7 +676,7 @@ class Database:
     def close(self) -> None:
         """Shut the engine down cleanly: roll back whatever is still
         active, force the log, flush every dirty page, take a final
-        checkpoint, and stop the group-commit flusher.  Idempotent; a
+        checkpoint, and turn group commit off.  Idempotent; a
         crashed instance skips the flush work (its volatile state is
         already gone).  After ``close()``, :meth:`begin` raises
         :class:`DatabaseClosedError`."""

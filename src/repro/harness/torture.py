@@ -314,12 +314,17 @@ class MultiSessionSpec:
     buffer_pool_pages: int = 64
     insert_fraction: float = 0.65
     crash_mode: str = "held_flush"
-    """``held_flush``: pin the flusher, let commits park, crash into the
-    enqueue→flush window.  ``racing``: crash at a random moment with the
-    flusher live.  ``graceful``: no crash — drain, shut down, then
-    crash+restart to check the final checkpoint made everything durable."""
+    """``held_flush``: pin a group commit's leader, let commits park
+    behind it, crash into the take→flush window.  ``racing``: crash at a
+    random moment with group commit live.  ``graceful``: no crash —
+    drain, shut down, then crash+restart to check the final checkpoint
+    made everything durable."""
     crash_after_requests: int = 40
     """Total acked requests after which the trigger pulls."""
+    log_flush_latency_seconds: float = 0.0
+    """Price of one log flush.  Coalescing waits at most one flush's
+    price, so an unpriced round forces each commit at once, and only a
+    priced one shows group commit's saving."""
     snapshot_readers: int = 0
     """Concurrent snapshot-reader sessions racing the writers: each
     repeatedly opens a snapshot transaction, reads the same key twice,
@@ -494,7 +499,7 @@ def _join_all(threads: list, seed: int, timeout: float = 30.0) -> None:
         _check(not thread.is_alive(), seed, "session worker thread wedged")
 
 
-#: Where the group-commit flusher has taken a batch and not yet forced it.
+#: Where a group commit's leader has taken a batch and not yet forced it.
 _FLUSH_WINDOW = "log.group_commit.before_flush"
 
 
@@ -510,6 +515,7 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
         buffer_pool_pages=spec.buffer_pool_pages,
         group_commit=True,
         group_commit_max_wait_seconds=0.001,
+        log_flush_latency_seconds=spec.log_flush_latency_seconds,
         lock_timeout_seconds=1.0,
         latch_timeout_seconds=5.0,
         # Paced background GC races the client sessions, so the
@@ -551,9 +557,13 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
 
     if spec.crash_mode == "held_flush":
         # Armed before any request is sent, so the rendezvous cannot be
-        # missed however fast the sessions run.
+        # missed however fast the sessions run.  Only a server thread's
+        # flush pauses: the paced GC's purge commits too, and a crash on
+        # its commit alone would lose no client write.
         db.failpoints.arm_pause(
-            _FLUSH_WINDOW, when=lambda: total_acked() >= spec.crash_after_requests
+            _FLUSH_WINDOW,
+            when=lambda: total_acked() >= spec.crash_after_requests
+            and threading.current_thread().name.startswith("db-"),
         )
     for thread in threads:
         thread.start()
@@ -578,11 +588,12 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
         _check(server.shutdown(drain=True), spec.seed, "graceful drain timed out")
         db.crash()
     elif spec.crash_mode == "held_flush":
-        # The flusher stopped at its first batch after the warm-up (see
-        # the pause armed above): that batch's committers are parked in
-        # the enqueue→flush window, later ones queue behind them, and
-        # the crash — which also resumes the flusher, as crashed —
-        # lands on all of them.
+        # The first leader after the warm-up stopped with its batch
+        # taken (see the pause armed above): that batch's committers —
+        # the leader's own commit among them — are parked in the
+        # take→flush window, later ones queue behind them, and the
+        # crash — which also resumes the leader, as crashed — lands on
+        # all of them.
         try:
             db.failpoints.wait_until_paused(_FLUSH_WINDOW, timeout=10.0)
         except TimeoutError:
@@ -725,9 +736,9 @@ class FailoverSpec:
     buffer_pool_pages: int = 64
     insert_fraction: float = 0.65
     crash_mode: str = "held_flush"
-    """``held_flush``: pin the flusher, crash into the enqueue→flush
-    window, drain, promote.  ``racing``: crash at a random moment with
-    the flusher live, drain, promote.  ``sync``: synchronous
+    """``held_flush``: pin a group commit's leader, crash into the
+    take→flush window, drain, promote.  ``racing``: crash at a random
+    moment with group commit live, drain, promote.  ``sync``: synchronous
     replication, crash racing, promote with NO drain — the gate is the
     only thing standing between an acked commit and oblivion."""
     crash_after_requests: int = 30
@@ -821,7 +832,7 @@ def run_failover_round(spec: FailoverSpec) -> FailoverReport:
         # Crash with commits parked between group-commit enqueue and
         # flush: their records exist only in the volatile tail, and the
         # standby must never have seen them.  The crash resumes the
-        # paused flusher as crashed.
+        # paused leader as crashed.
         try:
             db.failpoints.wait_until_paused(_FLUSH_WINDOW, timeout=10.0)
         except TimeoutError:
@@ -1466,8 +1477,9 @@ def run_cluster_round(spec: ClusterTortureSpec) -> ClusterTortureReport:
         return sum(w.acked for w in workers)
 
     # Aim the crash: once the workload has warmed up, the victim log's
-    # flusher pauses with a batch taken, so commits/prepares/decisions
-    # park in the enqueue->flush window, and the crash lands on them.
+    # next group-commit leader pauses with a batch taken, so
+    # commits/prepares/decisions park in the take->flush window, and the
+    # crash lands on them.
     victims = []
     if spec.crash_mode in ("shard", "both"):
         shard_db = cluster.shards[victim_shard].db
@@ -1494,7 +1506,7 @@ def run_cluster_round(spec: ClusterTortureSpec) -> ClusterTortureReport:
             break  # workload already finished; nothing to park
         time.sleep(0.001)
     report.parked_at_crash = sum(log.group_commit_parked for log, _ in victims)
-    # Each crash resumes its log's paused flusher as crashed.
+    # Each crash resumes its log's paused leader as crashed.
     if spec.crash_mode in ("coordinator", "both"):
         cluster.crash_coordinator()
     if spec.crash_mode in ("shard", "both"):

@@ -390,6 +390,6 @@ class Standby:
         if self.db is not None and not self._promoted:
             # A standby database never committed anything of its own;
             # closing it must not log (keep the LSN space clean) — just
-            # stop the flusher machinery.
+            # turn group commit off.
             self.db.log.stop_group_commit()
             self.db._closed = True

@@ -2,22 +2,32 @@
 
 Architecture::
 
-    accept thread ──► one connection thread per session (frame I/O only)
+    accept thread ──► one connection thread per session (frame I/O)
                                    │  submit(request)
-                                   ▼
-                      bounded queue (admission control)
-                                   │
-                      executor pool: N worker threads run Session.execute
-                                   │
-                      engine (latches/locks serialize page access;
-                      group commit coalesces the commit forces)
+                 lone request,     │          batch, or no slot free
+                 a slot free       ▼
+          ┌──────────────── N engine slots ────────────────┐
+          │                                                │
+     runs Session.execute                  bounded queue (admission control)
+     on the session thread                            │
+          │                             executor pool: N workers, each
+          │                             takes a slot per job and runs
+          │                             Session.execute[_batch]
+          ▼                                           ▼
+          engine (latches/locks serialize page access; group commit
+          coalesces the commit forces, led by a committing thread)
 
-Admission control: a request that cannot enter the bounded queue
-within the admission timeout is rejected with
+The ``workers`` slots bound engine concurrency however a request
+arrives.  A lone request that finds a slot free skips the queue and
+the worker hand-off; batches and requests that find every slot busy
+take the queue.  Admission control: a request that cannot enter the
+bounded queue within the admission timeout is rejected with
 ``ServerOverloadedError`` — backpressure instead of unbounded memory.
 A request that runs past the per-request timeout gets its connection
-dropped (the reply stream would be out of step otherwise); the worker
-finishes the op and then cleans the session up.
+dropped (the reply stream would be out of step otherwise): a queued
+request's session thread notices itself, and one server-wide deadline
+watcher notices for inline ones.  Whoever finishes the op then cleans
+the session up.
 
 Graceful shutdown drains in-flight requests, closes every session
 (rolling back open transactions), stops the workers, and takes a final
@@ -30,7 +40,9 @@ import itertools
 import queue
 import socket
 import threading
+import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.common.errors import (
     ConfigError,
@@ -57,7 +69,8 @@ class ServerConfig:
     port: int = 0
     """0 = let the OS pick a free port (tests)."""
     workers: int = 4
-    """Executor pool size — the bound on concurrent engine work."""
+    """Engine slots (and executor pool size) — the bound on concurrent
+    engine work, whether a request runs inline or on the pool."""
     queue_depth: int = 64
     """Bounded request queue; beyond it, admission control rejects."""
     admission_timeout_seconds: float = 0.25
@@ -94,8 +107,8 @@ _STOP = object()  # worker sentinel
 
 
 class _Job:
-    """One request — or one batch of pipelined requests — in flight
-    through the executor pool."""
+    """One request — or one batch of pipelined requests — in flight,
+    inline on its session thread or through the executor pool."""
 
     __slots__ = ("session", "request", "batch", "done", "response", "timed_out", "lock")
 
@@ -123,6 +136,60 @@ class _Job:
         self.done.set()
 
 
+class _DeadlineWatch:
+    """One server-wide thread that times out inline requests.
+
+    Every request gets the same timeout, so deadlines expire in the
+    order requests register: the watcher sleeps until the oldest, and
+    with nothing registered sleeps one whole timeout — a request that
+    registers meanwhile expires no earlier than that wake-up.  So
+    registering never has to wake the watcher.
+    """
+
+    def __init__(self, timeout: float, expire: Callable[[_Job], object]) -> None:
+        self._timeout = timeout
+        self._expire = expire
+        self._cond = threading.Condition(threading.Lock())
+        #: Registered jobs → deadline, oldest first (insertion order).
+        self._jobs: dict[_Job, float] = {}
+        self._stopped = False
+        self._thread = threading.Thread(
+            target=self._run, name="db-deadlines", daemon=True
+        )
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify()
+        self._thread.join(timeout=5.0)
+
+    def add(self, job: _Job) -> None:
+        with self._cond:
+            self._jobs[job] = time.monotonic() + self._timeout
+
+    def discard(self, job: _Job) -> None:
+        with self._cond:
+            self._jobs.pop(job, None)
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                if self._stopped:
+                    return
+                now = time.monotonic()
+                job, deadline = next(
+                    iter(self._jobs.items()), (None, now + self._timeout)
+                )
+                if job is None or deadline > now:
+                    self._cond.wait(deadline - now)
+                    continue
+                del self._jobs[job]
+            self._expire(job)
+
+
 class DatabaseServer:
     """Serve one :class:`~repro.db.Database` to many sessions."""
 
@@ -145,11 +212,19 @@ class DatabaseServer:
         self._shutdown_done = False
         self._executing = 0
         self._executing_lock = threading.Lock()
+        #: One slot per unit of engine concurrency (``workers``): a lone
+        #: request takes one on its session thread, a pool worker one
+        #: per job.
+        self._slots = threading.Semaphore(config.workers)
+        self._deadlines = _DeadlineWatch(
+            config.request_timeout_seconds, self._time_out
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, listen: bool = True) -> "DatabaseServer":
-        """Start the executor pool and (optionally) the TCP listener.
+        """Start the executor pool, the deadline watcher and (optionally)
+        the TCP listener.
 
         ``listen=False`` runs loopback-only — the in-process tests and
         the crash torture harness don't need a real socket."""
@@ -162,6 +237,7 @@ class DatabaseServer:
             )
             worker.start()
             self._workers.append(worker)
+        self._deadlines.start()
         if listen:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -229,11 +305,12 @@ class DatabaseServer:
     # -- request path ------------------------------------------------------
 
     def submit(self, session: Session, request: dict) -> dict | None:
-        """Admit, execute, and reply to one request.
+        """Admit, execute, and reply to one request — on the calling
+        session thread when an engine slot is free, else on the pool.
 
         Returns the response message, or None when the request timed
-        out (the session thread must stop reading — the worker still
-        owns the op and cleans up)."""
+        out (the session thread must stop reading; whoever finishes the
+        op cleans up)."""
         return self._submit_job(_Job(session, request), 1)
 
     def submit_batch(
@@ -259,6 +336,17 @@ class DatabaseServer:
         if self._stopping:
             job.settle(ServerShutdownError("server is shutting down"))
             return job.response
+        # A lone request runs right here, on its session's thread, when
+        # an engine slot is free: no queue hop and no worker wake-up.
+        # Batches stay on the pool (inline, they hold a slot through a
+        # whole pipeline and the other session's p99 pays for it).
+        inline = not job.batch and self._slots.acquire(blocking=False)
+        try:
+            if inline:
+                return self._run_inline(job)
+        finally:
+            if inline:
+                self._slots.release()
         try:
             self._queue.put(job, timeout=self.config.admission_timeout_seconds)
         except queue.Full:
@@ -270,15 +358,36 @@ class DatabaseServer:
                 )
             )
             return job.response
+        stats.incr("server.queued_jobs")
         stats.max_gauge("server.queue_peak", self._queue.qsize())
-        if job.done.wait(self.config.request_timeout_seconds):
+        if job.done.wait(self.config.request_timeout_seconds) or not self._time_out(job):
             return job.response
+        return None
+
+    def _run_inline(self, job: _Job) -> dict | None:
+        """Execute a lone request on the calling session thread (its
+        slot already taken); the deadline watcher stands in for the
+        timed wait a queued request's session thread does itself."""
+        self.db.stats.incr("server.inline_requests")
+        self._count_executing(1)
+        self._deadlines.add(job)
+        try:
+            finished = self._execute(job)
+        finally:
+            self._deadlines.discard(job)
+            self._count_executing(-1)
+        return job.response if finished else None
+
+    def _time_out(self, job: _Job) -> bool:
+        """Give up on ``job``: abandon its session and send the timeout
+        notice (the reply stream would be out of step otherwise).
+        False if the job finished first."""
         with job.lock:
             if job.done.is_set():  # finished just as we gave up
-                return job.response
+                return False
             job.timed_out = True
             job.session.abandoned = True
-        stats.incr("server.request_timeouts")
+        self.db.stats.incr("server.request_timeouts")
         try:
             job.session.conn.write_message(
                 error_response(
@@ -290,36 +399,57 @@ class DatabaseServer:
             )
         except OSError:
             pass
-        return None
+        return True
 
     def _worker_loop(self) -> None:
         while True:
             job = self._queue.get()
             if job is _STOP:
                 return
-            with self._executing_lock:
-                self._executing += 1
+            # Counted while it waits for a slot too, so a drain never
+            # finds the job neither queued nor executing.
+            self._count_executing(1)
             try:
-                if job.batch:
-                    response = job.session.execute_batch(job.request)
-                else:
-                    response = job.session.execute(job.request)
+                self._slots.acquire()
+                try:
+                    self._execute(job)
+                finally:
+                    self._slots.release()
             finally:
-                with self._executing_lock:
-                    self._executing -= 1
-            with job.lock:
-                job.response = response
-                job.done.set()
-                abandoned = job.timed_out
-            if abandoned:
-                # The connection thread already walked away; the op's
-                # session dies here, rolling back its transaction.
-                job.session.cleanup()
+                self._count_executing(-1)
+            if not self._queue.empty():
+                # Let go of the interpreter between jobs even when the
+                # next one is already queued, as when waiting for one.
+                # A backlogged pool that ran job after job was preempted
+                # inside the lock manager's mutex instead, and at 16
+                # pipelined sessions (E20) fell into a convoy on it.
+                time.sleep(0)
+
+    def _execute(self, job: _Job) -> bool:
+        """Run ``job`` on this thread and settle it.  False when its
+        requester timed out meanwhile: the op's session dies here,
+        rolling back its transaction."""
+        if job.batch:
+            response = job.session.execute_batch(job.request)
+        else:
+            response = job.session.execute(job.request)
+        with job.lock:
+            job.response = response
+            job.done.set()
+            abandoned = job.timed_out
+        if abandoned:
+            job.session.cleanup()
+        return not abandoned
+
+    def _count_executing(self, delta: int) -> None:
+        with self._executing_lock:
+            self._executing += delta
 
     @property
     def executing_count(self) -> int:
-        """Requests currently running on the executor pool (the torture
-        harness uses this to find a quiescent point to crash at)."""
+        """Jobs currently executing — inline on a session thread or on
+        the pool, or taken by a worker that waits for a slot.  Graceful
+        shutdown drains until this and the queue are empty."""
         with self._executing_lock:
             return self._executing
 
@@ -341,8 +471,6 @@ class DatabaseServer:
         harness uses this after ``db.crash()``.
 
         Returns True if the drain completed before the timeout."""
-        import time
-
         if not self._started or self._shutdown_done:
             return True
         self._shutdown_done = True
@@ -393,6 +521,7 @@ class DatabaseServer:
             self._queue.put(_STOP)
         for worker in self._workers:
             worker.join(timeout=5.0)
+        self._deadlines.stop()
         if checkpoint is None:
             checkpoint = self.config.checkpoint_on_shutdown and drain
         if checkpoint and not self.db.closed and not self.db._crashed:

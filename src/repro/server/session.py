@@ -9,10 +9,12 @@ a statement savepoint, so a unique-key violation or missing key rolls
 back just that statement and the transaction stays usable — the same
 idiom the workload harness uses.
 
-The read/respond loop runs on the session's connection thread; the op
-itself executes on the server's worker pool (see
-:class:`~repro.server.server.DatabaseServer`), which is what bounds
-engine concurrency and applies backpressure.
+The read/respond loop runs on the session's connection thread.  A lone
+op executes there too when one of the server's engine slots is free;
+batches, and ops that find every slot busy, execute on the server's
+worker pool (see :class:`~repro.server.server.DatabaseServer`).  The
+slots bound engine concurrency, and the pool's bounded queue applies
+backpressure.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ class Session:
         A pipelining client may have many frames in flight; each read
         drains up to ``max_batch_requests`` of them and batchable ops
         travel through the executor pool as one job (one admission pass,
-        commits coalesced into one group flush).  A lone request is the
-        degenerate batch of one — the non-pipelined path is unchanged.
+        commits coalesced into one group flush).  A lone request — the
+        non-pipelined path — runs right here when an engine slot is free
+        (see :meth:`DatabaseServer.submit`).
         """
         stats = self.server.db.stats
         stats.incr("server.sessions_opened")
@@ -105,9 +108,9 @@ class Session:
                 if batch is None:  # client went away
                     break
                 if not self._serve_batch(batch):
-                    # A request timed out; the worker still owns the op
-                    # and will clean up when it finishes.  Drop the line
-                    # now — the reply stream is out of step.
+                    # A request timed out; whoever runs the op cleans up
+                    # when it finishes.  Drop the line now — the reply
+                    # stream is out of step.
                     return
         except OSError:
             pass  # transport torn down under us (shutdown, crash harness)
@@ -118,11 +121,11 @@ class Session:
     def _serve_batch(self, batch: list[dict]) -> bool:
         """Dispatch one read's worth of requests in arrival order.
 
-        Consecutive batchable ops form a run executed as one pool job;
-        direct ops (replication long-polls, status) run inline on this
-        thread between runs; non-batchable pool ops (close, unknown)
-        are submitted alone.  Returns False when a request timed out
-        and the connection must drop.
+        Consecutive batchable ops form a run submitted as one job (a
+        run of one is a lone request); direct ops (replication
+        long-polls, status) run inline on this thread between runs;
+        non-batchable ops (close, unknown) are submitted alone.  Returns
+        False when a request timed out and the connection must drop.
         """
         run: list[dict] = []
         for request in batch:
@@ -177,7 +180,7 @@ class Session:
         self.server.forget_session(self)
         self.server.db.stats.incr("server.sessions_closed")
 
-    # -- executor thread ---------------------------------------------------
+    # -- executing thread (session or pool worker) ---------------------
 
     def execute(self, request: dict) -> dict:
         """Run one request; always returns a response message."""
@@ -204,7 +207,7 @@ class Session:
         While the batch runs, every commit (explicit or autocommit)
         appends its COMMIT record but defers the log force; at the end
         one coalesced force covers them all (group commit for pipelined
-        clients, even without a flusher thread).  Locks stay held until
+        clients, even with the log's group commit off).  Locks stay held until
         each commit finishes, so isolation is untouched; a waiter
         blocked on a deferred commit completes it early through the
         lock manager's resolver hook.  Each response reports its own

@@ -19,13 +19,20 @@ stable cell and written atomically, like the master record on a real
 log device.
 
 Group commit (§1's synchronous-I/O measure is the motivation): when
-enabled, committing threads park on a condition variable and a
-dedicated flusher coalesces their force requests into one synchronous
-flush per batch — N commits cost ~1 log I/O instead of N.  A commit is
+enabled, the first committer that finds no flush in progress becomes
+the *leader* and runs the flush routine on its own thread — take every
+parked committer as one batch, force once, settle the batch, and hand
+the next flush to the oldest committer that parked meanwhile.
+Committers park on their own event, so N commits cost ~1 log I/O
+instead of N, and no thread exists only to flush.  The leader waits
+for stragglers at most ``min(max_wait, flush price)``: coalescing
+cannot save more than one flush costs, so an unpriced flush is forced
+at once.  A commit is
 acknowledged only after the flush covering its commit record returns;
-a crash that lands between batch enqueue and flush resolves the parked
-committers with :class:`CommitNotDurableError` (they were never
-acknowledged, so recovery is free to roll them back).
+a crash that lands between batch take and flush resolves the parked
+committers — the leader included — with
+:class:`CommitNotDurableError` (they were never acknowledged, so
+recovery is free to roll them back).
 """
 
 from __future__ import annotations
@@ -63,19 +70,22 @@ class _CommitWaiter:
     """One committer parked for a group-commit flush.
 
     ``outcome`` is set exactly once, by whoever resolves the waiter:
-    the flusher (after its batched force), :meth:`LogManager.crash`, or
-    :meth:`LogManager.stop_group_commit`.  Each waiter carries its own
-    event so resolving a batch wakes exactly the committers in it —
-    broadcasting on a shared condition made every enqueue wake every
-    parked committer (a thundering herd that cost ~10% throughput at
-    16 sessions).
+    a leader (after its batched force) or :meth:`LogManager.crash`.
+    A leader's own waiter goes through its batch, so a crash settles it
+    like any other.  ``leads`` is set, with the event, when a stepping-
+    down leader hands the next flush to this committer.  Each waiter
+    carries its own event so resolving a batch wakes exactly the
+    committers in it — broadcasting on a shared condition made every
+    enqueue wake every parked committer (a thundering herd that cost
+    ~10% throughput at 16 sessions).
     """
 
-    __slots__ = ("target", "outcome", "event")
+    __slots__ = ("target", "outcome", "leads", "event")
 
     def __init__(self, target: int) -> None:
         self.target = target  # byte offset the flush must reach
         self.outcome: str | None = None  # "durable" | "lost"
+        self.leads = False
         self.event = threading.Event()
 
     def settle(self, outcome: str) -> None:
@@ -127,7 +137,9 @@ class LogManager:
         self._gc_max_wait = 0.002
         self._gc_waiters: list[_CommitWaiter] = []
         self._gc_inflight: list[_CommitWaiter] = []
-        self._gc_thread: threading.Thread | None = None
+        #: A committer is running the flush routine, or has been handed
+        #: it (there is at most one leader; parked committers imply one).
+        self._gc_leading = False
         # Flush notification: waited on by follow-mode iterators (WAL
         # shippers), notified whenever the durable prefix advances and
         # on halt/crash so followers wake promptly.  Own lock; never
@@ -294,7 +306,7 @@ class LogManager:
             latency = self.flush_latency_seconds
             if latency > 0.0:
                 # Price the device write before acknowledging anyone:
-                # the caller (a committer or the group-commit flusher)
+                # the caller (a committer, or a group commit's leader)
                 # returns — and acks — only after the simulated I/O.
                 with self._io_lock:
                     time.sleep(latency)
@@ -307,41 +319,23 @@ class LogManager:
     def start_group_commit(
         self, max_batch: int = 64, max_wait_seconds: float = 0.002
     ) -> None:
-        """Start the dedicated flusher; :meth:`force_for_commit` now
-        parks committers and coalesces their forces.  Idempotent."""
+        """Turn group commit on: :meth:`force_for_commit` now coalesces
+        concurrent committers' forces.  Idempotent."""
         with self._gc_cond:
-            if self._gc_enabled:
-                return
             self._gc_enabled = True
             self._gc_max_batch = max_batch
             self._gc_max_wait = max_wait_seconds
-            self._gc_thread = threading.Thread(
-                target=self._flusher_loop, name="wal-group-commit", daemon=True
-            )
-            self._gc_thread.start()
 
     def stop_group_commit(self) -> None:
-        """Stop the flusher.  Anything still parked is flushed (one last
-        force) and acknowledged; later commits force individually."""
+        """Turn group commit off; later commits force individually.
+        Waits until no leader is active — leadership passes down the
+        parked committers until every one of them is acknowledged."""
         with self._gc_cond:
-            if not self._gc_enabled:
-                return
             self._gc_enabled = False
-            leftovers = self._gc_waiters
-            self._gc_waiters = []
+            # Cut a leader's coalescing window short.
             self._gc_cond.notify_all()
-            thread = self._gc_thread
-            self._gc_thread = None
-        if thread is not None:
-            thread.join()
-        if leftovers:
-            self._force_bytes(max(w.target for w in leftovers))
-        with self._gc_cond:
-            durable = self.flushed_lsn
-            for waiter in leftovers:
-                waiter.settle(
-                    "durable" if waiter.target <= durable else "lost"
-                )
+            while self._gc_leading:
+                self._gc_cond.wait()
 
     @property
     def group_commit_enabled(self) -> bool:
@@ -350,9 +344,9 @@ class LogManager:
 
     @property
     def group_commit_parked(self) -> int:
-        """Committers currently parked (enqueued or mid-flush) — the
-        torture harness uses this to aim a crash at the enqueue→flush
-        window."""
+        """Committers currently parked (enqueued or mid-flush, the
+        leader included) — the torture harness uses this to aim a
+        crash at the take→flush window."""
         with self._gc_cond:
             return len(self._gc_waiters) + len(self._gc_inflight)
 
@@ -360,9 +354,12 @@ class LogManager:
         """Durability point of a commit.
 
         With group commit off this is exactly :meth:`force`.  With it
-        on, the committer parks until a batched flush covers its commit
-        record; raises :class:`CommitNotDurableError` if a crash wins
-        the race (the commit was never acknowledged).
+        on, the committer either leads — runs :meth:`_lead_flush` on its
+        own thread, covering itself and everyone parked at that moment —
+        or, when a flush is already in progress, parks until a leader's
+        flush covers its commit record (or hands it the next flush).
+        Raises :class:`CommitNotDurableError` if a crash wins the race
+        (the commit was never acknowledged).
         """
         with self._gc_cond:
             enabled = self._gc_enabled
@@ -382,79 +379,98 @@ class LogManager:
                 target = self._force_target_locked(lsn)
                 if target <= self._flushed_len:
                     return  # already durable (a later force covered it)
-            if not self._gc_enabled:
-                # Lost a race with stop_group_commit(): force directly.
-                self._force_bytes(target)
-                return
-            waiter = _CommitWaiter(target)
-            self._gc_waiters.append(waiter)
-            # Wake the flusher (alone, and only when it matters): the
-            # first waiter opens a coalescing window, a full batch
-            # closes it early.  Stragglers in between just join the
-            # batch — the flusher's deadline collects them without a
-            # wakeup, and parked committers are never disturbed.
-            pending = len(self._gc_waiters)
-            if pending == 1 or pending >= self._gc_max_batch:
-                self._gc_cond.notify()
-        # Park outside the condition: the resolver signals this
-        # waiter's own event, nobody else's.
-        waiter.event.wait()
+            # A waiter enqueued with no leader makes its committer the
+            # leader, atomically: parked committers always have one.
+            waiter = _CommitWaiter(target) if self._gc_enabled else None
+            if waiter is not None:
+                self._gc_waiters.append(waiter)
+                waiter.leads = not self._gc_leading
+                self._gc_leading = True
+                if not waiter.leads and len(self._gc_waiters) >= self._gc_max_batch:
+                    # A full batch closes the leader's window early.
+                    self._gc_cond.notify()
+        if waiter is None:
+            # Lost a race with stop_group_commit(): force directly.
+            self._force_bytes(target)
+            return
+        if not waiter.leads:
+            # Park outside the condition: a leader signals this
+            # waiter's own event, nobody else's.
+            waiter.event.wait()
+        if waiter.leads:
+            self._lead_flush()
         if waiter.outcome == "lost":
             raise CommitNotDurableError(
                 f"commit at LSN {lsn} lost: crash before the batched flush"
             )
 
-    def _flusher_loop(self) -> None:
-        while True:
+    def _lead_flush(self) -> None:
+        """The flush routine, run by the leading committer on its own
+        thread: take every parked committer (itself among them) as one
+        batch, force once, settle the batch.  Then step down — or, when
+        committers parked during the flush, hand the next flush to the
+        oldest of them.  Handing off instead of looping lets a leader
+        return (and, above it, release its locks) as soon as its own
+        commit is durable.
+
+        The window for stragglers is bounded by what a flush costs:
+        waiting longer than one flush to save one flush loses, so an
+        unpriced flush (``flush_latency_seconds == 0``) is forced at
+        once and ``max_wait`` is only the upper bound."""
+        window = min(self._gc_max_wait, self.flush_latency_seconds)
+        try:
             with self._gc_cond:
-                while self._gc_enabled and not self._gc_waiters:
-                    self._gc_cond.wait()
-                if not self._gc_enabled:
-                    return
-                # Coalescing window: wait for stragglers up to max_wait
-                # or until the batch is full.
-                deadline = time.monotonic() + self._gc_max_wait
-                while self._gc_enabled and len(self._gc_waiters) < self._gc_max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._gc_cond.wait(remaining)
-                if not self._gc_enabled:
-                    return
-                if not self._gc_waiters:
-                    # A crash settled every waiter while we sat in the
-                    # coalescing window — nothing to flush.
-                    continue
-                self._gc_inflight = self._gc_waiters
+                if window > 0.0:
+                    deadline = time.monotonic() + window
+                    while self._gc_enabled and (
+                        0 < len(self._gc_waiters) < self._gc_max_batch
+                    ):
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            break
+                        self._gc_cond.wait(remaining)
+                batch = self._gc_inflight = self._gc_waiters
                 self._gc_waiters = []
-                batch = self._gc_inflight
-                target = max(w.target for w in batch)
-            try:
-                # The enqueue→flush window: the batch is taken, nothing
-                # is forced yet.  A test pauses here to land a crash on
-                # committers that are certainly parked.
-                self._failpoints.hit("log.group_commit.before_flush")
-            except SimulatedCrash:
-                # A dead machine forces nothing.  ``Database.crash`` has
-                # settled the batch already; a bare crash-armed point
-                # has not, and its committers must not park forever.
-                with self._gc_cond:
-                    for waiter in batch:
-                        waiter.settle("lost")
-                    if self._gc_inflight is batch:
-                        self._gc_inflight = []
-                continue
-            self._force_bytes(target)  # ONE synchronous I/O for the batch
+            durable = NULL_LSN  # a crash settled everyone: nothing to force
+            if batch:
+                try:
+                    # The take→flush window: the batch is taken, nothing
+                    # is forced yet.  A test pauses here to land a crash
+                    # on committers that are certainly parked.
+                    self._failpoints.hit("log.group_commit.before_flush")
+                except SimulatedCrash:
+                    # A dead machine forces nothing.  ``Database.crash``
+                    # has settled the batch already; a bare crash-armed
+                    # point has not, and its committers must not park
+                    # forever.
+                    pass
+                else:
+                    # ONE synchronous I/O for the batch.
+                    self._force_bytes(max(w.target for w in batch))
+                    durable = self.flushed_lsn
+        except BaseException:
+            # Nobody may stay parked behind a leader that died.
             with self._gc_cond:
-                durable = self.flushed_lsn
-                resolved = 0
-                for waiter in batch:
-                    # A crash may have settled it first; settle() keeps
-                    # the first outcome and (re-)sets the event.
-                    waiter.settle("durable" if waiter.target <= durable else "lost")
-                    if waiter.outcome == "durable":
-                        resolved += 1
+                self._gc_leading = False
+                self._resolve_waiters_after_crash()
+            raise
+        with self._gc_cond:
+            resolved = 0
+            for waiter in batch:
+                # A crash may have settled it first; settle() keeps the
+                # first outcome and (re-)sets the event.
+                waiter.settle("durable" if waiter.target <= durable else "lost")
+                resolved += waiter.outcome == "durable"
+            if self._gc_inflight is batch:
                 self._gc_inflight = []
+            if self._gc_waiters:
+                successor = self._gc_waiters[0]
+                successor.leads = True
+                successor.event.set()
+            else:
+                self._gc_leading = False
+                self._gc_cond.notify_all()
+        if durable != NULL_LSN:
             self._stats.incr("log.group_commit_batches")
             if resolved > 1:
                 self._stats.incr("log.group_commit_flushes_saved", resolved - 1)

@@ -9,8 +9,9 @@ point, restarts, and checks the acknowledgement contract both ways:
   left no trace.
 
 The ``held_flush`` mode aims the crash at the acceptance-criteria
-window — committers enqueued for a batched flush that never happens —
-and asserts they were settled as lost, not acknowledged.
+window — a leader that has taken its batch, and the committers parked
+behind it, for a flush that never happens — and asserts they were
+settled as lost, not acknowledged.
 
 A failing seed replays exactly:
 ``run_multisession_round(MultiSessionSpec(seed=N, crash_mode=...))``.
@@ -46,8 +47,9 @@ def test_crash_in_flush_window_loses_only_unacknowledged_commits():
         report = run_multisession_round(
             MultiSessionSpec(seed=seed, crash_mode="held_flush")
         )
-        # The round pauses the flusher on a batch it has already taken,
-        # so the crash cannot miss the window.
+        # The round pauses a leader on a batch it has already taken
+        # (its own commit among them), so the crash cannot miss the
+        # window.
         assert report.parked_at_crash > 0, f"seed {seed}: nothing parked at the crash"
         assert report.lost_commits > 0
 
@@ -69,8 +71,10 @@ def test_graceful_shutdown_rounds_lose_nothing():
 
 
 def test_group_commit_coalesces_under_concurrency():
-    """The headline stats assertion: with 16 concurrent sessions, the
-    batched flusher performs well under half a sync force per commit."""
+    """The headline stats assertion: with 16 concurrent sessions and a
+    priced flush, group commit performs well under half a sync force
+    per commit.  (Unpriced, a flush costs nothing to wait for, so each
+    commit forces at once — by design.)"""
     report = run_multisession_round(
         MultiSessionSpec(
             seed=0,
@@ -78,6 +82,7 @@ def test_group_commit_coalesces_under_concurrency():
             requests_per_session=30,
             key_space=640,
             crash_mode="graceful",
+            log_flush_latency_seconds=0.0002,
         )
     )
     assert report.commits >= 100

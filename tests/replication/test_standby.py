@@ -15,7 +15,7 @@ from repro.db import Database
 from repro.replication import Standby
 from repro.server import DatabaseServer, ServerConfig
 
-#: Where the group-commit flusher has taken a batch and not yet forced it.
+#: Where a group-commit leader has taken a batch and not yet forced it.
 FLUSH_WINDOW = "log.group_commit.before_flush"
 
 

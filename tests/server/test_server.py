@@ -20,8 +20,11 @@ from repro.common.errors import (
     UniqueKeyViolationError,
 )
 from repro.server import DatabaseServer, ServerConfig
+from repro.server.session import Session
 
 from tests.conftest import build_db
+
+FLUSH_WINDOW = "log.group_commit.before_flush"
 
 
 @pytest.fixture
@@ -238,6 +241,111 @@ class TestAdmissionControl:
         holder.close()
         victim.close()
         server.shutdown()
+        db.close()
+
+
+class TestInlineExecution:
+    """A lone request runs on its session's connection thread when an
+    engine slot is free; batches and requests that find every slot busy
+    take the queue and the pool."""
+
+    @staticmethod
+    def _spy_ping(monkeypatch, hold: threading.Event | None = None):
+        """Record the executing thread of every ping; with ``hold``,
+        the first ping signals ``entered`` and blocks until ``hold``."""
+        threads: list[str] = []
+        entered = threading.Event()
+        original = Session._op_ping
+
+        def spy(self, request):
+            threads.append(threading.current_thread().name)
+            if hold is not None and not entered.is_set():
+                entered.set()
+                hold.wait(10.0)
+            return original(self, request)
+
+        monkeypatch.setattr(Session, "_op_ping", spy)
+        return threads, entered
+
+    def test_lone_request_executes_on_its_session_thread(self, server, monkeypatch):
+        threads, _ = self._spy_ping(monkeypatch)
+        with server.connect_loopback() as client:
+            assert client.ping()
+            snap = server.db.stats.snapshot()
+        assert len(threads) == 1 and threads[0].startswith("db-session-")
+        assert snap.get("server.inline_requests", 0) == 1
+        assert snap.get("server.queued_jobs", 0) == 0
+
+    def test_request_takes_the_queue_when_every_slot_is_busy(self, monkeypatch):
+        db = build_db()
+        server = DatabaseServer(db, ServerConfig(workers=1)).start(listen=False)
+        hold = threading.Event()
+        threads, entered = self._spy_ping(monkeypatch, hold)
+        queued = threading.Event()
+        put = server._queue.put
+
+        def spy_put(job, *args, **kwargs):
+            put(job, *args, **kwargs)
+            queued.set()
+
+        monkeypatch.setattr(server._queue, "put", spy_put)
+        holder, second = server.connect_loopback(), server.connect_loopback()
+        results: list[bool] = []
+        first = threading.Thread(target=lambda: results.append(holder.ping()))
+        first.start()
+        assert entered.wait(5.0)  # the only slot is held, inline
+        later = threading.Thread(target=lambda: results.append(second.ping()))
+        later.start()
+        assert queued.wait(5.0)  # no slot free: the request was queued
+        hold.set()
+        first.join(5.0)
+        later.join(5.0)
+        assert results == [True, True]
+        assert threads[0].startswith("db-session-")
+        assert threads[1].startswith("db-worker-")
+        snap = db.stats.snapshot()
+        assert snap.get("server.inline_requests", 0) == 1
+        assert snap.get("server.queued_jobs", 0) == 1
+        holder.close()
+        second.close()
+        server.shutdown()
+        db.close()
+
+    def test_graceful_shutdown_drains_an_inline_request(self, monkeypatch):
+        """A commit paused in its flush, inline on its session thread,
+        holds shutdown(drain=True) until it finishes — and it commits."""
+        db = build_db(group_commit=True)
+        db.create_table("t")
+        db.create_index("t", "by_id", column="id", unique=True)
+        server = DatabaseServer(db, ServerConfig(workers=2)).start(listen=False)
+        draining = threading.Event()
+        executing = DatabaseServer.executing_count
+
+        def spy_executing(self):
+            draining.set()
+            return executing.fget(self)
+
+        monkeypatch.setattr(DatabaseServer, "executing_count", property(spy_executing))
+        client = server.connect_loopback()
+        db.failpoints.arm_pause(FLUSH_WINDOW)
+        writer = threading.Thread(target=lambda: client.insert("t", {"id": 7}))
+        writer.start()
+        db.failpoints.wait_until_paused(FLUSH_WINDOW)
+        assert draining.is_set() is False
+        drained: list[bool] = []
+        stopper = threading.Thread(target=lambda: drained.append(server.shutdown()))
+        stopper.start()
+        assert draining.wait(5.0)  # the drain loop is polling...
+        assert stopper.is_alive()  # ...and the inline commit holds it
+        db.failpoints.release(FLUSH_WINDOW)
+        stopper.join(15.0)
+        writer.join(15.0)
+        assert drained == [True]
+        assert db.stats.snapshot().get("server.drained_clean", 0) == 1
+        txn = db.begin()
+        assert db.fetch(txn, "t", "by_id", 7) is not None
+        db.commit(txn)
+        client.close()
         db.close()
 
 

@@ -1,15 +1,18 @@
 """Group commit: coalesced flushes, durability, crash resolution.
 
-The flusher thread parks committers on a condition variable and covers
-a whole batch with one synchronous force.  These tests exercise the
-mechanism directly through LogManager and through the Database facade:
-coalescing actually saves flushes, an acknowledged commit is always
-durable, and a crash landing between batch enqueue and flush settles
-every parked committer with CommitNotDurableError.
+The first committer that finds no flush in progress leads: it takes
+every parked committer as one batch and covers it with one synchronous
+force, on its own thread.  These tests exercise the mechanism directly
+through LogManager and through the Database facade: coalescing actually
+saves flushes (under a priced flush), an unpriced lone commit forces at
+once, an acknowledged commit is always durable, and a crash landing
+between batch take and flush settles every parked committer — the
+leader included — with CommitNotDurableError.
 
-The enqueue→flush window is reached deterministically: the flusher
-pauses at the ``log.group_commit.before_flush`` failpoint with a batch
-taken and nothing forced.
+The take→flush window is reached deterministically: the leader pauses
+at the ``log.group_commit.before_flush`` failpoint with a batch taken
+and nothing forced, and :class:`_SpyWaiter` says when a committer has
+parked behind it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import pytest
 from repro.common.errors import CommitNotDurableError, LogHaltedError
 from repro.common.failpoints import FailpointRegistry
 from repro.common.stats import StatsRegistry
+from repro.wal import log as log_module
 from repro.wal.log import LogManager
 from repro.wal.records import LogRecord, RecordKind
 
@@ -34,9 +38,9 @@ def _append(log: LogManager, txn_id: int = 1) -> int:
     return log.append(LogRecord(kind=RecordKind.COMMIT, txn_id=txn_id))
 
 
-def _park_flusher(log: LogManager, failpoints: FailpointRegistry) -> threading.Thread:
-    """Pause the flusher on a sentinel commit, so committers that
-    arrive next queue behind it as waiters not yet taken.  Returns the
+def _park_leader(log: LogManager, failpoints: FailpointRegistry) -> threading.Thread:
+    """Pause a leader on a sentinel commit, so committers that arrive
+    next queue behind it as waiters not yet taken.  Returns the
     sentinel's thread (it finishes once the pause is released)."""
     failpoints.arm_pause(FLUSH_WINDOW)
     sentinel = threading.Thread(
@@ -45,6 +49,32 @@ def _park_flusher(log: LogManager, failpoints: FailpointRegistry) -> threading.T
     sentinel.start()
     failpoints.wait_until_paused(FLUSH_WINDOW)
     return sentinel
+
+
+class _SpyWaiter(log_module._CommitWaiter):
+    """A commit waiter that reports when its committer parks: by the
+    time ``parked`` is released the waiter is already enqueued."""
+
+    __slots__ = ()
+    parked = threading.Semaphore(0)
+
+    def __init__(self, target: int) -> None:
+        super().__init__(target)
+        wait = self.event.wait
+
+        def spy_wait(timeout=None):
+            _SpyWaiter.parked.release()
+            return wait(timeout)
+
+        self.event.wait = spy_wait
+
+
+@pytest.fixture
+def spy_waiters(monkeypatch):
+    """Install :class:`_SpyWaiter`; returns its ``parked`` semaphore."""
+    _SpyWaiter.parked = threading.Semaphore(0)
+    monkeypatch.setattr(log_module, "_CommitWaiter", _SpyWaiter)
+    return _SpyWaiter.parked
 
 
 def _wait_until(predicate, timeout: float = 5.0) -> bool:
@@ -77,7 +107,7 @@ class TestLifecycle:
         failpoints = FailpointRegistry()
         log = LogManager(failpoints=failpoints)
         log.start_group_commit(max_wait_seconds=0.001)
-        sentinel = _park_flusher(log, failpoints)
+        sentinel = _park_leader(log, failpoints)
         lsn = _append(log)
         done = threading.Event()
 
@@ -89,9 +119,9 @@ class TestLifecycle:
         thread.start()
         # The sentinel's batch is in flight; the committer is a waiter.
         assert _wait_until(lambda: log.group_commit_parked == 2)
-        # Stop with the waiter still queued.  stop_group_commit joins
-        # the paused flusher, so it runs on a helper thread and the
-        # pause is released once the stop has taken the leftovers.
+        # Stop with the waiter still queued.  stop_group_commit waits
+        # for the paused leader, so it runs on a helper thread and the
+        # pause is released once the stop has begun.
         stopper = threading.Thread(target=log.stop_group_commit)
         stopper.start()
         assert _wait_until(lambda: not log.group_commit_enabled)
@@ -105,13 +135,37 @@ class TestLifecycle:
 
 
 class TestCoalescing:
-    def test_batch_costs_one_sync_force(self):
-        """N parked committers resolve with a single synchronous I/O."""
+    def test_unpriced_lone_commit_forces_on_the_calling_thread(self):
+        """With a free flush there is nothing to wait for: the committer
+        leads, forces at once on its own thread, and no thread exists
+        only to flush."""
         failpoints = FailpointRegistry()
         stats = StatsRegistry()
         log = LogManager(stats, failpoints)
         log.start_group_commit(max_wait_seconds=0.05)
-        sentinel = _park_flusher(log, failpoints)
+        flushed_on: list[threading.Thread] = []
+        failpoints.arm_callback(
+            FLUSH_WINDOW, lambda: flushed_on.append(threading.current_thread())
+        )
+        lsn = _append(log)
+        log.force_for_commit(lsn)
+        assert flushed_on == [threading.current_thread()]
+        assert log.flushed_lsn >= lsn
+        assert stats.get("log.sync_forces") == 1
+        assert stats.get("log.group_commit_batches") == 1
+        assert log.group_commit_parked == 0
+        assert "wal-group-commit" not in {t.name for t in threading.enumerate()}
+        log.stop_group_commit()
+
+    def test_batch_costs_one_sync_force(self, spy_waiters):
+        """N committers park behind a leader paused in its take→flush
+        window; releasing it costs exactly two forces — its own batch,
+        then one for all N."""
+        failpoints = FailpointRegistry()
+        stats = StatsRegistry()
+        log = LogManager(stats, failpoints)
+        log.start_group_commit(max_wait_seconds=0.05)
+        sentinel = _park_leader(log, failpoints)
         lsns = [_append(log, txn_id=i + 1) for i in range(8)]
         threads = [
             threading.Thread(target=log.force_for_commit, args=(lsn,))
@@ -119,21 +173,28 @@ class TestCoalescing:
         ]
         for thread in threads:
             thread.start()
-        assert _wait_until(lambda: log.group_commit_parked == 9)
+        for _ in threads:
+            spy_waiters.acquire()
+        assert log.group_commit_parked == 9
         forces_before = stats.get("log.sync_forces")
         failpoints.release(FLUSH_WINDOW)
         for thread in threads + [sentinel]:
             thread.join(5.0)
         assert log.flushed_lsn >= max(lsns)
-        # One force for the sentinel's batch, one for all eight.
         assert stats.get("log.sync_forces") - forces_before == 2
         assert stats.get("log.group_commit_flushes_saved") == 7
+        assert log.group_commit_parked == 0
         log.stop_group_commit()
 
     def test_flushes_saved_counter(self):
         """Concurrent committers on a database show flushes saved in
-        the stats (the e15/acceptance assertion in miniature)."""
-        db = build_db(group_commit=True, group_commit_max_wait_seconds=0.005)
+        the stats (the e15/acceptance assertion in miniature).  The
+        flush is priced: coalescing saves only what a flush costs."""
+        db = build_db(
+            group_commit=True,
+            group_commit_max_wait_seconds=0.005,
+            log_flush_latency_seconds=0.0002,
+        )
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)
 
@@ -196,7 +257,7 @@ class TestCrashResolution:
         assert _wait_until(lambda: log.group_commit_parked == 3)
         log.halt()
         log.crash()
-        # The paused flusher resumes as crashed, as in Database.crash.
+        # The paused leader resumes as crashed, as in Database.crash.
         failpoints.disarm_all(crash_paused=True)
         for thread in threads:
             thread.join(5.0)
@@ -229,9 +290,9 @@ class TestCrashResolution:
 
 class TestDatabaseIntegration:
     def test_crash_on_a_flusher_paused_in_the_window_forces_nothing(self):
-        """The flusher stops at its failpoint with the batch taken and
-        unforced; the crash resumes it as crashed, so the parked commit
-        is lost, its bytes never reach stable storage, and restart rolls
+        """The leader stops at its failpoint with the batch taken and
+        unforced; the crash resumes it as crashed, so its commit is
+        lost, its bytes never reach stable storage, and restart rolls
         it back while the commit acknowledged before it survives."""
         db = build_db(group_commit=True)
         db.create_table("t")
@@ -262,7 +323,8 @@ class TestDatabaseIntegration:
         assert result == ["lost"]
         assert db.log.flushed_lsn == durable_before
         db.restart()
-        # The flusher survived its simulated crash and serves new commits.
+        # Group commit survived the leader's simulated crash and serves
+        # new commits.
         with db.transaction() as txn:
             assert db.fetch(txn, "t", "by_id", 0) is not None  # acked → durable
             assert db.fetch(txn, "t", "by_id", 1) is None  # lost → gone
