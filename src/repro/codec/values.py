@@ -317,6 +317,25 @@ def unframe_record(raw: bytes, offset: int = 0) -> tuple[bytes, int]:
     return body, end
 
 
+def valid_frames_end(raw: bytes) -> int:
+    """Offset of the first frame in ``raw`` that is cut short or fails
+    its CRC, or ``len(raw)`` when every frame is whole.  The loop of
+    :func:`unframe_record` without its per-frame call and body copy:
+    log-tail repair runs it over the whole log before restart opens."""
+    view = memoryview(raw)
+    unpack = RECORD_FRAME.unpack_from
+    head = RECORD_FRAME.size
+    size = len(raw)
+    offset = 0
+    while offset + head <= size:
+        crc, length = unpack(raw, offset)
+        end = offset + head + length
+        if end > size or zlib.crc32(view[offset + head : end]) != crc:
+            return offset
+        offset = end
+    return offset
+
+
 # -- lock-table payloads (two-phase commit) ----------------------------------
 #
 # A PREPARE record carries the transaction's COMMIT-duration lock set so

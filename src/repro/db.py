@@ -36,6 +36,7 @@ from repro.common.errors import (
     DatabaseClosedError,
     KeyNotFoundError,
     PermanentIOError,
+    RecoveryError,
     TransactionNotActiveError,
 )
 from repro.common.failpoints import FailpointRegistry
@@ -46,7 +47,7 @@ from repro.btree.node import IndexPage
 from repro.btree.protocol import LockingProtocol, make_protocol
 from repro.btree.recovery import BTreeResourceManager
 from repro.btree.tree import BTree
-from repro.data.heap import HeapPage, HeapResourceManager
+from repro.data.heap import HeapResourceManager
 from repro.data.table import Row, Table
 from repro.locks.manager import LockManager
 from repro.locks.modes import data_page_lock_name, record_lock_name
@@ -54,7 +55,8 @@ from repro.mvcc.gc import GcReport, run_mvcc_gc
 from repro.mvcc.snapshot import SnapshotManager
 from repro.mvcc.store import VersionStore
 from repro.recovery.checkpoint import take_checkpoint
-from repro.recovery.restart import RestartReport, run_restart
+from repro.recovery.instant import run_instant_restart
+from repro.recovery.restart import RestartReport
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.faults import FaultInjector
@@ -786,34 +788,40 @@ class Database:
         self.stats.incr("db.crashes")
 
     def restart(self) -> RestartReport:
-        """ARIES restart recovery: analysis, redo, undo (stop-the-world)."""
-        self.log.resume()
-        self._reset_latches_for_restart()
-        report = run_restart(self)
-        self._rebuild_heap_views()
-        self._bump_txn_ids()
-        self._rebuild_mvcc_state()
-        if self.replication is not None:
-            self.replication.primary_restarted()
-        self._crashed = False
+        """ARIES restart recovery: the :meth:`instant_restart` procedure
+        (log-tail repair, analysis, undo), then its drain — every dirty
+        page replayed along its own log chain, every other on-disk page
+        integrity-checked — run to completion on this thread before the
+        database reopens.  The drain ends with a checkpoint."""
+        report = self._restart(redo_workers=1, background=False, drain=True)
+        self.stats.incr("recovery.restarts")
         return report
 
     def instant_restart(
         self, redo_workers: int = 4, background: bool = True
-    ) -> "InstantRestartReport":
+    ) -> RestartReport:
         """Serve-while-recovering restart: analysis and loser undo run
         up front, then the database opens; redo happens on first touch
         of each page and (with ``background=True``) in a bounded worker
         pool behind the foreground.  ``self.recovery`` exposes the
         governor until the next crash; ``recovery_state`` flips from
         ``"recovering"`` to ``"steady"`` when the drain finishes."""
-        from repro.recovery.instant import run_instant_restart
+        report = self._restart(redo_workers, background, drain=False)
+        self.stats.incr("recovery.instant_restarts")
+        return report
 
+    def _restart(
+        self, redo_workers: int, background: bool, drain: bool
+    ) -> RestartReport:
         self.log.resume()
         self._reset_latches_for_restart()
         report = run_instant_restart(
             self, redo_workers=redo_workers, background=background
         )
+        if drain:
+            if not report.governor.drain():
+                raise RecoveryError("restart was aborted before its drain finished")
+            self.recovery = report.governor = None
         self._rebuild_mvcc_state()
         if self.replication is not None:
             self.replication.primary_restarted()
@@ -852,25 +860,6 @@ class Database:
 
     # -- post-restart reconciliation -------------------------------------------------------
 
-    def _rebuild_heap_views(self) -> None:
-        """Re-derive each heap file's page list from recovered storage
-        (pages allocated-but-lost before the crash must disappear from
-        the in-memory view, recreated ones must reappear)."""
-        by_table: dict[int, list[int]] = {}
-        page_ids = set(self.disk.page_ids()) | set(self.buffer.cached_page_ids())
-        for page_id in sorted(page_ids):
-            try:
-                page = self.buffer.fix(page_id)
-            except Exception:  # noqa: BLE001,RPR005 - unreadable page: heap rebuild skips it
-                continue
-            try:
-                if isinstance(page, HeapPage):
-                    by_table.setdefault(page.table_id, []).append(page_id)
-            finally:
-                self.buffer.unfix(page_id)
-        for table in self.tables.values():
-            table.heap.adopt_pages(by_table.get(table.table_id, []))
-
     def note_heap_page(self, table_id: int, page_id: int) -> None:
         """Register a heap page with its table's in-memory page view
         (the standby's replay loop maintains views live so an instant
@@ -880,14 +869,6 @@ class Database:
                 if page_id not in table.heap.page_ids:
                     table.heap.page_ids.append(page_id)
                 return
-
-    def _bump_txn_ids(self) -> None:
-        """Never reuse a transaction id that appears in the log."""
-        highest = 0
-        for header in self.log.record_headers():
-            if header.txn_id > highest:
-                highest = header.txn_id
-        self.txns.adopt_floor(highest + 1)
 
     def _rebuild_mvcc_state(self) -> None:
         """Reinstall snapshot visibility after a restart.

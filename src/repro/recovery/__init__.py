@@ -2,20 +2,15 @@
 
 from repro.recovery.analysis import AnalysisResult, run_analysis
 from repro.recovery.checkpoint import take_checkpoint
-from repro.recovery.instant import (
-    InstantRestartReport,
-    RecoveryGovernor,
-    run_instant_restart,
-)
+from repro.recovery.instant import RecoveryGovernor, run_instant_restart
 from repro.recovery.media import ImageCopy, recover_page, take_image_copy
 from repro.recovery.redo import RedoResult, run_redo
-from repro.recovery.restart import RestartReport, run_restart
+from repro.recovery.restart import RestartReport
 from repro.recovery.undo import UndoResult, run_undo
 
 __all__ = [
     "AnalysisResult",
     "ImageCopy",
-    "InstantRestartReport",
     "RecoveryGovernor",
     "RedoResult",
     "RestartReport",
@@ -24,7 +19,6 @@ __all__ = [
     "run_analysis",
     "run_instant_restart",
     "run_redo",
-    "run_restart",
     "run_undo",
     "take_checkpoint",
     "take_image_copy",

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.recovery.checkpoint import unpack_dirty_pages
 from repro.txn.transaction import Transaction, TxnStatus
 from repro.wal.records import NULL_LSN, RM_HEAP, RecordKind
 
@@ -159,13 +160,10 @@ def _merge_checkpoint(result: AnalysisResult, payload: dict) -> None:
         txn.gid = entry.get("gid")
         txn.prepare_lsn = entry.get("prepare_lsn", NULL_LSN)
         result.transactions[txn_id] = txn
-    for entry in payload.get("dirty_pages", ()):
-        page_id = entry["page_id"]
-        rec_lsn = entry["rec_lsn"]
+    for page_id, rec_lsn, last_lsn in unpack_dirty_pages(payload["dirty_pages"]):
         current = result.dirty_pages.get(page_id)
         if current is None or rec_lsn < current:
             result.dirty_pages[page_id] = rec_lsn
-        last_lsn = entry.get("last_lsn", NULL_LSN)
         if last_lsn > result.page_heads.get(page_id, NULL_LSN):
             result.page_heads[page_id] = last_lsn
     floor = payload.get("next_txn_id", 0)

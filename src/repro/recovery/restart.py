@@ -1,10 +1,10 @@
-"""Restart recovery orchestration: the passes of ARIES (§1.2).
+"""Restart recovery: its report, and the in-doubt branches' locks.
 
-``run_restart`` assumes the volatile state is already gone (the
-database's :meth:`crash` dropped the buffer pool and the unforced log
-tail) and performs log-tail repair → analysis → scrub (self-healing of
-torn/damaged pages) → redo (repeating history) → undo, then takes a
-checkpoint so the next restart is cheap.
+There is one restart procedure,
+:func:`~repro.recovery.instant.run_instant_restart` (see that module):
+``Database.restart()`` runs it and drains its page backlog on the
+calling thread before returning; ``Database.instant_restart()`` opens
+the database at once and drains on demand and in the background.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from typing import TYPE_CHECKING
 
 from repro.codec.values import decode_lock_table
 from repro.locks.modes import LockDuration, LockMode
-from repro.recovery.analysis import AnalysisResult, run_analysis
-from repro.recovery.checkpoint import take_checkpoint
-from repro.recovery.media import ScrubResult, run_scrub
-from repro.recovery.redo import RedoResult, run_redo
-from repro.recovery.undo import UndoResult, run_undo
+from repro.recovery.analysis import AnalysisResult
+from repro.recovery.media import ScrubResult
+from repro.recovery.redo import RedoResult
+from repro.recovery.undo import UndoResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
+    from repro.recovery.instant import RecoveryGovernor
     from repro.txn.transaction import Transaction
 
 
@@ -55,64 +55,18 @@ class RestartReport:
     passes over the log, pages accessed during redo and undo, and the
     page-oriented vs. logical undo split (read from the stats
     registry) — plus what the robustness layer repaired: log bytes
-    discarded from a torn tail, and pages rebuilt by the scrub."""
+    discarded from a torn tail, and pages rebuilt by the scrub.
+
+    ``log_passes`` is 2 — analysis and undo.  Redo reads each dirty
+    page's own chain and makes no pass of its own.  ``redo`` and
+    ``scrub`` are filled as pages drain: final when ``restart()``
+    returns (its ``governor`` is then None), and after
+    ``governor.wait_drained`` for an instant restart."""
 
     analysis: AnalysisResult
     redo: RedoResult
     undo: UndoResult
     scrub: ScrubResult = field(default_factory=ScrubResult)
     log_tail_bytes_discarded: int = 0
-    log_passes: int = 3
-
-
-def run_restart(ctx: "Database") -> RestartReport:
-    # The durable log may end mid-record (torn tail): truncate at the
-    # first frame that fails its CRC before any pass reads the log.
-    tail_dropped = ctx.log.repair_tail()
-
-    analysis = run_analysis(ctx)
-
-    # The log's volatile per-page chain map died with the crash; the
-    # first post-restart append to a still-dirty page must link to its
-    # pre-crash records, so restore the tails analysis reconstructed.
-    ctx.log.seed_page_chain(analysis.page_heads)
-
-    # Adopt reconstructed in-flight transactions so undo can log CLRs
-    # through the ordinary transaction machinery.
-    for txn in analysis.transactions.values():
-        ctx.txns.adopt(txn)
-
-    # Self-heal: every on-disk page is integrity-checked and corrupt
-    # ones (torn writes) are rebuilt from the log before redo relies
-    # on the page-LSN comparison.
-    scrub = run_scrub(ctx)
-
-    redo = run_redo(ctx, analysis)
-
-    # Winners that committed but never wrote an END just need one.
-    for txn in analysis.winners_needing_end:
-        from repro.txn.transaction import TxnStatus
-        from repro.wal.records import LogRecord, RecordKind
-
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id, undoable=False)
-        ctx.txns.log_for(txn, end)
-        txn.status = TxnStatus.ENDED
-        ctx.txns.forget(txn.txn_id)
-
-    # In-doubt branches (PREPARE forced, decision pending) are neither
-    # losers nor winners: park them with their locks re-held until the
-    # coordinator resolves them.
-    reacquire_prepared_locks(ctx, analysis.prepared)
-
-    undo = run_undo(ctx, analysis.losers)
-
-    ctx.log.force()
-    take_checkpoint(ctx)
-    ctx.stats.incr("recovery.restarts")
-    return RestartReport(
-        analysis=analysis,
-        redo=redo,
-        undo=undo,
-        scrub=scrub,
-        log_tail_bytes_discarded=tail_dropped,
-    )
+    log_passes: int = 2
+    governor: "RecoveryGovernor | None" = None

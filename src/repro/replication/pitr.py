@@ -5,7 +5,7 @@ and the *complete* record history (archived segments for the truncated
 prefix, the live log for the rest), the database state as of any LSN
 ``T`` can be rebuilt — load the history clipped at ``T``, repeat it
 (redo), then undo the transactions that were still in flight at ``T``.
-The clipped stream plus the existing restart passes *are* that
+The clipped stream plus the ordinary restart procedure *are* that
 procedure, run inside a brand-new :class:`Database` instance; nothing
 recovery-specific had to be reimplemented.
 
@@ -107,8 +107,9 @@ def restore_to_lsn(
     restored.disk.ensure_allocator_above(max_page_id)
     # No master record: analysis scans from LSN 1 — correct (and the
     # point: the restore must not trust any checkpoint newer than the
-    # target).  restart() = repair tail, analysis, scrub, redo, END the
-    # ended-less winners, undo the in-flight, checkpoint.
+    # target).  restart() = repair tail, analysis, END the ended-less
+    # winners, undo the in-flight, then redo every dirty page along its
+    # chain, scrub the rest, checkpoint.
     restored.restart()
     restored.stats.incr("recovery.pitr_restores")
     source.stats.incr("recovery.pitr_restores")

@@ -326,10 +326,12 @@ class Standby:
     ) -> RestartReport:
         """Promote to read-write primary: stop replay, then recover.
 
-        Stop-the-world by default (full ARIES restart: analysis from
-        the last shipped checkpoint, redo, undo of in-flight
-        transactions).  With ``instant=True`` the promoted database
-        opens after analysis + undo and finishes redo on demand and in
+        Both ways run the one restart procedure: analysis from the
+        last shipped checkpoint, undo of in-flight transactions, and
+        per-page redo along each dirty page's log chain.  By default
+        (``restart()``) redo drains on this thread before promotion
+        returns.  With ``instant=True`` the promoted database opens
+        after analysis + undo and finishes redo on demand and in
         ``redo_workers`` background workers — failover time stops
         depending on how far replay was behind."""
         db = self._require_db()

@@ -5,9 +5,18 @@ from repro.btree.recovery import BTreeResourceManager
 from repro.common.rid import RID, IndexKey
 from repro.data.heap import HeapPage, HeapResourceManager
 from repro.recovery.analysis import run_analysis
+from repro.recovery.instant import RecoveryGovernor
 from repro.recovery.redo import run_redo
 from repro.wal.records import clr_record, update_record
 from tests.conftest import build_db, populate
+
+
+def redo(db):
+    """Analysis, then restart redo: drain the pending set of a fresh
+    governor on this thread."""
+    governor = RecoveryGovernor(db, run_analysis(db))
+    governor.prepare()
+    return run_redo(governor)
 
 
 def make_db():
@@ -28,8 +37,7 @@ class TestRedoDriver:
         db.log.force()
         db.log.crash()
         db.buffer.crash()
-        analysis = run_analysis(db)
-        result = run_redo(db, analysis)
+        result = redo(db)
         # Only the post-flush records could need redo.
         assert 0 < result.records_redone < 80
 
@@ -39,10 +47,9 @@ class TestRedoDriver:
         db.flush_all_pages()
         db.log.force()
         db.buffer.crash()
-        analysis = run_analysis(db)
         # DPT still names the pages (log records), but every page on
         # disk already carries the final LSNs.
-        result = run_redo(db, analysis)
+        result = redo(db)
         assert result.records_redone == 0
 
     def test_shell_created_for_lost_page(self):
@@ -50,8 +57,7 @@ class TestRedoDriver:
         populate(db, range(30))  # nothing flushed
         db.log.force()
         db.crash()
-        analysis = run_analysis(db)
-        result = run_redo(db, analysis)
+        result = redo(db)
         assert result.records_redone > 0
         # The index root exists again, rebuilt purely from the log.
         tree = db.tables["t"].indexes["by_id"]
