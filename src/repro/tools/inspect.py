@@ -324,7 +324,8 @@ def dump_recovery_progress(db: "Database") -> str:
         )
         lines.append(
             f"recovered on demand: {progress['pages_recovered_ondemand']}, "
-            f"in background: {progress['pages_recovered_background']}"
+            f"in background: {progress['pages_recovered_background']}, "
+            f"by a drain: {progress['pages_recovered_drain']}"
         )
         if progress["background_errors"]:
             lines.append(f"background errors: {progress['background_errors']}")

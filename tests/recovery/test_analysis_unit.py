@@ -1,6 +1,9 @@
 """Unit-level tests of the analysis pass: transaction-table and
 dirty-page-table reconstruction, checkpoint merging."""
 
+import pytest
+
+from repro.common.errors import RecoveryError
 from repro.recovery.analysis import run_analysis
 from repro.txn.transaction import TxnStatus
 from tests.conftest import build_db, populate
@@ -123,3 +126,31 @@ class TestDirtyPageTable:
         total = len(list(db.log.records()))
         assert result.records_scanned < total
         assert result.records_scanned <= total - start_count_records + 2
+
+    def test_list_format_checkpoint_is_rejected_by_name(self):
+        """A checkpoint whose dirty page table is a list of entries
+        (the format before the packed integer run) fails analysis with
+        a RecoveryError, not a bare TypeError."""
+        from repro.wal.records import LogRecord, RecordKind
+
+        db = make_db()
+        populate(db, [1])
+        begin_lsn = db.log.append(
+            LogRecord(kind=RecordKind.CKPT_BEGIN, txn_id=0, undoable=False)
+        )
+        db.log.append(
+            LogRecord(
+                kind=RecordKind.CKPT_END,
+                txn_id=0,
+                undoable=False,
+                payload={
+                    "txn_table": [],
+                    "dirty_pages": [{"page_id": 2, "rec_lsn": 1, "last_lsn": 1}],
+                    "next_txn_id": 10,
+                },
+            )
+        )
+        db.log.force()
+        db.log.write_master(begin_lsn)
+        with pytest.raises(RecoveryError, match="list-of-entries"):
+            run_analysis(db)

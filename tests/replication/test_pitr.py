@@ -114,6 +114,30 @@ class TestRestoreTargets:
             assert db.fetch(txn, "t", "by_id", 100) is None  # source untouched
 
 
+    def test_restore_across_a_source_restart(self):
+        """A page clean at a source crash starts a new log chain after
+        the restart.  The restore analyses from LSN 1, so that page's
+        recLSN lies below the break, and every record between the image
+        copy and the source restart must still be replayed."""
+        db = Database(DatabaseConfig())
+        db.attach_archive()
+        db.create_table("t")
+        db.create_index("t", "by_id", column="id", unique=True)
+        copy = take_image_copy(db)
+        for i in range(40):
+            with db.transaction() as txn:
+                db.insert(txn, "t", {"id": i, "v": f"v{i}"})
+        db.flush_all_pages()
+        db.checkpoint()
+        db.crash()
+        db.restart()
+        with db.transaction() as txn:
+            db.insert(txn, "t", {"id": 40, "v": "v40"})
+        restored = restore_to_lsn(db, copy, db.log.flushed_lsn)
+        assert restored.stats.snapshot()["recovery.chain_break_scans"] > 0
+        assert_state(restored, {i: f"v{i}" for i in range(41)}, range(41))
+
+
 class TestRestoreErrors:
     def test_target_before_copy_end_is_rejected(self):
         db = Database(DatabaseConfig())
