@@ -84,6 +84,8 @@ MUTATOR_METHODS = {
     "insert_split_entry",
     "remove_child",
     "load_payload",
+    "replace_entries",
+    "truncate",
 }
 BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 GUARDED_EXCEPTIONS = {"LatchError", "CommitNotDurableError"}

@@ -22,6 +22,9 @@ caused it to be set has been completed").
 from __future__ import annotations
 
 import bisect
+import struct
+from collections.abc import Sequence
+from functools import lru_cache
 from typing import Any
 
 from repro.common.errors import IndexError_
@@ -31,11 +34,28 @@ from repro.storage.page import PAGE_OVERHEAD, Page
 _LEAF_ENTRY_OVERHEAD = 8
 _NONLEAF_ENTRY_OVERHEAD = 16
 
+#: Body header: index_id, level, sm_bit, delete_bit, prev_leaf,
+#: next_leaf, number of keys, number of children.
+_INDEX_HEADER = struct.Struct(">IHBBIIII")
+#: A nonleaf high key: present flag (1), RID, value length; the value
+#: bytes follow.  An absent (None) high key is the single byte 0.
+_HIGH_KEY = struct.Struct(">BIHI")
+_PACK_HIGH_KEY = _HIGH_KEY.pack
+_UNPACK_HIGH_KEY = _HIGH_KEY.unpack_from
+
+
+@lru_cache(maxsize=1024)
+def _key_directory(n: int) -> struct.Struct:
+    """The leaf-key directory for ``n`` keys: every RID page id, then
+    every RID slot, then every value length; the values follow it,
+    concatenated in key order."""
+    return struct.Struct(f">{n}I{n}H{n}I")
+
 
 class IndexPage(Page):
     """One B+-tree page (leaf or nonleaf)."""
 
-    KIND = "index"
+    KIND_CODE = 2
 
     def __init__(self, page_id: int, index_id: int, level: int) -> None:
         super().__init__(page_id)
@@ -51,6 +71,9 @@ class IndexPage(Page):
         # rightmost high key is always None.
         self.child_ids: list[int] = []
         self.high_keys: list[IndexKey | None] = []
+        #: ``_measure()``, kept current by every entry mutation; None
+        #: after a bulk change until the size is next needed.
+        self._used: int | None = PAGE_OVERHEAD
 
     # -- basics ---------------------------------------------------------------
 
@@ -67,6 +90,7 @@ class IndexPage(Page):
     # -- serialization -----------------------------------------------------------
 
     def to_payload(self) -> dict[str, Any]:
+        """The page as a codec dict: the form SMO log records carry."""
         return {
             "index_id": self.index_id,
             "level": self.level,
@@ -82,13 +106,7 @@ class IndexPage(Page):
     @classmethod
     def from_payload(cls, page_id: int, payload: dict[str, Any]) -> "IndexPage":
         page = cls(page_id, payload["index_id"], payload["level"])
-        page.sm_bit = payload["sm_bit"]
-        page.delete_bit = payload["delete_bit"]
-        page.keys = list(payload["keys"])
-        page.prev_leaf = payload["prev_leaf"]
-        page.next_leaf = payload["next_leaf"]
-        page.child_ids = list(payload["child_ids"])
-        page.high_keys = list(payload["high_keys"])
+        page.load_payload(payload)
         return page
 
     def load_payload(self, payload: dict[str, Any]) -> None:
@@ -97,13 +115,118 @@ class IndexPage(Page):
         self.level = payload["level"]
         self.sm_bit = payload["sm_bit"]
         self.delete_bit = payload["delete_bit"]
-        self.keys = list(payload["keys"])
         self.prev_leaf = payload["prev_leaf"]
         self.next_leaf = payload["next_leaf"]
-        self.child_ids = list(payload["child_ids"])
-        self.high_keys = list(payload["high_keys"])
+        self.replace_entries(
+            payload["keys"], payload["child_ids"], payload["high_keys"]
+        )
+
+    def pack_body(self) -> bytes:
+        keys = self.keys
+        child_ids = self.child_ids
+        parts = [
+            _INDEX_HEADER.pack(
+                self.index_id,
+                self.level,
+                self.sm_bit,
+                self.delete_bit,
+                self.prev_leaf,
+                self.next_leaf,
+                len(keys),
+                len(child_ids),
+            )
+        ]
+        if keys:
+            n = len(keys)
+            rids = [key.rid for key in keys]
+            values = [key.value for key in keys]
+            parts.append(
+                _key_directory(n).pack(
+                    *[rid.page_id for rid in rids],
+                    *[rid.slot for rid in rids],
+                    *map(len, values),
+                )
+            )
+            parts.extend(values)
+        if child_ids:
+            parts.append(struct.pack(f">{len(child_ids)}I", *child_ids))
+            for high in self.high_keys:
+                if high is None:
+                    parts.append(b"\x00")
+                else:
+                    rid = high.rid
+                    parts.append(
+                        _PACK_HIGH_KEY(1, rid.page_id, rid.slot, len(high.value))
+                    )
+                    parts.append(high.value)
+        return b"".join(parts)
+
+    @classmethod
+    def unpack_body(cls, page_id: int, raw: bytes, offset: int) -> "IndexPage":
+        (
+            index_id,
+            level,
+            sm_bit,
+            delete_bit,
+            prev_leaf,
+            next_leaf,
+            n_keys,
+            n_children,
+        ) = _INDEX_HEADER.unpack_from(raw, offset)
+        offset += _INDEX_HEADER.size
+        page = cls(page_id, index_id, level)
+        page.sm_bit = bool(sm_bit)
+        page.delete_bit = bool(delete_bit)
+        page.prev_leaf = prev_leaf
+        page.next_leaf = next_leaf
+        if n_keys:
+            directory = _key_directory(n_keys)
+            fields = directory.unpack_from(raw, offset)
+            offset += directory.size
+            keys = page.keys
+            for page_no, slot, length in zip(
+                fields[:n_keys], fields[n_keys : 2 * n_keys], fields[2 * n_keys :]
+            ):
+                end = offset + length
+                keys.append(IndexKey(raw[offset:end], RID(page_no, slot)))
+                offset = end
+        if n_children:
+            page.child_ids = list(struct.unpack_from(f">{n_children}I", raw, offset))
+            offset += 4 * n_children
+            highs = page.high_keys
+            for _ in range(n_children):
+                if raw[offset] == 0:
+                    highs.append(None)
+                    offset += 1
+                    continue
+                present, page_no, slot, length = _UNPACK_HIGH_KEY(raw, offset)
+                if present != 1:
+                    raise ValueError(f"high-key flag {present}")
+                offset += _HIGH_KEY.size
+                end = offset + length
+                highs.append(IndexKey(raw[offset:end], RID(page_no, slot)))
+                offset = end
+        if offset != len(raw):
+            raise ValueError(f"body ends at byte {offset} of a {len(raw)}-byte image")
+        page._used = None
+        return page
+
+    # -- size accounting ---------------------------------------------------------
 
     def used_size(self) -> int:
+        used = self._used
+        if used is None:
+            used = self._used = self._measure()
+        return used
+
+    def _grow(self, delta: int) -> None:
+        """Account an entry change of ``delta`` bytes (a pending recount
+        will see the change itself)."""
+        if self._used is not None:
+            self._used += delta
+
+    def _measure(self) -> int:
+        """The used size counted from scratch (after a bulk change)."""
         total = PAGE_OVERHEAD
         if self.is_leaf:
             for key in self.keys:
@@ -114,6 +237,30 @@ class IndexPage(Page):
                 if high is not None:
                     total += high.encoded_size()
         return total
+
+    def replace_entries(
+        self,
+        keys: Sequence[IndexKey] = (),
+        child_ids: Sequence[int] = (),
+        high_keys: Sequence[IndexKey | None] = (),
+    ) -> None:
+        """Install new entry lists (copied); the used size is recounted
+        when next needed.  Also the way to make a level change count."""
+        self.keys = list(keys)
+        self.child_ids = list(child_ids)
+        self.high_keys = list(high_keys)
+        self._used = None
+
+    def truncate(self, split_at: int) -> None:
+        """Keep the first ``split_at`` entries (the left half of a
+        split); a nonleaf's new rightmost child loses its high key."""
+        if self.is_leaf:
+            del self.keys[split_at:]
+        else:
+            del self.child_ids[split_at:]
+            del self.high_keys[split_at:]
+            self.high_keys[-1] = None
+        self._used = None
 
     def has_room_for_key(self, key: IndexKey, page_size: int) -> bool:
         return self.used_size() + key.encoded_size() + _LEAF_ENTRY_OVERHEAD <= page_size
@@ -146,6 +293,7 @@ class IndexPage(Page):
         if pos < len(self.keys) and self.keys[pos] == key:
             raise IndexError_(f"key {key!r} already present on page {self.page_id}")
         self.keys.insert(pos, key)
+        self._grow(key.encoded_size() + _LEAF_ENTRY_OVERHEAD)
         return pos
 
     def remove_key(self, key: IndexKey) -> int:
@@ -153,17 +301,8 @@ class IndexPage(Page):
         if pos >= len(self.keys) or self.keys[pos] != key:
             raise IndexError_(f"key {key!r} not on page {self.page_id}")
         del self.keys[pos]
+        self._grow(-key.encoded_size() - _LEAF_ENTRY_OVERHEAD)
         return pos
-
-    def contains_value(self, value: bytes) -> bool:
-        pos = self.position_for_value(value)
-        return pos < len(self.keys) and self.keys[pos].value == value
-
-    def lowest_key(self) -> IndexKey | None:
-        return self.keys[0] if self.keys else None
-
-    def highest_key(self) -> IndexKey | None:
-        return self.keys[-1] if self.keys else None
 
     def bounds_key(self, key: IndexKey) -> bool:
         """Is ``key`` *bound* on this leaf — both a lower and a higher
@@ -210,6 +349,7 @@ class IndexPage(Page):
         self.high_keys[pos] = separator
         self.child_ids.insert(pos + 1, right_child)
         self.high_keys.insert(pos + 1, old_high)
+        self._grow(_NONLEAF_ENTRY_OVERHEAD + separator.encoded_size())
 
     def remove_child(self, child_id: int) -> IndexKey | None:
         """Remove a (deleted) child's entry; returns its old high key.
@@ -218,11 +358,18 @@ class IndexPage(Page):
         loses its high key (the rightmost child is always unbounded).
         """
         pos = self.child_position(child_id)
-        old_high = self.high_keys[pos]
+        high_keys = self.high_keys
+        old_high = high_keys[pos]
         del self.child_ids[pos]
-        del self.high_keys[pos]
-        if self.high_keys and pos == len(self.high_keys):
-            self.high_keys[-1] = None
+        del high_keys[pos]
+        freed = _NONLEAF_ENTRY_OVERHEAD
+        if old_high is not None:
+            freed += old_high.encoded_size()
+        if high_keys and pos == len(high_keys):
+            if high_keys[-1] is not None:
+                freed += high_keys[-1].encoded_size()
+            high_keys[-1] = None
+        self._grow(-freed)
         return old_high
 
     def __repr__(self) -> str:

@@ -201,9 +201,7 @@ def _grow_root(tree: BTree, txn: "Transaction") -> None:
     try:
         child_id = ctx.disk.allocate_page_id()
         child = IndexPage(child_id, tree.index_id, root.level)
-        child.keys = list(root.keys)
-        child.child_ids = list(root.child_ids)
-        child.high_keys = list(root.high_keys)
+        child.replace_entries(root.keys, root.child_ids, root.high_keys)
         child.sm_bit = True
         ctx.buffer.fix_new(child)  # noqa: RPR001 - unfixed below once formatted and logged
         record = update_record(
@@ -220,9 +218,7 @@ def _grow_root(tree: BTree, txn: "Transaction") -> None:
 
         def make_root_nonleaf() -> None:
             root.level = root.level + 1
-            root.keys = []
-            root.child_ids = [child_id]
-            root.high_keys = [None]
+            root.replace_entries(child_ids=[child_id], high_keys=[None])
             root.sm_bit = True
             root.delete_bit = False
 
@@ -298,7 +294,7 @@ def _split_leaf_level(
 
     right_id = ctx.disk.allocate_page_id()
     right = IndexPage(right_id, tree.index_id, 0)
-    right.keys = list(moved)
+    right.replace_entries(moved)
     right.prev_leaf = leaf.page_id
     right.next_leaf = old_next
     right.sm_bit = True
@@ -313,7 +309,7 @@ def _split_leaf_level(
     ctx.buffer.unfix(right_id)
 
     def shrink() -> None:
-        del leaf.keys[split_at:]
+        leaf.truncate(split_at)
         leaf.next_leaf = right_id
         leaf.sm_bit = True
 
@@ -367,8 +363,9 @@ def _split_nonleaf_level(
 
     right_id = ctx.disk.allocate_page_id()
     right = IndexPage(right_id, tree.index_id, page.level)
-    right.child_ids = page.child_ids[split_at:]
-    right.high_keys = page.high_keys[split_at:]
+    right.replace_entries(
+        child_ids=page.child_ids[split_at:], high_keys=page.high_keys[split_at:]
+    )
     right.sm_bit = True
     ctx.buffer.fix_new(right)  # noqa: RPR001 - unfixed below once formatted and logged
     affected.append(right_id)
@@ -381,9 +378,7 @@ def _split_nonleaf_level(
     ctx.buffer.unfix(right_id)
 
     def shrink() -> None:
-        del page.child_ids[split_at:]
-        del page.high_keys[split_at:]
-        page.high_keys[-1] = None
+        page.truncate(split_at)
         page.sm_bit = True
 
     _log_set_page(tree, txn, page, shrink)

@@ -1,9 +1,9 @@
-"""Compact tagged binary codec for values: the one serialization layer.
+"""Compact tagged binary codec for values.
 
 Both the WAL and the wire protocol move *bytes*; this module is the
 single codec both sit on.  It serializes the small set of value types
-that appear in log-record payloads, page images, and request/response
-frames:
+that appear in log-record payloads, rows, and request/response frames
+(page images are struct-packed by the page classes themselves):
 
 ``None``, ``bool``, ``int`` (64-bit signed), ``float``, ``bytes``,
 ``str``, ``list``/``tuple`` (decoded as ``list``), ``dict`` with
@@ -12,7 +12,7 @@ frames:
 
 The format is a one-byte type tag followed by a fixed or
 length-prefixed body.  It is deterministic, which lets tests compare
-serialized page images directly.
+encoded values directly.
 
 Two things matter for speed here (this codec is ~a quarter of the
 engine's hot path, and every wire frame rides it too):

@@ -63,7 +63,8 @@ class IndexKey:
         return self.rid < other.rid
 
     def encoded_size(self) -> int:
-        """Bytes this key occupies in a serialized leaf page."""
+        """Capacity charge of this key in a leaf page (split points
+        depend on it; it bounds the key's bytes in the page image)."""
         return 12 + len(self.value)
 
     def __repr__(self) -> str:

@@ -23,7 +23,8 @@ records, once no snapshot can need them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+import struct
+from typing import TYPE_CHECKING
 
 from repro.common.errors import KeyNotFoundError, PageOverflowError, StorageError
 from repro.common.rid import RID
@@ -40,9 +41,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
     from repro.txn.transaction import Transaction
 
-#: Per-slot accounting: entry framing plus the two 9-byte (tag + i64)
-#: ``[xmin, xmax]`` version stamps every occupied slot serializes.
+#: Per-slot capacity accounting.  It bounds the image's per-slot bytes
+#: (``_SLOT_HEADER`` for an occupied slot, one flag byte for an empty
+#: one) with room to spare, and is the figure every placement decision
+#: — and so every RID — depends on.
 _SLOT_OVERHEAD = 34
+
+#: Body header: table_id, number of slots.
+_HEAP_HEADER = struct.Struct(">II")
+#: An occupied slot: flag, xmin, xmax, data length; the data follows.
+_SLOT_HEADER = struct.Struct(">BQQI")
+_PACK_SLOT = _SLOT_HEADER.pack
+_UNPACK_SLOT = _SLOT_HEADER.unpack_from
+#: Slot flags; an empty slot is the flag byte alone.
+_EMPTY, _VISIBLE, _GHOST = 0, 1, 2
 
 
 class HeapPage(Page):
@@ -50,11 +62,11 @@ class HeapPage(Page):
 
     Slots hold ``(bytes, visible, xmin, xmax)`` or None.  ``xmin`` is
     the inserter's transaction id, ``xmax`` the deleter's (0 = none;
-    pre-MVCC/bootstrap data is stamped ``[0, 0]``).  ``slots`` is
+    bootstrap data is stamped ``[0, 0]``).  ``slots`` is
     read-only outside this class: every slot mutation goes through a
     method, which keeps the page's used size current."""
 
-    KIND = "heap"
+    KIND_CODE = 1
 
     def __init__(self, page_id: int, table_id: int) -> None:
         super().__init__(page_id)
@@ -64,30 +76,41 @@ class HeapPage(Page):
 
     # -- serialization ------------------------------------------------------
 
-    def to_payload(self) -> dict[str, Any]:
-        encoded = []
+    def pack_body(self) -> bytes:
+        parts = [_HEAP_HEADER.pack(self.table_id, len(self.slots))]
+        append = parts.append
         for slot in self.slots:
             if slot is None:
-                encoded.append(None)
+                append(b"\x00")
             else:
                 data, visible, xmin, xmax = slot
-                encoded.append([data, visible, xmin, xmax])
-        return {"table_id": self.table_id, "slots": encoded}
+                append(_PACK_SLOT(_VISIBLE if visible else _GHOST, xmin, xmax, len(data)))
+                append(data)
+        return b"".join(parts)
 
     @classmethod
-    def from_payload(cls, page_id: int, payload: dict[str, Any]) -> "HeapPage":
-        page = cls(page_id, payload["table_id"])
-        used = PAGE_OVERHEAD
-        for slot in payload["slots"]:
-            used += _SLOT_OVERHEAD
-            if slot is None:
-                page.slots.append(None)
-            else:
-                # Pre-MVCC pages encoded [data, visible]; stamp [0, 0].
-                xmin = slot[2] if len(slot) > 2 else 0
-                xmax = slot[3] if len(slot) > 3 else 0
-                page.slots.append((slot[0], slot[1], xmin, xmax))
-                used += len(slot[0])
+    def unpack_body(cls, page_id: int, raw: bytes, offset: int) -> "HeapPage":
+        table_id, n_slots = _HEAP_HEADER.unpack_from(raw, offset)
+        offset += _HEAP_HEADER.size
+        page = cls(page_id, table_id)
+        slots = page.slots
+        used = PAGE_OVERHEAD + n_slots * _SLOT_OVERHEAD
+        for _ in range(n_slots):
+            flag = raw[offset]
+            if flag == _EMPTY:
+                slots.append(None)
+                offset += 1
+                continue
+            if flag > _GHOST:
+                raise ValueError(f"slot flag {flag}")
+            _, xmin, xmax, length = _UNPACK_SLOT(raw, offset)
+            offset += _SLOT_HEADER.size
+            end = offset + length
+            slots.append((raw[offset:end], flag == _VISIBLE, xmin, xmax))
+            used += length
+            offset = end
+        if offset != len(raw):
+            raise ValueError(f"body ends at byte {offset} of a {len(raw)}-byte image")
         page._used = used
         return page
 

@@ -1,12 +1,15 @@
 """Index page unit behaviour: search, routing, split/remove entries."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.btree.node import IndexPage
+from repro.btree.node import _LEAF_ENTRY_OVERHEAD, _NONLEAF_ENTRY_OVERHEAD, IndexPage
 from repro.common.errors import IndexError_
 from repro.common.rid import RID, IndexKey
+from repro.storage.page import PAGE_OVERHEAD, Page
 
 
 def key(value: int, rid: int = 0) -> IndexKey:
@@ -199,3 +202,62 @@ def test_bisect_routing_equals_the_linear_scan(highs, probe):
 def test_index_key_order_is_the_tuple_order(a, b):
     assert (a < b) == ((a.value, a.rid.page_id, a.rid.slot) < (b.value, b.rid.page_id, b.rid.slot))
     assert (a <= b) == (a < b or a == b)
+
+
+def walked_used_size(page: IndexPage) -> int:
+    """The used size as it was computed before it became a maintained
+    field: a walk over every entry."""
+    total = PAGE_OVERHEAD
+    if page.is_leaf:
+        for k in page.keys:
+            total += k.encoded_size() + _LEAF_ENTRY_OVERHEAD
+    else:
+        for high in page.high_keys:
+            total += _NONLEAF_ENTRY_OVERHEAD
+            if high is not None:
+                total += high.encoded_size()
+    return total
+
+
+def varied_key(rng: random.Random) -> IndexKey:
+    value = rng.randbytes(rng.randint(0, 24))
+    return IndexKey(value, RID(rng.randint(1, 50), rng.randint(0, 9)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_maintained_used_size_equals_the_walk(seed):
+    """Every entry mutation keeps ``used_size()`` equal to a fresh walk,
+    and the decoded image carries the same figure."""
+    rng = random.Random(seed)
+    leaf = IndexPage(1, index_id=1, level=0)
+    nonleaf = IndexPage(2, index_id=1, level=1)
+    nonleaf.replace_entries(child_ids=[100], high_keys=[None])
+    next_child = 101
+    for _ in range(400):
+        action = rng.randrange(8)
+        if action < 3:
+            candidate = varied_key(rng)
+            if not leaf.find_key(candidate)[1]:
+                leaf.insert_key(candidate)
+        elif action == 3 and leaf.keys:
+            leaf.remove_key(rng.choice(leaf.keys))
+        elif action == 4:
+            left = rng.choice(nonleaf.child_ids)
+            nonleaf.insert_split_entry(left, next_child, varied_key(rng))
+            next_child += 1
+        elif action == 5 and len(nonleaf.child_ids) > 1:
+            nonleaf.remove_child(rng.choice(nonleaf.child_ids))
+        elif action == 6:
+            page = rng.choice((leaf, nonleaf))
+            if page.entry_count() > 1:
+                page.truncate(rng.randint(1, page.entry_count() - 1))
+        else:
+            clone = IndexPage(leaf.page_id, 0, 0)
+            clone.load_payload(rng.choice((leaf, nonleaf)).to_payload())
+            assert clone.used_size() == walked_used_size(clone)
+        for page in (leaf, nonleaf):
+            assert page.used_size() == walked_used_size(page)
+    for page in (leaf, nonleaf):
+        loaded = Page.from_bytes(page.to_bytes())
+        assert loaded.used_size() == walked_used_size(page)
+        assert page.used_size() >= len(page.to_bytes())
