@@ -156,13 +156,6 @@ class LatchOrderMonitor:
             if holds is not None and holds.owner is me:
                 holds.note_release(name)
 
-    def reset_held(self) -> None:
-        """Forget this thread's held-set (crash unwinding replaces the
-        latch table wholesale, so releases will never arrive)."""
-        tid = threading.get_ident()
-        with self._mutex:
-            self._holds.pop(tid, None)
-
     def reset_all_held(self) -> None:
         """Forget *every* thread's held-set, keeping the edges.
 

@@ -83,7 +83,7 @@ def index_delete(
                 continue
         descent.unlatch_parent(tree)
         try:
-            next_key, next_page = tree.find_next_key(leaf, pos + 1)
+            next_key, next_page, _ = tree.find_next_key(leaf, pos + 1)
             held: list[IndexPage | None] = [leaf, next_page]
             if clr_for is None and not txn.in_rollback:
                 last_instance = not same_value_nearby(leaf, pos, key.value, next_key)

@@ -102,7 +102,7 @@ def index_fetch(
         descent.unlatch_parent(tree)
         pos, _ = leaf.find_key(bound)
         try:
-            candidate, cand_page = tree.find_next_key(leaf, pos)
+            candidate, cand_page, cand_pos = tree.find_next_key(leaf, pos)
             held = [leaf, cand_page]
             lock_name = None
             if isolation != "snapshot":
@@ -112,9 +112,6 @@ def index_fetch(
         except RestartOperation:
             continue
         if candidate is not None and cursor is not None:
-            assert cand_page is not None
-            cand_pos, exact = cand_page.find_key(candidate)
-            assert exact
             cursor.note_position(cand_page, cand_pos, candidate)
         release_pages(tree, held)
         if candidate is None:
@@ -155,7 +152,7 @@ def index_fetch_next(
         return FetchResult(found=False, key=None, eof=False)
     while True:
         try:
-            candidate, cand_page, held = _locate_successor(tree, txn, cursor)
+            candidate, cand_page, cand_pos, held = _locate_successor(tree, txn, cursor)
             lock_name = None
             if isolation != "snapshot":
                 spec = tree.protocol.fetch_lock(tree, candidate, isolation)
@@ -167,9 +164,6 @@ def index_fetch_next(
             release_pages(tree, held)
             cursor.at_eof = True
             return FetchResult(found=False, key=None, eof=True, lock_name=lock_name)
-        assert cand_page is not None
-        cand_pos, exact = cand_page.find_key(candidate)
-        assert exact
         cursor.note_position(cand_page, cand_pos, candidate)
         release_pages(tree, held)
         if stop_value is not None and not _within_stop(
@@ -183,10 +177,11 @@ def index_fetch_next(
 
 def _locate_successor(
     tree: "BTree", txn: "Transaction", cursor: Cursor
-) -> tuple[IndexKey | None, IndexPage | None, list[IndexPage | None]]:
+) -> tuple[IndexKey | None, IndexPage | None, int, list[IndexPage | None]]:
     """Find the key after the cursor position, fast path or reposition.
 
-    Returns (candidate, page holding it, pages currently latched)."""
+    Returns (candidate, page holding it, its position there, pages
+    currently latched)."""
     current = cursor.current_key
     assert current is not None
     try:
@@ -202,8 +197,8 @@ def _locate_successor(
         ):
             # Unchanged since we noted it: the next key is the next slot.
             tree.ctx.stats.incr("btree.cursor_fast_path")
-            candidate, cand_page = tree.find_next_key(leaf, cursor.pos + 1)
-            return candidate, cand_page, [leaf, cand_page]
+            candidate, cand_page, cand_pos = tree.find_next_key(leaf, cursor.pos + 1)
+            return candidate, cand_page, cand_pos, [leaf, cand_page]
         tree.unlatch_unfix(leaf)
     # Page changed (or vanished): reposition with a full traversal, as
     # for a Fetch of the first key greater than the current one.
@@ -214,8 +209,8 @@ def _locate_successor(
     pos, exact = leaf.find_key(current)
     if exact:
         pos += 1
-    candidate, cand_page = tree.find_next_key(leaf, pos)
-    return candidate, cand_page, [leaf, cand_page]
+    candidate, cand_page, cand_pos = tree.find_next_key(leaf, pos)
+    return candidate, cand_page, cand_pos, [leaf, cand_page]
 
 
 def _within_stop(value: bytes, stop_value: bytes, comparison: str) -> bool:

@@ -141,7 +141,7 @@ def try_insert_on_leaf(
     if exact:
         tree.unlatch_unfix(leaf)
         raise IndexError_(f"key {key!r} already present in index {tree.name!r}")
-    next_key, next_page = tree.find_next_key(leaf, pos)
+    next_key, next_page, _ = tree.find_next_key(leaf, pos)
     held: list[IndexPage | None] = [leaf, next_page]
     wants_locks = clr_for is None and not txn.in_rollback
 

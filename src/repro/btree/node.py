@@ -24,7 +24,8 @@ from __future__ import annotations
 import bisect
 import struct
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Any
 
 from repro.common.errors import IndexError_
@@ -42,6 +43,11 @@ _INDEX_HEADER = struct.Struct(">IHBBIIII")
 _HIGH_KEY = struct.Struct(">BIHI")
 _PACK_HIGH_KEY = _HIGH_KEY.pack
 _UNPACK_HIGH_KEY = _HIGH_KEY.unpack_from
+
+#: ``tuple.__new__`` over a ready (a, b) pair: builds a key or RID in C,
+#: skipping the named tuple's Python-level ``__new__``.
+_new_rid = partial(tuple.__new__, RID)
+_new_key = partial(tuple.__new__, IndexKey)
 
 
 @lru_cache(maxsize=1024)
@@ -137,15 +143,10 @@ class IndexPage(Page):
             )
         ]
         if keys:
-            n = len(keys)
-            rids = [key.rid for key in keys]
-            values = [key.value for key in keys]
+            values, rids = zip(*keys)
+            page_ids, slots = zip(*rids)
             parts.append(
-                _key_directory(n).pack(
-                    *[rid.page_id for rid in rids],
-                    *[rid.slot for rid in rids],
-                    *map(len, values),
-                )
+                _key_directory(len(keys)).pack(*page_ids, *slots, *map(len, values))
             )
             parts.extend(values)
         if child_ids:
@@ -183,13 +184,11 @@ class IndexPage(Page):
             directory = _key_directory(n_keys)
             fields = directory.unpack_from(raw, offset)
             offset += directory.size
-            keys = page.keys
-            for page_no, slot, length in zip(
-                fields[:n_keys], fields[n_keys : 2 * n_keys], fields[2 * n_keys :]
-            ):
-                end = offset + length
-                keys.append(IndexKey(raw[offset:end], RID(page_no, slot)))
-                offset = end
+            bounds = list(accumulate(fields[2 * n_keys :], initial=offset))
+            offset = bounds[-1]
+            values = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
+            rids = map(_new_rid, zip(fields[:n_keys], fields[n_keys : 2 * n_keys]))
+            page.keys = list(map(_new_key, zip(values, rids)))
         if n_children:
             page.child_ids = list(struct.unpack_from(f">{n_children}I", raw, offset))
             offset += 4 * n_children
@@ -276,17 +275,6 @@ class IndexPage(Page):
         pos = bisect.bisect_left(self.keys, key)
         found = pos < len(self.keys) and self.keys[pos] == key
         return pos, found
-
-    def position_for_value(self, value: bytes) -> int:
-        """Position of the first key whose value is >= ``value``."""
-        lo, hi = 0, len(self.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.keys[mid].value < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
 
     def insert_key(self, key: IndexKey) -> int:
         pos = bisect.bisect_left(self.keys, key)

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.common.errors import LockNotGrantedError
 from repro.btree.node import IndexPage
 from repro.btree.protocol import LockSpec
+from repro.locks.modes import LockDuration
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.btree.tree import BTree
@@ -85,8 +86,6 @@ def request_locks(
     if txn.in_rollback:
         return
     ctx = tree.ctx
-    from repro.locks.modes import LockDuration
-
     for position, spec in enumerate(specs):
         try:
             ctx.locks.request(
@@ -98,7 +97,7 @@ def request_locks(
                 tree.smo_end(txn)
             ctx.stats.incr("btree.lock_dances")
 
-            def retained(duration: "LockDuration") -> "LockDuration":
+            def retained(duration: LockDuration) -> LockDuration:
                 if duration is LockDuration.INSTANT:
                     return LockDuration.MANUAL  # released at txn end
                 return duration

@@ -22,8 +22,7 @@ The key distinction (§2.1):
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.common.rid import IndexKey
 from repro.locks.modes import (
@@ -37,8 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.btree.tree import BTree
 
 
-@dataclass(frozen=True)
-class LockSpec:
+class LockSpec(NamedTuple):
     """One lock to request."""
 
     name: tuple

@@ -241,17 +241,6 @@ class BTree:
         except LockNotGrantedError:
             return False
 
-    def posc_acquire(self, txn: "Transaction") -> None:
-        if self._lock_mode_smo:
-            self.ctx.locks.request(
-                txn.txn_id,
-                tree_lock_name(self.index_id),
-                LockMode.S,
-                LockDuration.MANUAL,
-            )
-        else:
-            self.tree_latch.acquire("S")  # noqa: RPR001 - POSC barrier held until posc_release
-
     def posc_release(self, txn: "Transaction") -> None:
         if self._lock_mode_smo:
             self.ctx.locks.release(txn.txn_id, tree_lock_name(self.index_id))
@@ -269,84 +258,88 @@ class BTree:
         its parent latched; both fixed.  Restarts from the root after
         waiting out an ambiguous unfinished SMO.
         """
-        ctx = self.ctx
-        stats = ctx.stats
+        stats = self.ctx.stats
         stats.incr("btree.traversals")
         ambiguity_waits = 0
-        while True:
-            node = self.fix_page(self.root_page_id)
-            self.latch(node, "S")
-            if node.is_leaf and for_update:
-                # The root is (currently) the leaf; re-latch X and make
-                # sure nothing changed in the gap.
-                noted_lsn = node.page_lsn
-                self.unlatch(node)
-                self.latch(node, "X")
-                if node.page_lsn != noted_lsn or not node.is_leaf:
-                    self.unlatch_unfix(node)
-                    stats.incr("btree.traversal_restarts")
-                    continue
-            parent: IndexPage | None = None
-            restart = False
-            while not node.is_leaf:
-                if not self._trusted(node, key):
-                    # Unfinished SMO causes ambiguity.  Try an instant S
-                    # on the barrier while still latched: if there is no
-                    # SMO in progress the bit is stale (e.g. redo
-                    # repeated history and re-set it) and can be reset
-                    # lazily, which the paper explicitly allows.
-                    if node.sm_bit and self.smo_barrier_try(txn):
-                        node.sm_bit = False
-                        if self._trusted(node, key):
-                            pass  # fall through and descend
-                        else:
-                            restart = True  # empty page: structural issue
-                    else:
-                        restart = True
-                    if restart:
-                        # Let go of everything, wait out the SMO, start
-                        # over from the root.
-                        if parent is not None:
-                            self.unlatch_unfix(parent)
+        # Pages visited are counted once per traversal (the finally).
+        visited = 0
+        try:
+            while True:
+                node = self.fix_page(self.root_page_id)
+                self.latch(node, "S")
+                if node.is_leaf and for_update:
+                    # The root is (currently) the leaf; re-latch X and make
+                    # sure nothing changed in the gap.
+                    noted_lsn = node.page_lsn
+                    self.unlatch(node)
+                    self.latch(node, "X")
+                    if node.page_lsn != noted_lsn or not node.is_leaf:
                         self.unlatch_unfix(node)
-                        self.smo_barrier_wait(txn)
                         stats.incr("btree.traversal_restarts")
-                        ambiguity_waits += 1
-                        if ambiguity_waits > 50:
-                            raise TreeInconsistentError(
-                                f"traversal of index {self.name!r} cannot make "
-                                f"progress at page {node.page_id} — the tree is "
-                                "structurally inconsistent (expected only in "
-                                "ablation runs with safeguards disabled)"
-                            )
-                        break
-                child_id = node.child_for(key)
-                # Figure 4's order: unlatch the old parent *before*
-                # latching the child, so never more than two page
-                # latches are held (the current node stays latched —
-                # that is the latch coupling).
-                if parent is not None:
-                    self.unlatch_unfix(parent)
-                parent = node
-                child = self.fix_page(child_id)
-                mode = "X" if (node.level == 1 and for_update) else "S"
-                self.latch(child, mode)
-                node = child
-                stats.incr("btree.pages_visited")
-            if restart:
-                continue
-            return Descent(leaf=node, parent=parent)
+                        continue
+                parent: IndexPage | None = None
+                restart = False
+                while not node.is_leaf:
+                    if not self._trusted(node, key):
+                        # Unfinished SMO causes ambiguity.  Try an instant S
+                        # on the barrier while still latched: if there is no
+                        # SMO in progress the bit is stale (e.g. redo
+                        # repeated history and re-set it) and can be reset
+                        # lazily, which the paper explicitly allows.
+                        if node.sm_bit and self.smo_barrier_try(txn):
+                            node.sm_bit = False
+                            if self._trusted(node, key):
+                                pass  # fall through and descend
+                            else:
+                                restart = True  # empty page: structural issue
+                        else:
+                            restart = True
+                        if restart:
+                            # Let go of everything, wait out the SMO, start
+                            # over from the root.
+                            if parent is not None:
+                                self.unlatch_unfix(parent)
+                            self.unlatch_unfix(node)
+                            self.smo_barrier_wait(txn)
+                            stats.incr("btree.traversal_restarts")
+                            ambiguity_waits += 1
+                            if ambiguity_waits > 50:
+                                raise TreeInconsistentError(
+                                    f"traversal of index {self.name!r} cannot make "
+                                    f"progress at page {node.page_id} — the tree is "
+                                    "structurally inconsistent (expected only in "
+                                    "ablation runs with safeguards disabled)"
+                                )
+                            break
+                    child_id = node.child_for(key)
+                    # Figure 4's order: unlatch the old parent *before*
+                    # latching the child, so never more than two page
+                    # latches are held (the current node stays latched —
+                    # that is the latch coupling).
+                    if parent is not None:
+                        self.unlatch_unfix(parent)
+                    parent = node
+                    child = self.fix_page(child_id)
+                    mode = "X" if (node.level == 1 and for_update) else "S"
+                    self.latch(child, mode)
+                    node = child
+                    visited += 1
+                if restart:
+                    continue
+                return Descent(leaf=node, parent=parent)
+        finally:
+            if visited:
+                stats.incr("btree.pages_visited", visited)
 
     def _trusted(self, node: IndexPage, key: IndexKey) -> bool:
-        """Figure 4's nonleaf trust test: nonempty and either the key is
-        within the page's highest stored high key or SM_Bit is '0'."""
-        if node.is_empty():
+        """Figure 4's nonleaf trust test: nonempty and either SM_Bit is
+        '0' or the key is within the page's highest stored high key."""
+        if not node.child_ids:
             return False
-        if not self.ctx.config.enable_sm_bit:
-            return True  # ablation: traverse blindly (E3 shows why not)
+        if not node.sm_bit or not self.ctx.config.enable_sm_bit:
+            return True  # (disabled: the ablation traverses blindly, E3)
         max_high = node.max_high_key()
-        within = max_high is not None and key <= max_high
-        return within or not node.sm_bit
+        return max_high is not None and key <= max_high
 
     # -- next-key location ---------------------------------------------------------
     #
@@ -354,14 +347,16 @@ class BTree:
     # ``after`` starting at position ``pos`` of ``leaf``.  May walk
     # right along the leaf chain, latching the next page while holding
     # the current one (Figures 5 and 6).  Returns the next key and the
-    # (fixed, latched) page holding it — or (None, None) for EOF.  The
-    # caller must unlatch/unfix the returned page if it is not ``leaf``.
+    # (fixed, latched) page holding it and its position there — or
+    # (None, None, -1) for EOF.  The caller must unlatch/unfix the
+    # returned page if it is not ``leaf``.
 
     def find_next_key(
         self, leaf: IndexPage, pos: int
-    ) -> tuple[IndexKey | None, IndexPage | None]:
-        if pos < len(leaf.keys):
-            return leaf.keys[pos], leaf
+    ) -> tuple[IndexKey | None, IndexPage | None, int]:
+        keys = leaf.keys
+        if pos < len(keys):
+            return keys[pos], leaf, pos
         current = leaf
         while True:
             next_id = current.next_leaf
@@ -372,7 +367,7 @@ class BTree:
                 # the gap; the guard below restarts the operation then.
                 self.unlatch_unfix(current)
             if next_id == 0:
-                return None, None
+                return None, None, -1
             nxt = self.fix_and_latch(next_id, "S")
             if nxt.index_id != self.index_id or not nxt.is_leaf:
                 # Freed (or repurposed) under us mid-SMO: give the
@@ -385,7 +380,7 @@ class BTree:
                 raise RestartOperation()
             self.ctx.stats.incr("btree.next_leaf_hops")
             if nxt.keys:
-                return nxt.keys[0], nxt
+                return nxt.keys[0], nxt, 0
             current = nxt  # empty page mid-SMO: keep walking
 
     # -- integrity checking (test support) ----------------------------------------------

@@ -8,9 +8,8 @@ I/Os (§1).  Every subsystem increments named counters on a shared
 For Figure 2 (the locking-summary table) counts are not enough — we
 need *which* lock, in *which mode*, for *which duration*, on behalf of
 *which logical operation*.  The registry therefore also keeps an
-optional audit trail of lock and latch acquisitions, tagged with the
-operation label installed by the index manager (``"fetch"``,
-``"insert"``, ...).
+optional audit trail of lock acquisitions, tagged with the operation
+label installed by the index manager (``"fetch"``, ``"insert"``, ...).
 """
 
 from __future__ import annotations
@@ -18,7 +17,11 @@ from __future__ import annotations
 import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
+
+#: A counter source: returns its owner's running totals, nonzero
+#: entries only.  It must take no lock (it runs under the registry's).
+Source = Callable[[], dict[str, int]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,23 +36,16 @@ class LockAuditEntry:
     granted_immediately: bool
 
 
-@dataclass(frozen=True, slots=True)
-class LatchAuditEntry:
-    """One recorded latch acquisition."""
-
-    owner: int
-    name: object
-    mode: str
-    operation: str
-
-
 class StatsRegistry:
-    """Thread-safe named counters plus optional audit trails.
+    """Thread-safe named counters plus an optional lock-audit trail.
 
-    ``incr`` is the hot path (30-odd calls per index operation), so
-    counters are *sharded per thread*: each thread bumps a dict that
-    only it writes, with no lock, and readers merge the shards under
-    the registry lock.  What a reader may rely on:
+    ``incr`` is the hot path, so counters are *sharded per thread*:
+    each thread bumps a dict that only it writes, with no lock, and
+    readers merge the shards under the registry lock.  The busiest
+    counters (latch grants, buffer hits, lock requests) skip ``incr``
+    altogether: their owners count them in plain fields under a mutex
+    they already hold, and register a *source* (:meth:`add_source`)
+    that readers merge like one more shard.  What a reader may rely on:
 
     - ``snapshot``/``diff``/``get``/``iter_sorted`` see every ``incr``
       that completed before the call on the calling thread, and every
@@ -69,7 +65,9 @@ class StatsRegistry:
 
     Shards are bounded by *live* threads: every reader, and every
     thread's first ``incr``, folds the shards of threads that have
-    exited into the base dict and drops them.
+    exited into the base dict and drops them.  Sources are bounded by
+    live owners: an owner that is replaced retires its source, which
+    folds it the same way.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -81,12 +79,12 @@ class StatsRegistry:
         self._local = threading.local()
         #: (owning thread, its shard) for every thread that has counted.
         self._shards: list[tuple[threading.Thread, dict]] = []
-        #: Read by the latch and lock hot paths to skip building an
-        #: audit entry nobody asked for.
+        #: Each source, and what it returned at the last ``reset``.
+        self._sources: dict[Source, dict[str, int]] = {}
+        #: Read by the lock hot path to skip building an audit entry
+        #: nobody asked for.
         self.audit_locks = False
-        self.audit_latches = False
         self._lock_audit: list[LockAuditEntry] = []
-        self._latch_audit: list[LatchAuditEntry] = []
         self._operation = threading.local()
 
     # -- counters ---------------------------------------------------------
@@ -134,7 +132,7 @@ class StatsRegistry:
         self._shards = live
 
     def _merged(self) -> dict[str, int]:
-        """Base counters plus every live shard."""
+        """Base counters plus every live shard and source."""
         with self._lock:
             self._fold_exited()
             total = dict(self._counters)
@@ -142,7 +140,33 @@ class StatsRegistry:
                 # ``dict(shard)`` copies in one C call, so the owning
                 # thread cannot resize the shard under the iteration.
                 self._fold(total, dict(shard))
+            for source, base in self._sources.items():
+                self._fold_source(total, source(), base)
             return total
+
+    @staticmethod
+    def _fold_source(into: dict[str, int], counts: dict, base: dict) -> None:
+        for name, value in counts.items():
+            value -= base.get(name, 0)
+            if value:
+                into[name] = into.get(name, 0) + value
+
+    # -- sources ----------------------------------------------------------
+
+    def add_source(self, source: Source) -> None:
+        """Merge ``source``'s totals into every read from now on."""
+        if not self.enabled:
+            return
+        with self._lock:
+            self._sources[source] = {}
+
+    def retire_source(self, source: Source) -> None:
+        """Fold ``source``'s final totals into the base counters and stop
+        reading it (its owner is being replaced)."""
+        with self._lock:
+            base = self._sources.pop(source, None)
+            if base is not None:
+                self._fold_source(self._counters, source(), base)
 
     def gauge(self, name: str, value: int) -> None:
         """Set counter ``name`` to an absolute value — progress gauges
@@ -187,8 +211,10 @@ class StatsRegistry:
             # a dropped dict — ordered before the reset.
             self._shards = []
             self._local = threading.local()
+            # A source's counts start again from what it holds now.
+            for source in self._sources:
+                self._sources[source] = source()
             self._lock_audit.clear()
-            self._latch_audit.clear()
 
     # -- operation labels -------------------------------------------------
 
@@ -205,13 +231,8 @@ class StatsRegistry:
 
     # -- audit trails -----------------------------------------------------
 
-    def enable_lock_audit(self, latches: bool = False) -> None:
+    def enable_lock_audit(self) -> None:
         self.audit_locks = True
-        self.audit_latches = latches
-
-    def disable_lock_audit(self) -> None:
-        self.audit_locks = False
-        self.audit_latches = False
 
     def record_lock(
         self,
@@ -234,27 +255,9 @@ class StatsRegistry:
         with self._lock:
             self._lock_audit.append(entry)
 
-    def record_latch(self, owner: int, name: object, mode: str) -> None:
-        if not self.audit_latches:
-            return
-        entry = LatchAuditEntry(
-            owner=owner, name=name, mode=mode, operation=self.operation
-        )
-        with self._lock:
-            self._latch_audit.append(entry)
-
     def lock_audit(self) -> list[LockAuditEntry]:
         with self._lock:
             return list(self._lock_audit)
-
-    def latch_audit(self) -> list[LatchAuditEntry]:
-        with self._lock:
-            return list(self._latch_audit)
-
-    def clear_audit(self) -> None:
-        with self._lock:
-            self._lock_audit.clear()
-            self._latch_audit.clear()
 
     # -- reporting --------------------------------------------------------
 

@@ -755,12 +755,14 @@ class Database:
         self.log.crash(keep_partial_tail=keep_partial)
         self.disk.crash()
         self.buffer.crash()
+        self.latches.retire()
         self.latches = self._make_latches()
         monitor = get_latch_monitor()
         if monitor is not None:
             # Releases for latches held at the crash instant will never
             # arrive (the table above was replaced wholesale).
             monitor.reset_all_held()
+        self.locks.retire()
         self.locks = LockManager(
             self.stats,
             timeout=self.config.lock_timeout_seconds,
@@ -837,10 +839,12 @@ class Database:
         rollback against the halted log fails mid-way).  Restart runs
         quiesced — the server is aborted, no application thread is
         live — so empty tables are always the correct state here."""
+        self.latches.retire()
         self.latches = self._make_latches()
         monitor = get_latch_monitor()
         if monitor is not None:
             monitor.reset_all_held()
+        self.locks.retire()
         self.locks = LockManager(
             self.stats,
             timeout=self.config.lock_timeout_seconds,

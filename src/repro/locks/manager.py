@@ -43,8 +43,9 @@ LockName = tuple
 
 #: Memoized ``lock.requests.<mode>.<duration>`` stat keys — the
 #: f-string per request showed up in profiles (bounded: one entry per
-#: mode × duration).
-_REQUEST_STAT_KEYS: dict[tuple, str] = {}
+#: mode × duration).  Keyed by the members' names: an enum member's
+#: ``__hash__`` is a Python-level call.
+_REQUEST_STAT_KEYS: dict[tuple[str, str], str] = {}
 
 #: How long a parked waiter sleeps between checks for pending-commit
 #: blockers (deferred batched commits it could complete itself).
@@ -73,7 +74,13 @@ class _LockHead:
 
 
 class LockManager:
-    """Hash table of lock heads with blocking, conversion, and detection."""
+    """Hash table of lock heads with blocking, conversion, and detection.
+
+    Requests are counted per ``lock.requests.<mode>.<duration>`` under
+    the table mutex and reported through a stats source; a database
+    that replaces its manager (crash, restart) calls :meth:`retire` on
+    the old one.
+    """
 
     def __init__(
         self,
@@ -82,6 +89,8 @@ class LockManager:
         deadlock_detection: bool = True,
     ) -> None:
         self._stats = stats or StatsRegistry(enabled=False)
+        self._requests: dict[str, int] = {}
+        self._stats.add_source(self._request_counts)
         # One plain mutex guards the table; the condition variable over
         # it is touched only by requests that have to wait.
         self._mutex = threading.Lock()
@@ -97,6 +106,14 @@ class LockManager:
         #: at end of batch.  Called strictly *outside* ``_mutex`` — the
         #: resolver releases locks, which re-enters the manager.
         self.pending_commit_resolver = None
+
+    def _request_counts(self) -> dict[str, int]:
+        return dict(self._requests)
+
+    def retire(self) -> None:
+        """Fold this manager's request counts into the registry for good
+        (the manager is being replaced)."""
+        self._stats.retire_source(self._request_counts)
 
     # -- queries ------------------------------------------------------------
 
@@ -138,13 +155,14 @@ class LockManager:
         :class:`DeadlockError` if waiting would close a cycle, and
         :class:`LockTimeoutError` on timeout.
         """
-        stat_key = _REQUEST_STAT_KEYS.get((mode, duration))
+        memo = (mode._name_, duration._name_)
+        stat_key = _REQUEST_STAT_KEYS.get(memo)
         if stat_key is None:
-            stat_key = f"lock.requests.{mode}.{duration}"
-            _REQUEST_STAT_KEYS[(mode, duration)] = stat_key
-        self._stats.incr(stat_key)
+            stat_key = _REQUEST_STAT_KEYS[memo] = f"lock.requests.{mode}.{duration}"
         resolver = self.pending_commit_resolver
         with self._mutex:
+            requests = self._requests
+            requests[stat_key] = requests.get(stat_key, 0) + 1
             if self._grant_now(txn_id, name, mode, duration):
                 return True
             if conditional:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import (
@@ -32,11 +31,16 @@ from repro.storage.page import Page
 from repro.wal.log import LogManager
 
 
-@dataclass
 class _Frame:
-    page: Page
-    dirty: bool = False
-    fix_count: int = 0
+    __slots__ = ("page", "dirty", "pins")
+
+    def __init__(self, page: Page) -> None:
+        self.page = page
+        self.dirty = False
+        #: One entry per outstanding fix.  ``fix`` appends under the pool
+        #: mutex; ``unfix`` pops without it (``list.pop`` is atomic), so
+        #: a buffer hit takes the mutex once per fix/unfix pair.
+        self.pins: list[None] = [None]
 
 
 class BufferPool:
@@ -47,6 +51,10 @@ class BufferPool:
     fault (or a transient one that outlives the retry budget) is
     escalated through ``on_fatal_io`` — the database wires that to a
     clean ``Database.crash()`` — and then re-raised.
+
+    Hits are counted in a field under the pool mutex that ``fix``
+    already holds, and reported as ``buffer.hits`` through a stats
+    source.
     """
 
     def __init__(
@@ -67,6 +75,8 @@ class BufferPool:
         self._mutex = threading.RLock()
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
         self._dirty_page_table: dict[int, int] = {}
+        self._hits = 0
+        self._stats.add_source(self._hit_counts)
         #: Called with the PermanentIOError before it is re-raised.
         self.on_fatal_io: Callable[[PermanentIOError], None] | None = None
         #: Instant restart: consulted with the page id at the top of
@@ -74,6 +84,9 @@ class BufferPool:
         #: recovery governor can lazily recover the page first (the
         #: recovery work itself fixes pages through this pool).
         self.recovery_hook: Callable[[int], None] | None = None
+
+    def _hit_counts(self) -> dict[str, int]:
+        return {"buffer.hits": self._hits} if self._hits else {}
 
     # -- fault-hardened I/O ---------------------------------------------------
 
@@ -104,14 +117,13 @@ class BufferPool:
             frame = self._frames.get(page_id)
             if frame is not None:
                 self._frames.move_to_end(page_id)
-                frame.fix_count += 1
-                self._stats.incr("buffer.hits")
+                frame.pins.append(None)
+                self._hits += 1
                 return frame.page
             self._evict_if_needed()
             raw = self._disk_io(lambda: self._disk.read(page_id))
             page = Page.from_bytes(raw)
-            frame = _Frame(page=page, fix_count=1)
-            self._frames[page_id] = frame
+            self._frames[page_id] = _Frame(page)
             self._stats.incr("buffer.misses")
             self._stats.incr("buffer.pages_read")
             return page
@@ -124,23 +136,24 @@ class BufferPool:
                     f"page {page.page_id} already present in the pool"
                 )
             self._evict_if_needed()
-            self._frames[page.page_id] = _Frame(page=page, fix_count=1)
+            self._frames[page.page_id] = _Frame(page)
             return page
 
     def unfix(self, page_id: int) -> None:
-        with self._mutex:
-            frame = self._frames.get(page_id)
-            if frame is None or frame.fix_count <= 0:
-                raise PageNotFoundError(f"unfix of unpinned page {page_id}")
-            frame.fix_count -= 1
+        # No mutex: a pinned frame cannot be evicted, a dict lookup is
+        # atomic, and so is the pop that unpins it.
+        frame = self._frames.get(page_id)
+        if frame is not None:
+            try:
+                frame.pins.pop()
+                return
+            except IndexError:
+                pass
+        raise PageNotFoundError(f"unfix of unpinned page {page_id}")
 
     def is_cached(self, page_id: int) -> bool:
         with self._mutex:
             return page_id in self._frames
-
-    def cached_page_ids(self) -> list[int]:
-        with self._mutex:
-            return list(self._frames)
 
     # -- dirtying ---------------------------------------------------------------
 
@@ -216,7 +229,7 @@ class BufferPool:
         while len(self._frames) >= self._capacity:
             victim_id = None
             for page_id, frame in self._frames.items():  # LRU order
-                if frame.fix_count == 0:
+                if not frame.pins:
                     victim_id = page_id
                     break
             if victim_id is None:

@@ -52,11 +52,18 @@ def get_latch_monitor():
     return _monitor
 
 
-#: ``latch.acquisitions`` and its per-mode breakdown move together, in
-#: one counter bump (see ``StatsRegistry.incr``).
-_ACQUISITION_STATS = {
-    mode: ("latch.acquisitions", f"latch.acquisitions.{mode}") for mode in ("S", "X")
-}
+_get_ident = threading.get_ident
+
+
+def _grant_stats(s_grants: int, x_grants: int) -> dict[str, int]:
+    """Latch grant counts as stats counters (nonzero entries only, as an
+    ``incr``-built snapshot would have them)."""
+    counts = {
+        "latch.acquisitions": s_grants + x_grants,
+        "latch.acquisitions.S": s_grants,
+        "latch.acquisitions.X": x_grants,
+    }
+    return {name: value for name, value in counts.items() if value}
 
 
 class Latch:
@@ -68,7 +75,10 @@ class Latch:
     with no X waiting — is granted under that lock alone.  Only a
     conflicting request touches the condition variable (built over the
     same lock), and ``release`` notifies only while somebody is parked
-    on it.
+    on it.  Grants are counted per mode under that same lock
+    (``s_grants``/``x_grants``); :meth:`grant_counts` is the stats
+    source that reports them as ``latch.acquisitions`` and ``.S``/``.X``,
+    and the :class:`LatchManager` sums it over every latch it made.
 
     ``monitor`` pins the observer this latch reports to.  Latches made
     by a :class:`LatchManager` inherit the monitor captured when the
@@ -78,6 +88,20 @@ class Latch:
     later round's graph.  Bare latches leave it unset and follow the
     process-wide hook, which is what the unit tests want.
     """
+
+    __slots__ = (
+        "name",
+        "_stats",
+        "_lock",
+        "_cond",
+        "_holders",
+        "_reentries",
+        "_waiters",
+        "_x_waiters",
+        "_monitor",
+        "s_grants",
+        "x_grants",
+    )
 
     def __init__(
         self,
@@ -97,9 +121,11 @@ class Latch:
         self._waiters = 0
         self._x_waiters = 0
         self._monitor = monitor
+        self.s_grants = 0
+        self.x_grants = 0
 
-    def _observer(self):
-        return _monitor if self._monitor is _UNSET else self._monitor
+    def grant_counts(self) -> dict[str, int]:
+        return _grant_stats(self.s_grants, self.x_grants)
 
     # -- internals -----------------------------------------------------------
 
@@ -155,10 +181,9 @@ class Latch:
         waiting — the building block of the paper's "release all
         latches, then request unconditionally" discipline.
         """
-        stat_key = _ACQUISITION_STATS.get(mode)
-        if stat_key is None:
+        if mode != "S" and mode != "X":
             raise LatchError(f"invalid latch mode {mode!r}")
-        owner = threading.get_ident()
+        owner = _get_ident()
         reentrant = False
         with self._lock:
             holders = self._holders
@@ -180,11 +205,13 @@ class Latch:
                     self._wait(mode, conditional, timeout)
             if not reentrant:
                 holders[owner] = mode
-        stats = self._stats
-        stats.incr(stat_key)
-        if stats.audit_latches:
-            stats.record_latch(owner, self.name, mode)
-        monitor = self._observer()
+            if mode == "S":
+                self.s_grants += 1
+            else:
+                self.x_grants += 1
+        monitor = self._monitor
+        if monitor is _UNSET:
+            monitor = _monitor
         if monitor is not None:
             monitor.note_acquire(
                 self.name,
@@ -195,7 +222,7 @@ class Latch:
             )
 
     def release(self) -> None:
-        owner = threading.get_ident()
+        owner = _get_ident()
         with self._lock:
             if owner not in self._holders:
                 raise LatchError(f"latch {self.name!r} released by non-holder")
@@ -210,7 +237,9 @@ class Latch:
             del self._holders[owner]
             if self._waiters:
                 self._cond.notify_all()
-        monitor = self._observer()
+        monitor = self._monitor
+        if monitor is _UNSET:
+            monitor = _monitor
         if monitor is not None:
             monitor.note_release(self.name)
 
@@ -241,6 +270,10 @@ class LatchManager:
     Also tracks, per thread, how many *page* latches are held so the
     paper's "not more than 2 index pages are held latched
     simultaneously" invariant (§2.1) can be asserted in debug mode.
+
+    The manager reports the grant counts of every latch it made to its
+    stats registry; a database that replaces its manager (crash,
+    restart) calls :meth:`retire` on the old one.
     """
 
     def __init__(
@@ -261,6 +294,21 @@ class LatchManager:
         # rebuilds the table mid-lifetime and recaptures the same
         # round's monitor; a later round's monitor never sees it.
         self._monitor = get_latch_monitor()
+        self._stats.add_source(self.grant_counts)
+
+    def grant_counts(self) -> dict[str, int]:
+        """Grants summed over every latch of this table (a stats source:
+        reads only, takes no lock)."""
+        s_grants = x_grants = 0
+        for latch in [*self._page_latches.values(), *self._tree_latches.values()]:
+            s_grants += latch.s_grants
+            x_grants += latch.x_grants
+        return _grant_stats(s_grants, x_grants)
+
+    def retire(self) -> None:
+        """Fold this table's grant counts into the registry for good
+        (the table is being replaced)."""
+        self._stats.retire_source(self.grant_counts)
 
     def page_latch(self, page_id: int) -> Latch:
         # Entries are only ever added, so a hit needs no mutex (a dict
@@ -294,9 +342,14 @@ class LatchManager:
     def latch_page(
         self, page_id: int, mode: str, conditional: bool = False
     ) -> Latch:
-        latch = self.page_latch(page_id)
-        latch.acquire(mode, conditional=conditional, timeout=self.timeout)  # noqa: RPR001 - ownership transfer: caller unlatches
-        held = self._held_set()
+        latch = self._page_latches.get(page_id)
+        if latch is None:
+            latch = self.page_latch(page_id)
+        latch.acquire(mode, conditional, self.timeout)  # noqa: RPR001 - ownership transfer: caller unlatches
+        try:
+            held = self._held_pages.pages
+        except AttributeError:
+            held = self._held_set()
         held.add(page_id)
         if self._debug_max is not None and len(held) > self._debug_max:
             latch.release()
@@ -308,19 +361,14 @@ class LatchManager:
         return latch
 
     def unlatch_page(self, page_id: int) -> None:
-        self.page_latch(page_id).release()
-        self._held_set().discard(page_id)
+        latch = self._page_latches.get(page_id)
+        if latch is None:
+            latch = self.page_latch(page_id)
+        latch.release()
+        try:
+            self._held_pages.pages.discard(page_id)
+        except AttributeError:
+            pass  # this thread never latched a page here
 
     def pages_held(self) -> set[int]:
         return set(self._held_set())
-
-    def reset_thread_state(self) -> None:
-        """Drop this thread's held-page bookkeeping (crash cleanup).
-
-        A crash replaces the latch table wholesale, so releases for
-        anything held will never arrive — tell the monitor too.
-        """
-        self._held_pages.pages = set()
-        monitor = self._monitor
-        if monitor is not None:
-            monitor.reset_held()

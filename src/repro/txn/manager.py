@@ -286,8 +286,7 @@ class TransactionManager:
             self._stats.incr("txn.locks_released_at_commit", released)
             txn.status = TxnStatus.ENDED
             self.forget(txn.txn_id)
-            self._stats.incr("txn.committed")
-            self._stats.incr("txn.readonly_commits")
+            self._stats.incr(("txn.committed", "txn.readonly_commits"))
             return None
         commit = LogRecord(kind=RecordKind.COMMIT, txn_id=txn.txn_id)
         commit_lsn = self.log_for(txn, commit)

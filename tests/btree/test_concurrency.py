@@ -15,7 +15,6 @@ Covers the paper's protocol guarantees:
 
 import random
 import threading
-import time
 
 import pytest
 
@@ -25,7 +24,9 @@ from repro.common.errors import (
     LockTimeoutError,
     UniqueKeyViolationError,
 )
-from tests.conftest import build_db, populate
+from tests.conftest import SpyCondition, build_db, lock_wait_queued, populate
+
+JOIN = 20.0
 
 
 def make_db(**overrides):
@@ -51,16 +52,17 @@ class TestWalls:
 
         def reader():
             t2 = db.begin()
-            start = time.monotonic()
             result["row"] = db.fetch(t2, "t", "by_id", 50)
-            result["waited"] = time.monotonic() - start
             db.commit(t2)
 
+        waits = db.stats.get("lock.waits")
+        queued = lock_wait_queued(db)
         worker = run_thread(reader)
-        time.sleep(0.3)
+        assert queued.wait(JOIN)
+        assert "row" not in result
         db.rollback(t1)
-        worker.join(timeout=20)
-        assert result["waited"] >= 0.25
+        worker.join(timeout=JOIN)
+        assert db.stats.get("lock.waits") - waits >= 1  # the reader waited
         assert result["row"] is not None  # the delete was rolled back
 
     def test_uncommitted_delete_blocks_reader_until_commit(self):
@@ -75,10 +77,14 @@ class TestWalls:
             result["row"] = db.fetch(t2, "t", "by_id", 50)
             db.commit(t2)
 
+        waits = db.stats.get("lock.waits")
+        queued = lock_wait_queued(db)
         worker = run_thread(reader)
-        time.sleep(0.3)
+        assert queued.wait(JOIN)
+        assert "row" not in result
         db.commit(t1)
-        worker.join(timeout=20)
+        worker.join(timeout=JOIN)
+        assert db.stats.get("lock.waits") - waits >= 1
         assert result["row"] is None  # the delete committed
 
     def test_uncommitted_delete_blocks_same_value_insert(self):
@@ -100,10 +106,14 @@ class TestWalls:
                 outcome["status"] = "violation"
                 db.rollback(t2)
 
+        waits = db.stats.get("lock.waits")
+        queued = lock_wait_queued(db)
         worker = run_thread(inserter)
-        time.sleep(0.3)
+        assert queued.wait(JOIN)
+        assert "status" not in outcome
         db.rollback(t1)  # the old key comes back...
-        worker.join(timeout=20)
+        worker.join(timeout=JOIN)
+        assert db.stats.get("lock.waits") - waits >= 1
         assert outcome["status"] == "violation"  # ...so the insert fails
 
     def test_uncommitted_insert_blocks_reader(self):
@@ -119,10 +129,14 @@ class TestWalls:
             result["row"] = db.fetch(t2, "t", "by_id", 55)
             db.commit(t2)
 
+        waits = db.stats.get("lock.waits")
+        queued = lock_wait_queued(db)
         worker = run_thread(reader)
-        time.sleep(0.3)
+        assert queued.wait(JOIN)
+        assert "row" not in result
         db.commit(t1)
-        worker.join(timeout=20)
+        worker.join(timeout=JOIN)
+        assert db.stats.get("lock.waits") - waits >= 1
         assert result["row"] is not None
 
 
@@ -205,18 +219,22 @@ class TestFigure3:
 
         def inserter():
             t2 = db.begin()
-            start = time.monotonic()
             db.insert(t2, "t", {"id": 1000, "val": "i"})
-            t2_result["waited"] = time.monotonic() - start
+            t2_result["done"] = True
             db.commit(t2)
 
+        # The SMO holds the X tree latch; the insert parks on it.
+        tree_latch = db.latches.tree_latch(db.tables["t"].indexes["by_id"].index_id)
+        tree_latch._cond = parked = SpyCondition(tree_latch._lock)  # noqa: SLF001
+        latch_waits = db.stats.get("latch.waits")
         insert_thread = run_thread(inserter)
-        time.sleep(0.4)
-        assert "waited" not in t2_result, "insert must wait for the SMO"
+        assert parked.parked.wait(JOIN)
+        assert "done" not in t2_result, "insert must wait for the SMO"
         db.failpoints.release("smo.split.after_leaf_level")
-        insert_thread.join(timeout=20)
-        split_thread.join(timeout=20)
-        assert t2_result["waited"] >= 0.35
+        insert_thread.join(timeout=JOIN)
+        split_thread.join(timeout=JOIN)
+        assert t2_result["done"]
+        assert db.stats.get("latch.waits") - latch_waits >= 1
         assert db.verify_indexes() == {}
         check = db.begin()
         assert db.fetch(check, "t", "by_id", 1000) is not None

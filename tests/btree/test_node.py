@@ -52,12 +52,6 @@ class TestLeafSearch:
         with pytest.raises(IndexError_):
             leaf_with(1).remove_key(key(2))
 
-    def test_position_for_value(self):
-        page = leaf_with(10, 20, 30)
-        assert page.position_for_value(b"%08d" % 15) == 1
-        assert page.position_for_value(b"%08d" % 20) == 1
-        assert page.position_for_value(b"%08d" % 35) == 3
-
     def test_bounds_key(self):
         page = leaf_with(10, 30)
         assert page.bounds_key(key(20))

@@ -14,7 +14,7 @@ from repro.common.errors import (
     LockTimeoutError,
     UniqueKeyViolationError,
 )
-from tests.conftest import build_db, populate
+from tests.conftest import build_db, lock_wait_queued, populate
 
 
 def make_db(**overrides):
@@ -74,28 +74,28 @@ class TestRepeatableReadScans:
         assert db.verify_indexes() == {}
 
     def test_scan_blocks_writers_inside_range_until_commit(self):
-        import time
-
         db = make_db(lock_timeout_seconds=5.0)
         populate(db, range(0, 100, 2))
         t1 = db.begin()
         list(db.scan(t1, "t", "by_id", low=0, high=98))
-        waited = {}
+        inserted = {}
 
         def writer():
             t2 = db.begin()
-            start = time.monotonic()
             db.insert(t2, "t", {"id": 51, "val": "phantom"})
-            waited["t"] = time.monotonic() - start
+            inserted["t"] = True
             db.commit(t2)
 
+        waits = db.stats.get("lock.waits")
+        queued = lock_wait_queued(db)
         worker = threading.Thread(target=writer)
         worker.start()
-        time.sleep(0.4)
-        assert "t" not in waited
+        assert queued.wait(30)
+        assert "t" not in inserted
         db.commit(t1)
         worker.join(timeout=30)
-        assert waited["t"] >= 0.35
+        assert inserted["t"]
+        assert db.stats.get("lock.waits") - waits >= 1
 
     def test_cs_scan_does_not_freeze_range(self):
         """A cursor-stability scan leaves no range locks behind."""

@@ -267,3 +267,63 @@ class TestLockAudit:
         t.join()
         assert seen == [""]
         assert stats.operation == "main-op"
+
+
+class TestSources:
+    """Owners that count under their own mutex report through sources."""
+
+    def test_source_merges_rebases_on_reset_and_folds_on_retire(self):
+        stats = StatsRegistry()
+        totals = {"hits": 3}
+        stats.add_source(lambda: dict(totals))  # a lock-free read
+        stats.incr("hits", 2)
+        assert stats.get("hits") == 5
+        before = stats.snapshot()
+        totals["hits"] = 10
+        assert stats.diff(before) == {"hits": 7}
+        stats.reset()
+        assert stats.snapshot() == {}
+        totals["hits"] = 11
+        assert stats.snapshot() == {"hits": 1}
+
+    def test_retired_source_keeps_its_counts_and_is_not_read_again(self):
+        stats = StatsRegistry()
+        totals = {"n": 4}
+
+        def source():
+            return dict(totals)
+
+        stats.add_source(source)
+        stats.retire_source(source)
+        totals["n"] = 100  # a retired owner's later counts are not read
+        assert stats.get("n") == 4
+        stats.retire_source(source)  # retiring twice folds nothing twice
+        assert stats.get("n") == 4
+
+    def test_disabled_registry_reads_no_source(self):
+        stats = StatsRegistry(enabled=False)
+        stats.add_source(lambda: {"n": 1})
+        assert stats.snapshot() == {}
+
+    def test_counts_survive_a_crash_that_replaces_the_managers(self):
+        from tests.conftest import build_db, populate
+
+        db = build_db()
+        db.create_table("t")
+        db.create_index("t", "by_id", column="id", unique=True)
+        populate(db, range(20))
+        before = db.stats.snapshot()
+        old_latches, old_locks = db.latches, db.locks
+        db.crash()
+        assert db.latches is not old_latches and db.locks is not old_locks
+        after = db.stats.snapshot()
+        for name in ("latch.acquisitions", "lock.requests.X.commit", "buffer.hits"):
+            assert before[name] > 0
+            assert after.get(name, 0) >= before[name], name
+        db.restart()
+        txn = db.begin()
+        assert db.fetch(txn, "t", "by_id", 7) is not None
+        db.commit(txn)
+        final = db.stats.snapshot()
+        assert final["latch.acquisitions"] > after["latch.acquisitions"]
+        assert final["lock.requests.S.commit"] > after.get("lock.requests.S.commit", 0)

@@ -75,3 +75,15 @@ class SpyCondition(threading.Condition):
     def notify_all(self) -> None:
         self.notifies += 1
         super().notify_all()
+
+
+def lock_wait_queued(database: Database) -> threading.Event:
+    """An event set when a lock request of ``database`` parks to wait.
+
+    Installs a :class:`SpyCondition` over the lock manager's mutex: the
+    event is set while the waiter is queued and still holds that mutex,
+    so a test that sees it and then does anything that takes the mutex
+    (a commit, a rollback) finds the waiter already queued."""
+    locks = database.locks
+    locks._cond = spy = SpyCondition(locks._mutex)  # noqa: SLF001 - test instruments the wait path
+    return spy.parked

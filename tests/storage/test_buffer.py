@@ -147,3 +147,44 @@ class TestCrash:
         pool.discard(page.page_id)
         assert not pool.is_cached(page.page_id)
         assert pool.dirty_page_table() == {}
+
+
+class TestLockFreeUnfix:
+    def test_concurrent_fix_unfix_loses_no_pin_and_no_hit(self):
+        """``unfix`` pops a pin without the pool mutex: hammer a few
+        frames from more threads than cores with a tiny switch interval
+        and check that every pin came off and every hit was counted."""
+        import sys
+        import threading
+
+        from repro.common.stats import StatsRegistry
+
+        stats = StatsRegistry()
+        disk = DiskManager(page_size=4096)
+        pool = BufferPool(disk, LogManager(), 8, stats)
+        pages = [new_heap_page(pool, disk) for _ in range(3)]
+        for page in pages:
+            pool.unfix(page.page_id)
+        rounds, workers = 2000, 6
+
+        def hammer(seed: int) -> None:
+            for i in range(rounds):
+                page_id = pages[(seed + i) % len(pages)].page_id
+                pool.fix(page_id)
+                pool.unfix(page_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.get("buffer.hits") == rounds * workers
+        for page in pages:
+            with pytest.raises(PageNotFoundError):
+                pool.unfix(page.page_id)  # every pin is off: one more unfix fails

@@ -189,6 +189,7 @@ def test_free_latch_with_a_pending_x_waiter_refuses_new_s():
 def test_release_touches_the_condition_only_when_somebody_waits():
     stats = StatsRegistry()
     latch = Latch("p", stats)
+    stats.add_source(latch.grant_counts)
     cond = spy_on(latch)
     for mode in ("S", "X"):
         latch.acquire(mode)

@@ -99,7 +99,7 @@ class TestSizes:
 
 
 def _listify(value):
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return [_listify(v) for v in value]
     if isinstance(value, list):
         return [_listify(v) for v in value]
