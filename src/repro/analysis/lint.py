@@ -23,10 +23,13 @@ Rules
   page flushes, socket sends/receives, ``time.sleep``, thread joins,
   and condition waits without a timeout.  Latches are held for
   instructions, not I/O (§2.1).
-- **RPR003** — a function that both appends a log record (``log_for``)
-  and mutates page payload bytes must stamp ``page_lsn`` from the
-  append's LSN and call ``mark_dirty`` before unfixing — the
-  page-state-comparison invariant redo depends on (§1.2).
+- **RPR003** — a page record is logged only through
+  ``log_page_change``, which links it to the page's PageLSN, stamps
+  the page and marks it dirty — the page-state-comparison invariant
+  redo depends on (§1.2) and the per-page log chain restart walks.  A
+  ``log_for`` call on a record built by ``update_record`` /
+  ``clr_record`` is flagged, and so is a function that mutates page
+  payload and logs through ``log_for`` without calling the helper.
 - **RPR004** — lock-manager ``request`` calls must use the
   :mod:`repro.locks.modes` constants, never string literals (latches
   use strings by design; locks never do).
@@ -48,7 +51,7 @@ RULES = {
     "RPR000": "noqa suppression without a reason string",
     "RPR001": "acquire/fix without release/unfix on all paths",
     "RPR002": "blocking call inside a latched region",
-    "RPR003": "page mutation logged without page_lsn stamp + mark_dirty",
+    "RPR003": "page record logged without log_page_change",
     "RPR004": "lock request with a string-literal mode/duration",
     "RPR005": "bare/broad except swallowing latch or durability errors",
 }
@@ -87,6 +90,10 @@ MUTATOR_METHODS = {
     "replace_entries",
     "truncate",
 }
+#: The one call that logs a page record (``Database.log_page_change``).
+PAGE_LOG_HELPER = "log_page_change"
+#: The constructors of page records.
+PAGE_RECORD_FACTORIES = {"update_record", "clr_record"}
 BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 GUARDED_EXCEPTIONS = {"LatchError", "CommitNotDurableError"}
 
@@ -132,6 +139,15 @@ def _parse_suppressions(source: str) -> dict[int, _Suppression]:
         has_reason = bool(re.match(r"^-{1,2}\s*\S", rest))
         out[lineno] = _Suppression(codes=rpr, has_reason=has_reason)
     return out
+
+
+def _is_page_record(node: ast.expr | None) -> bool:
+    """Whether ``node`` calls a page record constructor."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in PAGE_RECORD_FACTORIES
+    )
 
 
 class _FileLinter:
@@ -317,49 +333,54 @@ class _FileLinter:
 
     # -- RPR003 ------------------------------------------------------------
 
-    def check_page_lsn_stamp(self) -> None:
+    def check_page_logging(self) -> None:
         for node in ast.walk(self.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            logs = False
+            if node.name == PAGE_LOG_HELPER:
+                continue
+            page_records: set[str] = set()
+            log_for_calls: list[ast.Call] = []
             mutates: str | None = None
-            stamps = False
-            dirties = False
+            helper = False
             for child in ast.walk(node):
                 if isinstance(child, ast.Call) and isinstance(
                     child.func, ast.Attribute
                 ):
                     attr = child.func.attr
                     if attr == "log_for":
-                        logs = True
+                        log_for_calls.append(child)
+                    elif attr == PAGE_LOG_HELPER:
+                        helper = True
                     elif attr in MUTATOR_METHODS:
                         mutates = mutates or f"{attr}()"
-                    elif attr == "mark_dirty":
-                        dirties = True
                 elif isinstance(child, ast.Assign):
+                    if _is_page_record(child.value):
+                        page_records.update(
+                            t.id for t in child.targets if isinstance(t, ast.Name)
+                        )
                     for target in child.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and target.attr == "page_lsn"
-                        ):
-                            stamps = True
                         if (
                             isinstance(target, ast.Subscript)
                             and isinstance(target.value, ast.Attribute)
                             and target.value.attr == "slots"
                         ):
                             mutates = mutates or "slots[...] assignment"
-            if logs and mutates and not (stamps and dirties):
-                missing = []
-                if not stamps:
-                    missing.append("page_lsn stamp")
-                if not dirties:
-                    missing.append("mark_dirty call")
+            for call in log_for_calls:
+                record = call.args[1] if len(call.args) > 1 else None
+                if _is_page_record(record) or getattr(record, "id", 0) in page_records:
+                    self.report(
+                        "RPR003",
+                        call,
+                        f"{node.name}() logs a page record through log_for(); "
+                        f"use {PAGE_LOG_HELPER}()",
+                    )
+            if log_for_calls and mutates and not helper:
                 self.report(
                     "RPR003",
                     node,
                     f"{node.name}() logs and mutates pages ({mutates}) "
-                    f"but lacks a {' and '.join(missing)}",
+                    f"without {PAGE_LOG_HELPER}()",
                 )
 
     # -- RPR004 ------------------------------------------------------------
@@ -442,7 +463,7 @@ class _FileLinter:
     def run(self) -> list[LintViolation]:
         self.check_acquire_pairing()
         self.check_blocking_under_latch()
-        self.check_page_lsn_stamp()
+        self.check_page_logging()
         self.check_lock_mode_constants()
         self.check_broad_except()
         for line, suppression in self.suppressions.items():

@@ -10,11 +10,11 @@ happened to trip over it.  This verifier checks, record by record:
 - **prev_lsn chains** — every transaction's records form a backward
   chain; each record's ``prev_lsn`` is exactly the transaction's
   previous record (or pre-truncation / NULL for its first).
-- **prev_page_lsn chains** (PR 4) — every redoable record's
-  ``prev_page_lsn`` is the page's previous redoable record, NULL (a
-  fresh chain: crash clears the volatile chain map for clean pages),
-  or pre-truncation.  A non-NULL in-range value that is *not* the
-  page's latest record is a broken chain.
+- **prev_page_lsn chains** — every redoable record's
+  ``prev_page_lsn`` is the page's previous redoable record (its
+  PageLSN at log time) or pre-truncation, and NULL only at the page's
+  ``format`` / ``page_format`` record.  Any other value, a NULL link
+  included, is a broken chain.
 - **CLR undo-next termination** — a CLR's ``undo_next_lsn`` is NULL or
   strictly behind its own LSN, and names a record of its own
   transaction when in range.
@@ -49,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Version 2 dumps hold fixed-header record bodies (see
 #: :mod:`repro.wal.records`); version 1 held tagged-dict bodies.
 MAGIC = b"RPRWAL2\x00"
+
+#: Ops of the page records that may start a chain (NULL prev_page_lsn).
+_FORMAT_OPS = frozenset({"format", "page_format"})
 
 #: Record kinds outside any transaction's prev_lsn chain: checkpoints
 #: and 2PC coordinator records are logged with txn_id 0.
@@ -178,7 +181,13 @@ def check_records(
             page_id = record.page_id
             prev = record.prev_page_lsn
             tail = page_tail.get(page_id)
-            if prev != NULL_LSN and prev >= first_lsn and prev != tail:
+            if prev == NULL_LSN and record.op not in _FORMAT_OPS:
+                report.add(
+                    lsn,
+                    f"page {page_id} {record.op} record breaks the chain with "
+                    f"a NULL prev_page_lsn (latest is {tail})",
+                )
+            elif prev != NULL_LSN and prev >= first_lsn and prev != tail:
                 if prev in page_seen.get(page_id, ()):
                     report.add(
                         lsn,

@@ -158,11 +158,12 @@ def _log_and_apply_delete(
             payload,
             undo_next_lsn=clr_for.prev_lsn,
         )
-    lsn = ctx.txns.log_for(txn, record)
-    leaf.remove_key(key)
-    if set_bit:
-        leaf.delete_bit = True
-    leaf.page_lsn = lsn
-    ctx.buffer.mark_dirty(leaf.page_id, lsn)
+
+    def apply() -> None:
+        leaf.remove_key(key)
+        if set_bit:
+            leaf.delete_bit = True
+
+    ctx.log_page_change(txn, leaf, record, apply)
     ctx.stats.incr("btree.keys_deleted")
     ctx.failpoints.hit("btree.delete.after_log")

@@ -215,10 +215,7 @@ def _log_and_apply_insert(
             payload,
             undo_next_lsn=clr_for.prev_lsn,
         )
-    lsn = ctx.txns.log_for(txn, record)
-    leaf.insert_key(key)
-    leaf.page_lsn = lsn
-    ctx.buffer.mark_dirty(leaf.page_id, lsn)
+    ctx.log_page_change(txn, leaf, record, lambda: leaf.insert_key(key))
     ctx.stats.incr("btree.keys_inserted")
     ctx.failpoints.hit("btree.insert.after_log")
 

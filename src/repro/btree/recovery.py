@@ -132,10 +132,9 @@ class BTreeResourceManager:
                         {"index_id": tree.index_id, "key": key, "set_delete_bit": False},
                         undo_next_lsn=record.prev_lsn,
                     )
-                    lsn = ctx.txns.log_for(txn, clr)
-                    page.remove_key(key)
-                    page.page_lsn = lsn
-                    ctx.buffer.mark_dirty(page.page_id, lsn)
+                    ctx.log_page_change(
+                        txn, page, clr, lambda: page.remove_key(key)
+                    )
                     page_oriented = True
             finally:
                 ctx.latches.unlatch_page(page.page_id)
@@ -175,10 +174,9 @@ class BTreeResourceManager:
                         {"index_id": tree.index_id, "key": key},
                         undo_next_lsn=record.prev_lsn,
                     )
-                    lsn = ctx.txns.log_for(txn, clr)
-                    page.insert_key(key)
-                    page.page_lsn = lsn
-                    ctx.buffer.mark_dirty(page.page_id, lsn)
+                    ctx.log_page_change(
+                        txn, page, clr, lambda: page.insert_key(key)
+                    )
                     page_oriented = True
             finally:
                 ctx.latches.unlatch_page(page.page_id)
@@ -242,9 +240,7 @@ class BTreeResourceManager:
                 {"state": page.to_payload()},
                 undo_next_lsn=record.prev_lsn,
             )
-            lsn = ctx.txns.log_for(txn, clr)
-            page.page_lsn = lsn
-            ctx.buffer.mark_dirty(record.page_id, lsn)
+            ctx.log_page_change(txn, page, clr)
             ctx.stats.incr("btree.undo.smo_records")
         finally:
             ctx.latches.unlatch_page(record.page_id)

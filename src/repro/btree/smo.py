@@ -63,11 +63,7 @@ def _log_apply(
 ) -> int:
     """Write one SMO update record and apply it to the latched page."""
     record = update_record(txn.txn_id, RM_BTREE, op, page.page_id, payload)
-    lsn = tree.ctx.txns.log_for(txn, record)
-    apply()
-    page.page_lsn = lsn
-    tree.ctx.buffer.mark_dirty(page.page_id, lsn)
-    return lsn
+    return tree.ctx.log_page_change(txn, page, record, apply)
 
 
 def _log_set_page(
@@ -84,10 +80,7 @@ def _log_set_page(
         page.page_id,
         {"before": before, "after": after},
     )
-    lsn = tree.ctx.txns.log_for(txn, record)
-    page.page_lsn = lsn
-    tree.ctx.buffer.mark_dirty(page.page_id, lsn)
-    return lsn
+    return tree.ctx.log_page_change(txn, page, record)
 
 
 def freed_payload(page_id: int) -> dict:
@@ -211,9 +204,7 @@ def _grow_root(tree: BTree, txn: "Transaction") -> None:
             child_id,
             {"page": child.to_payload()},
         )
-        lsn = ctx.txns.log_for(txn, record)
-        child.page_lsn = lsn
-        ctx.buffer.mark_dirty(child_id, lsn)
+        ctx.log_page_change(txn, child, record)
         ctx.buffer.unfix(child_id)
 
         def make_root_nonleaf() -> None:
@@ -303,9 +294,7 @@ def _split_leaf_level(
     record = update_record(
         txn.txn_id, RM_BTREE, "page_format", right_id, {"page": right.to_payload()}
     )
-    lsn = ctx.txns.log_for(txn, record)
-    right.page_lsn = lsn
-    ctx.buffer.mark_dirty(right_id, lsn)
+    ctx.log_page_change(txn, right, record)
     ctx.buffer.unfix(right_id)
 
     def shrink() -> None:
@@ -372,9 +361,7 @@ def _split_nonleaf_level(
     record = update_record(
         txn.txn_id, RM_BTREE, "page_format", right_id, {"page": right.to_payload()}
     )
-    lsn = ctx.txns.log_for(txn, record)
-    right.page_lsn = lsn
-    ctx.buffer.mark_dirty(right_id, lsn)
+    ctx.log_page_change(txn, right, record)
     ctx.buffer.unfix(right_id)
 
     def shrink() -> None:
@@ -510,10 +497,7 @@ def delete_with_page_delete(
                 payload,
                 undo_next_lsn=clr_for.prev_lsn,
             )
-        lsn = ctx.txns.log_for(txn, record)
-        leaf.remove_key(key)
-        leaf.page_lsn = lsn
-        ctx.buffer.mark_dirty(leaf.page_id, lsn)
+        ctx.log_page_change(txn, leaf, record, lambda: leaf.remove_key(key))
         ctx.stats.incr("btree.keys_deleted")
         if leaf.keys or leaf.page_id == tree.root_page_id:
             # Someone refilled the page before we got the barrier (or

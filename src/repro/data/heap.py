@@ -284,9 +284,7 @@ class HeapFile:
                 page.page_id,
                 {"rid": rid, "data": data},
             )
-            lsn = self._ctx.txns.log_for(txn, record)
-            page.page_lsn = lsn
-            self._ctx.buffer.mark_dirty(page.page_id, lsn)
+            self._ctx.log_page_change(txn, page, record)
         finally:
             latch.release()
             self._ctx.buffer.unfix(page.page_id)
@@ -308,9 +306,7 @@ class HeapFile:
                 page.page_id,
                 {"rid": rid, "data": data},
             )
-            lsn = self._ctx.txns.log_for(txn, record)
-            page.page_lsn = lsn
-            self._ctx.buffer.mark_dirty(page.page_id, lsn)
+            self._ctx.log_page_change(txn, page, record)
         finally:
             latch.release()
             self._ctx.buffer.unfix(page.page_id)
@@ -403,9 +399,7 @@ class HeapFile:
             {"table_id": self.table_id},
             undoable=False,
         )
-        lsn = self._ctx.txns.log_for(txn, record)
-        page.page_lsn = lsn
-        self._ctx.buffer.mark_dirty(page_id, lsn)
+        self._ctx.log_page_change(txn, page, record)
         self.page_ids.append(page_id)
         self._ctx.stats.incr("heap.pages_formatted")
         return page
@@ -488,9 +482,7 @@ class HeapResourceManager:
                 )
             else:
                 raise StorageError(f"heap op {record.op!r} is not undoable")
-            lsn = ctx.txns.log_for(txn, clr)
-            page.page_lsn = lsn
-            ctx.buffer.mark_dirty(record.page_id, lsn)
+            ctx.log_page_change(txn, page, clr)
         finally:
             latch.release()
             ctx.buffer.unfix(record.page_id)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.common.config import DEFAULT_CONFIG, DatabaseConfig
 from repro.common.errors import (
@@ -189,9 +189,7 @@ class Database:
             {"page": root.to_payload()},
             undoable=False,
         )
-        lsn = self.txns.log_for(txn, record)
-        root.page_lsn = lsn
-        self.buffer.mark_dirty(root_id, lsn)
+        self.log_page_change(txn, root, record)
         self.buffer.unfix(root_id)
 
         tree = BTree(
@@ -250,20 +248,17 @@ class Database:
                 page = self.buffer.fix(page_id)
                 self.latches.page_latch(page_id).acquire("X")
                 try:
+                    freed = freed_payload(page_id)
                     record = update_record(
                         txn.txn_id,
                         RM_BTREE,
                         "set_page",
                         page_id,
-                        {
-                            "before": page.to_payload(),
-                            "after": freed_payload(page_id),
-                        },
+                        {"before": page.to_payload(), "after": freed},
                     )
-                    lsn = self.txns.log_for(txn, record)
-                    page.load_payload(freed_payload(page_id))
-                    page.page_lsn = lsn
-                    self.buffer.mark_dirty(page_id, lsn)
+                    self.log_page_change(
+                        txn, page, record, lambda: page.load_payload(freed)
+                    )
                 finally:
                     self.latches.page_latch(page_id).release()
                     self.buffer.unfix(page_id)
@@ -283,6 +278,31 @@ class Database:
         if self.config.lock_granularity == "page":
             return data_page_lock_name(table_id, rid.page_id)
         return record_lock_name(table_id, rid)
+
+    # -- page logging ------------------------------------------------------------------
+
+    def log_page_change(
+        self,
+        txn: Transaction,
+        page: Page,
+        record: LogRecord,
+        apply: Callable[[], object] | None = None,
+    ) -> int:
+        """The one way a page record reaches the log: link ``record`` to
+        the page's PageLSN, append it, run ``apply`` (if the caller has
+        not changed the page already), stamp the PageLSN and mark the
+        page dirty; returns the LSN.  The caller holds the page's X
+        latch (or owns a page no one else can see), and a page dirty at
+        a crash is recovered before any fix returns it, so the PageLSN
+        read here is the page's newest record, across every restart."""
+        record.prev_page_lsn = page.page_lsn
+        self.buffer.note_logging(page.page_id, record)
+        lsn = self.txns.log_for(txn, record)
+        if apply is not None:
+            apply()
+        page.page_lsn = lsn
+        self.buffer.mark_dirty(page.page_id, lsn)
+        return lsn
 
     # -- transactions ----------------------------------------------------------------
 

@@ -139,11 +139,10 @@ def _purge_slots(db: "Database", purge_rids: dict[int, list]) -> int:
                         {"rid": rid, "data": entry[0]},
                         undoable=False,
                     )
-                    lsn = db.txns.log_for(txn, record)
-                    page.remove_record(rid.slot)
+                    db.log_page_change(
+                        txn, page, record, lambda: page.remove_record(rid.slot)
+                    )
                     table.heap.note_room(page)
-                    page.page_lsn = lsn
-                    db.buffer.mark_dirty(rid.page_id, lsn)
                     purged += 1
                 finally:
                     latch.release()

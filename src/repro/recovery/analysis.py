@@ -47,10 +47,10 @@ class AnalysisResult:
     page_heads: dict[int, int] = field(default_factory=dict)
     """Page → LSN of the newest record seen for it: the tail of each
     dirty page's per-page log chain, merged from the scan and the
-    checkpoint-carried ``last_lsn`` entries.  Instant restart walks the
-    chain backwards from here to recover one page without scanning the
-    redo span; every restart also re-seeds the log manager's volatile
-    chain map from it."""
+    checkpoint-carried ``last_lsn`` entries.  Restart walks the chain
+    backwards from here, each link the PageLSN the page had when its
+    record was logged, to recover one page without scanning the redo
+    span."""
     heap_formats: dict[int, set[int]] = field(default_factory=dict)
     """Table id → heap pages formatted inside the analysis span.  Pages
     formatted earlier are already reflected wherever the in-memory heap

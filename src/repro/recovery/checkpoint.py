@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import RecoveryError
 from repro.txn.transaction import TxnStatus
-from repro.wal.records import LogRecord, RecordKind
+from repro.wal.records import NULL_LSN, LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
@@ -46,11 +46,15 @@ def take_checkpoint(ctx: "Database") -> int:
     # chain of a page not touched after this checkpoint), packed as
     # one run of integers: analysis, which runs before an instant
     # restart opens, decodes it in one call instead of a dict per page.
-    dirty_pages = [
-        value
-        for page_id, rec_lsn in ctx.buffer.dirty_page_table().items()
-        for value in (page_id, rec_lsn, ctx.log.page_chain_head(page_id) or rec_lsn)
-    ]
+    # The tail is the PageLSN, a record logged before the begin record
+    # but not yet stamped, or, for a page a restart has not finished
+    # recovering, the tail its analysis found.
+    governor = ctx.recovery
+    heads = governor.analysis.page_heads if governor is not None else {}
+    dirty_pages = []
+    for page_id, rec_lsn, last_lsn in ctx.buffer.dirty_page_heads():
+        last_lsn = max(last_lsn, heads.get(page_id, NULL_LSN))
+        dirty_pages += (page_id, rec_lsn, last_lsn)
     end = LogRecord(
         kind=RecordKind.CKPT_END,
         txn_id=0,

@@ -12,13 +12,13 @@ drains on demand and in background workers.  The steps:
 1. **Analysis** — one header-only scan from the last checkpoint, so
    its cost is bounded by the checkpoint interval.  It also
    reconstructs the tail of each dirty page's *per-page log chain*:
-   every page record carries ``prev_page_lsn``, the LSN of the
-   previous record that touched the same page, so one page's redo
-   work is reachable by walking backwards from its chain tail without
-   ever scanning the (possibly much longer) redo span.  No page is
-   read.  Analysis also yields the transaction-id floor and each
-   table's new heap pages, so nothing scans the whole log or fixes
-   every page.
+   every page record carries ``prev_page_lsn``, the PageLSN its page
+   had when the record was logged — the page's previous record, across
+   any number of restarts — so one page's redo work is reachable by
+   walking backwards from its chain tail without ever scanning the
+   (possibly much longer) redo span.  No page is read.  Analysis also
+   yields the transaction-id floor and each table's new heap pages, so
+   nothing scans the whole log or fixes every page.
 2. **Undo** of loser transactions runs eagerly, before the database
    opens: the second and last log pass, backwards along the losers'
    chains.  Its cost is proportional to the in-flight work at crash
@@ -64,12 +64,7 @@ from repro.common.errors import (
 )
 from repro.recovery.analysis import AnalysisResult, run_analysis
 from repro.recovery.checkpoint import take_checkpoint
-from repro.recovery.media import (
-    ScrubResult,
-    page_records,
-    rebuild_page_from_log,
-    run_scrub,
-)
+from repro.recovery.media import ScrubResult, rebuild_page_from_log, run_scrub
 from repro.recovery.redo import RedoResult, replay_page, run_redo
 from repro.recovery.restart import RestartReport, reacquire_prepared_locks
 from repro.recovery.undo import run_undo
@@ -232,17 +227,9 @@ class RecoveryGovernor:
     def _chain_records(self, page_id: int, rec_lsn: int) -> list[LogRecord]:
         """The page's redo-relevant records, oldest first, from walking
         its backward log chain from the tail analysis reconstructed.
-        The walk stops below the page's recLSN: earlier records
-        (including any earlier incarnation of a recycled page id) are
-        already on disk.
-
-        A chain breaks at every restart that found the page clean: the
-        page's next record starts a new chain.  Such a break lies
-        below the recLSN the page gets afterwards, so the walk never
-        meets it — unless analysis started before that restart, as a
-        point-in-time restore's does (from LSN 1).  A walk that runs
-        out above the recLSN reads the page's records from the recLSN
-        in one filtered pass instead."""
+        The walk stops below the page's recLSN — earlier records are
+        already on disk — or at the page's format record, whose link is
+        NULL."""
         ctx = self.ctx
         lsn = self.analysis.page_heads.get(page_id, NULL_LSN)
         records: list[LogRecord] = []
@@ -250,9 +237,6 @@ class RecoveryGovernor:
             record = ctx.log.read(lsn)
             records.append(record)
             lsn = record.prev_page_lsn
-        if lsn == NULL_LSN and (not records or records[-1].lsn > rec_lsn):
-            ctx.stats.incr("recovery.chain_break_scans")
-            return page_records(ctx, page_id, rec_lsn)
         records.reverse()
         return records
 
@@ -442,9 +426,6 @@ def run_instant_restart(
     tail_dropped = ctx.log.repair_tail()
 
     analysis = run_analysis(ctx)
-    # Restore the volatile per-page chain tails before anything (undo!)
-    # appends a page record against the revived log.
-    ctx.log.seed_page_chain(analysis.page_heads)
     for txn in analysis.transactions.values():
         ctx.txns.adopt(txn)
 

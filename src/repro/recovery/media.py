@@ -10,8 +10,9 @@ pass.  No tree traversal, no other pages touched.
 A torn page with no dump is rebuilt the same way from an empty base
 and the page's whole history (:func:`rebuild_page_from_log`).  Both go
 through :func:`~repro.recovery.redo.replay_page`, the loop restart
-uses.  :func:`run_scrub` is restart's integrity check of the on-disk
-pages that redo does not visit.
+uses, which leaves the PageLSN at the page's newest record: the chain
+link its next record carries.  :func:`run_scrub` is restart's
+integrity check of the on-disk pages that redo does not visit.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def recover_page(ctx: "Database", page_id: int, dump: ImageCopy) -> int:
     """Restore one damaged page from ``dump`` and roll it forward.
 
     Returns the number of log records applied.  One pass of the log
-    (§1's media-recovery measure), filtered to this page; the page is
-    written back once it is current.
+    (§1's media-recovery measure), filtered to this page.  The page is
+    written back once it is current: replay dirtied it at a recLSN as
+    old as the dump horizon, which would hold back ``trim_log``.
     """
     raw = dump.pages.get(page_id)
     ctx.buffer.discard(page_id)
@@ -103,10 +105,9 @@ def rebuild_page_from_log(ctx: "Database", page_id: int) -> int:
 
     Returns the number of log records applied.  The rebuilt page is
     written back at once, as :func:`recover_page` writes back a
-    recovered one: its base was older than its dirty-page recLSN can
-    say, and a later restart replays a dirty page only along its log
-    chain, which may have broken where an earlier restart found the
-    page clean.  Written back, the page is clean and current on disk.
+    recovered one: until then the disk holds no image of the page, and
+    replay dirtied it at a recLSN as old as its format record, which
+    would hold back ``trim_log``.
     """
     ctx.buffer.discard(page_id)
     ctx.disk.deallocate(page_id)

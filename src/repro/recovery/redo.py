@@ -9,7 +9,8 @@ torn-page rebuild and media recovery; the hot standby applies
 :func:`apply_record` record by record.  :func:`run_redo` is restart's
 redo: it recovers the dirty pages of a
 :class:`~repro.recovery.instant.RecoveryGovernor`, each along its own
-log chain, so it makes no pass over the redo span.
+log chain (each link the PageLSN the page had when the record was
+logged), so it makes no pass over the redo span.
 """
 
 from __future__ import annotations

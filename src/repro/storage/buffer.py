@@ -29,6 +29,7 @@ from repro.storage.disk import DiskManager
 from repro.storage.faults import with_io_retries
 from repro.storage.page import Page
 from repro.wal.log import LogManager
+from repro.wal.records import NULL_LSN, LogRecord
 
 
 class _Frame:
@@ -75,6 +76,8 @@ class BufferPool:
         self._mutex = threading.RLock()
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
         self._dirty_page_table: dict[int, int] = {}
+        #: Page id → record being logged against it (:meth:`note_logging`).
+        self._logging: dict[int, LogRecord] = {}
         self._hits = 0
         self._stats.add_source(self._hit_counts)
         #: Called with the PermanentIOError before it is re-raised.
@@ -170,6 +173,15 @@ class BufferPool:
             frame.dirty = True
             if page_id not in self._dirty_page_table:
                 self._dirty_page_table[page_id] = rec_lsn
+            self._logging.pop(page_id, None)
+
+    def note_logging(self, page_id: int, record: LogRecord) -> None:
+        """Hold ``record``, about to be logged against the (fixed) page,
+        until :meth:`mark_dirty`: in between, its LSN counts as the
+        page's recLSN (if it was clean) and chain tail, so a checkpoint
+        taken before the PageLSN is stamped still sees the change."""
+        with self._mutex:
+            self._logging[page_id] = record
 
     def set_rec_lsn(self, page_id: int, rec_lsn: int) -> None:
         """Force a specific recLSN (used by redo when reloading DPT info)."""
@@ -191,8 +203,21 @@ class BufferPool:
                 self._dirty_page_table.pop(page_id, None)
 
     def dirty_page_table(self) -> dict[int, int]:
+        return {page_id: rec_lsn for page_id, rec_lsn, _ in self.dirty_page_heads()}
+
+    def dirty_page_heads(self) -> list[tuple[int, int, int]]:
+        """``(page_id, rec_lsn, last_lsn)`` of every dirty page, counting
+        one whose record is logged but not yet stamped (:meth:`note_logging`);
+        ``last_lsn`` is NULL_LSN for an entry a restart pre-seeded for a
+        page it has not recovered yet (no frame)."""
         with self._mutex:
-            return dict(self._dirty_page_table)
+            logged = {p: r.lsn for p, r in self._logging.items() if r.lsn != NULL_LSN}
+            heads = []
+            for page_id, rec_lsn in {**logged, **self._dirty_page_table}.items():
+                frame = self._frames.get(page_id)
+                page_lsn = NULL_LSN if frame is None else frame.page.page_lsn
+                heads.append((page_id, rec_lsn, max(page_lsn, logged.get(page_id, 0))))
+            return heads
 
     # -- flushing ----------------------------------------------------------------
 
@@ -248,3 +273,4 @@ class BufferPool:
         with self._mutex:
             self._frames.clear()
             self._dirty_page_table.clear()
+            self._logging.clear()

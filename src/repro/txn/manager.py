@@ -230,7 +230,8 @@ class TransactionManager:
     # -- logging helper ---------------------------------------------------------
 
     def log_for(self, txn: Transaction, record: LogRecord) -> int:
-        """Chain ``record`` onto ``txn`` and append it to the log."""
+        """Chain ``record`` onto ``txn`` and append it to the log (a page
+        record only through ``Database.log_page_change``)."""
         if self._halted:
             raise LogHaltedError(
                 f"transaction manager retired by a crash; txn "

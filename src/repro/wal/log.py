@@ -57,7 +57,6 @@ from repro.wal.records import (
     NULL_LSN,
     LogRecord,
     RecordHeader,
-    RecordKind,
     header_from_bytes,
 )
 
@@ -122,13 +121,6 @@ class LogManager:
         #: Set by Database.crash(): refuse appends until restart begins,
         #: so threads still running against the dead instance fail fast.
         self._halted = False
-        #: Per-page log chain tails: page id → LSN of the newest record
-        #: that touched the page.  Each appended page record is stamped
-        #: with the previous tail as its ``prev_page_lsn``, so the
-        #: records of one page form a backward-linked list through the
-        #: log — single-page recovery walks it instead of scanning the
-        #: redo span.  Volatile; restart re-seeds it from analysis.
-        self._page_chain: dict[int, int] = {}
         # Group commit.  Lock ordering: _gc_cond may be held while
         # taking _mutex, never the other way around.
         self._gc_cond = threading.Condition()
@@ -171,14 +163,6 @@ class LogManager:
                 raise LogHaltedError("log halted by crash; restart first")
             lsn = self._open_start + len(self._open) + 1
             record.lsn = lsn
-            if record.page_id is not None and record.kind in (
-                RecordKind.UPDATE,
-                RecordKind.CLR,
-            ):
-                record.prev_page_lsn = self._page_chain.get(
-                    record.page_id, NULL_LSN
-                )
-                self._page_chain[record.page_id] = lsn
             framed = record.to_bytes()
             if self._open and len(self._open) + len(framed) > SEGMENT_BYTES:
                 self._seal_locked()
@@ -652,26 +636,6 @@ class LogManager:
         del self._sealed[index:]
         del self._starts[index:]
 
-    # -- per-page chain ------------------------------------------------------
-
-    def seed_page_chain(self, heads: dict[int, int]) -> None:
-        """Install the per-page chain tails reconstructed by restart
-        analysis (scan heads merged with checkpoint-carried ones).
-
-        The chain map is volatile, so after a crash the first append
-        for a page would otherwise start a fresh chain and orphan the
-        page's pre-crash records.  That is only safe for *clean* pages
-        (their history is on disk); dirty pages must link through the
-        crash, which is exactly what the analysis heads restore."""
-        with self._mutex:
-            self._page_chain = dict(heads)
-
-    def page_chain_head(self, page_id: int) -> int:
-        """LSN of the newest record that touched ``page_id`` (NULL_LSN
-        if no chain is known — i.e. the page is clean)."""
-        with self._mutex:
-            return self._page_chain.get(page_id, NULL_LSN)
-
     # -- master record -------------------------------------------------------
 
     def write_master(self, checkpoint_begin_lsn: int) -> None:
@@ -932,9 +896,6 @@ class LogManager:
             self._cut_locked(keep)
             # Whatever survived is on stable storage by definition.
             self._flushed_len = keep
-            # Chain tails are volatile; restart re-seeds them from the
-            # analysis pass before any new append can need them.
-            self._page_chain = {}
         # Committers parked for a group-commit flush are settled now:
         # durable if their record made the forced prefix, lost if the
         # crash beat the batched flush.

@@ -178,7 +178,8 @@ class LogRecord:
     #: LSN of the previous record that touched the same page (the
     #: per-page log chain of instant restart: recovering one page walks
     #: this chain backwards instead of scanning the whole redo span).
-    #: Stamped by the log manager at append time.
+    #: The page's PageLSN when the record was logged, set by
+    #: ``Database.log_page_change``.
     prev_page_lsn: int = NULL_LSN
     payload: dict[str, Any] = field(default_factory=dict)
     undo_next_lsn: int | None = None

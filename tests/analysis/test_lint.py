@@ -123,12 +123,47 @@ def test_stamped_mutation_passes_rpr003(tmp_path):
     report = lint_source(
         tmp_path,
         "def ok(self, txn, page, record):\n"
+        "    self.log_page_change(txn, page, record, lambda: page.insert_key(b'k'))\n",
+    )
+    assert "RPR003" not in rules_fired(report)
+
+
+def test_hand_stamped_mutation_is_flagged_by_rpr003(tmp_path):
+    """Stamping the page by hand after log_for is no longer enough: the
+    record would carry no link to the page's PageLSN."""
+    report = lint_source(
+        tmp_path,
+        "def stamped(self, txn, page, record):\n"
         "    lsn = self.txns.log_for(txn, record)\n"
         "    page.insert_key(b'k', (1, 2))\n"
         "    page.page_lsn = lsn\n"
-        "    self.buffer.mark_dirty(page.page_id)\n",
+        "    self.buffer.mark_dirty(page.page_id, lsn)\n",
     )
-    assert "RPR003" not in rules_fired(report)
+    assert rules_fired(report) == {"RPR003"}
+
+
+def test_page_record_through_log_for_is_flagged_by_rpr003(tmp_path):
+    report = lint_source(
+        tmp_path,
+        "def fmt(self, txn, page_id):\n"
+        "    record = update_record(txn.txn_id, 'heap', 'format', page_id, {})\n"
+        "    self.txns.log_for(txn, record)\n"
+        "\n"
+        "def undo(self, txn, page_id, prev):\n"
+        "    self.txns.log_for(txn, clr_record(1, 'btree', 'op', page_id, {}, prev))\n",
+    )
+    assert [v.rule for v in report.violations] == ["RPR003", "RPR003"]
+
+
+def test_non_page_records_may_use_log_for(tmp_path):
+    report = lint_source(
+        tmp_path,
+        "def end(self, txn):\n"
+        "    record = LogRecord(kind=END, txn_id=txn.txn_id)\n"
+        "    self.txns.log_for(txn, record)\n"
+        "    self.txns.log_for(txn, dummy_clr(txn.txn_id, undo_next_lsn=3))\n",
+    )
+    assert report.ok
 
 
 def test_src_tree_is_clean():

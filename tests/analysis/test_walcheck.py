@@ -97,6 +97,36 @@ def test_broken_prev_page_lsn_chain_is_reported():
     assert any("names no record" in m for m in dangling)
 
 
+def test_null_page_link_mid_chain_is_reported():
+    """A page's chain starts only at its format record: a NULL link on a
+    later record (the shape a restart that forgot the page's history
+    would leave) is a broken chain."""
+    msgs = findings(
+        [
+            upd(10, 1, NULL_LSN, page_id=7, op="format", undoable=False),
+            upd(20, 1, 10, page_id=7, prev_page_lsn=10, op="insert"),
+            rec(RecordKind.COMMIT, 30, 1, 20),
+            rec(RecordKind.END, 40, 1, 30, undoable=False),
+            upd(50, 2, NULL_LSN, page_id=7, op="insert"),  # should link to 20
+            upd(60, 2, 50, page_id=7, prev_page_lsn=50, op="delete"),
+        ]
+    )
+    assert msgs == [
+        "page 7 insert record breaks the chain with a NULL prev_page_lsn (latest is 20)"
+    ]
+
+
+def test_null_page_link_at_a_format_is_accepted():
+    msgs = findings(
+        [
+            upd(10, 1, NULL_LSN, page_id=7, op="page_format"),
+            upd(20, 1, 10, page_id=8, op="format", undoable=False),
+            upd(30, 1, 20, page_id=7, prev_page_lsn=10, op="set_page"),
+        ]
+    )
+    assert msgs == []
+
+
 def test_pre_truncation_references_are_accepted():
     msgs = findings(
         [

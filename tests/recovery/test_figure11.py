@@ -19,12 +19,11 @@ interleaving deterministically and verify:
 """
 
 import threading
-import time
 
 from repro.common.errors import SimulatedCrash
 from repro.common.keys import decode_int_key
 from repro.wal.records import RecordKind
-from tests.conftest import build_db, populate
+from tests.conftest import SpyCondition, build_db, populate
 
 
 def make_db(**overrides):
@@ -119,13 +118,18 @@ def test_with_delete_bit_space_consumption_waits_for_posc():
         t2_insert_lsn["lsn"] = t2.last_lsn
         db.commit(t2)
 
+    # T3's SMO holds the X tree latch: T2 parks on it.
+    tree_latch = db.latches.tree_latch(db.tables["t"].indexes["by_id"].index_id)
+    tree_latch._cond = spy = SpyCondition(tree_latch._lock)  # noqa: SLF001
+    latch_waits = db.stats.get("latch.waits")
     consumer_thread = threading.Thread(target=consumer)
     consumer_thread.start()
-    time.sleep(0.4)
+    assert spy.parked.wait(30)
     assert "lsn" not in t2_insert_lsn, "T2 must block on the Delete_Bit"
 
     t3.finish()
     consumer_thread.join(timeout=30)
+    assert db.stats.get("latch.waits") - latch_waits >= 1
     assert t3.smo_end_lsn is not None
     assert t2_insert_lsn["lsn"] > t3.smo_start_lsn
     # The insert was logged only after the ROSI closed.
