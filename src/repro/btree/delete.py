@@ -94,7 +94,7 @@ def index_delete(
         if next_page is not None and next_page is not leaf:
             tree.unlatch_unfix(next_page)
 
-        if len(leaf.keys) == 1 and leaf.page_id != tree.root_page_id:
+        if leaf.key_count() == 1 and leaf.page_id != tree.root_page_id:
             # Step 4: the page would become empty — Figure 8's page
             # deletion path (re-validates under the SMO barrier).
             tree.unlatch_unfix(leaf)
@@ -104,7 +104,7 @@ def index_delete(
             return
 
         # Step 5: boundary-key POSC.
-        boundary = pos == 0 or pos == len(leaf.keys) - 1
+        boundary = pos == 0 or pos == leaf.key_count() - 1
         posc_held = False
         if (
             boundary

@@ -104,6 +104,9 @@ def index_fetch(
         try:
             candidate, cand_page, cand_pos = tree.find_next_key(leaf, pos)
             held = [leaf, cand_page]
+            if candidate is not None and candidate < bound:
+                _wait_out_split(tree, txn, held)
+                continue
             lock_name = None
             if isolation != "snapshot":
                 spec = tree.protocol.fetch_lock(tree, candidate, isolation)
@@ -210,7 +213,23 @@ def _locate_successor(
     if exact:
         pos += 1
     candidate, cand_page, cand_pos = tree.find_next_key(leaf, pos)
+    if candidate is not None and candidate <= current:
+        _wait_out_split(tree, txn, [leaf, cand_page])
+        raise RestartOperation()
     return candidate, cand_page, cand_pos, [leaf, cand_page]
+
+
+def _wait_out_split(
+    tree: "BTree", txn: "Transaction", held: list[IndexPage | None]
+) -> None:
+    """The staleness guard of insert and delete, for a search: the next
+    key came from a later leaf yet is not above the search key, so the
+    leaf reached no longer covers it — a split moved its range right
+    after the parent routed us, and the parent is not updated yet.
+    Release the pages and wait out the SMO; the caller searches again."""
+    release_pages(tree, held)
+    tree.smo_barrier_wait(txn)
+    tree.ctx.stats.incr("btree.stale_leaf_restarts")
 
 
 def _within_stop(value: bytes, stop_value: bytes, comparison: str) -> bool:

@@ -163,8 +163,9 @@ def try_insert_on_leaf(
         # *previous* leaf, which must not be latched right-to-left —
         # resolve with the probe path instead.
         duplicate = None
-        if pos > 0 and leaf.keys[pos - 1].value == key.value:
-            duplicate = leaf.keys[pos - 1]
+        before = leaf.key_at(pos - 1) if pos > 0 else None
+        if before is not None and before.value == key.value:
+            duplicate = before
         elif next_key is not None and next_key.value == key.value:
             duplicate = next_key
         elif pos == 0 and leaf.prev_leaf != 0 and not probed:

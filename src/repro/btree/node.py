@@ -17,6 +17,13 @@ stale '1' after a crash is safe (it only makes a traverser take an
 instant tree latch that is immediately granted), exactly the laziness
 the paper allows ("The SM_Bit can be reset to '0' once the SMO which
 caused it to be set has been completed").
+
+A leaf read from disk is *image-backed*: it keeps the image bytes and
+the one ``unpack_from`` of its key directory, and ``find_key``,
+``key_count`` and ``key_at`` read keys from them.  The first access
+that needs the list (``keys``, any mutation, ``to_payload``) builds it
+once under the page latch, publishes it and then drops the image.
+Nonleaf pages decode eagerly.
 """
 
 from __future__ import annotations
@@ -58,6 +65,45 @@ def _key_directory(n: int) -> struct.Struct:
     return struct.Struct(f">{n}I{n}H{n}I")
 
 
+#: Bytes of one key's directory entry (u32 page id, u16 slot, u32 length).
+_KEY_DIRECTORY_ENTRY = 10
+
+#: The keys of a decoded page, still in its image: the image bytes, the
+#: offset of the key directory, the directory's fields (``n`` page ids,
+#: ``n`` slots, ``n`` lengths) and the ``n + 1`` value offsets.
+_LeafImage = tuple[bytes, int, tuple[int, ...], list[int]]
+
+
+def _image_key(image: _LeafImage, pos: int) -> IndexKey:
+    raw, _, fields, bounds = image
+    rid = _new_rid((fields[pos], fields[len(bounds) - 1 + pos]))
+    return _new_key((raw[bounds[pos] : bounds[pos + 1]], rid))
+
+
+def _image_find(image: _LeafImage, key: IndexKey) -> tuple[int, bool]:
+    """``find_key`` over the packed directory: the probes of
+    ``bisect_left`` on the key list, each building one value slice."""
+    raw, _, fields, bounds = image
+    n = len(bounds) - 1
+    value, rid = key
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probe = raw[bounds[mid] : bounds[mid + 1]]
+        if probe < value or (
+            probe == value and (fields[mid], fields[n + mid]) < rid
+        ):
+            lo = mid + 1
+        else:
+            hi = mid
+    found = (
+        lo < n
+        and raw[bounds[lo] : bounds[lo + 1]] == value
+        and (fields[lo], fields[n + lo]) == rid
+    )
+    return lo, found
+
+
 class IndexPage(Page):
     """One B+-tree page (leaf or nonleaf)."""
 
@@ -69,8 +115,10 @@ class IndexPage(Page):
         self.level = level  # 0 = leaf
         self.sm_bit = False
         self.delete_bit = False
-        # Leaf state:
-        self.keys: list[IndexKey] = []
+        # Leaf state.  ``_keys`` is None while the keys are served from
+        # ``_image`` (see :meth:`unpack_body`); ``keys`` builds the list.
+        self._keys: list[IndexKey] | None = []
+        self._image: _LeafImage | None = None
         self.prev_leaf = 0
         self.next_leaf = 0
         # Nonleaf state: parallel lists of child ids and high keys; the
@@ -88,7 +136,7 @@ class IndexPage(Page):
         return self.level == 0
 
     def entry_count(self) -> int:
-        return len(self.keys) if self.is_leaf else len(self.child_ids)
+        return self.key_count() if self.is_leaf else len(self.child_ids)
 
     def is_empty(self) -> bool:
         return self.entry_count() == 0
@@ -128,7 +176,8 @@ class IndexPage(Page):
         )
 
     def pack_body(self) -> bytes:
-        keys = self.keys
+        image = self._image
+        keys = self._keys
         child_ids = self.child_ids
         parts = [
             _INDEX_HEADER.pack(
@@ -138,11 +187,15 @@ class IndexPage(Page):
                 self.delete_bit,
                 self.prev_leaf,
                 self.next_leaf,
-                len(keys),
+                len(keys) if image is None else len(image[3]) - 1,
                 len(child_ids),
             )
         ]
-        if keys:
+        if image is not None:
+            # The keys are unchanged since decode: copy their bytes.
+            raw, start, _, bounds = image
+            parts.append(raw[start : bounds[-1]])
+        elif keys:
             values, rids = zip(*keys)
             page_ids, slots = zip(*rids)
             parts.append(
@@ -180,15 +233,22 @@ class IndexPage(Page):
         page.delete_bit = bool(delete_bit)
         page.prev_leaf = prev_leaf
         page.next_leaf = next_leaf
+        value_bytes = 0
         if n_keys:
+            # Decode on demand: keep the image and its directory; the
+            # keys are read from them until something needs the list.
+            if n_keys * _KEY_DIRECTORY_ENTRY > len(raw) - offset:
+                raise ValueError(f"{n_keys} keys overrun the image")
             directory = _key_directory(n_keys)
             fields = directory.unpack_from(raw, offset)
-            offset += directory.size
-            bounds = list(accumulate(fields[2 * n_keys :], initial=offset))
+            bounds = list(
+                accumulate(fields[2 * n_keys :], initial=offset + directory.size)
+            )
+            page._keys = None
+            page._image = (raw, offset, fields, bounds)
+            page._image_searched = False
+            value_bytes = bounds[-1] - bounds[0]
             offset = bounds[-1]
-            values = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
-            rids = map(_new_rid, zip(fields[:n_keys], fields[n_keys : 2 * n_keys]))
-            page.keys = list(map(_new_key, zip(values, rids)))
         if n_children:
             page.child_ids = list(struct.unpack_from(f">{n_children}I", raw, offset))
             offset += 4 * n_children
@@ -207,8 +267,57 @@ class IndexPage(Page):
                 offset = end
         if offset != len(raw):
             raise ValueError(f"body ends at byte {offset} of a {len(raw)}-byte image")
-        page._used = None
+        # A leaf's used size, counted from the directory as _measure()
+        # would count the keys; a nonleaf's is recounted when needed.
+        page._used = (
+            PAGE_OVERHEAD + n_keys * (12 + _LEAF_ENTRY_OVERHEAD) + value_bytes
+            if level == 0
+            else None
+        )
         return page
+
+    # -- the key list ------------------------------------------------------------
+
+    @property
+    def keys(self) -> list[IndexKey]:
+        """The leaf's keys as a list, built from the image on first use.
+        Hold the page latch (S or X); mutate it only under X."""
+        keys = self._keys
+        if keys is None:
+            keys = self._materialize()
+        return keys
+
+    @keys.setter
+    def keys(self, keys: list[IndexKey]) -> None:
+        self._keys = keys
+        self._image = None
+
+    def _materialize(self) -> list[IndexKey]:
+        """Build the key list from the image: publish the list, then
+        drop the image (a reader that saw the image keeps its copy)."""
+        image = self._image
+        if image is None:  # another S holder built it meanwhile
+            return self._keys
+        raw, _, fields, bounds = image
+        n = len(bounds) - 1
+        values = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
+        rids = map(_new_rid, zip(fields[:n], fields[n : 2 * n]))
+        keys = self._keys = list(map(_new_key, zip(values, rids)))
+        self._image = None
+        return keys
+
+    def key_count(self) -> int:
+        image = self._image
+        if image is None:
+            return len(self._keys)
+        return len(image[3]) - 1
+
+    def key_at(self, pos: int) -> IndexKey:
+        """The key at ``pos`` (``0 <= pos < key_count()``)."""
+        image = self._image
+        if image is None:
+            return self._keys[pos]
+        return _image_key(image, pos)
 
     # -- size accounting ---------------------------------------------------------
 
@@ -271,33 +380,51 @@ class IndexPage(Page):
     # -- leaf operations ------------------------------------------------------------
 
     def find_key(self, key: IndexKey) -> tuple[int, bool]:
-        """(position, exact-match?) for ``key`` in a leaf."""
-        pos = bisect.bisect_left(self.keys, key)
-        found = pos < len(self.keys) and self.keys[pos] == key
-        return pos, found
+        """(position, exact-match?) for ``key`` in a leaf.
+
+        The first search of a decoded leaf bisects its image.  A leaf
+        searched again while still image-backed stayed in the pool (a
+        buffer hit), so it builds its list and searches that, as every
+        later search will."""
+        image = self._image
+        if image is not None:
+            if not self._image_searched:
+                self._image_searched = True
+                return _image_find(image, key)
+            self._materialize()
+        keys = self._keys
+        pos = bisect.bisect_left(keys, key)
+        return pos, pos < len(keys) and keys[pos] == key
 
     def insert_key(self, key: IndexKey) -> int:
-        pos = bisect.bisect_left(self.keys, key)
-        if pos < len(self.keys) and self.keys[pos] == key:
+        keys = self._keys
+        if keys is None:
+            keys = self._materialize()
+        pos = bisect.bisect_left(keys, key)
+        if pos < len(keys) and keys[pos] == key:
             raise IndexError_(f"key {key!r} already present on page {self.page_id}")
-        self.keys.insert(pos, key)
+        keys.insert(pos, key)
         self._grow(key.encoded_size() + _LEAF_ENTRY_OVERHEAD)
         return pos
 
     def remove_key(self, key: IndexKey) -> int:
-        pos = bisect.bisect_left(self.keys, key)
-        if pos >= len(self.keys) or self.keys[pos] != key:
+        keys = self._keys
+        if keys is None:
+            keys = self._materialize()
+        pos = bisect.bisect_left(keys, key)
+        if pos >= len(keys) or keys[pos] != key:
             raise IndexError_(f"key {key!r} not on page {self.page_id}")
-        del self.keys[pos]
+        del keys[pos]
         self._grow(-key.encoded_size() - _LEAF_ENTRY_OVERHEAD)
         return pos
 
     def bounds_key(self, key: IndexKey) -> bool:
         """Is ``key`` *bound* on this leaf — both a lower and a higher
         key present (§3, reason 3 for logical undo)?"""
-        if len(self.keys) < 2:
+        n = self.key_count()
+        if n < 2:
             return False
-        return self.keys[0] < key < self.keys[-1]
+        return self.key_at(0) < key < self.key_at(n - 1)
 
     # -- nonleaf operations ------------------------------------------------------------
 

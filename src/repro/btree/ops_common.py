@@ -126,6 +126,6 @@ def same_value_nearby(
     an approximation that can only make KVL look cheaper (documented in
     DESIGN.md §6), i.e. it biases *against* ARIES/IM in E7.
     """
-    if pos > 0 and leaf.keys[pos - 1].value == value:
+    if pos > 0 and leaf.key_at(pos - 1).value == value:
         return True
     return next_key is not None and next_key.value == value

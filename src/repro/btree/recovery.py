@@ -122,7 +122,7 @@ class BTreeResourceManager:
             try:
                 _, present = page.find_key(key)
                 if present and (
-                    len(page.keys) >= 2 or page.page_id == tree.root_page_id
+                    page.key_count() >= 2 or page.page_id == tree.root_page_id
                 ):
                     clr = clr_record(
                         txn.txn_id,

@@ -154,12 +154,12 @@ def _split_leaf_covering(tree: BTree, txn: "Transaction", search: IndexKey) -> N
     descent = tree.traverse(search, for_update=True, txn=txn)
     leaf = descent.leaf
     descent.unlatch_parent(tree)
-    if len(leaf.keys) < 2:
+    if leaf.key_count() < 2:
         # Cannot split a page with fewer than two keys; the caller's
         # size guard makes this unreachable for legal keys.
         tree.unlatch_unfix(leaf)
         raise IndexError_(
-            f"page {leaf.page_id} too small to split (keys={len(leaf.keys)})"
+            f"page {leaf.page_id} too small to split (keys={leaf.key_count()})"
         )
     if leaf.page_id == tree.root_page_id:
         # Growing the root is a nonleaf-level SMO: the §5 lock variant
@@ -499,7 +499,7 @@ def delete_with_page_delete(
             )
         ctx.log_page_change(txn, leaf, record, lambda: leaf.remove_key(key))
         ctx.stats.incr("btree.keys_deleted")
-        if leaf.keys or leaf.page_id == tree.root_page_id:
+        if leaf.key_count() or leaf.page_id == tree.root_page_id:
             # Someone refilled the page before we got the barrier (or
             # it is the root, which may stay empty): plain delete.
             tree.unlatch_unfix(leaf)

@@ -354,9 +354,8 @@ class BTree:
     def find_next_key(
         self, leaf: IndexPage, pos: int
     ) -> tuple[IndexKey | None, IndexPage | None, int]:
-        keys = leaf.keys
-        if pos < len(keys):
-            return keys[pos], leaf, pos
+        if pos < leaf.key_count():
+            return leaf.key_at(pos), leaf, pos
         current = leaf
         while True:
             next_id = current.next_leaf
@@ -379,8 +378,8 @@ class BTree:
                 self.ctx.stats.incr("btree.next_key_walk_restarts")
                 raise RestartOperation()
             self.ctx.stats.incr("btree.next_leaf_hops")
-            if nxt.keys:
-                return nxt.keys[0], nxt, 0
+            if nxt.key_count():
+                return nxt.key_at(0), nxt, 0
             current = nxt  # empty page mid-SMO: keep walking
 
     # -- integrity checking (test support) ----------------------------------------------

@@ -24,6 +24,8 @@ records, once no snapshot can need them.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from repro.common.errors import KeyNotFoundError, PageOverflowError, StorageError
@@ -42,19 +44,37 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.txn.transaction import Transaction
 
 #: Per-slot capacity accounting.  It bounds the image's per-slot bytes
-#: (``_SLOT_HEADER`` for an occupied slot, one flag byte for an empty
-#: one) with room to spare, and is the figure every placement decision
-#: — and so every RID — depends on.
+#: (``_SLOT_ENTRY`` directory bytes plus the row) with room to spare,
+#: and is the figure every placement decision — and so every RID —
+#: depends on.
 _SLOT_OVERHEAD = 34
 
 #: Body header: table_id, number of slots.
 _HEAP_HEADER = struct.Struct(">II")
-#: An occupied slot: flag, xmin, xmax, data length; the data follows.
-_SLOT_HEADER = struct.Struct(">BQQI")
-_PACK_SLOT = _SLOT_HEADER.pack
-_UNPACK_SLOT = _SLOT_HEADER.unpack_from
-#: Slot flags; an empty slot is the flag byte alone.
+#: Slot flags; an empty slot has flag 0 and zero stamps and length.
 _EMPTY, _VISIBLE, _GHOST = 0, 1, 2
+#: Bytes of one slot's directory entry: flag, xmin, xmax, length.
+_SLOT_ENTRY = 1 + 8 + 8 + 4
+
+#: One slot's entry: (data, visible, xmin, xmax), or None if empty.
+SlotEntry = tuple[bytes, bool, int, int]
+#: An empty slot as ``pack_body`` writes it, and each entry's flag by
+#: its ``visible`` field (None for the empty stand-in).
+_EMPTY_SLOT = (b"", None, 0, 0)
+_FLAG_OF = {True: _VISIBLE, False: _GHOST, None: _EMPTY}.__getitem__
+
+#: The slots of a decoded page, still in its image: the image bytes, the
+#: directory's fields (``n`` flags, xmins, xmaxes and lengths) and the
+#: ``n + 1`` row offsets.
+_HeapImage = tuple[bytes, tuple[int, ...], list[int]]
+
+
+@lru_cache(maxsize=1024)
+def _slot_directory(n: int) -> struct.Struct:
+    """The slot directory for ``n`` slots, at the tail of the image:
+    every flag, then every xmin, every xmax and every row length.  The
+    rows precede it, concatenated in slot order."""
+    return struct.Struct(f">{n}B{n}Q{n}Q{n}I")
 
 
 class HeapPage(Page):
@@ -64,58 +84,139 @@ class HeapPage(Page):
     the inserter's transaction id, ``xmax`` the deleter's (0 = none;
     bootstrap data is stamped ``[0, 0]``).  ``slots`` is
     read-only outside this class: every slot mutation goes through a
-    method, which keeps the page's used size current."""
+    method, which keeps the page's used size current.
+
+    A page read from disk is image-backed: :meth:`version` and the
+    readers built on it read one slot from the image's directory, and
+    the slot list is built the first time something needs it (``slots``
+    or any mutation), under the page latch."""
 
     KIND_CODE = 1
 
     def __init__(self, page_id: int, table_id: int) -> None:
         super().__init__(page_id)
         self.table_id = table_id
-        self.slots: list[tuple[bytes, bool, int, int] | None] = []
+        #: None while the slots are served from ``_image``.
+        self._slots: list[SlotEntry | None] | None = []
+        self._image: _HeapImage | None = None
         self._used = PAGE_OVERHEAD
 
     # -- serialization ------------------------------------------------------
 
     def pack_body(self) -> bytes:
-        parts = [_HEAP_HEADER.pack(self.table_id, len(self.slots))]
-        append = parts.append
-        for slot in self.slots:
-            if slot is None:
-                append(b"\x00")
-            else:
-                data, visible, xmin, xmax = slot
-                append(_PACK_SLOT(_VISIBLE if visible else _GHOST, xmin, xmax, len(data)))
-                append(data)
-        return b"".join(parts)
+        image = self._image
+        if image is not None:
+            # The slots are unchanged since decode: copy their bytes.
+            raw, _, bounds = image
+            return _HEAP_HEADER.pack(self.table_id, len(bounds) - 1) + raw[bounds[0] :]
+        slots = self._slots
+        n = len(slots)
+        header = _HEAP_HEADER.pack(self.table_id, n)
+        if not n:
+            return header
+        if None in slots:
+            slots = [_EMPTY_SLOT if slot is None else slot for slot in slots]
+        rows, visible, xmins, xmaxes = zip(*slots)
+        directory = _slot_directory(n).pack(
+            *map(_FLAG_OF, visible), *xmins, *xmaxes, *map(len, rows)
+        )
+        return b"".join((header, *rows, directory))
 
     @classmethod
     def unpack_body(cls, page_id: int, raw: bytes, offset: int) -> "HeapPage":
         table_id, n_slots = _HEAP_HEADER.unpack_from(raw, offset)
         offset += _HEAP_HEADER.size
         page = cls(page_id, table_id)
-        slots = page.slots
-        used = PAGE_OVERHEAD + n_slots * _SLOT_OVERHEAD
-        for _ in range(n_slots):
-            flag = raw[offset]
-            if flag == _EMPTY:
-                slots.append(None)
-                offset += 1
-                continue
-            if flag > _GHOST:
-                raise ValueError(f"slot flag {flag}")
-            _, xmin, xmax, length = _UNPACK_SLOT(raw, offset)
-            offset += _SLOT_HEADER.size
-            end = offset + length
-            slots.append((raw[offset:end], flag == _VISIBLE, xmin, xmax))
-            used += length
-            offset = end
-        if offset != len(raw):
-            raise ValueError(f"body ends at byte {offset} of a {len(raw)}-byte image")
-        page._used = used
+        if not n_slots:
+            if offset != len(raw):
+                raise ValueError(f"empty page has {len(raw) - offset} body bytes")
+            return page
+        directory_at = len(raw) - n_slots * _SLOT_ENTRY
+        if directory_at < offset:
+            raise ValueError(f"{n_slots} slots overrun the image")
+        # Decode on demand: keep the image and its directory; slots are
+        # read from them until something needs the list.
+        fields = _slot_directory(n_slots).unpack_from(raw, directory_at)
+        flags = fields[:n_slots]
+        if max(flags) > _GHOST:
+            raise ValueError(f"slot flag {max(flags)}")
+        bounds = list(accumulate(fields[3 * n_slots :], initial=offset))
+        if bounds[-1] != directory_at:
+            raise ValueError(
+                f"rows end at byte {bounds[-1]}, the directory starts at {directory_at}"
+            )
+        if _EMPTY in flags:
+            for slot, flag in enumerate(flags):
+                if flag == _EMPTY and any(fields[slot + n_slots :: n_slots]):
+                    raise ValueError(f"empty slot {slot} has stamps or a length")
+        page._slots = None
+        page._image = (raw, fields, bounds)
+        page._used = PAGE_OVERHEAD + n_slots * _SLOT_OVERHEAD + directory_at - offset
         return page
 
     def used_size(self) -> int:
         return self._used
+
+    # -- the slot list ------------------------------------------------------
+
+    @property
+    def slots(self) -> list[SlotEntry | None]:
+        """The slots as a list, built from the image on first use.  Hold
+        the page latch (S or X); mutate it only under X, through the
+        methods below."""
+        slots = self._slots
+        if slots is None:
+            slots = self._materialize()
+        return slots
+
+    def _materialize(self) -> list[SlotEntry | None]:
+        """Build the slot list from the image: publish the list, then
+        drop the image (a reader that saw the image keeps its copy)."""
+        image = self._image
+        if image is None:  # another S holder built it meanwhile
+            return self._slots
+        raw, fields, bounds = image
+        n = len(bounds) - 1
+        rows = map(raw.__getitem__, map(slice, bounds, bounds[1:]))
+        slots = self._slots = [
+            (row, flag == _VISIBLE, xmin, xmax) if flag else None
+            for row, flag, xmin, xmax in zip(
+                rows, fields[:n], fields[n : 2 * n], fields[2 * n : 3 * n]
+            )
+        ]
+        self._image = None
+        return slots
+
+    def slot_count(self) -> int:
+        image = self._image
+        if image is None:
+            return len(self._slots)
+        return len(image[2]) - 1
+
+    def version(self, slot: int) -> SlotEntry | None:
+        """The slot's full entry — data, visibility, stamps — or None.
+        Snapshot readers judge visibility from the stamps; ghosts are
+        returned (they are old versions), missing/purged slots are not.
+        The one bounds check every slot reader shares."""
+        image = self._image
+        if image is None:
+            slots = self._slots
+            return slots[slot] if 0 <= slot < len(slots) else None
+        raw, fields, bounds = image
+        n = len(bounds) - 1
+        if not 0 <= slot < n:
+            return None
+        flag = fields[slot]
+        if flag == _EMPTY:
+            return None
+        row = raw[bounds[slot] : bounds[slot + 1]]
+        return row, flag == _VISIBLE, fields[n + slot], fields[2 * n + slot]
+
+    def _entry(self, slot: int) -> SlotEntry:
+        entry = self.version(slot)
+        if entry is None:
+            raise KeyNotFoundError(f"no record at slot {slot} of page {self.page_id}")
+        return entry
 
     # -- record operations -----------------------------------------------------
 
@@ -123,21 +224,27 @@ class HeapPage(Page):
         return self.used_size() + _SLOT_OVERHEAD + len(data) <= page_size
 
     def append_record(self, data: bytes, xmin: int = 0) -> int:
-        self.slots.append((data, True, xmin, 0))
+        slots = self._slots
+        if slots is None:
+            slots = self._materialize()
+        slots.append((data, True, xmin, 0))
         self._used += _SLOT_OVERHEAD + len(data)
-        return len(self.slots) - 1
+        return len(slots) - 1
 
     def reformat(self, table_id: int) -> None:
         """Empty the page for ``table_id`` (redo of a format record)."""
         self.table_id = table_id
-        self.slots = []
+        self._slots = []
+        self._image = None
         self._used = PAGE_OVERHEAD
 
-    def _grow_to(self, slot: int) -> None:
-        missing = slot + 1 - len(self.slots)
+    def _grow_to(self, slot: int) -> list[SlotEntry | None]:
+        slots = self.slots
+        missing = slot + 1 - len(slots)
         if missing > 0:
-            self.slots.extend([None] * missing)
+            slots.extend([None] * missing)
             self._used += missing * _SLOT_OVERHEAD
+        return slots
 
     def place_record(
         self,
@@ -150,15 +257,15 @@ class HeapPage(Page):
         """Install a record at an exact slot (redo path).  Stamps left
         as None keep the slot's current value (0 if the slot was
         empty)."""
-        self._grow_to(slot)
-        current = self.slots[slot]
+        slots = self._grow_to(slot)
+        current = slots[slot]
         if current is None:
             current = (b"", False, 0, 0)
         if xmin is None:
             xmin = current[2]
         if xmax is None:
             xmax = current[3]
-        self.slots[slot] = (data, visible, xmin, xmax)
+        slots[slot] = (data, visible, xmin, xmax)
         self._used += len(data) - len(current[0])
 
     def record(self, slot: int) -> bytes:
@@ -170,8 +277,7 @@ class HeapPage(Page):
     def set_ghost(self, slot: int, ghost: bool, xmax: int | None = None) -> bytes:
         """Ghost (stamping the deleter into xmax) or unghost (clearing
         xmax — the delete was undone)."""
-        entry = self._entry(slot)
-        data, _, xmin, old_xmax = entry
+        data, _, xmin, old_xmax = self._entry(slot)
         if ghost:
             new_xmax = old_xmax if xmax is None else xmax
         else:
@@ -180,40 +286,29 @@ class HeapPage(Page):
         return data
 
     def remove_record(self, slot: int) -> bytes:
-        entry = self._entry(slot)
+        data = self._entry(slot)[0]
         self.slots[slot] = None
-        self._used -= len(entry[0])
-        return entry[0]
+        self._used -= len(data)
+        return data
 
     def free_slot(self, slot: int) -> None:
         """Empty ``slot`` whether or not it holds a record (redo of a
         remove or purge, which must be idempotent)."""
-        self._grow_to(slot)
-        entry = self.slots[slot]
+        slots = self._grow_to(slot)
+        entry = slots[slot]
         if entry is not None:
-            self.slots[slot] = None
+            slots[slot] = None
             self._used -= len(entry[0])
 
     def is_visible(self, slot: int) -> bool:
-        entry = self.slots[slot] if slot < len(self.slots) else None
+        entry = self.version(slot)
         return entry is not None and entry[1]
-
-    def version(self, slot: int) -> tuple[bytes, bool, int, int] | None:
-        """The slot's full entry — data, visibility, stamps — or None.
-        Snapshot readers judge visibility from the stamps; ghosts are
-        returned (they are old versions), missing/purged slots are not."""
-        return self.slots[slot] if 0 <= slot < len(self.slots) else None
-
-    def _entry(self, slot: int) -> tuple[bytes, bool, int, int]:
-        if slot >= len(self.slots) or self.slots[slot] is None:
-            raise KeyNotFoundError(f"no record at slot {slot} of page {self.page_id}")
-        return self.slots[slot]  # type: ignore[return-value]
 
     def visible_rids(self) -> list[RID]:
         return [
             RID(self.page_id, slot)
-            for slot, entry in enumerate(self.slots)
-            if entry is not None and entry[1]
+            for slot in range(self.slot_count())
+            if self.is_visible(slot)
         ]
 
 

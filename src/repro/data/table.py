@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.codec.values import decode_value, encode_value
 from repro.common.errors import (
+    DatabaseClosedError,
     KeyNotFoundError,
     LockError,
     TransactionNotActiveError,
@@ -261,6 +262,14 @@ class Table:
 
     # -- the snapshot read path (zero locks) -------------------------------
 
+    def _check_not_crashed(self) -> None:
+        """A crash drops the pool, so pages read after it are whatever
+        the disk held, unrecovered: a snapshot read that overlaps a
+        crash fails instead of answering from them.  Checked when a
+        scan starts, before it hands out a row and when it ends."""
+        if self._ctx.crashed:
+            raise DatabaseClosedError("database crashed mid-read; restart() required")
+
     def _snapshot_row(self, snapshot, rid: RID) -> Row | None:
         """Read a version latch-only and judge it against the snapshot.
         None: slot purged, version not yet committed at the snapshot,
@@ -302,6 +311,7 @@ class Table:
                 "snapshot reads require a snapshot transaction "
                 "(db.begin_snapshot() / db.snapshot())"
             )
+        self._check_not_crashed()
         self._ctx.stats.incr("mvcc.snapshot_scans")
         tree = self.indexes[index_name]
         self._ctx.mvcc_ensure_dead_keys(self)
@@ -341,12 +351,15 @@ class Table:
                     continue
                 row = self._snapshot_row(snapshot, entry[1])
                 if row is not None:
+                    self._check_not_crashed()
                     yield entry[1], row
             if tree_pair is None:
+                self._check_not_crashed()
                 return
             pos, inclusive = tree_pair, False
             row = self._snapshot_row(snapshot, tree_pair[1])
             if row is not None:
+                self._check_not_crashed()
                 yield tree_pair[1], row
             result = index_fetch_next(
                 tree,

@@ -695,6 +695,11 @@ class Database:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def crashed(self) -> bool:
+        """Crashed and not yet restarted."""
+        return self._crashed
+
     def close(self) -> None:
         """Shut the engine down cleanly: roll back whatever is still
         active, force the log, flush every dirty page, take a final

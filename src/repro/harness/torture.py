@@ -363,6 +363,10 @@ class MultiSessionReport:
     snapshot_reads: int = 0
     """Double-reads completed by the snapshot readers (each one a
     stability check that passed)."""
+    buffer_misses: int = 0
+    """Pages read from disk while the sessions ran, up to the crash: a
+    round whose data outgrows the pool has its concurrent readers
+    decode pages."""
 
 
 class _SessionWorker:
@@ -576,6 +580,8 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
             when=lambda: total_acked() >= spec.crash_after_requests
             and threading.current_thread().name.startswith("db-"),
         )
+    report = MultiSessionReport(seed=spec.seed, crash_mode=spec.crash_mode)
+    stats_before = db.stats.snapshot()
     for thread in threads:
         thread.start()
     readers = [
@@ -585,8 +591,9 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
     for thread in reader_threads:
         thread.start()
 
-    report = MultiSessionReport(seed=spec.seed, crash_mode=spec.crash_mode)
-    stats_before = db.stats.snapshot()
+    def crash() -> None:
+        report.buffer_misses = db.stats.diff(stats_before).get("buffer.misses", 0)
+        db.crash()
 
     def stop_readers() -> None:
         for reader in readers:
@@ -597,7 +604,7 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
         _join_all(threads, spec.seed)
         stop_readers()
         _check(server.shutdown(drain=True), spec.seed, "graceful drain timed out")
-        db.crash()
+        crash()
     elif spec.crash_mode == "held_flush":
         # The first leader after the warm-up stopped with its batch
         # taken (see the pause armed above): that batch's committers —
@@ -610,7 +617,7 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
         except TimeoutError:
             pass  # the workload ended below the warm-up count: nothing parked
         report.parked_at_crash = db.log.group_commit_parked
-        db.crash()
+        crash()
         _join_all(threads, spec.seed)
         stop_readers()
         server.abort()
@@ -619,7 +626,7 @@ def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
         while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
             time.sleep(0.0005)
         report.parked_at_crash = db.log.group_commit_parked
-        db.crash()
+        crash()
         _join_all(threads, spec.seed)
         stop_readers()
         server.abort()

@@ -124,11 +124,7 @@ def _purge_slots(db: "Database", purge_rids: dict[int, list]) -> int:
                 latch = db.latches.page_latch(rid.page_id)
                 latch.acquire("X")
                 try:
-                    entry = (
-                        page.slots[rid.slot]
-                        if rid.slot < len(page.slots)
-                        else None
-                    )
+                    entry = page.version(rid.slot)
                     if entry is None or entry[1]:
                         continue  # already purged, or resurrected
                     record = update_record(

@@ -132,9 +132,10 @@ class VersionStore:
             except Exception:  # noqa: BLE001,RPR005 - unreadable page: rebuild skips it
                 continue
             try:
+                versions = map(page.version, range(page.slot_count()))
                 ghosts = [
                     (RID(page_id, slot), entry)
-                    for slot, entry in enumerate(page.slots)
+                    for slot, entry in enumerate(versions)
                     if entry is not None and not entry[1]
                 ]
             finally:

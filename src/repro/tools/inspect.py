@@ -52,15 +52,14 @@ def dump_tree(tree: BTree, max_keys_per_page: int = 4) -> str:
             )
             flags = f" bits={bits}" if bits else ""
             if page.is_leaf:
-                shown = ", ".join(_key_repr(k) for k in page.keys[:max_keys_per_page])
-                more = (
-                    f" ... +{len(page.keys) - max_keys_per_page}"
-                    if len(page.keys) > max_keys_per_page
-                    else ""
+                n = page.key_count()
+                shown = ", ".join(
+                    _key_repr(page.key_at(i)) for i in range(min(n, max_keys_per_page))
                 )
+                more = f" ... +{n - max_keys_per_page}" if n > max_keys_per_page else ""
                 lines.append(
                     "  " * depth
-                    + f"leaf {page_id} lsn={page.page_lsn} n={len(page.keys)} "
+                    + f"leaf {page_id} lsn={page.page_lsn} n={n} "
                     f"prev={page.prev_leaf} next={page.next_leaf}{flags} "
                     f"[{shown}{more}]"
                 )
@@ -278,7 +277,7 @@ def dump_versions(db: "Database") -> str:
             try:
                 ghosts += sum(
                     1
-                    for entry in page.slots
+                    for entry in map(page.version, range(page.slot_count()))
                     if entry is not None and not entry[1]
                 )
             finally:

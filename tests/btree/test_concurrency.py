@@ -240,6 +240,67 @@ class TestFigure3:
         assert db.fetch(check, "t", "by_id", 1000) is not None
         db.commit(check)
 
+    def test_fetch_of_a_moved_key_waits_for_inflight_smo(self):
+        """Figure 3's race for Fetch: T1's split is paused after the
+        leaf-level changes, so the parent still routes the keys that
+        moved right to the left leaf.  A Fetch of one of them that is
+        not the right page's first key must wait for the SMO and then
+        find it, not report it missing."""
+        from repro.common.keys import decode_int_key
+
+        db = make_db(page_size=768)
+        populate(db, range(0, 120, 2))
+        tree = db.tables["t"].indexes["by_id"]
+        db.failpoints.arm_pause("smo.split.after_leaf_level")
+        splits_before = db.stats.get("btree.page_splits")
+
+        def splitter():
+            t1 = db.begin()
+            key = 1
+            while db.stats.get("btree.page_splits") == splits_before:
+                db.insert(t1, "t", {"id": key, "val": "s" * 30})
+                key += 2
+            db.commit(t1)
+
+        split_thread = run_thread(splitter)
+        db.failpoints.wait_until_paused("smo.split.after_leaf_level")
+        fetch_result = {}
+        try:
+            # T1 holds no latch while paused.  The new right page is
+            # chained but not yet in the root, which still routes its
+            # keys to the left page.
+            root = tree.fix_page(tree.root_page_id)
+            db.buffer.unfix(root.page_id)
+            leaf_id = root.child_ids[0]
+            while True:
+                leaf = tree.fix_page(leaf_id)
+                db.buffer.unfix(leaf_id)
+                leaf_id = leaf.next_leaf
+                if leaf_id not in root.child_ids:
+                    break
+            right = tree.fix_page(leaf_id)
+            db.buffer.unfix(leaf_id)
+            moved = [decode_int_key(key.value) for key in right.keys[1:]]
+            target = next(key for key in moved if key % 2 == 0)  # committed
+
+            def fetcher():
+                t2 = db.begin()
+                fetch_result["row"] = db.fetch(t2, "t", "by_id", target)
+                db.commit(t2)
+
+            # The SMO holds the X tree latch; the fetch parks on it.
+            tree_latch = db.latches.tree_latch(tree.index_id)
+            tree_latch._cond = parked = SpyCondition(tree_latch._lock)  # noqa: SLF001
+            fetch_thread = run_thread(fetcher)
+            assert parked.parked.wait(JOIN)
+            assert "row" not in fetch_result, "fetch must wait for the SMO"
+        finally:
+            db.failpoints.release("smo.split.after_leaf_level")
+        fetch_thread.join(timeout=JOIN)
+        split_thread.join(timeout=JOIN)
+        assert fetch_result["row"]["id"] == target
+        assert db.verify_indexes() == {}
+
     def test_traverser_waits_at_ambiguous_nonleaf(self):
         """A traversal hitting the split leaf's *parent* mid-SMO (key
         beyond the stored high keys, SM_Bit on) waits on the tree

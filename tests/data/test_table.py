@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import KeyNotFoundError, UniqueKeyViolationError
+from repro.common.rid import RID
 from repro.data.table import decode_row, encode_row
 from tests.conftest import build_db, populate
 
@@ -144,3 +145,42 @@ class TestErrors:
         txn = table_db.begin()
         assert table_db.fetch(txn, "t", "by_id", 404) is None
         table_db.commit(txn)
+
+
+class TestSlotBounds:
+    """A slot number outside ``[0, slot count)`` names no record — a
+    negative one must not index the slot list from its end — whether
+    the page is in list form or still image-backed after a re-read.
+    The table has no index, so nothing but the heap can refuse."""
+
+    def make_db(self, reread: bool):
+        db = build_db()
+        db.create_table("t")
+        rids = populate(db, range(3))
+        if reread:
+            db.flush_all_pages()
+            db.checkpoint()
+            db.crash()
+            db.restart()
+        return db, rids
+
+    @pytest.mark.parametrize("reread", [False, True])
+    def test_fetch_row_rejects_a_slot_out_of_range(self, reread):
+        db, rids = self.make_db(reread)
+        table = db.tables["t"]
+        page_id = rids[2].page_id
+        txn = db.begin()
+        for slot in (-1, -3, 3):
+            with pytest.raises(KeyNotFoundError):
+                table.fetch_row(txn, RID(page_id, slot))
+        db.commit(txn)
+
+    @pytest.mark.parametrize("reread", [False, True])
+    def test_delete_rejects_a_negative_slot(self, reread):
+        db, rids = self.make_db(reread)
+        table = db.tables["t"]
+        txn = db.begin()
+        with pytest.raises(KeyNotFoundError):
+            table.delete(txn, RID(rids[2].page_id, -1))
+        assert [table.fetch_row(txn, rid)["id"] for rid in rids.values()] == [0, 1, 2]
+        db.commit(txn)

@@ -91,3 +91,20 @@ def test_group_commit_coalesces_under_concurrency():
         "— group commit saved too little"
     )
     assert report.flushes_saved > 0
+
+
+def test_rounds_whose_data_outgrows_the_pool_decode_pages_concurrently():
+    """With an 8-page pool under 900 rows, sessions and snapshot
+    readers miss the pool, so pages read from disk are decoded and read
+    while other threads hold them; every invariant still holds."""
+    base = MultiSessionSpec(
+        buffer_pool_pages=8,
+        key_space=1600,
+        initial_keys=900,
+        requests_per_session=60,
+        crash_after_requests=120,
+        snapshot_readers=2,
+    )
+    reports = run_multisession(range(3), base)
+    assert all(r.buffer_misses > 0 for r in reports)
+    assert sum(r.snapshot_reads for r in reports) > 0

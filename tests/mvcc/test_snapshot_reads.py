@@ -8,7 +8,11 @@ import threading
 import pytest
 
 from repro.common.config import DatabaseConfig
-from repro.common.errors import ConfigError, TransactionNotActiveError
+from repro.common.errors import (
+    ConfigError,
+    DatabaseClosedError,
+    TransactionNotActiveError,
+)
 from repro.db import Database
 
 from tests.conftest import build_db, populate
@@ -79,6 +83,20 @@ class TestVisibility:
             table_db.commit(txn)
             second = table_db.fetch(snap, "t", "by_id", 1)
             assert first == second
+
+
+class TestCrash:
+    @pytest.mark.parametrize("key", [2, 5])
+    def test_snapshot_read_after_a_crash_fails(self, table_db, key):
+        """A crash empties the pool; a snapshot opened before it must
+        not answer from the disk pages, which no restart has recovered
+        yet, whether or not the key is there."""
+        populate(table_db, [1, 2, 3])
+        table_db.flush_all_pages()
+        snap = table_db.begin_snapshot()
+        table_db.crash()
+        with pytest.raises(DatabaseClosedError):
+            table_db.fetch(snap, "t", "by_id", key)
 
 
 class TestZeroLocks:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree.node import IndexPage
-from repro.common.errors import StorageError
+from repro.common.errors import KeyNotFoundError, StorageError
 from repro.common.rid import RID, IndexKey
 from repro.data.heap import HeapPage
 from repro.storage.page import PAGE_IMAGE_HEADER, Page
@@ -136,6 +136,35 @@ class TestMalformedImages:
             except StorageError:
                 continue
             assert type(loaded) is type(make())
+            read_every_accessor(bytes(damaged))
+
+
+def read_every_accessor(raw: bytes) -> None:
+    """Read a page image that parses through every accessor, from the
+    image first and then from the lists.  Whatever the image, the only
+    exception allowed is the documented KeyNotFoundError of ``record``,
+    and both forms give the same answers and write the same bytes."""
+    page = Page.from_bytes(raw)
+    before = page.to_bytes()
+    if isinstance(page, IndexPage):
+        keys = [page.key_at(pos) for pos in range(page.key_count())]
+        probes = keys + [IndexKey(b"", RID(0, 0)), IndexKey(b"\xff" * 9, RID(1, 1))]
+        from_image = [Page.from_bytes(raw).find_key(probe) for probe in probes]
+        assert [page.find_key(probe) for probe in probes] == from_image
+        assert page.keys == keys
+    else:
+        slots = range(-2, page.slot_count() + 2)
+        entries = [page.version(slot) for slot in slots]
+        for slot, entry in zip(slots, entries):
+            visible = entry is not None and entry[1]
+            assert page.is_visible(slot) == visible
+            if visible:
+                assert page.record(slot) == entry[0]
+            else:
+                with pytest.raises(KeyNotFoundError):
+                    page.record(slot)
+        assert [None, None, *page.slots, None, None] == entries
+    assert page.to_bytes() == before
 
 
 index_keys = st.builds(
@@ -201,3 +230,128 @@ def test_index_image_roundtrip(level, keys, highs, sm_bit, delete_bit, neighbour
     assert loaded.to_payload() == page.to_payload()
     assert loaded.page_lsn == page.page_lsn
     assert loaded.used_size() == page.used_size() >= len(raw)
+
+
+# -- decode on demand: an image-backed page and its materialized twin ------
+
+#: Keys drawn from three values collide, as in a nonunique index.
+duplicate_keys = st.builds(
+    IndexKey,
+    st.sampled_from([b"", b"a", b"b"]),
+    st.builds(RID, st.integers(0, 3), st.integers(0, 3)),
+)
+leaf_keys = st.one_of(
+    st.lists(index_keys, unique_by=lambda key: key.value, max_size=30),
+    st.lists(duplicate_keys, unique=True, max_size=30),
+)
+
+
+def twins(page: Page) -> tuple[Page, Page]:
+    """Two decodes of ``page``'s image: one left image-backed, one whose
+    lists are built at once."""
+    raw = page.to_bytes()
+    backed, listed = Page.from_bytes(raw), Page.from_bytes(raw)
+    if isinstance(listed, IndexPage):
+        assert listed.keys is not None
+    else:
+        assert listed.slots is not None
+    return backed, listed
+
+
+def assert_same_leaf(backed: IndexPage, listed: IndexPage, probes) -> None:
+    assert backed.key_count() == listed.key_count()
+    keys = [listed.key_at(pos) for pos in range(listed.key_count())]
+    assert [backed.key_at(pos) for pos in range(backed.key_count())] == keys
+    raw = backed.to_bytes()
+    for probe in [*keys, *probes]:  # each a first search: from the image
+        assert Page.from_bytes(raw).find_key(probe) == listed.find_key(probe)
+    assert backed.bounds_key(probes[0]) == listed.bounds_key(probes[0])
+    assert backed.used_size() == listed.used_size()
+    assert backed.to_bytes() == listed.to_bytes()
+    assert backed.keys == listed.keys
+
+
+def assert_same_heap(backed: HeapPage, listed: HeapPage) -> None:
+    assert backed.slot_count() == listed.slot_count()
+    for slot in range(-2, listed.slot_count() + 2):
+        assert backed.version(slot) == listed.version(slot)
+        assert backed.is_visible(slot) == listed.is_visible(slot)
+        try:
+            expected = listed.record(slot)
+        except KeyNotFoundError:
+            with pytest.raises(KeyNotFoundError):
+                backed.record(slot)
+        else:
+            assert backed.record(slot) == expected
+    assert backed.visible_rids() == listed.visible_rids()
+    assert backed.used_size() == listed.used_size()
+    assert backed.to_bytes() == listed.to_bytes()
+    assert backed.slots == listed.slots
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaf_keys, st.lists(st.one_of(index_keys, duplicate_keys), min_size=1), st.data())
+def test_image_backed_leaf_matches_its_materialized_twin(keys, probes, data):
+    """Leaves with unique and with duplicate values read alike from the
+    image and the list, and each mutation leaves both in one state."""
+    page = IndexPage(4, index_id=6, level=0)
+    page.replace_entries(sorted(keys))
+    page.next_leaf, page.sm_bit = 8, True
+    assert_same_leaf(*twins(page), probes)
+
+    # Each mutation, applied to an image-backed page and to its twin.
+    for mutate in ("insert_key", "remove_key"):
+        backed, listed = twins(page)
+        if mutate == "insert_key":
+            key = data.draw(st.one_of(index_keys, duplicate_keys))
+            if listed.find_key(key)[1]:
+                continue
+        elif keys:
+            key = data.draw(st.sampled_from(keys))
+        else:
+            continue
+        assert getattr(backed, mutate)(key) == getattr(listed, mutate)(key)
+        assert_same_leaf(backed, listed, probes)
+
+
+heap_mutations = st.one_of(
+    st.tuples(
+        st.just("place_record"),
+        st.integers(0, 33),
+        st.binary(max_size=40),
+        st.booleans(),
+        st.one_of(st.none(), stamps),
+        st.one_of(st.none(), stamps),
+    ),
+    st.tuples(st.just("set_ghost"), st.integers(0, 30), st.booleans(), stamps),
+    st.tuples(st.just("remove_record"), st.integers(0, 30)),
+    st.tuples(st.just("free_slot"), st.integers(0, 33)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(heap_slots, st.lists(heap_mutations, max_size=6))
+def test_image_backed_heap_page_matches_its_materialized_twin(slots, mutations):
+    """Empty, ghost and visible slots read alike from the image and the
+    list, and every mutation leaves both forms in one state."""
+    page = HeapPage(9, table_id=3)
+    for slot, entry in enumerate(slots):
+        if entry is None:
+            page.free_slot(slot)
+        else:
+            page.place_record(slot, *entry)
+    assert_same_heap(*twins(page))
+
+    for name, slot, *args in mutations:
+        backed, listed = twins(page)
+        mutate = getattr(page, name)
+        try:
+            mutate(slot, *args)
+        except KeyNotFoundError:  # no record at ``slot``: neither twin changes
+            for twin in (backed, listed):
+                with pytest.raises(KeyNotFoundError):
+                    getattr(twin, name)(slot, *args)
+        else:
+            assert getattr(backed, name)(slot, *args) == getattr(listed, name)(slot, *args)
+        assert_same_heap(backed, listed)
+        assert backed.to_bytes() == page.to_bytes()
