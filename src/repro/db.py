@@ -133,8 +133,7 @@ class Database:
         #: Paced background GC (config.mvcc_gc_interval_seconds > 0).
         self._gc_stop: threading.Event | None = None
         self._gc_thread: threading.Thread | None = None
-        if config.mvcc_enabled and config.mvcc_gc_interval_seconds > 0:
-            self._start_gc_pacer()
+        self._start_gc_pacer()
 
     def _make_latches(self) -> LatchManager:
         debug_max = 2 if self.config.debug_latch_checks else None
@@ -418,6 +417,11 @@ class Database:
     # .. paced background GC (satellite of the analysis-suite PR) ..........
 
     def _start_gc_pacer(self) -> None:
+        config = self.config
+        if self._gc_thread is not None or not (
+            config.mvcc_enabled and config.mvcc_gc_interval_seconds > 0
+        ):
+            return
         self._gc_stop = threading.Event()
         self._gc_thread = threading.Thread(
             target=self._gc_pacer_loop, name="mvcc-gc-pacer", daemon=True
@@ -439,9 +443,12 @@ class Database:
     def _stop_gc_pacer(self) -> None:
         if self._gc_stop is not None:
             self._gc_stop.set()
-        if self._gc_thread is not None:
-            self._gc_thread.join(timeout=5.0)
-            self._gc_thread = None
+        thread = self._gc_thread
+        if thread is not None and thread is not threading.current_thread():
+            # (A pass that hit a fatal I/O fault crashes the database
+            # from the pacer thread itself; it exits after that pass.)
+            thread.join(timeout=5.0)
+        self._gc_thread = None
 
     # internal hooks (write path + redo replay) ----------------------------
 
@@ -766,7 +773,16 @@ class Database:
         mid-transaction when the crash lands fail fast instead of
         writing stale records into the post-crash log, and committers
         parked for a group-commit flush are woken with
-        ``CommitNotDurableError`` (they were never acknowledged)."""
+        ``CommitNotDurableError`` (they were never acknowledged).
+
+        The paced GC stops with the crash (``restart`` starts it again):
+        a pass still in flight holds a pre-crash transaction and page
+        pins, and must finish failing before any restart begins."""
+        # Crashed from the first step: no transaction or snapshot scan
+        # may start on the stores this method is tearing down.
+        self._crashed = True
+        if self._gc_stop is not None:
+            self._gc_stop.set()  # no new pass; the one in flight is joined below
         self.log.halt()
         governor = self.recovery
         if governor is not None:
@@ -797,7 +813,9 @@ class Database:
         # inside its commit when the crash landed must not append stale
         # COMMIT/END records once restart resumes the shared log.
         self.txns.halt()
-        self.txns = TransactionManager(self.log, self.locks, self.rm_registry, self.stats)
+        self.txns = TransactionManager(
+            self.log, self.locks, self.rm_registry, self.stats, admitting=False
+        )
         if self.mvcc is not None:
             # Snapshots and the commit table were volatile; restart
             # rebuilds visibility state from the log.
@@ -811,7 +829,9 @@ class Database:
             # fresh transaction manager.
             self.replication.primary_crashed()
             self.txns.commit_gate = self.replication.commit_gate
-        self._crashed = True
+        # Joined last: every wait a pass can be parked in (group-commit
+        # flush, failpoint, lock, latch, commit gate) has been woken.
+        self._stop_gc_pacer()
         self.stats.incr("db.crashes")
 
     def restart(self) -> RestartReport:
@@ -852,7 +872,9 @@ class Database:
         self._rebuild_mvcc_state()
         if self.replication is not None:
             self.replication.primary_restarted()
+        self.txns.admit()
         self._crashed = False
+        self._start_gc_pacer()
         return report
 
     def _reset_latches_for_restart(self) -> None:

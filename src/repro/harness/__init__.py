@@ -9,14 +9,10 @@ from repro.harness.loadgen import (
     run_loadgen,
 )
 from repro.harness.torture import (
-    MultiSessionReport,
-    MultiSessionSpec,
     TortureReport,
     TortureSpec,
-    run_multisession,
-    run_multisession_round,
-    run_torture,
-    run_torture_round,
+    run_round,
+    run_sweep,
 )
 from repro.harness.interleave import (
     Scenario,
@@ -39,8 +35,6 @@ __all__ = [
     "LatencyRecorder",
     "LoadgenReport",
     "LoadgenSpec",
-    "MultiSessionReport",
-    "MultiSessionSpec",
     "Operation",
     "RunResult",
     "Scenario",
@@ -57,9 +51,7 @@ __all__ = [
     "interleaving_table",
     "make_database",
     "run_loadgen",
-    "run_multisession",
-    "run_multisession_round",
     "run_operations",
-    "run_torture",
-    "run_torture_round",
+    "run_round",
+    "run_sweep",
 ]

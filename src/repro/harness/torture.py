@@ -1,41 +1,57 @@
-"""Seeded crash-and-fault torture harness.
+"""Seeded crash torture: one round runner, five kinds of round.
 
-One round = one seeded random story: a database runs a random workload
-while a seeded :class:`~repro.storage.faults.FaultInjector` tears page
-writes, throws transient/permanent I/O errors, and schedules WAL-tail
-loss; the database crashes (either on its own, when a permanent fault
-escalates, or because the schedule says so); restart recovers; and the
-round verifies the recovery invariants:
+A round is one seeded story: build a database (or a replicated pair, or
+a sharded cluster), load it, crash it, recover it, check what survived
+against what was acknowledged, crash it again and check that recovery
+lands on the same state, then run the end gates (the surviving logs
+verify clean under ``walcheck`` and the latch-order graph is acyclic).
+The kind of round (one scenario class each) chooses how it loads,
+crashes and recovers: ``engine`` is single-threaded under a seeded
+fault schedule; ``server`` runs client sessions on a group-committing
+server; ``failover`` crashes a replicated primary and promotes its
+standby; ``recovering`` serves from an instant restart while it drains;
+``cluster`` mixes single- and cross-shard (2PC) transactions.
 
-1. **Committed durable** — every key whose transaction's ``commit()``
-   returned before the crash is present after restart.
-2. **Uncommitted absent** — no key from an in-flight or rolled-back
-   transaction survives.
-3. **Structure valid** — every index passes ``check_structure`` and the
-   heap agrees with the index.
-4. **Restart idempotent** — a second crash+restart (no new faults)
-   reproduces exactly the same state; on odd seeds that restart is an
-   instant restart drained by background redo workers.
+The acked-state contract every kind is checked against:
 
-Determinism: each round derives every random decision (workload *and*
-fault schedule) from its seed, so a failing seed replays exactly.
+* every acknowledged write survives, and every acknowledged delete
+  stays deleted;
+* a commit answered ``LogHaltedError`` left no trace; one answered
+  ``CommitNotDurableError``, or whose response never arrived, is in
+  doubt and may go either way;
+* no key that no session wrote appears (no ghosts);
+* the heap agrees with the index, and every index is structurally valid.
+
+Determinism: every random decision of a round (the workload, the fault
+schedule, the crash target) derives from its seed, so a failing seed
+replays with ``run_round(TortureSpec(kind=..., seed=N, crash_mode=...))``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+import threading
+import time
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
+from repro.analysis.lockgraph import LatchOrderMonitor
+from repro.analysis.walcheck import check_log
 from repro.common.config import DatabaseConfig
 from repro.common.errors import (
+    CommitNotDurableError,
+    DatabaseClosedError,
     DeadlockError,
     KeyNotFoundError,
     LockTimeoutError,
+    LogHaltedError,
     PermanentIOError,
+    ServerError,
+    ServerShutdownError,
+    ShardUnavailableError,
+    TwoPhaseAbortError,
     UniqueKeyViolationError,
 )
-from repro.analysis.lockgraph import LatchOrderMonitor
-from repro.analysis.walcheck import check_log
 from repro.db import Database
 from repro.storage.faults import FaultInjector, FaultPlan
 from repro.storage.latch import get_latch_monitor, set_latch_monitor
@@ -47,83 +63,21 @@ def enable_lockgraph() -> LatchOrderMonitor:
     Every round then doubles as a deadlock-freedom proof: the monitor
     records the acquired-while-held graph over the database's whole
     lifetime (crash/restart included) and the round asserts it stays
-    acyclic over the blocking edges.  The scope is one database, not
-    the process: page-id latch names are only meaningful within a
-    single database, so merging graphs across rounds would fabricate
-    edges (page 6 of one tree shape versus page 6 of another) and with
-    them false cycles.  Call this *before* constructing the round's
-    Database — its latch tables capture the installed monitor at
-    construction, which is what keeps other databases' (leaked
-    background) threads out of this round's graph."""
+    acyclic over the blocking edges.  The scope is one round, not the
+    process: page-id latch names are only meaningful within one page
+    space, so merging graphs across rounds would fabricate edges (page
+    6 of one tree shape versus page 6 of another) and with them false
+    cycles.  Call this *before* constructing the round's databases —
+    their latch tables capture the installed monitor at construction,
+    which is what keeps other databases' (leaked background) threads
+    out of this round's graph."""
     monitor = LatchOrderMonitor()
     set_latch_monitor(monitor)
     return monitor
 
 
-def _check_analysis(db: Database, seed: int, label: str) -> None:
-    """End-of-round analysis gates: the surviving log verifies clean
-    and the latch-order graph stays acyclic."""
-    wal = check_log(db.log)
-    _check(
-        wal.ok,
-        seed,
-        f"{label}: walcheck failed: "
-        + "; ".join(f.format() for f in wal.findings[:5]),
-    )
-    monitor = get_latch_monitor()
-    if monitor is not None:
-        monitor.assert_acyclic()
-
-
-@dataclass(frozen=True)
-class TortureSpec:
-    """Parameters of one torture round."""
-
-    seed: int = 0
-    page_size: int = 1024
-    buffer_pool_pages: int = 48
-    initial_keys: int = 30
-    key_space: int = 120
-    txn_count: int = 10
-    max_ops_per_txn: int = 6
-    commit_probability: float = 0.6
-    flush_probability: float = 0.35
-    checkpoint_probability: float = 0.15
-    force_log_probability: float = 0.5
-    torn_write_probability: float = 0.08
-    transient_read_probability: float = 0.03
-    transient_write_probability: float = 0.03
-    permanent_probability: float = 0.01
-    wal_tail_loss_probability: float = 0.5
-
-    def fault_plan(self) -> FaultPlan:
-        return FaultPlan(
-            seed=self.seed ^ 0x5EED_FA17,
-            torn_write_probability=self.torn_write_probability,
-            transient_read_probability=self.transient_read_probability,
-            transient_write_probability=self.transient_write_probability,
-            permanent_read_probability=self.permanent_probability,
-            permanent_write_probability=self.permanent_probability,
-            wal_tail_loss_probability=self.wal_tail_loss_probability,
-        )
-
-
-@dataclass
-class TortureReport:
-    """Outcome of one round (all invariants already asserted)."""
-
-    seed: int
-    committed_keys: int = 0
-    txns_committed: int = 0
-    txns_rolled_back: int = 0
-    io_panic: bool = False
-    fault_counters: dict[str, int] = field(default_factory=dict)
-    log_tail_bytes_discarded: int = 0
-    pages_rebuilt: int = 0
-
-
 class TortureInvariantError(AssertionError):
-    """A post-restart invariant failed; the message names the seed."""
+    """A round's invariant failed; the message names the seed."""
 
 
 def _check(condition: bool, seed: int, message: str) -> None:
@@ -131,1231 +85,369 @@ def _check(condition: bool, seed: int, message: str) -> None:
         raise TortureInvariantError(f"seed {seed}: {message}")
 
 
-def _verify_state(db: Database, committed: set[int], seed: int, label: str) -> None:
-    _check(db.verify_indexes() == {}, seed, f"{label}: index structure invalid")
-    txn = db.begin()
-    survivors = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-    db.commit(txn)
-    missing = committed - survivors
-    extra = survivors - committed
-    _check(
-        not missing, seed, f"{label}: committed keys lost after restart: {sorted(missing)}"
-    )
-    _check(
-        not extra, seed, f"{label}: uncommitted keys survived restart: {sorted(extra)}"
-    )
-    txn = db.begin()
-    heap_keys = {
-        db.tables["t"].fetch_row(txn, rid, lock=False)["id"]
-        for rid in db.tables["t"].heap.scan_rids()
-    }
-    db.commit(txn)
-    _check(heap_keys == committed, seed, f"{label}: heap disagrees with index")
-
-
-def run_torture_round(spec: TortureSpec) -> TortureReport:
-    """Run one seeded fault/crash schedule and assert every invariant."""
-    rng = random.Random(spec.seed)
-    injector = FaultInjector(spec.fault_plan())
-    # The round is single-threaded, so any lock wait is a self-block
-    # that can only end in a timeout — keep it short.
-    config = DatabaseConfig(
-        page_size=spec.page_size,
-        buffer_pool_pages=spec.buffer_pool_pages,
-        lock_timeout_seconds=0.05,
-        latch_timeout_seconds=5.0,
-    )
-    report = TortureReport(seed=spec.seed)
-    enable_lockgraph()
-
-    # Build the schema and the seed rows before arming any fault: the
-    # round's story starts from a known-good committed state.
-    injector.disarm()
-    db = Database(config, fault_injector=injector)
-    db.create_table("t")
-    db.create_index("t", "by_id", column="id", unique=True)
-    committed: set[int] = set()
-    txn = db.begin()
-    for key in range(0, spec.initial_keys * 3, 3):
-        db.insert(txn, "t", {"id": key, "val": "seed"})
-        committed.add(key)
-    db.commit(txn)
-    injector.arm()
-
-    open_txns: list = []
-    pending: dict[int, dict[int, str]] = {}
-    crashed = False
-
-    for _ in range(spec.txn_count):
-        if crashed:
-            break
-        try:
-            action = rng.random()
-            if action < 0.55 or not open_txns:
-                txn = db.begin()
-                open_txns.append(txn)
-                pending[txn.txn_id] = {}
-                try:
-                    for _ in range(rng.randint(1, spec.max_ops_per_txn)):
-                        key = rng.randrange(spec.key_space)
-                        # Statement savepoint: a failed statement must
-                        # not leave partial effects (e.g. a heap row
-                        # whose index insert hit a unique violation).
-                        db.savepoint(txn, "stmt")
-                        try:
-                            if rng.random() < 0.6:
-                                db.insert(txn, "t", {"id": key, "val": "w"})
-                                pending[txn.txn_id][key] = "ins"
-                            else:
-                                db.delete_by_key(txn, "t", "by_id", key)
-                                pending[txn.txn_id][key] = "del"
-                        except (UniqueKeyViolationError, KeyNotFoundError):
-                            db.rollback_to_savepoint(txn, "stmt")
-                except (DeadlockError, LockTimeoutError):
-                    # A single-threaded schedule can self-block on
-                    # another open transaction's locks.
-                    open_txns.remove(txn)
-                    pending.pop(txn.txn_id)
-                    db.rollback(txn)
-                    report.txns_rolled_back += 1
-            elif action < 0.8:
-                txn = open_txns.pop(rng.randrange(len(open_txns)))
-                db.commit(txn)
-                report.txns_committed += 1
-                for key, op in pending.pop(txn.txn_id).items():
-                    if op == "ins":
-                        committed.add(key)
-                    else:
-                        committed.discard(key)
-            else:
-                txn = open_txns.pop(rng.randrange(len(open_txns)))
-                db.rollback(txn)
-                pending.pop(txn.txn_id)
-                report.txns_rolled_back += 1
-            if rng.random() < spec.flush_probability:
-                dirty = list(db.buffer.dirty_page_table())
-                for page_id in rng.sample(dirty, k=min(len(dirty), 3)):
-                    db.flush_page(page_id)
-            if rng.random() < spec.checkpoint_probability:
-                db.checkpoint()
-        except PermanentIOError:
-            # The buffer pool escalated a hard fault: the database
-            # already crashed itself cleanly.
-            crashed = True
-            report.io_panic = True
-
-    if not crashed:
-        if rng.random() < spec.force_log_probability:
-            db.log.force()  # make in-flight work durable → undo path
-        db.crash()
-
-    report.fault_counters = dict(injector.counters)
-
-    # Post-crash, the storage keeps its damage but stops producing new
-    # hard faults (transient read flakiness stays live, exercising the
-    # retry path during recovery).
-    injector.enter_recovery_mode()
-    restart_report = db.restart()
-    report.log_tail_bytes_discarded = restart_report.log_tail_bytes_discarded
-    report.pages_rebuilt = restart_report.scrub.pages_rebuilt
-    report.committed_keys = len(committed)
-    _verify_state(db, committed, spec.seed, "first restart")
-
-    # Idempotency: crash again immediately (no new faults scheduled in
-    # recovery mode) and recover to exactly the same state.  Odd seeds
-    # recover with background redo workers instead of the caller's
-    # thread, so the drain runs under the same fault schedules.
-    db.crash()
-    if spec.seed % 2:
-        governor = db.instant_restart(redo_workers=2).governor
-        _check(
-            governor.wait_drained(timeout=30.0),
-            spec.seed,
-            f"second restart did not drain: {governor.progress()}",
-        )
-    else:
-        db.restart()
-    _verify_state(db, committed, spec.seed, "second restart")
-    _check_analysis(db, spec.seed, "torture round")
-    return report
-
-
-def run_torture(
-    seeds: range, base: TortureSpec | None = None
-) -> list[TortureReport]:
-    """Run one round per seed; returns the reports (raises on the first
-    invariant violation)."""
-    base = base or TortureSpec()
-    return [run_torture_round(replace(base, seed=seed)) for seed in seeds]
-
-
-# -- multi-session client workload mode ------------------------------------
-#
-# The single-threaded rounds above drive the engine in-process.  This
-# mode drives it the way production would: a DatabaseServer with group
-# commit enabled, several concurrent client sessions issuing autocommit
-# inserts/deletes over the loopback transport, and a crash landed
-# *while commits are parked between group-commit enqueue and flush* —
-# the exact window the batched force opens up.  The invariant is the
-# durability contract of group commit:
-#
-#   * every ACKED commit (the client got a success response) survives
-#     restart;
-#   * every commit the server answered with CommitNotDurableError was
-#     never acknowledged and is in-doubt: usually the crash beat the
-#     batched flush and recovery rolled it back, but the flush (or a
-#     restart racing the commit) may have made it durable anyway;
-#   * responses that never arrived (connection died mid-request) are
-#     indeterminate, like any networked database's in-doubt window.
-#
-# Each session owns a disjoint key partition (key % sessions), so its
-# acked history determines each key's expected state exactly.
-
-
 @dataclass(frozen=True)
-class MultiSessionSpec:
-    """Parameters of one multi-session torture round."""
+class TortureSpec:
+    """Parameters of one round.  A field left ``None`` takes its kind's
+    default (the ``defaults`` of the kind's scenario class, else
+    ``_DEFAULTS``), so ``TortureSpec(kind="failover", seed=3)`` is the
+    round a failover sweep runs for seed 3."""
 
+    kind: str = "engine"
     seed: int = 0
+    crash_mode: str | None = None
+    """One of the kind's ``modes``; ``None`` takes the first."""
+    page_size: int | None = None
+    buffer_pool_pages: int | None = None
+    initial_keys: int | None = None
+    key_space: int | None = None
+    # -- the engine kind's single-threaded story ---------------------------
+    txn_count: int = 10
+    max_ops_per_txn: int = 6
+    flush_probability: float | None = None
+    """Engine: per step.  Recovering: per millisecond of the pre-crash
+    load, which flushes a couple of dirty pages (something to tear)."""
+    checkpoint_probability: float = 0.15
+    force_log_probability: float = 0.5
+    # -- faults (engine and recovering kinds) -----------------------------
+    torn_write_probability: float | None = None
+    transient_read_probability: float | None = None
+    transient_write_probability: float | None = None
+    permanent_probability: float | None = None
+    wal_tail_loss_probability: float | None = None
+    # -- the client load (every kind but engine) --------------------------
     sessions: int = 4
-    requests_per_session: int = 24
-    key_space: int = 160
-    initial_keys: int = 20
-    page_size: int = 1024
-    buffer_pool_pages: int = 64
-    insert_fraction: float = 0.65
-    crash_mode: str = "held_flush"
-    """``held_flush``: pin a group commit's leader, let commits park
-    behind it, crash into the take→flush window.  ``racing``: crash at a
-    random moment with group commit live.  ``graceful``: no crash —
-    drain, shut down, then crash+restart to check the final checkpoint
-    made everything durable."""
-    crash_after_requests: int = 40
-    """Total acked requests after which the trigger pulls."""
+    requests_per_session: int | None = None
+    insert_fraction: float | None = None
+    crash_after_requests: int | None = None
+    """Acknowledged requests after which the crash trigger pulls."""
     log_flush_latency_seconds: float = 0.0
     """Price of one log flush.  Coalescing waits at most one flush's
     price, so an unpriced round forces each commit at once, and only a
     priced one shows group commit's saving."""
     snapshot_readers: int = 0
-    """Concurrent snapshot-reader sessions racing the writers: each
-    repeatedly opens a snapshot transaction, reads the same key twice,
-    and asserts the two answers agree — a snapshot must be stable no
-    matter what the writers commit in between.  A reader that hits the
-    crash simply stops; the round asserts zero torn reads at the end."""
-
-
-@dataclass
-class MultiSessionReport:
-    """Outcome of one multi-session round (invariants already asserted)."""
-
-    seed: int
-    crash_mode: str
-    acked_requests: int = 0
-    lost_commits: int = 0
-    indeterminate_keys: int = 0
-    parked_at_crash: int = 0
-    flushes_saved: int = 0
-    commits: int = 0
-    """Engine-side committed transactions over the whole round."""
-    sync_forces: int = 0
-    """Synchronous log I/Os over the whole round (the coalescing
-    assertion compares this against ``commits``)."""
-    snapshot_reads: int = 0
-    """Double-reads completed by the snapshot readers (each one a
-    stability check that passed)."""
-    buffer_misses: int = 0
-    """Pages read from disk while the sessions ran, up to the crash: a
-    round whose data outgrows the pool has its concurrent readers
-    decode pages."""
-
-
-class _SessionWorker:
-    """One client session's thread: issues ops, tracks acked state."""
-
-    def __init__(self, worker_id: int, spec: MultiSessionSpec, server) -> None:
-        self.worker_id = worker_id
-        self.spec = spec
-        self.server = server
-        self.rng = random.Random(spec.seed * 1000003 + worker_id)
-        #: Last *acknowledged* state of every key this worker owns.
-        self.state: dict[int, bool] = {}
-        #: Keys whose state is in doubt (response never arrived).
-        self.unknown: set[int] = set()
-        self.acked = 0
-        self.lost = 0
-
-    def run(self) -> None:
-        from repro.common.errors import (
-            CommitNotDurableError,
-            DatabaseClosedError,
-            LogHaltedError,
-            ServerError,
-            ServerShutdownError,
-        )
-
-        try:
-            client = self.server.connect_loopback()
-        except Exception:  # noqa: BLE001,RPR005 - server already stopping
-            return
-        spec = self.spec
-        try:
-            for _ in range(spec.requests_per_session):
-                key = (
-                    self.rng.randrange(spec.key_space // spec.sessions) * spec.sessions
-                    + self.worker_id
-                )
-                inserting = self.rng.random() < spec.insert_fraction
-                try:
-                    if inserting:
-                        client.insert("t", {"id": key, "val": f"w{self.worker_id}"})
-                        self.state[key] = True
-                    else:
-                        client.delete_by_key("t", "by_id", key)
-                        self.state[key] = False
-                    self.unknown.discard(key)
-                    self.acked += 1
-                except UniqueKeyViolationError:
-                    # Server proved the key present — an ack in itself.
-                    self.state[key] = True
-                    self.unknown.discard(key)
-                    self.acked += 1
-                except KeyNotFoundError:
-                    self.state[key] = False
-                    self.unknown.discard(key)
-                    self.acked += 1
-                except LogHaltedError:  # noqa: RPR005 - outcome recorded as lost
-                    # Definite NO: the append itself was refused, so no
-                    # commit record exists to survive.
-                    self.lost += 1
-                except CommitNotDurableError:  # noqa: RPR005 - outcome recorded as in-doubt
-                    # Almost always the record died with the volatile
-                    # tail — but a crash can land *after* the batched
-                    # flush covered it (or race a commit straddling
-                    # restart), so the contract is in-doubt, not no.
-                    self.lost += 1
-                    self.unknown.add(key)
-                except (DatabaseClosedError, ServerShutdownError):
-                    return  # rejected before execution: no state change
-                except (ServerError, DeadlockError, LockTimeoutError):
-                    # In doubt: the op may or may not have committed
-                    # before the line (or the engine) went down.
-                    self.unknown.add(key)
-                    if client.closed:
-                        return
-                except Exception:  # noqa: BLE001,RPR005 - post-crash wreckage
-                    # Anything else is in doubt too; stop issuing.
-                    self.unknown.add(key)
-                    return
-        finally:
-            try:
-                client.close()
-            except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
-                pass
-
-
-class _SnapshotReader:
-    """One snapshot-reader session racing the writers.
-
-    Every iteration opens a snapshot transaction and reads one key
-    twice; the answers (presence *and* value) must agree — writers
-    committing in between must be invisible inside the snapshot.
-    Disagreements are counted in ``torn`` and asserted zero by the
-    round.  Reads take zero locks, so a reader can never deadlock a
-    writer (or be chosen as a victim)."""
-
-    def __init__(self, reader_id: int, spec: MultiSessionSpec, server) -> None:
-        self.reader_id = reader_id
-        self.spec = spec
-        self.server = server
-        self.rng = random.Random(spec.seed * 69997 + reader_id)
-        self.stop = False
-        self.reads = 0
-        self.torn = 0
-
-    def run(self) -> None:
-        from repro.common.errors import ServerError
-
-        try:
-            client = self.server.connect_loopback()
-        except Exception:  # noqa: BLE001,RPR005 - server already stopping
-            return
-        spec = self.spec
-        try:
-            while not self.stop:
-                key = self.rng.randrange(spec.key_space)
-                try:
-                    with client.snapshot():
-                        first = client.fetch(
-                            "t", "by_id", key, isolation="snapshot"
-                        )
-                        second = client.fetch(
-                            "t", "by_id", key, isolation="snapshot"
-                        )
-                    if first != second:
-                        self.torn += 1
-                    self.reads += 1
-                except ServerError:
-                    return  # engine crashed / server stopping
-                except Exception:  # noqa: BLE001,RPR005 - post-crash wreckage
-                    return
-        finally:
-            try:
-                client.close()
-            except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
-                pass
-
-
-def _join_all(threads: list, seed: int, timeout: float = 30.0) -> None:
-    import time
-
-    deadline = time.monotonic() + timeout
-    for thread in threads:
-        thread.join(timeout=max(deadline - time.monotonic(), 0.1))
-        _check(not thread.is_alive(), seed, "session worker thread wedged")
-
-
-#: Where a group commit's leader has taken a batch and not yet forced it.
-_FLUSH_WINDOW = "log.group_commit.before_flush"
-
-
-def run_multisession_round(spec: MultiSessionSpec) -> MultiSessionReport:
-    """One multi-session group-commit durability round."""
-    import threading
-    import time
-
-    from repro.server.server import DatabaseServer, ServerConfig
-
-    config = DatabaseConfig(
-        page_size=spec.page_size,
-        buffer_pool_pages=spec.buffer_pool_pages,
-        group_commit=True,
-        group_commit_max_wait_seconds=0.001,
-        log_flush_latency_seconds=spec.log_flush_latency_seconds,
-        lock_timeout_seconds=1.0,
-        latch_timeout_seconds=5.0,
-        # Paced background GC races the client sessions, so the
-        # lockgraph monitor sees GC's latch orderings under load.
-        mvcc_gc_interval_seconds=0.02,
-    )
-    enable_lockgraph()
-    db = Database(config)
-    db.create_table("t")
-    db.create_index("t", "by_id", column="id", unique=True)
-    txn = db.begin()
-    initial: list[int] = []
-    for i in range(spec.initial_keys):
-        key = (i * 7) % spec.key_space
-        if key not in initial:
-            db.insert(txn, "t", {"id": key, "val": "seed"})
-            initial.append(key)
-    db.commit(txn)
-
-    server = DatabaseServer(
-        db,
-        ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
-            request_timeout_seconds=10.0,
-            drain_timeout_seconds=10.0,
-        ),
-    ).start(listen=False)
-
-    workers = [_SessionWorker(i, spec, server) for i in range(spec.sessions)]
-    for worker in workers:
-        for key in initial:
-            if key % spec.sessions == worker.worker_id:
-                worker.state[key] = True
-    threads = [threading.Thread(target=worker.run) for worker in workers]
-
-    def total_acked() -> int:
-        return sum(w.acked for w in workers)
-
-    if spec.crash_mode == "held_flush":
-        # Armed before any request is sent, so the rendezvous cannot be
-        # missed however fast the sessions run.  Only a server thread's
-        # flush pauses: the paced GC's purge commits too, and a crash on
-        # its commit alone would lose no client write.
-        db.failpoints.arm_pause(
-            _FLUSH_WINDOW,
-            when=lambda: total_acked() >= spec.crash_after_requests
-            and threading.current_thread().name.startswith("db-"),
-        )
-    report = MultiSessionReport(seed=spec.seed, crash_mode=spec.crash_mode)
-    stats_before = db.stats.snapshot()
-    for thread in threads:
-        thread.start()
-    readers = [
-        _SnapshotReader(i, spec, server) for i in range(spec.snapshot_readers)
-    ]
-    reader_threads = [threading.Thread(target=r.run) for r in readers]
-    for thread in reader_threads:
-        thread.start()
-
-    def crash() -> None:
-        report.buffer_misses = db.stats.diff(stats_before).get("buffer.misses", 0)
-        db.crash()
-
-    def stop_readers() -> None:
-        for reader in readers:
-            reader.stop = True
-        _join_all(reader_threads, spec.seed)
-
-    if spec.crash_mode == "graceful":
-        _join_all(threads, spec.seed)
-        stop_readers()
-        _check(server.shutdown(drain=True), spec.seed, "graceful drain timed out")
-        crash()
-    elif spec.crash_mode == "held_flush":
-        # The first leader after the warm-up stopped with its batch
-        # taken (see the pause armed above): that batch's committers —
-        # the leader's own commit among them — are parked in the
-        # take→flush window, later ones queue behind them, and the
-        # crash — which also resumes the leader, as crashed — lands on
-        # all of them.
-        try:
-            db.failpoints.wait_until_paused(_FLUSH_WINDOW, timeout=10.0)
-        except TimeoutError:
-            pass  # the workload ended below the warm-up count: nothing parked
-        report.parked_at_crash = db.log.group_commit_parked
-        crash()
-        _join_all(threads, spec.seed)
-        stop_readers()
-        server.abort()
-    elif spec.crash_mode == "racing":
-        deadline = time.monotonic() + 5.0
-        while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-            time.sleep(0.0005)
-        report.parked_at_crash = db.log.group_commit_parked
-        crash()
-        _join_all(threads, spec.seed)
-        stop_readers()
-        server.abort()
-    else:
-        raise ValueError(f"unknown crash_mode {spec.crash_mode!r}")
-
-    report.snapshot_reads = sum(r.reads for r in readers)
-    torn_reads = sum(r.torn for r in readers)
-    _check(
-        torn_reads == 0,
-        spec.seed,
-        f"{spec.crash_mode}: {torn_reads} torn snapshot double-reads "
-        f"(of {report.snapshot_reads})",
-    )
-
-    db.restart()
-    diff = db.stats.diff(stats_before)
-    report.acked_requests = total_acked()
-    report.lost_commits = sum(w.lost for w in workers)
-    report.indeterminate_keys = len(set().union(*(w.unknown for w in workers)))
-    report.flushes_saved = diff.get("log.group_commit_flushes_saved", 0)
-    snap = db.stats.snapshot()
-    report.commits = snap.get("txn.committed", 0)
-    report.sync_forces = snap.get("log.sync_forces", 0)
-
-    _check(
-        db.verify_indexes() == {},
-        spec.seed,
-        f"{spec.crash_mode}: index structure invalid after restart",
-    )
-    txn = db.begin()
-    survivors = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-    db.commit(txn)
-    for worker in workers:
-        for key, present in worker.state.items():
-            if key in worker.unknown:
-                continue
-            if present:
-                _check(
-                    key in survivors,
-                    spec.seed,
-                    f"{spec.crash_mode}: acked key {key} (session "
-                    f"{worker.worker_id}) lost after restart",
-                )
-            else:
-                _check(
-                    key not in survivors,
-                    spec.seed,
-                    f"{spec.crash_mode}: deleted/never-committed key {key} "
-                    f"(session {worker.worker_id}) survived restart",
-                )
-    # Keys no session owns state for must not materialize out of thin air.
-    known = set().union(*(set(w.state) | w.unknown for w in workers))
-    ghosts = survivors - known
-    _check(not ghosts, spec.seed, f"{spec.crash_mode}: ghost keys {sorted(ghosts)}")
-
-    # Idempotency: crash+restart again reproduces the same state.
-    db.crash()
-    db.restart()
-    txn = db.begin()
-    survivors_again = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-    db.commit(txn)
-    _check(
-        survivors_again == survivors,
-        spec.seed,
-        f"{spec.crash_mode}: second restart diverged",
-    )
-    if spec.crash_mode == "graceful":
-        server.abort()
-    _check_analysis(db, spec.seed, f"multisession {spec.crash_mode}")
-    db.close()
-    return report
-
-
-def run_multisession(
-    seeds: range, base: MultiSessionSpec | None = None
-) -> list[MultiSessionReport]:
-    """One multi-session round per seed, cycling crash modes so a sweep
-    covers held-flush, racing, and graceful shutdowns."""
-    base = base or MultiSessionSpec()
-    modes = ("held_flush", "racing", "graceful")
-    return [
-        run_multisession_round(
-            replace(base, seed=seed, crash_mode=modes[seed % len(modes)])
-        )
-        for seed in seeds
-    ]
-
-
-# -- failover torture mode ---------------------------------------------------
-#
-# The multi-session rounds above verify the durability contract against
-# a *restart* of the same database.  This mode verifies it against a
-# *failover*: a hot standby replicates the primary over the loopback
-# wire protocol while the client workload runs, the primary crashes
-# mid-load (including inside the group-commit flush window), the
-# standby is promoted, and the promoted database must agree exactly
-# with the acked commit set:
-#
-#   * every ACKED commit is visible on the promoted database;
-#   * every commit answered with CommitNotDurableError is in-doubt
-#     (never acknowledged; usually rolled back);
-#   * in-doubt responses (the line died mid-request) may go either way;
-#   * in ``sync`` mode the standby is promoted *without* draining the
-#     dead primary's remaining WAL — the synchronous commit gate alone
-#     must guarantee every acked commit already reached the standby.
-#
-# In the async modes the standby first drains the primary's durable
-# prefix (the primary process is "dead" but its stable log is
-# readable — exactly the real-world drain from the dead node's disk),
-# after which the promoted state must equal what restarting the old
-# primary itself would have produced.
-
-
-@dataclass(frozen=True)
-class FailoverSpec:
-    """Parameters of one failover torture round."""
-
-    seed: int = 0
-    sessions: int = 4
-    requests_per_session: int = 24
-    key_space: int = 160
-    initial_keys: int = 20
-    page_size: int = 1024
-    buffer_pool_pages: int = 64
-    insert_fraction: float = 0.65
-    crash_mode: str = "held_flush"
-    """``held_flush``: pin a group commit's leader, crash into the
-    take→flush window, drain, promote.  ``racing``: crash at a random
-    moment with group commit live, drain, promote.  ``sync``: synchronous
-    replication, crash racing, promote with NO drain — the gate is the
-    only thing standing between an acked commit and oblivion."""
-    crash_after_requests: int = 30
-
-
-@dataclass
-class FailoverReport:
-    """Outcome of one failover round (invariants already asserted)."""
-
-    seed: int
-    crash_mode: str
-    sync: bool = False
-    acked_requests: int = 0
-    lost_commits: int = 0
-    indeterminate_keys: int = 0
-    parked_at_crash: int = 0
-    records_replayed: int = 0
-    txns_rolled_back_at_promotion: int = 0
-    primary_agreement_checked: bool = False
-
-
-def run_failover_round(spec: FailoverSpec) -> FailoverReport:
-    """One primary-crash → standby-promotion round."""
-    import threading
-    import time
-
-    from repro.replication import Standby
-    from repro.server.server import DatabaseServer, ServerConfig
-
-    sync = spec.crash_mode == "sync"
-    config = DatabaseConfig(
-        page_size=spec.page_size,
-        buffer_pool_pages=spec.buffer_pool_pages,
-        group_commit=True,
-        group_commit_max_wait_seconds=0.001,
-        lock_timeout_seconds=1.0,
-        latch_timeout_seconds=5.0,
-    )
-    db = Database(config)
-    db.create_table("t")
-    db.create_index("t", "by_id", column="id", unique=True)
-    txn = db.begin()
-    initial: list[int] = []
-    for i in range(spec.initial_keys):
-        key = (i * 7) % spec.key_space
-        if key not in initial:
-            db.insert(txn, "t", {"id": key, "val": "seed"})
-            initial.append(key)
-    db.commit(txn)
-    db.enable_replication(sync=sync, sync_timeout_seconds=2.0)
-
-    server = DatabaseServer(
-        db,
-        ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
-            request_timeout_seconds=10.0,
-            drain_timeout_seconds=10.0,
-        ),
-    ).start(listen=False)
-    # start() seeds synchronously: by the time it returns the standby is
-    # registered, so (in sync mode) no acked commit can slip past the gate.
-    standby = Standby(
-        lambda: server.connect_loopback(),
-        name=f"failover-{spec.seed}",
-        poll_wait_seconds=0.02,
-    ).start()
-
-    workers = [_SessionWorker(i, spec, server) for i in range(spec.sessions)]
-    for worker in workers:
-        for key in initial:
-            if key % spec.sessions == worker.worker_id:
-                worker.state[key] = True
-    threads = [threading.Thread(target=worker.run) for worker in workers]
-    report = FailoverReport(seed=spec.seed, crash_mode=spec.crash_mode, sync=sync)
-
-    def total_acked() -> int:
-        return sum(w.acked for w in workers)
-
-    if spec.crash_mode == "held_flush":
-        # Armed before any request is sent (see run_multisession_round).
-        db.failpoints.arm_pause(
-            _FLUSH_WINDOW, when=lambda: total_acked() >= spec.crash_after_requests
-        )
-    elif spec.crash_mode not in ("racing", "sync"):
-        raise ValueError(f"unknown crash_mode {spec.crash_mode!r}")
-    for thread in threads:
-        thread.start()
-
-    if spec.crash_mode == "held_flush":
-        # Crash with commits parked between group-commit enqueue and
-        # flush: their records exist only in the volatile tail, and the
-        # standby must never have seen them.  The crash resumes the
-        # paused leader as crashed.
-        try:
-            db.failpoints.wait_until_paused(_FLUSH_WINDOW, timeout=10.0)
-        except TimeoutError:
-            pass  # the workload ended below the warm-up count: nothing parked
-    else:
-        deadline = time.monotonic() + 10.0
-        while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-            if not any(t.is_alive() for t in threads):
-                break
-            time.sleep(0.001)
-    report.parked_at_crash = db.log.group_commit_parked
-    db.crash()
-
-    durable_horizon = db.log.flushed_lsn
-    _check(
-        standby.db.log.end_lsn <= durable_horizon + 1,
-        spec.seed,
-        f"{spec.crash_mode}: standby received bytes past the primary's "
-        f"durable prefix",
-    )
-
-    if sync:
-        # No drain: the dead primary's log is unreachable from now on.
-        server.abort()
-        _join_all(threads, spec.seed)
-    else:
-        _join_all(threads, spec.seed)
-        # Drain the remaining durable WAL from the dead primary's
-        # stable storage (the engine is halted; its flushed prefix is
-        # still servable), then cut the cord.
-        _check(
-            standby.wait_for_lsn(durable_horizon, timeout=10.0),
-            spec.seed,
-            f"{spec.crash_mode}: standby failed to drain the durable "
-            f"prefix to {durable_horizon}: {standby.status()}",
-        )
-        server.abort()
-
-    promote_report = standby.promote()
-    promoted = standby.db
-    report.acked_requests = total_acked()
-    report.lost_commits = sum(w.lost for w in workers)
-    report.indeterminate_keys = len(set().union(*(w.unknown for w in workers)))
-    report.records_replayed = promoted.stats.snapshot().get(
-        "standby.records_replayed", 0
-    )
-    report.txns_rolled_back_at_promotion = (
-        promote_report.undo.transactions_rolled_back
-    )
-
-    _check(
-        promoted.verify_indexes() == {},
-        spec.seed,
-        f"{spec.crash_mode}: promoted index structure invalid",
-    )
-    txn = promoted.begin()
-    survivors = {row["id"] for _, row in promoted.scan(txn, "t", "by_id")}
-    promoted.commit(txn)
-    for worker in workers:
-        for key, present in worker.state.items():
-            if key in worker.unknown:
-                continue
-            if present:
-                _check(
-                    key in survivors,
-                    spec.seed,
-                    f"{spec.crash_mode}: acked key {key} (session "
-                    f"{worker.worker_id}) missing after failover",
-                )
-            else:
-                _check(
-                    key not in survivors,
-                    spec.seed,
-                    f"{spec.crash_mode}: deleted/never-committed key {key} "
-                    f"(session {worker.worker_id}) survived failover",
-                )
-    known = set().union(*(set(w.state) | w.unknown for w in workers))
-    ghosts = survivors - known
-    _check(
-        not ghosts, spec.seed, f"{spec.crash_mode}: ghost keys {sorted(ghosts)}"
-    )
-
-    if not sync:
-        # The drained standby saw the primary's whole durable prefix, so
-        # promotion must land on exactly the state restarting the old
-        # primary would have produced.
-        db.restart()
-        txn = db.begin()
-        primary_survivors = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-        db.commit(txn)
-        _check(
-            primary_survivors == survivors,
-            spec.seed,
-            f"{spec.crash_mode}: promoted state diverged from the old "
-            f"primary's recovery "
-            f"(only-primary={sorted(primary_survivors - survivors)}, "
-            f"only-promoted={sorted(survivors - primary_survivors)})",
-        )
-        report.primary_agreement_checked = True
-
-    # The promoted database is a read-write primary.
-    sentinel = spec.key_space + 1 + spec.seed
-    txn = promoted.begin()
-    promoted.insert(txn, "t", {"id": sentinel, "val": "post-failover"})
-    promoted.commit(txn)
-    txn = promoted.begin()
-    row = promoted.fetch(txn, "t", "by_id", sentinel)
-    promoted.commit(txn)
-    _check(
-        row is not None,
-        spec.seed,
-        f"{spec.crash_mode}: promoted database refused writes",
-    )
-
-    promoted.close()
-    db.close()
-    return report
-
-
-def run_failover(
-    seeds: range, base: FailoverSpec | None = None
-) -> list[FailoverReport]:
-    """One failover round per seed, cycling crash modes so a sweep
-    covers the flush window, racing crashes, and the sync-commit gate."""
-    base = base or FailoverSpec()
-    modes = ("held_flush", "racing", "sync")
-    return [
-        run_failover_round(
-            replace(base, seed=seed, crash_mode=modes[seed % len(modes)])
-        )
-        for seed in seeds
-    ]
-
-
-# -- serve-while-recovering torture mode -------------------------------------
-#
-# The modes above all recover stop-the-world before verifying.  This
-# mode verifies *instant restart*: the primary crashes mid-load (with
-# torn page writes and WAL-tail loss armed), recovery opens the
-# database after analysis + undo only, and the round then
-#
-#   1. reads every key whose acked state is known THROUGH the
-#      still-recovering server — each read lands on an unrecovered page
-#      and must pay the on-demand recovery cost, never observe stale
-#      (pre-redo or uncommitted) state;
-#   2. starts the background redo workers and fires a second write
-#      burst at the database while the drain runs;
-#   3. waits for the drain, re-verifies the combined acked state,
-#      structure-checks the indexes, and finally crash+restarts
-#      stop-the-world to prove the instant path left exactly the state
-#      classic recovery would reach.
-
-
-@dataclass(frozen=True)
-class ServeWhileRecoveringSpec:
-    """Parameters of one serve-while-recovering torture round."""
-
-    seed: int = 0
-    sessions: int = 4
-    requests_per_session: int = 24
-    key_space: int = 160
-    initial_keys: int = 24
-    page_size: int = 1024
-    buffer_pool_pages: int = 96
-    insert_fraction: float = 0.65
-    crash_after_requests: int = 30
-    flush_probability: float = 0.2
-    """Per-poll chance the round flushes a couple of dirty pages while
-    the phase-1 load runs (gives torn writes something to tear)."""
-    torn_write_probability: float = 0.05
-    wal_tail_loss_probability: float = 0.3
+    """Reader sessions racing the writers: each repeatedly opens a
+    snapshot and reads one key twice, and the two answers must agree.
+    A reader that hits the crash stops; the round asserts zero torn
+    reads."""
+    # -- recovering kind ---------------------------------------------------
     redo_workers: int = 2
     phase2_requests_per_session: int = 12
-    """Write burst fired while the background drain runs."""
+    """The load fired while the background drain runs."""
+    # -- cluster kind ------------------------------------------------------
+    shards: int = 3
+    cross_shard_fraction: float | None = None
+    """Share of requests that run a cross-shard transaction."""
+
+    def __post_init__(self) -> None:
+        scenario = _SCENARIOS.get(self.kind)
+        if scenario is None:
+            raise ValueError(f"unknown torture kind {self.kind!r}")
+        defaults = {**_DEFAULTS, **scenario.defaults, "crash_mode": scenario.modes[0]}
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        if self.crash_mode not in scenario.modes:
+            raise ValueError(
+                f"{self.kind} rounds have crash modes {scenario.modes}, "
+                f"not {self.crash_mode!r}"
+            )
+
+
+_DEFAULTS = dict(
+    page_size=1024,
+    buffer_pool_pages=64,
+    initial_keys=20,
+    key_space=160,
+    flush_probability=0.0,
+    torn_write_probability=0.0,
+    transient_read_probability=0.0,
+    transient_write_probability=0.0,
+    permanent_probability=0.0,
+    wal_tail_loss_probability=0.0,
+    requests_per_session=24,
+    insert_fraction=0.65,
+    crash_after_requests=30,
+    cross_shard_fraction=0.0,
+)
 
 
 @dataclass
-class ServeWhileRecoveringReport:
-    """Outcome of one serve-while-recovering round (invariants already
-    asserted)."""
+class TortureReport:
+    """Outcome of one round (every invariant already asserted).  A
+    counter that a kind does not measure stays zero."""
 
     seed: int
+    kind: str
+    crash_mode: str
+    # -- engine: the seeded story and its faults ---------------------------
+    committed_keys: int = 0
+    txns_committed: int = 0
+    txns_rolled_back: int = 0
+    io_panic: bool = False
+    fault_counters: dict[str, int] = field(default_factory=dict)
+    log_tail_bytes_discarded: int = 0
+    pages_rebuilt: int = 0
+    # -- the client load ---------------------------------------------------
     acked_requests: int = 0
     lost_commits: int = 0
     indeterminate_keys: int = 0
+    parked_at_crash: int = 0
+    snapshot_reads: int = 0
+    """Double-reads the snapshot readers completed (each one a
+    stability check that passed)."""
+    buffer_misses: int = 0
+    """Pages read from disk while the load ran, up to the crash: a
+    round whose data outgrows the pool has its readers decode pages."""
+    # -- recovery ----------------------------------------------------------
+    losers_undone: int = 0
+    """Transactions the first recovery (restart or promotion) rolled back."""
+    # -- server: group commit over the whole round ------------------------
+    flushes_saved: int = 0
+    commits: int = 0
+    sync_forces: int = 0
+    # -- failover ----------------------------------------------------------
+    records_replayed: int = 0
+    primary_agreement_checked: bool = False
+    # -- recovering --------------------------------------------------------
     pages_pending_at_open: int = 0
     stale_reads_checked: int = 0
     recovered_ondemand: int = 0
     recovered_background: int = 0
-    pages_rebuilt: int = 0
-    fault_counters: dict[str, int] = field(default_factory=dict)
-
-
-def run_serve_while_recovering_round(
-    spec: ServeWhileRecoveringSpec,
-) -> ServeWhileRecoveringReport:
-    """One crash → instant-restart → serve-while-recovering round."""
-    import threading
-    import time
-
-    from repro.server.server import DatabaseServer, ServerConfig
-
-    injector = FaultInjector(
-        FaultPlan(
-            seed=spec.seed ^ 0x1257A27,
-            torn_write_probability=spec.torn_write_probability,
-            wal_tail_loss_probability=spec.wal_tail_loss_probability,
-        )
-    )
-    config = DatabaseConfig(
-        page_size=spec.page_size,
-        buffer_pool_pages=spec.buffer_pool_pages,
-        group_commit=True,
-        group_commit_max_wait_seconds=0.001,
-        lock_timeout_seconds=1.0,
-        latch_timeout_seconds=5.0,
-        ondemand_recovery_timeout_seconds=10.0,
-    )
-    report = ServeWhileRecoveringReport(seed=spec.seed)
-    enable_lockgraph()
-
-    injector.disarm()
-    db = Database(config, fault_injector=injector)
-    db.create_table("t")
-    db.create_index("t", "by_id", column="id", unique=True)
-    txn = db.begin()
-    initial: list[int] = []
-    for i in range(spec.initial_keys):
-        key = (i * 7) % spec.key_space
-        if key not in initial:
-            db.insert(txn, "t", {"id": key, "val": "seed"})
-            initial.append(key)
-    db.commit(txn)
-    db.flush_all_pages()  # a real on-disk working set for the lazy scrub
-    injector.arm()
-
-    server = DatabaseServer(
-        db,
-        ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
-            request_timeout_seconds=10.0,
-            drain_timeout_seconds=10.0,
-        ),
-    ).start(listen=False)
-
-    workers = [_SessionWorker(i, spec, server) for i in range(spec.sessions)]
-    for worker in workers:
-        for key in initial:
-            if key % spec.sessions == worker.worker_id:
-                worker.state[key] = True
-    threads = [threading.Thread(target=worker.run) for worker in workers]
-    for thread in threads:
-        thread.start()
-
-    def total_acked() -> int:
-        return sum(w.acked for w in workers)
-
-    # Phase 1: let the load run, stealing dirty pages to disk now and
-    # then (so the crash leaves a mix of current, stale, and torn
-    # on-disk pages), and crash at a racing moment.
-    flush_rng = random.Random(spec.seed ^ 0xF1A5)
-    deadline = time.monotonic() + 10.0
-    while total_acked() < spec.crash_after_requests and time.monotonic() < deadline:
-        if not any(t.is_alive() for t in threads):
-            break
-        if flush_rng.random() < spec.flush_probability:
-            dirty = list(db.buffer.dirty_page_table())
-            for page_id in flush_rng.sample(dirty, k=min(len(dirty), 2)):
-                try:
-                    db.flush_page(page_id)
-                except Exception:  # noqa: BLE001,RPR005 - racing with the load
-                    pass
-        time.sleep(0.001)
-    db.crash()
-    # Abort before joining: post-crash requests can otherwise burn a
-    # lock/latch timeout each against the dead engine, and a session
-    # with many requests left would outlive the join budget.
-    server.abort()
-    _join_all(threads, spec.seed)
-    report.fault_counters = dict(injector.counters)
-    injector.enter_recovery_mode()
-
-    # Phase 2: instant restart with NO background workers — the
-    # database is open but deterministically still recovering, so the
-    # verification reads below must pay (and prove) on-demand recovery.
-    restart_report = db.instant_restart(
-        redo_workers=spec.redo_workers, background=False
-    )
-    governor = db.recovery
-    _check(governor is not None, spec.seed, "instant restart installed no governor")
-    report.pages_pending_at_open = governor.progress()["pages_pending"]
-
-    server = DatabaseServer(
-        db,
-        ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
-            request_timeout_seconds=10.0,
-            drain_timeout_seconds=10.0,
-        ),
-    ).start(listen=False)
-
-    # Every key with known acked state is read through the recovering
-    # server: presence must match the acked history exactly (an acked
-    # commit lost OR a pre-crash loser visible would both surface here).
-    client = server.connect_loopback()
-    try:
-        for worker in workers:
-            for key, present in sorted(worker.state.items()):
-                if key in worker.unknown:
-                    continue
-                row = client.fetch("t", "by_id", key)
-                report.stale_reads_checked += 1
-                if present:
-                    _check(
-                        row is not None,
-                        spec.seed,
-                        f"acked key {key} (session {worker.worker_id}) lost "
-                        f"while recovering",
-                    )
-                else:
-                    _check(
-                        row is None,
-                        spec.seed,
-                        f"stale read while recovering: key {key} (session "
-                        f"{worker.worker_id}) should be absent",
-                    )
-    finally:
-        client.close()
-
-    # Phase 3: background drain + a concurrent write burst.
-    governor.start_background()
-    spec2 = replace(
-        spec,
-        seed=spec.seed + 7777,
-        requests_per_session=spec.phase2_requests_per_session,
-    )
-    workers2 = [_SessionWorker(i, spec2, server) for i in range(spec.sessions)]
-    for before, after in zip(workers, workers2):
-        after.state = dict(before.state)
-        after.unknown = set(before.unknown)
-    threads2 = [threading.Thread(target=worker.run) for worker in workers2]
-    for thread in threads2:
-        thread.start()
-    _join_all(threads2, spec.seed)
-    _check(
-        governor.drain(timeout=30.0),
-        spec.seed,
-        f"background redo did not drain: {governor.progress()}",
-    )
-    _check(db.recovery_state == "steady", spec.seed, "state stuck at recovering")
-    server.abort()
-
-    report.acked_requests = total_acked() + sum(w.acked for w in workers2)
-    report.lost_commits = sum(w.lost for w in workers) + sum(
-        w.lost for w in workers2
-    )
-    report.indeterminate_keys = len(
-        set().union(*(w.unknown for w in workers2))
-    )
-    snap = db.stats.snapshot()
-    report.recovered_ondemand = snap.get("recovery.pages_recovered_ondemand", 0)
-    report.recovered_background = snap.get("recovery.pages_recovered_background", 0)
-    report.pages_rebuilt = restart_report.scrub.pages_rebuilt
-
-    # Final state check against the combined acked history.
-    _check(db.verify_indexes() == {}, spec.seed, "index structure invalid after drain")
-    txn = db.begin()
-    survivors = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-    db.commit(txn)
-    for worker in workers2:
-        for key, present in worker.state.items():
-            if key in worker.unknown:
-                continue
-            if present:
-                _check(
-                    key in survivors,
-                    spec.seed,
-                    f"acked key {key} (session {worker.worker_id}) lost after drain",
-                )
-            else:
-                _check(
-                    key not in survivors,
-                    spec.seed,
-                    f"deleted/never-committed key {key} (session "
-                    f"{worker.worker_id}) survived the drain",
-                )
-    known = set().union(*(set(w.state) | w.unknown for w in workers2))
-    ghosts = survivors - known
-    _check(not ghosts, spec.seed, f"ghost keys {sorted(ghosts)}")
-
-    # Instant restart must leave exactly the state classic stop-the-world
-    # recovery reaches: crash again and compare.
-    db.crash()
-    db.restart()
-    txn = db.begin()
-    survivors_again = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
-    db.commit(txn)
-    _check(
-        survivors_again == survivors,
-        spec.seed,
-        "stop-the-world restart diverged from the instant-restart state",
-    )
-    _check_analysis(db, spec.seed, "serve-while-recovering")
-    db.close()
-    return report
-
-
-def run_serve_while_recovering(
-    seeds: range, base: ServeWhileRecoveringSpec | None = None
-) -> list[ServeWhileRecoveringReport]:
-    """One serve-while-recovering round per seed (raises on the first
-    invariant violation)."""
-    base = base or ServeWhileRecoveringSpec()
-    return [
-        run_serve_while_recovering_round(replace(base, seed=seed))
-        for seed in seeds
-    ]
-
-
-# -- cluster (2PC) torture mode ----------------------------------------------
-#
-# The modes above verify single-node durability.  This mode verifies the
-# *atomic commitment* contract of the sharded cluster: client sessions
-# mix single-shard transactions with cross-shard two-phase commits while
-# a crash lands on a random subset of {one shard, the coordinator, both}
-# — including inside a group-commit flush window, the spot where a
-# PREPARE or a coordinator commit decision is enqueued but not yet
-# durable.  After restarting the crashed pieces and running the
-# presumed-abort resolution protocol, the invariants:
-#
-#   * every ACKED cross-shard commit is present on EVERY participant;
-#   * every cross-shard transaction that got a definite NO (abort
-#     raised, decision never durable) is present on NO participant;
-#   * every other cross-shard transaction — including those whose
-#     outcome the client never learned — is ALL-or-NOTHING: no
-#     transaction may land on a strict subset of its participants;
-#   * single-shard traffic keeps the per-key acked-state contract of
-#     the multisession mode;
-#   * no shard is left holding an in-doubt branch after resolution.
-
-
-@dataclass(frozen=True)
-class ClusterTortureSpec:
-    """Parameters of one cluster 2PC torture round."""
-
-    seed: int = 0
-    shards: int = 3
-    sessions: int = 4
-    requests_per_session: int = 20
-    key_space: int = 120
-    cross_shard_fraction: float = 0.45
-    """Fraction of requests that run a cross-shard transaction."""
-    crash_mode: str = "shard"
-    """``shard``: crash one shard (held in its flush window).
-    ``coordinator``: crash the coordinator (held in its flush window).
-    ``both``: crash the coordinator and one shard together."""
-    crash_after_requests: int = 16
-    """Total acked requests after which the crash trigger pulls."""
-
-
-@dataclass
-class ClusterTortureReport:
-    """Outcome of one cluster round (invariants already asserted)."""
-
-    seed: int
-    crash_mode: str
-    acked_singles: int = 0
+    # -- cluster -----------------------------------------------------------
     acked_cross: int = 0
     lost_cross: int = 0
     unknown_cross: int = 0
     aborted_cross: int = 0
     indoubt_resolved: int = 0
-    parked_at_crash: int = 0
+
+    @property
+    def sync(self) -> bool:
+        """A failover round promoted with no drain (synchronous commit)."""
+        return self.crash_mode == "sync"
+
+    @property
+    def acked_singles(self) -> int:
+        return self.acked_requests - self.acked_cross
 
 
-class _ClusterWorker:
-    """One cluster session: single-shard ops plus cross-shard 2PC txns.
+# -- the acked state and the one oracle --------------------------------------
 
-    Cross-shard transactions write a fresh, worker-unique key pair (one
-    key per participant shard) so each transaction's fate is readable
-    from the final state: both keys present = committed, both absent =
-    aborted/lost, one of each = the atomicity violation this harness
-    exists to catch.
-    """
 
-    def __init__(self, worker_id: int, spec: ClusterTortureSpec, cluster) -> None:
+class _Acked:
+    """What one session knows was acknowledged."""
+
+    def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
-        self.spec = spec
-        self.cluster = cluster
-        self.rng = random.Random(spec.seed * 999983 + worker_id)
-        #: Acked single-shard state, per key (True=present, False=absent).
+        #: Last *acknowledged* state of every key this session owns.
         self.state: dict[int, bool] = {}
+        #: Keys whose state is in doubt (the response never arrived).
         self.unknown: set[int] = set()
         #: Cross-shard txns: (key_a, key_b) -> "acked"|"lost"|"unknown"|"aborted".
         self.cross: dict[tuple[int, int], str] = {}
-        self.acked = 0
+        self.lost = 0
+
+
+def _check_acked(
+    seed: int, sessions: list[_Acked], survivors: set[int], label: str
+) -> None:
+    """The acked-state oracle: ``survivors`` must hold every key last
+    acked present, no key last acked absent, each cross-shard pair all
+    or nothing (everywhere if acked, nowhere after a definite no), and
+    nothing no session wrote."""
+    known: set[int] = set()
+    for session in sessions:
+        for key, present in session.state.items():
+            if key in session.unknown:
+                continue
+            _check(
+                (key in survivors) == present,
+                seed,
+                f"{label}: key {key} (session {session.worker_id}) acked "
+                f"{'present' if present else 'absent'} but "
+                f"{'absent' if present else 'present'} after recovery",
+            )
+        for (a, b), outcome in session.cross.items():
+            in_a, in_b = a in survivors, b in survivors
+            _check(
+                in_a == in_b,
+                seed,
+                f"{label}: cross-shard txn ({a},{b}) [{outcome}] applied "
+                f"PARTIALLY: {a} {'present' if in_a else 'absent'}, "
+                f"{b} {'present' if in_b else 'absent'}",
+            )
+            if outcome == "acked":
+                _check(in_a, seed, f"{label}: ACKED cross-shard txn ({a},{b}) lost")
+            elif outcome in ("lost", "aborted"):
+                _check(
+                    not in_a,
+                    seed,
+                    f"{label}: {outcome} cross-shard txn ({a},{b}) survived",
+                )
+            known |= {a, b}
+        known |= set(session.state) | session.unknown
+    ghosts = survivors - known
+    _check(not ghosts, seed, f"{label}: ghost keys {sorted(ghosts)}")
+
+
+def _seed_table(db: Database, keys: Iterable[int]) -> list[int]:
+    """Create ``t``/``by_id`` and commit one row per key."""
+    keys = list(keys)
+    db.create_table("t")
+    db.create_index("t", "by_id", column="id", unique=True)
+    txn = db.begin()
+    for key in keys:
+        db.insert(txn, "t", {"id": key, "val": "seed"})
+    db.commit(txn)
+    return keys
+
+
+def _read_state(db: Database, seed: int, label: str) -> set[int]:
+    """Structure-check ``db`` and return the ids left in ``t``; the
+    heap must agree with the index."""
+    _check(db.verify_indexes() == {}, seed, f"{label}: index structure invalid")
+    table = db.tables["t"]
+    txn = db.begin()
+    survivors = {row["id"] for _, row in db.scan(txn, "t", "by_id")}
+    heap = {
+        table.fetch_row(txn, rid, lock=False)["id"] for rid in table.heap.scan_rids()
+    }
+    db.commit(txn)
+    _check(heap == survivors, seed, f"{label}: heap disagrees with index")
+    return survivors
+
+
+# -- the client load -----------------------------------------------------------
+
+#: Where a group commit's leader has taken a batch and not yet forced it.
+_FLUSH_WINDOW = "log.group_commit.before_flush"
+
+
+def _close_quietly(client) -> None:
+    try:
+        client.close()
+    except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
+        pass
+
+
+class _Session(_Acked):
+    """One client session's thread: issues ops, tracks acked state.
+
+    Each session owns the keys ``k`` with ``k % sessions == worker_id``,
+    so its acked history fixes each key's expected state exactly.  In a
+    cluster round a share of its requests are cross-shard transactions
+    that write a fresh, session-unique key pair (one key per
+    participant), so each one's fate is readable from the final state."""
+
+    def __init__(self, worker_id: int, load: "_Load", rng: random.Random) -> None:
+        super().__init__(worker_id)
+        self.load = load
+        self.rng = rng
         self._cross_seq = 0
+
+    def run(self) -> None:
+        try:
+            self._run()
+        finally:
+            self.load.session_done()
+
+    def _run(self) -> None:
+        try:
+            client = self.load.connect()
+        except Exception:  # noqa: BLE001,RPR005 - server already stopping
+            return
+        spec = self.load.spec
+        try:
+            for _ in range(self.load.requests):
+                if spec.cross_shard_fraction and (
+                    self.rng.random() < spec.cross_shard_fraction
+                ):
+                    carry_on = self._cross(client)
+                else:
+                    carry_on = self._single(client)
+                if not carry_on:
+                    return
+        finally:
+            _close_quietly(client)
+
+    def _single(self, client) -> bool:
+        spec = self.load.spec
+        key = (
+            self.rng.randrange(spec.key_space // spec.sessions) * spec.sessions
+            + self.worker_id
+        )
+        inserting = self.rng.random() < spec.insert_fraction
+        try:
+            if inserting:
+                client.insert("t", {"id": key, "val": f"w{self.worker_id}"})
+            else:
+                client.delete_by_key("t", "by_id", key)
+            self._acked(key, inserting)
+        except UniqueKeyViolationError:
+            self._acked(key, True)  # the server proved the key present
+        except KeyNotFoundError:
+            self._acked(key, False)
+        except LogHaltedError:  # noqa: RPR005 - outcome recorded as lost
+            # Definite NO: the append itself was refused, so no commit
+            # record exists to survive.
+            self.lost += 1
+        except CommitNotDurableError:  # noqa: RPR005 - outcome recorded as in-doubt
+            # Almost always the record died with the volatile tail —
+            # but a crash can land *after* the batched flush covered it
+            # (or race a commit straddling restart), so the contract is
+            # in-doubt, not no.
+            self.lost += 1
+            self.unknown.add(key)
+        except (DatabaseClosedError, ServerShutdownError, ShardUnavailableError):
+            return False  # rejected before execution: no state change
+        except (ServerError, DeadlockError, LockTimeoutError):
+            # In doubt: the op may or may not have committed before the
+            # line (or the engine) went down.
+            self.unknown.add(key)
+            return not client.closed
+        except Exception:  # noqa: BLE001,RPR005 - post-crash wreckage
+            self.unknown.add(key)
+            return False
+        return True
+
+    def _acked(self, key: int, present: bool) -> None:
+        self.state[key] = present
+        self.unknown.discard(key)
+        self.load.ack()
+
+    def _cross(self, client) -> bool:
+        pair = self._cross_keys()
+        self.cross[pair] = "unknown"
+        try:
+            client.begin()
+            client.insert("t", {"id": pair[0], "val": f"x{self.worker_id}"})
+            client.insert("t", {"id": pair[1], "val": f"x{self.worker_id}"})
+            client.commit()
+            self.cross[pair] = "acked"
+            self.load.ack()
+        except TwoPhaseAbortError:
+            self.cross[pair] = "aborted"  # definite NO: no durable decision
+        except (CommitNotDurableError, LogHaltedError):  # noqa: RPR005 - outcome recorded as lost
+            self.cross[pair] = "lost"
+        except (DatabaseClosedError, ServerShutdownError):
+            return False
+        except Exception:  # noqa: BLE001,RPR005 - in doubt
+            # The attempt died before commit() closed the logical
+            # transaction (e.g. an insert hit the crashed shard): roll it
+            # back, or every later "autocommit" op would silently join
+            # the zombie transaction and be acked without commit.
+            try:
+                if client._txn_open:
+                    client.rollback()
+            except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
+                pass
+            return not client.closed
+        return True
 
     def _cross_keys(self) -> tuple[int, int]:
         """A fresh pair of keys owned by two *different* shards."""
         from repro.cluster.routing import shard_for_key
 
-        spec = self.spec
+        spec = self.load.spec
         base = spec.key_space + 100_000 * (self.worker_id + 1)
         while True:
             self._cross_seq += 1
@@ -1366,302 +458,856 @@ class _ClusterWorker:
                     return a, b
             # All nine neighbours hashed onto shard_a; try the next base.
 
+
+class _SnapshotReader:
+    """One snapshot-reader session racing the writers.  Reads take no
+    locks, so a reader can never deadlock a writer (or be its victim)."""
+
+    def __init__(self, load: "_Load", rng: random.Random) -> None:
+        self.load = load
+        self.rng = rng
+        self.reads = 0
+        self.torn = 0
+
     def run(self) -> None:
-        from repro.common.errors import (
-            CommitNotDurableError,
-            DatabaseClosedError,
-            LogHaltedError,
-            ServerError,
-            ServerShutdownError,
-            ShardUnavailableError,
-            TwoPhaseAbortError,
+        try:
+            client = self.load.connect()
+        except Exception:  # noqa: BLE001,RPR005 - server already stopping
+            return
+        key_space = self.load.spec.key_space
+        try:
+            while not self.load.stopping:
+                key = self.rng.randrange(key_space)
+                with client.snapshot():
+                    first = client.fetch("t", "by_id", key, isolation="snapshot")
+                    second = client.fetch("t", "by_id", key, isolation="snapshot")
+                self.torn += first != second
+                self.reads += 1
+        except Exception:  # noqa: BLE001,RPR005 - engine crashed / server stopping
+            return
+        finally:
+            _close_quietly(client)
+
+
+class _Load:
+    """One phase of client load: writer sessions and snapshot readers
+    on their own threads, the shared ack count, and the crash trigger.
+
+    The trigger fires on the ``crash_after_requests``-th ack
+    (:meth:`fire_on_ack`, a racing crash) or when a committer reaches
+    the flush window after it (:meth:`hold_flush`, which parks that
+    leader with its batch taken until the crash resumes it as
+    crashed).  :meth:`wait` returns when it fires, when every writer
+    has finished, or at the timeout — whichever comes first."""
+
+    def __init__(
+        self,
+        spec: TortureSpec,
+        connect: Callable,
+        seed: int,
+        requests: int,
+        session_seed: int = 1000003,
+    ) -> None:
+        self.spec = spec
+        self.connect = connect
+        self.requests = requests
+        self.acked = 0
+        self._cond = threading.Condition()
+        self._fire_on_ack = False
+        self._fired = False
+        self._running = spec.sessions
+        self.stopping = False
+        self.sessions = [
+            _Session(i, self, random.Random(seed * session_seed + i))
+            for i in range(spec.sessions)
+        ]
+        self.readers = [
+            _SnapshotReader(self, random.Random(seed * 69997 + i))
+            for i in range(spec.snapshot_readers)
+        ]
+        # Daemons: a round that fails mid-load must not keep the process alive.
+        self._threads = [threading.Thread(target=s.run, daemon=True) for s in self.sessions]
+        self._reader_threads = [
+            threading.Thread(target=r.run, daemon=True) for r in self.readers
+        ]
+
+    def own(self, keys: Iterable[int], prior: list[_Acked] | None = None) -> None:
+        """Seed each session's acked state: present ``keys`` it owns,
+        or (a second phase) what the ``prior`` phase's session knew."""
+        for session in self.sessions:
+            if prior is not None:
+                session.state = dict(prior[session.worker_id].state)
+                session.unknown = set(prior[session.worker_id].unknown)
+            else:
+                for key in keys:
+                    if key % self.spec.sessions == session.worker_id:
+                        session.state[key] = True
+
+    def start(self) -> None:
+        for thread in self._threads + self._reader_threads:
+            thread.start()
+
+    # -- the trigger -------------------------------------------------------
+
+    def fire_on_ack(self) -> None:
+        self._fire_on_ack = True
+
+    def hold_flush(self, failpoint_registries: Iterable) -> None:
+        """Arm the flush-window pause on every registry, before any
+        request is sent, so the rendezvous cannot be missed however fast
+        the sessions run."""
+        for failpoints in failpoint_registries:
+            failpoints.arm_pause(_FLUSH_WINDOW, when=self._flush_due)
+
+    def _flush_due(self) -> bool:
+        # Runs on the committing thread.  The paced GC's purge commits
+        # too, and a crash on its commit alone would lose no client write.
+        if (
+            self.acked < self.spec.crash_after_requests
+            or threading.current_thread().name == "mvcc-gc-pacer"
+        ):
+            return False
+        with self._cond:
+            self._fired = True
+            self._cond.notify_all()
+        return True
+
+    def ack(self) -> None:
+        with self._cond:
+            self.acked += 1
+            if self._fire_on_ack and self.acked >= self.spec.crash_after_requests:
+                self._fired = True
+                self._cond.notify_all()
+
+    def session_done(self) -> None:
+        with self._cond:
+            self._running -= 1
+            self._cond.notify_all()
+
+    def _settled(self) -> bool:
+        return self._fired or self._running == 0
+
+    def wait(self, timeout: float = 10.0, tick: Callable[[], None] | None = None) -> None:
+        """Block until the trigger fires or the writers are done;
+        ``tick`` (if any) runs every millisecond meanwhile."""
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            with self._cond:
+                step = min(remaining, 0.001) if tick else remaining
+                if self._cond.wait_for(self._settled, timeout=max(step, 0.0)):
+                    return
+            if remaining <= 0:
+                return
+            if tick is not None:
+                tick()
+
+    # -- the end of the phase ----------------------------------------------
+
+    def join(self, seed: int, timeout: float = 30.0) -> None:
+        """Join the writers, then stop and join the readers; no
+        snapshot double-read may have been torn."""
+        deadline = time.monotonic() + timeout
+        for threads in (self._threads, self._reader_threads):
+            self.stopping = threads is self._reader_threads
+            for thread in threads:
+                thread.join(timeout=max(deadline - time.monotonic(), 0.1))
+                _check(not thread.is_alive(), seed, "session thread wedged")
+        torn = sum(r.torn for r in self.readers)
+        _check(
+            torn == 0,
+            seed,
+            f"{torn} torn snapshot double-reads (of {self.snapshot_reads})",
         )
 
-        spec = self.spec
-        try:
-            client = self.cluster.client()
-        except Exception:  # noqa: BLE001,RPR005 - cluster already crashing
-            return
-        try:
-            for _ in range(spec.requests_per_session):
-                if self.rng.random() < spec.cross_shard_fraction:
-                    pair = self._cross_keys()
-                    self.cross[pair] = "unknown"
-                    try:
-                        client.begin()
-                        client.insert("t", {"id": pair[0], "val": f"x{self.worker_id}"})
-                        client.insert("t", {"id": pair[1], "val": f"x{self.worker_id}"})
-                        client.commit()
-                        self.cross[pair] = "acked"
-                        self.acked += 1
-                    except TwoPhaseAbortError:
-                        # Definite NO: no durable commit decision exists.
-                        self.cross[pair] = "aborted"
-                    except (CommitNotDurableError, LogHaltedError):  # noqa: RPR005 - in-doubt commit recorded as unknown
-                        self.cross[pair] = "lost"
-                    except (DatabaseClosedError, ServerShutdownError):
-                        return
-                    except Exception:  # noqa: BLE001,RPR005 - in doubt
-                        # The attempt died before commit() closed the
-                        # logical transaction (e.g. an insert hit the
-                        # crashed shard): roll it back, or every later
-                        # "autocommit" op would silently join the zombie
-                        # transaction and be acked without commit.
-                        try:
-                            if client._txn_open:
-                                client.rollback()
-                        except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
-                            pass
-                        if client.closed:
-                            return
-                else:
-                    key = (
-                        self.rng.randrange(spec.key_space // spec.sessions)
-                        * spec.sessions
-                        + self.worker_id
-                    )
-                    inserting = self.rng.random() < 0.7
-                    try:
-                        if inserting:
-                            client.insert("t", {"id": key, "val": f"s{self.worker_id}"})
-                            self.state[key] = True
-                        else:
-                            client.delete_by_key("t", "by_id", key)
-                            self.state[key] = False
-                        self.unknown.discard(key)
-                        self.acked += 1
-                    except UniqueKeyViolationError:
-                        self.state[key] = True
-                        self.unknown.discard(key)
-                        self.acked += 1
-                    except KeyNotFoundError:
-                        self.state[key] = False
-                        self.unknown.discard(key)
-                        self.acked += 1
-                    except (CommitNotDurableError, LogHaltedError):  # noqa: RPR005 - in-doubt commit recorded as unknown
-                        pass  # definite NO: acked state unchanged
-                    except (DatabaseClosedError, ServerShutdownError,
-                            ShardUnavailableError):
-                        return
-                    except (ServerError, DeadlockError, LockTimeoutError):
-                        self.unknown.add(key)
-                        if client.closed:
-                            return
-                    except Exception:  # noqa: BLE001,RPR005 - post-crash wreckage
-                        self.unknown.add(key)
-                        return
-        finally:
-            try:
-                client.close()
-            except Exception:  # noqa: BLE001,RPR005 - client already torn down with the crash
-                pass
+    @property
+    def snapshot_reads(self) -> int:
+        return sum(r.reads for r in self.readers)
 
 
-def run_cluster_round(spec: ClusterTortureSpec) -> ClusterTortureReport:
-    """One cluster 2PC torture round."""
-    import threading
-    import time
+def _serve(db: Database, spec: TortureSpec):
+    """A started in-process server for ``db``, sized for the load."""
+    from repro.server.server import DatabaseServer
 
-    from repro.cluster.cluster import Cluster
+    return DatabaseServer(db, _server_config(spec)).start(listen=False)
+
+
+def _server_config(spec: TortureSpec):
     from repro.server.server import ServerConfig
 
-    config = DatabaseConfig(
-        group_commit=True,
-        group_commit_max_wait_seconds=0.001,
-        lock_timeout_seconds=1.0,
-        latch_timeout_seconds=5.0,
+    return ServerConfig(
+        workers=spec.sessions,
+        queue_depth=spec.sessions * 4,
+        request_timeout_seconds=10.0,
+        drain_timeout_seconds=10.0,
     )
-    cluster = Cluster(
-        num_shards=spec.shards,
-        config=config,
-        server_config=ServerConfig(
-            workers=spec.sessions,
-            queue_depth=spec.sessions * 4,
-            request_timeout_seconds=10.0,
-            drain_timeout_seconds=10.0,
-        ),
-    )
-    cluster.create_table("t")
-    cluster.create_index("t", "by_id", column="id", unique=True)
 
-    rng = random.Random(spec.seed * 60013 + 7)
-    victim_shard = rng.randrange(spec.shards)
 
-    workers = [_ClusterWorker(i, spec, cluster) for i in range(spec.sessions)]
-    threads = [threading.Thread(target=worker.run) for worker in workers]
-    report = ClusterTortureReport(seed=spec.seed, crash_mode=spec.crash_mode)
-
-    def total_acked() -> int:
-        return sum(w.acked for w in workers)
-
-    # Aim the crash: once the workload has warmed up, the victim log's
-    # next group-commit leader pauses with a batch taken, so
-    # commits/prepares/decisions park in the take->flush window, and the
-    # crash lands on them.
-    victims = []
-    if spec.crash_mode in ("shard", "both"):
-        shard_db = cluster.shards[victim_shard].db
-        victims.append((shard_db.log, shard_db.failpoints))
-    if spec.crash_mode in ("coordinator", "both"):
-        victims.append((cluster.coordinator.log, cluster.coordinator.failpoints))
-    if spec.crash_mode not in ("shard", "coordinator", "both"):
-        raise ValueError(f"unknown crash_mode {spec.crash_mode!r}")
-    pauses = [
-        failpoints.arm_pause(
-            _FLUSH_WINDOW, when=lambda: total_acked() >= spec.crash_after_requests
+def _injector(spec: TortureSpec, salt: int) -> FaultInjector:
+    return FaultInjector(
+        FaultPlan(
+            seed=spec.seed ^ salt,
+            torn_write_probability=spec.torn_write_probability,
+            transient_read_probability=spec.transient_read_probability,
+            transient_write_probability=spec.transient_write_probability,
+            permanent_read_probability=spec.permanent_probability,
+            permanent_write_probability=spec.permanent_probability,
+            wal_tail_loss_probability=spec.wal_tail_loss_probability,
         )
-        for _, failpoints in victims
-    ]
-    for thread in threads:
-        thread.start()
-
-    deadline = time.monotonic() + 6.0
-    while (
-        not any(pause.reached.is_set() for pause in pauses)
-        and time.monotonic() < deadline
-    ):
-        if not any(t.is_alive() for t in threads):
-            break  # workload already finished; nothing to park
-        time.sleep(0.001)
-    report.parked_at_crash = sum(log.group_commit_parked for log, _ in victims)
-    # Each crash resumes its log's paused leader as crashed.
-    if spec.crash_mode in ("coordinator", "both"):
-        cluster.crash_coordinator()
-    if spec.crash_mode in ("shard", "both"):
-        cluster.crash_shard(victim_shard)
-    _join_all(threads, spec.seed)
-
-    # Recover the crashed pieces, then run in-doubt resolution.
-    if spec.crash_mode in ("shard", "both"):
-        cluster.restart_shard(victim_shard)
-    if spec.crash_mode in ("coordinator", "both"):
-        cluster.restart_coordinator()
-    report.indoubt_resolved = cluster.resolve_indoubt()
-    _check(
-        all(not gids for gids in cluster.indoubt_gids().values()),
-        spec.seed,
-        f"{spec.crash_mode}: in-doubt branches remain after resolution: "
-        f"{cluster.indoubt_gids()}",
     )
-    for shard in cluster.shards:
+
+
+# -- the scenarios ---------------------------------------------------------------
+
+
+class _Scenario:
+    """How one kind of round builds, crashes and recovers.
+
+    ``build`` creates the database(s) and the load; ``crash`` runs the
+    load to its trigger and crashes; ``recover`` recovers and returns the
+    surviving keys (read with :func:`_read_state`); ``crash_again``
+    crashes and recovers once more and returns them again (``None``:
+    nothing to compare).  ``sessions`` holds what was acknowledged,
+    ``loads`` every client load the round ran, and ``logs()`` the logs
+    the end gates verify."""
+
+    modes: tuple[str, ...] = ()
+    defaults: dict = {}
+    #: DatabaseConfig fields beyond the common client-load config.
+    config: dict = {}
+
+    def __init__(self, spec: TortureSpec) -> None:
+        self.spec = spec
+        self.report = TortureReport(
+            seed=spec.seed, kind=spec.kind, crash_mode=spec.crash_mode
+        )
+        self.loads: list[_Load] = []
+        self.sessions: list[_Acked] = []
+
+    def crash_again(self) -> set[int] | None:
+        self.db.crash()
+        self.db.restart()
+        return _read_state(self.db, self.spec.seed, "second restart")
+
+    def logs(self) -> list:
+        return [self.db.log]
+
+    def close(self) -> None:
+        self.db.close()
+
+    # -- shared by the client-load kinds ------------------------------------
+
+    def _config(self) -> DatabaseConfig:
+        spec = self.spec
+        return DatabaseConfig(
+            page_size=spec.page_size,
+            buffer_pool_pages=spec.buffer_pool_pages,
+            group_commit=True,
+            group_commit_max_wait_seconds=0.001,
+            log_flush_latency_seconds=spec.log_flush_latency_seconds,
+            lock_timeout_seconds=1.0,
+            latch_timeout_seconds=5.0,
+            **self.config,
+        )
+
+    def _initial_keys(self) -> list[int]:
+        spec = self.spec
+        return list(dict.fromkeys(i * 7 % spec.key_space for i in range(spec.initial_keys)))
+
+    def _load(self, connect: Callable, seed: int, requests: int, **kwargs) -> _Load:
+        load = _Load(self.spec, connect, seed, requests, **kwargs)
+        self.loads.append(load)
+        self.sessions = load.sessions
+        return load
+
+    def _serve_load(self, db: Database, initial: list[int]) -> None:
+        """Serve ``db`` and set up the first load over the seed rows."""
+        self.db = db
+        self.server = _serve(db, self.spec)
+        load = self._load(
+            self.server.connect_loopback, self.spec.seed, self.spec.requests_per_session
+        )
+        load.own(initial)
+        self._stats_before = db.stats.snapshot()
+
+    def _run_to_trigger(self, victims: list, held: bool, tick=None) -> None:
+        """Start the load and return when its trigger fires: at the
+        flush window of one of ``victims`` (databases, or the cluster's
+        coordinator) if ``held``, else at the racing ack count."""
+        load = self.loads[0]
+        if held:
+            load.hold_flush([victim.failpoints for victim in victims])
+        else:
+            load.fire_on_ack()
+        load.start()
+        load.wait(tick=tick)
+        self.report.parked_at_crash = sum(v.log.group_commit_parked for v in victims)
+
+    def _crash_db(self) -> None:
+        self.report.buffer_misses = self.db.stats.diff(self._stats_before).get(
+            "buffer.misses", 0
+        )
+        self.db.crash()
+
+
+class _Engine(_Scenario):
+    """Single-threaded and in-process, under a seeded fault schedule
+    that tears page writes, throws transient and permanent I/O errors
+    and cuts the WAL tail; the database crashes on its own (a permanent
+    fault escalates) or when the schedule says."""
+
+    modes = ("scheduled",)
+    defaults = dict(
+        buffer_pool_pages=48,
+        initial_keys=30,
+        key_space=120,
+        flush_probability=0.35,
+        torn_write_probability=0.08,
+        transient_read_probability=0.03,
+        transient_write_probability=0.03,
+        permanent_probability=0.01,
+        wal_tail_loss_probability=0.5,
+    )
+
+    def build(self) -> None:
+        spec = self.spec
+        self.injector = _injector(spec, 0x5EED_FA17)
+        # Build the schema and the seed rows before arming any fault:
+        # the round's story starts from a known-good committed state.
+        self.injector.disarm()
+        # The round is single-threaded, so any lock wait is a self-block
+        # that can only end in a timeout — keep it short.
+        self.db = Database(
+            DatabaseConfig(
+                page_size=spec.page_size,
+                buffer_pool_pages=spec.buffer_pool_pages,
+                lock_timeout_seconds=0.05,
+                latch_timeout_seconds=5.0,
+            ),
+            fault_injector=self.injector,
+        )
+        self.committed = _Acked(0)
+        self.sessions = [self.committed]
+        for key in _seed_table(self.db, range(0, spec.initial_keys * 3, 3)):
+            self.committed.state[key] = True
+        self.injector.arm()
+
+    def crash(self) -> None:
+        spec, db, report = self.spec, self.db, self.report
+        rng = random.Random(spec.seed)
+        open_txns: list = []
+        pending: dict[int, dict[int, bool]] = {}
+        for _ in range(spec.txn_count):
+            try:
+                action = rng.random()
+                if action < 0.55 or not open_txns:
+                    txn = db.begin()
+                    open_txns.append(txn)
+                    pending[txn.txn_id] = {}
+                    try:
+                        for _ in range(rng.randint(1, spec.max_ops_per_txn)):
+                            key = rng.randrange(spec.key_space)
+                            # Statement savepoint: a failed statement must
+                            # not leave partial effects (e.g. a heap row
+                            # whose index insert hit a unique violation).
+                            db.savepoint(txn, "stmt")
+                            try:
+                                if rng.random() < 0.6:
+                                    db.insert(txn, "t", {"id": key, "val": "w"})
+                                    pending[txn.txn_id][key] = True
+                                else:
+                                    db.delete_by_key(txn, "t", "by_id", key)
+                                    pending[txn.txn_id][key] = False
+                            except (UniqueKeyViolationError, KeyNotFoundError):
+                                db.rollback_to_savepoint(txn, "stmt")
+                    except (DeadlockError, LockTimeoutError):
+                        # A single-threaded schedule can self-block on
+                        # another open transaction's locks.
+                        open_txns.remove(txn)
+                        pending.pop(txn.txn_id)
+                        db.rollback(txn)
+                        report.txns_rolled_back += 1
+                elif action < 0.8:
+                    txn = open_txns.pop(rng.randrange(len(open_txns)))
+                    db.commit(txn)
+                    report.txns_committed += 1
+                    self.committed.state.update(pending.pop(txn.txn_id))
+                else:
+                    txn = open_txns.pop(rng.randrange(len(open_txns)))
+                    db.rollback(txn)
+                    pending.pop(txn.txn_id)
+                    report.txns_rolled_back += 1
+                if rng.random() < spec.flush_probability:
+                    dirty = list(db.buffer.dirty_page_table())
+                    for page_id in rng.sample(dirty, k=min(len(dirty), 3)):
+                        db.flush_page(page_id)
+                if rng.random() < spec.checkpoint_probability:
+                    db.checkpoint()
+            except PermanentIOError:
+                # The buffer pool escalated a hard fault: the database
+                # already crashed itself cleanly.
+                report.io_panic = True
+                break
+        if not report.io_panic:
+            if rng.random() < spec.force_log_probability:
+                db.log.force()  # make in-flight work durable → undo path
+            db.crash()
+        report.fault_counters = dict(self.injector.counters)
+        # Post-crash, the storage keeps its damage but stops producing
+        # new hard faults (transient read flakiness stays live,
+        # exercising the retry path during recovery).
+        self.injector.enter_recovery_mode()
+
+    def recover(self) -> set[int]:
+        restart = self.db.restart()
+        self.report.log_tail_bytes_discarded = restart.log_tail_bytes_discarded
+        self.report.pages_rebuilt = restart.scrub.pages_rebuilt
+        self.report.losers_undone = restart.undo.transactions_rolled_back
+        self.report.committed_keys = sum(self.committed.state.values())
+        return _read_state(self.db, self.spec.seed, "first restart")
+
+    def crash_again(self) -> set[int]:
+        # No new faults are scheduled in recovery mode.  Odd seeds
+        # recover with background redo workers instead of this thread,
+        # so the drain runs under the same fault schedules.
+        db = self.db
+        db.crash()
+        if self.spec.seed % 2:
+            governor = db.instant_restart(redo_workers=2).governor
+            _check(
+                governor.wait_drained(timeout=30.0),
+                self.spec.seed,
+                f"second restart did not drain: {governor.progress()}",
+            )
+        else:
+            db.restart()
+        return _read_state(db, self.spec.seed, "second restart")
+
+
+
+class _Server(_Scenario):
+    """Client sessions against a group-committing server; the crash
+    lands inside a group commit's take→flush window (``held_flush``), at
+    a racing moment (``racing``), or after a drained shutdown
+    (``graceful``)."""
+
+    modes = ("held_flush", "racing", "graceful")
+    defaults = dict(crash_after_requests=40)
+    # Paced background GC races the client sessions, so the lockgraph
+    # monitor sees GC's latch orderings under load.
+    config = dict(mvcc_gc_interval_seconds=0.02)
+
+    def build(self) -> None:
+        db = Database(self._config())
+        self._serve_load(db, _seed_table(db, self._initial_keys()))
+
+    def crash(self) -> None:
+        spec, load = self.spec, self.loads[0]
+        if spec.crash_mode == "graceful":
+            load.start()
+            load.join(spec.seed)
+            _check(self.server.shutdown(drain=True), spec.seed, "graceful drain timed out")
+            self._crash_db()
+            return
+        self._run_to_trigger([self.db], held=spec.crash_mode == "held_flush")
+        self._crash_db()
+        load.join(spec.seed)
+        self.server.abort()
+
+    def recover(self) -> set[int]:
+        db, report = self.db, self.report
+        report.losers_undone = db.restart().undo.transactions_rolled_back
+        report.flushes_saved = db.stats.diff(self._stats_before).get(
+            "log.group_commit_flushes_saved", 0
+        )
+        snap = db.stats.snapshot()
+        report.commits = snap.get("txn.committed", 0)
+        report.sync_forces = snap.get("log.sync_forces", 0)
+        return _read_state(db, self.spec.seed, "restart")
+
+
+class _Failover(_Scenario):
+    """The client load against a primary with a hot standby; the
+    primary crashes and the standby is promoted.  The async modes first
+    drain the dead primary's durable prefix, and the promoted state must
+    equal the old primary's own recovery; ``sync`` promotes with no
+    drain, so the commit gate alone carries the acked set."""
+
+    modes = ("held_flush", "racing", "sync")
+
+    def build(self) -> None:
+        from repro.replication import Standby
+
+        spec = self.spec
+        db = Database(self._config())
+        initial = _seed_table(db, self._initial_keys())
+        db.enable_replication(sync=spec.crash_mode == "sync", sync_timeout_seconds=2.0)
+        self._serve_load(db, initial)
+        # start() seeds synchronously: by the time it returns the standby
+        # is registered, so (in sync mode) no acked commit can slip past
+        # the gate.
+        self.standby = Standby(
+            self.server.connect_loopback,
+            name=f"failover-{spec.seed}",
+            poll_wait_seconds=0.02,
+        ).start()
+
+    def crash(self) -> None:
+        spec, db, load = self.spec, self.db, self.loads[0]
+        self._run_to_trigger([db], held=spec.crash_mode == "held_flush")
+        self._crash_db()
+        horizon = db.log.flushed_lsn
         _check(
-            shard.db.verify_indexes() == {},
+            self.standby.db.log.end_lsn <= horizon + 1,
             spec.seed,
-            f"{spec.crash_mode}: shard {shard.shard_id} index invalid",
+            "standby received bytes past the primary's durable prefix",
+        )
+        if spec.crash_mode == "sync":
+            # No drain: the dead primary's log is unreachable from now on.
+            self.server.abort()
+        load.join(spec.seed)
+        # Otherwise drain the rest of the durable WAL from the dead
+        # primary's stable storage (the engine is halted; its flushed
+        # prefix is still servable), then cut the cord.
+        _check(
+            spec.crash_mode == "sync" or self.standby.wait_for_lsn(horizon, timeout=10.0),
+            spec.seed,
+            f"standby failed to drain the durable prefix to {horizon}: "
+            f"{self.standby.status()}",
+        )
+        self.server.abort()
+
+    def recover(self) -> set[int]:
+        spec = self.spec
+        undo = self.standby.promote().undo
+        promoted = self.promoted = self.standby.db
+        self.report.losers_undone = undo.transactions_rolled_back
+        self.report.records_replayed = promoted.stats.snapshot().get(
+            "standby.records_replayed", 0
+        )
+        survivors = _read_state(promoted, spec.seed, "promoted")
+        # The promoted database is a read-write primary.
+        sentinel = spec.key_space + 1 + spec.seed
+        with promoted.transaction() as txn:
+            promoted.insert(txn, "t", {"id": sentinel, "val": "post-failover"})
+        with promoted.transaction() as txn:
+            row = promoted.fetch(txn, "t", "by_id", sentinel)
+        _check(row is not None, spec.seed, "promoted database refused writes")
+        return survivors
+
+    def crash_again(self) -> set[int] | None:
+        if self.spec.crash_mode == "sync":
+            return None
+        # The drained standby saw the primary's whole durable prefix, so
+        # promotion must land on exactly the state restarting the old
+        # primary produces.
+        self.db.restart()
+        self.report.primary_agreement_checked = True
+        return _read_state(self.db, self.spec.seed, "old primary's restart")
+
+    def logs(self) -> list:
+        return [self.db.log, self.promoted.log]
+
+    def close(self) -> None:
+        self.promoted.close()
+        self.db.close()
+
+
+class _Recovering(_Scenario):
+    """Instant restart under live traffic.  The load runs with torn
+    writes and WAL-tail loss armed; the restart opens with no redo
+    done, every key of known acked state is read through the still
+    recovering server, then a second load runs during the drain."""
+
+    modes = ("racing",)
+    defaults = dict(
+        buffer_pool_pages=96,
+        initial_keys=24,
+        flush_probability=0.2,
+        torn_write_probability=0.05,
+        wal_tail_loss_probability=0.3,
+    )
+    config = dict(ondemand_recovery_timeout_seconds=10.0)
+
+    def build(self) -> None:
+        spec = self.spec
+        self.injector = _injector(spec, 0x1257A27)
+        self.injector.disarm()
+        db = Database(self._config(), fault_injector=self.injector)
+        initial = _seed_table(db, self._initial_keys())
+        db.flush_all_pages()  # a real on-disk working set for the lazy scrub
+        self.injector.arm()
+        self._serve_load(db, initial)
+
+    def crash(self) -> None:
+        spec, db = self.spec, self.db
+        flush_rng = random.Random(spec.seed ^ 0xF1A5)
+
+        def steal_pages() -> None:
+            # Dirty pages reach disk now and then, so the crash leaves a
+            # mix of current, stale, and torn on-disk pages.
+            if flush_rng.random() < spec.flush_probability:
+                dirty = list(db.buffer.dirty_page_table())
+                for page_id in flush_rng.sample(dirty, k=min(len(dirty), 2)):
+                    try:
+                        db.flush_page(page_id)
+                    except Exception:  # noqa: BLE001,RPR005 - racing with the load
+                        pass
+
+        self._run_to_trigger([db], held=False, tick=steal_pages)
+        self._crash_db()
+        # Abort before joining: post-crash requests can otherwise burn a
+        # lock/latch timeout each against the dead engine, and a session
+        # with many requests left would outlive the join budget.
+        self.server.abort()
+        self.loads[0].join(spec.seed)
+        self.report.fault_counters = dict(self.injector.counters)
+        self.injector.enter_recovery_mode()
+
+    def recover(self) -> set[int]:
+        spec, db, report = self.spec, self.db, self.report
+        # No background workers yet: the database is open but still
+        # recovering, so the reads below must pay on-demand recovery.
+        restart = db.instant_restart(redo_workers=spec.redo_workers, background=False)
+        governor = db.recovery
+        _check(governor is not None, spec.seed, "instant restart installed no governor")
+        report.losers_undone = restart.undo.transactions_rolled_back
+        report.pages_pending_at_open = governor.progress()["pages_pending"]
+        self.server = _serve(db, spec)
+
+        # Every key of known acked state is read through the recovering
+        # server: an acked commit lost or a pre-crash loser visible would
+        # both surface here.
+        known = sorted(
+            key
+            for session in self.sessions
+            for key in session.state
+            if key not in session.unknown
+        )
+        client = self.server.connect_loopback()
+        try:
+            present = {key for key in known if client.fetch("t", "by_id", key) is not None}
+        finally:
+            client.close()
+        report.stale_reads_checked = len(known)
+        _check_acked(spec.seed, self.sessions, present, "while recovering")
+
+        # Background drain, and a second load fired at it.
+        governor.start_background()
+        first = self.sessions
+        load = self._load(
+            self.server.connect_loopback,
+            spec.seed + 7777,
+            spec.phase2_requests_per_session,
+        )
+        load.own((), prior=first)
+        load.start()
+        load.join(spec.seed)
+        _check(
+            governor.drain(timeout=30.0),
+            spec.seed,
+            f"background redo did not drain: {governor.progress()}",
+        )
+        _check(db.recovery_state == "steady", spec.seed, "state stuck at recovering")
+        self.server.abort()
+        snap = db.stats.snapshot()
+        report.recovered_ondemand = snap.get("recovery.pages_recovered_ondemand", 0)
+        report.recovered_background = snap.get("recovery.pages_recovered_background", 0)
+        report.pages_rebuilt = restart.scrub.pages_rebuilt
+        # The base crash_again then checks that stop-the-world recovery
+        # reaches exactly the state instant restart left.
+        return _read_state(db, spec.seed, "after the drain")
+
+
+class _Cluster(_Scenario):
+    """Single-shard and cross-shard (2PC) load against a sharded
+    cluster; the crash lands in one shard's flush window, the
+    coordinator's, or both.  A cross-shard transaction must land on
+    all of its participants or on none."""
+
+    modes = ("shard", "coordinator", "both")
+    defaults = dict(
+        page_size=4096,
+        buffer_pool_pages=256,
+        initial_keys=0,
+        key_space=120,
+        requests_per_session=20,
+        insert_fraction=0.7,
+        crash_after_requests=16,
+        cross_shard_fraction=0.45,
+    )
+
+    def build(self) -> None:
+        from repro.cluster.cluster import Cluster
+
+        spec = self.spec
+        self.cluster = Cluster(
+            num_shards=spec.shards,
+            config=self._config(),
+            server_config=_server_config(spec),
+        )
+        self.cluster.create_table("t")
+        self.cluster.create_index("t", "by_id", column="id", unique=True)
+        self.victim = random.Random(spec.seed * 60013 + 7).randrange(spec.shards)
+        self._load(
+            self.cluster.client,
+            spec.seed,
+            spec.requests_per_session,
+            session_seed=999983,
         )
 
-    # Read back the surviving state through a fresh cluster session.
-    reader = cluster.client()
-    survivors = {row["id"] for row in reader.scan("t", "by_id", limit=100_000)}
-    reader.close()
+    def _hits(self, target: str) -> bool:
+        return self.spec.crash_mode in (target, "both")
 
-    # Single-shard contract (same as the multisession mode).
-    for worker in workers:
-        for key, present in worker.state.items():
-            if key in worker.unknown:
-                continue
-            _check(
-                (key in survivors) == present,
-                spec.seed,
-                f"{spec.crash_mode}: single-shard key {key} acked "
-                f"{'present' if present else 'absent'} but "
-                f"{'absent' if present else 'present'} after recovery",
+    def crash(self) -> None:
+        cluster = self.cluster
+        # Commits, prepares and decisions park in the victim logs'
+        # take→flush window, and the crash lands on them.
+        victims = []
+        if self._hits("shard"):
+            victims.append(cluster.shards[self.victim].db)
+        if self._hits("coordinator"):
+            victims.append(cluster.coordinator)
+        self._run_to_trigger(victims, held=True)
+        # Each crash resumes its log's paused leader as crashed.
+        if self._hits("coordinator"):
+            cluster.crash_coordinator()
+        if self._hits("shard"):
+            cluster.crash_shard(self.victim)
+        self.loads[0].join(self.spec.seed)
+
+    def _read(self, label: str) -> set[int]:
+        _check(
+            all(not gids for gids in self.cluster.indoubt_gids().values()),
+            self.spec.seed,
+            f"{label}: in-doubt branches remain after resolution: "
+            f"{self.cluster.indoubt_gids()}",
+        )
+        survivors: set[int] = set()
+        for shard in self.cluster.shards:
+            survivors |= _read_state(
+                shard.db, self.spec.seed, f"{label}, shard {shard.shard_id}"
             )
+        return survivors
 
-    # Cross-shard contract: acked => everywhere; definite NO => nowhere;
-    # everything => all-or-nothing.
-    for worker in workers:
-        for (a, b), outcome in worker.cross.items():
-            in_a, in_b = a in survivors, b in survivors
-            _check(
-                in_a == in_b,
-                spec.seed,
-                f"{spec.crash_mode}: cross-shard txn ({a},{b}) "
-                f"[{outcome}] applied PARTIALLY: {a}={'present' if in_a else 'absent'}, "
-                f"{b}={'present' if in_b else 'absent'}",
-            )
-            if outcome == "acked":
-                _check(
-                    in_a and in_b,
-                    spec.seed,
-                    f"{spec.crash_mode}: ACKED cross-shard txn ({a},{b}) lost",
-                )
-                report.acked_cross += 1
-            elif outcome in ("lost", "aborted"):
-                _check(
-                    not in_a and not in_b,
-                    spec.seed,
-                    f"{spec.crash_mode}: {outcome} cross-shard txn "
-                    f"({a},{b}) survived",
-                )
-                report.lost_cross += outcome == "lost"
-                report.aborted_cross += outcome == "aborted"
-            else:
-                report.unknown_cross += 1
-    report.acked_singles = total_acked() - report.acked_cross
+    def recover(self) -> set[int]:
+        if self._hits("shard"):
+            self.cluster.restart_shard(self.victim)
+        if self._hits("coordinator"):
+            self.cluster.restart_coordinator()
+        self.report.indoubt_resolved = self.cluster.resolve_indoubt()
+        return self._read("recovery")
 
-    # Ghost check: every surviving key must be accounted for.
-    known: set[int] = set()
-    for worker in workers:
-        known |= set(worker.state) | worker.unknown
-        for a, b in worker.cross:
-            known |= {a, b}
-    ghosts = survivors - known
-    _check(not ghosts, spec.seed, f"{spec.crash_mode}: ghost keys {sorted(ghosts)}")
+    def crash_again(self) -> set[int]:
+        for shard_id in range(self.spec.shards):
+            self.cluster.crash_shard(shard_id)
+            self.cluster.restart_shard(shard_id)
+        self.cluster.crash_coordinator()
+        self.cluster.restart_coordinator()
+        self.cluster.resolve_indoubt()
+        return self._read("second cluster-wide restart")
 
-    # Idempotency: crash + restart every piece again, re-resolve, and
-    # the state must not move.
-    for shard_id in range(spec.shards):
-        cluster.crash_shard(shard_id)
-        cluster.restart_shard(shard_id)
-    cluster.crash_coordinator()
-    cluster.restart_coordinator()
-    cluster.resolve_indoubt()
-    reader = cluster.client()
-    survivors_again = {row["id"] for row in reader.scan("t", "by_id", limit=100_000)}
-    reader.close()
-    _check(
-        survivors_again == survivors,
-        spec.seed,
-        f"{spec.crash_mode}: second cluster-wide restart diverged",
-    )
-    cluster.close()
+    def logs(self) -> list:
+        return [s.db.log for s in self.cluster.shards] + [self.cluster.coordinator.log]
+
+    def close(self) -> None:
+        self.cluster.close()
+
+
+_SCENARIOS: dict[str, type[_Scenario]] = {
+    "engine": _Engine,
+    "server": _Server,
+    "failover": _Failover,
+    "recovering": _Recovering,
+    "cluster": _Cluster,
+}
+KINDS = tuple(_SCENARIOS)
+
+
+# -- the runner ------------------------------------------------------------------
+
+
+def run_round(spec: TortureSpec) -> TortureReport:
+    """Run one round — build, load, crash, recover, check the acked
+    state, crash again and compare, end gates — and return its report
+    (raises :class:`TortureInvariantError` naming the seed)."""
+    seed = spec.seed
+    label = f"{spec.kind} {spec.crash_mode}"
+    scenario = _SCENARIOS[spec.kind](spec)
+    enable_lockgraph()
+    scenario.build()
+    scenario.crash()
+    survivors = scenario.recover()
+    _check_acked(seed, scenario.sessions, survivors, label)
+    again = scenario.crash_again()
+    if again is not None:
+        _check(
+            again == survivors,
+            seed,
+            f"{label}: the second recovery diverged "
+            f"(only-first={sorted(survivors - again)}, "
+            f"only-second={sorted(again - survivors)})",
+        )
+    for log in scenario.logs():
+        wal = check_log(log)
+        _check(
+            wal.ok,
+            seed,
+            f"{label}: walcheck failed: "
+            + "; ".join(f.format() for f in wal.findings[:5]),
+        )
+    monitor = get_latch_monitor()
+    if monitor is not None:
+        monitor.assert_acyclic()
+    scenario.close()
+
+    report = scenario.report
+    for load in scenario.loads:
+        report.acked_requests += load.acked
+        report.lost_commits += sum(s.lost for s in load.sessions)
+        report.snapshot_reads += load.snapshot_reads
+    if scenario.loads:
+        unknown = set().union(*(s.unknown for s in scenario.sessions))
+        report.indeterminate_keys = len(unknown)
+    for session in scenario.sessions:
+        for outcome in session.cross.values():
+            report.acked_cross += outcome == "acked"
+            report.lost_cross += outcome == "lost"
+            report.aborted_cross += outcome == "aborted"
+            report.unknown_cross += outcome == "unknown"
     return report
 
 
-def run_cluster(
-    seeds: range, base: ClusterTortureSpec | None = None
-) -> list[ClusterTortureReport]:
-    """One cluster round per seed, cycling the crash target over
-    {shard, coordinator, both} so a sweep covers every loss pattern."""
-    base = base or ClusterTortureSpec()
-    modes = ("shard", "coordinator", "both")
+def run_sweep(kind: str, seeds: Iterable[int], **overrides) -> list[TortureReport]:
+    """One round of ``kind`` per seed, cycling the kind's crash modes
+    (seed ``s`` runs mode ``s % len(modes)``); ``overrides`` set
+    :class:`TortureSpec` fields."""
+    modes = _SCENARIOS[kind].modes
     return [
-        run_cluster_round(
-            replace(base, seed=seed, crash_mode=modes[seed % len(modes)])
+        run_round(
+            TortureSpec(
+                kind=kind, seed=seed, crash_mode=modes[seed % len(modes)], **overrides
+            )
         )
         for seed in seeds
     ]
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI: run a seeded multi-session torture sweep.
+    """CLI: a seeded sweep of one kind, its reports printed as JSON.
 
-    ``python -m repro.harness.torture --seeds 3 --snapshot-readers 2``
-    adds snapshot-reader sessions racing the writers (each double-read
-    inside one snapshot must be stable; the round fails on any torn
-    read)."""
+    ``python -m repro.harness.torture --kind recovering --seeds 30
+    --snapshot-readers 2`` races snapshot readers against the load and
+    the background drain (each double-read inside one snapshot must be
+    stable; the round fails on any torn read)."""
     import argparse
     import dataclasses
     import json
 
-    parser = argparse.ArgumentParser(
-        description="seeded multi-session crash torture"
-    )
+    parser = argparse.ArgumentParser(description="seeded crash torture")
+    parser.add_argument("--kind", choices=KINDS, default="server")
     parser.add_argument("--seeds", type=int, default=3, help="rounds to run")
     parser.add_argument("--first-seed", type=int, default=0)
-    parser.add_argument("--sessions", type=int, default=4)
-    parser.add_argument("--requests", type=int, default=24)
     parser.add_argument(
         "--snapshot-readers",
         type=int,
@@ -1677,19 +1323,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     monitor = enable_lockgraph()
-    base = MultiSessionSpec(
-        sessions=args.sessions,
-        requests_per_session=args.requests,
-        snapshot_readers=args.snapshot_readers,
-    )
     try:
-        reports = run_multisession(
-            range(args.first_seed, args.first_seed + args.seeds), base
+        reports = run_sweep(
+            args.kind,
+            range(args.first_seed, args.first_seed + args.seeds),
+            snapshot_readers=args.snapshot_readers,
         )
     finally:
         if args.lockgraph_dump:
-            # Each round installs its own database-scoped monitor; the
-            # dump is the graph of the last round that ran.
+            # Each round installs its own monitor; the dump is the graph
+            # of the last round that ran.
             monitor = get_latch_monitor() or monitor
             monitor.dump_json(args.lockgraph_dump)
     print(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))

@@ -62,14 +62,12 @@ def make_database(
     db = Database(config or DatabaseConfig())
     db.create_table("t")
     db.create_index("t", "by_k", column="k", unique=spec.unique, protocol=protocol)
-    rng = random.Random(spec.seed)
     stride = max(spec.key_space // max(spec.n_initial, 1), 1)
     txn = db.begin()
     payload = "v" * spec.value_size
     for i in range(spec.n_initial):
         db.insert(txn, "t", {"k": i * stride, "pad": payload})
     db.commit(txn)
-    rng.shuffle  # keep rng referenced for future extension
     return db
 
 

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from repro.codec.values import encode_lock_table
 from repro.common.errors import (
     CommitNotDurableError,
+    DatabaseClosedError,
     LogHaltedError,
     TransactionNotActiveError,
 )
@@ -106,6 +107,7 @@ class TransactionManager:
         locks: "LockManager",
         registry: ResourceManagerRegistry,
         stats: StatsRegistry | None = None,
+        admitting: bool = True,
     ) -> None:
         self._log = log
         self._locks = locks
@@ -114,6 +116,10 @@ class TransactionManager:
         self._mutex = threading.Lock()
         self._next_txn_id = 1
         self._halted = False
+        #: False on a crash's successor until restart has set the txn-id
+        #: floor: a fresh manager counts from 1, so ids handed out
+        #: before then would collide with the ids in the log.
+        self._admitting = admitting
         self._table: dict[int, Transaction] = {}
         #: Deferred commits awaiting their batched force, by txn id.
         self._pending_commits: dict[int, PendingCommit] = {}
@@ -160,9 +166,15 @@ class TransactionManager:
 
     # -- transaction table ---------------------------------------------------
 
+    def admit(self) -> None:
+        """Open a crash's successor to new transactions (restart)."""
+        self._admitting = True
+
     def begin(self) -> Transaction:
         with self._mutex:
-            txn = Transaction(txn_id=self._next_txn_id)
+            if not self._admitting:
+                raise DatabaseClosedError("database crashed; restart() required")
+            txn = Transaction(txn_id=self._next_txn_id, owner=self)
             self._next_txn_id += 1
             self._table[txn.txn_id] = txn
         self._stats.incr("txn.begun")
@@ -203,6 +215,7 @@ class TransactionManager:
 
     def adopt(self, txn: Transaction) -> None:
         """Install a transaction reconstructed by restart analysis."""
+        txn.owner = self
         with self._mutex:
             self._table[txn.txn_id] = txn
             if txn.txn_id >= self._next_txn_id:
@@ -231,8 +244,13 @@ class TransactionManager:
 
     def log_for(self, txn: Transaction, record: LogRecord) -> int:
         """Chain ``record`` onto ``txn`` and append it to the log (a page
-        record only through ``Database.log_page_change``)."""
-        if self._halted:
+        record only through ``Database.log_page_change``).
+
+        Only a transaction this manager issued may log: a thread still
+        holding a pre-crash transaction (a GC pass, a session unwinding)
+        reaches this through the *successor* manager, and its record
+        would chain onto a log the restart has already resolved."""
+        if self._halted or txn.owner is not self:
             raise LogHaltedError(
                 f"transaction manager retired by a crash; txn "
                 f"{txn.txn_id} may not log through it"

@@ -50,6 +50,9 @@ class Transaction:
     gid: str | None = None
     #: LSN of this branch's PREPARE record.
     prepare_lsn: int = NULL_LSN
+    #: The transaction manager that issued (``begin``) or adopted
+    #: (restart analysis) this transaction; ``log_for`` logs only its own.
+    owner: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_active(self) -> bool:

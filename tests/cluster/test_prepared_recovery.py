@@ -12,7 +12,7 @@ any number of crashes on either side.  Covered here:
 - PITR (``restore_to_lsn``) through a log containing PREPARE records —
   the restore surfaces the in-doubt branch instead of resolving it;
 - ``dump_indoubt`` and ``trim_log``'s prepared-transaction bound;
-- a small seeded sweep of the ``run_cluster`` torture mode.
+- a small seeded sweep of the cluster torture kind.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.cluster import Cluster, shard_for_key
 from repro.common.config import DatabaseConfig
 from repro.common.errors import LockTimeoutError
 from repro.db import Database
-from repro.harness.torture import ClusterTortureSpec, run_cluster
+from repro.harness.torture import run_sweep
 from repro.recovery.media import take_image_copy
 from repro.replication import restore_to_lsn
 from repro.tools.inspect import dump_indoubt
@@ -242,11 +242,12 @@ class TestSingleNodePrepared:
 def test_cluster_torture_smoke():
     """Three seeds of the full 2PC torture mode (one per crash target);
     CI runs the 30-seed sweep."""
-    reports = run_cluster(
+    reports = run_sweep(
+        "cluster",
         range(3),
-        ClusterTortureSpec(
-            sessions=3, requests_per_session=12, crash_after_requests=8
-        ),
+        sessions=3,
+        requests_per_session=12,
+        crash_after_requests=8,
     )
     assert {r.crash_mode for r in reports} == {"shard", "coordinator", "both"}
     assert sum(r.lost_cross for r in reports) >= 0

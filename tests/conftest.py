@@ -77,6 +77,13 @@ class SpyCondition(threading.Condition):
         super().notify_all()
 
 
+def spy_on_latch(latch) -> SpyCondition:
+    """Install a :class:`SpyCondition` over a latch's own mutex: its
+    ``parked`` is set while a waiter is queued on the latch."""
+    latch._cond = spy = SpyCondition(latch._lock)  # noqa: SLF001 - test instruments the wait path
+    return spy
+
+
 def lock_wait_queued(database: Database) -> threading.Event:
     """An event set when a lock request of ``database`` parks to wait.
 

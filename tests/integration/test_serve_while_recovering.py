@@ -9,18 +9,16 @@ background drain, fires a second write burst at it, and verifies the
 combined end state against a stop-the-world restart.
 
 A failing seed replays exactly:
-``run_serve_while_recovering_round(ServeWhileRecoveringSpec(seed=N))``.
+``run_round(TortureSpec(kind="recovering", seed=N))``.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.harness.torture import (
-    ServeWhileRecoveringSpec,
-    run_serve_while_recovering,
-    run_serve_while_recovering_round,
-)
+from repro.harness.torture import TortureSpec, main, run_round, run_sweep
 
 BATCH = 10
 SEEDS = 30  # the acceptance floor
@@ -28,9 +26,7 @@ SEEDS = 30  # the acceptance floor
 
 @pytest.mark.parametrize("batch", range(SEEDS // BATCH))
 def test_serve_while_recovering_sweep(batch):
-    reports = run_serve_while_recovering(
-        range(batch * BATCH, (batch + 1) * BATCH)
-    )
+    reports = run_sweep("recovering", range(batch * BATCH, (batch + 1) * BATCH))
     assert len(reports) == BATCH
     # Real acknowledged traffic and real stale-read checks every round.
     assert all(r.acked_requests > 0 for r in reports)
@@ -41,16 +37,32 @@ def test_serve_while_recovering_sweep(batch):
 
 
 def test_round_reports_recovery_work():
-    report = run_serve_while_recovering_round(ServeWhileRecoveringSpec(seed=3))
+    report = run_round(TortureSpec(kind="recovering", seed=3))
     assert report.pages_pending_at_open > 0
     assert report.recovered_ondemand + report.recovered_background > 0
 
 
 def test_heavier_round_with_more_sessions():
-    report = run_serve_while_recovering_round(
-        ServeWhileRecoveringSpec(
-            seed=1, sessions=8, requests_per_session=30, key_space=320
+    report = run_round(
+        TortureSpec(
+            kind="recovering",
+            seed=1,
+            sessions=8,
+            requests_per_session=30,
+            key_space=320,
         )
     )
     assert report.acked_requests > 0
     assert report.stale_reads_checked > 0
+
+
+def test_snapshot_readers_race_the_drain(capsys):
+    """``python -m repro.harness.torture --kind recovering
+    --snapshot-readers 2``: snapshot readers race the load before the
+    crash and the background drain after it.  Losers are not in the
+    MVCC commit table, so no double-read inside one snapshot may differ
+    (each round asserts zero torn reads)."""
+    assert main(["--kind", "recovering", "--seeds", "2", "--snapshot-readers", "2"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["kind"] for r in reports] == ["recovering", "recovering"]
+    assert sum(r["snapshot_reads"] for r in reports) > 0

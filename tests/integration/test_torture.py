@@ -5,14 +5,14 @@ page writes, transient/permanent I/O errors, WAL-tail loss), crashes,
 restarts, and asserts the recovery invariants: committed keys durable,
 uncommitted keys absent, index structure valid and consistent with the
 heap, and a second restart idempotent.  A failing seed replays exactly:
-``run_torture_round(TortureSpec(seed=N))``.
+``run_round(TortureSpec(kind="engine", seed=N))``.
 """
 
 import pytest
 
 from repro.common.config import DatabaseConfig
 from repro.db import Database
-from repro.harness.torture import TortureSpec, run_torture, run_torture_round
+from repro.harness.torture import TortureSpec, run_round, run_sweep
 from repro.storage.faults import FaultInjector, FaultPlan
 from tests.conftest import populate
 
@@ -21,13 +21,13 @@ BATCH = 10
 
 @pytest.mark.parametrize("batch", range(200 // BATCH))
 def test_torture_sweep(batch):
-    reports = run_torture(range(batch * BATCH, (batch + 1) * BATCH))
+    reports = run_sweep("engine", range(batch * BATCH, (batch + 1) * BATCH))
     assert len(reports) == BATCH
 
 
 def test_rounds_are_deterministic():
-    a = run_torture_round(TortureSpec(seed=7))
-    b = run_torture_round(TortureSpec(seed=7))
+    a = run_round(TortureSpec(kind="engine", seed=7))
+    b = run_round(TortureSpec(kind="engine", seed=7))
     assert (a.committed_keys, a.txns_committed, a.fault_counters) == (
         b.committed_keys,
         b.txns_committed,
@@ -38,7 +38,7 @@ def test_rounds_are_deterministic():
 def test_sweep_exercises_every_fault_kind():
     """The default probabilities must actually reach each failure path —
     a sweep that never tears a page proves nothing."""
-    reports = run_torture(range(40))
+    reports = run_sweep("engine", range(40))
     counters: dict[str, int] = {}
     for report in reports:
         for name, count in report.fault_counters.items():

@@ -1,7 +1,6 @@
 """Lock manager: granting, blocking, conversion, durations, deadlocks."""
 
 import threading
-import time
 
 import pytest
 
@@ -21,6 +20,13 @@ OTHER = ("rec", 1, "b")
 
 def manager(timeout=5.0):
     return LockManager(timeout=timeout)
+
+
+def _spy_on(locks: LockManager) -> SpyCondition:
+    """Rendezvous with a waiter without sleeping: ``parked`` is set
+    while the waiter is queued and still holds the manager's mutex."""
+    locks._cond = SpyCondition(locks._mutex)  # noqa: SLF001 - test instruments the wait path
+    return locks._cond  # noqa: SLF001
 
 
 class TestGranting:
@@ -55,21 +61,24 @@ class TestGranting:
         assert locks.request(2, NAME, LockMode.X, LockDuration.COMMIT)
 
     def test_instant_request_still_waits_for_conflicts(self):
-        locks = manager()
+        stats = StatsRegistry()
+        locks = LockManager(stats, timeout=5.0)
+        cond = _spy_on(locks)
         locks.request(1, NAME, LockMode.X, LockDuration.COMMIT)
-        elapsed = {}
+        returned = threading.Event()
 
         def requester():
-            start = time.monotonic()
             locks.request(2, NAME, LockMode.X, LockDuration.INSTANT)
-            elapsed["t"] = time.monotonic() - start
+            returned.set()
 
         t = threading.Thread(target=requester)
         t.start()
-        time.sleep(0.3)
+        assert cond.parked.wait(5)
+        assert stats.get("lock.waits") == 1
+        assert not returned.is_set()  # not granted before the release
         locks.release_all(1)
         t.join(timeout=5)
-        assert elapsed["t"] >= 0.25
+        assert returned.is_set()
         assert locks.held_mode(2, NAME) is None
 
 
@@ -89,6 +98,7 @@ class TestReleasing:
 
     def test_release_wakes_waiter(self):
         locks = manager()
+        cond = _spy_on(locks)
         locks.request(1, NAME, LockMode.X, LockDuration.COMMIT)
         granted = threading.Event()
 
@@ -98,7 +108,7 @@ class TestReleasing:
 
         t = threading.Thread(target=waiter)
         t.start()
-        time.sleep(0.2)
+        assert cond.parked.wait(5)
         assert not granted.is_set()
         locks.release_all(1)
         t.join(timeout=5)
@@ -108,6 +118,7 @@ class TestReleasing:
 class TestFairness:
     def test_no_barging_past_queued_x(self):
         locks = manager()
+        cond = _spy_on(locks)
         locks.request(1, NAME, LockMode.S, LockDuration.COMMIT)
         x_granted = threading.Event()
 
@@ -117,7 +128,7 @@ class TestFairness:
 
         writer_thread = threading.Thread(target=writer)
         writer_thread.start()
-        time.sleep(0.2)
+        assert cond.parked.wait(5)
         # A fresh S must not overtake the queued X.
         with pytest.raises(LockNotGrantedError):
             locks.request(3, NAME, LockMode.S, LockDuration.COMMIT, conditional=True)
@@ -127,6 +138,7 @@ class TestFairness:
 
     def test_conversion_has_priority_over_fresh_waiters(self):
         locks = manager()
+        cond = _spy_on(locks)
         locks.request(1, NAME, LockMode.S, LockDuration.COMMIT)
         locks.request(2, NAME, LockMode.S, LockDuration.COMMIT)
         order = []
@@ -144,9 +156,12 @@ class TestFairness:
         t_up = threading.Thread(target=upgrader)
         t_fresh = threading.Thread(target=fresh)
         t_fresh.start()
-        time.sleep(0.15)
+        assert cond.parked.wait(5)  # the fresh X is queued
+        # Nothing can wake it until the conversion parks too (the only
+        # notifier is a grant), so the next park is the conversion's.
+        cond.parked.clear()
         t_up.start()
-        time.sleep(0.15)
+        assert cond.parked.wait(5)
         locks.release_all(2)  # unblocks the conversion first
         t_up.join(timeout=5)
         t_fresh.join(timeout=5)
@@ -156,12 +171,11 @@ class TestFairness:
 class TestDeadlocks:
     def test_two_txn_cycle_detected(self):
         locks = manager()
+        cond = _spy_on(locks)
         locks.request(1, NAME, LockMode.X, LockDuration.COMMIT)
         locks.request(2, OTHER, LockMode.X, LockDuration.COMMIT)
-        blocked = threading.Event()
 
         def txn1():
-            blocked.set()
             try:
                 locks.request(1, OTHER, LockMode.X, LockDuration.COMMIT)
             except (DeadlockError, LockTimeoutError):
@@ -171,8 +185,7 @@ class TestDeadlocks:
 
         t = threading.Thread(target=txn1)
         t.start()
-        blocked.wait()
-        time.sleep(0.2)  # let txn1 enqueue
+        assert cond.parked.wait(5)  # txn1 is queued behind txn2
         with pytest.raises(DeadlockError) as info:
             locks.request(2, NAME, LockMode.X, LockDuration.COMMIT)
         assert info.value.txn_id == 2
@@ -216,11 +229,6 @@ class TestDeadlocks:
         locks.release_all(1)
         # The abandoned waiter must not corrupt the queue.
         assert locks.request(3, NAME, LockMode.X, LockDuration.COMMIT)
-
-
-def _spy_on(locks: LockManager) -> SpyCondition:
-    locks._cond = SpyCondition(locks._mutex)  # noqa: SLF001 - test instruments the wait path
-    return locks._cond  # noqa: SLF001
 
 
 class TestUncontendedFastPath:

@@ -1,12 +1,13 @@
 """Latch semantics: S/X, conditional, instant, re-entrancy, fairness."""
 
 import threading
-import time
 
 import pytest
 
 from repro.common.errors import LatchError, LockNotGrantedError
+from repro.common.stats import StatsRegistry
 from repro.storage.latch import Latch, LatchManager
+from tests.conftest import spy_on_latch
 
 
 class TestBasicModes:
@@ -63,21 +64,25 @@ class TestConditionalAndInstant:
         latch.release()
 
     def test_instant_waits_for_x_holder(self):
-        latch = Latch("p")
+        stats = StatsRegistry()
+        latch = Latch("p", stats=stats)
+        cond = spy_on_latch(latch)
         latch.acquire("X")
-        waited = {}
+        returned = threading.Event()
 
         def waiter():
-            start = time.monotonic()
             latch.instant("S")
-            waited["t"] = time.monotonic() - start
+            returned.set()
 
         t = threading.Thread(target=waiter)
         t.start()
-        time.sleep(0.3)
+        assert cond.parked.wait(5)
+        assert not returned.is_set()  # not granted before the release
+        assert stats.get("latch.waits") == 0
         latch.release()
         t.join(timeout=5)
-        assert waited["t"] >= 0.25
+        assert returned.is_set()
+        assert stats.get("latch.waits") == 1
         assert not latch.is_held()
 
 
@@ -109,6 +114,7 @@ class TestReentrancy:
 class TestWriterFairness:
     def test_pending_x_blocks_new_s(self):
         latch = Latch("p")
+        cond = spy_on_latch(latch)
         latch.acquire("S")
         x_granted = threading.Event()
 
@@ -119,7 +125,7 @@ class TestWriterFairness:
 
         writer_thread = threading.Thread(target=writer)
         writer_thread.start()
-        time.sleep(0.2)  # writer is now queued
+        assert cond.parked.wait(5)  # the writer is queued
 
         def late_reader():
             with pytest.raises(LockNotGrantedError):

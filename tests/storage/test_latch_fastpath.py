@@ -14,7 +14,7 @@ import pytest
 from repro.common.errors import LatchError, LockNotGrantedError
 from repro.common.stats import StatsRegistry
 from repro.storage.latch import Latch, LatchManager
-from tests.conftest import SpyCondition
+from tests.conftest import spy_on_latch
 
 JOIN = 10.0
 
@@ -28,11 +28,6 @@ class RecordingMonitor:
 
     def note_release(self, name):
         self.events.append((name, "release"))
-
-
-def spy_on(latch: Latch) -> SpyCondition:
-    latch._cond = SpyCondition(latch._lock)  # noqa: SLF001 - test instruments the wait path
-    return latch._cond  # noqa: SLF001
 
 
 def run(fn) -> threading.Thread:
@@ -140,7 +135,7 @@ def test_upgrade_is_still_refused_on_the_reentrant_path():
 
 def test_parked_x_waiter_blocks_new_s_but_not_the_holders_reentry():
     latch = Latch("p")
-    cond = spy_on(latch)
+    cond = spy_on_latch(latch)
     latch.acquire("S")
     got_x = threading.Event()
 
@@ -190,7 +185,7 @@ def test_release_touches_the_condition_only_when_somebody_waits():
     stats = StatsRegistry()
     latch = Latch("p", stats)
     stats.add_source(latch.grant_counts)
-    cond = spy_on(latch)
+    cond = spy_on_latch(latch)
     for mode in ("S", "X"):
         latch.acquire(mode)
         latch.acquire("S")

@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.common.errors import TransactionNotActiveError
+from repro.analysis.walcheck import check_log
+from repro.common.errors import (
+    DatabaseClosedError,
+    LogHaltedError,
+    TransactionNotActiveError,
+)
 from repro.txn.transaction import TxnStatus
-from repro.wal.records import NULL_LSN, RecordKind
-from tests.conftest import populate
+from repro.wal.records import NULL_LSN, LogRecord, RecordKind
+from tests.conftest import build_db, populate
 
 
 class TestCommit:
@@ -186,3 +191,51 @@ class TestNestedTopActions:
         assert dummy.kind is RecordKind.DUMMY_CLR
         assert dummy.undo_next_lsn == pre_nta
         db.rollback(txn)
+
+
+class TestPreCrashTransactions:
+    """A crash replaces the transaction manager; a thread still holding
+    a transaction from before it (a GC pass, a session unwinding) must
+    not append to the restarted log."""
+
+    def test_successor_manager_refuses_a_pre_crash_transaction(self, table_db):
+        db = table_db
+        populate(db, [1])
+        stale = db.begin()
+        db.insert(stale, "t", {"id": 2, "val": "pre-crash"})
+        db.crash()
+        db.restart()
+        end = db.log.end_lsn
+        with pytest.raises(LogHaltedError):
+            db.txns.log_for(stale, LogRecord(kind=RecordKind.COMMIT, txn_id=stale.txn_id))
+        with pytest.raises(LogHaltedError):
+            db.insert(stale, "t", {"id": 3, "val": "stale"})
+        assert db.log.end_lsn == end
+        assert check_log(db.log).ok
+        fresh = db.begin()
+        db.insert(fresh, "t", {"id": 4, "val": "post-restart"})
+        db.commit(fresh)
+
+    def test_successor_manager_admits_no_transaction_before_restart(self, table_db):
+        """A thread past ``Database.begin``'s crashed check when the
+        crash lands reaches the successor manager, which would count ids
+        from 1 again; until restart sets the id floor it refuses."""
+        db = table_db
+        populate(db, [1, 2, 3])
+        db.crash()
+        with pytest.raises(DatabaseClosedError):
+            db.txns.begin()
+        db.restart()
+        assert db.begin().txn_id > 1
+
+    def test_crash_stops_the_gc_pacer_and_restart_starts_a_new_one(self):
+        db = build_db(mvcc_gc_interval_seconds=60.0)
+        pacer = db._gc_thread  # noqa: SLF001 - the pacer has no public handle
+        assert pacer.is_alive()
+        db.crash()
+        assert not pacer.is_alive()
+        db.restart()
+        successor = db._gc_thread  # noqa: SLF001
+        assert successor is not pacer and successor.is_alive()
+        db.close()
+        assert not successor.is_alive()
