@@ -78,12 +78,18 @@ _UNPACK_I64 = _I64.unpack_from
 _UNPACK_F64 = _F64.unpack_from
 _UNPACK_U32 = _U32.unpack_from
 _UNPACK_RID = _RID_BODY.unpack_from
+#: Builds a RID or an IndexKey from a tuple of its fields without the
+#: namedtuple's Python-level ``__new__``.
+_tuple_new = tuple.__new__
 
 # Dict keys repeat endlessly (log-record field names, request arg
 # names); memoize their length-prefixed utf-8 encoding.  Bounded so a
 # workload with pathological key churn can't grow it without limit.
 _KEY_CACHE: dict[str, bytes] = {}
 _KEY_CACHE_MAX = 4096
+#: The decode side: a dict key's utf-8 bytes → the ``str``, bounded
+#: the same way.
+_KEY_NAMES: dict[bytes, str] = {}
 
 
 def encode_value(value: Any) -> bytes:
@@ -216,13 +222,51 @@ def _decode_value(raw, offset: int) -> tuple[Any, int]:
         (count,) = _UNPACK_U32(raw, offset)
         offset += 4
         mapping: dict[str, Any] = {}
+        # Keys are memoized only from ``bytes``: a slice of a writable
+        # view (the wire's receive ``bytearray``) cannot be hashed.
+        names = _KEY_NAMES if type(raw) is bytes else None
+        size = len(raw)
         for _ in range(count):
             (key_len,) = _UNPACK_U32(raw, offset)
             offset += 4
-            _check_room(raw, offset, key_len)
-            key = str(raw[offset : offset + key_len], "utf-8")
-            offset += key_len
-            mapping[key], offset = _decode_value(raw, offset)
+            end = offset + key_len
+            if end > size:
+                _check_room(raw, offset, key_len)
+            raw_key = raw[offset:end]
+            key = None if names is None else names.get(raw_key)
+            if key is None:
+                key = str(raw_key, "utf-8")
+                if names is not None and len(names) < _KEY_CACHE_MAX:
+                    names[raw_key] = key
+            # The tags log payloads and rows carry, inline; the rest
+            # recurse.
+            tag = raw[end]
+            offset = end + 1
+            if tag == _ITAG_INT:
+                (mapping[key],) = _UNPACK_I64(raw, offset)
+                offset += 8
+            elif tag == _ITAG_BYTES:
+                (length,) = _UNPACK_U32(raw, offset)
+                offset += 4
+                end = offset + length
+                if end > size:
+                    _check_room(raw, offset, length)
+                mapping[key] = bytes(raw[offset:end])
+                offset = end
+            elif tag == _ITAG_RID:
+                mapping[key] = _tuple_new(RID, _UNPACK_RID(raw, offset))
+                offset += 6
+            elif tag == _ITAG_KEY:
+                rid = _tuple_new(RID, _UNPACK_RID(raw, offset))
+                (length,) = _UNPACK_U32(raw, offset + 6)
+                offset += 10
+                end = offset + length
+                if end > size:
+                    _check_room(raw, offset, length)
+                mapping[key] = _tuple_new(IndexKey, (bytes(raw[offset:end]), rid))
+                offset = end
+            else:
+                mapping[key], offset = _decode_value(raw, end)
         return mapping, offset
     if tag == _ITAG_NONE:
         return None, offset
@@ -244,19 +288,18 @@ def _decode_value(raw, offset: int) -> tuple[Any, int]:
             items.append(item)
         return items, offset
     if tag == _ITAG_RID:
-        page_id, slot = _UNPACK_RID(raw, offset)
-        return RID(page_id, slot), offset + 6
+        return _tuple_new(RID, _UNPACK_RID(raw, offset)), offset + 6
     if tag == _ITAG_FLOAT:
         (value,) = _UNPACK_F64(raw, offset)
         return value, offset + 8
     if tag == _ITAG_KEY:
-        page_id, slot = _UNPACK_RID(raw, offset)
+        rid = _tuple_new(RID, _UNPACK_RID(raw, offset))
         offset += 6
         (length,) = _UNPACK_U32(raw, offset)
         offset += 4
         _check_room(raw, offset, length)
         value = bytes(raw[offset : offset + length])
-        return IndexKey(value, RID(page_id, slot)), offset + length
+        return _tuple_new(IndexKey, (value, rid)), offset + length
     raise WALError(f"unknown type tag {bytes((tag,))!r} at offset {offset - 1}")
 
 

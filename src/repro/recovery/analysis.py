@@ -24,6 +24,19 @@ from repro.wal.records import NULL_LSN, RM_HEAP, RecordKind
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
 
+_UPDATE = RecordKind.UPDATE
+_CLR = RecordKind.CLR
+_DUMMY_CLR = RecordKind.DUMMY_CLR
+_COMMIT = RecordKind.COMMIT
+_PREPARE = RecordKind.PREPARE
+_ROLLBACK = RecordKind.ROLLBACK
+_END = RecordKind.END
+_CKPT_BEGIN = RecordKind.CKPT_BEGIN
+_CKPT_END = RecordKind.CKPT_END
+_COMMITTED = TxnStatus.COMMITTED
+_PREPARED = TxnStatus.PREPARED
+_ROLLING_BACK = TxnStatus.ROLLING_BACK
+
 
 @dataclass
 class AnalysisResult:
@@ -85,64 +98,70 @@ class AnalysisResult:
 
 def run_analysis(ctx: "Database") -> AnalysisResult:
     result = AnalysisResult()
-    start_lsn = ctx.log.master_lsn or 1
+    transactions = result.transactions
+    dirty_pages = result.dirty_pages
+    page_heads = result.page_heads
+    ended_txn_ids = result.ended_txn_ids
     checkpoint_begin_seen = False
+    scanned = max_txn_id = 0
+    lsn = NULL_LSN
 
     # Headers only: the few records whose payload matters here
     # (checkpoint end, PREPARE's gid, a heap format's table id) are
-    # decoded individually with ``read``.
+    # decoded individually with ``read``.  One flat loop over the
+    # unpacked fields, the kinds and ``is_redoable`` inlined.
     log = ctx.log
-    for record in log.record_headers(start_lsn):
-        result.records_scanned += 1
-        result.end_lsn = record.lsn
-        kind = record.kind
-
-        if kind is RecordKind.CKPT_BEGIN:
+    for lsn, kind, txn_id, _, rm, op, page_id, _, undo_next_lsn, undoable in (
+        log.record_headers(log.master_lsn or 1)
+    ):
+        scanned += 1
+        if kind is _CKPT_BEGIN:
             checkpoint_begin_seen = True
             continue
-        if kind is RecordKind.CKPT_END:
+        if kind is _CKPT_END:
             if checkpoint_begin_seen:
-                _merge_checkpoint(result, log.read(record.lsn).payload)
+                _merge_checkpoint(result, log.read(lsn).payload)
             continue
 
-        if record.txn_id > result.max_txn_id:
-            result.max_txn_id = record.txn_id
-
-        if record.txn_id:
-            txn = result.transactions.get(record.txn_id)
+        if txn_id:
+            if txn_id > max_txn_id:
+                max_txn_id = txn_id
+            txn = transactions.get(txn_id)
             if txn is None:
-                txn = Transaction(txn_id=record.txn_id)
-                result.transactions[txn.txn_id] = txn
-            txn.last_lsn = record.lsn
-            if kind is RecordKind.UPDATE and record.undoable:
-                txn.undo_next_lsn = record.lsn
-            elif kind in (RecordKind.CLR, RecordKind.DUMMY_CLR):
-                txn.undo_next_lsn = record.undo_next_lsn or NULL_LSN
-            elif kind is RecordKind.COMMIT:
-                txn.status = TxnStatus.COMMITTED
-            elif kind is RecordKind.PREPARE:
-                txn.status = TxnStatus.PREPARED
-                txn.gid = log.read(record.lsn).payload.get("gid")
-                txn.prepare_lsn = record.lsn
-            elif kind is RecordKind.ROLLBACK:
-                txn.status = TxnStatus.ROLLING_BACK
-            elif kind is RecordKind.END:
-                result.transactions.pop(record.txn_id, None)
-                result.ended_txn_ids.add(record.txn_id)
+                txn = transactions[txn_id] = Transaction(txn_id=txn_id)
+            txn.last_lsn = lsn
+            if kind is _UPDATE:
+                if undoable:
+                    txn.undo_next_lsn = lsn
+            elif kind is _CLR or kind is _DUMMY_CLR:
+                txn.undo_next_lsn = undo_next_lsn or NULL_LSN
+            elif kind is _COMMIT:
+                txn.status = _COMMITTED
+            elif kind is _PREPARE:
+                txn.status = _PREPARED
+                txn.gid = log.read(lsn).payload.get("gid")
+                txn.prepare_lsn = lsn
+            elif kind is _ROLLBACK:
+                txn.status = _ROLLING_BACK
+            elif kind is _END:
+                del transactions[txn_id]
+                ended_txn_ids.add(txn_id)
 
-        if record.is_redoable and record.page_id is not None:
-            result.dirty_pages.setdefault(record.page_id, record.lsn)
-            result.page_heads[record.page_id] = record.lsn
-            if record.rm == RM_HEAP and record.op == "format":
-                table_id = log.read(record.lsn).payload.get("table_id", 0)
-                result.heap_formats.setdefault(table_id, set()).add(
-                    record.page_id
-                )
+        if page_id is not None and (kind is _UPDATE or kind is _CLR):
+            if page_id not in dirty_pages:
+                dirty_pages[page_id] = lsn
+            page_heads[page_id] = lsn
+            if op == "format" and rm == RM_HEAP:
+                table_id = log.read(lsn).payload.get("table_id", 0)
+                result.heap_formats.setdefault(table_id, set()).add(page_id)
 
-    if result.dirty_pages:
-        result.redo_lsn = min(result.dirty_pages.values())
+    result.records_scanned = scanned
+    result.end_lsn = lsn
+    result.max_txn_id = max_txn_id
+    if dirty_pages:
+        result.redo_lsn = min(dirty_pages.values())
     ctx.stats.incr("recovery.analysis_passes")
-    ctx.stats.incr("recovery.analysis_records", result.records_scanned)
+    ctx.stats.incr("recovery.analysis_records", scanned)
     return result
 
 

@@ -1,13 +1,12 @@
 """Page replay: repeating history one page at a time (§1.2).
 
-:func:`apply_record` reapplies one redoable record (an update *or* a
-CLR, losers included) to the page it names, under the ARIES page-LSN
-test, page-oriented: the tree is never traversed (§3, "Logging").
-:func:`replay_page` runs it over one page's records onto whatever base
-the caller installed — the only page-replay loop, used by restart,
-torn-page rebuild and media recovery; the hot standby applies
-:func:`apply_record` record by record.  :func:`run_redo` is restart's
-redo: it recovers the dirty pages of a
+:func:`replay_page` reapplies one page's redoable records (updates
+*and* CLRs, losers included) under the ARIES page-LSN test,
+page-oriented: the tree is never traversed (§3, "Logging").  It fixes
+the page once for the whole chain.  It is the only page-replay loop:
+restart, torn-page rebuild and media recovery run it over a chain, and
+the hot standby runs it record by record through :func:`apply_record`.
+:func:`run_redo` is restart's redo: it recovers the dirty pages of a
 :class:`~repro.recovery.instant.RecoveryGovernor`, each along its own
 log chain (each link the PageLSN the page had when the record was
 logged), so it makes no pass over the redo span.
@@ -16,10 +15,10 @@ logged), so it makes no pass over the redo span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Sequence
 
 from repro.common.errors import CorruptPageError, PageNotFoundError
-from repro.wal.records import LogRecord
+from repro.wal.records import NULL_LSN, LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
@@ -34,23 +33,37 @@ class RedoResult:
 
 
 def apply_record(
-    ctx: "Database", record, rec_lsn: int | None = None
+    ctx: "Database", record: LogRecord, rec_lsn: int | None = None
 ) -> bool:
-    """Apply one redoable record to its page, page-oriented.
+    """Apply one redoable record to its page: :func:`replay_page` of
+    one record.  Returns whether the page actually changed."""
+    return replay_page(ctx, (record,), rec_lsn=rec_lsn) == 1
 
-    Fix the page (materialising a shell if it is missing, rebuilding
-    it from history if it is damaged), run the ARIES page-LSN test,
-    and reapply iff the page predates the record.  ``rec_lsn`` is the
-    dirty-page-table recLSN to pin (restart knows it); without one the
-    page is marked dirty at the record's own LSN (first-dirtier wins).
-    Returns whether the page actually changed.
+
+def replay_page(
+    ctx: "Database", records: Sequence[LogRecord], rec_lsn: int | None = None
+) -> int:
+    """Bring one page forward by applying ``records`` — its own
+    redoable records, oldest first — page-oriented, under one fix.
+
+    The page is fixed once: a missing page is materialised as a shell
+    from the first record, a damaged one is rebuilt from its history.
+    Each record is reapplied iff the page predates it (the ARIES
+    page-LSN test).  Then, if anything changed, the page is made dirty
+    once: at ``rec_lsn``, the dirty-page-table recLSN restart knows, or
+    else at the first applied record's LSN (first-dirtier wins).
+    Returns the number of records applied.
     """
-    page_id = record.page_id
-    rm = ctx.rm_registry.get(record.rm)
+    if not records:
+        return 0
+    first = records[0]
+    page_id = first.page_id
+    buffer = ctx.buffer
+    rm_for = ctx.rm_registry.get
     try:
-        page = ctx.buffer.fix(page_id)
+        page = buffer.fix(page_id)
     except PageNotFoundError:
-        page = ctx.buffer.fix_new(rm.make_shell(record))
+        page = buffer.fix_new(rm_for(first.rm).make_shell(first))
     except CorruptPageError:
         # A torn/damaged page is treated like a missing one: rebuild it
         # from its full log history.  Only the standby's replay gets
@@ -60,32 +73,27 @@ def apply_record(
         from repro.recovery.media import rebuild_page_from_log
 
         rebuild_page_from_log(ctx, page_id)
-        page = ctx.buffer.fix(page_id)
-    try:
-        if page.page_lsn < record.lsn:
-            rm.apply_redo(ctx, page, record)
-            page.page_lsn = record.lsn
-            if rec_lsn is not None:
-                ctx.buffer.set_rec_lsn(page_id, rec_lsn)
-            else:
-                ctx.buffer.mark_dirty(page_id, record.lsn)
-            ctx.stats.incr("recovery.records_redone")
-            return True
-        return False
-    finally:
-        ctx.buffer.unfix(page_id)
-
-
-def replay_page(
-    ctx: "Database", records: Iterable[LogRecord], rec_lsn: int | None = None
-) -> int:
-    """Bring one page forward by applying ``records`` — its own
-    redoable records, oldest first — to whatever base the caller
-    installed.  Returns the number of records applied."""
+        page = buffer.fix(page_id)
     applied = 0
-    for record in records:
-        if apply_record(ctx, record, rec_lsn=rec_lsn):
-            applied += 1
+    first_applied = NULL_LSN
+    try:
+        page_lsn = page.page_lsn
+        for record in records:
+            lsn = record.lsn
+            if page_lsn < lsn:
+                rm_for(record.rm).apply_redo(ctx, page, record)
+                page.page_lsn = page_lsn = lsn
+                if not applied:
+                    first_applied = lsn
+                applied += 1
+    finally:
+        if applied:
+            if rec_lsn is not None:
+                buffer.set_rec_lsn(page_id, rec_lsn)
+            else:
+                buffer.mark_dirty(page_id, first_applied)
+            ctx.stats.incr("recovery.records_redone", applied)
+        buffer.unfix(page_id)
     return applied
 
 

@@ -659,10 +659,14 @@ class LogManager:
             if truncated < lsn <= end:
                 segment, offset = self._locate_locked(lsn - 1)
                 if segment is self._open:
-                    # Copy the one frame out (its end is where a force
-                    # of it would stop): the open segment keeps growing
-                    # once the mutex is released.
-                    frame_end = self._force_target_locked(lsn) - self._open_start
+                    # Copy the one frame out: the open segment keeps
+                    # growing once the mutex is released.  A frame cut
+                    # short copies what there is, and its decode fails.
+                    if offset + RECORD_FRAME.size <= len(segment):
+                        _, length = RECORD_FRAME.unpack_from(segment, offset)
+                        frame_end = offset + RECORD_FRAME.size + length
+                    else:
+                        frame_end = len(segment)
                     segment = bytes(segment[offset:frame_end])
                     offset = 0
         if lsn <= truncated:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
@@ -94,8 +95,10 @@ _HEAD = struct.Struct(">BBQQIQQ")
 _PACK_HEAD = _HEAD.pack
 #: The CRC frame and the struct header in one unpack.
 _UNPACK_FRAMED_HEAD = struct.Struct(">II" + _HEAD.format[1:]).unpack_from
+_HEAD_SIZE = _HEAD.size
+_FRAME_SIZE = RECORD_FRAME.size
 #: Struct header plus two empty names: the shortest valid body.
-_MIN_BODY = _HEAD.size + 2
+_MIN_BODY = _HEAD_SIZE + 2
 _F_UNDOABLE = 1
 _F_PAGE = 2
 _F_UNDO_NEXT = 4
@@ -119,20 +122,49 @@ def _pack_names(rm: str, op: str) -> bytes:
     return packed
 
 
+#: The decode side of ``_NAMES``: a body's raw name bytes (both
+#: length-prefixed) → the interned ``(rm, op)`` pair, so parsing a
+#: record's names is one lookup instead of two UTF-8 decodes.  Bounded
+#: the same way.
+_NAMES_BY_RAW: dict[bytes, tuple[str, str]] = {}
+
+
+def _unpack_names(raw_names, offset: int) -> tuple[str, str]:
+    """``_parse``'s lookup on a miss, or on a buffer that cannot be
+    hashed (a writable ``memoryview`` or ``bytearray``)."""
+    raw_names = bytes(raw_names)
+    names = _NAMES_BY_RAW.get(raw_names)
+    if names is None:
+        size = raw_names[0]
+        try:
+            names = (
+                sys.intern(str(raw_names[1 : 1 + size], "utf-8")),
+                sys.intern(str(raw_names[2 + size :], "utf-8")),
+            )
+        except UnicodeDecodeError as exc:
+            raise WALError(f"malformed log record body at offset {offset}") from exc
+        if len(_NAMES_BY_RAW) < _NAMES_MAX:
+            _NAMES_BY_RAW[raw_names] = names
+    return names
+
+
 def _parse(raw, offset: int) -> tuple:
     """Validate the frame at ``offset`` and split its body.
 
-    Returns ``(head, rm, op, body, payload_start, next_offset)`` where
-    ``head`` is the unpacked struct header.  A frame that is cut short
-    or fails its CRC raises :class:`~repro.common.errors.CorruptLogError`
+    Returns ``(fields, rm, op, body, payload_start, next_offset)``
+    where ``fields`` is the unpacked CRC frame and struct header:
+    ``(crc, length, kind code, flags, txn_id, prev_lsn, page_id,
+    prev_page_lsn, undo_next_lsn)``.  A frame that is cut short or
+    fails its CRC raises :class:`~repro.common.errors.CorruptLogError`
     (the torn-tail signal); a CRC-valid body that is not a record in
     this layout raises plain :class:`~repro.common.errors.WALError`.
     """
     try:
-        crc, length, *head = _UNPACK_FRAMED_HEAD(raw, offset)
+        fields = _UNPACK_FRAMED_HEAD(raw, offset)
+        length = fields[1]
     except struct.error:
         length = -1
-    start = offset + RECORD_FRAME.size
+    start = offset + _FRAME_SIZE
     next_offset = start + length
     if length < _MIN_BODY or next_offset > len(raw):
         # Too short to hold a header: let the frame check say whether
@@ -140,24 +172,23 @@ def _parse(raw, offset: int) -> tuple:
         body, _ = unframe_record(raw, offset)
         raise WALError(f"log record body at offset {offset} is only {len(body)} bytes")
     body = raw[start:next_offset]
-    if zlib.crc32(body) != crc:
+    if zlib.crc32(body) != fields[0]:
         raise CorruptLogError(f"log record at offset {offset} failed its CRC check")
-    try:
-        pos = _HEAD.size
-        size = body[pos]
-        rm = str(body[pos + 1 : pos + 1 + size], "utf-8")
-        pos += 1 + size
-        size = body[pos]
-        op = str(body[pos + 1 : pos + 1 + size], "utf-8")
-        pos += 1 + size
-    except (IndexError, UnicodeDecodeError) as exc:
-        raise WALError(f"malformed log record body at offset {offset}") from exc
-    if pos > length or not 0 < head[0] < len(_KIND_BY_CODE):
+    # The names end after the op length byte, which follows the rm name.
+    pos = _HEAD_SIZE + 2 + body[_HEAD_SIZE]
+    if pos <= length:
+        pos += body[pos - 1]
+    if pos > length or not 0 < fields[2] < len(_KIND_BY_CODE):
         raise WALError(
             f"malformed log record body at offset {offset} "
-            f"(kind code {head[0]}, {length} bytes)"
+            f"(kind code {fields[2]}, {length} bytes)"
         )
-    return head, rm, op, body, pos, next_offset
+    raw_names = body[_HEAD_SIZE:pos]
+    try:
+        rm, op = _NAMES_BY_RAW[raw_names]
+    except (KeyError, TypeError, ValueError):
+        rm, op = _unpack_names(raw_names, offset)
+    return fields, rm, op, body, pos, next_offset
 
 
 @dataclass
@@ -237,8 +268,8 @@ class LogRecord:
         """Decode the framed record at ``offset`` (``raw`` may be any
         buffer, ``memoryview`` included); returns it, stamped with
         ``lsn``, and the offset of the next frame."""
-        head, rm, op, body, pos, next_offset = _parse(raw, offset)
-        code, flags, txn_id, prev_lsn, page_id, prev_page_lsn, undo_next = head
+        fields, rm, op, body, pos, next_offset = _parse(raw, offset)
+        _, _, code, flags, txn_id, prev_lsn, page_id, prev_page_lsn, undo_next = fields
         payload: Any = {}
         if pos < len(body):
             payload, end = decode_value(body, pos)
@@ -295,24 +326,32 @@ class RecordHeader(NamedTuple):
         )
 
 
+#: Builds a header from a tuple of its fields without the namedtuple's
+#: Python-level ``__new__``.
+_tuple_new = tuple.__new__
+
+
 def header_from_bytes(
     raw, offset: int = 0, lsn: int = NULL_LSN
 ) -> tuple[RecordHeader, int]:
     """Decode one framed record's header fields only (no payload)."""
-    head, rm, op, _, _, next_offset = _parse(raw, offset)
-    code, flags, txn_id, prev_lsn, page_id, prev_page_lsn, undo_next = head
+    fields, rm, op, _, _, next_offset = _parse(raw, offset)
+    _, _, code, flags, txn_id, prev_lsn, page_id, prev_page_lsn, undo_next = fields
     return (
-        RecordHeader(
-            lsn,
-            _KIND_BY_CODE[code],
-            txn_id,
-            prev_lsn,
-            rm,
-            op,
-            page_id if flags & _F_PAGE else None,
-            prev_page_lsn,
-            undo_next if flags & _F_UNDO_NEXT else None,
-            bool(flags & _F_UNDOABLE),
+        _tuple_new(
+            RecordHeader,
+            (
+                lsn,
+                _KIND_BY_CODE[code],
+                txn_id,
+                prev_lsn,
+                rm,
+                op,
+                page_id if flags & _F_PAGE else None,
+                prev_page_lsn,
+                undo_next if flags & _F_UNDO_NEXT else None,
+                bool(flags & _F_UNDOABLE),
+            )
         ),
         next_offset,
     )

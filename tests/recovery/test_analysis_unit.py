@@ -154,3 +154,131 @@ class TestDirtyPageTable:
         db.log.write_master(begin_lsn)
         with pytest.raises(RecoveryError, match="list-of-entries"):
             run_analysis(db)
+
+
+class TestEveryField:
+    def test_every_kind_pinned_field_by_field(self):
+        """One hand-built log with every kind analysis branches on —
+        a checkpoint pair with a transaction ending inside its window,
+        PREPARE with a gid, ROLLBACK, CLR, DUMMY_CLR, END, a heap
+        ``format`` record, page records before and after the checkpoint
+        — and every ``AnalysisResult`` field asserted exactly."""
+        import struct
+        from types import SimpleNamespace
+
+        from repro.common.rid import RID, IndexKey
+        from repro.common.stats import StatsRegistry
+        from repro.wal.log import LogManager
+        from repro.wal.records import (
+            NULL_LSN,
+            LogRecord,
+            RecordKind,
+            clr_record,
+            dummy_clr,
+            prepare_record,
+            update_record,
+        )
+
+        log = LogManager()
+        stats = StatsRegistry()
+        ctx = SimpleNamespace(log=log, stats=stats)
+
+        def key_insert(txn_id, page_id):
+            return update_record(
+                txn_id, "btree", "insert_key", page_id,
+                {"index_id": 1, "key": IndexKey(b"k", RID(3, 4))},
+            )
+
+        def heap_insert(txn_id, page_id):
+            return update_record(
+                txn_id, "heap", "insert", page_id, {"rid": RID(page_id, 0), "data": b"x"}
+            )
+
+        def kind(txn_id, k):
+            return LogRecord(kind=k, txn_id=txn_id, undoable=False)
+
+        # Before the checkpoint: not scanned, known only from its payload.
+        pre_1 = log.append(key_insert(1, 10))
+        pre_2 = log.append(heap_insert(2, 11))
+        commit_2 = log.append(kind(2, RecordKind.COMMIT))
+        begin = log.append(kind(0, RecordKind.CKPT_BEGIN))
+        # Transaction 2 ends inside the checkpoint window; the snapshot
+        # below still lists it (stale) and must not resurrect it.
+        log.append(kind(2, RecordKind.END))
+        log.append(
+            LogRecord(
+                kind=RecordKind.CKPT_END,
+                txn_id=0,
+                undoable=False,
+                payload={
+                    "txn_table": [
+                        {"txn_id": 1, "status": "active", "last_lsn": pre_1,
+                         "undo_next_lsn": pre_1},
+                        {"txn_id": 2, "status": "committed", "last_lsn": commit_2,
+                         "undo_next_lsn": pre_2},
+                        {"txn_id": 3, "status": "prepared", "last_lsn": 3,
+                         "undo_next_lsn": 2, "gid": "g-3", "prepare_lsn": 3},
+                    ],
+                    "dirty_pages": struct.pack(
+                        ">6Q", 10, pre_1, pre_1, 11, pre_2, pre_2
+                    ),
+                    "next_txn_id": 50,
+                },
+            )
+        )
+        # After the checkpoint.
+        fmt = log.append(
+            update_record(1, "heap", "format", 12, {"table_id": 7}, undoable=False)
+        )
+        post_1 = log.append(key_insert(1, 10))
+        upd_4a = log.append(heap_insert(4, 13))
+        log.append(heap_insert(4, 13))
+        log.append(kind(4, RecordKind.ROLLBACK))
+        clr_4 = log.append(
+            clr_record(4, "heap", "remove_c", 13, {"rid": RID(13, 0), "data": b"x"},
+                       upd_4a)
+        )
+        upd_5 = log.append(key_insert(5, 14))
+        nta_5 = log.append(dummy_clr(5, NULL_LSN))
+        prepare_6 = log.append(prepare_record(6, "g-6", []))
+        upd_7 = log.append(heap_insert(7, 11))
+        commit_7 = log.append(kind(7, RecordKind.COMMIT))
+        upd_8 = log.append(key_insert(8, 14))
+        log.append(kind(8, RecordKind.COMMIT))
+        last = log.append(kind(8, RecordKind.END))
+        log.force()
+        log.write_master(begin)
+
+        result = run_analysis(ctx)
+
+        table = {
+            txn_id: (t.status, t.last_lsn, t.undo_next_lsn, t.gid, t.prepare_lsn)
+            for txn_id, t in result.transactions.items()
+        }
+        assert table == {
+            1: (TxnStatus.ACTIVE, post_1, post_1, None, NULL_LSN),
+            3: (TxnStatus.PREPARED, 3, 2, "g-3", 3),
+            4: (TxnStatus.ROLLING_BACK, clr_4, upd_4a, None, NULL_LSN),
+            5: (TxnStatus.ACTIVE, nta_5, NULL_LSN, None, NULL_LSN),
+            6: (TxnStatus.PREPARED, prepare_6, NULL_LSN, "g-6", prepare_6),
+            7: (TxnStatus.COMMITTED, commit_7, upd_7, None, NULL_LSN),
+        }
+        assert result.dirty_pages == {
+            10: pre_1, 11: pre_2, 12: fmt, 13: upd_4a, 14: upd_5,
+        }
+        assert result.page_heads == {
+            10: post_1, 11: upd_7, 12: fmt, 13: clr_4, 14: upd_8,
+        }
+        assert result.redo_lsn == pre_1
+        assert result.end_lsn == last
+        assert result.records_scanned == 17
+        assert result.max_txn_id == 8
+        assert result.next_txn_id == 50
+        assert result.ended_txn_ids == {2, 8}
+        assert result.heap_formats == {7: {12}}
+        assert [t.txn_id for t in result.losers] == [1, 4, 5]
+        assert [t.txn_id for t in result.winners_needing_end] == [7]
+        assert [t.txn_id for t in result.prepared] == [3, 6]
+        snapshot = stats.snapshot()
+        assert snapshot["recovery.analysis_passes"] == 1
+        assert snapshot["recovery.analysis_records"] == 17

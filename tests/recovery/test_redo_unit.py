@@ -6,7 +6,9 @@ from repro.common.rid import RID, IndexKey
 from repro.data.heap import HeapPage, HeapResourceManager
 from repro.recovery.analysis import run_analysis
 from repro.recovery.instant import RecoveryGovernor
-from repro.recovery.redo import run_redo
+from repro.recovery.media import page_records
+from repro.recovery.redo import replay_page, run_redo
+from repro.storage.page import Page
 from repro.wal.records import clr_record, update_record
 from tests.conftest import build_db, populate
 
@@ -64,6 +66,39 @@ class TestRedoDriver:
         page = db.buffer.fix(tree.root_page_id)
         db.buffer.unfix(tree.root_page_id)
         assert isinstance(page, IndexPage)
+
+
+class TestReplayPage:
+    def test_chain_is_replayed_under_one_fix(self):
+        """A page's whole chain is replayed under one buffer fix, and
+        the page is made dirty once, at the first applied record."""
+        db = make_db()
+        populate(db, range(5))
+        db.flush_all_pages()  # the disk image predates the rest
+        populate(db, range(5, 40))
+        page_id = db.tables["t"].heap.page_ids[0]
+        flushed_lsn = Page.from_bytes(db.disk.read(page_id)).page_lsn
+        records = page_records(db, page_id, 1)
+        newer = [r for r in records if r.lsn > flushed_lsn]
+        assert len(newer) > 1
+        db.buffer.discard(page_id)  # back to the flushed image
+        before = db.stats.snapshot().get("recovery.records_redone", 0)
+        fixes = []
+        real_fix = db.buffer.fix
+
+        def counting_fix(pid):
+            fixes.append(pid)
+            return real_fix(pid)
+
+        db.buffer.fix = counting_fix
+        assert replay_page(db, records) == len(newer)
+        assert fixes == [page_id]
+        assert db.buffer.dirty_page_table()[page_id] == newer[0].lsn
+        after = db.stats.snapshot()["recovery.records_redone"]
+        assert after - before == len(newer)
+        page = real_fix(page_id)
+        db.buffer.unfix(page_id)
+        assert page.page_lsn == records[-1].lsn
 
 
 class TestBTreeRMRedo:

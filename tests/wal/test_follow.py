@@ -7,17 +7,39 @@ records appended-and-forced concurrently without busy-polling, and
 """
 
 import threading
-import time
 
 import pytest
 
 from repro.common.errors import LSNOutOfRangeError, WALError
 from repro.wal.log import LogManager
 from repro.wal.records import update_record
+from tests.conftest import SpyCondition
 
 
 def rec(txn_id=1, op="op", page=1):
     return update_record(txn_id, "heap", op, page, {"n": 1})
+
+
+class Seen(list):
+    """The records a follower yielded, with a wait for their count in
+    place of a sleep-and-poll loop."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._cond = threading.Condition()
+
+    def add(self, record) -> None:
+        with self._cond:
+            self.append(record)
+            self._cond.notify_all()
+
+    def extend_from(self, records) -> None:
+        for record in records:
+            self.add(record)
+
+    def wait_for(self, count: int, timeout: float = 5.0) -> bool:
+        with self._cond:
+            return self._cond.wait_for(lambda: len(self) >= count, timeout)
 
 
 class TestFollowBasics:
@@ -28,14 +50,12 @@ class TestFollowBasics:
         log.force()
         log.append(rec(op="unforced"))
 
-        seen = []
+        seen = Seen()
         stop = threading.Event()
         it = log.records(follow=True, stop=stop.is_set, poll_interval=0.005)
-        t = threading.Thread(target=lambda: seen.extend(it), daemon=True)
+        t = threading.Thread(target=seen.extend_from, args=(it,), daemon=True)
         t.start()
-        deadline = time.monotonic() + 2.0
-        while len(seen) < 2 and time.monotonic() < deadline:
-            time.sleep(0.002)
+        assert seen.wait_for(2)
         assert [r.op for r in seen] == ["a", "b"]  # never the unforced one
         stop.set()
         t.join(timeout=2.0)
@@ -43,18 +63,16 @@ class TestFollowBasics:
 
     def test_picks_up_later_flushes(self):
         log = LogManager()
-        seen = []
+        seen = Seen()
         stop = threading.Event()
         it = log.records(follow=True, stop=stop.is_set, poll_interval=0.005)
-        t = threading.Thread(target=lambda: seen.extend(it), daemon=True)
+        t = threading.Thread(target=seen.extend_from, args=(it,), daemon=True)
         t.start()
 
         for i in range(3):
             log.append(rec(op=f"op{i}"))
             log.force()
-        deadline = time.monotonic() + 2.0
-        while len(seen) < 3 and time.monotonic() < deadline:
-            time.sleep(0.002)
+        assert seen.wait_for(3)
         assert [r.op for r in seen] == ["op0", "op1", "op2"]
         stop.set()
         t.join(timeout=2.0)
@@ -64,16 +82,14 @@ class TestFollowBasics:
         log.append(rec(op="a"))
         log.force()
         done = threading.Event()
-        seen = []
+        seen = Seen()
 
         def follow():
-            seen.extend(log.records(follow=True, poll_interval=0.005))
+            seen.extend_from(log.records(follow=True, poll_interval=0.005))
             done.set()
 
         threading.Thread(target=follow, daemon=True).start()
-        deadline = time.monotonic() + 2.0
-        while not seen and time.monotonic() < deadline:
-            time.sleep(0.002)
+        assert seen.wait_for(1)
         log.halt()
         assert done.wait(timeout=2.0), "follower did not observe the halt"
         assert [r.op for r in seen] == ["a"]
@@ -102,14 +118,14 @@ class TestFollowConcurrent:
         exactly once, in LSN order, never ahead of the flush."""
         log = LogManager()
         n_threads, per_thread = 4, 50
-        seen = []
+        seen = Seen()
         violations = []
 
         def follow():
             for record in log.records(follow=True, poll_interval=0.002):
                 if record.lsn > log.flushed_lsn:
                     violations.append(record.lsn)
-                seen.append(record)
+                seen.add(record)
 
         follower = threading.Thread(target=follow, daemon=True)
         follower.start()
@@ -129,9 +145,7 @@ class TestFollowConcurrent:
             t.join()
         log.force()
         total = n_threads * per_thread
-        deadline = time.monotonic() + 5.0
-        while len(seen) < total and time.monotonic() < deadline:
-            time.sleep(0.005)
+        assert seen.wait_for(total)
         log.halt()
         follower.join(timeout=2.0)
         assert not violations, f"records yielded past flushed_lsn: {violations}"
@@ -144,14 +158,14 @@ class TestFollowConcurrent:
         committed record and never outrun the batched flush boundary."""
         log = LogManager()
         log.start_group_commit(max_batch=8, max_wait_seconds=0.001)
-        seen = []
+        seen = Seen()
         violations = []
 
         def follow():
             for record in log.records(follow=True, poll_interval=0.002):
                 if record.lsn > log.flushed_lsn:
                     violations.append(record.lsn)
-                seen.append(record)
+                seen.add(record)
 
         follower = threading.Thread(target=follow, daemon=True)
         follower.start()
@@ -171,9 +185,7 @@ class TestFollowConcurrent:
         log.stop_group_commit()
         log.force()
         total = 4 * 20
-        deadline = time.monotonic() + 5.0
-        while len(seen) < total and time.monotonic() < deadline:
-            time.sleep(0.005)
+        assert seen.wait_for(total)
         log.halt()
         follower.join(timeout=2.0)
         assert not violations
@@ -183,14 +195,19 @@ class TestFollowConcurrent:
         log = LogManager()
         log.append(rec())
         log.force()
+        # The follower drains the one record, then parks on the flush
+        # condition: the spy says when.
+        log._flush_cond = spy = SpyCondition(threading.RLock())  # noqa: SLF001 - test instruments the park
         done = threading.Event()
+        seen = Seen()
 
         def follow():
-            list(log.records(follow=True, poll_interval=0.005))
+            seen.extend_from(log.records(follow=True, poll_interval=0.005))
             done.set()
 
         threading.Thread(target=follow, daemon=True).start()
-        time.sleep(0.02)  # let it drain and park
+        assert spy.parked.wait(timeout=5.0)
+        assert len(seen) == 1
         log.halt()
         log.crash()
         assert done.wait(timeout=2.0)
