@@ -12,7 +12,7 @@ Paper expectation (Figure 2, data-only locking):
     delete             X commit              (record lock: X commit)
 """
 
-from repro.baselines import COMPARED_PROTOCOLS
+from repro.btree.protocol import COMPARED_PROTOCOLS
 from repro.harness.lockaudit import figure2_rows
 from repro.harness.report import format_table
 

@@ -15,7 +15,7 @@ commit (most held locks).
 
 from repro.common.config import DatabaseConfig
 from repro.db import Database
-from repro.baselines import COMPARED_PROTOCOLS
+from repro.btree.protocol import COMPARED_PROTOCOLS
 from repro.harness.report import format_table
 
 from _common import write_result

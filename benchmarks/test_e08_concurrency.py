@@ -16,7 +16,7 @@ several), and its throughput under contention is at least comparable
 import threading
 import time
 
-from repro.baselines import COMPARED_PROTOCOLS
+from repro.btree.protocol import COMPARED_PROTOCOLS
 from repro.harness.interleave import (
     interleaving_table,
     nonunique_interleaving_table,

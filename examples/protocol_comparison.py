@@ -7,7 +7,7 @@ claim (§1, §5): data-only locking acquires the fewest locks.
 Run:  python examples/protocol_comparison.py
 """
 
-from repro.baselines import COMPARED_PROTOCOLS
+from repro.btree.protocol import COMPARED_PROTOCOLS
 from repro.harness.lockaudit import figure2_rows
 from repro.harness.report import format_table
 from repro.harness.workload import (

@@ -247,10 +247,14 @@ PROTOCOLS: dict[str, type[LockingProtocol]] = {
     SystemRStyleLocking.name: SystemRStyleLocking,
 }
 
+#: Protocols the experiments compare (E1, E7, E8, E19), in presentation
+#: order: ARIES/IM's two modes, then the baselines.
+COMPARED_PROTOCOLS = list(PROTOCOLS)
+
 
 def make_protocol(name: str) -> LockingProtocol:
-    """Instantiate a protocol by name (also accepts the config aliases
-    ``data_only`` and ``index_specific``)."""
+    """Instantiate a protocol by name (also accepts the short aliases
+    ``data_only``, ``index_specific``, ``kvl`` and ``system_r``)."""
     aliases = {
         "data_only": DataOnlyLocking.name,
         "index_specific": IndexSpecificLocking.name,

@@ -48,7 +48,7 @@ class Coordinator:
         group_commit_max_wait_seconds: float = 0.001,
     ) -> None:
         self.name = name
-        self.stats = stats or StatsRegistry(enabled=True)
+        self.stats = stats or StatsRegistry()
         self.failpoints = FailpointRegistry()
         self.log = LogManager(self.stats, self.failpoints)
         self._group_commit = group_commit

@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Serve until the parent closes our stdin.
     sys.stdin.read()
-    server.shutdown(drain=False, checkpoint=False)
+    server.shutdown(drain=False)
     db.close()
     return 0
 

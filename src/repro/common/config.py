@@ -8,13 +8,12 @@ to demonstrate why each ARIES/IM mechanism exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import dataclass
+from typing import Literal, get_args
 
 from repro.common.errors import ConfigError
 
 LockGranularity = Literal["record", "page"]
-IndexLockingProtocol = Literal["data_only", "index_specific"]
 TreeLatchMode = Literal["latch", "lock"]
 
 
@@ -24,10 +23,6 @@ class DatabaseConfig:
 
     Parameters mirror the design choices called out in the paper:
 
-    - ``index_locking``: ``"data_only"`` is ARIES/IM's headline protocol
-      (the key lock *is* the record lock); ``"index_specific"`` is the
-      variant mentioned in §2.1 that explicitly locks keys in the index
-      for slightly more concurrency at extra locking cost.
     - ``lock_granularity``: the granularity associated with the table
       (§2.1: "at the locking granularity (page, record, ...) associated
       with the table/file").
@@ -42,7 +37,6 @@ class DatabaseConfig:
     page_size: int = 4096
     buffer_pool_pages: int = 256
     lock_granularity: LockGranularity = "record"
-    index_locking: IndexLockingProtocol = "data_only"
     tree_latch_mode: TreeLatchMode = "latch"
     enable_sm_bit: bool = True
     enable_delete_bit: bool = True
@@ -50,7 +44,6 @@ class DatabaseConfig:
     reset_sm_bits_after_smo: bool = True
     lock_timeout_seconds: float = 10.0
     latch_timeout_seconds: float = 10.0
-    deadlock_detection: bool = True
     checkpoint_interval_records: int = 0
     """Write a fuzzy checkpoint every N log records (0 disables)."""
 
@@ -60,8 +53,6 @@ class DatabaseConfig:
     one on its own thread; the others park behind it).  Off by default:
     single-threaded experiments want the paper's one-force-per-commit
     accounting."""
-    group_commit_max_batch: int = 64
-    """Flush as soon as this many commits are parked."""
     group_commit_max_wait_seconds: float = 0.002
     """Upper bound on how long a leader waits for partners before it
     flushes.  The wait is also capped by ``log_flush_latency_seconds``
@@ -87,23 +78,14 @@ class DatabaseConfig:
     crashed or closing; it exists so concurrent harnesses exercise GC's
     latch ordering under load, not as a tuned production daemon."""
 
-    ondemand_recovery_timeout_seconds: float = 30.0
-    """Instant restart: how long a page fix waits for another thread's
-    in-flight on-demand recovery of the same page before giving up with
-    :class:`~repro.common.errors.RecoveryTimeoutError`."""
-
-    io_retry_limit: int = 4
-    """Attempts the buffer pool makes per disk I/O before a transient
-    fault is promoted to a permanent one (and escalated to a crash)."""
-    io_retry_backoff_seconds: float = 0.0
-    """Base of the exponential backoff between I/O retries (0 = no sleep)."""
-
-    stats_enabled: bool = True
-    debug_latch_checks: bool = True
-    """Assert the paper's invariant that no more than two index-page
-    latches are held simultaneously by one transaction."""
-
     def __post_init__(self) -> None:
+        for name, mode in (
+            ("lock_granularity", LockGranularity),
+            ("tree_latch_mode", TreeLatchMode),
+        ):
+            value = getattr(self, name)
+            if value not in get_args(mode):
+                raise ConfigError(f"{name} {value!r} is not one of {get_args(mode)}")
         if self.page_size < 512:
             raise ConfigError(f"page_size {self.page_size} is too small (< 512)")
         if self.buffer_pool_pages < 4:
@@ -112,24 +94,12 @@ class DatabaseConfig:
             raise ConfigError("timeouts must be positive")
         if self.checkpoint_interval_records < 0:
             raise ConfigError("checkpoint_interval_records must be >= 0")
-        if self.io_retry_limit < 1:
-            raise ConfigError("io_retry_limit must be at least 1")
-        if self.ondemand_recovery_timeout_seconds <= 0:
-            raise ConfigError("ondemand_recovery_timeout_seconds must be positive")
-        if self.group_commit_max_batch < 1:
-            raise ConfigError("group_commit_max_batch must be at least 1")
         if self.group_commit_max_wait_seconds < 0:
             raise ConfigError("group_commit_max_wait_seconds must be >= 0")
         if self.log_flush_latency_seconds < 0:
             raise ConfigError("log_flush_latency_seconds must be >= 0")
-        if self.io_retry_backoff_seconds < 0:
-            raise ConfigError("io_retry_backoff_seconds must be >= 0")
         if self.mvcc_gc_interval_seconds < 0:
             raise ConfigError("mvcc_gc_interval_seconds must be >= 0")
-
-    def with_overrides(self, **kwargs: object) -> "DatabaseConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)  # type: ignore[arg-type]
 
 
 DEFAULT_CONFIG = DatabaseConfig()

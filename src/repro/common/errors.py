@@ -189,7 +189,7 @@ class RecoveryError(ReproError):
 class RecoveryTimeoutError(RecoveryError):
     """An on-demand page recovery did not finish within the per-request
     budget (instant restart: the fix that triggered lazy recovery waited
-    ``ondemand_recovery_timeout_seconds`` for another thread recovering
+    ``ONDEMAND_RECOVERY_TIMEOUT_SECONDS`` for another thread recovering
     the same page)."""
 
 

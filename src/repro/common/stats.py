@@ -70,8 +70,7 @@ class StatsRegistry:
     folds it the same way.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         #: Gauges, plus the folded counts of threads that have exited.
         self._counters: Counter[str] = Counter()
@@ -95,8 +94,6 @@ class StatsRegistry:
         A tuple of names bumps each of them by ``amount`` in one step
         (the latch counts every acquisition in total and by mode).
         """
-        if not self.enabled:
-            return
         try:
             shard = self._local.shard
         except AttributeError:
@@ -155,8 +152,6 @@ class StatsRegistry:
 
     def add_source(self, source: Source) -> None:
         """Merge ``source``'s totals into every read from now on."""
-        if not self.enabled:
-            return
         with self._lock:
             self._sources[source] = {}
 
@@ -171,16 +166,12 @@ class StatsRegistry:
     def gauge(self, name: str, value: int) -> None:
         """Set counter ``name`` to an absolute value — progress gauges
         that move in both directions (pages still awaiting recovery)."""
-        if not self.enabled:
-            return
         with self._lock:
             self._counters[name] = value
 
     def max_gauge(self, name: str, value: int) -> None:
         """Atomically raise counter ``name`` to ``value`` if higher —
         high-water marks (peak queue depth, peak parked committers)."""
-        if not self.enabled:
-            return
         with self._lock:
             if value > self._counters.get(name, 0):
                 self._counters[name] = value

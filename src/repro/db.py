@@ -44,7 +44,7 @@ from repro.common.keys import UserKey
 from repro.common.rid import RID
 from repro.common.stats import StatsRegistry
 from repro.btree.node import IndexPage
-from repro.btree.protocol import LockingProtocol, make_protocol
+from repro.btree.protocol import DataOnlyLocking, LockingProtocol, make_protocol
 from repro.btree.recovery import BTreeResourceManager
 from repro.btree.tree import BTree
 from repro.data.heap import HeapResourceManager
@@ -78,7 +78,7 @@ class Database:
         fault_injector: FaultInjector | None = None,
     ) -> None:
         self.config = config
-        self.stats = StatsRegistry(enabled=config.stats_enabled)
+        self.stats = StatsRegistry()
         self.failpoints = FailpointRegistry()
         self.fault_injector = fault_injector
         if fault_injector is not None:
@@ -87,25 +87,10 @@ class Database:
         self.log = LogManager(self.stats, self.failpoints)
         self.log.flush_latency_seconds = config.log_flush_latency_seconds
         if config.group_commit:
-            self.log.start_group_commit(
-                config.group_commit_max_batch,
-                config.group_commit_max_wait_seconds,
-            )
-        self.buffer = BufferPool(
-            self.disk,
-            self.log,
-            config.buffer_pool_pages,
-            self.stats,
-            io_retry_limit=config.io_retry_limit,
-            io_retry_backoff_seconds=config.io_retry_backoff_seconds,
-        )
+            self.log.start_group_commit(config.group_commit_max_wait_seconds)
+        self.buffer = BufferPool(self.disk, self.log, config.buffer_pool_pages, self.stats)
         self.buffer.on_fatal_io = self._on_fatal_io
-        self.latches = self._make_latches()
-        self.locks = LockManager(
-            self.stats,
-            timeout=config.lock_timeout_seconds,
-            deadlock_detection=config.deadlock_detection,
-        )
+        self._new_lock_tables()
         self.rm_registry = ResourceManagerRegistry()
         self.rm_registry.register(RM_HEAP, HeapResourceManager())
         self.rm_registry.register(RM_BTREE, BTreeResourceManager())
@@ -135,13 +120,21 @@ class Database:
         self._gc_thread: threading.Thread | None = None
         self._start_gc_pacer()
 
-    def _make_latches(self) -> LatchManager:
-        debug_max = 2 if self.config.debug_latch_checks else None
-        return LatchManager(
-            self.stats,
-            debug_max_page_latches=debug_max,
-            timeout=self.config.latch_timeout_seconds,
-        )
+    def _new_lock_tables(self) -> None:
+        self.latches = LatchManager(self.stats, timeout=self.config.latch_timeout_seconds)
+        self.locks = LockManager(self.stats, timeout=self.config.lock_timeout_seconds)
+
+    def _replace_lock_tables(self) -> None:
+        """Retire the latch and lock tables and start empty ones.  The
+        old tables' grant counts fold into the stats for good, and the
+        latch monitor forgets every latch they held: those releases
+        will never arrive."""
+        self.latches.retire()
+        self.locks.retire()
+        self._new_lock_tables()
+        monitor = get_latch_monitor()
+        if monitor is not None:
+            monitor.reset_all_held()
 
     # -- schema -------------------------------------------------------------------
 
@@ -165,13 +158,13 @@ class Database:
     ) -> BTree:
         """Create a B+-tree index on ``column``; backfills existing rows.
 
-        ``protocol`` overrides the config-level locking protocol for
-        this index (used by the baseline-comparison experiments)."""
+        ``protocol`` replaces ARIES/IM's data-only locking for this
+        index (used by the baseline-comparison experiments)."""
         table = self.tables[table_name]
         if index_name in table.indexes:
             raise ConfigError(f"index {index_name!r} already exists")
         if protocol is None:
-            protocol = make_protocol(self.config.index_locking)
+            protocol = DataOnlyLocking()
         elif isinstance(protocol, str):
             protocol = make_protocol(protocol)
 
@@ -796,19 +789,7 @@ class Database:
         self.log.crash(keep_partial_tail=keep_partial)
         self.disk.crash()
         self.buffer.crash()
-        self.latches.retire()
-        self.latches = self._make_latches()
-        monitor = get_latch_monitor()
-        if monitor is not None:
-            # Releases for latches held at the crash instant will never
-            # arrive (the table above was replaced wholesale).
-            monitor.reset_all_held()
-        self.locks.retire()
-        self.locks = LockManager(
-            self.stats,
-            timeout=self.config.lock_timeout_seconds,
-            deadlock_detection=self.config.deadlock_detection,
-        )
+        self._replace_lock_tables()
         # Retire the old manager *before* replacing it: a thread parked
         # inside its commit when the crash landed must not append stale
         # COMMIT/END records once restart resumes the shared log.
@@ -886,17 +867,7 @@ class Database:
         rollback against the halted log fails mid-way).  Restart runs
         quiesced — the server is aborted, no application thread is
         live — so empty tables are always the correct state here."""
-        self.latches.retire()
-        self.latches = self._make_latches()
-        monitor = get_latch_monitor()
-        if monitor is not None:
-            monitor.reset_all_held()
-        self.locks.retire()
-        self.locks = LockManager(
-            self.stats,
-            timeout=self.config.lock_timeout_seconds,
-            deadlock_detection=self.config.deadlock_detection,
-        )
+        self._replace_lock_tables()
         self.txns._locks = self.locks
 
     @property

@@ -1027,7 +1027,6 @@ class _Recovering(_Scenario):
         torn_write_probability=0.05,
         wal_tail_loss_probability=0.3,
     )
-    config = dict(ondemand_recovery_timeout_seconds=10.0)
 
     def build(self) -> None:
         spec = self.spec

@@ -86,9 +86,8 @@ class LockManager:
         self,
         stats: StatsRegistry | None = None,
         timeout: float = 10.0,
-        deadlock_detection: bool = True,
     ) -> None:
-        self._stats = stats or StatsRegistry(enabled=False)
+        self._stats = stats or StatsRegistry()
         self._requests: dict[str, int] = {}
         self._stats.add_source(self._request_counts)
         # One plain mutex guards the table; the condition variable over
@@ -98,7 +97,6 @@ class LockManager:
         self._table: dict[LockName, _LockHead] = {}
         self._held_by_txn: dict[int, set[LockName]] = {}
         self.timeout = timeout
-        self.deadlock_detection = deadlock_detection
         #: Optional hook ``resolver(holder_txn_ids) -> bool`` installed
         #: by the transaction manager: given the holders blocking a
         #: request, complete any whose commit is appended-but-deferred
@@ -188,12 +186,11 @@ class LockManager:
             )
             head.queue.append(waiter)
             self._stats.incr("lock.waits")
-            if self.deadlock_detection:
-                cycle = find_cycle(self._build_waits_for(), txn_id)
-                if cycle is not None:
-                    head.queue.remove(waiter)
-                    self._stats.incr("lock.deadlocks")
-                    raise DeadlockError(txn_id, cycle)
+            cycle = find_cycle(self._build_waits_for(), txn_id)
+            if cycle is not None:
+                head.queue.remove(waiter)
+                self._stats.incr("lock.deadlocks")
+                raise DeadlockError(txn_id, cycle)
             deadline = time.monotonic() + self.timeout
             self._process_queue(head, name)
             while not waiter.granted:

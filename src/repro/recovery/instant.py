@@ -71,6 +71,12 @@ from repro.recovery.undo import run_undo
 from repro.txn.transaction import TxnStatus
 from repro.wal.records import NULL_LSN, LogRecord, RecordKind
 
+#: How long a page fix waits for another thread's in-flight on-demand
+#: recovery of the same page before giving up with
+#: :class:`~repro.common.errors.RecoveryTimeoutError` (and how long
+#: :meth:`RecoveryGovernor.drain` waits for the drained state).
+ONDEMAND_RECOVERY_TIMEOUT_SECONDS = 30.0
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
 
@@ -179,7 +185,7 @@ class RecoveryGovernor:
 
         Foreground callers (via the hook) pay the lazy-recovery cost
         inline; if another thread is already recovering the page, they
-        wait up to ``ondemand_recovery_timeout_seconds`` for it.  ``by``
+        wait up to ``ONDEMAND_RECOVERY_TIMEOUT_SECONDS`` for it.  ``by``
         names the caller for the ``recovery.pages_recovered_*`` stats:
         ``"ondemand"`` (a page fix), ``"background"`` (a redo worker)
         or ``"drain"`` (:meth:`drain` on the calling thread).
@@ -192,7 +198,7 @@ class RecoveryGovernor:
             lock = self._page_locks.get(page_id)
             if lock is None:
                 lock = self._page_locks[page_id] = threading.Lock()
-        timeout = self.ctx.config.ondemand_recovery_timeout_seconds
+        timeout = ONDEMAND_RECOVERY_TIMEOUT_SECONDS
         if not lock.acquire(timeout=timeout):
             self.ctx.stats.incr("recovery.ondemand_timeouts")
             raise RecoveryTimeoutError(
@@ -345,7 +351,7 @@ class RecoveryGovernor:
         run_redo(self)
         run_scrub(self)
         if timeout is None:
-            timeout = self.ctx.config.ondemand_recovery_timeout_seconds
+            timeout = ONDEMAND_RECOVERY_TIMEOUT_SECONDS
         return self._drained_event.wait(timeout) and not self._aborted
 
     def wait_drained(self, timeout: float | None = None) -> bool:

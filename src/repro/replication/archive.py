@@ -52,7 +52,7 @@ class WalArchive:
         stats: StatsRegistry | None = None,
     ) -> None:
         self._segment_bytes = segment_bytes
-        self._stats = stats or StatsRegistry(enabled=False)
+        self._stats = stats or StatsRegistry()
         self._lock = threading.Lock()
         self._segments: list[ArchiveSegment] = []
         self._base_lsn: int | None = None  # first archived LSN

@@ -79,12 +79,6 @@ class ServerConfig:
     """How long a request may execute before its session is dropped."""
     drain_timeout_seconds: float = 10.0
     """How long graceful shutdown waits for in-flight work."""
-    checkpoint_on_shutdown: bool = True
-    max_scan_rows: int = 1000
-    """Hard cap on rows one scan response may carry."""
-    max_batch_requests: int = 64
-    """Most pipelined requests one connection read may drain into a
-    single executor job (one admission pass, commits coalesced)."""
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -95,10 +89,6 @@ class ServerConfig:
             raise ConfigError("timeouts must be positive")
         if self.admission_timeout_seconds < 0:
             raise ConfigError("admission_timeout_seconds must be >= 0")
-        if self.max_scan_rows < 1:
-            raise ConfigError("max_scan_rows must be at least 1")
-        if self.max_batch_requests < 1:
-            raise ConfigError("max_batch_requests must be at least 1")
 
 
 DEFAULT_SERVER_CONFIG = ServerConfig()
@@ -460,7 +450,7 @@ class DatabaseServer:
 
     # -- shutdown ----------------------------------------------------------
 
-    def shutdown(self, drain: bool = True, checkpoint: bool | None = None) -> bool:
+    def shutdown(self, drain: bool = True) -> bool:
         """Stop the server.
 
         ``drain=True`` (graceful): stop admitting, let queued and
@@ -522,9 +512,7 @@ class DatabaseServer:
         for worker in self._workers:
             worker.join(timeout=5.0)
         self._deadlines.stop()
-        if checkpoint is None:
-            checkpoint = self.config.checkpoint_on_shutdown and drain
-        if checkpoint and not self.db.closed and not self.db._crashed:
+        if drain and not self.db.closed and not self.db._crashed:
             self.db.checkpoint()
         self.db.stats.incr("server.shutdowns")
         if drained and drain:
@@ -533,4 +521,4 @@ class DatabaseServer:
 
     def abort(self) -> None:
         """Hard stop that never touches the database (post-crash)."""
-        self.shutdown(drain=False, checkpoint=False)
+        self.shutdown(drain=False)

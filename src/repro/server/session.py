@@ -48,6 +48,12 @@ _TXN_FATAL_ERRORS = (DeadlockError, LockTimeoutError)
 
 _STMT_SAVEPOINT = "__server_stmt__"
 
+#: Hard cap on rows one scan response may carry.
+MAX_SCAN_ROWS = 1000
+#: Most pipelined requests one connection read may drain into a single
+#: executor job (one admission pass, commits coalesced).
+MAX_BATCH_REQUESTS = 64
+
 
 class Session:
     """Server-side state of one connected client."""
@@ -86,7 +92,7 @@ class Session:
         """Read requests until EOF/close.
 
         A pipelining client may have many frames in flight; each read
-        drains up to ``max_batch_requests`` of them and batchable ops
+        drains up to ``MAX_BATCH_REQUESTS`` of them and batchable ops
         travel through the executor pool as one job (one admission pass,
         commits coalesced into one group flush).  A lone request — the
         non-pipelined path — runs right here when an engine slot is free
@@ -94,11 +100,10 @@ class Session:
         """
         stats = self.server.db.stats
         stats.incr("server.sessions_opened")
-        max_batch = self.server.config.max_batch_requests
         try:
             while not self.closing:
                 try:
-                    batch = self.conn.read_message_batch(max_batch)
+                    batch = self.conn.read_message_batch(MAX_BATCH_REQUESTS)
                 except ProtocolError as exc:
                     try:
                         self.conn.write_message(error_response(exc))
@@ -417,10 +422,7 @@ class Session:
         )
 
     def _op_scan(self, request: dict) -> list[dict]:
-        limit = min(
-            int(request.get("limit", self.server.config.max_scan_rows)),
-            self.server.config.max_scan_rows,
-        )
+        limit = min(int(request.get("limit", MAX_SCAN_ROWS)), MAX_SCAN_ROWS)
 
         def scan(txn: Transaction) -> list[dict]:
             rows: list[dict] = []

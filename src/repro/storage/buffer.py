@@ -31,6 +31,10 @@ from repro.storage.page import Page
 from repro.wal.log import LogManager
 from repro.wal.records import NULL_LSN, LogRecord
 
+#: Attempts per disk I/O before a transient fault is promoted to a
+#: permanent one (and escalated to a crash).
+IO_RETRY_ATTEMPTS = 4
+
 
 class _Frame:
     __slots__ = ("page", "dirty", "pins")
@@ -48,7 +52,7 @@ class BufferPool:
     """Fixed-capacity page cache over the simulated disk.
 
     Disk I/O issued by :meth:`fix` and :meth:`flush_page` absorbs
-    transient I/O faults with bounded retry-and-backoff; a permanent
+    transient I/O faults with a bounded immediate retry; a permanent
     fault (or a transient one that outlives the retry budget) is
     escalated through ``on_fatal_io`` — the database wires that to a
     clean ``Database.crash()`` — and then re-raised.
@@ -64,15 +68,11 @@ class BufferPool:
         log: LogManager,
         capacity: int,
         stats: StatsRegistry | None = None,
-        io_retry_limit: int = 4,
-        io_retry_backoff_seconds: float = 0.0,
     ) -> None:
         self._disk = disk
         self._log = log
         self._capacity = capacity
-        self._stats = stats or StatsRegistry(enabled=False)
-        self._io_retry_limit = io_retry_limit
-        self._io_retry_backoff = io_retry_backoff_seconds
+        self._stats = stats or StatsRegistry()
         self._mutex = threading.RLock()
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
         self._dirty_page_table: dict[int, int] = {}
@@ -95,9 +95,7 @@ class BufferPool:
 
     def _disk_io(self, op: Callable[[], object]) -> object:
         try:
-            return with_io_retries(
-                op, self._io_retry_limit, self._io_retry_backoff, self._stats
-            )
+            return with_io_retries(op, IO_RETRY_ATTEMPTS, self._stats)
         except PermanentIOError as exc:
             self._stats.incr("buffer.fatal_io_errors")
             handler = self.on_fatal_io

@@ -52,7 +52,7 @@ class DiskManager:
         fault_injector: FaultInjector | None = None,
     ) -> None:
         self.page_size = page_size
-        self._stats = stats or StatsRegistry(enabled=False)
+        self._stats = stats or StatsRegistry()
         self._faults = fault_injector
         self._mutex = threading.Lock()
         #: Fixed-size framed images (header + body, zero-padded).

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -53,7 +52,7 @@ class FaultPlan:
     All probabilities default to zero, so an all-defaults plan injects
     nothing.  ``max_transient_failures`` bounds how many consecutive
     attempts one transient fault fails before succeeding; it must stay
-    below the buffer pool's ``io_retry_limit`` for transient faults to
+    below the buffer pool's ``IO_RETRY_ATTEMPTS`` for transient faults to
     be survivable.
     """
 
@@ -227,28 +226,21 @@ def torn_image(new: bytes, old: bytes, sector_size: int, tear: tuple[str, int]) 
 
 
 def with_io_retries(
-    op: Callable[[], T],
-    attempts: int,
-    backoff_seconds: float = 0.0,
-    stats: StatsRegistry | None = None,
+    op: Callable[[], T], attempts: int, stats: StatsRegistry | None = None
 ) -> T:
-    """Run ``op``, absorbing up to ``attempts - 1`` transient failures.
-
-    Exponential backoff between attempts (``backoff_seconds * 2**n``;
-    zero disables sleeping).  A transient fault that persists across the
+    """Run ``op``, absorbing up to ``attempts - 1`` transient failures
+    (retried at once).  A transient fault that persists across the
     whole budget is promoted to :class:`PermanentIOError`; a permanent
     fault raised by ``op`` propagates immediately.
     """
     last: TransientIOError | None = None
-    for attempt in range(max(attempts, 1)):
+    for _ in range(max(attempts, 1)):
         try:
             return op()
         except TransientIOError as exc:
             last = exc
             if stats is not None:
                 stats.incr("io.transient_retries")
-            if backoff_seconds:
-                time.sleep(backoff_seconds * (2**attempt))
     raise PermanentIOError(
         f"transient I/O fault persisted across {attempts} attempts: {last}"
     ) from last

@@ -35,6 +35,10 @@ _monitor = None
 #: from "a monitor — possibly None — was captured at construction".
 _UNSET = object()
 
+#: The paper's bound on index pages one thread holds latched at once
+#: (§2.1); :meth:`LatchManager.latch_page` enforces it.
+MAX_PAGE_LATCHES = 2
+
 
 def set_latch_monitor(monitor) -> None:
     """Install (or clear, with None) the latch instrumentation hook.
@@ -110,7 +114,7 @@ class Latch:
         monitor: object = _UNSET,
     ) -> None:
         self.name = name
-        self._stats = stats or StatsRegistry(enabled=False)
+        self._stats = stats or StatsRegistry()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         #: Mode held by each owning thread, and — only for a thread that
@@ -267,9 +271,9 @@ class Latch:
 class LatchManager:
     """Factory/registry for page latches and per-index tree latches.
 
-    Also tracks, per thread, how many *page* latches are held so the
-    paper's "not more than 2 index pages are held latched
-    simultaneously" invariant (§2.1) can be asserted in debug mode.
+    Also tracks, per thread, which *page* latches are held and enforces
+    the paper's "not more than 2 index pages are held latched
+    simultaneously" invariant (§2.1).
 
     The manager reports the grant counts of every latch it made to its
     stats registry; a database that replaces its manager (crash,
@@ -279,15 +283,13 @@ class LatchManager:
     def __init__(
         self,
         stats: StatsRegistry | None = None,
-        debug_max_page_latches: int | None = None,
         timeout: float = 30.0,
     ) -> None:
-        self._stats = stats or StatsRegistry(enabled=False)
+        self._stats = stats or StatsRegistry()
         self._mutex = threading.Lock()
         self._page_latches: dict[int, Latch] = {}
         self._tree_latches: dict[int, Latch] = {}
         self._held_pages = threading.local()
-        self._debug_max = debug_max_page_latches
         self.timeout = timeout
         # Captured once: this table's latches report to the monitor in
         # force when the table was built (see Latch docstring).  Crash
@@ -351,12 +353,12 @@ class LatchManager:
         except AttributeError:
             held = self._held_set()
         held.add(page_id)
-        if self._debug_max is not None and len(held) > self._debug_max:
+        if len(held) > MAX_PAGE_LATCHES:
             latch.release()
             held.discard(page_id)
             raise LatchError(
                 f"protocol violation: {len(held) + 1} page latches held at once "
-                f"(limit {self._debug_max}); held={sorted(held | {page_id})}"
+                f"(limit {MAX_PAGE_LATCHES}); held={sorted(held | {page_id})}"
             )
         return latch
 

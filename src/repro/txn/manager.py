@@ -112,7 +112,7 @@ class TransactionManager:
         self._log = log
         self._locks = locks
         self._registry = registry
-        self._stats = stats or StatsRegistry(enabled=False)
+        self._stats = stats or StatsRegistry()
         self._mutex = threading.Lock()
         self._next_txn_id = 1
         self._halted = False

@@ -64,6 +64,9 @@ from repro.wal.records import (
 #: gets a segment of its own).
 SEGMENT_BYTES = 1 << 20
 
+#: Group commit: a leader flushes as soon as this many commits are parked.
+GROUP_COMMIT_MAX_BATCH = 64
+
 
 class _CommitWaiter:
     """One committer parked for a group-commit flush.
@@ -103,7 +106,7 @@ class LogManager:
         stats: StatsRegistry | None = None,
         failpoints: FailpointRegistry | None = None,
     ) -> None:
-        self._stats = stats or StatsRegistry(enabled=False)
+        self._stats = stats or StatsRegistry()
         self._failpoints = failpoints or FailpointRegistry()
         self._mutex = threading.Lock()
         #: Sealed segments and the stream offset of each one's first
@@ -125,7 +128,6 @@ class LogManager:
         # taking _mutex, never the other way around.
         self._gc_cond = threading.Condition()
         self._gc_enabled = False
-        self._gc_max_batch = 64
         self._gc_max_wait = 0.002
         self._gc_waiters: list[_CommitWaiter] = []
         self._gc_inflight: list[_CommitWaiter] = []
@@ -300,14 +302,11 @@ class LogManager:
 
     # -- group commit ------------------------------------------------------
 
-    def start_group_commit(
-        self, max_batch: int = 64, max_wait_seconds: float = 0.002
-    ) -> None:
+    def start_group_commit(self, max_wait_seconds: float = 0.002) -> None:
         """Turn group commit on: :meth:`force_for_commit` now coalesces
         concurrent committers' forces.  Idempotent."""
         with self._gc_cond:
             self._gc_enabled = True
-            self._gc_max_batch = max_batch
             self._gc_max_wait = max_wait_seconds
 
     def stop_group_commit(self) -> None:
@@ -370,7 +369,7 @@ class LogManager:
                 self._gc_waiters.append(waiter)
                 waiter.leads = not self._gc_leading
                 self._gc_leading = True
-                if not waiter.leads and len(self._gc_waiters) >= self._gc_max_batch:
+                if not waiter.leads and len(self._gc_waiters) >= GROUP_COMMIT_MAX_BATCH:
                     # A full batch closes the leader's window early.
                     self._gc_cond.notify()
         if waiter is None:
@@ -407,7 +406,7 @@ class LogManager:
                 if window > 0.0:
                     deadline = time.monotonic() + window
                     while self._gc_enabled and (
-                        0 < len(self._gc_waiters) < self._gc_max_batch
+                        0 < len(self._gc_waiters) < GROUP_COMMIT_MAX_BATCH
                     ):
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:

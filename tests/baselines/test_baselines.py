@@ -7,7 +7,7 @@ claims (§1, §5) are asserted quantitatively.
 
 import pytest
 
-from repro.baselines import COMPARED_PROTOCOLS
+from repro.btree.protocol import COMPARED_PROTOCOLS
 from repro.btree.protocol import make_protocol
 from repro.harness.workload import (
     WorkloadSpec,

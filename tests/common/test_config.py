@@ -1,9 +1,17 @@
-"""Configuration validation and overrides."""
+"""Configuration validation and overrides, and the API reference
+listing every config field."""
+
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.common.config import DEFAULT_CONFIG, DatabaseConfig
 from repro.common.errors import ConfigError
+from repro.server import ServerConfig
+
+API_DOC = Path(__file__).resolve().parents[2] / "docs" / "API.md"
 
 
 class TestValidation:
@@ -26,10 +34,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             DatabaseConfig(checkpoint_interval_records=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tree_latch_mode", "locks"),
+            ("tree_latch_mode", "tree_lock"),
+            ("lock_granularity", "pages"),
+            ("lock_granularity", "table"),
+        ],
+    )
+    def test_unknown_mode_string_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            DatabaseConfig(**{field: value})
+
+    def test_every_listed_mode_accepted(self):
+        for mode in ("latch", "lock"):
+            assert DatabaseConfig(tree_latch_mode=mode).tree_latch_mode == mode
+        for granularity in ("record", "page"):
+            config = DatabaseConfig(lock_granularity=granularity)
+            assert config.lock_granularity == granularity
+
 
 class TestOverrides:
     def test_with_overrides_returns_new_config(self):
-        updated = DEFAULT_CONFIG.with_overrides(enable_sm_bit=False)
+        updated = dataclasses.replace(DEFAULT_CONFIG, enable_sm_bit=False)
         assert updated.enable_sm_bit is False
         assert DEFAULT_CONFIG.enable_sm_bit is True
 
@@ -45,3 +73,25 @@ class TestOverrides:
             tree_latch_mode="lock",
         )
         assert config.tree_latch_mode == "lock"
+
+
+def _field_names(text: str) -> set[str]:
+    """Every backquoted lower-case identifier in ``text``."""
+    return set(re.findall(r"`([a-z_]+)`", text))
+
+
+class TestApiDocs:
+    """docs/API.md names exactly the fields each config has."""
+
+    def test_database_config_section_lists_every_field(self):
+        doc = API_DOC.read_text()
+        start = doc.index("## `repro.common.config.DatabaseConfig`")
+        section = doc[start : doc.index("\n## ", start + 1)]
+        fields = {f.name for f in dataclasses.fields(DatabaseConfig)}
+        assert _field_names(section) == fields
+
+    def test_server_config_row_lists_every_field(self):
+        doc = API_DOC.read_text()
+        (row,) = [line for line in doc.splitlines() if line.startswith("| `ServerConfig` |")]
+        fields = {f.name for f in dataclasses.fields(ServerConfig)}
+        assert _field_names(row) == fields

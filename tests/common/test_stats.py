@@ -14,11 +14,6 @@ class TestCounters:
         assert stats.get("a") == 5
         assert stats.get("missing") == 0
 
-    def test_disabled_registry_ignores_increments(self):
-        stats = StatsRegistry(enabled=False)
-        stats.incr("a")
-        assert stats.get("a") == 0
-
     def test_snapshot_diff(self):
         stats = StatsRegistry()
         stats.incr("x", 2)
@@ -120,11 +115,6 @@ class TestConcurrency:
         stats.max_gauge("peak", 10)
         stats.max_gauge("peak", 3)
         assert stats.get("peak") == 10
-
-    def test_disabled_registry_max_gauge_noop(self):
-        stats = StatsRegistry(enabled=False)
-        stats.max_gauge("peak", 10)
-        assert stats.get("peak") == 0
 
 
 class TestShards:
@@ -299,11 +289,6 @@ class TestSources:
         assert stats.get("n") == 4
         stats.retire_source(source)  # retiring twice folds nothing twice
         assert stats.get("n") == 4
-
-    def test_disabled_registry_reads_no_source(self):
-        stats = StatsRegistry(enabled=False)
-        stats.add_source(lambda: {"n": 1})
-        assert stats.snapshot() == {}
 
     def test_counts_survive_a_crash_that_replaces_the_managers(self):
         from tests.conftest import build_db, populate

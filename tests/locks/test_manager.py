@@ -192,35 +192,6 @@ class TestDeadlocks:
         locks.release_all(2)
         t.join(timeout=5)
 
-    def test_detection_can_be_disabled(self):
-        """With detection off, a cycle resolves by timeout (on whichever
-        side expires first) and DeadlockError is never raised."""
-        locks = LockManager(timeout=0.4, deadlock_detection=False)
-        locks.request(1, NAME, LockMode.X, LockDuration.COMMIT)
-        locks.request(2, OTHER, LockMode.X, LockDuration.COMMIT)
-        outcomes = []
-
-        def side(txn_id, name):
-            try:
-                locks.request(txn_id, name, LockMode.X, LockDuration.COMMIT)
-                outcomes.append("granted")
-            except LockTimeoutError:
-                outcomes.append("timeout")
-                locks.release_all(txn_id)
-            except DeadlockError:  # pragma: no cover - must not happen
-                outcomes.append("deadlock")
-
-        t1 = threading.Thread(target=side, args=(1, OTHER))
-        t2 = threading.Thread(target=side, args=(2, NAME))
-        t1.start()
-        t2.start()
-        t1.join(timeout=5)
-        t2.join(timeout=5)
-        assert "deadlock" not in outcomes
-        assert "timeout" in outcomes
-        locks.release_all(1)
-        locks.release_all(2)
-
     def test_timeout_raises(self):
         locks = LockManager(timeout=0.3)
         locks.request(1, NAME, LockMode.X, LockDuration.COMMIT)

@@ -7,7 +7,7 @@ mid-SMO crashes and mixed winner/loser shapes.
 
 import pytest
 
-from repro.baselines import COMPARED_PROTOCOLS
+from repro.btree.protocol import COMPARED_PROTOCOLS
 from repro.common.config import DatabaseConfig
 from repro.common.errors import SimulatedCrash
 from repro.db import Database

@@ -215,7 +215,7 @@ class TestRecoveryMode:
 class TestEscalation:
     def make_pool(self, injector: FaultInjector) -> tuple[BufferPool, DiskManager]:
         disk = DiskManager(page_size=512, fault_injector=injector)
-        pool = BufferPool(disk, LogManager(), capacity=8, io_retry_limit=3)
+        pool = BufferPool(disk, LogManager(), capacity=8)
         return pool, disk
 
     def test_buffer_pool_escalates_persistent_transient(self):

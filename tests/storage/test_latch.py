@@ -151,7 +151,7 @@ class TestLatchManager:
         assert manager.tree_latch(1) is not manager.tree_latch(2)
 
     def test_two_page_latch_invariant_enforced(self):
-        manager = LatchManager(debug_max_page_latches=2)
+        manager = LatchManager()
         manager.latch_page(1, "S")
         manager.latch_page(2, "S")
         with pytest.raises(LatchError):

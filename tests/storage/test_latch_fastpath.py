@@ -108,7 +108,7 @@ def scripted_calls(monitor: RecordingMonitor) -> None:
     latch.release()
 
     # The manager's latches report to the monitor it was built with.
-    manager = LatchManager(debug_max_page_latches=2)
+    manager = LatchManager()
     manager._monitor = monitor  # noqa: SLF001 - what set_latch_monitor + construction does
     manager.latch_page(7, "S")
     manager.latch_page(8, "X", conditional=True)

@@ -155,8 +155,3 @@ class TestSummarizeStats:
         text = summarize_stats(db)
         for group in ("locks", "latches", "log", "btree"):
             assert f"-- {group} --" in text
-
-    def test_disabled_stats(self):
-        db = build_db(stats_enabled=False)
-        db.create_table("t")
-        assert summarize_stats(db) == "(no counters)"

@@ -157,7 +157,7 @@ class TestFollowConcurrent:
         """Group commit batches forces; the follower must still see every
         committed record and never outrun the batched flush boundary."""
         log = LogManager()
-        log.start_group_commit(max_batch=8, max_wait_seconds=0.001)
+        log.start_group_commit(max_wait_seconds=0.001)
         seen = Seen()
         violations = []
 
