@@ -15,7 +15,7 @@ from repro.btree.protocol import (
     make_protocol,
 )
 from repro.btree.recovery import BTreeResourceManager
-from repro.btree.tree import BTree, Descent
+from repro.btree.tree import BTree
 
 __all__ = [
     "PROTOCOLS",
@@ -23,7 +23,6 @@ __all__ = [
     "BTreeResourceManager",
     "Cursor",
     "DataOnlyLocking",
-    "Descent",
     "FetchResult",
     "IndexPage",
     "IndexSpecificLocking",

@@ -55,15 +55,14 @@ def index_delete(
     config = ctx.config
     not_found_retries = 0
     while True:
-        descent = tree.traverse(key, for_update=True, txn=txn)
-        leaf = descent.leaf
+        leaf = tree.traverse(key, for_update=True, txn=txn)
         pos, found = leaf.find_key(key)
         if not found:
             # The key may have been carried to the right sibling by a
             # split that completed between our route decision and our
             # latch grant.  Wait out any SMO and re-route once before
             # concluding the key is genuinely missing.
-            descent.release_all(tree)
+            tree.unlatch_unfix(leaf)
             if not_found_retries == 0:
                 not_found_retries += 1
                 tree.smo_barrier_wait(txn)
@@ -77,11 +76,10 @@ def index_delete(
             if tree.smo_barrier_try(txn):
                 leaf.sm_bit = False
             else:
-                descent.release_all(tree)
+                tree.unlatch_unfix(leaf)
                 tree.smo_barrier_wait(txn)
                 ctx.stats.incr("btree.delete_bit_waits")
                 continue
-        descent.unlatch_parent(tree)
         try:
             next_key, next_page, _ = tree.find_next_key(leaf, pos + 1)
             held: list[IndexPage | None] = [leaf, next_page]

@@ -11,25 +11,35 @@ Fetch Next (§2.3) keeps a cursor: the leaf page, position, and page LSN
 noted at the previous call.  If the page LSN is unchanged the next key
 is simply the next slot; otherwise the cursor repositions with a fresh
 traversal, exactly as the paper prescribes.
+
+Both are written to the protocol's floor: the common case of a Fetch
+Next step is one fix and S latch of the cursor's leaf, the page-LSN
+test, the next slot and one conditional lock request, with no object
+built but the cursor's own fields.  Crossing to the next leaf,
+repositioning, waiting out a split and the conditional-miss dance of
+§2.2 are the slow path.  :func:`fetch_next_key` is that one step;
+:func:`index_fetch_next` and ``Table.scan`` both run it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.common.errors import PageNotFoundError
+from repro.common.errors import LockNotGrantedError, PageNotFoundError
 from repro.common.rid import IndexKey
 from repro.btree.node import IndexPage
-from repro.btree.ops_common import RestartOperation, release_pages, request_locks
+from repro.btree.ops_common import RestartOperation, lock_dance, release_pages
+from repro.btree.protocol import LockSpec
 from repro.btree.tree import MAX_RID, MIN_RID
+from repro.locks.modes import LockDuration, LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.btree.tree import BTree
     from repro.txn.transaction import Transaction
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchResult:
     """Outcome of a Fetch / Fetch Next call."""
 
@@ -45,9 +55,9 @@ class FetchResult:
         return self.key.rid if self.key is not None else None
 
 
-@dataclass
+@dataclass(slots=True)
 class Cursor:
-    """Range-scan position (§2.3)."""
+    """Range-scan position (§2.3), noted under the leaf's latch."""
 
     tree: "BTree"
     current_key: IndexKey | None = None
@@ -55,15 +65,42 @@ class Cursor:
     page_lsn: int = 0
     pos: int = -1
     at_eof: bool = False
+    #: The S lock taken on ``current_key`` (or the EOF name), if any.
+    lock_name: tuple | None = None
 
-    def note_position(self, page: IndexPage, pos: int, key: IndexKey) -> None:
-        """Record where a key was returned from, while its page latch is
-        still held (the LSN must be noted under the latch)."""
-        self.leaf_id = page.page_id
-        self.page_lsn = page.page_lsn
-        self.pos = pos
-        self.current_key = key
-        self.at_eof = False
+
+def lock_duration(isolation: str) -> LockDuration | None:
+    """Duration of the S lock Fetch and Fetch Next take on the key they
+    return (Figure 2).  Repeatable read ("rr", degree 3 — the paper's
+    default) holds it to commit; cursor stability ("cs", degree 2)
+    takes it manual so the caller can release it once the cursor moves
+    off the record; a snapshot read takes none (None)."""
+    if isolation == "rr":
+        return LockDuration.COMMIT
+    if isolation == "snapshot":
+        return None
+    return LockDuration.MANUAL
+
+
+def past_stop(stop_value: bytes, comparison: str) -> Callable[[bytes], bool]:
+    """The test "this key value lies past the range's end" for a stop
+    condition ``value <comparison> stop_value``.  An unsupported
+    comparison raises ValueError, so a caller that builds the test
+    before its first latch refuses a bad range before any lock."""
+    if comparison == "<=":
+        return stop_value.__lt__
+    if comparison == "<":
+        return stop_value.__le__
+    if comparison == "=":
+        return stop_value.__ne__
+    raise ValueError(f"unsupported stop comparison {comparison!r}")
+
+
+def single_key_range(tree: "BTree", stop_value: bytes | None, comparison: str) -> bool:
+    """§2.3's shortcut: in a unique index an equality range holds one
+    key at most, so once the cursor is on it the range is done — no
+    next key is read or locked."""
+    return tree.unique and stop_value is not None and comparison == "="
 
 
 def _search_bound(value: bytes, comparison: str) -> IndexKey:
@@ -73,6 +110,26 @@ def _search_bound(value: bytes, comparison: str) -> IndexKey:
     if comparison == ">":
         return IndexKey(value, MAX_RID)
     raise ValueError(f"unsupported fetch comparison {comparison!r}")
+
+
+def _lock_key(
+    tree: "BTree",
+    txn: "Transaction",
+    key: IndexKey | None,
+    duration: LockDuration,
+    leaf: IndexPage,
+    other: IndexPage | None,
+) -> tuple:
+    """Request the S lock on ``key`` (or EOF) conditionally, with
+    ``leaf`` and ``other`` latched; returns its name.  A miss does the
+    §2.2 dance and raises :class:`RestartOperation`."""
+    protocol = tree.protocol
+    name = protocol.key_lock_name(tree, key) if key is not None else protocol.eof_name(tree)
+    try:
+        tree.ctx.locks.request(txn.txn_id, name, LockMode.S, duration, True)
+    except LockNotGrantedError:
+        lock_dance(tree, txn, [LockSpec(name, LockMode.S, duration)], (leaf, other))
+    return name
 
 
 def index_fetch(
@@ -86,7 +143,7 @@ def index_fetch(
     """Figure 5.  ``comparison`` is the starting condition (=, >=, >).
 
     Pass a :class:`Cursor` to open a range scan; its position is set to
-    the returned key so :func:`index_fetch_next` can continue from it.
+    the returned key so :func:`fetch_next_key` can continue from it.
     ``isolation`` is "rr" (repeatable read, default), "cs" (cursor
     stability: the current-key lock is manual-duration and the caller
     releases it via ``result.lock_name`` when moving off the record),
@@ -96,33 +153,144 @@ def index_fetch(
     ctx = tree.ctx
     ctx.stats.incr("btree.op.fetch")
     bound = _search_bound(value, comparison)
+    duration = lock_duration(isolation)
+    lock_name = None
     while True:
-        descent = tree.traverse(bound, for_update=False, txn=txn)
-        leaf = descent.leaf
-        descent.unlatch_parent(tree)
+        leaf = tree.traverse(bound, False, txn)
         pos, _ = leaf.find_key(bound)
         try:
-            candidate, cand_page, cand_pos = tree.find_next_key(leaf, pos)
-            held = [leaf, cand_page]
-            if candidate is not None and candidate < bound:
-                _wait_out_split(tree, txn, held)
-                continue
-            lock_name = None
-            if isolation != "snapshot":
-                spec = tree.protocol.fetch_lock(tree, candidate, isolation)
-                request_locks(tree, txn, [spec], held)
-                lock_name = spec.name
+            if pos < leaf.key_count():
+                candidate, page = leaf.key_at(pos), leaf
+            else:
+                candidate, page, pos = tree.find_next_key(leaf, pos)
+                if candidate is not None and candidate < bound:
+                    _wait_out_split(tree, txn, leaf, page)
+                    continue
+            if duration is not None and not txn.in_rollback:
+                lock_name = _lock_key(tree, txn, candidate, duration, leaf, page)
         except RestartOperation:
             continue
-        if candidate is not None and cursor is not None:
-            cursor.note_position(cand_page, cand_pos, candidate)
-        release_pages(tree, held)
+        if cursor is not None:
+            cursor.lock_name = lock_name
+            cursor.at_eof = candidate is None
+            if candidate is not None:
+                cursor.leaf_id = page.page_id
+                cursor.page_lsn = page.page_lsn
+                cursor.pos = pos
+                cursor.current_key = candidate
+        tree.unlatch_unfix(leaf)
+        if page is not leaf and page is not None:
+            tree.unlatch_unfix(page)
         if candidate is None:
-            if cursor is not None:
-                cursor.at_eof = True
-            return FetchResult(found=False, key=None, eof=True, lock_name=lock_name)
+            return FetchResult(False, None, True, lock_name)
         found = candidate.value == value if comparison == "=" else True
-        return FetchResult(found=found, key=candidate, eof=False, lock_name=lock_name)
+        return FetchResult(found, candidate, False, lock_name)
+
+
+def fetch_next_key(
+    tree: "BTree",
+    txn: "Transaction",
+    cursor: Cursor,
+    duration: LockDuration | None,
+) -> IndexKey | None:
+    """One Fetch Next step (§2.3): move ``cursor`` to the key after it
+    and S-lock that key for ``duration`` — the EOF name when there is
+    none, nothing when ``duration`` is None.  Returns the key, or None
+    at EOF (``cursor.at_eof`` is then set).
+
+    The cursor must be on a key (``current_key`` set, not at EOF)."""
+    ctx = tree.ctx
+    ctx.stats.incr("btree.op.fetch_next")
+    buffer = ctx.buffer
+    latches = ctx.latches
+    lock = duration is not None and not txn.in_rollback
+    if not lock:
+        cursor.lock_name = None
+    while True:
+        leaf_id = cursor.leaf_id
+        # Every exit of the step lets this leaf go: the same-leaf
+        # return, the release at the end, or the lock dance.
+        try:
+            leaf = buffer.fix(leaf_id)  # noqa: RPR001 - released on every exit of the step
+        except PageNotFoundError:
+            leaf = None
+        else:
+            try:
+                latches.latch_page(leaf_id, "S")  # noqa: RPR001 - released on every exit of the step
+            except BaseException:
+                buffer.unfix(leaf_id)
+                raise
+            if not (
+                isinstance(leaf, IndexPage)
+                and leaf.page_lsn == cursor.page_lsn
+                and leaf.level == 0
+                and leaf.index_id == tree.index_id
+            ):
+                latches.unlatch_page(leaf_id)
+                buffer.unfix(leaf_id)
+                leaf = None
+        try:
+            if leaf is None:
+                # Page changed (or vanished): reposition.
+                leaf, key, page, pos = _reposition(tree, txn, cursor)
+            else:
+                # Unchanged since we noted it: the next key is the next slot.
+                ctx.stats.incr("btree.cursor_fast_path")
+                pos = cursor.pos + 1
+                if pos < leaf.key_count():
+                    # The common case, at the protocol's floor: this
+                    # leaf's fix and latch, one conditional lock.
+                    key = leaf.key_at(pos)
+                    if lock:
+                        name = tree.protocol.key_lock_name(tree, key)
+                        try:
+                            ctx.locks.request(txn.txn_id, name, LockMode.S, duration, True)
+                        except LockNotGrantedError:
+                            lock_dance(
+                                tree, txn, [LockSpec(name, LockMode.S, duration)], (leaf,)
+                            )
+                        cursor.lock_name = name
+                    cursor.pos = pos
+                    cursor.current_key = key
+                    latches.unlatch_page(leaf_id)
+                    buffer.unfix(leaf_id)
+                    return key
+                key, page, pos = tree.find_next_key(leaf, pos)
+            if lock:
+                cursor.lock_name = _lock_key(tree, txn, key, duration, leaf, page)
+        except RestartOperation:
+            continue
+        if key is None:
+            cursor.at_eof = True
+        else:
+            cursor.leaf_id = page.page_id
+            cursor.page_lsn = page.page_lsn
+            cursor.pos = pos
+            cursor.current_key = key
+        tree.unlatch_unfix(leaf)
+        if page is not leaf and page is not None:
+            tree.unlatch_unfix(page)
+        return key
+
+
+def _reposition(
+    tree: "BTree", txn: "Transaction", cursor: Cursor
+) -> tuple[IndexPage, IndexKey | None, IndexPage | None, int]:
+    """Fetch Next's slow path: a fresh traversal, as for a Fetch of the
+    first key greater than the current one.  Returns the leaf reached,
+    the next key, the page holding it and its position there, with
+    both pages latched."""
+    tree.ctx.stats.incr("btree.cursor_repositions")
+    current = cursor.current_key
+    leaf = tree.traverse(current, False, txn)
+    pos, exact = leaf.find_key(current)
+    if exact:
+        pos += 1
+    key, page, pos = tree.find_next_key(leaf, pos)
+    if key is not None and key <= current:
+        _wait_out_split(tree, txn, leaf, page)
+        raise RestartOperation()
+    return leaf, key, page, pos
 
 
 def index_fetch_next(
@@ -140,103 +308,30 @@ def index_fetch_next(
     still locked — that lock is precisely what makes the *end* of the
     range repeatable).
     """
-    ctx = tree.ctx
-    ctx.stats.incr("btree.op.fetch_next")
+    past = past_stop(stop_value, stop_comparison) if stop_value is not None else None
     if cursor.at_eof or cursor.current_key is None:
-        return FetchResult(found=False, key=None, eof=True)
-    # §2.3's shortcut: in a unique index with an equality stop condition,
-    # the current position already satisfies the whole range.
+        tree.ctx.stats.incr("btree.op.fetch_next")
+        return FetchResult(False, None, True)
     if (
-        tree.unique
-        and stop_value is not None
-        and stop_comparison == "="
+        single_key_range(tree, stop_value, stop_comparison)
         and cursor.current_key.value == stop_value
     ):
-        return FetchResult(found=False, key=None, eof=False)
-    while True:
-        try:
-            candidate, cand_page, cand_pos, held = _locate_successor(tree, txn, cursor)
-            lock_name = None
-            if isolation != "snapshot":
-                spec = tree.protocol.fetch_lock(tree, candidate, isolation)
-                request_locks(tree, txn, [spec], held)
-                lock_name = spec.name
-        except RestartOperation:
-            continue
-        if candidate is None:
-            release_pages(tree, held)
-            cursor.at_eof = True
-            return FetchResult(found=False, key=None, eof=True, lock_name=lock_name)
-        cursor.note_position(cand_page, cand_pos, candidate)
-        release_pages(tree, held)
-        if stop_value is not None and not _within_stop(
-            candidate.value, stop_value, stop_comparison
-        ):
-            return FetchResult(
-                found=False, key=candidate, eof=False, lock_name=lock_name
-            )
-        return FetchResult(found=True, key=candidate, eof=False, lock_name=lock_name)
-
-
-def _locate_successor(
-    tree: "BTree", txn: "Transaction", cursor: Cursor
-) -> tuple[IndexKey | None, IndexPage | None, int, list[IndexPage | None]]:
-    """Find the key after the cursor position, fast path or reposition.
-
-    Returns (candidate, page holding it, its position there, pages
-    currently latched)."""
-    current = cursor.current_key
-    assert current is not None
-    try:
-        leaf = tree.fix_and_latch(cursor.leaf_id, "S")
-    except PageNotFoundError:
-        leaf = None
-    if leaf is not None:
-        if (
-            isinstance(leaf, IndexPage)
-            and leaf.is_leaf
-            and leaf.index_id == tree.index_id
-            and leaf.page_lsn == cursor.page_lsn
-        ):
-            # Unchanged since we noted it: the next key is the next slot.
-            tree.ctx.stats.incr("btree.cursor_fast_path")
-            candidate, cand_page, cand_pos = tree.find_next_key(leaf, cursor.pos + 1)
-            return candidate, cand_page, cand_pos, [leaf, cand_page]
-        tree.unlatch_unfix(leaf)
-    # Page changed (or vanished): reposition with a full traversal, as
-    # for a Fetch of the first key greater than the current one.
-    tree.ctx.stats.incr("btree.cursor_repositions")
-    descent = tree.traverse(current, for_update=False, txn=txn)
-    leaf = descent.leaf
-    descent.unlatch_parent(tree)
-    pos, exact = leaf.find_key(current)
-    if exact:
-        pos += 1
-    candidate, cand_page, cand_pos = tree.find_next_key(leaf, pos)
-    if candidate is not None and candidate <= current:
-        _wait_out_split(tree, txn, [leaf, cand_page])
-        raise RestartOperation()
-    return candidate, cand_page, cand_pos, [leaf, cand_page]
+        tree.ctx.stats.incr("btree.op.fetch_next")
+        return FetchResult(False, None, False)
+    key = fetch_next_key(tree, txn, cursor, lock_duration(isolation))
+    if key is None:
+        return FetchResult(False, None, True, cursor.lock_name)
+    return FetchResult(past is None or not past(key.value), key, False, cursor.lock_name)
 
 
 def _wait_out_split(
-    tree: "BTree", txn: "Transaction", held: list[IndexPage | None]
+    tree: "BTree", txn: "Transaction", leaf: IndexPage, page: IndexPage | None
 ) -> None:
     """The staleness guard of insert and delete, for a search: the next
     key came from a later leaf yet is not above the search key, so the
     leaf reached no longer covers it — a split moved its range right
     after the parent routed us, and the parent is not updated yet.
     Release the pages and wait out the SMO; the caller searches again."""
-    release_pages(tree, held)
+    release_pages(tree, (leaf, page))
     tree.smo_barrier_wait(txn)
     tree.ctx.stats.incr("btree.stale_leaf_restarts")
-
-
-def _within_stop(value: bytes, stop_value: bytes, comparison: str) -> bool:
-    if comparison == "<":
-        return value < stop_value
-    if comparison == "<=":
-        return value <= stop_value
-    if comparison == "=":
-        return value == stop_value
-    raise ValueError(f"unsupported stop comparison {comparison!r}")

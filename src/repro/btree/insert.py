@@ -68,8 +68,7 @@ def index_insert(
     _check_key_size(tree, key)
     probed = False
     while True:
-        descent = tree.traverse(key, for_update=True, txn=txn)
-        leaf = descent.leaf
+        leaf = tree.traverse(key, for_update=True, txn=txn)
         # Step 2: Figure 6's bit check.
         config = ctx.config
         blocked = (leaf.sm_bit and config.enable_sm_bit) or (
@@ -81,11 +80,10 @@ def index_insert(
                 leaf.delete_bit = False
                 ctx.stats.incr("btree.insert_bit_resets")
             else:
-                descent.release_all(tree)
+                tree.unlatch_unfix(leaf)
                 tree.smo_barrier_wait(txn)
                 ctx.stats.incr("btree.insert_bit_waits")
                 continue
-        descent.unlatch_parent(tree)
         try:
             outcome = try_insert_on_leaf(
                 tree, txn, leaf, key, clr_for, probed=probed

@@ -8,7 +8,7 @@ Implements the paper's lock/latch interaction discipline (§2.2):
     requested unconditionally, and (3) once the lock is granted, a
     verification must be performed [...]
 
-:func:`request_locks` performs steps (1) and (2) and signals step (3)
+:func:`lock_dance` performs steps (1) and (2) and signals step (3)
 to the caller by raising :class:`RestartOperation`; every action
 routine catches it and restarts from its traversal, which *is* the
 verification (the world is re-derived from scratch).
@@ -21,7 +21,7 @@ here no-ops for them, except the §5 tree lock which is handled in
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from repro.common.errors import LockNotGrantedError
 from repro.btree.node import IndexPage
@@ -54,12 +54,9 @@ class RestartOperation(Exception):
 
 def release_pages(tree: "BTree", pages: Sequence[IndexPage | None]) -> None:
     """Unlatch and unfix every distinct non-None page."""
-    seen: set[int] = set()
-    for page in pages:
-        if page is None or page.page_id in seen:
-            continue
-        seen.add(page.page_id)
-        tree.unlatch_unfix(page)
+    for i, page in enumerate(pages):
+        if page is not None and page not in pages[:i]:
+            tree.unlatch_unfix(page)
 
 
 def request_locks(
@@ -69,50 +66,51 @@ def request_locks(
     held_pages: Sequence[IndexPage | None],
     smo_barrier_held: bool = False,
 ) -> None:
-    """Request ``specs`` conditionally while latches are held.
+    """Request ``specs`` conditionally while latches are held; on a
+    miss, :func:`lock_dance` from the missed spec on."""
+    if txn.in_rollback:
+        return
+    request = tree.ctx.locks.request
+    for position, spec in enumerate(specs):
+        try:
+            request(txn.txn_id, spec.name, spec.mode, spec.duration, conditional=True)
+        except LockNotGrantedError:
+            lock_dance(tree, txn, specs[position:], held_pages, smo_barrier_held)
 
-    On a miss: release all held page latches (and the SMO barrier if
-    the caller holds it — no lock may be requested unconditionally
-    while *any* latch is held, §2.2/§4), acquire the missed lock
+
+def lock_dance(
+    tree: "BTree",
+    txn: "Transaction",
+    specs: Sequence[LockSpec],
+    held_pages: Sequence[IndexPage | None],
+    smo_barrier_held: bool = False,
+) -> NoReturn:
+    """A conditional request for ``specs[0]`` was not granted: release
+    all held page latches (and the SMO barrier if the caller holds it —
+    no lock may be requested unconditionally while *any* latch is
+    held, §2.2/§4), acquire the missed lock and the rest of ``specs``
     unconditionally, and raise :class:`RestartOperation`.
 
-    The unconditionally acquired lock is *kept* (§2.2: "once the lock
+    The unconditionally acquired locks are *kept* (§2.2: "once the lock
     is granted, a verification must be performed ... a corrective
     action (e.g., requesting another lock)" — the original grant is
     retained).  An instant-duration spec is therefore upgraded to a
     held lock for the rest of the transaction; dropping it instead
     would let two contenders ping-pong conditional misses forever.
+    Grabbing the later specs too avoids one dance per remaining spec;
+    the restart re-derives and re-requests everything anyway.
     """
-    if txn.in_rollback:
-        return
     ctx = tree.ctx
-    for position, spec in enumerate(specs):
-        try:
-            ctx.locks.request(
-                txn.txn_id, spec.name, spec.mode, spec.duration, conditional=True
-            )
-        except LockNotGrantedError:
-            release_pages(tree, held_pages)
-            if smo_barrier_held:
-                tree.smo_end(txn)
-            ctx.stats.incr("btree.lock_dances")
-
-            def retained(duration: LockDuration) -> LockDuration:
-                if duration is LockDuration.INSTANT:
-                    return LockDuration.MANUAL  # released at txn end
-                return duration
-
-            ctx.locks.request(
-                txn.txn_id, spec.name, spec.mode, retained(spec.duration)
-            )
-            # Grab the rest unconditionally too; the restart re-derives
-            # and re-requests everything anyway, but this avoids doing
-            # the conditional-miss dance once per remaining spec.
-            for later in specs[position + 1 :]:
-                ctx.locks.request(
-                    txn.txn_id, later.name, later.mode, retained(later.duration)
-                )
-            raise RestartOperation(smo_barrier_lost=smo_barrier_held) from None
+    release_pages(tree, held_pages)
+    if smo_barrier_held:
+        tree.smo_end(txn)
+    ctx.stats.incr("btree.lock_dances")
+    for spec in specs:
+        duration = spec.duration
+        if duration is LockDuration.INSTANT:
+            duration = LockDuration.MANUAL  # released at txn end
+        ctx.locks.request(txn.txn_id, spec.name, spec.mode, duration)
+    raise RestartOperation(smo_barrier_lost=smo_barrier_held) from None
 
 
 def same_value_nearby(

@@ -75,17 +75,9 @@ class LockingProtocol(abc.ABC):
 
     # -- the Figure 2 table, one row per operation ----------------------------
 
-    def fetch_lock(
-        self, tree: "BTree", found: IndexKey | None, isolation: str = "rr"
-    ) -> LockSpec:
-        """Current-key (or EOF) lock for Fetch / Fetch Next.
-
-        Repeatable read ("rr", degree 3 — the paper's default) holds it
-        to commit; cursor stability ("cs", degree 2) takes it manual so
-        the caller can release it once the cursor moves off the record.
-        """
-        duration = LockDuration.COMMIT if isolation == "rr" else LockDuration.MANUAL
-        return LockSpec(self._name_or_eof(tree, found), LockMode.S, duration)
+    # Fetch and Fetch Next lock the key they return (or EOF) in S mode,
+    # by ``key_lock_name``/``eof_name``, for a duration that depends on
+    # the isolation level only (``repro.btree.fetch.lock_duration``).
 
     @abc.abstractmethod
     def insert_locks(

@@ -115,9 +115,7 @@ def split_and_insert(
             if not barrier_held:
                 tree.smo_begin(txn)
                 barrier_held = True
-            descent = tree.traverse(key, for_update=True, txn=txn)
-            leaf = descent.leaf
-            descent.unlatch_parent(tree)
+            leaf = tree.traverse(key, for_update=True, txn=txn)
             # Holding the barrier is a POSC: the bits can be reset.
             leaf.sm_bit = False
             leaf.delete_bit = False
@@ -151,9 +149,7 @@ def split_and_insert(
 def _split_leaf_covering(tree: BTree, txn: "Transaction", search: IndexKey) -> None:
     """Re-locate the full leaf covering ``search`` and split it as one
     nested top action.  No-ops if room appeared meanwhile."""
-    descent = tree.traverse(search, for_update=True, txn=txn)
-    leaf = descent.leaf
-    descent.unlatch_parent(tree)
+    leaf = tree.traverse(search, for_update=True, txn=txn)
     if leaf.key_count() < 2:
         # Cannot split a page with fewer than two keys; the caller's
         # size guard makes this unreachable for legal keys.
@@ -167,17 +163,13 @@ def _split_leaf_covering(tree: BTree, txn: "Transaction", search: IndexKey) -> N
         # request).
         tree.unlatch_unfix(leaf)
         tree.smo_upgrade_for_nonleaf(txn)
-        descent = tree.traverse(search, for_update=True, txn=txn)
-        leaf = descent.leaf
-        descent.unlatch_parent(tree)
+        leaf = tree.traverse(search, for_update=True, txn=txn)
         if leaf.page_id == tree.root_page_id:
             tree.unlatch_unfix(leaf)
             _grow_root(tree, txn)
         else:
             tree.unlatch_unfix(leaf)
-        descent = tree.traverse(search, for_update=True, txn=txn)
-        leaf = descent.leaf
-        descent.unlatch_parent(tree)
+        leaf = tree.traverse(search, for_update=True, txn=txn)
     if not leaf.has_room_for_key(search, tree.ctx.config.page_size):
         _perform_split(tree, txn, leaf)
     else:
@@ -472,9 +464,7 @@ def delete_with_page_delete(
     # lock variant parallelizes.
     tree.smo_upgrade_for_nonleaf(txn)
     try:
-        descent = tree.traverse(key, for_update=True, txn=txn)
-        leaf = descent.leaf
-        descent.unlatch_parent(tree)
+        leaf = tree.traverse(key, for_update=True, txn=txn)
         pos, found = leaf.find_key(key)
         if not found:
             tree.unlatch_unfix(leaf)

@@ -24,7 +24,6 @@ correctness, a few more page visits, honestly counted in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.common.errors import (
@@ -47,26 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Sentinel RIDs used to turn a bare value into a full-key search bound.
 MIN_RID = RID(0, 0)
 MAX_RID = RID(0xFFFFFFFF, 0xFFFF)
-
-
-@dataclass
-class Descent:
-    """Result of a traversal: the leaf (fixed and latched) plus its
-    parent (fixed and latched, or None when the root is the leaf)."""
-
-    leaf: IndexPage
-    parent: IndexPage | None
-
-    def unlatch_parent(self, tree: "BTree") -> None:
-        if self.parent is not None:
-            tree.unlatch_unfix(self.parent)
-            self.parent = None
-
-    def release_all(self, tree: "BTree") -> None:
-        self.unlatch_parent(tree)
-        if self.leaf is not None:
-            tree.unlatch_unfix(self.leaf)
-            self.leaf = None  # type: ignore[assignment]
 
 
 class BTree:
@@ -251,22 +230,25 @@ class BTree:
 
     def traverse(
         self, key: IndexKey, for_update: bool, txn: "Transaction | None" = None
-    ) -> Descent:
+    ) -> IndexPage:
         """Descend to the leaf that should hold ``key``.
 
-        Returns with the leaf latched (X for updates, S otherwise) and
-        its parent latched; both fixed.  Restarts from the root after
+        Returns the leaf fixed and latched (X for updates, S otherwise).
+        The parent's latch is held until the leaf's is granted (latch
+        coupling) and released before returning: no caller reads the
+        parent once it holds the leaf.  Restarts from the root after
         waiting out an ambiguous unfinished SMO.
         """
         stats = self.ctx.stats
         stats.incr("btree.traversals")
+        latches = self.ctx.latches
         ambiguity_waits = 0
         # Pages visited are counted once per traversal (the finally).
         visited = 0
         try:
             while True:
                 node = self.fix_page(self.root_page_id)
-                self.latch(node, "S")
+                latches.latch_page(node.page_id, "S")  # noqa: RPR001 - ownership transfer: coupled down, the leaf returned latched
                 if node.is_leaf and for_update:
                     # The root is (currently) the leaf; re-latch X and make
                     # sure nothing changed in the gap.
@@ -321,12 +303,14 @@ class BTree:
                     parent = node
                     child = self.fix_page(child_id)
                     mode = "X" if (node.level == 1 and for_update) else "S"
-                    self.latch(child, mode)
+                    latches.latch_page(child_id, mode)  # noqa: RPR001 - ownership transfer: coupled down, the leaf returned latched
                     node = child
                     visited += 1
                 if restart:
                     continue
-                return Descent(leaf=node, parent=parent)
+                if parent is not None:
+                    self.unlatch_unfix(parent)
+                return node
         finally:
             if visited:
                 stats.incr("btree.pages_visited", visited)

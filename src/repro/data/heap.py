@@ -269,7 +269,9 @@ class HeapPage(Page):
         self._used += len(data) - len(current[0])
 
     def record(self, slot: int) -> bytes:
-        entry = self._entry(slot)
+        entry = self.version(slot)
+        if entry is None:
+            raise KeyNotFoundError(f"no record at slot {slot} of page {self.page_id}")
         if not entry[1]:
             raise KeyNotFoundError(f"record at slot {slot} is deleted")
         return entry[0]
@@ -418,14 +420,16 @@ class HeapFile:
         """
         if lock:
             self._lock(txn, rid, LockMode.S)
-        page = self._fix_heap_page(rid.page_id)
-        latch = self._ctx.latches.page_latch(page.page_id)
+        ctx = self._ctx
+        page_id = rid.page_id
+        page = self._fix_heap_page(page_id)
+        latch = ctx.latches.page_latch(page_id)
         latch.acquire("S")
         try:
             return page.record(rid.slot)
         finally:
             latch.release()
-            self._ctx.buffer.unfix(page.page_id)
+            ctx.buffer.unfix(page_id)
 
     def version(self, rid: RID) -> tuple[bytes, bool, int, int] | None:
         """Latch-only read of a slot's data and ``[xmin, xmax]`` stamps

@@ -33,14 +33,21 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.codec.values import decode_value, encode_value
 from repro.common.errors import (
     DatabaseClosedError,
-    KeyNotFoundError,
     LockError,
     TransactionNotActiveError,
 )
 from repro.common.keys import UserKey, encode_key, prefix_upper_bound
 from repro.common.rid import RID
 from repro.locks.modes import LockMode
-from repro.btree.fetch import Cursor, _search_bound, index_fetch, index_fetch_next
+from repro.btree.fetch import (
+    Cursor,
+    _search_bound,
+    fetch_next_key,
+    index_fetch,
+    lock_duration,
+    past_stop,
+    single_key_range,
+)
 from repro.btree.insert import index_insert
 from repro.btree.delete import index_delete
 from repro.data.heap import HeapFile
@@ -58,8 +65,7 @@ def encode_row(row: Row) -> bytes:
 
 
 def decode_row(raw: bytes) -> Row:
-    row, _ = decode_value(raw)
-    return row
+    return decode_value(raw)[0]
 
 
 class Table:
@@ -113,7 +119,7 @@ class Table:
     # -- retrieval ----------------------------------------------------------------
 
     def fetch_row(self, txn: "Transaction", rid: RID, lock: bool = True) -> Row:
-        return decode_row(self.heap.fetch(txn, rid, lock=lock))
+        return decode_value(self.heap.fetch(txn, rid, lock))[0]
 
     def fetch_by_key(
         self,
@@ -139,15 +145,15 @@ class Table:
                 return rid, row
             return None
         tree = self.indexes[index_name]
-        result = index_fetch(tree, txn, encode_key(key), comparison="=", isolation=isolation)
-        if not result.found:
-            self._cs_release(txn, result, isolation)
-            return None
-        rid = result.key.rid
-        lock = tree.protocol.record_fetch_needs_lock
-        row = self.fetch_row(txn, rid, lock=lock)
-        self._cs_release(txn, result, isolation)
-        return rid, row
+        result = index_fetch(tree, txn, encode_key(key), "=", None, isolation)
+        hit = None
+        if result.found:
+            rid = result.key.rid
+            lock = tree.protocol.record_fetch_needs_lock
+            hit = rid, decode_value(self.heap.fetch(txn, rid, lock))[0]
+        if isolation == "cs":
+            self._cs_release(txn, result.lock_name)
+        return hit
 
     def fetch_by_prefix(
         self, txn: "Transaction", index_name: str, prefix: UserKey
@@ -171,37 +177,23 @@ class Table:
     def scan_prefix(
         self, txn: "Transaction", index_name: str, prefix: UserKey
     ) -> Iterator[tuple[RID, Row]]:
-        """All rows whose index value starts with ``prefix``, in order."""
-        if txn.snapshot is not None:
-            encoded = encode_key(prefix)
-            upper = prefix_upper_bound(encoded)
-            yield from self._snapshot_scan(
-                txn, index_name, encoded, ">=", upper, "<"
-            )
-            return
-        tree = self.indexes[index_name]
+        """All rows whose index value starts with ``prefix``, in order:
+        the range [prefix, its upper bound)."""
         encoded = encode_key(prefix)
         upper = prefix_upper_bound(encoded)
-        from repro.btree.fetch import Cursor
+        if txn.snapshot is not None:
+            yield from self._snapshot_scan(txn, index_name, encoded, ">=", upper, "<")
+            return
+        yield from self._scan(
+            txn, self.indexes[index_name], encoded, ">=", upper, "<", "rr"
+        )
 
-        cursor = Cursor(tree)
-        lock_records = tree.protocol.record_fetch_needs_lock
-        result = index_fetch(tree, txn, encoded, comparison=">=", cursor=cursor)
-        while result.found and result.key is not None:
-            if not result.key.value.startswith(encoded):
-                return
-            rid = result.key.rid
-            yield rid, self.fetch_row(txn, rid, lock=lock_records)
-            result = index_fetch_next(
-                tree, txn, cursor, stop_value=upper, stop_comparison="<"
-            ) if upper is not None else index_fetch_next(tree, txn, cursor)
-
-    def _cs_release(self, txn: "Transaction", result, isolation: str) -> None:
+    def _cs_release(self, txn: "Transaction", lock_name: tuple | None) -> None:
         """Release a cursor-stability key lock once the cursor moved on."""
-        if isolation != "cs" or result.lock_name is None or txn.in_rollback:
+        if lock_name is None or txn.in_rollback:
             return
         try:
-            self._ctx.locks.release(txn.txn_id, result.lock_name)
+            self._ctx.locks.release(txn.txn_id, lock_name)
         except LockError:
             pass  # already converted away or not retained (instant path)
 
@@ -220,45 +212,57 @@ class Table:
         Under cursor stability (``isolation="cs"``) each key's lock is
         released as soon as the cursor advances past it, so at most one
         scan lock is held at a time (degree 2).  A snapshot transaction
-        scans its snapshot, lock-free."""
-        if txn.snapshot is not None or isolation == "snapshot":
-            yield from self._snapshot_scan(
-                txn,
-                index_name,
-                encode_key(low) if low is not None else b"",
-                low_comparison,
-                encode_key(high) if high is not None else None,
-                high_comparison,
-            )
-            return
-        tree = self.indexes[index_name]
-        cursor = Cursor(tree)
+        scans its snapshot, lock-free.  An unsupported comparison
+        raises ValueError before any latch or lock."""
+        # Both raise on an unsupported comparison, before any latch or lock.
+        _search_bound(b"", low_comparison)
+        past_stop(b"", high_comparison)
         start = encode_key(low) if low is not None else b""
         stop = encode_key(high) if high is not None else None
-        lock_records = tree.protocol.record_fetch_needs_lock
-        result = index_fetch(
-            tree, txn, start, comparison=low_comparison, cursor=cursor,
-            isolation=isolation,
-        )
-        if not result.found:
-            self._cs_release(txn, result, isolation)
-            return
-        while True:
-            assert result.key is not None
-            if stop is not None and not _within(result.key.value, stop, high_comparison):
-                self._cs_release(txn, result, isolation)
-                return
-            rid = result.key.rid
-            yield rid, self.fetch_row(txn, rid, lock=lock_records)
-            previous = result
-            result = index_fetch_next(
-                tree, txn, cursor, stop_value=stop, stop_comparison=high_comparison,
-                isolation=isolation,
+        if txn.snapshot is not None or isolation == "snapshot":
+            yield from self._snapshot_scan(
+                txn, index_name, start, low_comparison, stop, high_comparison
             )
-            self._cs_release(txn, previous, isolation)
-            if not result.found:
-                self._cs_release(txn, result, isolation)
-                return
+            return
+        yield from self._scan(
+            txn, self.indexes[index_name], start, low_comparison, stop,
+            high_comparison, isolation,
+        )
+
+    def _scan(
+        self,
+        txn: "Transaction",
+        tree: "BTree",
+        start: bytes,
+        low_comparison: str,
+        stop: bytes | None,
+        high_comparison: str,
+        isolation: str,
+    ) -> Iterator[tuple[RID, Row]]:
+        """The locking scan: per row, one Fetch Next step
+        (:func:`fetch_next_key`), one stop test, one heap read and one
+        row decode."""
+        past = past_stop(stop, high_comparison) if stop is not None else None
+        single = single_key_range(tree, stop, high_comparison)
+        duration = lock_duration(isolation)
+        cs = isolation == "cs"
+        heap = self.heap
+        lock_records = tree.protocol.record_fetch_needs_lock
+        cursor = Cursor(tree)
+        result = index_fetch(tree, txn, start, low_comparison, cursor, isolation)
+        key = result.key if result.found else None
+        while key is not None and (past is None or not past(key.value)):
+            rid = key.rid
+            yield rid, decode_value(heap.fetch(txn, rid, lock_records))[0]
+            if single:
+                break
+            held = cursor.lock_name
+            key = fetch_next_key(tree, txn, cursor, duration)
+            if cs:
+                self._cs_release(txn, held)
+        if cs:
+            # The lock on the key (or EOF) the scan stopped at.
+            self._cs_release(txn, cursor.lock_name)
 
     # -- the snapshot read path (zero locks) -------------------------------
 
@@ -317,22 +321,23 @@ class Table:
         self._ctx.mvcc_ensure_dead_keys(self)
         versions = self._ctx.versions
         bound = _search_bound(start, "=" if low_comparison == "=" else low_comparison)
+        past = past_stop(stop, high_comparison) if stop is not None else None
+        single = single_key_range(tree, stop, high_comparison)
         pos: tuple[bytes, RID] = (bound.value, bound.rid)
         inclusive = True
         cursor = Cursor(tree)
-        result = index_fetch(
+        key = index_fetch(
             tree,
             txn,
             start,
             comparison=">=" if low_comparison == "=" else low_comparison,
             cursor=cursor,
             isolation="snapshot",
-        )
+        ).key
         while True:
             tree_pair: tuple[bytes, RID] | None = None
-            if result.key is not None:
-                if stop is None or _within(result.key.value, stop, high_comparison):
-                    tree_pair = (result.key.value, result.key.rid)
+            if key is not None and (past is None or not past(key.value)):
+                tree_pair = (key.value, key.rid)
             # Drain dead keys strictly before the next tree key.
             while True:
                 entry = versions.next_dead(
@@ -361,25 +366,9 @@ class Table:
             if row is not None:
                 self._check_not_crashed()
                 yield tree_pair[1], row
-            result = index_fetch_next(
-                tree,
-                txn,
-                cursor,
-                stop_value=stop,
-                stop_comparison=high_comparison,
-                isolation="snapshot",
-            )
+            key = None if single else fetch_next_key(tree, txn, cursor, None)
 
     def row_count(self, txn: "Transaction") -> int:
         """Visible records (via the heap, no index)."""
         return len(self.heap.scan_rids())
 
-
-def _within(value: bytes, stop: bytes, comparison: str) -> bool:
-    if comparison == "<":
-        return value < stop
-    if comparison == "<=":
-        return value <= stop
-    if comparison == "=":
-        return value == stop
-    raise KeyNotFoundError(f"unsupported comparison {comparison!r}")

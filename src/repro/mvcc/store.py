@@ -30,6 +30,7 @@ import threading
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Iterator
 
+from repro.btree.fetch import past_stop
 from repro.common.rid import RID
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -171,7 +172,7 @@ class VersionStore:
             if i >= len(keys.order):
                 return None
             value, rid = keys.order[i]
-            if stop is not None and not _within(value, stop, stop_comparison):
+            if stop is not None and past_stop(stop, stop_comparison)(value):
                 return None
             return value, rid, keys.xmax[(value, rid)]
 
@@ -196,12 +197,3 @@ class VersionStore:
             keys = self._dead[index_id] = _IndexDeadKeys()
         return keys
 
-
-def _within(value: bytes, stop: bytes, comparison: str) -> bool:
-    if comparison == "<":
-        return value < stop
-    if comparison == "<=":
-        return value <= stop
-    if comparison == "=":
-        return value == stop
-    raise ValueError(f"unsupported stop comparison {comparison!r}")

@@ -127,6 +127,42 @@ class TestScans:
         db.commit(txn)
 
 
+class TestScanComparisons:
+    """An unsupported comparison is refused with ValueError when the
+    scan starts, before any latch or lock — on a range with keys and
+    on an empty one, on the locking and the snapshot path alike."""
+
+    @staticmethod
+    def refused(db, txn, **bounds) -> None:
+        before = db.stats.snapshot()
+        with pytest.raises(ValueError, match="comparison"):
+            list(db.scan(txn, "t", "by_id", **bounds))
+        assert db.locks.lock_count(txn.txn_id) == 0
+        changed = db.stats.diff(before)
+        assert not [name for name in changed if name.startswith(("latch.", "lock."))]
+
+    @pytest.mark.parametrize("high", [50, 1000], ids=["keys", "empty"])
+    def test_bad_high_comparison(self, populated_db, high):
+        db = populated_db
+        low = 10 if high == 50 else 900
+        txn = db.begin()
+        self.refused(db, txn, low=low, high=high, high_comparison=">")
+        db.commit(txn)
+
+    @pytest.mark.parametrize("high", [50, 1000], ids=["keys", "empty"])
+    def test_bad_low_comparison(self, populated_db, high):
+        db = populated_db
+        low = 10 if high == 50 else 900
+        txn = db.begin()
+        self.refused(db, txn, low=low, high=high, low_comparison="<")
+        db.commit(txn)
+
+    def test_bad_comparison_on_a_snapshot(self, populated_db):
+        db = populated_db
+        with db.snapshot() as txn:
+            self.refused(db, txn, low=10, high=50, high_comparison=">")
+
+
 class TestErrors:
     def test_unique_violation_across_transactions(self, table_db):
         populate(table_db, [5])

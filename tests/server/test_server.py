@@ -7,7 +7,6 @@ same code path over a real localhost socket.
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -22,7 +21,7 @@ from repro.common.errors import (
 from repro.server import DatabaseServer, ServerConfig
 from repro.server.session import Session
 
-from tests.conftest import build_db
+from tests.conftest import build_db, lock_wait_queued
 
 FLUSH_WINDOW = "log.group_commit.before_flush"
 
@@ -38,13 +37,14 @@ def server():
     db.close()
 
 
-def _wait_until(predicate, timeout: float = 5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.002)
-    return predicate()
+def _join_sessions(server: DatabaseServer, timeout: float = 5.0) -> None:
+    """Wait for every session the server started to end, by joining
+    their threads: a session thread rolls back its transaction and
+    forgets the session before it exits."""
+    for thread in list(server._threads):  # noqa: SLF001 - test joins the session threads
+        if thread.name.startswith("db-session-"):
+            thread.join(timeout)
+            assert not thread.is_alive(), f"{thread.name} did not end"
 
 
 class TestBasicOps:
@@ -143,10 +143,12 @@ class TestConcurrentSessions:
 
     def test_sessions_are_forgotten_on_close(self, server):
         clients = [server.connect_loopback() for _ in range(4)]
-        assert _wait_until(lambda: server.session_count == 4)
+        # A session is registered before connect_loopback returns.
+        assert server.session_count == 4
         for client in clients:
             client.close()
-        assert _wait_until(lambda: server.session_count == 0)
+        _join_sessions(server)
+        assert server.session_count == 0
 
 
 class TestAdmissionControl:
@@ -167,6 +169,7 @@ class TestAdmissionControl:
         holder = server.connect_loopback()
         holder.begin()
         holder.insert("t", {"id": 1})
+        contender_waits = lock_wait_queued(db)
 
         def contender():
             client = server.connect_loopback()
@@ -179,9 +182,13 @@ class TestAdmissionControl:
 
         thread = threading.Thread(target=contender)
         thread.start()
-        assert _wait_until(lambda: server.executing_count >= 1)
+        # Parked on the holder's lock, the contender occupies the worker.
+        assert contender_waits.wait(5.0)
+        assert server.executing_count >= 1
         # Worker busy; fill the single queue slot, then overflow it.
         fillers = [server.connect_loopback() for _ in range(4)]
+
+        bounced = threading.Event()
 
         def poke(client, results):
             try:
@@ -189,6 +196,7 @@ class TestAdmissionControl:
                 results.append("ok")
             except ServerOverloadedError:
                 results.append("overload")
+                bounced.set()
             except ServerError:
                 results.append("other")
 
@@ -201,7 +209,7 @@ class TestAdmissionControl:
         # Wait for a bounce, not for every poke: the pokes that won the
         # queue slot stay queued behind the wedged worker until the
         # holder goes away.
-        _wait_until(lambda: results.count("overload") >= 1, timeout=10.0)
+        assert bounced.wait(10.0)
         # Dropping the holder's connection rolls its transaction back
         # server-side and unwedges the worker (a polite rollback request
         # could itself bounce off the still-full queue).
@@ -237,10 +245,9 @@ class TestAdmissionControl:
             "ConnectionLost",
         )
         holder.rollback()
-        # The abandoned session is cleaned up once the worker finishes.
-        assert _wait_until(
-            lambda: db.stats.snapshot().get("server.request_timeouts", 0) >= 1
-        )
+        # The server counts a timeout before it writes the notice or
+        # drops the line, so the victim's error implies the count.
+        assert db.stats.snapshot().get("server.request_timeouts", 0) >= 1
         holder.close()
         victim.close()
         server.shutdown()
@@ -442,7 +449,8 @@ class TestTcp:
         client.insert("t", {"id": 9})
         # Drop the line without commit: server must roll the txn back.
         client._conn.close()
-        assert _wait_until(lambda: len(db.txns.active_transactions()) == 0)
+        _join_sessions(server)
+        assert len(db.txns.active_transactions()) == 0
         with server.connect() as probe:
             assert probe.fetch("t", "by_id", 9) is None
         server.shutdown()

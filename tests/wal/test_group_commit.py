@@ -18,7 +18,6 @@ parked behind it.
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -29,7 +28,7 @@ from repro.wal import log as log_module
 from repro.wal.log import LogManager
 from repro.wal.records import LogRecord, RecordKind
 
-from tests.conftest import build_db
+from tests.conftest import SpyCondition, build_db
 
 FLUSH_WINDOW = "log.group_commit.before_flush"
 
@@ -77,15 +76,6 @@ def spy_waiters(monkeypatch):
     return _SpyWaiter.parked
 
 
-def _wait_until(predicate, timeout: float = 5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.001)
-    return predicate()
-
-
 class TestLifecycle:
     def test_disabled_by_default(self):
         log = LogManager()
@@ -103,9 +93,13 @@ class TestLifecycle:
         log.stop_group_commit()
         assert not log.group_commit_enabled
 
-    def test_stop_flushes_leftovers(self):
+    def test_stop_flushes_leftovers(self, spy_waiters):
         failpoints = FailpointRegistry()
         log = LogManager(failpoints=failpoints)
+        # The only wait on the group-commit condition here is the
+        # stopper's (the flush is unpriced, so no leader waits out a
+        # window): its ``parked`` says the stop has begun.
+        log._gc_cond = stopping = SpyCondition(threading.RLock())  # noqa: SLF001 - test instruments the wait path
         log.start_group_commit(max_wait_seconds=0.001)
         sentinel = _park_leader(log, failpoints)
         lsn = _append(log)
@@ -118,13 +112,15 @@ class TestLifecycle:
         thread = threading.Thread(target=committer)
         thread.start()
         # The sentinel's batch is in flight; the committer is a waiter.
-        assert _wait_until(lambda: log.group_commit_parked == 2)
+        assert spy_waiters.acquire(timeout=5.0)
+        assert log.group_commit_parked == 2
         # Stop with the waiter still queued.  stop_group_commit waits
         # for the paused leader, so it runs on a helper thread and the
         # pause is released once the stop has begun.
         stopper = threading.Thread(target=log.stop_group_commit)
         stopper.start()
-        assert _wait_until(lambda: not log.group_commit_enabled)
+        assert stopping.parked.wait(5.0)
+        assert not log.group_commit_enabled
         failpoints.release(FLUSH_WINDOW)
         stopper.join(5.0)
         # Leftovers must still be flushed and acked.
@@ -229,7 +225,7 @@ class TestCoalescing:
 
 
 class TestCrashResolution:
-    def test_crash_between_enqueue_and_flush_raises(self):
+    def test_crash_between_enqueue_and_flush_raises(self, spy_waiters):
         """The acceptance-criteria window: committers parked when the
         crash lands were never acknowledged and must learn it."""
         failpoints = FailpointRegistry()
@@ -254,7 +250,10 @@ class TestCrashResolution:
         for thread in threads:
             thread.start()
         failpoints.wait_until_paused(FLUSH_WINDOW)
-        assert _wait_until(lambda: log.group_commit_parked == 3)
+        # The first committer leads (paused above); the other two park.
+        for _ in range(2):
+            assert spy_waiters.acquire(timeout=5.0)
+        assert log.group_commit_parked == 3
         log.halt()
         log.crash()
         # The paused leader resumes as crashed, as in Database.crash.
