@@ -50,7 +50,7 @@ def index_delete(
     clr_for: LogRecord | None = None,
 ) -> None:
     """Delete the exact key (value, RID)."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     ctx.stats.incr("btree.op.delete")
     config = ctx.config
     not_found_retries = 0
@@ -62,7 +62,7 @@ def index_delete(
             # split that completed between our route decision and our
             # latch grant.  Wait out any SMO and re-route once before
             # concluding the key is genuinely missing.
-            tree.unlatch_unfix(leaf)
+            tree.unlatch_unfix(leaf, ctx)
             if not_found_retries == 0:
                 not_found_retries += 1
                 tree.smo_barrier_wait(txn)
@@ -76,12 +76,12 @@ def index_delete(
             if tree.smo_barrier_try(txn):
                 leaf.sm_bit = False
             else:
-                tree.unlatch_unfix(leaf)
+                tree.unlatch_unfix(leaf, ctx)
                 tree.smo_barrier_wait(txn)
                 ctx.stats.incr("btree.delete_bit_waits")
                 continue
         try:
-            next_key, next_page, _ = tree.find_next_key(leaf, pos + 1)
+            next_key, next_page, _ = tree.find_next_key(leaf, pos + 1, ctx)
             held: list[IndexPage | None] = [leaf, next_page]
             if clr_for is None and not txn.in_rollback:
                 last_instance = not same_value_nearby(leaf, pos, key.value, next_key)
@@ -90,12 +90,12 @@ def index_delete(
         except RestartOperation:
             continue
         if next_page is not None and next_page is not leaf:
-            tree.unlatch_unfix(next_page)
+            tree.unlatch_unfix(next_page, ctx)
 
         if leaf.key_count() == 1 and leaf.page_id != tree.root_page_id:
             # Step 4: the page would become empty — Figure 8's page
             # deletion path (re-validates under the SMO barrier).
-            tree.unlatch_unfix(leaf)
+            tree.unlatch_unfix(leaf, ctx)
             from repro.btree.smo import delete_with_page_delete
 
             delete_with_page_delete(tree, txn, key, clr_for)
@@ -113,7 +113,7 @@ def index_delete(
             if tree.posc_try(txn):
                 posc_held = True
             else:
-                tree.unlatch_unfix(leaf)
+                tree.unlatch_unfix(leaf, ctx)
                 # Wait for structural consistency without holding any
                 # latch, then re-derive everything.
                 tree.smo_barrier_wait(txn)
@@ -121,7 +121,7 @@ def index_delete(
                 continue
 
         _log_and_apply_delete(tree, txn, leaf, key, clr_for, posc_held)
-        tree.unlatch_unfix(leaf)
+        tree.unlatch_unfix(leaf, ctx)
         if posc_held:
             tree.posc_release(txn)
         return
@@ -135,7 +135,7 @@ def _log_and_apply_delete(
     clr_for: LogRecord | None,
     posc_held: bool,
 ) -> None:
-    ctx = tree.ctx
+    ctx = txn.incarnation
     # Figure 7: the Delete_Bit warns later space consumers (Figure 11);
     # it is unnecessary when the POSC is held for this delete, and a CLR
     # delete can never itself be undone.

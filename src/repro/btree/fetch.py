@@ -126,7 +126,7 @@ def _lock_key(
     protocol = tree.protocol
     name = protocol.key_lock_name(tree, key) if key is not None else protocol.eof_name(tree)
     try:
-        tree.ctx.locks.request(txn.txn_id, name, LockMode.S, duration, True)
+        txn.incarnation.locks.request(txn.txn_id, name, LockMode.S, duration, True)
     except LockNotGrantedError:
         lock_dance(tree, txn, [LockSpec(name, LockMode.S, duration)], (leaf, other))
     return name
@@ -150,7 +150,7 @@ def index_fetch(
     or "snapshot" (MVCC read: latches only, **no lock requests** —
     visibility is the caller's job, via the heap version stamps).
     """
-    ctx = tree.ctx
+    ctx = txn.incarnation
     ctx.stats.incr("btree.op.fetch")
     bound = _search_bound(value, comparison)
     duration = lock_duration(isolation)
@@ -162,7 +162,7 @@ def index_fetch(
             if pos < leaf.key_count():
                 candidate, page = leaf.key_at(pos), leaf
             else:
-                candidate, page, pos = tree.find_next_key(leaf, pos)
+                candidate, page, pos = tree.find_next_key(leaf, pos, ctx)
                 if candidate is not None and candidate < bound:
                     _wait_out_split(tree, txn, leaf, page)
                     continue
@@ -178,9 +178,9 @@ def index_fetch(
                 cursor.page_lsn = page.page_lsn
                 cursor.pos = pos
                 cursor.current_key = candidate
-        tree.unlatch_unfix(leaf)
+        tree.unlatch_unfix(leaf, ctx)
         if page is not leaf and page is not None:
-            tree.unlatch_unfix(page)
+            tree.unlatch_unfix(page, ctx)
         if candidate is None:
             return FetchResult(False, None, True, lock_name)
         found = candidate.value == value if comparison == "=" else True
@@ -199,7 +199,7 @@ def fetch_next_key(
     at EOF (``cursor.at_eof`` is then set).
 
     The cursor must be on a key (``current_key`` set, not at EOF)."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     ctx.stats.incr("btree.op.fetch_next")
     buffer = ctx.buffer
     latches = ctx.latches
@@ -255,7 +255,7 @@ def fetch_next_key(
                     latches.unlatch_page(leaf_id)
                     buffer.unfix(leaf_id)
                     return key
-                key, page, pos = tree.find_next_key(leaf, pos)
+                key, page, pos = tree.find_next_key(leaf, pos, ctx)
             if lock:
                 cursor.lock_name = _lock_key(tree, txn, key, duration, leaf, page)
         except RestartOperation:
@@ -267,9 +267,9 @@ def fetch_next_key(
             cursor.page_lsn = page.page_lsn
             cursor.pos = pos
             cursor.current_key = key
-        tree.unlatch_unfix(leaf)
+        tree.unlatch_unfix(leaf, ctx)
         if page is not leaf and page is not None:
-            tree.unlatch_unfix(page)
+            tree.unlatch_unfix(page, ctx)
         return key
 
 
@@ -280,13 +280,14 @@ def _reposition(
     first key greater than the current one.  Returns the leaf reached,
     the next key, the page holding it and its position there, with
     both pages latched."""
-    tree.ctx.stats.incr("btree.cursor_repositions")
+    ctx = txn.incarnation
+    ctx.stats.incr("btree.cursor_repositions")
     current = cursor.current_key
     leaf = tree.traverse(current, False, txn)
     pos, exact = leaf.find_key(current)
     if exact:
         pos += 1
-    key, page, pos = tree.find_next_key(leaf, pos)
+    key, page, pos = tree.find_next_key(leaf, pos, ctx)
     if key is not None and key <= current:
         _wait_out_split(tree, txn, leaf, page)
         raise RestartOperation()
@@ -310,13 +311,13 @@ def index_fetch_next(
     """
     past = past_stop(stop_value, stop_comparison) if stop_value is not None else None
     if cursor.at_eof or cursor.current_key is None:
-        tree.ctx.stats.incr("btree.op.fetch_next")
+        txn.incarnation.stats.incr("btree.op.fetch_next")
         return FetchResult(False, None, True)
     if (
         single_key_range(tree, stop_value, stop_comparison)
         and cursor.current_key.value == stop_value
     ):
-        tree.ctx.stats.incr("btree.op.fetch_next")
+        txn.incarnation.stats.incr("btree.op.fetch_next")
         return FetchResult(False, None, False)
     key = fetch_next_key(tree, txn, cursor, lock_duration(isolation))
     if key is None:
@@ -331,7 +332,10 @@ def _wait_out_split(
     key came from a later leaf yet is not above the search key, so the
     leaf reached no longer covers it — a split moved its range right
     after the parent routed us, and the parent is not updated yet.
-    Release the pages and wait out the SMO; the caller searches again."""
-    release_pages(tree, (leaf, page))
+    Release the pages and wait out the SMO; the caller searches again
+    (a crash meanwhile retires ``txn``'s incarnation, so the search
+    raises instead of retrying against the pages on disk)."""
+    ctx = txn.incarnation
+    release_pages(tree, (leaf, page), ctx)
     tree.smo_barrier_wait(txn)
-    tree.ctx.stats.incr("btree.stale_leaf_restarts")
+    ctx.stats.incr("btree.stale_leaf_restarts")

@@ -63,7 +63,7 @@ def index_insert(
 ) -> None:
     """Insert ``key``; raises UniqueKeyViolationError on a duplicate
     value in a unique index."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     ctx.stats.incr("btree.op.insert")
     _check_key_size(tree, key)
     probed = False
@@ -80,7 +80,7 @@ def index_insert(
                 leaf.delete_bit = False
                 ctx.stats.incr("btree.insert_bit_resets")
             else:
-                tree.unlatch_unfix(leaf)
+                tree.unlatch_unfix(leaf, ctx)
                 tree.smo_barrier_wait(txn)
                 ctx.stats.incr("btree.insert_bit_waits")
                 continue
@@ -112,7 +112,7 @@ def _unique_probe(tree: "BTree", txn: "Transaction", key: IndexKey) -> None:
     not-found verdict durable."""
     from repro.btree.fetch import index_fetch
 
-    tree.ctx.stats.incr("btree.unique_probes")
+    txn.incarnation.stats.incr("btree.unique_probes")
     result = index_fetch(tree, txn, key.value, comparison="=")
     if result.found:
         raise UniqueKeyViolationError(key.value)
@@ -134,12 +134,12 @@ def try_insert_on_leaf(
     a lock, and :class:`UniqueProbeNeeded` if the duplicate check needs
     the probe path.
     """
-    ctx = tree.ctx
+    ctx = txn.incarnation
     pos, exact = leaf.find_key(key)
     if exact:
-        tree.unlatch_unfix(leaf)
+        tree.unlatch_unfix(leaf, ctx)
         raise IndexError_(f"key {key!r} already present in index {tree.name!r}")
-    next_key, next_page, _ = tree.find_next_key(leaf, pos)
+    next_key, next_page, _ = tree.find_next_key(leaf, pos, ctx)
     held: list[IndexPage | None] = [leaf, next_page]
     wants_locks = clr_for is None and not txn.in_rollback
 
@@ -149,7 +149,7 @@ def try_insert_on_leaf(
     # Figure 3 family of races).  The invariant "first key of the next
     # leaf > every key belonging to this leaf" makes this check exact.
     if next_key is not None and next_key <= key:
-        release_pages(tree, held)
+        release_pages(tree, held, ctx)
         ctx.stats.incr("btree.stale_leaf_restarts")
         raise RestartOperation(smo_barrier_lost=False)
 
@@ -167,14 +167,14 @@ def try_insert_on_leaf(
         elif next_key is not None and next_key.value == key.value:
             duplicate = next_key
         elif pos == 0 and leaf.prev_leaf != 0 and not probed:
-            release_pages(tree, held)
+            release_pages(tree, held, ctx)
             raise UniqueProbeNeeded()
         if duplicate is not None:
             # S commit lock on the equal key; if it is still there once
             # granted, the violation is repeatable.
             spec = tree.protocol.unique_check_lock(tree, duplicate)
             request_locks(tree, txn, [spec], held, smo_barrier_held)
-            release_pages(tree, held)
+            release_pages(tree, held, ctx)
             raise UniqueKeyViolationError(key.value)
 
     if wants_locks:
@@ -183,14 +183,14 @@ def try_insert_on_leaf(
         request_locks(tree, txn, specs, held, smo_barrier_held)
     # Figure 6: unlatch the next page after acquiring the next-key lock.
     if next_page is not None and next_page is not leaf:
-        tree.unlatch_unfix(next_page)
+        tree.unlatch_unfix(next_page, ctx)
 
     if not leaf.has_room_for_key(key, ctx.config.page_size):
-        tree.unlatch_unfix(leaf)
+        tree.unlatch_unfix(leaf, ctx)
         return Outcome.NEEDS_SPLIT
 
     _log_and_apply_insert(tree, txn, leaf, key, clr_for)
-    tree.unlatch_unfix(leaf)
+    tree.unlatch_unfix(leaf, ctx)
     return Outcome.DONE
 
 
@@ -201,7 +201,7 @@ def _log_and_apply_insert(
     key: IndexKey,
     clr_for: LogRecord | None,
 ) -> None:
-    ctx = tree.ctx
+    ctx = txn.incarnation
     payload = {"index_id": tree.index_id, "key": key}
     if clr_for is None:
         record = update_record(txn.txn_id, RM_BTREE, "insert_key", leaf.page_id, payload)
@@ -222,9 +222,10 @@ def _log_and_apply_insert(
 def _check_key_size(tree: "BTree", key: IndexKey) -> None:
     """A key must fit on a freshly split page with at least one sibling
     key, or splitting could never make room."""
-    limit = (tree.ctx.config.page_size - PAGE_OVERHEAD) // 4
+    page_size = tree.ctx.config.page_size
+    limit = (page_size - PAGE_OVERHEAD) // 4
     if key.encoded_size() > limit:
         raise IndexError_(
             f"key of {key.encoded_size()} bytes exceeds the per-key limit "
-            f"of {limit} bytes for {tree.ctx.config.page_size}-byte pages"
+            f"of {limit} bytes for {page_size}-byte pages"
         )

@@ -30,6 +30,7 @@ from repro.locks.modes import LockDuration
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.btree.tree import BTree
+    from repro.incarnation import Incarnation
     from repro.txn.transaction import Transaction
 
 
@@ -52,11 +53,13 @@ class RestartOperation(Exception):
         super().__init__("operation restart required")
 
 
-def release_pages(tree: "BTree", pages: Sequence[IndexPage | None]) -> None:
+def release_pages(
+    tree: "BTree", pages: Sequence[IndexPage | None], ctx: "Incarnation"
+) -> None:
     """Unlatch and unfix every distinct non-None page."""
     for i, page in enumerate(pages):
         if page is not None and page not in pages[:i]:
-            tree.unlatch_unfix(page)
+            tree.unlatch_unfix(page, ctx)
 
 
 def request_locks(
@@ -70,7 +73,7 @@ def request_locks(
     miss, :func:`lock_dance` from the missed spec on."""
     if txn.in_rollback:
         return
-    request = tree.ctx.locks.request
+    request = txn.incarnation.locks.request
     for position, spec in enumerate(specs):
         try:
             request(txn.txn_id, spec.name, spec.mode, spec.duration, conditional=True)
@@ -100,8 +103,8 @@ def lock_dance(
     Grabbing the later specs too avoids one dance per remaining spec;
     the restart re-derives and re-requests everything anyway.
     """
-    ctx = tree.ctx
-    release_pages(tree, held_pages)
+    ctx = txn.incarnation
+    release_pages(tree, held_pages, ctx)
     if smo_barrier_held:
         tree.smo_end(txn)
     ctx.stats.incr("btree.lock_dances")

@@ -45,6 +45,7 @@ from repro.btree.tree import BTree
 from repro.wal.records import RM_BTREE, LogRecord, clr_record, update_record
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.incarnation import Incarnation
     from repro.txn.transaction import Transaction
 
 
@@ -63,7 +64,7 @@ def _log_apply(
 ) -> int:
     """Write one SMO update record and apply it to the latched page."""
     record = update_record(txn.txn_id, RM_BTREE, op, page.page_id, payload)
-    return tree.ctx.log_page_change(txn, page, record, apply)
+    return txn.incarnation.log_page_change(txn, page, record, apply)
 
 
 def _log_set_page(
@@ -80,7 +81,20 @@ def _log_set_page(
         page.page_id,
         {"before": before, "after": after},
     )
-    return tree.ctx.log_page_change(txn, page, record)
+    return txn.incarnation.log_page_change(txn, page, record)
+
+
+def format_page(txn: "Transaction", page: IndexPage, undoable: bool = True) -> None:
+    """Log a fresh page's whole image as its ``page_format`` record (the
+    page is fixed only while that runs; no one else can see it yet)."""
+    ctx = txn.incarnation
+    ctx.buffer.fix_new(page)  # noqa: RPR001 - unfixed below once logged
+    payload = {"page": page.to_payload()}
+    record = update_record(
+        txn.txn_id, RM_BTREE, "page_format", page.page_id, payload, undoable=undoable
+    )
+    ctx.log_page_change(txn, page, record)
+    ctx.buffer.unfix(page.page_id)
 
 
 def freed_payload(page_id: int) -> dict:
@@ -107,7 +121,7 @@ def split_and_insert(
     barrier, so the instant next-key lock is taken on a stable tree."""
     from repro.btree.insert import UniqueProbeNeeded, _unique_probe
 
-    ctx = tree.ctx
+    ctx = txn.incarnation
     tree.smo_begin(txn)
     barrier_held = True
     try:
@@ -149,11 +163,12 @@ def split_and_insert(
 def _split_leaf_covering(tree: BTree, txn: "Transaction", search: IndexKey) -> None:
     """Re-locate the full leaf covering ``search`` and split it as one
     nested top action.  No-ops if room appeared meanwhile."""
+    ctx = txn.incarnation
     leaf = tree.traverse(search, for_update=True, txn=txn)
     if leaf.key_count() < 2:
         # Cannot split a page with fewer than two keys; the caller's
         # size guard makes this unreachable for legal keys.
-        tree.unlatch_unfix(leaf)
+        tree.unlatch_unfix(leaf, ctx)
         raise IndexError_(
             f"page {leaf.page_id} too small to split (keys={leaf.key_count()})"
         )
@@ -161,43 +176,34 @@ def _split_leaf_covering(tree: BTree, txn: "Transaction", search: IndexKey) -> N
         # Growing the root is a nonleaf-level SMO: the §5 lock variant
         # upgrades to X first (no latches may be held across the lock
         # request).
-        tree.unlatch_unfix(leaf)
+        tree.unlatch_unfix(leaf, ctx)
         tree.smo_upgrade_for_nonleaf(txn)
         leaf = tree.traverse(search, for_update=True, txn=txn)
         if leaf.page_id == tree.root_page_id:
-            tree.unlatch_unfix(leaf)
+            tree.unlatch_unfix(leaf, ctx)
             _grow_root(tree, txn)
         else:
-            tree.unlatch_unfix(leaf)
+            tree.unlatch_unfix(leaf, ctx)
         leaf = tree.traverse(search, for_update=True, txn=txn)
-    if not leaf.has_room_for_key(search, tree.ctx.config.page_size):
+    if not leaf.has_room_for_key(search, ctx.config.page_size):
         _perform_split(tree, txn, leaf)
     else:
-        tree.unlatch_unfix(leaf)
+        tree.unlatch_unfix(leaf, ctx)
 
 
 def _grow_root(tree: BTree, txn: "Transaction") -> None:
     """Move the root's contents into a fresh child so the root page id
     never changes; the root becomes a one-child nonleaf one level up.
     Logged as part of the enclosing NTA."""
-    ctx = tree.ctx
-    root = tree.fix_and_latch(tree.root_page_id, "X")
-    tree.ctx.txns.begin_nta(txn)
+    ctx = txn.incarnation
+    root = tree.fix_and_latch(tree.root_page_id, "X", ctx)
+    ctx.txns.begin_nta(txn)
     try:
         child_id = ctx.disk.allocate_page_id()
         child = IndexPage(child_id, tree.index_id, root.level)
         child.replace_entries(root.keys, root.child_ids, root.high_keys)
         child.sm_bit = True
-        ctx.buffer.fix_new(child)  # noqa: RPR001 - unfixed below once formatted and logged
-        record = update_record(
-            txn.txn_id,
-            RM_BTREE,
-            "page_format",
-            child_id,
-            {"page": child.to_payload()},
-        )
-        ctx.log_page_change(txn, child, record)
-        ctx.buffer.unfix(child_id)
+        format_page(txn, child)
 
         def make_root_nonleaf() -> None:
             root.level = root.level + 1
@@ -212,15 +218,15 @@ def _grow_root(tree: BTree, txn: "Transaction") -> None:
         ctx.txns.abandon_nta(txn)
         raise
     finally:
-        tree.unlatch_unfix(root)
-    _maybe_reset_bits(tree, [tree.root_page_id, child_id])
+        tree.unlatch_unfix(root, ctx)
+    _maybe_reset_bits(tree, [tree.root_page_id, child_id], ctx)
     ctx.stats.incr("btree.root_grows")
 
 
 def _perform_split(tree: BTree, txn: "Transaction", leaf: IndexPage) -> None:
     """Split one X-latched non-root page (leaf or nonleaf) to the right
     as a nested top action (Figure 9).  Consumes the latch."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     ctx.txns.begin_nta(txn)
     affected = [leaf.page_id]
     try:
@@ -230,7 +236,7 @@ def _perform_split(tree: BTree, txn: "Transaction", leaf: IndexPage) -> None:
             separator, right_id = _split_nonleaf_level(tree, txn, leaf, affected)
         left_id = leaf.page_id
         level_above = leaf.level + 1
-        tree.unlatch_unfix(leaf)
+        tree.unlatch_unfix(leaf, ctx)
         ctx.failpoints.hit("smo.split.after_leaf_level")
         _propagate_split(
             tree, txn, left_id, right_id, separator, level_above, affected
@@ -240,7 +246,7 @@ def _perform_split(tree: BTree, txn: "Transaction", leaf: IndexPage) -> None:
     except BaseException:
         ctx.txns.abandon_nta(txn)
         raise
-    _maybe_reset_bits(tree, affected)
+    _maybe_reset_bits(tree, affected, ctx)
     ctx.stats.incr("btree.page_splits")
 
 
@@ -269,7 +275,7 @@ def _split_leaf_level(
 ) -> tuple[IndexKey, int]:
     """Leaf-level half of a split: format the right page, shrink the
     left, fix the right neighbour's back pointer."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     split_at = _split_point(leaf)
     moved = leaf.keys[split_at:]
     separator = moved[0]
@@ -281,13 +287,8 @@ def _split_leaf_level(
     right.prev_leaf = leaf.page_id
     right.next_leaf = old_next
     right.sm_bit = True
-    ctx.buffer.fix_new(right)  # noqa: RPR001 - unfixed below once formatted and logged
+    format_page(txn, right)
     affected.append(right_id)
-    record = update_record(
-        txn.txn_id, RM_BTREE, "page_format", right_id, {"page": right.to_payload()}
-    )
-    ctx.log_page_change(txn, right, record)
-    ctx.buffer.unfix(right_id)
 
     def shrink() -> None:
         leaf.truncate(split_at)
@@ -313,7 +314,7 @@ def _split_leaf_level(
     if old_next:
         # The old right neighbour's back pointer (latched on its own:
         # left-to-right order, never more than two page latches).
-        neighbour = tree.fix_and_latch(old_next, "X")
+        neighbour = tree.fix_and_latch(old_next, "X", ctx)
         affected.append(old_next)
 
         def relink() -> None:
@@ -327,7 +328,7 @@ def _split_leaf_level(
             {"before": leaf.page_id, "after": right_id},
             relink,
         )
-        tree.unlatch_unfix(neighbour)
+        tree.unlatch_unfix(neighbour, ctx)
     return separator, right_id
 
 
@@ -337,7 +338,7 @@ def _split_nonleaf_level(
     """Nonleaf split: left keeps entries[:m] with its last high key
     pushed up as the separator (and cleared to None, since the
     rightmost child of any page is unbounded within it)."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     split_at = _split_point(page)
     separator = page.high_keys[split_at - 1]
     assert separator is not None, "interior split point always has a high key"
@@ -348,13 +349,8 @@ def _split_nonleaf_level(
         child_ids=page.child_ids[split_at:], high_keys=page.high_keys[split_at:]
     )
     right.sm_bit = True
-    ctx.buffer.fix_new(right)  # noqa: RPR001 - unfixed below once formatted and logged
+    format_page(txn, right)
     affected.append(right_id)
-    record = update_record(
-        txn.txn_id, RM_BTREE, "page_format", right_id, {"page": right.to_payload()}
-    )
-    ctx.log_page_change(txn, right, record)
-    ctx.buffer.unfix(right_id)
 
     def shrink() -> None:
         page.truncate(split_at)
@@ -375,13 +371,13 @@ def _propagate_split(
 ) -> None:
     """Insert the separator entry into the parent level, splitting
     upward as needed (bottom-up, lower latches already released)."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     while True:
-        parent = _descend_to_level(tree, separator, level)
+        parent = _descend_to_level(tree, separator, level, ctx)
         if left_id not in parent.child_ids:
             # The parent itself split since we looked (by us, one loop
             # iteration ago): the entry belongs in the right sibling.
-            tree.unlatch_unfix(parent)
+            tree.unlatch_unfix(parent, ctx)
             raise IndexError_(
                 f"propagation lost child {left_id} at level {level}"
             )
@@ -393,7 +389,7 @@ def _propagate_split(
                 parent.sm_bit = True
 
             _log_set_page(tree, txn, parent, link)
-            tree.unlatch_unfix(parent)
+            tree.unlatch_unfix(parent, ctx)
             ctx.failpoints.hit("smo.split.after_propagation")
             return
         # Parent is full: split it first — a nonleaf-level SMO, so the
@@ -403,20 +399,20 @@ def _propagate_split(
         # may raise DeadlockError (two concurrent upgraders); the
         # caller's rollback then undoes the partial SMO page-oriented.
         is_root = parent.page_id == tree.root_page_id
-        tree.unlatch_unfix(parent)
+        tree.unlatch_unfix(parent, ctx)
         tree.smo_upgrade_for_nonleaf(txn)
-        parent = _descend_to_level(tree, separator, level)
+        parent = _descend_to_level(tree, separator, level, ctx)
         if parent.has_room_for_child(separator, ctx.config.page_size):
-            tree.unlatch_unfix(parent)
+            tree.unlatch_unfix(parent, ctx)
             continue  # someone made room meanwhile; retry the insert
         is_root = parent.page_id == tree.root_page_id
         if is_root:
-            tree.unlatch_unfix(parent)
+            tree.unlatch_unfix(parent, ctx)
             _grow_root(tree, txn)
             continue
         up_separator, up_right = _split_nonleaf_level(tree, txn, parent, affected)
         parent_id = parent.page_id
-        tree.unlatch_unfix(parent)
+        tree.unlatch_unfix(parent, ctx)
         _propagate_split(
             tree, txn, parent_id, up_right, up_separator, level + 1, affected
         )
@@ -424,20 +420,23 @@ def _propagate_split(
         # again in the pathological huge-separator case).
 
 
-def _descend_to_level(tree: BTree, key: IndexKey, level: int) -> IndexPage:
+def _descend_to_level(
+    tree: BTree, key: IndexKey, level: int, ctx: "Incarnation"
+) -> IndexPage:
     """Latch-coupled descent stopping at ``level``; returns that page
     X-latched and fixed.  Only used under the SMO barrier."""
-    node = tree.fix_page(tree.root_page_id)
+    node = tree.fix_page(tree.root_page_id, ctx)
     mode = "X" if node.level == level else "S"
-    tree.latch(node, mode)
+    ctx.latches.latch_page(node.page_id, mode)  # noqa: RPR001 - ownership transfer: caller unlatches
     while node.level != level:
         if node.level < level:
-            tree.unlatch_unfix(node)
+            tree.unlatch_unfix(node, ctx)
             raise IndexError_(f"no level {level} on the path to {key!r}")
         child_id = node.child_for(key)
-        child = tree.fix_page(child_id)
-        tree.latch(child, "X" if child.level == level else "S")
-        tree.unlatch_unfix(node)
+        child = tree.fix_page(child_id, ctx)
+        mode = "X" if child.level == level else "S"
+        ctx.latches.latch_page(child_id, mode)  # noqa: RPR001 - ownership transfer: caller unlatches
+        tree.unlatch_unfix(node, ctx)
         node = child
     return node
 
@@ -456,7 +455,7 @@ def delete_with_page_delete(
     """Figure 8, page-delete case: under the SMO barrier, delete the key
     (logged *outside* the NTA so it stays undoable — Figure 10), then
     delete the emptied page as a nested top action."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     tree.smo_begin(txn)
     # Page deletion touches neighbour chains and the parent; under the
     # §5 lock variant we run it fully exclusive (upgrade IX→X before
@@ -467,7 +466,7 @@ def delete_with_page_delete(
         leaf = tree.traverse(key, for_update=True, txn=txn)
         pos, found = leaf.find_key(key)
         if not found:
-            tree.unlatch_unfix(leaf)
+            tree.unlatch_unfix(leaf, ctx)
             raise KeyNotFoundError(f"key {key!r} not in index {tree.name!r}")
         leaf.sm_bit = False  # barrier held ⇒ POSC
         leaf.delete_bit = False
@@ -492,7 +491,7 @@ def delete_with_page_delete(
         if leaf.key_count() or leaf.page_id == tree.root_page_id:
             # Someone refilled the page before we got the barrier (or
             # it is the root, which may stay empty): plain delete.
-            tree.unlatch_unfix(leaf)
+            tree.unlatch_unfix(leaf, ctx)
             return
         ctx.failpoints.hit("smo.pagedel.after_key_delete")
         ctx.txns.begin_nta(txn)
@@ -514,7 +513,7 @@ def _perform_page_delete(
     """Delete one empty, X-latched, non-root leaf (consumes the latch):
     mark it, unchain it, remove it from its parent (recursing upward if
     the parent empties), then free it."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     leaf_id = leaf.page_id
     prev_id, next_id = leaf.prev_leaf, leaf.next_leaf
 
@@ -522,7 +521,7 @@ def _perform_page_delete(
         leaf.sm_bit = True
 
     _log_set_page(tree, txn, leaf, mark)
-    tree.unlatch_unfix(leaf)
+    tree.unlatch_unfix(leaf, ctx)
     ctx.failpoints.hit("smo.pagedel.after_mark")
 
     if prev_id:
@@ -532,12 +531,12 @@ def _perform_page_delete(
         pred_id = prev_id
         neighbour = None
         while pred_id:
-            candidate = tree.fix_and_latch(pred_id, "X")
+            candidate = tree.fix_and_latch(pred_id, "X", ctx)
             if candidate.index_id == tree.index_id and candidate.next_leaf == leaf_id:
                 neighbour = candidate
                 break
             pred_id = candidate.next_leaf if candidate.index_id == tree.index_id else 0
-            tree.unlatch_unfix(candidate)
+            tree.unlatch_unfix(candidate, ctx)
         if neighbour is not None:
 
             def forward() -> None:
@@ -552,9 +551,9 @@ def _perform_page_delete(
                 forward,
             )
             prev_id = neighbour.page_id
-            tree.unlatch_unfix(neighbour)
+            tree.unlatch_unfix(neighbour, ctx)
     if next_id:
-        neighbour = tree.fix_and_latch(next_id, "X")
+        neighbour = tree.fix_and_latch(next_id, "X", ctx)
 
         def backward() -> None:
             neighbour.prev_leaf = prev_id
@@ -567,18 +566,18 @@ def _perform_page_delete(
             {"before": leaf_id, "after": prev_id},
             backward,
         )
-        tree.unlatch_unfix(neighbour)
+        tree.unlatch_unfix(neighbour, ctx)
     ctx.failpoints.hit("smo.pagedel.after_unchain")
 
     _remove_from_parent(tree, txn, leaf_id, level=1, route_key=route_key)
 
-    page = tree.fix_and_latch(leaf_id, "X")
+    page = tree.fix_and_latch(leaf_id, "X", ctx)
 
     def free() -> None:
         page.load_payload(freed_payload(leaf_id))
 
     _log_set_page(tree, txn, page, free)
-    tree.unlatch_unfix(page)
+    tree.unlatch_unfix(page, ctx)
 
 
 def _remove_from_parent(
@@ -587,8 +586,8 @@ def _remove_from_parent(
     """Remove the entry for a deleted child at ``level``, cascading
     upward when the parent empties, collapsing the root when it is left
     with a single child."""
-    ctx = tree.ctx
-    parent = _descend_to_level(tree, route_key, level)
+    ctx = txn.incarnation
+    parent = _descend_to_level(tree, route_key, level, ctx)
 
     def unlink() -> None:
         parent.remove_child(child_id)
@@ -599,18 +598,18 @@ def _remove_from_parent(
     is_root = parent_id == tree.root_page_id
     empty = parent.is_empty()
     single_child_root = is_root and len(parent.child_ids) == 1
-    tree.unlatch_unfix(parent)
+    tree.unlatch_unfix(parent, ctx)
 
     if empty and not is_root:
         tree.smo_upgrade_for_nonleaf(txn)
         _remove_from_parent(tree, txn, parent_id, level + 1, route_key)
-        page = tree.fix_and_latch(parent_id, "X")
+        page = tree.fix_and_latch(parent_id, "X", ctx)
 
         def free() -> None:
             page.load_payload(freed_payload(parent_id))
 
         _log_set_page(tree, txn, page, free)
-        tree.unlatch_unfix(page)
+        tree.unlatch_unfix(page, ctx)
     elif single_child_root:
         tree.smo_upgrade_for_nonleaf(txn)
         _shrink_root(tree, txn)
@@ -620,14 +619,14 @@ def _shrink_root(tree: BTree, txn: "Transaction") -> None:
     """Collapse a one-child root: the root absorbs its only child's
     contents (height decreases); the child is freed.  Loops in case the
     absorbed child is itself a one-child nonleaf."""
-    ctx = tree.ctx
+    ctx = txn.incarnation
     while True:
-        root = tree.fix_and_latch(tree.root_page_id, "X")
+        root = tree.fix_and_latch(tree.root_page_id, "X", ctx)
         if root.is_leaf or len(root.child_ids) != 1:
-            tree.unlatch_unfix(root)
+            tree.unlatch_unfix(root, ctx)
             return
         child_id = root.child_ids[0]
-        child = tree.fix_and_latch(child_id, "X")
+        child = tree.fix_and_latch(child_id, "X", ctx)
 
         def absorb() -> None:
             payload = child.to_payload()
@@ -641,8 +640,8 @@ def _shrink_root(tree: BTree, txn: "Transaction") -> None:
             child.load_payload(freed_payload(child_id))
 
         _log_set_page(tree, txn, child, free)
-        tree.unlatch_unfix(child)
-        tree.unlatch_unfix(root)
+        tree.unlatch_unfix(child, ctx)
+        tree.unlatch_unfix(root, ctx)
         ctx.stats.incr("btree.root_shrinks")
 
 
@@ -651,14 +650,14 @@ def _shrink_root(tree: BTree, txn: "Transaction") -> None:
 # ---------------------------------------------------------------------------
 
 
-def _maybe_reset_bits(tree: BTree, page_ids: list[int]) -> None:
-    if not tree.ctx.config.reset_sm_bits_after_smo:
+def _maybe_reset_bits(tree: BTree, page_ids: list[int], ctx: "Incarnation") -> None:
+    if not ctx.config.reset_sm_bits_after_smo:
         return
     for page_id in dict.fromkeys(page_ids):
         try:
-            page = tree.fix_and_latch(page_id, "X")
+            page = tree.fix_and_latch(page_id, "X", ctx)
         except Exception:  # noqa: BLE001,RPR005 - page may already be freed
             continue
         if isinstance(page, IndexPage) and page.index_id == tree.index_id:
             page.sm_bit = False
-        tree.unlatch_unfix(page)
+        tree.unlatch_unfix(page, ctx)

@@ -20,6 +20,10 @@ Where the paper "unwinds recursion as far as necessary based on noted
 page LSNs", this implementation restarts from the root: same
 correctness, a few more page visits, honestly counted in
 ``btree.traversal_restarts``.
+
+The tree is catalog and survives a crash; an operation's pages, latches
+and locks belong to its transaction's incarnation (``txn.incarnation``),
+which it passes to the page helpers here as ``ctx``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import (
     IndexError_,
-    LatchError,
-    LockError,
     LockNotGrantedError,
     TreeInconsistentError,
 )
@@ -41,6 +43,8 @@ from repro.locks.modes import LockDuration, LockMode, tree_lock_name
 if TYPE_CHECKING:  # pragma: no cover
     from repro.btree.protocol import LockingProtocol
     from repro.db import Database
+    from repro.incarnation import Incarnation
+    from repro.storage.latch import Latch
     from repro.txn.transaction import Transaction
 
 #: Sentinel RIDs used to turn a bare value into a full-key search bound.
@@ -76,29 +80,27 @@ class BTree:
     def make_key(self, value: UserKey, rid: RID) -> IndexKey:
         return IndexKey(encode_key(value), rid)
 
-    def fix_page(self, page_id: int) -> IndexPage:
-        page = self.ctx.buffer.fix(page_id)  # noqa: RPR001 - ownership transfer: caller unfixes
+    def fix_page(
+        self, page_id: int, ctx: "Incarnation | Database | None" = None
+    ) -> IndexPage:
+        """Fix an index page in ``ctx``'s pool (default: the current one)."""
+        buffer = (ctx or self.ctx).buffer
+        page = buffer.fix(page_id)  # noqa: RPR001 - ownership transfer: caller unfixes
         if not isinstance(page, IndexPage):
-            self.ctx.buffer.unfix(page_id)
+            buffer.unfix(page_id)
             raise IndexError_(f"page {page_id} is not an index page")
         return page
 
-    def latch(self, page: IndexPage, mode: str, conditional: bool = False) -> None:
-        self.ctx.latches.latch_page(page.page_id, mode, conditional=conditional)  # noqa: RPR001 - ownership transfer: caller unlatches
+    def unlatch_unfix(self, page: IndexPage, ctx: "Incarnation") -> None:
+        ctx.latches.unlatch_page(page.page_id)
+        ctx.buffer.unfix(page.page_id)
 
-    def unlatch(self, page: IndexPage) -> None:
-        self.ctx.latches.unlatch_page(page.page_id)
-
-    def unlatch_unfix(self, page: IndexPage) -> None:
-        self.ctx.latches.unlatch_page(page.page_id)
-        self.ctx.buffer.unfix(page.page_id)
-
-    def fix_and_latch(self, page_id: int, mode: str) -> IndexPage:
-        page = self.fix_page(page_id)
+    def fix_and_latch(self, page_id: int, mode: str, ctx: "Incarnation") -> IndexPage:
+        page = self.fix_page(page_id, ctx)
         try:
-            self.latch(page, mode)
+            ctx.latches.latch_page(page_id, mode)  # noqa: RPR001 - ownership transfer: caller unlatches
         except BaseException:
-            self.ctx.buffer.unfix(page_id)
+            ctx.buffer.unfix(page_id)
             raise
         return page
 
@@ -110,9 +112,11 @@ class BTree:
     # back transactions always take X so they can never deadlock on the
     # upgrade (§5).  ``tree_latch_mode`` selects the variant.
 
-    @property
-    def tree_latch(self):
-        return self.ctx.latches.tree_latch(self.index_id)
+    def _tree_latch(self, txn: "Transaction | None") -> "Latch":
+        """The tree latch in ``txn``'s incarnation (the current one for
+        a caller without a transaction)."""
+        ctx = self.ctx if txn is None else txn.incarnation
+        return ctx.latches.tree_latch(self.index_id)
 
     @property
     def _lock_mode_smo(self) -> bool:
@@ -126,14 +130,14 @@ class BTree:
         wait becomes an instant S tree-lock request.
         """
         if self._lock_mode_smo and txn is not None:
-            self.ctx.locks.request(
+            txn.incarnation.locks.request(
                 txn.txn_id,
                 tree_lock_name(self.index_id),
                 LockMode.S,
                 LockDuration.INSTANT,
             )
         else:
-            self.tree_latch.instant("S")
+            self._tree_latch(txn).instant("S")
 
     def smo_barrier_try(self, txn: "Transaction | None") -> bool:
         """Conditional instant S on the SMO barrier (while latches are
@@ -141,7 +145,7 @@ class BTree:
         release its latches and call :meth:`smo_barrier_wait`."""
         try:
             if self._lock_mode_smo and txn is not None:
-                self.ctx.locks.request(
+                txn.incarnation.locks.request(
                     txn.txn_id,
                     tree_lock_name(self.index_id),
                     LockMode.S,
@@ -149,7 +153,7 @@ class BTree:
                     conditional=True,
                 )
             else:
-                self.tree_latch.instant("S", conditional=True)
+                self._tree_latch(txn).instant("S", conditional=True)
             return True
         except LockNotGrantedError:
             return False
@@ -164,14 +168,15 @@ class BTree:
         transaction is rolling back, so rollbacks can never hit the
         deadlock-prone IX→X upgrade.
         """
+        ctx = txn.incarnation
         if self._lock_mode_smo:
             mode = LockMode.X if txn.in_rollback else LockMode.IX
-            self.ctx.locks.request(
+            ctx.locks.request(
                 txn.txn_id, tree_lock_name(self.index_id), mode, LockDuration.MANUAL
             )
         else:
-            self.tree_latch.acquire("X")  # noqa: RPR001 - held across the SMO; smo_end releases
-        self.ctx.stats.incr("btree.smo_begun")
+            self._tree_latch(txn).acquire("X")  # noqa: RPR001 - held across the SMO; smo_end releases
+        ctx.stats.incr("btree.smo_begun")
 
     def smo_upgrade_for_nonleaf(self, txn: "Transaction") -> None:
         """Lock variant: upgrade IX→X before a nonleaf-level SMO.  May
@@ -179,26 +184,22 @@ class BTree:
         §5 hazard; the caller's transaction must then roll back, which
         undoes the partial SMO page-oriented."""
         if self._lock_mode_smo:
-            self.ctx.locks.request(
+            ctx = txn.incarnation
+            ctx.locks.request(
                 txn.txn_id,
                 tree_lock_name(self.index_id),
                 LockMode.X,
                 LockDuration.MANUAL,
             )
-            self.ctx.stats.incr("btree.smo_upgrades")
+            ctx.stats.incr("btree.smo_upgrades")
 
     def smo_end(self, txn: "Transaction") -> None:
-        try:
-            if self._lock_mode_smo:
-                self.ctx.locks.release(txn.txn_id, tree_lock_name(self.index_id))
-            else:
-                self.tree_latch.release()
-        except (LatchError, LockError):
-            # A simulated crash replaced the latch/lock managers under
-            # this thread mid-SMO; there is nothing left to release.
-            if not self.ctx._crashed:
-                raise
-        self.ctx.stats.incr("btree.smo_ended")
+        ctx = txn.incarnation
+        if self._lock_mode_smo:
+            ctx.locks.release(txn.txn_id, tree_lock_name(self.index_id))
+        else:
+            self._tree_latch(txn).release()
+        ctx.stats.incr("btree.smo_ended")
 
     # -- POSC for boundary deletes (§3 / Figure 7) ------------------------------------
 
@@ -207,7 +208,7 @@ class BTree:
         (S on the barrier, *held* until released)."""
         try:
             if self._lock_mode_smo:
-                self.ctx.locks.request(
+                txn.incarnation.locks.request(
                     txn.txn_id,
                     tree_lock_name(self.index_id),
                     LockMode.S,
@@ -215,16 +216,16 @@ class BTree:
                     conditional=True,
                 )
             else:
-                self.tree_latch.acquire("S", conditional=True)  # noqa: RPR001 - POSC barrier held until posc_release
+                self._tree_latch(txn).acquire("S", conditional=True)  # noqa: RPR001 - POSC barrier held until posc_release
             return True
         except LockNotGrantedError:
             return False
 
     def posc_release(self, txn: "Transaction") -> None:
         if self._lock_mode_smo:
-            self.ctx.locks.release(txn.txn_id, tree_lock_name(self.index_id))
+            txn.incarnation.locks.release(txn.txn_id, tree_lock_name(self.index_id))
         else:
-            self.tree_latch.release()
+            self._tree_latch(txn).release()
 
     # -- traversal (Figure 4) ---------------------------------------------------------
 
@@ -239,24 +240,25 @@ class BTree:
         parent once it holds the leaf.  Restarts from the root after
         waiting out an ambiguous unfinished SMO.
         """
-        stats = self.ctx.stats
+        ctx = self.ctx if txn is None else txn.incarnation
+        stats = ctx.stats
         stats.incr("btree.traversals")
-        latches = self.ctx.latches
+        latches = ctx.latches
         ambiguity_waits = 0
         # Pages visited are counted once per traversal (the finally).
         visited = 0
         try:
             while True:
-                node = self.fix_page(self.root_page_id)
+                node = self.fix_page(self.root_page_id, ctx)
                 latches.latch_page(node.page_id, "S")  # noqa: RPR001 - ownership transfer: coupled down, the leaf returned latched
                 if node.is_leaf and for_update:
                     # The root is (currently) the leaf; re-latch X and make
                     # sure nothing changed in the gap.
                     noted_lsn = node.page_lsn
-                    self.unlatch(node)
-                    self.latch(node, "X")
+                    latches.unlatch_page(node.page_id)
+                    latches.latch_page(node.page_id, "X")  # noqa: RPR001 - ownership transfer: the leaf returned latched
                     if node.page_lsn != noted_lsn or not node.is_leaf:
-                        self.unlatch_unfix(node)
+                        self.unlatch_unfix(node, ctx)
                         stats.incr("btree.traversal_restarts")
                         continue
                 parent: IndexPage | None = None
@@ -280,8 +282,8 @@ class BTree:
                             # Let go of everything, wait out the SMO, start
                             # over from the root.
                             if parent is not None:
-                                self.unlatch_unfix(parent)
-                            self.unlatch_unfix(node)
+                                self.unlatch_unfix(parent, ctx)
+                            self.unlatch_unfix(node, ctx)
                             self.smo_barrier_wait(txn)
                             stats.incr("btree.traversal_restarts")
                             ambiguity_waits += 1
@@ -299,9 +301,9 @@ class BTree:
                     # latches are held (the current node stays latched —
                     # that is the latch coupling).
                     if parent is not None:
-                        self.unlatch_unfix(parent)
+                        self.unlatch_unfix(parent, ctx)
                     parent = node
-                    child = self.fix_page(child_id)
+                    child = self.fix_page(child_id, ctx)
                     mode = "X" if (node.level == 1 and for_update) else "S"
                     latches.latch_page(child_id, mode)  # noqa: RPR001 - ownership transfer: coupled down, the leaf returned latched
                     node = child
@@ -309,7 +311,7 @@ class BTree:
                 if restart:
                     continue
                 if parent is not None:
-                    self.unlatch_unfix(parent)
+                    self.unlatch_unfix(parent, ctx)
                 return node
         finally:
             if visited:
@@ -336,7 +338,7 @@ class BTree:
     # returned page if it is not ``leaf``.
 
     def find_next_key(
-        self, leaf: IndexPage, pos: int
+        self, leaf: IndexPage, pos: int, ctx: "Incarnation"
     ) -> tuple[IndexKey | None, IndexPage | None, int]:
         if pos < leaf.key_count():
             return leaf.key_at(pos), leaf, pos
@@ -348,20 +350,20 @@ class BTree:
                 # at most two page latches (the caller's leaf + one) are
                 # ever held.  The page reached may have been freed in
                 # the gap; the guard below restarts the operation then.
-                self.unlatch_unfix(current)
+                self.unlatch_unfix(current, ctx)
             if next_id == 0:
                 return None, None, -1
-            nxt = self.fix_and_latch(next_id, "S")
+            nxt = self.fix_and_latch(next_id, "S", ctx)
             if nxt.index_id != self.index_id or not nxt.is_leaf:
                 # Freed (or repurposed) under us mid-SMO: give the
                 # caller's whole operation a fresh start.
                 from repro.btree.ops_common import RestartOperation
 
-                self.unlatch_unfix(nxt)
-                self.unlatch_unfix(leaf)
-                self.ctx.stats.incr("btree.next_key_walk_restarts")
+                self.unlatch_unfix(nxt, ctx)
+                self.unlatch_unfix(leaf, ctx)
+                ctx.stats.incr("btree.next_key_walk_restarts")
                 raise RestartOperation()
-            self.ctx.stats.incr("btree.next_leaf_hops")
+            ctx.stats.incr("btree.next_leaf_hops")
             if nxt.key_count():
                 return nxt.key_at(0), nxt, 0
             current = nxt  # empty page mid-SMO: keep walking
@@ -374,9 +376,10 @@ class BTree:
         only call it quiesced."""
         problems: list[str] = []
         leaves: list[int] = []
+        ctx = self.ctx.incarnation
 
         def walk(page_id: int, low: IndexKey | None, high: IndexKey | None) -> None:
-            page = self.fix_page(page_id)
+            page = self.fix_page(page_id, ctx)
             try:
                 if page.is_leaf:
                     leaves.append(page_id)
@@ -409,24 +412,24 @@ class BTree:
                         walk(child_id, child_low, bound)
                         child_low = child_high
             finally:
-                self.ctx.buffer.unfix(page_id)
+                ctx.buffer.unfix(page_id)
 
         walk(self.root_page_id, None, None)
 
         # Leaf chain must visit the same leaves in the same order.
         chained: list[int] = []
-        page = self.fix_page(self.root_page_id)
+        page = self.fix_page(self.root_page_id, ctx)
         while not page.is_leaf:
             child_id = page.child_ids[0]
-            self.ctx.buffer.unfix(page.page_id)
-            page = self.fix_page(child_id)
+            ctx.buffer.unfix(page.page_id)
+            page = self.fix_page(child_id, ctx)
         while True:
             chained.append(page.page_id)
             next_id = page.next_leaf
-            self.ctx.buffer.unfix(page.page_id)
+            ctx.buffer.unfix(page.page_id)
             if next_id == 0:
                 break
-            page = self.fix_page(next_id)
+            page = self.fix_page(next_id, ctx)
         if chained != leaves:
             problems.append(f"leaf chain {chained} != tree order {leaves}")
         return problems
@@ -434,16 +437,17 @@ class BTree:
     def all_keys(self) -> list[IndexKey]:
         """Every key in leaf-chain order (test/diagnostic helper)."""
         out: list[IndexKey] = []
-        page = self.fix_page(self.root_page_id)
+        ctx = self.ctx.incarnation
+        page = self.fix_page(self.root_page_id, ctx)
         while not page.is_leaf:
             child_id = page.child_ids[0]
-            self.ctx.buffer.unfix(page.page_id)
-            page = self.fix_page(child_id)
+            ctx.buffer.unfix(page.page_id)
+            page = self.fix_page(child_id, ctx)
         while True:
             out.extend(page.keys)
             next_id = page.next_leaf
-            self.ctx.buffer.unfix(page.page_id)
+            ctx.buffer.unfix(page.page_id)
             if next_id == 0:
                 break
-            page = self.fix_page(next_id)
+            page = self.fix_page(next_id, ctx)
         return out

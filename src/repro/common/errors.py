@@ -194,7 +194,10 @@ class RecoveryTimeoutError(RecoveryError):
 
 
 class DatabaseClosedError(ReproError):
-    """An operation was attempted on a cleanly closed database."""
+    """An operation was attempted on a closed database, on a crashed one
+    before ``restart()``, or through a handle — a transaction, an open
+    scan, a page pin — from an incarnation a crash or ``close()``
+    retired (see ``repro.incarnation``)."""
 
 
 class ServerError(ReproError):

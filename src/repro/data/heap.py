@@ -41,6 +41,7 @@ from repro.wal.records import RM_HEAP, LogRecord, clr_record, update_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
+    from repro.incarnation import Incarnation
     from repro.txn.transaction import Transaction
 
 #: Per-slot capacity accounting.  It bounds the image's per-slot bytes
@@ -352,7 +353,7 @@ class HeapFile:
     def _lock(self, txn: "Transaction", rid: RID, mode: LockMode) -> None:
         if txn.in_rollback:
             return
-        self._ctx.locks.request(
+        txn.incarnation.locks.request(
             txn.txn_id, self.lock_name_for(rid), mode, LockDuration.COMMIT
         )
 
@@ -360,15 +361,16 @@ class HeapFile:
 
     def insert(self, txn: "Transaction", data: bytes) -> RID:
         """Insert a record; X commit lock on its RID; log and apply."""
+        ctx = txn.incarnation
         while True:
             page = self._find_page_with_room(txn, data)
-            latch = self._ctx.latches.page_latch(page.page_id)
+            latch = ctx.latches.page_latch(page.page_id)
             latch.acquire("X")
-            if page.has_room_for(data, self._ctx.config.page_size):
+            if page.has_room_for(data, ctx.config.page_size):
                 break
             # Another thread consumed the space between fix and latch.
             latch.release()
-            self._ctx.buffer.unfix(page.page_id)
+            ctx.buffer.unfix(page.page_id)
         try:
             slot = page.append_record(data, xmin=txn.txn_id)
             self.note_room(page)
@@ -381,18 +383,19 @@ class HeapFile:
                 page.page_id,
                 {"rid": rid, "data": data},
             )
-            self._ctx.log_page_change(txn, page, record)
+            ctx.log_page_change(txn, page, record)
         finally:
             latch.release()
-            self._ctx.buffer.unfix(page.page_id)
-        self._ctx.stats.incr("heap.inserts")
+            ctx.buffer.unfix(page.page_id)
+        ctx.stats.incr("heap.inserts")
         return rid
 
     def delete(self, txn: "Transaction", rid: RID) -> bytes:
         """Ghost a record; X commit lock on its RID; log and apply."""
+        ctx = txn.incarnation
         self._lock(txn, rid, LockMode.X)
-        page = self._fix_heap_page(rid.page_id)
-        latch = self._ctx.latches.page_latch(page.page_id)
+        page = self._fix_heap_page(rid.page_id, ctx)
+        latch = ctx.latches.page_latch(page.page_id)
         latch.acquire("X")
         try:
             data = page.set_ghost(rid.slot, ghost=True, xmax=txn.txn_id)
@@ -403,11 +406,11 @@ class HeapFile:
                 page.page_id,
                 {"rid": rid, "data": data},
             )
-            self._ctx.log_page_change(txn, page, record)
+            ctx.log_page_change(txn, page, record)
         finally:
             latch.release()
-            self._ctx.buffer.unfix(page.page_id)
-        self._ctx.stats.incr("heap.deletes")
+            ctx.buffer.unfix(page.page_id)
+        ctx.stats.incr("heap.deletes")
         return data
 
     def fetch(self, txn: "Transaction", rid: RID, lock: bool = True) -> bytes:
@@ -420,9 +423,9 @@ class HeapFile:
         """
         if lock:
             self._lock(txn, rid, LockMode.S)
-        ctx = self._ctx
+        ctx = txn.incarnation
         page_id = rid.page_id
-        page = self._fix_heap_page(page_id)
+        page = self._fix_heap_page(page_id, ctx)
         latch = ctx.latches.page_latch(page_id)
         latch.acquire("S")
         try:
@@ -431,45 +434,73 @@ class HeapFile:
             latch.release()
             ctx.buffer.unfix(page_id)
 
-    def version(self, rid: RID) -> tuple[bytes, bool, int, int] | None:
+    def version(
+        self, rid: RID, ctx: "Incarnation"
+    ) -> tuple[bytes, bool, int, int] | None:
         """Latch-only read of a slot's data and ``[xmin, xmax]`` stamps
         (the snapshot read path: **no locks**).  Returns None for a
         missing or purged slot."""
         try:
-            page = self._fix_heap_page(rid.page_id)
+            page = self._fix_heap_page(rid.page_id, ctx)
         except StorageError:
             return None
-        latch = self._ctx.latches.page_latch(rid.page_id)
+        latch = ctx.latches.page_latch(rid.page_id)
         latch.acquire("S")
         try:
             return page.version(rid.slot)
         finally:
             latch.release()
-            self._ctx.buffer.unfix(rid.page_id)
+            ctx.buffer.unfix(rid.page_id)
+
+    def ghosts(self, ctx: "Incarnation") -> list[tuple[RID, SlotEntry]]:
+        """Every ghost slot (a deleted version) with its entry, read
+        latch-free through ``ctx``; an unreadable page is skipped."""
+        out: list[tuple[RID, SlotEntry]] = []
+        for page_id in list(self.page_ids):
+            try:
+                page = self._fix_heap_page(page_id, ctx)
+            except Exception:  # noqa: BLE001,RPR005 - unreadable page (mid-recovery): skipped
+                continue
+            try:
+                versions = map(page.version, range(page.slot_count()))
+                out.extend(
+                    (RID(page_id, slot), entry)
+                    for slot, entry in enumerate(versions)
+                    if entry is not None and not entry[1]
+                )
+            finally:
+                ctx.buffer.unfix(page_id)
+        return out
 
     def scan_rids(self) -> list[RID]:
         """All visible RIDs (no locking; used by utilities and tests)."""
+        ctx = self._ctx.incarnation
         out: list[RID] = []
         for page_id in list(self.page_ids):
-            page = self._fix_heap_page(page_id)
+            page = self._fix_heap_page(page_id, ctx)
             try:
                 out.extend(page.visible_rids())
             finally:
-                self._ctx.buffer.unfix(page_id)
+                ctx.buffer.unfix(page_id)
         return out
 
     # -- page management ---------------------------------------------------------------
 
-    def _fix_heap_page(self, page_id: int) -> HeapPage:
-        page = self._ctx.buffer.fix(page_id)  # noqa: RPR001 - ownership transfer: caller unfixes
+    def _fix_heap_page(
+        self, page_id: int, ctx: "Incarnation | Database | None" = None
+    ) -> HeapPage:
+        """Fix a heap page in ``ctx``'s pool (default: the current one)."""
+        buffer = (ctx or self._ctx).buffer
+        page = buffer.fix(page_id)  # noqa: RPR001 - ownership transfer: caller unfixes
         if not isinstance(page, HeapPage):
-            self._ctx.buffer.unfix(page_id)
+            buffer.unfix(page_id)
             raise StorageError(f"page {page_id} is not a heap page")
         return page
 
     def _find_page_with_room(self, txn: "Transaction", data: bytes) -> HeapPage:
         """Return a *fixed* page with room for ``data`` (newest first)."""
-        page_size = self._ctx.config.page_size
+        ctx = txn.incarnation
+        page_size = ctx.config.page_size
         need = len(data) + _SLOT_OVERHEAD
         if need + PAGE_OVERHEAD > page_size:
             raise PageOverflowError(f"record of {len(data)} bytes exceeds page size")
@@ -478,18 +509,19 @@ class HeapFile:
             free = room.get(page_id)
             if free is not None and free < need:
                 continue
-            page = self._fix_heap_page(page_id)
+            page = self._fix_heap_page(page_id, ctx)
             free = page_size - page.used_size()
             room.setdefault(page_id, free)
             if free >= need:
                 return page
-            self._ctx.buffer.unfix(page_id)
+            ctx.buffer.unfix(page_id)
         return self._format_new_page(txn)
 
     def _format_new_page(self, txn: "Transaction") -> HeapPage:
-        page_id = self._ctx.disk.allocate_page_id()
+        ctx = txn.incarnation
+        page_id = ctx.disk.allocate_page_id()
         page = HeapPage(page_id, self.table_id)
-        self._ctx.buffer.fix_new(page)  # noqa: RPR001 - ownership transfer: caller unfixes
+        ctx.buffer.fix_new(page)  # noqa: RPR001 - ownership transfer: caller unfixes
         record = update_record(
             txn.txn_id,
             RM_HEAP,
@@ -498,9 +530,9 @@ class HeapFile:
             {"table_id": self.table_id},
             undoable=False,
         )
-        self._ctx.log_page_change(txn, page, record)
+        ctx.log_page_change(txn, page, record)
         self.page_ids.append(page_id)
-        self._ctx.stats.incr("heap.pages_formatted")
+        ctx.stats.incr("heap.pages_formatted")
         return page
 
 
@@ -551,8 +583,9 @@ class HeapResourceManager:
 
     def undo(self, ctx: "Database", txn: "Transaction", record: LogRecord) -> None:
         rid: RID = record.payload["rid"]
-        page = ctx.buffer.fix(record.page_id)
-        latch = ctx.latches.page_latch(record.page_id)
+        incarnation = txn.incarnation
+        page = incarnation.buffer.fix(record.page_id)
+        latch = incarnation.latches.page_latch(record.page_id)
         latch.acquire("X")
         try:
             assert isinstance(page, HeapPage)
@@ -581,7 +614,7 @@ class HeapResourceManager:
                 )
             else:
                 raise StorageError(f"heap op {record.op!r} is not undoable")
-            ctx.log_page_change(txn, page, clr)
+            incarnation.log_page_change(txn, page, clr)
         finally:
             latch.release()
-            ctx.buffer.unfix(record.page_id)
+            incarnation.buffer.unfix(record.page_id)

@@ -31,11 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.codec.values import decode_value, encode_value
-from repro.common.errors import (
-    DatabaseClosedError,
-    LockError,
-    TransactionNotActiveError,
-)
+from repro.common.errors import LockError, TransactionNotActiveError
 from repro.common.keys import UserKey, encode_key, prefix_upper_bound
 from repro.common.rid import RID
 from repro.locks.modes import LockMode
@@ -103,7 +99,9 @@ class Table:
         # Dead keys register *before* the index deletes: a concurrent
         # snapshot scan must find every key in the tree or the side
         # store at every instant (the merge dedupes the overlap).
-        self._ctx.mvcc_note_dead(self, rid, row, txn.txn_id)
+        ctx = txn.incarnation
+        if ctx.mvcc is not None:
+            ctx.versions.note_dead(self, rid, row, txn.txn_id)
         for tree in self.indexes.values():
             key = tree.make_key(row[tree.column], rid)
             index_delete(tree, txn, key)
@@ -193,7 +191,7 @@ class Table:
         if lock_name is None or txn.in_rollback:
             return
         try:
-            self._ctx.locks.release(txn.txn_id, lock_name)
+            txn.incarnation.locks.release(txn.txn_id, lock_name)
         except LockError:
             pass  # already converted away or not retained (instant path)
 
@@ -266,25 +264,17 @@ class Table:
 
     # -- the snapshot read path (zero locks) -------------------------------
 
-    def _check_not_crashed(self) -> None:
-        """A crash drops the pool, so pages read after it are whatever
-        the disk held, unrecovered: a snapshot read that overlaps a
-        crash fails instead of answering from them.  Checked when a
-        scan starts, before it hands out a row and when it ends."""
-        if self._ctx.crashed:
-            raise DatabaseClosedError("database crashed mid-read; restart() required")
-
-    def _snapshot_row(self, snapshot, rid: RID) -> Row | None:
+    def _snapshot_row(self, txn: "Transaction", rid: RID) -> Row | None:
         """Read a version latch-only and judge it against the snapshot.
         None: slot purged, version not yet committed at the snapshot,
         or deleted before it."""
-        ver = self.heap.version(rid)
+        ver = self.heap.version(rid, txn.incarnation)
         if ver is None:
             return None
         data, visible, xmin, xmax = ver
         if not visible and xmax == 0:
             return None  # pre-MVCC ghost: deleted long ago, unstamped
-        if not snapshot.visible_version(xmin, xmax):
+        if not txn.snapshot.visible_version(xmin, xmax):
             return None
         return decode_row(data)
 
@@ -308,18 +298,20 @@ class Table:
         position, the tree already served the key (delete registers the
         dead entry before removing the tree key).  Visibility comes
         from the slot stamps alone, so a stale dead entry (aborted
-        deleter, purged slot) yields nothing."""
+        deleter, purged slot) yields nothing.  Every page it reads comes
+        from ``txn``'s incarnation: a scan that outlives a crash raises
+        at its next read instead of answering from unrecovered pages."""
         snapshot = txn.snapshot
         if snapshot is None:
             raise TransactionNotActiveError(
                 "snapshot reads require a snapshot transaction "
                 "(db.begin_snapshot() / db.snapshot())"
             )
-        self._check_not_crashed()
-        self._ctx.stats.incr("mvcc.snapshot_scans")
+        ctx = txn.incarnation
+        ctx.stats.incr("mvcc.snapshot_scans")
         tree = self.indexes[index_name]
-        self._ctx.mvcc_ensure_dead_keys(self)
-        versions = self._ctx.versions
+        versions = ctx.versions
+        versions.ensure_table(self, ctx)
         bound = _search_bound(start, "=" if low_comparison == "=" else low_comparison)
         past = past_stop(stop, high_comparison) if stop is not None else None
         single = single_key_range(tree, stop, high_comparison)
@@ -354,17 +346,14 @@ class Table:
                     # past: certainly invisible, skip without fixing
                     # the heap page (keeps long chains cheap pre-GC).
                     continue
-                row = self._snapshot_row(snapshot, entry[1])
+                row = self._snapshot_row(txn, entry[1])
                 if row is not None:
-                    self._check_not_crashed()
                     yield entry[1], row
             if tree_pair is None:
-                self._check_not_crashed()
                 return
             pos, inclusive = tree_pair, False
-            row = self._snapshot_row(snapshot, tree_pair[1])
+            row = self._snapshot_row(txn, tree_pair[1])
             if row is not None:
-                self._check_not_crashed()
                 yield tree_pair[1], row
             key = None if single else fetch_next_key(tree, txn, cursor, None)
 

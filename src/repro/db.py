@@ -15,25 +15,32 @@ B+-tree — and exposes the surface a downstream user works with::
     db.crash()      # drop all volatile state
     db.restart()    # ARIES analysis / redo / undo
 
+Everything a crash destroys is one :class:`~repro.incarnation.Incarnation`
+(``db.incarnation``; ``db.buffer``, ``db.locks`` and the like read its
+parts).  ``crash()`` and ``close()`` retire it in one step and
+``restart()`` builds the next, so a handle from before — a transaction,
+an open scan, a page pin — raises ``DatabaseClosedError`` at its next
+use after ``crash()``, ``restart()`` or ``close()``.
+
 Crash simulation keeps the *catalog* (table/index names, root page
 ids) in memory: the paper is about index management, not catalog
 management, and a real system would recover the catalog from its own
 (also ARIES-protected) tables.  Everything that matters to the
 experiments — page contents, log contents, transaction state — lives
-in the simulated durable stores and genuinely dies with ``crash()``.
+in the simulated durable stores or the incarnation and genuinely dies
+with ``crash()``.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from operator import attrgetter
+from typing import Iterator
 
 from repro.common.config import DEFAULT_CONFIG, DatabaseConfig
 from repro.common.errors import (
     ConfigError,
-    DatabaseClosedError,
     KeyNotFoundError,
     PermanentIOError,
     RecoveryError,
@@ -48,23 +55,18 @@ from repro.btree.protocol import DataOnlyLocking, LockingProtocol, make_protocol
 from repro.btree.recovery import BTreeResourceManager
 from repro.btree.tree import BTree
 from repro.data.heap import HeapResourceManager
-from repro.data.table import Row, Table
-from repro.locks.manager import LockManager
+from repro.data.table import Row, Table, decode_row
+from repro.incarnation import CLOSED, CRASHED, Incarnation
 from repro.locks.modes import data_page_lock_name, record_lock_name
 from repro.mvcc.gc import GcReport, run_mvcc_gc
-from repro.mvcc.snapshot import SnapshotManager
-from repro.mvcc.store import VersionStore
 from repro.recovery.checkpoint import take_checkpoint
 from repro.recovery.instant import run_instant_restart
 from repro.recovery.restart import RestartReport
-from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.faults import FaultInjector
-from repro.storage.latch import LatchManager, get_latch_monitor
-from repro.storage.page import Page
-from repro.txn.manager import PendingCommit, TransactionManager
+from repro.txn.manager import PendingCommit
 from repro.txn.rm import ResourceManagerRegistry
-from repro.txn.transaction import Transaction
+from repro.txn.transaction import Transaction, TxnStatus
 from repro.wal.log import LogManager
 from repro.wal.records import RM_BTREE, RM_HEAP, LogRecord, RecordKind, update_record
 
@@ -88,20 +90,9 @@ class Database:
         self.log.flush_latency_seconds = config.log_flush_latency_seconds
         if config.group_commit:
             self.log.start_group_commit(config.group_commit_max_wait_seconds)
-        self.buffer = BufferPool(self.disk, self.log, config.buffer_pool_pages, self.stats)
-        self.buffer.on_fatal_io = self._on_fatal_io
-        self._new_lock_tables()
         self.rm_registry = ResourceManagerRegistry()
         self.rm_registry.register(RM_HEAP, HeapResourceManager())
         self.rm_registry.register(RM_BTREE, BTreeResourceManager())
-        self.txns = TransactionManager(self.log, self.locks, self.rm_registry, self.stats)
-        #: Snapshot-read machinery (None when config.mvcc_enabled=False).
-        self.mvcc: SnapshotManager | None = (
-            SnapshotManager() if config.mvcc_enabled else None
-        )
-        #: Dead-key side store (always constructed; no-op hooks without mvcc).
-        self.versions = VersionStore()
-        self._wire_mvcc()
         self.tables: dict[str, Table] = {}
         self._indexes_by_id: dict[int, BTree] = {}
         self._table_ids = itertools.count(1)
@@ -110,31 +101,20 @@ class Database:
         self.archive = None
         #: Primary-side replication state (enable_replication).
         self.replication = None
-        #: Live RecoveryGovernor while an instant restart is draining
-        #: (stays set, drained, until the next crash).
-        self.recovery = None
-        self._crashed = False
-        self._closed = False
-        #: Paced background GC (config.mvcc_gc_interval_seconds > 0).
-        self._gc_stop: threading.Event | None = None
-        self._gc_thread: threading.Thread | None = None
+        #: Everything a crash destroys; retired by crash() until
+        #: restart() builds the next, and CLOSED after close().
+        self.incarnation: Incarnation = Incarnation(self)
         self._start_gc_pacer()
 
-    def _new_lock_tables(self) -> None:
-        self.latches = LatchManager(self.stats, timeout=self.config.latch_timeout_seconds)
-        self.locks = LockManager(self.stats, timeout=self.config.lock_timeout_seconds)
-
-    def _replace_lock_tables(self) -> None:
-        """Retire the latch and lock tables and start empty ones.  The
-        old tables' grant counts fold into the stats for good, and the
-        latch monitor forgets every latch they held: those releases
-        will never arrive."""
-        self.latches.retire()
-        self.locks.retire()
-        self._new_lock_tables()
-        monitor = get_latch_monitor()
-        if monitor is not None:
-            monitor.reset_all_held()
+    # The current incarnation's parts.  An operation on behalf of a
+    # transaction reaches them through ``txn.incarnation`` instead.
+    buffer = property(attrgetter("incarnation.buffer"))
+    latches = property(attrgetter("incarnation.latches"))
+    locks = property(attrgetter("incarnation.locks"))
+    txns = property(attrgetter("incarnation.txns"))
+    mvcc = property(attrgetter("incarnation.mvcc"))
+    versions = property(attrgetter("incarnation.versions"))
+    recovery = property(attrgetter("incarnation.recovery"))
 
     # -- schema -------------------------------------------------------------------
 
@@ -168,21 +148,13 @@ class Database:
         elif isinstance(protocol, str):
             protocol = make_protocol(protocol)
 
+        from repro.btree.smo import format_page
+
         index_id = next(self._index_ids)
         txn = self.begin()
         root_id = self.disk.allocate_page_id()
         root = IndexPage(root_id, index_id, level=0)
-        self.buffer.fix_new(root)  # noqa: RPR001 - unfixed below once the root is formatted and logged
-        record = update_record(
-            txn.txn_id,
-            RM_BTREE,
-            "page_format",
-            root_id,
-            {"page": root.to_payload()},
-            undoable=False,
-        )
-        self.log_page_change(txn, root, record)
-        self.buffer.unfix(root_id)
+        format_page(txn, root, undoable=False)
 
         tree = BTree(
             ctx=self,
@@ -219,26 +191,27 @@ class Database:
         table = self.tables[table_name]
         tree = table.indexes[index_name]
         txn = self.begin()
+        ctx = txn.incarnation
         tree.smo_begin(txn)  # exclude SMOs while we dismantle
         try:
             page_ids: list[int] = []
 
             def collect(page_id: int) -> None:
-                page = self.buffer.fix(page_id)
+                page = ctx.buffer.fix(page_id)
                 try:
                     children = (
                         list(page.child_ids) if isinstance(page, IndexPage) else []
                     )
                 finally:
-                    self.buffer.unfix(page_id)
+                    ctx.buffer.unfix(page_id)
                 page_ids.append(page_id)
                 for child in children:
                     collect(child)
 
             collect(tree.root_page_id)
             for page_id in page_ids:
-                page = self.buffer.fix(page_id)
-                self.latches.page_latch(page_id).acquire("X")
+                page = ctx.buffer.fix(page_id)
+                ctx.latches.page_latch(page_id).acquire("X")
                 try:
                     freed = freed_payload(page_id)
                     record = update_record(
@@ -248,12 +221,12 @@ class Database:
                         page_id,
                         {"before": page.to_payload(), "after": freed},
                     )
-                    self.log_page_change(
+                    ctx.log_page_change(
                         txn, page, record, lambda: page.load_payload(freed)
                     )
                 finally:
-                    self.latches.page_latch(page_id).release()
-                    self.buffer.unfix(page_id)
+                    ctx.latches.page_latch(page_id).release()
+                    ctx.buffer.unfix(page_id)
         finally:
             tree.smo_end(txn)
         del table.indexes[index_name]
@@ -271,43 +244,10 @@ class Database:
             return data_page_lock_name(table_id, rid.page_id)
         return record_lock_name(table_id, rid)
 
-    # -- page logging ------------------------------------------------------------------
-
-    def log_page_change(
-        self,
-        txn: Transaction,
-        page: Page,
-        record: LogRecord,
-        apply: Callable[[], object] | None = None,
-    ) -> int:
-        """The one way a page record reaches the log: link ``record`` to
-        the page's PageLSN, append it, run ``apply`` (if the caller has
-        not changed the page already), stamp the PageLSN and mark the
-        page dirty; returns the LSN.  The caller holds the page's X
-        latch (or owns a page no one else can see), and a page dirty at
-        a crash is recovered before any fix returns it, so the PageLSN
-        read here is the page's newest record, across every restart."""
-        record.prev_page_lsn = page.page_lsn
-        self.buffer.note_logging(page.page_id, record)
-        lsn = self.txns.log_for(txn, record)
-        if apply is not None:
-            apply()
-        page.page_lsn = lsn
-        self.buffer.mark_dirty(page.page_id, lsn)
-        return lsn
-
     # -- transactions ----------------------------------------------------------------
 
     def begin(self) -> Transaction:
-        if self._closed:
-            raise DatabaseClosedError("database is closed")
-        if self._crashed:
-            # Admitting a transaction before restart() rebuilds the
-            # txn-id space would hand out pre-crash ids (the fresh
-            # manager counts from 1 until analysis bumps it) — stowaway
-            # ids corrupt the next recovery's analysis pass.
-            raise DatabaseClosedError("database crashed; restart() required")
-        return self.txns.begin()
+        return self.incarnation.txns.begin()
 
     @contextmanager
     def transaction(self) -> Iterator[Transaction]:
@@ -332,7 +272,7 @@ class Database:
         if txn.snapshot is not None:
             self.end_snapshot(txn)
             return
-        self.txns.commit(txn)
+        txn.incarnation.txns.commit(txn)
         self._maybe_checkpoint()
 
     def commit_deferred(self, txn: Transaction) -> PendingCommit | None:
@@ -344,19 +284,21 @@ class Database:
         if txn.snapshot is not None:
             self.end_snapshot(txn)
             return None
-        return self.txns.commit_deferred(txn)
+        return txn.incarnation.txns.commit_deferred(txn)
 
     def finish_deferred(self, pendings: list[PendingCommit | None]) -> None:
         """Complete deferred commits under one coalesced log force;
         each handle's outcome lands on its ``error`` field."""
-        self.txns.finish_deferred([p for p in pendings if p is not None])
+        live = [p for p in pendings if p is not None]
+        if live:
+            live[0].manager.finish_deferred(live)
         self._maybe_checkpoint()
 
     def rollback(self, txn: Transaction) -> None:
         if txn.snapshot is not None:
             self.end_snapshot(txn)
             return
-        self.txns.rollback(self, txn)
+        txn.incarnation.txns.rollback(self, txn)
 
     # -- snapshot reads (lock-free, repro.mvcc) -----------------------------
 
@@ -364,29 +306,25 @@ class Database:
         """Open a read-only snapshot transaction: it sees every commit
         with a timestamp at or below now, acquires **zero** record and
         next-key locks (latches only), and may not write."""
-        if self._closed:
-            raise DatabaseClosedError("database is closed")
-        if self._crashed:
-            raise DatabaseClosedError("database crashed; restart() required")
-        if self.mvcc is None:
+        incarnation = self.incarnation
+        if incarnation.mvcc is None:
             raise ConfigError(
                 "snapshot reads need config.mvcc_enabled=True"
             )
-        txn = self.txns.begin()
-        txn.snapshot = self.mvcc.begin_snapshot()
+        txn = incarnation.txns.begin()
+        txn.snapshot = incarnation.mvcc.begin_snapshot()
         self.stats.incr("mvcc.snapshots_begun")
         return txn
 
     def end_snapshot(self, txn: Transaction) -> None:
         """Retire a snapshot transaction (advances the GC horizon).
         Idempotent; ``commit``/``rollback`` route here."""
+        incarnation = txn.incarnation
         snap = txn.snapshot
-        if snap is not None and self.mvcc is not None:
-            self.mvcc.release(snap)
-        from repro.txn.transaction import TxnStatus
-
+        if snap is not None and incarnation.mvcc is not None:
+            incarnation.mvcc.release(snap)
         txn.status = TxnStatus.ENDED
-        self.txns.forget(txn.txn_id)
+        incarnation.txns.forget(txn.txn_id)
 
     @contextmanager
     def snapshot(self) -> Iterator[Transaction]:
@@ -407,66 +345,24 @@ class Database:
         redo-only log records (recovery- and replication-safe)."""
         return run_mvcc_gc(self, purge=purge)
 
-    # .. paced background GC (satellite of the analysis-suite PR) ..........
-
     def _start_gc_pacer(self) -> None:
-        config = self.config
-        if self._gc_thread is not None or not (
-            config.mvcc_enabled and config.mvcc_gc_interval_seconds > 0
-        ):
-            return
-        self._gc_stop = threading.Event()
-        self._gc_thread = threading.Thread(
-            target=self._gc_pacer_loop, name="mvcc-gc-pacer", daemon=True
-        )
-        self._gc_thread.start()
-
-    def _gc_pacer_loop(self) -> None:
-        stop = self._gc_stop
+        """Paced background GC (config.mvcc_gc_interval_seconds > 0),
+        owned by the current incarnation: a crash stops it with the
+        rest, and each restart starts a new one."""
         interval = self.config.mvcc_gc_interval_seconds
-        while not stop.wait(interval):
-            if self._crashed or self._closed:
-                continue
-            try:
-                self.mvcc_gc()
-                self.stats.incr("mvcc.gc_paced_passes")
-            except Exception:  # noqa: BLE001,RPR005 - GC races crashes; the pass is skipped and counted
-                self.stats.incr("mvcc.gc_paced_errors")
+        if self.config.mvcc_enabled and interval > 0:
+            self.incarnation.start_gc_pacer(self.mvcc_gc, interval)
 
-    def _stop_gc_pacer(self) -> None:
-        if self._gc_stop is not None:
-            self._gc_stop.set()
-        thread = self._gc_thread
-        if thread is not None and thread is not threading.current_thread():
-            # (A pass that hit a fatal I/O fault crashes the database
-            # from the pacer thread itself; it exits after that pass.)
-            thread.join(timeout=5.0)
-        self._gc_thread = None
-
-    # internal hooks (write path + redo replay) ----------------------------
-
-    def _wire_mvcc(self) -> None:
-        if self.mvcc is not None:
-            self.txns.on_commit = self.mvcc.note_commit
-
-    def mvcc_note_dead(self, table: Table, rid: RID, row: Row, xmax: int) -> None:
-        """Forward delete path: register the row's index keys as dead."""
-        if self.mvcc is None:
-            return
-        self.versions.note_dead(table, rid, row, xmax)
+    # internal hooks (redo replay) ------------------------------------------
 
     def mvcc_note_dead_raw(
         self, table_id: int, rid: RID, data: bytes, xmax: int
     ) -> None:
-        """Redo path (restart/standby/PITR): same, from raw row bytes."""
-        if self.mvcc is None:
-            return
-        table = self._table_by_id(table_id)
-        if table is None:
-            return
-        from repro.data.table import decode_row
-
-        self.versions.note_dead(table, rid, decode_row(data), xmax)
+        """Redo of a heap delete (restart/standby/PITR): register the
+        row's index keys as dead, from its raw bytes."""
+        table = self._mvcc_table(table_id)
+        if table is not None:
+            self.versions.note_dead(table, rid, decode_row(data), xmax)
 
     def mvcc_note_dead_key(
         self, index_id: int, value: bytes, rid: RID, xmax: int
@@ -475,25 +371,24 @@ class Database:
         immediately.  The heap delete whose redo registers the full row
         comes later in the log; without this a standby read landing in
         between would find the key in neither the tree nor the store."""
-        if self.mvcc is None:
-            return
-        self.versions.note_dead_key(index_id, value, rid, xmax)
+        if self.mvcc is not None:
+            self.versions.note_dead_key(index_id, value, rid, xmax)
 
     def mvcc_forget_raw(self, table_id: int, rid: RID, data: bytes) -> None:
         """Redo of a GC purge: the slot is gone, drop its dead keys."""
-        if self.mvcc is None:
-            return
-        table = self._table_by_id(table_id)
-        if table is None:
-            return
-        from repro.data.table import decode_row
+        table = self._mvcc_table(table_id)
+        if table is not None:
+            self.versions.forget(table, rid, decode_row(data))
 
-        self.versions.forget(table, rid, decode_row(data))
+    def _mvcc_table(self, table_id: int) -> Table | None:
+        """The table whose dead keys a redo hook keeps (None without mvcc)."""
+        return None if self.mvcc is None else self._table_by_id(table_id)
 
     def mvcc_ensure_dead_keys(self, table: Table) -> None:
-        """Lazily rebuild a table's dead keys from its ghost slots
-        after the store was invalidated by a crash."""
-        self.versions.ensure_table(table)
+        """Rebuild a table's dead keys from its ghost slots, if the
+        current incarnation's store has not yet (after a restart)."""
+        incarnation = self.incarnation
+        incarnation.versions.ensure_table(table, incarnation)
 
     def _table_by_id(self, table_id: int) -> Table | None:
         for table in self.tables.values():
@@ -502,10 +397,10 @@ class Database:
         return None
 
     def savepoint(self, txn: Transaction, name: str) -> int:
-        return self.txns.savepoint(txn, name)
+        return txn.incarnation.txns.savepoint(txn, name)
 
     def rollback_to_savepoint(self, txn: Transaction, name: str) -> None:
-        self.txns.rollback_to_savepoint(self, txn, name)
+        txn.incarnation.txns.rollback_to_savepoint(self, txn, name)
 
     # -- two-phase commit (this instance as a shard/participant) ---------------
 
@@ -513,7 +408,7 @@ class Database:
         """Phase-1 vote for global transaction ``gid``: ``"yes"`` (the
         branch is PREPARED, locks held, decision pending) or
         ``"read-only"`` (the branch had no writes and is gone)."""
-        vote = self.txns.prepare(txn, gid)
+        vote = txn.incarnation.txns.prepare(txn, gid)
         self._maybe_checkpoint()
         return vote
 
@@ -618,16 +513,17 @@ class Database:
         """
         from repro.wal.records import NULL_LSN
 
-        governor = self.recovery
+        incarnation = self.incarnation
+        governor = incarnation.recovery
         if governor is not None and not governor.drained:
             # Mid-drain, an unverified torn page may still need its full
             # log history for a rebuild — refuse to discard anything.
             return 0
         candidates = [self.log.master_lsn or 1]
-        dirty = self.buffer.dirty_page_table()
+        dirty = incarnation.buffer.dirty_page_table()
         if dirty:
             candidates.append(min(dirty.values()))
-        for txn in self.txns.undecided_transactions():
+        for txn in incarnation.txns.undecided_transactions():
             if txn.first_lsn != NULL_LSN:
                 candidates.append(txn.first_lsn)
         return self.log.truncate_prefix(min(candidates))
@@ -693,25 +589,27 @@ class Database:
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        return self.incarnation is CLOSED
 
     @property
     def crashed(self) -> bool:
         """Crashed and not yet restarted."""
-        return self._crashed
+        return not self.closed and self.incarnation.retired
 
     def close(self) -> None:
         """Shut the engine down cleanly: roll back whatever is still
         active, force the log, flush every dirty page, take a final
-        checkpoint, and turn group commit off.  Idempotent; a
-        crashed instance skips the flush work (its volatile state is
-        already gone).  After ``close()``, :meth:`begin` raises
-        :class:`DatabaseClosedError`."""
-        if self._closed:
+        checkpoint, retire the incarnation and drop it, and turn group
+        commit off.  Idempotent; a crashed instance skips the flush
+        work (its volatile state is already gone).  Afterwards
+        :meth:`begin` raises :class:`DatabaseClosedError`, and so does
+        any handle from before — a transaction, an open scan."""
+        incarnation = self.incarnation
+        if incarnation is CLOSED:
             return
-        self._stop_gc_pacer()
-        if not self._crashed:
-            governor = self.recovery
+        incarnation.stop_gc_pacer()
+        if not incarnation.retired:
+            governor = incarnation.recovery
             if governor is not None and not governor.drained:
                 # Finish recovery before flushing: an undrained page
                 # must not be skipped by flush_all.  (Even if this
@@ -722,7 +620,7 @@ class Database:
                         self.stats.incr("db.close_drain_failures")
                 except Exception:  # noqa: BLE001,RPR005 - close() must finish; failure is counted
                     self.stats.incr("db.close_drain_failures")
-            for txn in self.txns.active_transactions():
+            for txn in incarnation.txns.active_transactions():
                 try:
                     self.rollback(txn)
                 except Exception:  # noqa: BLE001,RPR005 - best-effort shutdown, counted below
@@ -732,9 +630,15 @@ class Database:
             self.log.force()
             self.flush_all_pages()
             self.checkpoint()
+        self._drop_incarnation()
         self.log.stop_group_commit()
-        self._closed = True
         self.stats.incr("db.closes")
+
+    def _drop_incarnation(self) -> None:
+        """Retire the incarnation and let go of it (nothing volatile
+        outlives a closed database but what callers' handles hold)."""
+        self.incarnation.retire("database is closed")
+        self.incarnation = CLOSED
 
     def __enter__(self) -> "Database":
         return self
@@ -748,7 +652,7 @@ class Database:
         a crash is allowed to lose) rather than limp on over a device
         that lies.  The original error propagates to the caller, who
         restarts when the storage is healthy again."""
-        if self._crashed:
+        if self.crashed or self.closed:
             return
         self.stats.incr("db.io_panics")
         self.crash()
@@ -758,61 +662,33 @@ class Database:
 
         The log keeps only its forced prefix — plus, when a fault
         injector schedules WAL-tail loss, a partial suffix of the next
-        unforced record (the torn tail restart must repair); the buffer
-        pool, lock table, latch table, and transaction table vanish,
-        and in-flight torn page writes land on the disk.
+        unforced record (the torn tail restart must repair); the
+        incarnation — buffer pool, lock table, latch table, transaction
+        table, snapshot state — is retired in one step, and in-flight
+        torn page writes land on the disk.
 
-        The log is *halted* until :meth:`restart`: server threads still
-        mid-transaction when the crash lands fail fast instead of
-        writing stale records into the post-crash log, and committers
-        parked for a group-commit flush are woken with
-        ``CommitNotDurableError`` (they were never acknowledged).
-
-        The paced GC stops with the crash (``restart`` starts it again):
-        a pass still in flight holds a pre-crash transaction and page
-        pins, and must finish failing before any restart begins."""
-        # Crashed from the first step: no transaction or snapshot scan
-        # may start on the stores this method is tearing down.
-        self._crashed = True
-        if self._gc_stop is not None:
-            self._gc_stop.set()  # no new pass; the one in flight is joined below
+        A thread still mid-transaction, an open scan or a held pin
+        raises ``DatabaseClosedError`` at its next fix, unfix, latch,
+        lock request or log append — also after :meth:`restart`.
+        Latch and lock waiters wake into it, committers parked for a
+        group-commit flush get ``CommitNotDurableError`` (they were
+        never acknowledged), and the paced GC thread is joined last."""
+        incarnation = self.incarnation
+        incarnation.retire(CRASHED)
         self.log.halt()
-        governor = self.recovery
-        if governor is not None:
-            # Stop in-flight instant-restart workers before tearing
-            # down the stores they are replaying into.
-            governor.abort()
-            self.recovery = None
         keep_partial = 0
         if self.fault_injector is not None:
             keep_partial = self.fault_injector.tail_loss(self.log.unforced_bytes)
         self.log.crash(keep_partial_tail=keep_partial)
         self.disk.crash()
-        self.buffer.crash()
-        self._replace_lock_tables()
-        # Retire the old manager *before* replacing it: a thread parked
-        # inside its commit when the crash landed must not append stale
-        # COMMIT/END records once restart resumes the shared log.
-        self.txns.halt()
-        self.txns = TransactionManager(
-            self.log, self.locks, self.rm_registry, self.stats, admitting=False
-        )
-        if self.mvcc is not None:
-            # Snapshots and the commit table were volatile; restart
-            # rebuilds visibility state from the log.
-            self.mvcc = SnapshotManager()
-        self.versions.invalidate()
-        self._wire_mvcc()
         self.failpoints.disarm_all(crash_paused=True)
         if self.replication is not None:
             # Wake synchronous commits parked for a standby ack (their
-            # outcome is in-doubt) and keep the gate wired into the
-            # fresh transaction manager.
+            # outcome is in-doubt).
             self.replication.primary_crashed()
-            self.txns.commit_gate = self.replication.commit_gate
         # Joined last: every wait a pass can be parked in (group-commit
         # flush, failpoint, lock, latch, commit gate) has been woken.
-        self._stop_gc_pacer()
+        incarnation.stop_gc_pacer()
         self.stats.incr("db.crashes")
 
     def restart(self) -> RestartReport:
@@ -820,7 +696,13 @@ class Database:
         (log-tail repair, analysis, undo), then its drain — every dirty
         page replayed along its own log chain, every other on-disk page
         integrity-checked — run to completion on this thread before the
-        database reopens.  The drain ends with a checkpoint."""
+        database reopens.  The drain ends with a checkpoint.
+
+        Restart builds a new incarnation: handles from before it (a
+        transaction, an open scan, a pin) keep raising
+        ``DatabaseClosedError``, and a transaction begun now shares
+        nothing with one from before, even when it reuses its id.  Run
+        it quiesced — no other thread may use the database meanwhile."""
         report = self._restart(redo_workers=1, background=False, drain=True)
         self.stats.incr("recovery.restarts")
         return report
@@ -842,33 +724,25 @@ class Database:
         self, redo_workers: int, background: bool, drain: bool
     ) -> RestartReport:
         self.log.resume()
-        self._reset_latches_for_restart()
+        self._next_incarnation()
         report = run_instant_restart(
             self, redo_workers=redo_workers, background=background
         )
         if drain:
             if not report.governor.drain():
                 raise RecoveryError("restart was aborted before its drain finished")
-            self.recovery = report.governor = None
+            self.incarnation.recovery = report.governor = None
         self._rebuild_mvcc_state()
-        if self.replication is not None:
-            self.replication.primary_restarted()
-        self.txns.admit()
-        self._crashed = False
         self._start_gc_pacer()
         return report
 
-    def _reset_latches_for_restart(self) -> None:
-        """Fresh latch and lock tables at restart entry.
-
-        ``crash()`` already swaps both managers, but a request thread
-        still unwinding at that instant can re-acquire in the *fresh*
-        ones before it dies (its exception path cannot release: a
-        rollback against the halted log fails mid-way).  Restart runs
-        quiesced — the server is aborted, no application thread is
-        live — so empty tables are always the correct state here."""
-        self._replace_lock_tables()
-        self.txns._locks = self.locks
+    def _next_incarnation(self) -> None:
+        """Retire the current incarnation (a database opened on a
+        restored image has a live one) and build the next, empty."""
+        incarnation = self.incarnation
+        incarnation.retire(CRASHED)
+        incarnation.stop_gc_pacer()
+        self.incarnation = Incarnation(self)
 
     @property
     def recovery_state(self) -> str:
@@ -886,11 +760,9 @@ class Database:
         """Register a heap page with its table's in-memory page view
         (the standby's replay loop maintains views live so an instant
         promotion need not rediscover them)."""
-        for table in self.tables.values():
-            if table.table_id == table_id:
-                if page_id not in table.heap.page_ids:
-                    table.heap.page_ids.append(page_id)
-                return
+        table = self._table_by_id(table_id)
+        if table is not None and page_id not in table.heap.page_ids:
+            table.heap.page_ids.append(page_id)
 
     def _rebuild_mvcc_state(self) -> None:
         """Reinstall snapshot visibility after a restart.
@@ -933,7 +805,6 @@ class Database:
             self.mvcc.reset(
                 watermark=watermark, commit_ts=commits, high_ts=high_ts
             )
-        self.versions.invalidate()
         self.stats.incr("mvcc.state_rebuilds")
 
     # -- diagnostics ----------------------------------------------------------------------

@@ -77,9 +77,9 @@ class LockManager:
     """Hash table of lock heads with blocking, conversion, and detection.
 
     Requests are counted per ``lock.requests.<mode>.<duration>`` under
-    the table mutex and reported through a stats source; a database
-    that replaces its manager (crash, restart) calls :meth:`retire` on
-    the old one.
+    the table mutex and reported through a stats source; the
+    incarnation that owns the table calls :meth:`retire` when a crash
+    or ``close()`` ends it.
     """
 
     def __init__(
@@ -108,10 +108,14 @@ class LockManager:
     def _request_counts(self) -> dict[str, int]:
         return dict(self._requests)
 
-    def retire(self) -> None:
-        """Fold this manager's request counts into the registry for good
-        (the manager is being replaced)."""
+    def retire(self, retired: object) -> None:
+        """Swap the table for ``retired`` — every later request raises —
+        and wake every waiter into it."""
         self._stats.retire_source(self._request_counts)
+        self.pending_commit_resolver = None
+        with self._mutex:
+            self._table = self._held_by_txn = retired
+            self._cond.notify_all()
 
     # -- queries ------------------------------------------------------------
 
@@ -194,6 +198,8 @@ class LockManager:
             deadline = time.monotonic() + self.timeout
             self._process_queue(head, name)
             while not waiter.granted:
+                # A retired table raises here: how retire() wakes waiters.
+                head = self._table[name]
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     waiter.abandoned = True

@@ -28,6 +28,7 @@ from repro.wal.records import RM_HEAP, update_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
+    from repro.incarnation import Incarnation
 
 
 @dataclass
@@ -45,33 +46,36 @@ class GcReport:
 def run_mvcc_gc(db: "Database", purge: bool = True) -> GcReport:
     """One pass of version GC; safe to run concurrently with readers
     and writers (the GC horizon is captured first, and purging takes
-    the ordinary page latches)."""
-    mgr = db.mvcc
+    the ordinary page latches).  The pass runs in the incarnation
+    current when it starts; a crash makes it fail at its next touch."""
+    ctx = db.incarnation
+    mgr = ctx.mvcc
     if mgr is None:
         raise ConfigError("MVCC is disabled (config.mvcc_enabled=False)")
     report = GcReport()
     # Order matters: next_txn_id before the table snapshot, so a txn
     # beginning between the reads cannot slip above the new watermark.
-    next_id = db.txns.next_txn_id
-    live = set(db.txns.table_snapshot().keys())
+    next_id = ctx.txns.next_txn_id
+    live = set(ctx.txns.table_snapshot().keys())
     oldest = mgr.oldest_ts()
     report.oldest_snapshot_ts = oldest
     report.commit_entries_pruned = mgr.prune(next_id, live)
 
     purge_rids: dict[int, list] = {}  # table name is not hashable-stable; keep per table
+    versions = ctx.versions
     for table in db.tables.values():
-        # A crash invalidates the in-memory store; rebuild it from the
-        # ghost slots first or pre-crash versions would leak forever.
-        db.mvcc_ensure_dead_keys(table)
+        # A restart starts an empty store; rebuild it from the ghost
+        # slots first or pre-crash versions would leak forever.
+        versions.ensure_table(table, ctx)
         to_purge: list = []
         purged_pairs: set = set()
         for tree in table.indexes.values():
-            for value, rid, noted_xmax in db.versions.entries(tree.index_id):
-                ver = table.heap.version(rid)
+            for value, rid, noted_xmax in versions.entries(tree.index_id):
+                ver = table.heap.version(rid, ctx)
                 if ver is None:
                     # Slot already purged (or page gone): entry can
                     # only ever yield nothing.
-                    db.versions.discard(tree.index_id, (value, rid))
+                    versions.discard(tree.index_id, (value, rid))
                     report.dead_keys_swept += 1
                     continue
                 _, visible, _, cur_xmax = ver
@@ -81,13 +85,13 @@ def run_mvcc_gc(db: "Database", purge: bool = True) -> GcReport:
                     # caught a delete before its ghosting step; sweep
                     # only once the deleter is provably resolved.
                     if mgr.deleter_resolved(noted_xmax, live):
-                        db.versions.discard(tree.index_id, (value, rid))
+                        versions.discard(tree.index_id, (value, rid))
                         report.dead_keys_swept += 1
                     else:
                         report.dead_keys_kept += 1
                     continue
                 if mgr.safe_to_discard(cur_xmax, oldest):
-                    db.versions.discard(tree.index_id, (value, rid))
+                    versions.discard(tree.index_id, (value, rid))
                     report.dead_keys_swept += 1
                     if purge and rid not in purged_pairs:
                         purged_pairs.add(rid)
@@ -99,14 +103,16 @@ def run_mvcc_gc(db: "Database", purge: bool = True) -> GcReport:
             report.details[table.name] = len(to_purge)
 
     if purge and purge_rids:
-        report.slots_purged = _purge_slots(db, purge_rids)
+        report.slots_purged = _purge_slots(db, ctx, purge_rids)
     db.stats.incr("mvcc.gc_passes")
     db.stats.incr("mvcc.gc_dead_keys_swept", report.dead_keys_swept)
     db.stats.incr("mvcc.gc_slots_purged", report.slots_purged)
     return report
 
 
-def _purge_slots(db: "Database", purge_rids: dict[int, list]) -> int:
+def _purge_slots(
+    db: "Database", ctx: "Incarnation", purge_rids: dict[int, list]
+) -> int:
     """Physically free ghost slots under a system transaction.
 
     Redo-only records: a purge is never undone (the version it frees
@@ -115,13 +121,13 @@ def _purge_slots(db: "Database", purge_rids: dict[int, list]) -> int:
     drop the standby's dead-key entries."""
     tables_by_id = {t.table_id: t for t in db.tables.values()}
     purged = 0
-    txn = db.begin()
+    txn = ctx.txns.begin()
     try:
         for table_id, rids in purge_rids.items():
             table = tables_by_id[table_id]
             for rid in rids:
-                page = table.heap._fix_heap_page(rid.page_id)
-                latch = db.latches.page_latch(rid.page_id)
+                page = table.heap._fix_heap_page(rid.page_id, ctx)
+                latch = ctx.latches.page_latch(rid.page_id)
                 latch.acquire("X")
                 try:
                     entry = page.version(rid.slot)
@@ -135,14 +141,14 @@ def _purge_slots(db: "Database", purge_rids: dict[int, list]) -> int:
                         {"rid": rid, "data": entry[0]},
                         undoable=False,
                     )
-                    db.log_page_change(
+                    ctx.log_page_change(
                         txn, page, record, lambda: page.remove_record(rid.slot)
                     )
                     table.heap.note_room(page)
                     purged += 1
                 finally:
                     latch.release()
-                    db.buffer.unfix(rid.page_id)
+                    ctx.buffer.unfix(rid.page_id)
     finally:
         db.commit(txn)
     return purged

@@ -19,9 +19,10 @@ is what makes the maintenance rules simple and race-free:
   PITR all rebuild the store as a side effect of replay);
 - nothing ever removes entries inline — only GC sweeps them, and only
   when the slot's stamps prove no snapshot can need them;
-- after a crash the store is invalidated and lazily rebuilt per table
-  from the ghost slots themselves (which is exactly the set of
-  deletions whose redo the LSN check will skip).
+- the store belongs to one incarnation: after a crash the next one
+  starts empty and rebuilds it lazily per table from the ghost slots
+  themselves (which is exactly the set of deletions whose redo the LSN
+  check will skip).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.common.rid import RID
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.data.table import Table
+    from repro.incarnation import Incarnation
 
 #: One dead key: (encoded index value, rid) plus the deleter's txn id
 #: as noted at registration time (GC uses it to keep entries for
@@ -107,17 +109,12 @@ class VersionStore:
         with self._mutex:
             self._index(index_id).discard(pair)
 
-    def invalidate(self) -> None:
-        """Forget everything (crash/restart): tables rebuild lazily
-        from their ghost slots on first snapshot read."""
-        with self._mutex:
-            self._dead.clear()
-            self._built.clear()
-
-    def ensure_table(self, table: "Table") -> None:
-        """Rebuild a table's dead keys from its ghost slots if the
-        store was invalidated.  Idempotent; plays well with instant
-        restart because fixing a heap page recovers it on demand."""
+    def ensure_table(self, table: "Table", ctx: "Incarnation") -> None:
+        """Rebuild a table's dead keys from its ghost slots (read
+        through ``ctx``, the incarnation this store belongs to) once per
+        table: a new incarnation's store starts empty.  Idempotent;
+        plays well with instant restart because fixing a heap page
+        recovers it on demand."""
         with self._mutex:
             if table.table_id in self._built:
                 return
@@ -126,26 +123,10 @@ class VersionStore:
             self._built.add(table.table_id)
         from repro.data.table import decode_row
 
-        ctx = table._ctx
-        for page_id in list(table.heap.page_ids):
-            try:
-                page = table.heap._fix_heap_page(page_id)
-            except Exception:  # noqa: BLE001,RPR005 - unreadable page: rebuild skips it
-                continue
-            try:
-                versions = map(page.version, range(page.slot_count()))
-                ghosts = [
-                    (RID(page_id, slot), entry)
-                    for slot, entry in enumerate(versions)
-                    if entry is not None and not entry[1]
-                ]
-            finally:
-                ctx.buffer.unfix(page_id)
-            for rid, entry in ghosts:
-                data, _, _, xmax = entry
-                if xmax == 0:
-                    continue  # pre-MVCC ghost: no snapshot can see it
-                self.note_dead(table, rid, decode_row(data), xmax)
+        for rid, (data, _, _, xmax) in table.heap.ghosts(ctx):
+            if xmax == 0:
+                continue  # pre-MVCC ghost: no snapshot can see it
+            self.note_dead(table, rid, decode_row(data), xmax)
 
     # -- read side ---------------------------------------------------------
 

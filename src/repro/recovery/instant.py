@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import (
     CorruptPageError,
+    DatabaseClosedError,
     LogHaltedError,
     PageNotFoundError,
     RecoveryTimeoutError,
@@ -380,7 +381,7 @@ class RecoveryGovernor:
             if not ctx.log.halted:
                 ctx.log.force()
                 take_checkpoint(ctx)
-        except LogHaltedError:
+        except (LogHaltedError, DatabaseClosedError):
             pass  # a concurrent crash wins; the next restart re-derives all
         ctx.stats.incr("recovery.instant_drains")
         ctx.stats.gauge("recovery.pages_unrecovered", 0)
@@ -389,15 +390,14 @@ class RecoveryGovernor:
     # -- lifecycle -----------------------------------------------------------
 
     def abort(self) -> None:
-        """Crash landed mid-drain: stop the workers, uninstall the hook.
-        Durable state needs no cleanup — the pre-seeded DPT entries are
-        checkpoint-carried, so the next restart redoes what this one
-        did not finish."""
+        """Crash landed mid-drain: stop the workers (retiring the pool
+        uninstalls the hook).  Durable state needs no cleanup — the
+        pre-seeded DPT entries are checkpoint-carried, so the next
+        restart redoes what this one did not finish."""
         self._stop.set()
         with self._mutex:
             self._aborted = True
             self._finished = True
-        self.ctx.buffer.recovery_hook = None
         self._drained_event.set()
         for thread in self._threads:
             thread.join(timeout=2.0)
@@ -437,7 +437,7 @@ def run_instant_restart(
 
     governor = RecoveryGovernor(ctx, analysis, redo_workers=redo_workers)
     governor.prepare()
-    ctx.recovery = governor
+    ctx.incarnation.recovery = governor
 
     # No-reuse floor for transaction ids.  The checkpoint-carried floor
     # covers every id allocated before the checkpoint (including all of

@@ -77,7 +77,6 @@ class ReplicationManager:
         self._cond = threading.Condition()
         self._acked: dict[str, int] = {}  # subscriber -> durable byte pos
         self._last_poll: dict[str, float] = {}
-        self._crashed = False
 
     # -- subscriber protocol -------------------------------------------------
 
@@ -256,13 +255,14 @@ class ReplicationManager:
             return
         target = self.db.log.force_target(commit_lsn)
         deadline = time.monotonic() + self.sync_timeout_seconds
+        incarnation = self.db.incarnation
         with self._cond:
             if not self._acked:
                 return  # no standby attached: sync degrades to async
             while True:
                 if min(self._acked.values()) >= target:
                     return
-                if self._crashed:
+                if incarnation.retired:
                     raise SyncReplicationTimeoutError(
                         f"commit at LSN {commit_lsn} is durable locally "
                         "but the primary crashed before the standby "
@@ -279,12 +279,7 @@ class ReplicationManager:
                 self._cond.wait(min(remaining, 0.05))
 
     def primary_crashed(self) -> None:
-        """Wake every gate waiter with the in-doubt outcome (called by
-        ``Database.crash``)."""
+        """Wake every gate waiter: its incarnation is retired, so the
+        outcome is in doubt (called by ``Database.crash``)."""
         with self._cond:
-            self._crashed = True
             self._cond.notify_all()
-
-    def primary_restarted(self) -> None:
-        with self._cond:
-            self._crashed = False

@@ -87,6 +87,10 @@ class Standby:
         #: outcome unknown) — the standby's snapshot visibility set.
         #: Mutated only under the replay lock.
         self._open_txns: set[int] = set()
+        #: Replay-loop rounds finished (a poll answered or the
+        #: connection lost); :meth:`wait_for` wakes at the end of each.
+        self._rounds = 0
+        self._progress = threading.Condition()
 
     # -- seeding -----------------------------------------------------------
 
@@ -176,6 +180,9 @@ class Standby:
                 except Exception:  # noqa: BLE001,RPR005 - socket already dead; reconnect loop continues
                     pass
                 self._client = None
+            with self._progress:
+                self._rounds += 1
+                self._progress.notify_all()
 
     def _apply_chunk(self, base_lsn: int, data: bytes) -> None:
         """Adopt one shipped chunk: append byte-exact, force (durable
@@ -257,20 +264,28 @@ class Standby:
             "last_error": self.last_error,
         }
 
+    @property
+    def rounds(self) -> int:
+        """Replay-loop rounds finished so far (polls answered and
+        connection losses)."""
+        return self._rounds
+
+    def wait_for(self, predicate: Callable[[], bool], timeout: float = 5.0) -> bool:
+        """Block until ``predicate()`` holds — checked now and at the end
+        of every replay-loop round — or ``timeout`` elapses."""
+        with self._progress:
+            return self._progress.wait_for(predicate, timeout)
+
     def wait_for_lsn(self, lsn: int, timeout: float = 5.0) -> bool:
         """Block until the replay horizon reaches ``lsn`` (byte
         position) — applied, durable, *and acknowledged* to the
         primary — or ``timeout`` elapses."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if (
-                self.db is not None
-                and self.db.log.flushed_lsn >= lsn
-                and self._acked_lsn >= lsn
-            ):
-                return True
-            time.sleep(0.002)
-        return False
+        return self.wait_for(
+            lambda: self.db is not None
+            and self.db.log.flushed_lsn >= lsn
+            and self._acked_lsn >= lsn,
+            timeout,
+        )
 
     # -- read-only service -------------------------------------------------
 
@@ -394,4 +409,4 @@ class Standby:
             # closing it must not log (keep the LSN space clean) — just
             # turn group commit off.
             self.db.log.stop_group_commit()
-            self.db._closed = True
+            self.db._drop_incarnation()

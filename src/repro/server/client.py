@@ -395,16 +395,15 @@ class DatabaseClient:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Polite goodbye; always closes the local transport."""
-        if self._closed:
-            return
-        try:
-            self.request("close")
-        except ServerError:
-            pass
-        finally:
-            self._closed = True
-            self._conn.close()
+        """Polite goodbye; always closes the local transport (also
+        after a request found the connection lost)."""
+        if not self._closed:
+            try:
+                self.request("close")
+            except ServerError:
+                pass
+        self._closed = True
+        self._conn.close()
 
     @property
     def closed(self) -> bool:

@@ -512,7 +512,7 @@ class DatabaseServer:
         for worker in self._workers:
             worker.join(timeout=5.0)
         self._deadlines.stop()
-        if drain and not self.db.closed and not self.db._crashed:
+        if drain and not self.db.closed and not self.db.crashed:
             self.db.checkpoint()
         self.db.stats.incr("server.shutdowns")
         if drained and drain:

@@ -263,12 +263,14 @@ class BufferPool:
             del self._frames[victim_id]
             self._stats.incr("buffer.evictions")
 
-    # -- crash -------------------------------------------------------------------
+    # -- retirement ----------------------------------------------------------
 
-    def crash(self) -> None:
-        """Lose all volatile state (frames and dirty page table)."""
+    def retire(self, retired: object) -> None:
+        """Drop every frame and the dirty page table and swap them for
+        ``retired``: every later call raises, so a pin from before a
+        crash is never unfixed in the next incarnation's pool."""
         self.recovery_hook = None
+        self.on_fatal_io = None
         with self._mutex:
-            self._frames.clear()
-            self._dirty_page_table.clear()
-            self._logging.clear()
+            self._frames = self._dirty_page_table = self._logging = retired
+        self._stats.retire_source(self._hit_counts)

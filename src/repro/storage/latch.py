@@ -131,6 +131,12 @@ class Latch:
     def grant_counts(self) -> dict[str, int]:
         return _grant_stats(self.s_grants, self.x_grants)
 
+    def retire(self, retired: object) -> None:
+        """Swap the holders for ``retired``: waiters wake into it."""
+        with self._lock:
+            self._holders = retired
+            self._cond.notify_all()
+
     # -- internals -----------------------------------------------------------
 
     def _grantable(self, mode: str) -> bool:
@@ -140,9 +146,8 @@ class Latch:
         if mode == "X":
             return not holders
         # New S grant: blocked by an X holder or by a pending X waiter.
-        if self._x_waiters:
-            return False
-        return "X" not in holders.values()
+        # (The holders are read first: a retired latch raises there.)
+        return "X" not in holders.values() and not self._x_waiters
 
     def _wait(self, mode: str, conditional: bool, timeout: float) -> None:
         """The slow path of a conflicting request: a conditional one
@@ -276,8 +281,8 @@ class LatchManager:
     simultaneously" invariant (§2.1).
 
     The manager reports the grant counts of every latch it made to its
-    stats registry; a database that replaces its manager (crash,
-    restart) calls :meth:`retire` on the old one.
+    stats registry; the incarnation that owns the table calls
+    :meth:`retire` when a crash or ``close()`` ends it.
     """
 
     def __init__(
@@ -292,9 +297,9 @@ class LatchManager:
         self._held_pages = threading.local()
         self.timeout = timeout
         # Captured once: this table's latches report to the monitor in
-        # force when the table was built (see Latch docstring).  Crash
-        # rebuilds the table mid-lifetime and recaptures the same
-        # round's monitor; a later round's monitor never sees it.
+        # force when the table was built (see Latch docstring).  Each
+        # restart builds a new table and recaptures the same round's
+        # monitor; a later round's monitor never sees it.
         self._monitor = get_latch_monitor()
         self._stats.add_source(self.grant_counts)
 
@@ -307,10 +312,15 @@ class LatchManager:
             x_grants += latch.x_grants
         return _grant_stats(s_grants, x_grants)
 
-    def retire(self) -> None:
-        """Fold this table's grant counts into the registry for good
-        (the table is being replaced)."""
+    def retire(self, retired: object) -> None:
+        """Retire every latch this table made (see :meth:`Latch.retire`);
+        later lookups raise too."""
         self._stats.retire_source(self.grant_counts)
+        with self._mutex:
+            latches = [*self._page_latches.values(), *self._tree_latches.values()]
+            self._page_latches = self._tree_latches = retired
+        for latch in latches:
+            latch.retire(retired)
 
     def page_latch(self, page_id: int) -> Latch:
         # Entries are only ever added, so a hit needs no mutex (a dict

@@ -268,20 +268,7 @@ def dump_versions(db: "Database") -> str:
     ]
     for table_name, table in sorted(db.tables.items()):
         db.mvcc_ensure_dead_keys(table)
-        ghosts = 0
-        for page_id in list(table.heap.page_ids):
-            try:
-                page = table.heap._fix_heap_page(page_id)
-            except Exception:  # noqa: BLE001,RPR005 - page mid-recovery
-                continue
-            try:
-                ghosts += sum(
-                    1
-                    for entry in map(page.version, range(page.slot_count()))
-                    if entry is not None and not entry[1]
-                )
-            finally:
-                db.buffer.unfix(page_id)
+        ghosts = len(table.heap.ghosts(db.incarnation))
         lines.append(f"table {table_name!r}: {ghosts} ghost slot(s)")
         for index_name, tree in sorted(table.indexes.items()):
             entries = list(db.versions.entries(tree.index_id))

@@ -43,8 +43,12 @@ from repro.wal.records import (
 VOTE_YES = "yes"
 VOTE_READ_ONLY = "read-only"
 
+#: What logging or releasing raises once a crash landed (see _end_committed).
+_CRASHED = (LogHaltedError, DatabaseClosedError)
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
+    from repro.incarnation import Incarnation
     from repro.locks.manager import LockManager
 
 
@@ -61,12 +65,13 @@ class PendingCommit:
     the one recorded outcome.
     """
 
-    __slots__ = ("txn", "commit_lsn", "last_lsn", "error", "_mgr", "_lock", "_finished")
+    __slots__ = ("txn", "commit_lsn", "last_lsn", "error", "manager", "_lock", "_finished")
 
     def __init__(
-        self, mgr: "TransactionManager", txn: Transaction, commit_lsn: int
+        self, manager: "TransactionManager", txn: Transaction, commit_lsn: int
     ) -> None:
-        self._mgr = mgr
+        #: The manager that appended the COMMIT record (and finishes it).
+        self.manager = manager
         self.txn = txn
         self.commit_lsn = commit_lsn
         self.last_lsn = txn.last_lsn
@@ -88,46 +93,43 @@ class PendingCommit:
         with self._lock:
             if not self._finished:
                 try:
-                    self._mgr._log.force_for_commit(self.last_lsn)
-                    self._mgr._commit_finish(self)
+                    self.manager._log.force_for_commit(self.last_lsn)
+                    self.manager._commit_finish(self)
                 except Exception as exc:  # noqa: BLE001,RPR005 - outcome stored, re-raised by the batch owner
                     self.error = exc
                 finally:
                     self._finished = True
-                    self._mgr._unregister_pending(self.txn.txn_id)
+                    self.manager._unregister_pending(self.txn.txn_id)
         return self.error
 
 
 class TransactionManager:
-    """Owns the transaction table and drives commit/rollback."""
+    """Owns the transaction table of one incarnation and drives
+    commit/rollback.  Every transaction it begins or adopts carries
+    that incarnation (``Transaction.incarnation``)."""
 
     def __init__(
         self,
         log: LogManager,
         locks: "LockManager",
         registry: ResourceManagerRegistry,
-        stats: StatsRegistry | None = None,
-        admitting: bool = True,
+        stats: StatsRegistry | None,
+        incarnation: "Incarnation",
     ) -> None:
         self._log = log
         self._locks = locks
         self._registry = registry
         self._stats = stats or StatsRegistry()
+        self._incarnation = incarnation
         self._mutex = threading.Lock()
         self._next_txn_id = 1
-        self._halted = False
-        #: False on a crash's successor until restart has set the txn-id
-        #: floor: a fresh manager counts from 1, so ids handed out
-        #: before then would collide with the ids in the log.
-        self._admitting = admitting
         self._table: dict[int, Transaction] = {}
         #: Deferred commits awaiting their batched force, by txn id.
         self._pending_commits: dict[int, PendingCommit] = {}
         self._pending_lock = threading.Lock()
         # A waiter blocked on a pending commit's locks completes that
         # commit itself instead of waiting out the batch (or, worse, a
-        # lock timeout).  Installed at construction so a post-restart
-        # manager owns the hook of the (surviving) lock manager.
+        # lock timeout).
         locks.pending_commit_resolver = self.resolve_pending_commits
         #: Optional synchronous-replication gate, called with the commit
         #: record's LSN after the transaction is locally durable and
@@ -141,40 +143,11 @@ class TransactionManager:
         #: can be exposed to its effects.
         self.on_commit = None
 
-    def halt(self) -> None:
-        """Retire this manager: its database crashed and a successor
-        owns the (resumed) log.  A thread still inside ``commit`` or
-        ``rollback`` with a pre-crash transaction must fail fast rather
-        than append stale records — the log itself is halted only until
-        ``restart`` resumes it, which can happen *while* such a zombie
-        is parked between its COMMIT append and its END append."""
-        self._halted = True
-
-    def _check_owned(self, txn: Transaction) -> None:
-        """Reject transaction handles this manager never issued.
-
-        A crash replaces the manager wholesale; a thread that began a
-        transaction before the crash and reaches ``db.commit`` after
-        ``restart`` would otherwise log COMMIT/END records for a txn id
-        the new incarnation may have re-ended or reused."""
-        with self._mutex:
-            if self._table.get(txn.txn_id) is not txn:
-                raise TransactionNotActiveError(
-                    f"txn {txn.txn_id} is not owned by this transaction "
-                    "manager (stale handle from before a crash?)"
-                )
-
     # -- transaction table ---------------------------------------------------
-
-    def admit(self) -> None:
-        """Open a crash's successor to new transactions (restart)."""
-        self._admitting = True
 
     def begin(self) -> Transaction:
         with self._mutex:
-            if not self._admitting:
-                raise DatabaseClosedError("database crashed; restart() required")
-            txn = Transaction(txn_id=self._next_txn_id, owner=self)
+            txn = Transaction(txn_id=self._next_txn_id, incarnation=self._incarnation)
             self._next_txn_id += 1
             self._table[txn.txn_id] = txn
         self._stats.incr("txn.begun")
@@ -215,7 +188,7 @@ class TransactionManager:
 
     def adopt(self, txn: Transaction) -> None:
         """Install a transaction reconstructed by restart analysis."""
-        txn.owner = self
+        txn.incarnation = self._incarnation
         with self._mutex:
             self._table[txn.txn_id] = txn
             if txn.txn_id >= self._next_txn_id:
@@ -244,24 +217,19 @@ class TransactionManager:
 
     def log_for(self, txn: Transaction, record: LogRecord) -> int:
         """Chain ``record`` onto ``txn`` and append it to the log (a page
-        record only through ``Database.log_page_change``).
+        record only through ``Incarnation.log_page_change``).
 
-        Only a transaction this manager issued may log: a thread still
-        holding a pre-crash transaction (a GC pass, a session unwinding)
-        reaches this through the *successor* manager, and its record
-        would chain onto a log the restart has already resolved."""
-        if self._halted or txn.owner is not self:
-            raise LogHaltedError(
-                f"transaction manager retired by a crash; txn "
-                f"{txn.txn_id} may not log through it"
-            )
+        The append goes through the log handle of ``txn``'s own
+        incarnation: a thread still holding a pre-crash transaction (a
+        GC pass, a session unwinding) finds that handle retired, so its
+        record never chains onto a log the restart has resolved."""
         if txn.snapshot is not None:
             raise TransactionNotActiveError(
                 f"snapshot transaction {txn.txn_id} is read-only and may not log"
             )
         record.txn_id = txn.txn_id
         record.prev_lsn = txn.last_lsn
-        lsn = self._log.append(record)
+        lsn = txn.incarnation.log.append(record)
         txn.note_logged(lsn)
         return lsn
 
@@ -291,15 +259,9 @@ class TransactionManager:
         """
         if not txn.is_active:
             raise TransactionNotActiveError(f"cannot commit {txn!r}")
-        self._check_owned(txn)
         if txn.first_lsn == NULL_LSN:
-            if self._halted:
-                # Preserve the pre-fast-path contract: a commit racing a
-                # crash fails loudly even when it changed nothing.
-                raise LogHaltedError(
-                    f"transaction manager retired by a crash; txn "
-                    f"{txn.txn_id} may not commit through it"
-                )
+            # (A crash retired the lock table too: the release below
+            # fails loudly even though nothing was logged.)
             txn.status = TxnStatus.COMMITTED
             released = self._locks.release_all(txn.txn_id)
             self._stats.incr("txn.locks_released_at_commit", released)
@@ -315,7 +277,7 @@ class TransactionManager:
         """Phase 2 of commit, after a force covers the COMMIT record."""
         txn = pending.txn
         commit_lsn = pending.commit_lsn
-        if self._halted:
+        if txn.incarnation.retired:
             # A crash landed while this commit was in flight and the
             # force may have run against the *resumed* log (the record
             # itself died in the volatile tail).  Whether the COMMIT
@@ -325,25 +287,7 @@ class TransactionManager:
                 f"txn {txn.txn_id}: crash raced the commit; outcome "
                 "decided by restart"
             )
-        txn.status = TxnStatus.COMMITTED
-        # Timestamp the commit (durable) before its locks drop: a
-        # snapshot begun after the release must already see it.
-        on_commit = self.on_commit
-        if on_commit is not None:
-            on_commit(txn.txn_id, commit_lsn)
-        released = self._locks.release_all(txn.txn_id)
-        self._stats.incr("txn.locks_released_at_commit", released)
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id, undoable=False)
-        try:
-            self.log_for(txn, end)
-        except LogHaltedError:
-            # The commit record is already durable — the transaction IS
-            # committed and the caller must be acknowledged.  The END
-            # record (a crash landed right here) dies with the volatile
-            # tail; restart handles a committed transaction without one.
-            pass
-        txn.status = TxnStatus.ENDED
-        self.forget(txn.txn_id)
+        self._end_committed(txn, commit_lsn)
         self._stats.incr("txn.committed")
         # Synchronous replication holds the *acknowledgement* (not the
         # commit — that is already durable and irreversible) until a
@@ -353,6 +297,28 @@ class TransactionManager:
         gate = self.commit_gate
         if gate is not None:
             gate(commit_lsn)
+
+    def _end_committed(self, txn: Transaction, commit_lsn: int) -> None:
+        """Once a force covers the COMMIT record: timestamp, unlock, END."""
+        txn.status = TxnStatus.COMMITTED
+        # Timestamp the commit (durable) before its locks drop: a
+        # snapshot begun after the release must already see it.
+        on_commit = self.on_commit
+        if on_commit is not None:
+            on_commit(txn.txn_id, commit_lsn)
+        try:
+            released = self._locks.release_all(txn.txn_id)
+            self._stats.incr("txn.locks_released_at_commit", released)
+            end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id, undoable=False)
+            self.log_for(txn, end)
+        except _CRASHED:
+            # The commit record is already durable — the transaction IS
+            # committed and the caller must be acknowledged.  A crash
+            # landed right here: its locks died with the lock table, and
+            # restart handles a committed transaction without an END.
+            pass
+        txn.status = TxnStatus.ENDED
+        self.forget(txn.txn_id)
 
     # -- deferred (batched) commits ------------------------------------------
     #
@@ -424,7 +390,6 @@ class TransactionManager:
         """
         if not txn.is_active:
             raise TransactionNotActiveError(f"cannot prepare {txn!r}")
-        self._check_owned(txn)
         if txn.first_lsn == NULL_LSN:
             released = self._locks.release_all(txn.txn_id)
             self._stats.incr("txn.locks_released_at_commit", released)
@@ -445,7 +410,7 @@ class TransactionManager:
         # coordinator could commit a global transaction whose branch is
         # rolled back as a restart loser.
         self._log.force_for_commit(txn.last_lsn)
-        if self._halted:
+        if txn.incarnation.retired:
             # Same race as commit: the force may have run against the
             # resumed log.  Vote no; a durable PREPARE is resolved by
             # presumed-abort recovery.
@@ -470,44 +435,14 @@ class TransactionManager:
         )
         commit_lsn = self.log_for(txn, commit)
         self._log.force_for_commit(txn.last_lsn)
-        txn.status = TxnStatus.COMMITTED
-        on_commit = self.on_commit
-        if on_commit is not None:
-            on_commit(txn.txn_id, commit_lsn)
-        released = self._locks.release_all(txn.txn_id)
-        self._stats.incr("txn.locks_released_at_commit", released)
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id, undoable=False)
-        try:
-            self.log_for(txn, end)
-        except LogHaltedError:
-            pass  # commit record durable: restart ENDs it (same as commit)
-        txn.status = TxnStatus.ENDED
-        self.forget(txn.txn_id)
-        self._stats.incr("txn.committed")
-        self._stats.incr("txn.prepared_committed")
+        self._end_committed(txn, commit_lsn)
+        self._stats.incr(("txn.committed", "txn.prepared_committed"))
 
     def rollback_prepared(self, ctx: "Database", txn: Transaction) -> None:
         """Phase 2, decision = abort, for a PREPARED branch."""
         if not txn.is_prepared:
             raise TransactionNotActiveError(f"cannot rollback-prepared {txn!r}")
-        rollback = LogRecord(
-            kind=RecordKind.ROLLBACK, txn_id=txn.txn_id, undoable=False
-        )
-        self.log_for(txn, rollback)
-        txn.status = TxnStatus.ROLLING_BACK
-        txn.in_rollback = True
-        try:
-            self.undo_to(ctx, txn, NULL_LSN)
-        finally:
-            txn.in_rollback = False
-        txn.status = TxnStatus.ABORTED
-        released = self._locks.release_all(txn.txn_id)
-        self._stats.incr("txn.locks_released_at_rollback", released)
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id, undoable=False)
-        self.log_for(txn, end)
-        txn.status = TxnStatus.ENDED
-        self.forget(txn.txn_id)
-        self._stats.incr("txn.rolled_back")
+        self._roll_back(ctx, txn)
         self._stats.incr("txn.prepared_aborted")
 
     # -- rollback --------------------------------------------------------------------
@@ -516,7 +451,9 @@ class TransactionManager:
         """Total rollback."""
         if not txn.is_active:
             raise TransactionNotActiveError(f"cannot rollback {txn!r}")
-        self._check_owned(txn)
+        self._roll_back(ctx, txn)
+
+    def _roll_back(self, ctx: "Database", txn: Transaction) -> None:
         rollback = LogRecord(
             kind=RecordKind.ROLLBACK, txn_id=txn.txn_id, undoable=False
         )

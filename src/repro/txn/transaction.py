@@ -50,9 +50,11 @@ class Transaction:
     gid: str | None = None
     #: LSN of this branch's PREPARE record.
     prepare_lsn: int = NULL_LSN
-    #: The transaction manager that issued (``begin``) or adopted
-    #: (restart analysis) this transaction; ``log_for`` logs only its own.
-    owner: object | None = field(default=None, repr=False, compare=False)
+    #: The incarnation that began (or, restart analysis, adopted) this
+    #: transaction: every operation on its behalf reaches the buffer
+    #: pool, lock and latch tables and the log through it, so once a
+    #: crash retires it, the handle fails instead of acting on the next.
+    incarnation: object | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_active(self) -> bool:

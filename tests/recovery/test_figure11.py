@@ -20,7 +20,7 @@ interleaving deterministically and verify:
 
 import threading
 
-from repro.common.errors import SimulatedCrash
+from repro.common.errors import DatabaseClosedError, SimulatedCrash
 from repro.common.keys import decode_int_key
 from repro.wal.records import RecordKind
 from tests.conftest import SpyCondition, build_db, populate
@@ -75,8 +75,10 @@ class _SplitterElsewhere:
                 key += 2
             db.commit(self.txn)
             self.smo_end_lsn = db.log.end_lsn
-        except SimulatedCrash:
-            pass  # the database crashed while we were paused
+        except (SimulatedCrash, DatabaseClosedError):
+            # The database crashed while we were paused (the SMO's exit
+            # then finds its incarnation retired).
+            pass
 
     def start_and_wait_until_mid_smo(self):
         self.thread.start()

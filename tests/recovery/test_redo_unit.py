@@ -38,7 +38,7 @@ class TestRedoDriver:
         populate(db, range(100, 110))  # new dirty work
         db.log.force()
         db.log.crash()
-        db.buffer.crash()
+        db._next_incarnation()  # an empty pool and dirty page table
         result = redo(db)
         # Only the post-flush records could need redo.
         assert 0 < result.records_redone < 80
@@ -48,7 +48,7 @@ class TestRedoDriver:
         populate(db, range(30))
         db.flush_all_pages()
         db.log.force()
-        db.buffer.crash()
+        db._next_incarnation()  # an empty pool and dirty page table
         # DPT still names the pages (log records), but every page on
         # disk already carries the final LSNs.
         result = redo(db)
@@ -59,6 +59,7 @@ class TestRedoDriver:
         populate(db, range(30))  # nothing flushed
         db.log.force()
         db.crash()
+        db._next_incarnation()
         result = redo(db)
         assert result.records_redone > 0
         # The index root exists again, rebuilt purely from the log.

@@ -2,7 +2,6 @@
 synchronous replication, and failover promotion."""
 
 import threading
-import time
 
 import pytest
 
@@ -118,7 +117,8 @@ class TestFlushBoundary:
         assert db.log.group_commit_parked > 0
         # the records exist in the primary's volatile tail...
         assert db.log.end_lsn - 1 > db.log.flushed_lsn
-        time.sleep(0.1)  # several standby poll cycles
+        rounds = standby.rounds
+        assert standby.wait_for(lambda: standby.rounds >= rounds + 3)  # several polls
         # ...but the standby has nothing past the flush boundary
         assert standby.db.log.end_lsn <= db.log.flushed_lsn + 1
         assert standby.fetch("t", "by_id", 2) is None
@@ -156,7 +156,7 @@ class TestReconnect:
         server_holder["s"].abort()
         for i in range(5, 10):
             insert(db, i)
-        time.sleep(0.05)
+        assert standby.wait_for(lambda: standby.last_error is not None)  # saw the loss
         # new server, same database: the standby reconnects and resumes
         server_holder["s"] = DatabaseServer(
             db, ServerConfig(workers=4)
@@ -176,7 +176,7 @@ class TestSyncReplication:
         standby = Standby(
             lambda: server.connect_loopback(), name="s", poll_wait_seconds=0.05
         ).start()
-        time.sleep(0.05)
+        assert standby.wait_for(lambda: standby.rounds >= 1)  # subscribed
         insert(db, 1)  # must not raise: the standby acks within the bound
         # the acked position covers the primary's whole durable prefix
         assert db.replication.min_acked() >= db.log.flushed_lsn
@@ -188,7 +188,7 @@ class TestSyncReplication:
     def test_sync_commit_times_out_without_standby_but_commits(self):
         db, server = make_primary(sync=True)
         standby = Standby(lambda: server.connect_loopback(), name="s").start()
-        time.sleep(0.05)
+        assert standby.wait_for(lambda: standby.rounds >= 1)  # subscribed
         insert(db, 1)
         standby.stop()  # subscriber registered but no longer acking
         with pytest.raises(SyncReplicationTimeoutError):

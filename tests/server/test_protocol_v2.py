@@ -15,7 +15,7 @@ import pytest
 from repro.codec.frames import MAGIC, PROTOCOL_V2, try_parse_frame
 from repro.codec.ops import OP_HELLO
 from repro.common.errors import (
-    LogHaltedError,
+    DatabaseClosedError,
     ServerError,
     SessionStateError,
     UniqueKeyViolationError,
@@ -266,7 +266,7 @@ class TestDeferredCommit:
             db.crash()
             # The retired manager must fail the commit loudly even
             # though the read-only fast path writes no log records.
-            with pytest.raises(LogHaltedError):
+            with pytest.raises(DatabaseClosedError):
                 retired.commit(reader)
             db.restart()
         finally:

@@ -371,6 +371,7 @@ class TestShutdown:
         client.insert("t", {"id": 2})  # left open across shutdown
         before = db.stats.snapshot().get("recovery.checkpoints_taken", 0)
         assert server.shutdown(drain=True) is True
+        client.close()
         after = db.stats.snapshot()
         assert after.get("server.drained_clean", 0) == 1
         # The open transaction was rolled back; no txn leaks.

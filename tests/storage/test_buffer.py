@@ -1,9 +1,14 @@
-"""Buffer pool: fixing, eviction, WAL rule, dirty page table, crash."""
+"""Buffer pool: fixing, eviction, WAL rule, dirty page table, retirement."""
 
 import pytest
 
-from repro.common.errors import BufferPoolFullError, PageNotFoundError
+from repro.common.errors import (
+    BufferPoolFullError,
+    DatabaseClosedError,
+    PageNotFoundError,
+)
 from repro.data.heap import HeapPage
+from repro.incarnation import Retired
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.wal.log import LogManager
@@ -39,7 +44,7 @@ class TestFixUnfix:
         pool.mark_dirty(page.page_id, 1)
         pool.flush_page(page.page_id)
         pool.unfix(page.page_id)
-        pool.crash()  # drop the frame
+        pool.discard(page.page_id)  # drop the frame
         loaded = pool.fix(page.page_id)
         assert isinstance(loaded, HeapPage)
         assert loaded.record(0) == b"data"
@@ -132,13 +137,18 @@ class TestDirtyPageTable:
 
 class TestCrash:
     def test_crash_loses_unflushed_changes(self):
+        """A crash retires the pool: the unflushed page never reaches
+        the disk, and a pin taken before it cannot be used after."""
         pool, disk, _ = make_pool()
         page = new_heap_page(pool, disk)
         page.append_record(b"volatile")
         pool.mark_dirty(page.page_id, 1)
-        pool.crash()
-        assert not pool.is_cached(page.page_id)
+        pool.retire(Retired("crashed"))
         assert not disk.contains(page.page_id)
+        with pytest.raises(DatabaseClosedError):
+            pool.unfix(page.page_id)
+        with pytest.raises(DatabaseClosedError):
+            pool.fix(page.page_id)
 
     def test_discard_drops_without_flush(self):
         pool, disk, _ = make_pool()

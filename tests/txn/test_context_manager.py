@@ -92,10 +92,11 @@ class TestDatabaseLifecycle:
 
     def test_close_rolls_back_active_transactions(self):
         db = make_db()
+        txns = db.txns
         txn = db.begin()
         db.insert(txn, "t", {"id": 2, "val": "v"})
         db.close()
-        assert db.txns.active_transactions() == []
+        assert txns.active_transactions() == []
         assert txn.status is TxnStatus.ENDED
 
     def test_context_manager_closes(self):

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.walcheck import check_log
 from repro.common.errors import (
     DatabaseClosedError,
-    LogHaltedError,
     TransactionNotActiveError,
 )
 from repro.txn.transaction import TxnStatus
@@ -206,9 +205,9 @@ class TestPreCrashTransactions:
         db.crash()
         db.restart()
         end = db.log.end_lsn
-        with pytest.raises(LogHaltedError):
+        with pytest.raises(DatabaseClosedError):
             db.txns.log_for(stale, LogRecord(kind=RecordKind.COMMIT, txn_id=stale.txn_id))
-        with pytest.raises(LogHaltedError):
+        with pytest.raises(DatabaseClosedError):
             db.insert(stale, "t", {"id": 3, "val": "stale"})
         assert db.log.end_lsn == end
         assert check_log(db.log).ok
@@ -230,12 +229,12 @@ class TestPreCrashTransactions:
 
     def test_crash_stops_the_gc_pacer_and_restart_starts_a_new_one(self):
         db = build_db(mvcc_gc_interval_seconds=60.0)
-        pacer = db._gc_thread  # noqa: SLF001 - the pacer has no public handle
+        pacer = db.incarnation.gc_pacer
         assert pacer.is_alive()
         db.crash()
         assert not pacer.is_alive()
         db.restart()
-        successor = db._gc_thread  # noqa: SLF001
+        successor = db.incarnation.gc_pacer
         assert successor is not pacer and successor.is_alive()
         db.close()
         assert not successor.is_alive()
