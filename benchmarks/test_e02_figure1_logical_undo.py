@@ -31,11 +31,11 @@ def run_scenario(foreign_inserts: int) -> dict:
     # The victim (Figure 1's K8) sits near the *top* of the first leaf,
     # so a split of that leaf carries it to the new right page.
     tree = db.tables["t"].indexes["by_id"]
-    page = tree.fix_page(tree.root_page_id)
+    page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
     while not page.is_leaf:
         child = page.child_ids[0]
         db.buffer.unfix(page.page_id)
-        page = tree.fix_page(child)
+        page = tree.fix_page(child, tree.ctx.incarnation)
     leaf_keys = [decode_str_key(k.value) for k in page.keys]
     original_page = page.page_id
     db.buffer.unfix(page.page_id)

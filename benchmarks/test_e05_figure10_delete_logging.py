@@ -27,11 +27,11 @@ def run() -> dict:
 
     # Drain the rightmost leaf down to one key.
     tree = db.tables["t"].indexes["by_id"]
-    page = tree.fix_page(tree.root_page_id)
+    page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
     while not page.is_leaf:
         child = page.child_ids[-1]
         db.buffer.unfix(page.page_id)
-        page = tree.fix_page(child)
+        page = tree.fix_page(child, tree.ctx.incarnation)
     resident_keys = [decode_int_key(k.value) for k in page.keys]
     db.buffer.unfix(page.page_id)
     txn = db.begin()

@@ -37,11 +37,11 @@ def run(post_dump_inserts: int) -> dict:
     # it never splits) — so "records applied" is exactly the post-dump
     # update count for that page.
     tree = db.tables["t"].indexes["by_id"]
-    page = tree.fix_page(tree.root_page_id)
+    page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
     while not page.is_leaf:
         child = page.child_ids[0]
         db.buffer.unfix(page.page_id)
-        page = tree.fix_page(child)
+        page = tree.fix_page(child, tree.ctx.incarnation)
     victim = page.page_id
     from repro.common.keys import decode_int_key
 

@@ -222,10 +222,9 @@ def _log_and_apply_insert(
 def _check_key_size(tree: "BTree", key: IndexKey) -> None:
     """A key must fit on a freshly split page with at least one sibling
     key, or splitting could never make room."""
-    page_size = tree.ctx.config.page_size
-    limit = (page_size - PAGE_OVERHEAD) // 4
+    limit = (tree.ctx.config.page_size - PAGE_OVERHEAD) // 4
     if key.encoded_size() > limit:
         raise IndexError_(
             f"key of {key.encoded_size()} bytes exceeds the per-key limit "
-            f"of {limit} bytes for {page_size}-byte pages"
+            f"of {limit} bytes for {tree.ctx.config.page_size}-byte pages"
         )

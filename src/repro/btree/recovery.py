@@ -98,62 +98,99 @@ class BTreeResourceManager:
 
     def undo(self, ctx: "Database", txn: "Transaction", record: LogRecord) -> None:
         op = record.op
-        if op in ("insert_key", "delete_key"):
-            self._undo_key(ctx, txn, record)
+        if op == "insert_key":
+            self._undo_insert_key(ctx, txn, record)
+        elif op == "delete_key":
+            self._undo_delete_key(ctx, txn, record)
         elif op in ("page_format", "leaf_shrink", "chain_prev", "chain_next", "set_page"):
-            self._undo_smo_record(ctx, txn, record)
+            self._undo_smo_record(txn, record)
         else:
             raise RecoveryError(f"btree op {op!r} is not undoable")
 
     # .. key operations ..........................................................
 
-    def _undo_key(self, ctx: "Database", txn: "Transaction", record: LogRecord) -> None:
-        """Undo a key insert (remove the key) or a key delete (put it
-        back), page-oriented if the page is still this index's leaf and
-        the change fits there: a removal must leave the key's page
-        nonempty (or be the root), a re-insert needs the key *bound*
-        there and room.  Otherwise — the key moved with a split, or
-        the page would empty or overflow — undo logically."""
-        tree = ctx.index_by_id(record.payload["index_id"])
+    def _undo_insert_key(
+        self, db: "Database", txn: "Transaction", record: LogRecord
+    ) -> None:
+        """Undo a key insert: remove the key, page-oriented if it is
+        still on its original page and removal will not empty it."""
+        tree = db.index_by_id(record.payload["index_id"])
         ctx = txn.incarnation
         key: IndexKey = record.payload["key"]
-        inserted = record.op == "insert_key"
         page = self._try_fix_leaf(ctx, tree, record.page_id)
         if page is not None:
             ctx.latches.latch_page(page.page_id, "X")
+            page_oriented = False
             try:
-                if inserted:
-                    fits = page.find_key(key)[1] and (
-                        page.key_count() >= 2 or page.page_id == tree.root_page_id
-                    )
-                    op, apply = "delete_key_c", lambda: page.remove_key(key)
-                    payload = {"index_id": tree.index_id, "key": key, "set_delete_bit": False}
-                else:
-                    fits = page.bounds_key(key) and page.has_room_for_key(
-                        key, ctx.config.page_size
-                    )
-                    op, apply = "insert_key_c", lambda: page.insert_key(key)
-                    payload = {"index_id": tree.index_id, "key": key}
-                if fits:
+                _, present = page.find_key(key)
+                if present and (
+                    page.key_count() >= 2 or page.page_id == tree.root_page_id
+                ):
                     clr = clr_record(
-                        txn.txn_id, "btree", op, page.page_id, payload,
+                        txn.txn_id,
+                        "btree",
+                        "delete_key_c",
+                        page.page_id,
+                        {"index_id": tree.index_id, "key": key, "set_delete_bit": False},
                         undo_next_lsn=record.prev_lsn,
                     )
-                    ctx.log_page_change(txn, page, clr, apply)
+                    ctx.log_page_change(
+                        txn, page, clr, lambda: page.remove_key(key)
+                    )
+                    page_oriented = True
             finally:
                 ctx.latches.unlatch_page(page.page_id)
                 ctx.buffer.unfix(page.page_id)
-            if fits:
+            if page_oriented:
+                ctx.stats.incr("btree.undo.page_oriented")
+                return
+        # Reasons 2 (key moved by a split) or 4 (page would empty,
+        # needing a page-delete SMO): undo logically.
+        ctx.stats.incr("btree.undo.logical")
+        from repro.btree.delete import index_delete
+
+        index_delete(tree, txn, key, clr_for=record)
+
+    def _undo_delete_key(
+        self, db: "Database", txn: "Transaction", record: LogRecord
+    ) -> None:
+        """Undo a key delete: put the key back, page-oriented only if
+        the page is still this index's leaf, the key is *bound* there,
+        and there is room (reasons 1–3 otherwise)."""
+        tree = db.index_by_id(record.payload["index_id"])
+        ctx = txn.incarnation
+        key: IndexKey = record.payload["key"]
+        page = self._try_fix_leaf(ctx, tree, record.page_id)
+        if page is not None:
+            ctx.latches.latch_page(page.page_id, "X")
+            page_oriented = False
+            try:
+                applicable = page.bounds_key(key) and page.has_room_for_key(
+                    key, ctx.config.page_size
+                )
+                if applicable:
+                    clr = clr_record(
+                        txn.txn_id,
+                        "btree",
+                        "insert_key_c",
+                        page.page_id,
+                        {"index_id": tree.index_id, "key": key},
+                        undo_next_lsn=record.prev_lsn,
+                    )
+                    ctx.log_page_change(
+                        txn, page, clr, lambda: page.insert_key(key)
+                    )
+                    page_oriented = True
+            finally:
+                ctx.latches.unlatch_page(page.page_id)
+                ctx.buffer.unfix(page.page_id)
+            if page_oriented:
                 ctx.stats.incr("btree.undo.page_oriented")
                 return
         ctx.stats.incr("btree.undo.logical")
-        from repro.btree.delete import index_delete
         from repro.btree.insert import index_insert
 
-        if inserted:
-            index_delete(tree, txn, key, clr_for=record)
-        else:
-            index_insert(tree, txn, key, clr_for=record)
+        index_insert(tree, txn, key, clr_for=record)
 
     def _try_fix_leaf(
         self, ctx: "Incarnation", tree: "BTree", page_id: int
@@ -175,9 +212,7 @@ class BTreeResourceManager:
 
     # .. SMO records (incomplete-SMO rollback only) ..................................
 
-    def _undo_smo_record(
-        self, ctx: "Database", txn: "Transaction", record: LogRecord
-    ) -> None:
+    def _undo_smo_record(self, txn: "Transaction", record: LogRecord) -> None:
         """Restore the pre-record state of one page and log it as a CLR
         carrying the full restored state (redo-only)."""
         ctx = txn.incarnation

@@ -80,14 +80,10 @@ class BTree:
     def make_key(self, value: UserKey, rid: RID) -> IndexKey:
         return IndexKey(encode_key(value), rid)
 
-    def fix_page(
-        self, page_id: int, ctx: "Incarnation | Database | None" = None
-    ) -> IndexPage:
-        """Fix an index page in ``ctx``'s pool (default: the current one)."""
-        buffer = (ctx or self.ctx).buffer
-        page = buffer.fix(page_id)  # noqa: RPR001 - ownership transfer: caller unfixes
+    def fix_page(self, page_id: int, ctx: "Incarnation") -> IndexPage:
+        page = ctx.buffer.fix(page_id)  # noqa: RPR001 - ownership transfer: caller unfixes
         if not isinstance(page, IndexPage):
-            buffer.unfix(page_id)
+            ctx.buffer.unfix(page_id)
             raise IndexError_(f"page {page_id} is not an index page")
         return page
 

@@ -486,14 +486,10 @@ class HeapFile:
 
     # -- page management ---------------------------------------------------------------
 
-    def _fix_heap_page(
-        self, page_id: int, ctx: "Incarnation | Database | None" = None
-    ) -> HeapPage:
-        """Fix a heap page in ``ctx``'s pool (default: the current one)."""
-        buffer = (ctx or self._ctx).buffer
-        page = buffer.fix(page_id)  # noqa: RPR001 - ownership transfer: caller unfixes
+    def _fix_heap_page(self, page_id: int, ctx: "Incarnation") -> HeapPage:
+        page = ctx.buffer.fix(page_id)  # noqa: RPR001 - ownership transfer: caller unfixes
         if not isinstance(page, HeapPage):
-            buffer.unfix(page_id)
+            ctx.buffer.unfix(page_id)
             raise StorageError(f"page {page_id} is not a heap page")
         return page
 

@@ -20,7 +20,8 @@ Everything a crash destroys is one :class:`~repro.incarnation.Incarnation`
 parts).  ``crash()`` and ``close()`` retire it in one step and
 ``restart()`` builds the next, so a handle from before — a transaction,
 an open scan, a page pin — raises ``DatabaseClosedError`` at its next
-use after ``crash()``, ``restart()`` or ``close()``.
+use after ``crash()``, ``restart()`` or ``close()``.  ``begin()`` raises
+it too, from ``crash()`` until ``restart()`` has finished.
 
 Crash simulation keeps the *catalog* (table/index names, root page
 ids) in memory: the paper is about index management, not catalog
@@ -104,6 +105,10 @@ class Database:
         #: Everything a crash destroys; retired by crash() until
         #: restart() builds the next, and CLOSED after close().
         self.incarnation: Incarnation = Incarnation(self)
+        #: The incarnation new transactions begin in: the current one
+        #: once restart() has finished building it (until then the
+        #: retired one, which refuses), CLOSED after close().
+        self._open: Incarnation = self.incarnation
         self._start_gc_pacer()
 
     # The current incarnation's parts.  An operation on behalf of a
@@ -247,7 +252,7 @@ class Database:
     # -- transactions ----------------------------------------------------------------
 
     def begin(self) -> Transaction:
-        return self.incarnation.txns.begin()
+        return self._open.txns.begin()
 
     @contextmanager
     def transaction(self) -> Iterator[Transaction]:
@@ -306,7 +311,7 @@ class Database:
         """Open a read-only snapshot transaction: it sees every commit
         with a timestamp at or below now, acquires **zero** record and
         next-key locks (latches only), and may not write."""
-        incarnation = self.incarnation
+        incarnation = self._open
         if incarnation.mvcc is None:
             raise ConfigError(
                 "snapshot reads need config.mvcc_enabled=True"
@@ -593,8 +598,8 @@ class Database:
 
     @property
     def crashed(self) -> bool:
-        """Crashed and not yet restarted."""
-        return not self.closed and self.incarnation.retired
+        """Crashed and not yet restarted (also while restart() runs)."""
+        return not self.closed and self._open.retired
 
     def close(self) -> None:
         """Shut the engine down cleanly: roll back whatever is still
@@ -638,7 +643,7 @@ class Database:
         """Retire the incarnation and let go of it (nothing volatile
         outlives a closed database but what callers' handles hold)."""
         self.incarnation.retire("database is closed")
-        self.incarnation = CLOSED
+        self.incarnation = self._open = CLOSED
 
     def __enter__(self) -> "Database":
         return self
@@ -701,8 +706,9 @@ class Database:
         Restart builds a new incarnation: handles from before it (a
         transaction, an open scan, a pin) keep raising
         ``DatabaseClosedError``, and a transaction begun now shares
-        nothing with one from before, even when it reuses its id.  Run
-        it quiesced — no other thread may use the database meanwhile."""
+        nothing with one from before, even when it reuses its id.
+        ``begin()`` keeps raising ``DatabaseClosedError`` until restart
+        has finished; a restart that raises leaves the database crashed."""
         report = self._restart(redo_workers=1, background=False, drain=True)
         self.stats.incr("recovery.restarts")
         return report
@@ -725,14 +731,23 @@ class Database:
     ) -> RestartReport:
         self.log.resume()
         self._next_incarnation()
-        report = run_instant_restart(
-            self, redo_workers=redo_workers, background=background
-        )
-        if drain:
-            if not report.governor.drain():
-                raise RecoveryError("restart was aborted before its drain finished")
-            self.incarnation.recovery = report.governor = None
-        self._rebuild_mvcc_state()
+        try:
+            self.failpoints.hit("restart.before_analysis")
+            report = run_instant_restart(
+                self, redo_workers=redo_workers, background=background
+            )
+            if drain:
+                if not report.governor.drain():
+                    raise RecoveryError("restart was aborted before its drain finished")
+                self.incarnation.recovery = report.governor = None
+            self._rebuild_mvcc_state()
+        except BaseException:
+            # A restart that fails leaves the database crashed.
+            self.incarnation.retire(CRASHED)
+            raise
+        # Only now may transactions begin: before analysis sets the
+        # txn-id floor, the new manager would hand out ids the log holds.
+        self._open = self.incarnation
         self._start_gc_pacer()
         return report
 

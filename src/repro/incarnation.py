@@ -59,8 +59,10 @@ CLOSED = Retired("database is closed")
 
 #: The handles :meth:`Incarnation.retire` swaps for the stand-in: every
 #: part an operation reaches, and the durable stores it reaches them by.
-_HANDLES = ("config", "stats", "disk", "log", "failpoints", "buffer", "latches")
-_HANDLES += ("locks", "txns", "mvcc", "versions")
+_HANDLES = (
+    "config", "stats", "disk", "log", "failpoints",
+    "buffer", "latches", "locks", "txns", "mvcc", "versions",
+)
 
 
 class Incarnation:

@@ -37,6 +37,7 @@ from repro.wal.records import NULL_LSN, LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
+    from repro.incarnation import Incarnation
 
 #: Default cap on one poll response's log bytes (well under
 #: MAX_FRAME_BYTES; the frame carries them unexpanded).
@@ -242,20 +243,20 @@ class ReplicationManager:
 
     # -- synchronous replication -------------------------------------------
 
-    def commit_gate(self, commit_lsn: int) -> None:
+    def commit_gate(self, commit_lsn: int, incarnation: "Incarnation") -> None:
         """Hold a commit acknowledgement until every subscriber has the
         commit record durable (sync mode with ≥1 subscriber; otherwise
         a no-op).  Called by the transaction manager *after* the
         transaction is locally durable and fully ended, so a raise here
         only withholds the acknowledgement — it never corrupts engine
         state.  Raises :class:`SyncReplicationTimeoutError` on timeout
-        or primary crash: the commit is locally durable but in doubt on
-        the standby."""
+        or once the committing transaction's ``incarnation`` is retired
+        (a crash or ``close()``): the commit is locally durable but in
+        doubt on the standby."""
         if not self.sync:
             return
         target = self.db.log.force_target(commit_lsn)
         deadline = time.monotonic() + self.sync_timeout_seconds
-        incarnation = self.db.incarnation
         with self._cond:
             if not self._acked:
                 return  # no standby attached: sync degrades to async
@@ -265,7 +266,7 @@ class ReplicationManager:
                 if incarnation.retired:
                     raise SyncReplicationTimeoutError(
                         f"commit at LSN {commit_lsn} is durable locally "
-                        "but the primary crashed before the standby "
+                        "but the primary crashed or closed before the standby "
                         "acknowledged it (in doubt)"
                     )
                 remaining = deadline - time.monotonic()

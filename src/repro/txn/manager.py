@@ -296,7 +296,7 @@ class TransactionManager:
         # (they never reach here — see _commit_start).
         gate = self.commit_gate
         if gate is not None:
-            gate(commit_lsn)
+            gate(commit_lsn, txn.incarnation)
 
     def _end_committed(self, txn: Transaction, commit_lsn: int) -> None:
         """Once a force covers the COMMIT record: timestamp, unlock, END."""

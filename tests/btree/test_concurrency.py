@@ -269,16 +269,16 @@ class TestFigure3:
             # T1 holds no latch while paused.  The new right page is
             # chained but not yet in the root, which still routes its
             # keys to the left page.
-            root = tree.fix_page(tree.root_page_id)
+            root = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
             db.buffer.unfix(root.page_id)
             leaf_id = root.child_ids[0]
             while True:
-                leaf = tree.fix_page(leaf_id)
+                leaf = tree.fix_page(leaf_id, tree.ctx.incarnation)
                 db.buffer.unfix(leaf_id)
                 leaf_id = leaf.next_leaf
                 if leaf_id not in root.child_ids:
                     break
-            right = tree.fix_page(leaf_id)
+            right = tree.fix_page(leaf_id, tree.ctx.incarnation)
             db.buffer.unfix(leaf_id)
             moved = [decode_int_key(key.value) for key in right.keys[1:]]
             target = next(key for key in moved if key % 2 == 0)  # committed

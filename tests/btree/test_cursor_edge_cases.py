@@ -48,14 +48,14 @@ class TestCursorSurvivesChurn:
         tree = db.tables["t"].indexes["by_id"]
         # Position on a key of the *second* leaf so the whole leaf
         # (including the current key) can be deleted.
-        page = tree.fix_page(tree.root_page_id)
+        page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         while not page.is_leaf:
             child = page.child_ids[0]
             db.buffer.unfix(page.page_id)
-            page = tree.fix_page(child)
+            page = tree.fix_page(child, tree.ctx.incarnation)
         second_leaf_id = page.next_leaf
         db.buffer.unfix(page.page_id)
-        second = tree.fix_page(second_leaf_id)
+        second = tree.fix_page(second_leaf_id, tree.ctx.incarnation)
         victims = [decode_int_key(k.value) for k in second.keys]
         db.buffer.unfix(second_leaf_id)
 

@@ -24,25 +24,25 @@ def tree_of(db):
 def leaves(tree):
     """Leaf page ids in chain order, with their key values."""
     out = []
-    page = tree.fix_page(tree.root_page_id)
+    page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
     while not page.is_leaf:
         child = page.child_ids[0]
         tree.ctx.buffer.unfix(page.page_id)
-        page = tree.fix_page(child)
+        page = tree.fix_page(child, tree.ctx.incarnation)
     while True:
         out.append((page.page_id, [decode_int_key(k.value) for k in page.keys]))
         next_id = page.next_leaf
         tree.ctx.buffer.unfix(page.page_id)
         if next_id == 0:
             return out
-        page = tree.fix_page(next_id)
+        page = tree.fix_page(next_id, tree.ctx.incarnation)
 
 
 def assert_carried(tree, cursor, result):
     """The cursor names the returned key, at the position and page LSN
     a re-bisect of its leaf finds now."""
     assert cursor.current_key == result.key
-    page = tree.fix_page(cursor.leaf_id)
+    page = tree.fix_page(cursor.leaf_id, tree.ctx.incarnation)
     try:
         pos, exact = page.find_key(result.key)
         assert exact

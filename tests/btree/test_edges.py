@@ -140,10 +140,10 @@ class TestUniqueProbePath:
         populate(db, range(0, 200, 2))
         tree = db.tables["t"].indexes["by_id"]
         # Find the second leaf and open a gap at its head.
-        root = tree.fix_page(tree.root_page_id)
+        root = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         second_leaf_id = root.child_ids[1]
         db.buffer.unfix(tree.root_page_id)
-        leaf = tree.fix_page(second_leaf_id)
+        leaf = tree.fix_page(second_leaf_id, tree.ctx.incarnation)
         head = decode_int_key(leaf.keys[0].value)
         db.buffer.unfix(second_leaf_id)
         txn = db.begin()
@@ -166,10 +166,10 @@ class TestUniqueProbePath:
         db = make_db(page_size=768)
         populate(db, range(0, 200, 2))
         tree = db.tables["t"].indexes["by_id"]
-        root = tree.fix_page(tree.root_page_id)
+        root = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         second_leaf_id = root.child_ids[1]
         db.buffer.unfix(tree.root_page_id)
-        leaf = tree.fix_page(second_leaf_id)
+        leaf = tree.fix_page(second_leaf_id, tree.ctx.incarnation)
         head = decode_int_key(leaf.keys[0].value)
         db.buffer.unfix(second_leaf_id)
         txn = db.begin()

@@ -141,11 +141,11 @@ class TestReason2PageGone:
         tree = db.tables["t"].indexes["by_id"]
         from repro.common.keys import decode_int_key
 
-        page = tree.fix_page(tree.root_page_id)
+        page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         while not page.is_leaf:
             child = page.child_ids[-1]
             db.buffer.unfix(page.page_id)
-            page = tree.fix_page(child)
+            page = tree.fix_page(child, tree.ctx.incarnation)
         victims = [decode_int_key(k.value) for k in page.keys]
         freed_page = page.page_id
         db.buffer.unfix(page.page_id)
@@ -166,7 +166,7 @@ class TestReason2PageGone:
         db.commit(check)
         assert db.verify_indexes() == {}
         # The freed page stayed freed; keys were re-inserted elsewhere.
-        reloaded = tree.fix_page(freed_page)
+        reloaded = tree.fix_page(freed_page, tree.ctx.incarnation)
         db.buffer.unfix(freed_page)
         assert reloaded.index_id != tree.index_id or not reloaded.keys
 
@@ -181,11 +181,11 @@ class TestReason2PageGone:
         tree = db.tables["t"].indexes["by_id"]
         from repro.common.keys import decode_int_key
 
-        page = tree.fix_page(tree.root_page_id)
+        page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         while not page.is_leaf:
             child = page.child_ids[-1]
             db.buffer.unfix(page.page_id)
-            page = tree.fix_page(child)
+            page = tree.fix_page(child, tree.ctx.incarnation)
         victims = [decode_int_key(k.value) for k in page.keys]
         db.buffer.unfix(page.page_id)
 
@@ -226,11 +226,11 @@ class TestReason3NotBound:
 
         keys = tree.all_keys()
         # Pick the boundary key of some middle leaf: walk pages.
-        page = tree.fix_page(tree.root_page_id)
+        page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         while not page.is_leaf:
             child = page.child_ids[0]
             db.buffer.unfix(page.page_id)
-            page = tree.fix_page(child)
+            page = tree.fix_page(child, tree.ctx.incarnation)
         boundary = decode_int_key(page.keys[-1].value)  # largest on page
         db.buffer.unfix(page.page_id)
 
@@ -265,11 +265,11 @@ class TestReason4WouldEmpty:
         from repro.btree.delete import index_delete
         from repro.common.keys import decode_int_key
 
-        page = tree.fix_page(tree.root_page_id)
+        page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         while not page.is_leaf:
             child = page.child_ids[-1]
             db.buffer.unfix(page.page_id)
-            page = tree.fix_page(child)
+            page = tree.fix_page(child, tree.ctx.incarnation)
         residents = list(page.keys)
         db.buffer.unfix(page.page_id)
 

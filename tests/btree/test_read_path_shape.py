@@ -40,18 +40,18 @@ def leaves(db) -> list[list[int]]:
     """The integer ids of each leaf, in leaf-chain order."""
     tree = db.tables["t"].indexes["by_id"]
     out = []
-    page = tree.fix_page(tree.root_page_id)
+    page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
     while not page.is_leaf:
         child = page.child_ids[0]
         db.buffer.unfix(page.page_id)
-        page = tree.fix_page(child)
+        page = tree.fix_page(child, tree.ctx.incarnation)
     while True:
         out.append([decode_int_key(k.value) for k in page.keys])
         next_id = page.next_leaf
         db.buffer.unfix(page.page_id)
         if not next_id:
             return out
-        page = tree.fix_page(next_id)
+        page = tree.fix_page(next_id, tree.ctx.incarnation)
 
 
 def shape(db, read) -> dict[str, object]:
@@ -90,7 +90,7 @@ def test_the_tree_is_two_levels_of_69_key_leaves(db):
     assert [k for leaf in chain for k in leaf] == list(KEYS)
     assert len(chain[0]) == 69 and len(chain) > 2
     tree = db.tables["t"].indexes["by_id"]
-    root = tree.fix_page(tree.root_page_id)
+    root = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
     try:
         assert root.level == 1
     finally:

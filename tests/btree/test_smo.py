@@ -124,11 +124,11 @@ class TestPageDeletes:
         from repro.common.keys import decode_int_key
 
         # Identify the keys of the last (rightmost) leaf.
-        page = tree.fix_page(tree.root_page_id)
+        page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         while not page.is_leaf:
             child = page.child_ids[-1]
             db.buffer.unfix(page.page_id)
-            page = tree.fix_page(child)
+            page = tree.fix_page(child, tree.ctx.incarnation)
         last_leaf_keys = [decode_int_key(k.value) for k in page.keys]
         db.buffer.unfix(page.page_id)
         assert len(last_leaf_keys) >= 2
@@ -186,7 +186,7 @@ class TestPageDeletes:
             db.delete_by_key(txn, "t", "by_id", key)
         db.commit(txn)
         assert db.stats.get("btree.root_shrinks") >= 1
-        root = tree_of(db).fix_page(tree_of(db).root_page_id)
+        root = tree_of(db).fix_page(tree_of(db).root_page_id, db.incarnation)
         db.buffer.unfix(root.page_id)
         assert root.is_leaf
         assert db.verify_indexes() == {}
@@ -210,7 +210,7 @@ class TestSMBitHousekeeping:
         dirty_bits = []
 
         def walk(page_id):
-            page = tree.fix_page(page_id)
+            page = tree.fix_page(page_id, tree.ctx.incarnation)
             if page.sm_bit:
                 dirty_bits.append(page_id)
             children = list(page.child_ids)

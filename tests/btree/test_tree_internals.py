@@ -77,7 +77,7 @@ class TestTraversalBehaviour:
         populate(db, range(120))
         tree = db.tables["t"].indexes["by_id"]
         # Vandalize: empty the root's entry list behind the system's back.
-        root = tree.fix_page(tree.root_page_id)
+        root = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         root.child_ids = []
         root.high_keys = []
         db.buffer.unfix(tree.root_page_id)
@@ -93,10 +93,10 @@ class TestTraversalBehaviour:
         populate(db, range(120))
         tree = db.tables["t"].indexes["by_id"]
         # Plant a key far above the first leaf's bound.
-        root = tree.fix_page(tree.root_page_id)
+        root = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         first_leaf_id = root.child_ids[0]
         db.buffer.unfix(tree.root_page_id)
-        leaf = tree.fix_page(first_leaf_id)
+        leaf = tree.fix_page(first_leaf_id, tree.ctx.incarnation)
         leaf.keys.append(tree.make_key(10**6, RID(9, 9)))
         db.buffer.unfix(first_leaf_id)
         problems = tree.check_structure()
@@ -108,10 +108,10 @@ class TestTraversalBehaviour:
         db.create_index("t", "by_id", column="id", unique=True)
         populate(db, range(120))
         tree = db.tables["t"].indexes["by_id"]
-        root = tree.fix_page(tree.root_page_id)
+        root = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         first_leaf_id = root.child_ids[0]
         db.buffer.unfix(tree.root_page_id)
-        leaf = tree.fix_page(first_leaf_id)
+        leaf = tree.fix_page(first_leaf_id, tree.ctx.incarnation)
         leaf.next_leaf = 0  # sever the chain
         db.buffer.unfix(first_leaf_id)
         problems = tree.check_structure()
@@ -123,10 +123,10 @@ class TestTraversalBehaviour:
         db.create_index("t", "by_id", column="id", unique=True)
         populate(db, range(120))
         tree = db.tables["t"].indexes["by_id"]
-        root = tree.fix_page(tree.root_page_id)
+        root = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
         first_leaf_id = root.child_ids[0]
         db.buffer.unfix(tree.root_page_id)
-        leaf = tree.fix_page(first_leaf_id)
+        leaf = tree.fix_page(first_leaf_id, tree.ctx.incarnation)
         leaf.keys = []
         leaf.sm_bit = False
         db.buffer.unfix(first_leaf_id)
@@ -150,7 +150,7 @@ class TestHighKeyMaintenance:
         assert tree.check_structure() == []
 
         def verify(page_id):
-            page = tree.fix_page(page_id)
+            page = tree.fix_page(page_id, tree.ctx.incarnation)
             try:
                 if page.is_leaf:
                     return
@@ -158,7 +158,7 @@ class TestHighKeyMaintenance:
                 highs = [h for h in page.high_keys if h is not None]
                 assert highs == sorted(highs)
                 for child_id, high in zip(page.child_ids, page.high_keys):
-                    child = tree.fix_page(child_id)
+                    child = tree.fix_page(child_id, tree.ctx.incarnation)
                     try:
                         if child.is_leaf and child.keys and high is not None:
                             assert child.keys[-1] < high
@@ -180,7 +180,7 @@ class TestHighKeyMaintenance:
         tree = db.tables["t"].indexes["by_id"]
 
         def walk(page_id):
-            page = tree.fix_page(page_id)
+            page = tree.fix_page(page_id, tree.ctx.incarnation)
             try:
                 if not page.is_leaf:
                     assert page.high_keys[-1] is None

@@ -24,7 +24,7 @@ def reference_find_page_with_room(heap, txn, data):
     first and measure it by walking its slots."""
     page_size = heap._ctx.config.page_size
     for page_id in reversed(heap.page_ids):
-        page = heap._fix_heap_page(page_id)
+        page = heap._fix_heap_page(page_id, txn.incarnation)
         if walked_size(page) + _SLOT_OVERHEAD + len(data) <= page_size:
             return page
         heap._ctx.buffer.unfix(page_id)
@@ -48,7 +48,7 @@ def new_db(reference: bool):
 def check_sizes(db):
     heap = db.tables["t"].heap
     for page_id in heap.page_ids:
-        page = heap._fix_heap_page(page_id)
+        page = heap._fix_heap_page(page_id, db.incarnation)
         try:
             assert page.used_size() == walked_size(page), page_id
         finally:

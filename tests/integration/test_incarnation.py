@@ -101,7 +101,7 @@ class TestPreCrashHandles:
         db = make_db()
         populate(db, range(0, 2000, 2))
         tree = db.tables["t"].indexes["by_id"]
-        assert tree.fix_page(tree.root_page_id).level > 0
+        assert tree.fix_page(tree.root_page_id, tree.ctx.incarnation).level > 0
         db.buffer.unfix(tree.root_page_id)
         splits = db.stats.get("btree.page_splits")
         db.failpoints.arm_pause("smo.split.after_leaf_level")
@@ -187,3 +187,62 @@ class TestClosedDatabase:
             assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
+
+
+class TestRestartOpensLast:
+    def test_begin_is_refused_until_restart_has_finished(self):
+        """Before analysis sets the txn-id floor, the new incarnation's
+        transaction manager would hand out ids the log already holds.
+        A ``begin()`` racing restart raises instead, and the first one
+        after it gets an id above every logged one."""
+        db = make_db()
+        populate(db, range(5))
+        logged = max(record.txn_id for record in db.log.records())
+        db.crash()
+        db.failpoints.arm_pause("restart.before_analysis")
+        restarter = Worker(db.restart)
+        restarter.start()
+        db.failpoints.wait_until_paused("restart.before_analysis")
+        assert db.crashed
+        with pytest.raises(DatabaseClosedError):
+            db.begin()
+        with pytest.raises(DatabaseClosedError):
+            db.begin_snapshot()
+        db.failpoints.release("restart.before_analysis")
+        assert restarter.finish().error is None
+        assert not db.crashed
+        assert db.begin().txn_id > logged
+
+    def test_failed_restart_leaves_the_database_crashed(self):
+        """A restart whose analysis raises must not leave the database
+        open: its fresh transaction manager never got the txn-id floor,
+        and the snapshot state was never rebuilt."""
+        from repro.common.errors import RecoveryError
+        from repro.wal.records import LogRecord, RecordKind
+
+        db = make_db()
+        populate(db, range(5))
+        # A checkpoint analysis cannot read (the old list-of-entries
+        # dirty page table), named by the master record.
+        begin_lsn = db.log.append(
+            LogRecord(kind=RecordKind.CKPT_BEGIN, txn_id=0, undoable=False)
+        )
+        dirty = [{"page_id": 2, "rec_lsn": 1, "last_lsn": 1}]
+        db.log.append(
+            LogRecord(
+                kind=RecordKind.CKPT_END,
+                txn_id=0,
+                undoable=False,
+                payload={"txn_table": [], "dirty_pages": dirty, "next_txn_id": 10},
+            )
+        )
+        db.log.force()
+        db.log.write_master(begin_lsn)
+        db.crash()
+        with pytest.raises(RecoveryError):
+            db.restart()
+        assert db.crashed
+        with pytest.raises(DatabaseClosedError):
+            db.begin()
+        with pytest.raises(DatabaseClosedError):
+            db.begin_snapshot()

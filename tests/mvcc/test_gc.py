@@ -22,7 +22,7 @@ def ghost_count(db, table="t"):
     heap = db.tables[table].heap
     ghosts = 0
     for page_id in list(heap.page_ids):
-        page = heap._fix_heap_page(page_id)
+        page = heap._fix_heap_page(page_id, db.incarnation)
         try:
             ghosts += sum(
                 1 for entry in page.slots if entry is not None and not entry[1]

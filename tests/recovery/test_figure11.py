@@ -36,11 +36,11 @@ def make_db(**overrides):
 def leaf_layout(db):
     """(leaf page, keys) of the first leaf."""
     tree = db.tables["t"].indexes["by_id"]
-    page = tree.fix_page(tree.root_page_id)
+    page = tree.fix_page(tree.root_page_id, tree.ctx.incarnation)
     while not page.is_leaf:
         child = page.child_ids[0]
         db.buffer.unfix(page.page_id)
-        page = tree.fix_page(child)
+        page = tree.fix_page(child, tree.ctx.incarnation)
     keys = [decode_int_key(k.value) for k in page.keys]
     db.buffer.unfix(page.page_id)
     return page.page_id, keys

@@ -19,7 +19,7 @@ def index_page_ids(db):
     out = []
 
     def walk(page_id):
-        page = tree.fix_page(page_id)
+        page = tree.fix_page(page_id, tree.ctx.incarnation)
         out.append(page_id)
         children = list(page.child_ids)
         db.buffer.unfix(page_id)

@@ -200,6 +200,27 @@ class TestSyncReplication:
         server.abort()
         db.close()
 
+    def test_close_before_the_ack_wait_leaves_the_commit_in_doubt(self):
+        """A commit whose COMMIT record is durable must end acknowledged
+        or in doubt, never in an error that says it left no trace —
+        also when ``close()`` lands between its end and its ack wait."""
+        db, server = make_primary(sync=True)
+        standby = Standby(lambda: server.connect_loopback(), name="s").start()
+        assert standby.wait_for(lambda: standby.rounds >= 1)  # subscribed
+        insert(db, 1)
+        standby.stop()  # subscriber registered but no longer acking
+        gate = db.txns.commit_gate
+
+        def close_first(commit_lsn, incarnation):
+            db.close()
+            gate(commit_lsn, incarnation)
+
+        db.txns.commit_gate = close_first
+        with pytest.raises(SyncReplicationTimeoutError):
+            insert(db, 2)
+        standby.close()
+        server.abort()
+
     def test_sync_mode_without_any_subscriber_degrades_to_async(self):
         db, server = make_primary(sync=True)
         insert(db, 1)  # no handshake ever happened: no gate
