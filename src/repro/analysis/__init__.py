@@ -20,30 +20,3 @@ re-verified by eyeball on every PR:
   PREPARE→COMMIT/ABORT→END ordering, and purge-record framing.  Run as
   ``python -m repro.analysis walcheck <log-file>``.
 """
-
-from repro.analysis.lint import LintViolation, run_lint
-from repro.analysis.lockgraph import (
-    LatchOrderMonitor,
-    LatchOrderViolation,
-)
-from repro.analysis.walcheck import (
-    WalCheckError,
-    WalCheckReport,
-    check_log,
-    check_records,
-    read_log_file,
-    write_log_file,
-)
-
-__all__ = [
-    "LintViolation",
-    "run_lint",
-    "LatchOrderMonitor",
-    "LatchOrderViolation",
-    "WalCheckError",
-    "WalCheckReport",
-    "check_log",
-    "check_records",
-    "read_log_file",
-    "write_log_file",
-]

@@ -1,23 +1,18 @@
-"""CLI entry point: ``python -m repro.analysis <lint|walcheck> ...``."""
+"""CLI entry point: ``python -m repro.analysis <lint|walcheck|reach> ...``."""
 
 from __future__ import annotations
 
+import importlib
 import sys
 
-from repro.analysis import lint, walcheck
+COMMANDS = ("lint", "walcheck", "reach")
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python -m repro.analysis {lint,walcheck} ...")
+    if not argv or argv[0] not in COMMANDS:
+        print("usage: python -m repro.analysis {lint,walcheck,reach} ...")
         return 2
-    command, rest = argv[0], argv[1:]
-    if command == "lint":
-        return lint.main(rest)
-    if command == "walcheck":
-        return walcheck.main(rest)
-    print(f"unknown command {command!r} (expected 'lint' or 'walcheck')")
-    return 2
+    return importlib.import_module(f"repro.analysis.{argv[0]}").main(argv[1:])
 
 
 if __name__ == "__main__":

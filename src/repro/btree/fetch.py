@@ -50,10 +50,6 @@ class FetchResult:
     #: cursor-stability caller releases it when the cursor moves on.
     lock_name: tuple | None = None
 
-    @property
-    def rid(self):
-        return self.key.rid if self.key is not None else None
-
 
 @dataclass(slots=True)
 class Cursor:

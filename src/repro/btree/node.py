@@ -486,16 +486,3 @@ class IndexPage(Page):
             high_keys[-1] = None
         self._grow(-freed)
         return old_high
-
-    def __repr__(self) -> str:
-        kind = "leaf" if self.is_leaf else f"nonleaf(level={self.level})"
-        bits = []
-        if self.sm_bit:
-            bits.append("SM")
-        if self.delete_bit:
-            bits.append("DEL")
-        flag = f" bits={'|'.join(bits)}" if bits else ""
-        return (
-            f"<IndexPage {self.page_id} {kind} idx={self.index_id} "
-            f"n={self.entry_count()} lsn={self.page_lsn}{flag}>"
-        )

@@ -14,16 +14,12 @@ existing wire protocol so an unmodified
 cluster through one address.
 """
 
-from repro.cluster.client import ClusterClient
 from repro.cluster.cluster import Cluster
-from repro.cluster.coordinator import Coordinator
 from repro.cluster.router import ShardRouter
 from repro.cluster.routing import shard_for_key
 
 __all__ = [
     "Cluster",
-    "ClusterClient",
-    "Coordinator",
     "ShardRouter",
     "shard_for_key",
 ]

@@ -27,7 +27,7 @@ thread-safe — one per worker thread.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.common.errors import (
     ServerError,
@@ -63,10 +63,6 @@ class ClusterClient:
         self._touched: list[int] = []
         #: Gid of the last two-phase commit this client drove (tests).
         self.last_gid: str | None = None
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._shards)
 
     # -- routing -------------------------------------------------------------
 
@@ -312,15 +308,3 @@ class ClusterClient:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def make_cluster_client(
-    connect_shards: list[Callable[[], DatabaseClient]],
-    coordinator: Coordinator,
-    key_column: str = "id",
-) -> ClusterClient:
-    """Build a client from per-shard connect callables (one fresh
-    session per shard)."""
-    return ClusterClient(
-        [connect() for connect in connect_shards], coordinator, key_column
-    )

@@ -78,10 +78,6 @@ class Cluster:
                 Shard(shard_id=shard_id, db=db, server=server, listen=listen)
             )
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
     # -- clients -------------------------------------------------------------
 
     def client(self) -> ClusterClient:

@@ -337,9 +337,3 @@ class ShardRouter:
                 session.conn.close()
             except Exception:  # noqa: BLE001,RPR005 - best-effort teardown of a dying router
                 pass
-
-    def __enter__(self) -> "ShardRouter":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()

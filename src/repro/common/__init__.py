@@ -1,38 +1,1 @@
 """Shared infrastructure: errors, config, keys, RIDs, stats, failpoints."""
-
-from repro.common.config import DEFAULT_CONFIG, DatabaseConfig
-from repro.common.errors import (
-    ConfigError,
-    DeadlockError,
-    KeyNotFoundError,
-    LockNotGrantedError,
-    ReproError,
-    SimulatedCrash,
-    UniqueKeyViolationError,
-)
-from repro.common.failpoints import FailpointRegistry
-from repro.common.keys import UserKey, decode_int_key, decode_str_key, encode_key
-from repro.common.rid import NULL_RID, RID, IndexKey
-from repro.common.stats import OperationProbe, StatsRegistry
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "NULL_RID",
-    "RID",
-    "ConfigError",
-    "DatabaseConfig",
-    "DeadlockError",
-    "FailpointRegistry",
-    "IndexKey",
-    "KeyNotFoundError",
-    "LockNotGrantedError",
-    "OperationProbe",
-    "ReproError",
-    "SimulatedCrash",
-    "StatsRegistry",
-    "UniqueKeyViolationError",
-    "UserKey",
-    "decode_int_key",
-    "decode_str_key",
-    "encode_key",
-]

@@ -1,14 +1,1 @@
 """Record manager: heap files, data pages, tables."""
-
-from repro.data.heap import HeapFile, HeapPage, HeapResourceManager
-from repro.data.table import Row, Table, decode_row, encode_row
-
-__all__ = [
-    "HeapFile",
-    "HeapPage",
-    "HeapResourceManager",
-    "Row",
-    "Table",
-    "decode_row",
-    "encode_row",
-]

@@ -357,7 +357,3 @@ class Table:
                 yield tree_pair[1], row
             key = None if single else fetch_next_key(tree, txn, cursor, None)
 
-    def row_count(self, txn: "Transaction") -> int:
-        """Visible records (via the heap, no index)."""
-        return len(self.heap.scan_rids())
-

@@ -130,9 +130,6 @@ class Database:
         self.tables[name] = table
         return table
 
-    def table(self, name: str) -> Table:
-        return self.tables[name]
-
     def create_index(
         self,
         table_name: str,
@@ -836,15 +833,3 @@ class Database:
 
     def log_records(self, from_lsn: int = 1) -> list[LogRecord]:
         return list(self.log.records(from_lsn))
-
-    def log_kinds(self, from_lsn: int = 1) -> list[str]:
-        """Compact log shape for the Figure 9/10 assertions."""
-        out = []
-        for record in self.log.records(from_lsn):
-            if record.kind is RecordKind.UPDATE:
-                out.append(f"{record.rm}.{record.op}")
-            elif record.kind is RecordKind.CLR:
-                out.append(f"clr:{record.op}")
-            else:
-                out.append(record.kind.value)
-        return out

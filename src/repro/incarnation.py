@@ -47,9 +47,6 @@ class Retired:
     __getattr__ = __bool__ = __len__ = __iter__ = __contains__ = _refuse
     __getitem__ = __setitem__ = __delitem__ = _refuse
 
-    def __repr__(self) -> str:
-        return f"<retired: {self.reason}>"
-
 
 #: Why a crashed incarnation refuses.
 CRASHED = "database crashed; restart() required"

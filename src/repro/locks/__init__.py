@@ -1,30 +1,1 @@
 """Lock manager: modes, durations, deadlock detection."""
-
-from repro.locks.manager import LockManager, LockName
-from repro.locks.modes import (
-    LockDuration,
-    LockMode,
-    compatible,
-    convert,
-    data_page_lock_name,
-    eof_lock_name,
-    key_value_lock_name,
-    record_lock_name,
-    stronger_duration,
-    tree_lock_name,
-)
-
-__all__ = [
-    "LockDuration",
-    "LockManager",
-    "LockMode",
-    "LockName",
-    "compatible",
-    "convert",
-    "data_page_lock_name",
-    "eof_lock_name",
-    "key_value_lock_name",
-    "record_lock_name",
-    "stronger_duration",
-    "tree_lock_name",
-]

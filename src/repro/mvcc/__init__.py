@@ -9,15 +9,3 @@ snapshot timestamps from commit LSNs, and a snapshot transaction reads
 through the index with latches only — no record locks, no next-key
 locks.  Writers keep the unmodified ARIES/IM protocol.
 """
-
-from repro.mvcc.snapshot import HorizonSnapshot, Snapshot, SnapshotManager
-from repro.mvcc.store import VersionStore
-from repro.mvcc.gc import run_mvcc_gc
-
-__all__ = [
-    "HorizonSnapshot",
-    "Snapshot",
-    "SnapshotManager",
-    "VersionStore",
-    "run_mvcc_gc",
-]

@@ -22,18 +22,14 @@ replication transport.  This package ships that stream:
   LSN from an image copy plus the archived + live log.
 """
 
-from repro.replication.archive import ArchiveSegment, WalArchive
-from repro.replication.catalog import catalog_snapshot, install_catalog
-from repro.replication.manager import ReplicationManager
+from repro.replication.archive import WalArchive
+from repro.replication.catalog import catalog_snapshot
 from repro.replication.pitr import restore_to_lsn
 from repro.replication.standby import Standby
 
 __all__ = [
-    "ArchiveSegment",
     "WalArchive",
-    "ReplicationManager",
     "Standby",
     "catalog_snapshot",
-    "install_catalog",
     "restore_to_lsn",
 ]

@@ -208,10 +208,6 @@ class ReplicationManager:
 
     # -- primary-side state -------------------------------------------------
 
-    def subscribers(self) -> dict[str, int]:
-        with self._cond:
-            return dict(self._acked)
-
     def min_acked(self) -> int:
         with self._cond:
             return min(self._acked.values()) if self._acked else 0

@@ -238,11 +238,6 @@ class Standby:
     # -- observability -----------------------------------------------------
 
     @property
-    def replay_lsn(self) -> int:
-        """LSN of the last record applied (the read horizon)."""
-        return self._replay_lsn
-
-    @property
     def promoted(self) -> bool:
         return self._promoted
 

@@ -10,24 +10,13 @@ with group commit in the WAL (``DatabaseConfig(group_commit=True)``)
 so N concurrent commits cost ~1 synchronous log I/O instead of N.
 """
 
-from repro.server.client import DatabaseClient, RemoteTransaction
-from repro.server.protocol import (
-    FrameConn,
-    MAX_FRAME_BYTES,
-    SocketTransport,
-    loopback_pair,
-)
+from repro.server.client import DatabaseClient
+from repro.server.protocol import FrameConn
 from repro.server.server import DatabaseServer, ServerConfig
-from repro.server.session import Session
 
 __all__ = [
     "DatabaseClient",
     "DatabaseServer",
     "FrameConn",
-    "MAX_FRAME_BYTES",
-    "RemoteTransaction",
     "ServerConfig",
-    "Session",
-    "SocketTransport",
-    "loopback_pair",
 ]

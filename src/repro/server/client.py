@@ -175,9 +175,6 @@ class Pipeline:
     def commit(self) -> PipelineFuture:
         return self.request("commit")
 
-    def rollback(self) -> PipelineFuture:
-        return self.request("rollback")
-
     def ping(self) -> PipelineFuture:
         return self.request("ping")
 

@@ -115,10 +115,6 @@ class SocketTransport:
             pass
         self._sock.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
 
 def loopback_pair() -> tuple[SocketTransport, SocketTransport]:
     """An in-process (server, client) transport pair — the loopback

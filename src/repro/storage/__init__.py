@@ -1,15 +1,1 @@
 """Storage substrate: pages, simulated disk, latches, buffer pool."""
-
-from repro.storage.buffer import BufferPool
-from repro.storage.disk import DiskManager
-from repro.storage.latch import Latch, LatchManager
-from repro.storage.page import PAGE_OVERHEAD, Page
-
-__all__ = [
-    "PAGE_OVERHEAD",
-    "BufferPool",
-    "DiskManager",
-    "Latch",
-    "LatchManager",
-    "Page",
-]

@@ -84,11 +84,6 @@ class DiskManager:
             if page_id >= self._next_page_id:
                 self._next_page_id = page_id + 1
 
-    @property
-    def next_page_id(self) -> int:
-        with self._mutex:
-            return self._next_page_id
-
     # -- framing -------------------------------------------------------------
 
     def _frame(self, raw: bytes) -> bytes:

@@ -105,6 +105,3 @@ class Page(abc.ABC):
             ) from exc
         page.page_lsn = page_lsn
         return page
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} id={self.page_id} lsn={self.page_lsn}>"

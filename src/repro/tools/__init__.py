@@ -5,7 +5,6 @@ from repro.tools.inspect import (
     dump_log,
     dump_transaction,
     dump_tree,
-    format_record,
     summarize_stats,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "dump_log",
     "dump_transaction",
     "dump_tree",
-    "format_record",
     "summarize_stats",
 ]

@@ -345,11 +345,3 @@ def dump_lockgraph() -> str:
     else:
         lines.append("acyclic over blocking edges (deadlock-free orderings)")
     return "\n".join(lines)
-
-
-def dump_walcheck(db: "Database") -> str:
-    """Run the offline WAL verifier over the live log and render its
-    report (see :mod:`repro.analysis.walcheck`)."""
-    from repro.analysis.walcheck import check_log
-
-    return check_log(db.log).format()

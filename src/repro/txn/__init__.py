@@ -1,13 +1,1 @@
 """Transactions: state, resource-manager dispatch, commit/rollback."""
-
-from repro.txn.manager import TransactionManager
-from repro.txn.rm import ResourceManager, ResourceManagerRegistry
-from repro.txn.transaction import Transaction, TxnStatus
-
-__all__ = [
-    "ResourceManager",
-    "ResourceManagerRegistry",
-    "Transaction",
-    "TransactionManager",
-    "TxnStatus",
-]

@@ -153,10 +153,6 @@ class TransactionManager:
         self._stats.incr("txn.begun")
         return txn
 
-    def get(self, txn_id: int) -> Transaction | None:
-        with self._mutex:
-            return self._table.get(txn_id)
-
     def active_transactions(self) -> list[Transaction]:
         with self._mutex:
             return [t for t in self._table.values() if t.is_active]

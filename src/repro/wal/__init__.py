@@ -1,27 +1,1 @@
 """Write-ahead logging: records, serialization, and the log manager."""
-
-from repro.wal.log import LogManager
-from repro.wal.records import (
-    NULL_LSN,
-    RM_BTREE,
-    RM_HEAP,
-    RM_TXN,
-    LogRecord,
-    RecordKind,
-    clr_record,
-    dummy_clr,
-    update_record,
-)
-
-__all__ = [
-    "NULL_LSN",
-    "RM_BTREE",
-    "RM_HEAP",
-    "RM_TXN",
-    "LogManager",
-    "LogRecord",
-    "RecordKind",
-    "clr_record",
-    "dummy_clr",
-    "update_record",
-]

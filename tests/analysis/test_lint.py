@@ -173,3 +173,16 @@ def test_src_tree_is_clean():
     report = run_lint([package_root])
     assert report.files_checked > 50
     assert report.ok, report.format()
+
+
+def test_cli_prints_each_finding_and_fails(tmp_path, capsys):
+    """``python -m repro.analysis lint`` prints one ``path:line: rule``
+    line per finding and exits non-zero, which is what fails CI."""
+    from repro.analysis.lint import main
+
+    path = tmp_path / "fixture.py"
+    path.write_text(FIXTURE)
+    assert main([str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"{path}:2: RPR001" in "\n".join(out)
+    assert out[-1] == f"{len(out) - 1} finding(s) in 1 file(s)"

@@ -8,8 +8,14 @@ heap, and a second restart idempotent.  A failing seed replays exactly:
 ``run_round(TortureSpec(kind="engine", seed=N))``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.common.config import DatabaseConfig
 from repro.db import Database
 from repro.harness.torture import TortureSpec, run_round, run_sweep
@@ -110,3 +116,20 @@ def test_torn_tail_with_whole_records_keeps_a_surviving_commit():
     db.commit(txn)
     assert 100 in survivors
     assert 200 not in survivors
+
+
+def test_cli_runs_without_importing_its_module_twice():
+    """``python -m repro.harness.torture`` must not find its own module
+    already imported by the package: runpy warns when it does, and the
+    module's state would exist twice."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning"]
+        + ["-m", "repro.harness.torture", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

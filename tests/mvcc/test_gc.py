@@ -84,6 +84,23 @@ class TestGc:
         with db.snapshot() as snap:
             assert db.fetch(snap, "t", "by_id", 4) is not None
 
+    def test_gc_drops_the_entry_of_an_aborted_deleter(self, gc_db):
+        """A dead-key entry noted while its deleter was in flight names a
+        live row once that deleter rolls back: GC sweeps the entry (its
+        deleter is resolved) and purges no slot."""
+        db = gc_db
+        tree = db.tables["t"].indexes["by_id"]
+        txn = db.begin()
+        db.delete_by_key(txn, "t", "by_id", 4)
+        db.mvcc_ensure_dead_keys(db.tables["t"])
+        assert db.versions.entry_count(tree.index_id) == 1
+        db.rollback(txn)
+        report = db.mvcc_gc()
+        assert (report.dead_keys_swept, report.slots_purged) == (1, 0)
+        assert db.versions.entry_count(tree.index_id) == 0
+        with db.snapshot() as snap:
+            assert db.fetch(snap, "t", "by_id", 4) is not None
+
     def test_gc_vs_snapshot_begin_race(self, gc_db):
         """A snapshot begun while GC runs never loses a version it can
         see: whatever GC decides, every read agrees with the snapshot's

@@ -145,6 +145,20 @@ class TestPipelining:
             assert not future.done
             assert client.ping()  # connection still healthy
 
+    def test_lost_connection_fails_every_queued_future(self, server):
+        """The server goes away with requests queued: the flush raises
+        the connection-lost error, and every queued future settles with
+        it instead of waiting for a reply."""
+        with server.connect_loopback() as client:
+            pipe = client.pipeline()
+            pings = [pipe.ping() for _ in range(3)]
+            server.abort()
+            with pytest.raises(ServerError) as excinfo:
+                pipe.flush()
+            assert excinfo.value.kind == "ConnectionLost"
+            assert all(f.done and f.error is excinfo.value for f in pings)
+            assert client.closed
+
     def test_transaction_inside_pipeline(self, server):
         with server.connect_loopback() as client:
             with client.pipeline() as pipe:

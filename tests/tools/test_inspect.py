@@ -1,5 +1,8 @@
-"""Inspection tooling: tree/log/transaction dumps, stats summary."""
+"""Inspection tooling: tree/log/transaction dumps, stats summary, and
+the MVCC, instant-restart and latch-order views."""
 
+from repro.analysis.lockgraph import LatchOrderMonitor
+from repro.storage.latch import get_latch_monitor, set_latch_monitor
 from repro.tools import (
     dump_archive,
     dump_log,
@@ -7,6 +10,7 @@ from repro.tools import (
     dump_tree,
     summarize_stats,
 )
+from repro.tools.inspect import dump_lockgraph, dump_recovery_progress, dump_versions
 from tests.conftest import build_db, populate
 
 
@@ -155,3 +159,63 @@ class TestSummarizeStats:
         text = summarize_stats(db)
         for group in ("locks", "latches", "log", "btree"):
             assert f"-- {group} --" in text
+
+
+class TestDumpVersions:
+    """The MVCC view: what a snapshot pins and GC has yet to sweep."""
+
+    def test_counts_ghosts_and_dead_keys_a_snapshot_pins(self):
+        db = make_db()
+        snap = db.begin_snapshot()
+        for key in (1, 2):
+            txn = db.begin()
+            db.delete_by_key(txn, "t", "by_id", key)
+            db.commit(txn)
+        text = dump_versions(db)
+        assert "active_snapshots=1" in text
+        assert "table 't': 2 ghost slot(s)" in text
+        assert "index 'by_id': 2 dead key(s) over 2 value(s) [chains: 2 key(s) x1]" in text
+        db.end_snapshot(snap)
+
+    def test_mvcc_disabled(self):
+        assert "disabled" in dump_versions(build_db(mvcc_enabled=False))
+
+
+class TestDumpRecoveryProgress:
+    def test_steady_state(self):
+        text = dump_recovery_progress(make_db())
+        assert text.startswith("recovery state: steady")
+        assert "no instant restart" in text
+
+    def test_draining_instant_restart(self):
+        db = make_db()
+        populate(db, range(100, 140))
+        db.crash()
+        db.instant_restart(background=False)
+        text = dump_recovery_progress(db)
+        assert text.startswith("recovery state: recovering")
+        assert "pages pending:" in text and "recovered on demand:" in text
+        db.recovery.drain()
+        assert dump_recovery_progress(db).startswith("recovery state: steady")
+
+
+class TestDumpLockgraph:
+    def test_no_monitor(self):
+        prev = get_latch_monitor()
+        set_latch_monitor(None)
+        try:
+            assert dump_lockgraph() == "(no latch-order monitor installed)"
+        finally:
+            set_latch_monitor(prev)
+
+    def test_renders_the_graph_of_a_workload(self):
+        prev = get_latch_monitor()
+        set_latch_monitor(LatchOrderMonitor())
+        try:
+            make_db()  # built after the install, so its latches report to it
+            lines = dump_lockgraph().splitlines()
+        finally:
+            set_latch_monitor(prev)
+        assert lines[0].startswith("latch acquisitions observed: ")
+        assert any(" -> " in line or " => " in line for line in lines[1:-1])
+        assert lines[-1] == "acyclic over blocking edges (deadlock-free orderings)"
