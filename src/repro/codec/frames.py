@@ -123,9 +123,11 @@ def try_parse_frame(buf, offset: int = 0) -> tuple[Frame, int] | None:
 
     Returns ``(frame, next_offset)``, or ``None`` if the buffer holds
     only part of a frame (read more bytes and retry).  ``buf`` may be
-    ``bytes``, ``bytearray``, or ``memoryview``; the body is decoded
-    straight out of the buffer without an intermediate copy.  Malformed
-    headers or bodies raise :class:`ProtocolError`.
+    ``bytes``, ``bytearray``, or ``memoryview``.  The body is decoded
+    from ``bytes`` — a slice of a ``bytes`` buffer, one copy out of any
+    other — which the codec's dict-key memo needs and which decodes
+    faster than a view.  Malformed headers or bodies raise
+    :class:`ProtocolError`.
     """
     available = len(buf) - offset
     if available < HEADER_SIZE:
@@ -136,9 +138,14 @@ def try_parse_frame(buf, offset: int = 0) -> tuple[Frame, int] | None:
     if available - HEADER_SIZE < length:
         return None
     end = start + length
-    view = memoryview(buf)[start:end] if length else b"N"
+    if not length:
+        body = b"N"
+    elif type(buf) is bytes:
+        body = buf[start:end]
+    else:
+        body = bytes(memoryview(buf)[start:end])
     try:
-        payload, consumed = decode_value(view, 0)
+        payload, consumed = decode_value(body, 0)
     except WALError as exc:
         raise ProtocolError(f"frame body failed to decode: {exc}") from exc
     if length and consumed != length:

@@ -70,7 +70,7 @@ from repro.recovery.redo import RedoResult, replay_page, run_redo
 from repro.recovery.restart import RestartReport, reacquire_prepared_locks
 from repro.recovery.undo import run_undo
 from repro.txn.transaction import TxnStatus
-from repro.wal.records import NULL_LSN, LogRecord, RecordKind
+from repro.wal.records import NULL_LSN, LogRecord, end_record
 
 #: How long a page fix waits for another thread's in-flight on-demand
 #: recovery of the same page before giving up with
@@ -446,8 +446,7 @@ def run_instant_restart(
 
     # Winners that committed but never wrote an END just need one.
     for txn in analysis.winners_needing_end:
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id, undoable=False)
-        ctx.txns.log_for(txn, end)
+        ctx.txns.log_for(txn, end_record(txn.txn_id))
         txn.status = TxnStatus.ENDED
         ctx.txns.forget(txn.txn_id)
 

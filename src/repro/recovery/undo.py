@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.txn.transaction import Transaction, TxnStatus
-from repro.wal.records import NULL_LSN, LogRecord, RecordKind
+from repro.wal.records import NULL_LSN, LogRecord, RecordKind, end_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
@@ -82,8 +82,7 @@ def _undo_step(
 def _finish(ctx: "Database", txn: Transaction, result: UndoResult) -> None:
     txn.in_rollback = False
     txn.status = TxnStatus.ENDED
-    end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id, undoable=False)
-    ctx.txns.log_for(txn, end)
+    ctx.txns.log_for(txn, end_record(txn.txn_id))
     ctx.txns.forget(txn.txn_id)
     result.transactions_rolled_back += 1
     ctx.stats.incr("recovery.losers_rolled_back")

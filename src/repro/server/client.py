@@ -231,9 +231,8 @@ class DatabaseClient:
         (or raise the server-reported error)."""
         if self._closed:
             raise ServerError("client is closed", kind="ClientClosed")
-        message = {"op": op, "corr_id": self._next_corr_id(), **args}
         try:
-            self._conn.write_message(message)
+            self._conn.write_request(op, self._next_corr_id(), args)
             response = self._conn.read_message()
         except (OSError, socket.timeout) as exc:
             self._closed = True

@@ -26,7 +26,6 @@ code path, no TCP stack in unit tests.
 
 from __future__ import annotations
 
-import select
 import socket
 
 from repro.codec.errors import WIRE_ERRORS, error_payload, raise_from_payload
@@ -97,14 +96,6 @@ class SocketTransport:
         """One blocking read of up to ``limit`` bytes (b"" on EOF)."""
         return self._sock.recv(limit)
 
-    def readable_now(self) -> bool:
-        """Would :meth:`recv_some` return without blocking?"""
-        try:
-            ready, _, _ = select.select([self._sock], [], [], 0)
-        except (ValueError, OSError):
-            return False  # closed under us; the next blocking read reports it
-        return bool(ready)
-
     def close(self) -> None:
         if self._closed:
             return
@@ -127,6 +118,14 @@ def loopback_pair() -> tuple[SocketTransport, SocketTransport]:
 _META_KEYS = frozenset(("op", "corr_id"))
 
 
+def request_frame(op: str, corr_id: int, args: dict) -> bytes:
+    """The frame of one request: ``op``'s opcode over ``args``."""
+    spec = OP_BY_NAME.get(op)
+    if spec is None:
+        raise ProtocolError(f"unknown op {op!r}")
+    return encode_frame(spec.code, corr_id, args)
+
+
 class FrameConn:
     """Message-level reader/writer over a transport.
 
@@ -138,8 +137,10 @@ class FrameConn:
     def __init__(self, transport: SocketTransport) -> None:
         self.transport = transport
         self._negotiated = False
-        #: Receive buffer (frames parsed in place via memoryview).
-        self._buf = bytearray()
+        #: Receive buffer and the offset of its first unparsed byte: the
+        #: last ``recv`` chunk itself, or a ``bytearray`` collecting the
+        #: pieces of a frame that arrived split.
+        self._buf: bytes | bytearray = b""
         self._off = 0
         #: Client side: hello ack not yet consumed.
         self._awaiting_ack = False
@@ -203,34 +204,52 @@ class FrameConn:
 
     # -- frame buffer -----------------------------------------------------------
 
-    def _read_frame(self, block: bool = True):
-        """Next complete frame; None on clean EOF (or, when ``block``
-        is false, when completing a frame would block)."""
+    def _read_frame(self):
+        """Next complete frame, reading as needed; None on clean EOF."""
         while True:
-            parsed = try_parse_frame(self._buf, self._off)
-            if parsed is not None:
-                frame, self._off = parsed
-                if self._off >= len(self._buf):
-                    self._buf.clear()
-                    self._off = 0
+            frame = self._received_frame()
+            if frame is not None:
                 return frame
-            if not block and not self.transport.readable_now():
-                return None
             chunk = self.transport.recv_some()
             if not chunk:
                 if self._off >= len(self._buf):
                     return None
                 raise ProtocolError("connection closed mid-frame")
-            if self._off:
-                del self._buf[: self._off]
-                self._off = 0
-            self._buf += chunk
+            buf, off = self._buf, self._off
+            if off >= len(buf):
+                # No partial frame buffered: parse the chunk itself.
+                self._buf = chunk
+            else:
+                if off or type(buf) is bytes:
+                    buf = self._buf = bytearray(memoryview(buf)[off:])
+                buf += chunk
+            self._off = 0
+
+    def _received_frame(self):
+        """The next frame already received in full, or None; never
+        reads."""
+        if self._off >= len(self._buf):
+            return None
+        parsed = try_parse_frame(self._buf, self._off)
+        if parsed is None:
+            return None
+        frame, self._off = parsed
+        if self._off >= len(self._buf):
+            # Every frame in it is parsed: drop the chunk now.  ``recv``
+            # shrinks a 64 KiB allocation to fit, and a chunk kept until
+            # the next read pins that block, so the next read's 64 KiB
+            # comes from fresh heap.
+            self._buf = b""
+            self._off = 0
+        return frame
 
     def _frame_to_request(self, frame) -> dict:
         spec = OP_BY_CODE.get(frame.opcode)
         if spec is None:
             raise ProtocolError(f"unknown opcode {frame.opcode}")
-        message = dict(frame.payload) if isinstance(frame.payload, dict) else {}
+        # The decoded body is this request's own dict: it becomes the
+        # message.
+        message = frame.payload if isinstance(frame.payload, dict) else {}
         message["op"] = spec.name
         message["corr_id"] = frame.corr_id
         return message
@@ -256,11 +275,8 @@ class FrameConn:
         """Serialize one message into its frame."""
         op = message.get("op")
         if op is not None:
-            spec = OP_BY_NAME.get(op)
-            if spec is None:
-                raise ProtocolError(f"unknown op {op!r}")
             args = {k: v for k, v in message.items() if k not in _META_KEYS}
-            return encode_frame(spec.code, message.get("corr_id", 0), args)
+            return request_frame(op, message.get("corr_id", 0), args)
         corr_id = message.get("corr_id", 0)
         flags = FLAG_RESPONSE
         if message.get("ok"):
@@ -276,6 +292,10 @@ class FrameConn:
 
     def write_message(self, message: dict) -> None:
         self.transport.send_bytes(self.encode(message))
+
+    def write_request(self, op: str, corr_id: int, args: dict) -> None:
+        """Send one request, its frame encoded straight from ``args``."""
+        self.transport.send_bytes(request_frame(op, corr_id, args))
 
     def write_messages(self, messages: list[dict]) -> None:
         """Send many messages in one write (batch responses, pipelined
@@ -297,14 +317,15 @@ class FrameConn:
 
     def read_message_batch(self, limit: int) -> list[dict] | None:
         """One blocking message plus every further message already
-        buffered or immediately readable, up to ``limit`` total; None
-        on clean EOF."""
+        received in full, up to ``limit`` total; None on clean EOF.
+        A frame still in flight waits for the next batch: a pipelining
+        client's burst arrives in the same read as its first frame."""
         first = self.read_message()
         if first is None:
             return None
         batch = [first]
         while len(batch) < limit:
-            frame = self._read_frame(block=False)
+            frame = self._received_frame()
             if frame is None:
                 break
             batch.append(self._frame_to_message(frame))

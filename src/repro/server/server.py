@@ -98,9 +98,15 @@ _STOP = object()  # worker sentinel
 
 class _Job:
     """One request — or one batch of pipelined requests — in flight,
-    inline on its session thread or through the executor pool."""
+    inline on its session thread or through the executor pool.
 
-    __slots__ = ("session", "request", "batch", "done", "response", "timed_out", "lock")
+    ``done`` and ``timed_out`` change under ``lock``, so exactly one of
+    "finished" and "timed out" wins.  Only a queued job's requester
+    blocks, so only a queued job gets an ``event`` to wake it."""
+
+    __slots__ = (
+        "session", "request", "batch", "done", "event", "response", "timed_out", "lock"
+    )
 
     def __init__(
         self, session: Session, request, batch: bool = False
@@ -108,22 +114,32 @@ class _Job:
         self.session = session
         self.request = request
         self.batch = batch
-        self.done = threading.Event()
+        self.done = False
+        self.event: threading.Event | None = None
         #: A response dict, or a list of them for a batch job.
         self.response = None
         self.timed_out = False
         self.lock = threading.Lock()
 
+    def finish(self, response) -> None:
+        """Record the response and wake a queued requester; callers
+        hold ``lock``."""
+        self.response = response
+        self.done = True
+        if self.event is not None:
+            self.event.set()
+
     def settle(self, exc: Exception) -> None:
         """Resolve without execution (shutdown); callers hold ``lock``."""
         if self.batch:
-            self.response = [
-                {**error_response(exc), "corr_id": r.get("corr_id", 0)}
-                for r in self.request
-            ]
+            self.finish(
+                [
+                    {**error_response(exc), "corr_id": r.get("corr_id", 0)}
+                    for r in self.request
+                ]
+            )
         else:
-            self.response = error_response(exc)
-        self.done.set()
+            self.finish(error_response(exc))
 
 
 class _DeadlineWatch:
@@ -139,10 +155,10 @@ class _DeadlineWatch:
     def __init__(self, timeout: float, expire: Callable[[_Job], object]) -> None:
         self._timeout = timeout
         self._expire = expire
-        self._cond = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
         #: Registered jobs → deadline, oldest first (insertion order).
         self._jobs: dict[_Job, float] = {}
-        self._stopped = False
+        self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="db-deadlines", daemon=True
         )
@@ -151,32 +167,29 @@ class _DeadlineWatch:
         self._thread.start()
 
     def stop(self) -> None:
-        with self._cond:
-            self._stopped = True
-            self._cond.notify()
+        self._stop.set()
         self._thread.join(timeout=5.0)
 
     def add(self, job: _Job) -> None:
-        with self._cond:
+        with self._lock:
             self._jobs[job] = time.monotonic() + self._timeout
 
     def discard(self, job: _Job) -> None:
-        with self._cond:
+        with self._lock:
             self._jobs.pop(job, None)
 
     def _run(self) -> None:
-        while True:
-            with self._cond:
-                if self._stopped:
-                    return
+        while not self._stop.is_set():
+            with self._lock:
                 now = time.monotonic()
                 job, deadline = next(
                     iter(self._jobs.items()), (None, now + self._timeout)
                 )
-                if job is None or deadline > now:
-                    self._cond.wait(deadline - now)
-                    continue
-                del self._jobs[job]
+                if job is not None and deadline <= now:
+                    del self._jobs[job]
+            if job is None or deadline > now:
+                self._stop.wait(deadline - now)
+                continue
             self._expire(job)
 
 
@@ -202,10 +215,13 @@ class DatabaseServer:
         self._shutdown_done = False
         self._executing = 0
         self._executing_lock = threading.Lock()
-        #: One slot per unit of engine concurrency (``workers``): a lone
-        #: request takes one on its session thread, a pool worker one
-        #: per job.
-        self._slots = threading.Semaphore(config.workers)
+        #: One token per unit of engine concurrency (``workers``): a
+        #: lone request takes one on its session thread, a pool worker
+        #: one per job.  A ``SimpleQueue`` rather than a ``Semaphore``:
+        #: its get and put are C calls.
+        self._slots: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(config.workers):
+            self._slots.put(None)
         self._deadlines = _DeadlineWatch(
             config.request_timeout_seconds, self._time_out
         )
@@ -330,13 +346,18 @@ class DatabaseServer:
         # an engine slot is free: no queue hop and no worker wake-up.
         # Batches stay on the pool (inline, they hold a slot through a
         # whole pipeline and the other session's p99 pays for it).
-        inline = not job.batch and self._slots.acquire(blocking=False)
-        try:
-            if inline:
-                return self._run_inline(job)
-        finally:
-            if inline:
-                self._slots.release()
+        if not job.batch:
+            try:
+                self._slots.get_nowait()
+            except queue.Empty:
+                pass  # every slot busy: take the queue
+            else:
+                try:
+                    return self._run_inline(job)
+                finally:
+                    self._slots.put(None)
+        # Created before the put: the worker may finish the job first.
+        job.event = threading.Event()
         try:
             self._queue.put(job, timeout=self.config.admission_timeout_seconds)
         except queue.Full:
@@ -350,7 +371,7 @@ class DatabaseServer:
             return job.response
         stats.incr("server.queued_jobs")
         stats.max_gauge("server.queue_peak", self._queue.qsize())
-        if job.done.wait(self.config.request_timeout_seconds) or not self._time_out(job):
+        if job.event.wait(self.config.request_timeout_seconds) or not self._time_out(job):
             return job.response
         return None
 
@@ -373,7 +394,7 @@ class DatabaseServer:
         notice (the reply stream would be out of step otherwise).
         False if the job finished first."""
         with job.lock:
-            if job.done.is_set():  # finished just as we gave up
+            if job.done:  # finished just as we gave up
                 return False
             job.timed_out = True
             job.session.abandoned = True
@@ -400,11 +421,11 @@ class DatabaseServer:
             # finds the job neither queued nor executing.
             self._count_executing(1)
             try:
-                self._slots.acquire()
+                self._slots.get()
                 try:
                     self._execute(job)
                 finally:
-                    self._slots.release()
+                    self._slots.put(None)
             finally:
                 self._count_executing(-1)
             if not self._queue.empty():
@@ -424,8 +445,7 @@ class DatabaseServer:
         else:
             response = job.session.execute(job.request)
         with job.lock:
-            job.response = response
-            job.done.set()
+            job.finish(response)
             abandoned = job.timed_out
         if abandoned:
             job.session.cleanup()
@@ -496,7 +516,7 @@ class DatabaseServer:
             if not session.abandoned:
                 session.cleanup()
         # Settle whatever is still queued (abort path / failed drain) so
-        # session threads parked on job.done wake up and the bounded
+        # session threads parked on job.event wake up and the bounded
         # queue has room for the worker sentinels.
         while True:
             try:

@@ -23,7 +23,7 @@ import threading
 from typing import TYPE_CHECKING, Callable
 
 from repro.codec.frames import PROTOCOL_V2
-from repro.codec.ops import OP_BY_NAME
+from repro.codec.ops import OPS, OpSpec
 from repro.common.errors import (
     DeadlockError,
     KeyNotFoundError,
@@ -54,6 +54,8 @@ MAX_SCAN_ROWS = 1000
 #: executor job (one admission pass, commits coalesced).
 MAX_BATCH_REQUESTS = 64
 
+_UNKNOWN = (None, None)
+
 
 class Session:
     """Server-side state of one connected client."""
@@ -76,15 +78,18 @@ class Session:
         #: session (None outside batch execution).  Requests within a
         #: batch run sequentially, so plain lists suffice.
         self._batch_pending: "list[PendingCommit] | None" = None
+        #: Op name → (spec, handler function), built once per session
+        #: from the shared registry (:mod:`repro.codec.ops`) — the same
+        #: table the client stubs and the docs read.
+        cls = type(self)
+        self._handlers: dict[str, tuple[OpSpec, Callable[[Session, dict], object]]] = {
+            spec.name: (spec, getattr(cls, spec.handler)) for spec in OPS
+        }
 
-    def _resolve(self, op: object) -> Callable[[dict], object] | None:
-        """The handler method for ``op`` per the shared registry
-        (:mod:`repro.codec.ops`) — the same table the client stubs and
-        the docs read.  None for unknown ops."""
-        spec = OP_BY_NAME.get(op) if isinstance(op, str) else None
-        if spec is None:
-            return None
-        return getattr(self, spec.handler, None)
+    def _lookup(self, op: object) -> tuple:
+        """``(spec, handler)`` for ``op``; ``(None, None)`` for an
+        unknown op."""
+        return self._handlers.get(op, _UNKNOWN) if isinstance(op, str) else _UNKNOWN
 
     # -- connection thread -------------------------------------------------
 
@@ -134,11 +139,7 @@ class Session:
         """
         run: list[dict] = []
         for request in batch:
-            spec = (
-                OP_BY_NAME.get(request.get("op"))
-                if isinstance(request.get("op"), str)
-                else None
-            )
+            spec, _ = self._lookup(request.get("op"))
             if spec is not None and spec.batchable:
                 run.append(request)
                 continue
@@ -189,14 +190,14 @@ class Session:
 
     def execute(self, request: dict) -> dict:
         """Run one request; always returns a response message."""
-        handler = self._resolve(request.get("op"))
+        _, handler = self._lookup(request.get("op"))
         if handler is None:
             response = error_response(
                 ProtocolError(f"unknown op {request.get('op')!r}")
             )
         else:
             try:
-                response = {"ok": True, "result": handler(request)}
+                response = {"ok": True, "result": handler(self, request)}
             except _TXN_FATAL_ERRORS as exc:
                 self._abort_open_txn()
                 response = error_response(exc)
@@ -252,11 +253,11 @@ class Session:
 
     def _execute_direct(self, request: dict) -> dict:
         """Run a direct op inline (connection thread)."""
-        handler = self._resolve(request.get("op"))
+        _, handler = self._lookup(request.get("op"))
         try:
             if handler is None:
                 raise ProtocolError(f"unknown op {request.get('op')!r}")
-            response = {"ok": True, "result": handler(request)}
+            response = {"ok": True, "result": handler(self, request)}
         except Exception as exc:  # noqa: BLE001,RPR005 - the wire needs *a* reply
             response = error_response(exc)
         response["corr_id"] = request.get("corr_id", 0)

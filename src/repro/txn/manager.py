@@ -35,7 +35,9 @@ from repro.wal.records import (
     NULL_LSN,
     LogRecord,
     RecordKind,
+    commit_record,
     dummy_clr,
+    end_record,
     prepare_record,
 )
 
@@ -265,8 +267,7 @@ class TransactionManager:
             self.forget(txn.txn_id)
             self._stats.incr(("txn.committed", "txn.readonly_commits"))
             return None
-        commit = LogRecord(kind=RecordKind.COMMIT, txn_id=txn.txn_id)
-        commit_lsn = self.log_for(txn, commit)
+        commit_lsn = self.log_for(txn, commit_record(txn.txn_id))
         return PendingCommit(self, txn, commit_lsn)
 
     def _commit_finish(self, pending: "PendingCommit") -> None:
@@ -305,8 +306,7 @@ class TransactionManager:
         try:
             released = self._locks.release_all(txn.txn_id)
             self._stats.incr("txn.locks_released_at_commit", released)
-            end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id, undoable=False)
-            self.log_for(txn, end)
+            self.log_for(txn, end_record(txn.txn_id))
         except _CRASHED:
             # The commit record is already durable — the transaction IS
             # committed and the caller must be acknowledged.  A crash
@@ -463,8 +463,7 @@ class TransactionManager:
         txn.status = TxnStatus.ABORTED
         released = self._locks.release_all(txn.txn_id)
         self._stats.incr("txn.locks_released_at_rollback", released)
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id, undoable=False)
-        self.log_for(txn, end)
+        self.log_for(txn, end_record(txn.txn_id))
         txn.status = TxnStatus.ENDED
         self.forget(txn.txn_id)
         self._stats.incr("txn.rolled_back")

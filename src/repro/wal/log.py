@@ -57,6 +57,7 @@ from repro.wal.records import (
     NULL_LSN,
     LogRecord,
     RecordHeader,
+    RecordKind,
     header_from_bytes,
 )
 
@@ -67,19 +68,27 @@ SEGMENT_BYTES = 1 << 20
 #: Group commit: a leader flushes as soon as this many commits are parked.
 GROUP_COMMIT_MAX_BATCH = 64
 
+#: The counters one appended record bumps, by kind value: one ``incr``
+#: of a tuple moves both.
+_APPEND_COUNTERS = {
+    kind.value: ("log.records_written", f"log.records.{kind.value}")
+    for kind in RecordKind
+}
+
 
 class _CommitWaiter:
     """One committer parked for a group-commit flush.
 
     ``outcome`` is set exactly once, by whoever resolves the waiter:
     a leader (after its batched force) or :meth:`LogManager.crash`.
-    A leader's own waiter goes through its batch, so a crash settles it
-    like any other.  ``leads`` is set, with the event, when a stepping-
-    down leader hands the next flush to this committer.  Each waiter
-    carries its own event so resolving a batch wakes exactly the
-    committers in it — broadcasting on a shared condition made every
-    enqueue wake every parked committer (a thundering herd that cost
-    ~10% throughput at 16 sessions).
+    A handed-off leader's own waiter goes through its batch, so a crash
+    settles it like any other (a committer that found no leader has no
+    waiter: see ``LogManager._gc_lead_target``).  ``leads`` is set, with
+    the event, when a stepping-down leader hands the next flush to this
+    committer.  Each waiter carries its own event so resolving a batch
+    wakes exactly the committers in it — broadcasting on a shared
+    condition made every enqueue wake every parked committer (a
+    thundering herd that cost ~10% throughput at 16 sessions).
     """
 
     __slots__ = ("target", "outcome", "leads", "event")
@@ -134,11 +143,22 @@ class LogManager:
         #: A committer is running the flush routine, or has been handed
         #: it (there is at most one leader; parked committers imply one).
         self._gc_leading = False
+        #: A committer that found no leader leads with no waiter of its
+        #: own: its force target, and whether a crash lost it meanwhile
+        #: (0 and False while the leader is a handed-off waiter).
+        self._gc_lead_target = 0
+        self._gc_lead_lost = False
+        #: Threads in :meth:`stop_group_commit` waiting for the leader
+        #: to step down (a step-down notifies only when there are any).
+        self._gc_stoppers = 0
         # Flush notification: waited on by follow-mode iterators (WAL
         # shippers), notified whenever the durable prefix advances and
         # on halt/crash so followers wake promptly.  Own lock; never
         # acquired while holding _mutex (the reverse nesting is fine).
         self._flush_cond = threading.Condition()
+        #: Followers inside ``_flush_cond`` (counted before they re-check
+        #: ``_flushed_len``); a force notifies only when there are any.
+        self._flush_followers = 0
         #: Optional callable ``archiver(first_lsn, data)`` invoked with
         #: the exact byte range about to be discarded by
         #: :meth:`truncate_prefix`, *before* the discard; raising vetoes
@@ -160,18 +180,18 @@ class LogManager:
         The record is *not* durable until a subsequent :meth:`force`
         covers it.
         """
+        # The LSN is not part of the bytes, so encode outside the mutex.
+        framed = record.to_bytes()
         with self._mutex:
             if self._halted:
                 raise LogHaltedError("log halted by crash; restart first")
             lsn = self._open_start + len(self._open) + 1
             record.lsn = lsn
-            framed = record.to_bytes()
             if self._open and len(self._open) + len(framed) > SEGMENT_BYTES:
                 self._seal_locked()
             self._open += framed
             self._append_count += 1
-        self._stats.incr("log.records_written")
-        self._stats.incr(f"log.records.{record.kind.value}")
+        self._stats.incr(_APPEND_COUNTERS[record.kind._value_])
         return lsn
 
     def append_raw(self, base_lsn: int, data: bytes) -> list[LogRecord]:
@@ -261,6 +281,8 @@ class LogManager:
         """
         with self._mutex:
             target = self._force_target_locked(lsn)
+            if target <= self._flushed_len:
+                return  # already durable
         self._force_bytes(target)
 
     def _force_target_locked(self, lsn: int | None) -> int:
@@ -279,26 +301,29 @@ class LogManager:
         # to at least ``lsn`` bytes is always safe.
         return min(lsn, end)
 
-    def _force_bytes(self, target: int) -> None:
-        """Make the stream durable up to byte offset ``target``."""
+    def _force_bytes(self, target: int) -> int:
+        """Make the stream durable up to byte offset ``target``; returns
+        the durable length."""
         with self._mutex:
             target = min(target, self._open_start + len(self._open))
-            if target > self._flushed_len:
-                self._flushed_len = target
-                moved = True
-            else:
-                moved = False
-        if moved:
-            latency = self.flush_latency_seconds
-            if latency > 0.0:
-                # Price the device write before acknowledging anyone:
-                # the caller (a committer, or a group commit's leader)
-                # returns — and acks — only after the simulated I/O.
-                with self._io_lock:
-                    time.sleep(latency)
+            if target <= self._flushed_len:
+                return self._flushed_len
+            self._flushed_len = target
+        latency = self.flush_latency_seconds
+        if latency > 0.0:
+            # Price the device write before acknowledging anyone:
+            # the caller (a committer, or a group commit's leader)
+            # returns — and acks — only after the simulated I/O.
+            with self._io_lock:
+                time.sleep(latency)
+        # A follower counts itself before it re-checks _flushed_len,
+        # which was raised above: it either is counted here or sees the
+        # new length, so skipping the notify loses no wake-up.
+        if self._flush_followers:
             with self._flush_cond:
                 self._flush_cond.notify_all()
-            self._stats.incr("log.sync_forces")
+        self._stats.incr("log.sync_forces")
+        return target
 
     # -- group commit ------------------------------------------------------
 
@@ -317,8 +342,12 @@ class LogManager:
             self._gc_enabled = False
             # Cut a leader's coalescing window short.
             self._gc_cond.notify_all()
-            while self._gc_leading:
-                self._gc_cond.wait()
+            self._gc_stoppers += 1
+            try:
+                while self._gc_leading:
+                    self._gc_cond.wait()
+            finally:
+                self._gc_stoppers -= 1
 
     @property
     def group_commit_enabled(self) -> bool:
@@ -331,7 +360,11 @@ class LogManager:
         leader included) — the torture harness uses this to aim a
         crash at the take→flush window."""
         with self._gc_cond:
-            return len(self._gc_waiters) + len(self._gc_inflight)
+            return (
+                len(self._gc_waiters)
+                + len(self._gc_inflight)
+                + (self._gc_lead_target > 0)
+            )
 
     def force_for_commit(self, lsn: int) -> None:
         """Durability point of a commit.
@@ -341,15 +374,17 @@ class LogManager:
         own thread, covering itself and everyone parked at that moment —
         or, when a flush is already in progress, parks until a leader's
         flush covers its commit record (or hands it the next flush).
-        Raises :class:`CommitNotDurableError` if a crash wins the race
-        (the commit was never acknowledged).
+        A committer that finds no leader has nobody parked ahead of it
+        either, so it leads without a waiter of its own.  Raises
+        :class:`CommitNotDurableError` if a crash wins the race (the
+        commit was never acknowledged).
         """
-        with self._gc_cond:
-            enabled = self._gc_enabled
-        if not enabled:
+        # Read unlocked: the decision is re-checked under the condition.
+        if not self._gc_enabled:
             self.force(lsn)
             return
         self._stats.incr("log.group_commit_requests")
+        waiter = None
         with self._gc_cond:
             # Atomic with crash resolution: halt is set before crash()
             # settles parked waiters, so we either see the halt here or
@@ -362,51 +397,62 @@ class LogManager:
                 target = self._force_target_locked(lsn)
                 if target <= self._flushed_len:
                     return  # already durable (a later force covered it)
-            # A waiter enqueued with no leader makes its committer the
-            # leader, atomically: parked committers always have one.
-            waiter = _CommitWaiter(target) if self._gc_enabled else None
-            if waiter is not None:
+            if not self._gc_enabled:
+                lead = False  # lost a race with stop_group_commit()
+            elif not self._gc_leading:
+                # No leader, so nobody is parked: lead, waiter-less.
+                self._gc_leading = lead = True
+                self._gc_lead_target = target
+            else:
+                lead = False
+                waiter = _CommitWaiter(target)
                 self._gc_waiters.append(waiter)
-                waiter.leads = not self._gc_leading
-                self._gc_leading = True
-                if not waiter.leads and len(self._gc_waiters) >= GROUP_COMMIT_MAX_BATCH:
+                if (
+                    len(self._gc_waiters) + (self._gc_lead_target > 0)
+                    >= GROUP_COMMIT_MAX_BATCH
+                ):
                     # A full batch closes the leader's window early.
                     self._gc_cond.notify()
-        if waiter is None:
-            # Lost a race with stop_group_commit(): force directly.
+        if lead:
+            durable = self._lead_flush(target)
+        elif waiter is None:
             self._force_bytes(target)
             return
-        if not waiter.leads:
+        else:
             # Park outside the condition: a leader signals this
             # waiter's own event, nobody else's.
             waiter.event.wait()
-        if waiter.leads:
-            self._lead_flush()
-        if waiter.outcome == "lost":
+            if waiter.leads:
+                self._lead_flush()
+            durable = waiter.outcome == "durable"
+        if not durable:
             raise CommitNotDurableError(
                 f"commit at LSN {lsn} lost: crash before the batched flush"
             )
 
-    def _lead_flush(self) -> None:
+    def _lead_flush(self, own: int = 0) -> bool:
         """The flush routine, run by the leading committer on its own
-        thread: take every parked committer (itself among them) as one
-        batch, force once, settle the batch.  Then step down — or, when
-        committers parked during the flush, hand the next flush to the
-        oldest of them.  Handing off instead of looping lets a leader
-        return (and, above it, release its locks) as soon as its own
-        commit is durable.
+        thread: take every parked committer as one batch, force once
+        (covering ``own``, the target of a leader with no waiter; a
+        handed-off leader's waiter is in the batch), settle the batch.
+        Then step down — or, when committers parked during the flush,
+        hand the next flush to the oldest of them.  Handing off instead
+        of looping lets a leader return (and, above it, release its
+        locks) as soon as its own commit is durable.  Returns whether
+        ``own`` is durable.
 
         The window for stragglers is bounded by what a flush costs:
         waiting longer than one flush to save one flush loses, so an
         unpriced flush (``flush_latency_seconds == 0``) is forced at
         once and ``max_wait`` is only the upper bound."""
         window = min(self._gc_max_wait, self.flush_latency_seconds)
+        solo = own > 0
         try:
             with self._gc_cond:
                 if window > 0.0:
                     deadline = time.monotonic() + window
                     while self._gc_enabled and (
-                        0 < len(self._gc_waiters) < GROUP_COMMIT_MAX_BATCH
+                        0 < len(self._gc_waiters) + solo < GROUP_COMMIT_MAX_BATCH
                     ):
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
@@ -415,7 +461,7 @@ class LogManager:
                 batch = self._gc_inflight = self._gc_waiters
                 self._gc_waiters = []
             durable = NULL_LSN  # a crash settled everyone: nothing to force
-            if batch:
+            if batch or solo:
                 try:
                     # The take→flush window: the batch is taken, nothing
                     # is forced yet.  A test pauses here to land a crash
@@ -429,12 +475,15 @@ class LogManager:
                     pass
                 else:
                     # ONE synchronous I/O for the batch.
-                    self._force_bytes(max(w.target for w in batch))
-                    durable = self.flushed_lsn
+                    durable = self._force_bytes(
+                        max([own, *(w.target for w in batch)])
+                    )
         except BaseException:
             # Nobody may stay parked behind a leader that died.
             with self._gc_cond:
                 self._gc_leading = False
+                self._gc_lead_target = 0
+                self._gc_lead_lost = False
                 self._resolve_waiters_after_crash()
             raise
         with self._gc_cond:
@@ -444,6 +493,10 @@ class LogManager:
                 # first outcome and (re-)sets the event.
                 waiter.settle("durable" if waiter.target <= durable else "lost")
                 resolved += waiter.outcome == "durable"
+            own_durable = solo and own <= durable and not self._gc_lead_lost
+            resolved += own_durable
+            self._gc_lead_target = 0
+            self._gc_lead_lost = False
             if self._gc_inflight is batch:
                 self._gc_inflight = []
             if self._gc_waiters:
@@ -452,11 +505,13 @@ class LogManager:
                 successor.event.set()
             else:
                 self._gc_leading = False
-                self._gc_cond.notify_all()
+                if self._gc_stoppers:
+                    self._gc_cond.notify_all()
         if durable != NULL_LSN:
             self._stats.incr("log.group_commit_batches")
             if resolved > 1:
                 self._stats.incr("log.group_commit_flushes_saved", resolved - 1)
+        return own_durable
 
     def _resolve_waiters_after_crash(self) -> None:
         """Settle every parked committer: durable if its bytes made the
@@ -467,6 +522,10 @@ class LogManager:
             self._gc_waiters = []
             self._gc_inflight = []
             lost = 0
+            if self._gc_lead_target > durable and not self._gc_lead_lost:
+                # A waiter-less leader learns it when it settles.
+                self._gc_lead_lost = True
+                lost += 1
             for waiter in pending:
                 if waiter.outcome is None and waiter.target > durable:
                     lost += 1
@@ -512,14 +571,18 @@ class LogManager:
         deadline = time.monotonic() + timeout
         while True:
             with self._flush_cond:
-                with self._mutex:
-                    if self._flushed_len >= lsn or self._halted:
-                        return self._flushed_len
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                self._flush_followers += 1
+                try:
                     with self._mutex:
-                        return self._flushed_len
-                self._flush_cond.wait(min(remaining, 0.05))
+                        if self._flushed_len >= lsn or self._halted:
+                            return self._flushed_len
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        with self._mutex:
+                            return self._flushed_len
+                    self._flush_cond.wait(min(remaining, 0.05))
+                finally:
+                    self._flush_followers -= 1
 
     def force_target(self, lsn: int) -> int:
         """Byte position a force covering ``lsn`` must reach — also the
@@ -771,12 +834,17 @@ class LogManager:
                 return
             # Caught up: park until the durable prefix advances.  The
             # re-check under the condition avoids a missed wakeup (the
-            # notifier bumps _flushed_len before taking _flush_cond).
+            # notifier bumps _flushed_len before it reads the follower
+            # count, which is raised before the re-check).
             with self._flush_cond:
-                with self._mutex:
-                    ready = self._flushed_len >= next_lsn or self._halted
-                if not ready:
-                    self._flush_cond.wait(poll_interval)
+                self._flush_followers += 1
+                try:
+                    with self._mutex:
+                        ready = self._flushed_len >= next_lsn or self._halted
+                    if not ready:
+                        self._flush_cond.wait(poll_interval)
+                finally:
+                    self._flush_followers -= 1
 
     def tail(self, count: int) -> list[LogRecord]:
         """The last ``count`` records (for log-sequence assertions)."""

@@ -89,7 +89,9 @@ RM_TXN = "txn"
 # body of the old tagged-dict format fails to decode instead of
 # misparsing.
 _KIND_BY_CODE: tuple[RecordKind | None, ...] = (None, *RecordKind)
-_CODE_BY_KIND = {kind: code for code, kind in enumerate(_KIND_BY_CODE) if kind}
+#: Keyed by the kind's value: a ``str`` hashes in C, an Enum member
+#: through the Python-level ``Enum.__hash__``.
+_CODE_BY_VALUE = {kind.value: code for code, kind in enumerate(_KIND_BY_CODE) if kind}
 
 _HEAD = struct.Struct(">BBQQIQQ")
 _PACK_HEAD = _HEAD.pack
@@ -246,7 +248,7 @@ class LogRecord:
         )
         try:
             body = _PACK_HEAD(
-                _CODE_BY_KIND[self.kind],
+                _CODE_BY_VALUE[self.kind._value_],
                 flags,
                 self.txn_id,
                 self.prev_lsn,
@@ -366,14 +368,22 @@ def update_record(
     undoable: bool = True,
 ) -> LogRecord:
     """Build a forward-processing undo-redo update record."""
+    # Positional, in field order: half the cost of keywords.
     return LogRecord(
-        kind=RecordKind.UPDATE,
-        txn_id=txn_id,
-        rm=rm,
-        op=op,
-        page_id=page_id,
-        payload=payload,
-        undoable=undoable,
+        RecordKind.UPDATE, txn_id, NULL_LSN, rm, op, page_id, NULL_LSN, payload,
+        None, undoable,
+    )
+
+
+def commit_record(txn_id: int) -> LogRecord:
+    """Build the COMMIT record of a local transaction."""
+    return LogRecord(RecordKind.COMMIT, txn_id, NULL_LSN, RM_TXN, "", None, NULL_LSN, {})
+
+
+def end_record(txn_id: int) -> LogRecord:
+    """Build the END record that closes a transaction's log chain."""
+    return LogRecord(
+        RecordKind.END, txn_id, NULL_LSN, RM_TXN, "", None, NULL_LSN, {}, None, False
     )
 
 

@@ -153,6 +153,23 @@ class TestCoalescing:
         assert "wal-group-commit" not in {t.name for t in threading.enumerate()}
         log.stop_group_commit()
 
+    def test_lone_committer_leads_without_a_waiter(self, monkeypatch):
+        """A committer that finds no leader has nobody parked ahead of
+        it: it leads with no waiter (and no event) of its own, and
+        still forces exactly once through the batch routine."""
+        stats = StatsRegistry()
+        log = LogManager(stats)
+        log.start_group_commit(max_wait_seconds=0.05)
+        made: list[int] = []
+        monkeypatch.setattr(log_module, "_CommitWaiter", made.append)
+        for txn_id in (1, 2):
+            log.force_for_commit(_append(log, txn_id))
+        assert made == []
+        assert stats.get("log.sync_forces") == 2
+        assert stats.get("log.group_commit_batches") == 2
+        assert log.group_commit_parked == 0
+        log.stop_group_commit()
+
     def test_batch_costs_one_sync_force(self, spy_waiters):
         """N committers park behind a leader paused in its take→flush
         window; releasing it costs exactly two forces — its own batch,
@@ -261,6 +278,42 @@ class TestCrashResolution:
         for thread in threads:
             thread.join(5.0)
         assert outcomes == ["lost", "lost", "lost"]
+        log.stop_group_commit()
+
+    def test_crash_under_a_paused_lone_leader_loses_its_commit(self):
+        """A leader with no waiter of its own learns a crash from the
+        log, not from its force: after the crash the resumed log grows
+        past its commit record's offset, so its own force "covers" the
+        target with the next incarnation's bytes — it must still fail."""
+        failpoints = FailpointRegistry()
+        log = LogManager(failpoints=failpoints)
+        log.start_group_commit()
+        failpoints.arm_pause(FLUSH_WINDOW)
+        lsn = _append(log)
+        outcome: list[str] = []
+
+        def committer() -> None:
+            try:
+                log.force_for_commit(lsn)
+            except CommitNotDurableError:
+                outcome.append("lost")
+            else:
+                outcome.append("durable")
+
+        thread = threading.Thread(target=committer)
+        thread.start()
+        failpoints.wait_until_paused(FLUSH_WINDOW)
+        assert log.group_commit_parked == 1
+        log.halt()
+        log.crash()
+        log.resume()
+        for _ in range(3):
+            _append(log, txn_id=2)
+        failpoints.release(FLUSH_WINDOW)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert outcome == ["lost"]
+        assert log.group_commit_parked == 0
         log.stop_group_commit()
 
     def test_crash_after_flush_is_durable(self):
