@@ -69,7 +69,7 @@ def measure(rows: int) -> dict:
 
     db = build_crashed(rows)
     start = time.monotonic()
-    report = db.instant_restart(redo_workers=4)
+    report = db.instant_restart()
     first_txn(db)
     instant = time.monotonic() - start
     start = time.monotonic()

@@ -219,7 +219,7 @@ def _grow_root(tree: BTree, txn: "Transaction") -> None:
         raise
     finally:
         tree.unlatch_unfix(root, ctx)
-    _maybe_reset_bits(tree, [tree.root_page_id, child_id], ctx)
+    _reset_bits(tree, [tree.root_page_id, child_id], ctx)
     ctx.stats.incr("btree.root_grows")
 
 
@@ -246,7 +246,7 @@ def _perform_split(tree: BTree, txn: "Transaction", leaf: IndexPage) -> None:
     except BaseException:
         ctx.txns.abandon_nta(txn)
         raise
-    _maybe_reset_bits(tree, affected, ctx)
+    _reset_bits(tree, affected, ctx)
     ctx.stats.incr("btree.page_splits")
 
 
@@ -646,13 +646,11 @@ def _shrink_root(tree: BTree, txn: "Transaction") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Bit reset (optional, unlogged — see node.py docstring)
+# Bit reset (unlogged — see node.py docstring)
 # ---------------------------------------------------------------------------
 
 
-def _maybe_reset_bits(tree: BTree, page_ids: list[int], ctx: "Incarnation") -> None:
-    if not ctx.config.reset_sm_bits_after_smo:
-        return
+def _reset_bits(tree: BTree, page_ids: list[int], ctx: "Incarnation") -> None:
     for page_id in dict.fromkeys(page_ids):
         try:
             page = tree.fix_and_latch(page_id, "X", ctx)

@@ -41,7 +41,6 @@ class DatabaseConfig:
     enable_sm_bit: bool = True
     enable_delete_bit: bool = True
     enable_boundary_delete_posc: bool = True
-    reset_sm_bits_after_smo: bool = True
     lock_timeout_seconds: float = 10.0
     latch_timeout_seconds: float = 10.0
     checkpoint_interval_records: int = 0

@@ -130,7 +130,6 @@ class TortureSpec:
     A reader that hits the crash stops; the round asserts zero torn
     reads."""
     # -- recovering kind ---------------------------------------------------
-    redo_workers: int = 2
     phase2_requests_per_session: int = 12
     """The load fired while the background drain runs."""
     # -- cluster kind ------------------------------------------------------
@@ -868,12 +867,12 @@ class _Engine(_Scenario):
 
     def crash_again(self) -> set[int]:
         # No new faults are scheduled in recovery mode.  Odd seeds
-        # recover with background redo workers instead of this thread,
-        # so the drain runs under the same fault schedules.
+        # recover with the background thread instead of this one, so
+        # the drain runs under the same fault schedules.
         db = self.db
         db.crash()
         if self.spec.seed % 2:
-            governor = db.instant_restart(redo_workers=2).governor
+            governor = db.instant_restart().governor
             _check(
                 governor.wait_drained(timeout=30.0),
                 self.spec.seed,
@@ -1065,9 +1064,9 @@ class _Recovering(_Scenario):
 
     def recover(self) -> set[int]:
         spec, db, report = self.spec, self.db, self.report
-        # No background workers yet: the database is open but still
+        # No background thread yet: the database is open but still
         # recovering, so the reads below must pay on-demand recovery.
-        restart = db.instant_restart(redo_workers=spec.redo_workers, background=False)
+        restart = db.instant_restart(background=False)
         governor = db.recovery
         _check(governor is not None, spec.seed, "instant restart installed no governor")
         report.losers_undone = restart.undo.transactions_rolled_back

@@ -150,8 +150,8 @@ class Incarnation:
 
     def retire(self, reason: str) -> None:
         """End this incarnation in one step (idempotent): stop the GC
-        pacer and an instant restart's redo workers, swap the tables of
-        the buffer pool, latch table and lock table for a
+        pacer and an instant restart's background thread, swap the
+        tables of the buffer pool, latch table and lock table for a
         :class:`Retired` that raises ``reason`` (waking every waiter
         into it), then swap this object's handles for it too.  The
         latch monitor forgets every latch held here."""

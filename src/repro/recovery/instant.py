@@ -7,7 +7,7 @@ not-yet-recovered pages and when the database opens.  ``restart()``
 drains them on the calling thread (:func:`~repro.recovery.redo.run_redo`
 for the dirty pages, then :func:`~repro.recovery.media.run_scrub` for
 the rest) before it returns; ``instant_restart()`` opens at once and
-drains on demand and in background workers.  The steps:
+drains on demand and in one background thread.  The steps:
 
 1. **Analysis** — one header-only scan from the last checkpoint, so
    its cost is bounded by the checkpoint interval.  It also
@@ -32,12 +32,13 @@ drains on demand and in background workers.  The steps:
    replays exactly that page's chain onto it (single-page recovery,
    :func:`~repro.recovery.redo.replay_page`).
 4. The rest is **drained**: on the caller's thread for ``restart()``,
-   or — once an instant restart has opened the database — by a
-   bounded pool of **background redo workers** that partitions the
-   remaining pages by page id behind the foreground.  Per-page locks
-   make on-demand and background recovery of the same page mutually
-   exclusive; the ARIES page-LSN test makes any replay idempotent
-   regardless.
+   or — once an instant restart has opened the database — by **one
+   background thread** that walks the remaining pages behind the
+   foreground, in the order :meth:`RecoveryGovernor.drain` uses.
+   Under the interpreter lock more threads drain no faster and slow
+   the foreground (DESIGN.md).  Per-page locks make on-demand and
+   background recovery of the same page mutually exclusive; the ARIES
+   page-LSN test makes any replay idempotent regardless.
 5. When the last page drains, the governor takes the deferred restart
    checkpoint and uninstalls itself — the database is ``steady``.
 
@@ -86,8 +87,8 @@ class RecoveryGovernor:
     """Owns the not-yet-recovered page set of one restart.
 
     Thread model: any number of foreground threads (via the buffer
-    pool's ``recovery_hook``) plus ``redo_workers`` background threads
-    call :meth:`ensure_recovered` concurrently.  A per-page lock
+    pool's ``recovery_hook``) plus one background thread call
+    :meth:`ensure_recovered` concurrently.  A per-page lock
     serializes recovery of one page; the governor's own mutex only
     guards the bookkeeping sets.  Recovery internals re-enter the
     buffer pool to fix pages — a thread-local flag makes the hook a
@@ -95,12 +96,9 @@ class RecoveryGovernor:
     rebuilds P from history, never another unrecovered page).
     """
 
-    def __init__(
-        self, ctx: "Database", analysis: AnalysisResult, redo_workers: int = 4
-    ) -> None:
+    def __init__(self, ctx: "Database", analysis: AnalysisResult) -> None:
         self.ctx = ctx
         self.analysis = analysis
-        self.redo_workers = max(1, redo_workers)
         #: Progressively updated; final once drained.
         self.redo = RedoResult()
         self.scrub = ScrubResult()
@@ -113,8 +111,7 @@ class RecoveryGovernor:
         self._local = threading.local()
         self._drained_event = threading.Event()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._started_background = False
+        self._thread: threading.Thread | None = None
         self._finished = False
         self._aborted = False
         #: Pages recovered, by who recovered them.
@@ -188,7 +185,7 @@ class RecoveryGovernor:
         inline; if another thread is already recovering the page, they
         wait up to ``ONDEMAND_RECOVERY_TIMEOUT_SECONDS`` for it.  ``by``
         names the caller for the ``recovery.pages_recovered_*`` stats:
-        ``"ondemand"`` (a page fix), ``"background"`` (a redo worker)
+        ``"ondemand"`` (a page fix), ``"background"`` (the background thread)
         or ``"drain"`` (:meth:`drain` on the calling thread).
         """
         with self._mutex:
@@ -227,7 +224,7 @@ class RecoveryGovernor:
             stats.incr(f"recovery.pages_recovered_{by}")
             stats.gauge("recovery.pages_unrecovered", remaining)
             if remaining == 0:
-                self._finish()
+                self.finish_if_empty()
         finally:
             lock.release()
 
@@ -289,64 +286,44 @@ class RecoveryGovernor:
     # -- background drain ----------------------------------------------------
 
     def start_background(self) -> None:
-        """Launch the bounded worker pool: the remaining pages are
-        partitioned by ``page_id % redo_workers`` and drained behind
+        """Start the background thread that drains the backlog behind
         the foreground."""
         with self._mutex:
-            if self._started_background or self._finished or self._aborted:
+            if self._thread is not None or self._finished or self._aborted:
                 return
-            self._started_background = True
-            backlog = sorted(self._pending) + sorted(self._unverified)
-        if not backlog:
-            self._finish()
-            return
-        workers = min(self.redo_workers, len(backlog))
-        shards: list[list[int]] = [[] for _ in range(workers)]
-        for page_id in backlog:
-            shards[page_id % workers].append(page_id)
-        # Workers wait for every sibling to be started: a worker that
-        # began draining at once would hold the interpreter lock this
-        # thread needs to start the next one and to open the database.
-        go = threading.Event()
-        for index, shard in enumerate(shards):
-            if not shard:
-                continue
-            thread = threading.Thread(
-                target=self._worker, args=(shard, go), name=f"redo-worker-{index}",
-                daemon=True,
+            self._thread = threading.Thread(
+                target=self._drain_in_background, name="recovery-worker", daemon=True
             )
-            self._threads.append(thread)
-            thread.start()
-        go.set()
+        self._thread.start()
 
-    def _worker(self, shard: list[int], go: threading.Event) -> None:
-        go.wait()
-        for page_id in shard:
+    def _drain_in_background(self) -> None:
+        self.recover_backlog(redo=True, by="background")
+        self.recover_backlog(redo=False, by="background")
+
+    def recover_backlog(self, redo: bool, by: str = "drain") -> None:
+        """Recover every page still in one backlog, in page order: the
+        pending (redo) set or the unverified (scrub) set.  Pages another
+        thread recovers meanwhile are skipped.  The background thread
+        counts a page's error and moves on; a drain raises it."""
+        with self._mutex:
+            backlog = sorted(self._pending if redo else self._unverified)
+        for page_id in backlog:
             if self._stop.is_set():
                 return
             try:
-                self.ensure_recovered(page_id, by="background")
-            except Exception as exc:  # noqa: BLE001,RPR005 - must not kill the drain
+                self.ensure_recovered(page_id, by=by)
+            except Exception as exc:  # noqa: BLE001,RPR005 - must not kill the background drain
+                if by != "background":
+                    raise
                 if self._stop.is_set():
                     return
                 with self._mutex:
                     self._errors.append((page_id, exc))
                 self.ctx.stats.incr("recovery.background_errors")
 
-    def recover_backlog(self, redo: bool) -> None:
-        """Recover, on the calling thread, every page still in one
-        backlog: the pending (redo) set or the unverified (scrub) set.
-        Pages another thread recovers meanwhile are skipped."""
-        with self._mutex:
-            backlog = sorted(self._pending if redo else self._unverified)
-        for page_id in backlog:
-            if self._stop.is_set():
-                return
-            self.ensure_recovered(page_id, by="drain")
-
     def drain(self, timeout: float | None = None) -> bool:
         """Recover everything still outstanding on the calling thread
-        (retrying pages a background worker failed on) — redo, then the
+        (retrying pages the background thread failed on) — redo, then the
         scrub — and wait for the drained state.  Returns False on abort
         or timeout."""
         run_redo(self)
@@ -359,14 +336,8 @@ class RecoveryGovernor:
         return self._drained_event.wait(timeout) and not self._aborted
 
     def finish_if_empty(self) -> None:
-        """Used by foreground-only mode: a restart with no redo work
-        and nothing to verify is steady immediately."""
-        with self._mutex:
-            if self._pending or self._unverified or self._finished:
-                return
-        self._finish()
-
-    def _finish(self) -> None:
+        """Go steady once nothing is left to recover (at once, for a
+        restart with no redo work and nothing to verify)."""
         with self._mutex:
             if self._finished or self._aborted:
                 return
@@ -390,16 +361,19 @@ class RecoveryGovernor:
     # -- lifecycle -----------------------------------------------------------
 
     def abort(self) -> None:
-        """Crash landed mid-drain: stop the workers (retiring the pool
-        uninstalls the hook).  Durable state needs no cleanup — the
-        pre-seeded DPT entries are checkpoint-carried, so the next
-        restart redoes what this one did not finish."""
+        """Crash landed mid-drain: stop the background thread (retiring
+        the pool uninstalls the hook).  Durable state needs no cleanup —
+        the pre-seeded DPT entries are checkpoint-carried, so the next
+        restart redoes what this one did not finish.  The background
+        thread itself may be the one crashing (a fatal I/O fault): it
+        exits after the page in hand."""
         self._stop.set()
         with self._mutex:
             self._aborted = True
             self._finished = True
         self._drained_event.set()
-        for thread in self._threads:
+        thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=2.0)
 
     # -- observation ---------------------------------------------------------
@@ -422,12 +396,10 @@ class RecoveryGovernor:
             }
 
 
-def run_instant_restart(
-    ctx: "Database", redo_workers: int = 4, background: bool = True
-) -> RestartReport:
+def run_instant_restart(ctx: "Database", background: bool = True) -> RestartReport:
     """Analysis + eager undo, then open; redo happens on demand and in
     the background (see module docstring).  With ``background=False``
-    no workers start — recovery is purely on-demand until the caller
+    no thread starts — recovery is purely on-demand until the caller
     invokes ``governor.start_background()`` or ``drain()``."""
     tail_dropped = ctx.log.repair_tail()
 
@@ -435,7 +407,7 @@ def run_instant_restart(
     for txn in analysis.transactions.values():
         ctx.txns.adopt(txn)
 
-    governor = RecoveryGovernor(ctx, analysis, redo_workers=redo_workers)
+    governor = RecoveryGovernor(ctx, analysis)
     governor.prepare()
     ctx.incarnation.recovery = governor
 
@@ -461,10 +433,9 @@ def run_instant_restart(
     undo = run_undo(ctx, analysis.losers)
     ctx.log.force()
 
+    governor.finish_if_empty()
     if background:
         governor.start_background()
-    else:
-        governor.finish_if_empty()
     return RestartReport(
         analysis=analysis,
         redo=governor.redo,

@@ -331,9 +331,7 @@ class Standby:
 
     # -- failover ----------------------------------------------------------
 
-    def promote(
-        self, instant: bool = False, redo_workers: int = 2
-    ) -> RestartReport:
+    def promote(self, instant: bool = False) -> RestartReport:
         """Promote to read-write primary: stop replay, then recover.
 
         Both ways run the one restart procedure: analysis from the
@@ -341,18 +339,16 @@ class Standby:
         per-page redo along each dirty page's log chain.  By default
         (``restart()``) redo drains on this thread before promotion
         returns.  With ``instant=True`` the promoted database opens
-        after analysis + undo and finishes redo on demand and in
-        ``redo_workers`` background workers — failover time stops
-        depending on how far replay was behind."""
+        after analysis + undo and finishes redo on demand and in one
+        background thread — failover time stops depending on how far
+        replay was behind."""
         db = self._require_db()
         if self._promoted:
             raise StandbyError("standby is already promoted")
         self.stop()
         with self._replay_lock:
             if instant:
-                report: RestartReport = db.instant_restart(
-                    redo_workers=redo_workers
-                )
+                report: RestartReport = db.instant_restart()
             else:
                 report = db.restart()
             self._promoted = True
@@ -364,13 +360,12 @@ class Standby:
         server_config=None,
         listen: bool = False,
         instant: bool = False,
-        redo_workers: int = 2,
     ):
         """Promote, then serve read-write traffic from the recovered
         database.  Returns ``(server, restart_report)``."""
         from repro.server.server import DatabaseServer, ServerConfig
 
-        report = self.promote(instant=instant, redo_workers=redo_workers)
+        report = self.promote(instant=instant)
         server = DatabaseServer(
             self.db, server_config or ServerConfig()
         ).start(listen=listen)

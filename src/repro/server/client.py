@@ -38,6 +38,7 @@ from repro.server.protocol import (
     FrameConn,
     SocketTransport,
     raise_from_response,
+    request_frame,
 )
 
 
@@ -105,16 +106,20 @@ class Pipeline:
             raise ProtocolError("pipeline depth must be at least 1")
         self._client = client
         self._depth = depth
-        self._queued: list[tuple[dict, PipelineFuture]] = []
+        #: Each queued request's encoded frame, correlation id and future.
+        self._queued: list[tuple[bytes, int, PipelineFuture]] = []
 
     def request(self, op: str, **args: object) -> PipelineFuture:
-        """Queue one op; auto-flushes at the pipeline's depth."""
+        """Queue one op; auto-flushes at the pipeline's depth.  Its frame
+        is encoded now, so an argument the codec cannot encode raises
+        here and leaves the queue and the connection as they were."""
         client = self._client
         if client.closed:
             raise ServerError("client is closed", kind="ClientClosed")
-        message = {"op": op, "corr_id": client._next_corr_id(), **args}
+        corr_id = client._next_corr_id()
+        frame = request_frame(op, corr_id, args)
         future = PipelineFuture(op)
-        self._queued.append((message, future))
+        self._queued.append((frame, corr_id, future))
         if len(self._queued) >= self._depth:
             self.flush()
         return future
@@ -127,7 +132,7 @@ class Pipeline:
             return
         client = self._client
         try:
-            client._conn.write_messages([m for m, _ in queued])
+            client._conn.transport.send_bytes(b"".join(f for f, _, _ in queued))
             responses = []
             for _ in queued:
                 response = client._conn.read_message()
@@ -143,22 +148,20 @@ class Pipeline:
                 f"connection lost during pipeline flush: {exc}",
                 kind="ConnectionLost",
             )
-            for _, future in queued:
+            for _, _, future in queued:
                 future._fail(error)
             raise error from exc
         except ServerError as error:
             client._closed = True
-            for _, future in queued:
+            for _, _, future in queued:
                 future._fail(error)
             raise
         by_id = {r.get("corr_id"): r for r in responses}
-        for message, future in queued:
-            response = by_id.get(message["corr_id"])
+        for _, corr_id, future in queued:
+            response = by_id.get(corr_id)
             if response is None:
                 future._fail(
-                    ProtocolError(
-                        f"no response for correlation id {message['corr_id']}"
-                    )
+                    ProtocolError(f"no response for correlation id {corr_id}")
                 )
             else:
                 future._settle(response)

@@ -298,8 +298,7 @@ class FrameConn:
         self.transport.send_bytes(request_frame(op, corr_id, args))
 
     def write_messages(self, messages: list[dict]) -> None:
-        """Send many messages in one write (batch responses, pipelined
-        requests)."""
+        """Send many messages in one write (a batch's responses)."""
         if not messages:
             return
         self.transport.send_bytes(b"".join(self.encode(m) for m in messages))

@@ -279,16 +279,18 @@ class DatabaseServer:
 
     def _spawn_session(self, transport: SocketTransport) -> Session:
         session = Session(self, FrameConn(transport), next(self._session_ids))
-        with self._sessions_lock:
-            self._sessions.add(session)
-        self._threads = [t for t in self._threads if t.is_alive()]
         thread = threading.Thread(
             target=session.serve,
             name=f"db-session-{session.session_id}",
             daemon=True,
         )
-        self._threads.append(thread)
-        thread.start()
+        # Under the lock shutdown takes its snapshot with, and started
+        # before it is listed: shutdown joins every thread it finds.
+        with self._sessions_lock:
+            self._sessions.add(session)
+            thread.start()
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
         return session
 
     def forget_session(self, session: Session) -> None:
@@ -507,10 +509,11 @@ class DatabaseServer:
         # Unblock every session reader; cleanup rolls back open txns.
         with self._sessions_lock:
             sessions = list(self._sessions)
+            threads = list(self._threads)
         for session in sessions:
             session.closing = True
             session.conn.transport.close()
-        for thread in self._threads:
+        for thread in threads:
             thread.join(timeout=5.0)
         for session in sessions:
             if not session.abandoned:

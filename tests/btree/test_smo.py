@@ -222,8 +222,17 @@ class TestSMBitHousekeeping:
         assert dirty_bits == []
 
     def test_lazy_reset_mode_still_consistent(self):
-        db = small_page_db(reset_sm_bits_after_smo=False)
+        db = small_page_db()
         populate(db, range(120))
+        # The reset is unlogged, so a crash after an SMO can leave every
+        # bit it set behind: plant them on every page of the tree.
+        tree = tree_of(db)
+        stack = [tree.root_page_id]
+        while stack:
+            page = tree.fix_page(stack.pop(), db.incarnation)
+            page.sm_bit = True
+            stack.extend(page.child_ids)
+            db.buffer.unfix(page.page_id)
         assert db.verify_indexes() == {}
         # Operations after the SMO reset stale bits lazily and proceed.
         txn = db.begin()

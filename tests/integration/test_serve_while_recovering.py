@@ -2,7 +2,7 @@
 
 Each round crashes a loaded multi-session server (torn page writes and
 WAL-tail loss armed), restarts with on-demand recovery only (no
-background workers), reads every key whose acked state is known
+background thread), reads every key whose acked state is known
 *through the still-recovering server* — asserting the acked commit set
 is exactly preserved and no stale state is visible — then starts the
 background drain, fires a second write burst at it, and verifies the

@@ -12,8 +12,14 @@ stop-the-world recovery reaches.
 
 from __future__ import annotations
 
+import threading
+
+import pytest
+
 from repro.common.config import DatabaseConfig
+from repro.common.errors import ConfigError, PermanentIOError
 from repro.db import Database
+from repro.recovery.instant import RecoveryGovernor
 
 ROWS = 40
 
@@ -63,7 +69,7 @@ class TestOnDemandRecovery:
 
     def test_background_drain_alone_recovers_everything(self):
         db = build_crashed()
-        db.instant_restart(redo_workers=3, background=True)
+        db.instant_restart(background=True)
         governor = db.recovery
         assert governor.wait_drained(timeout=10.0)
         assert governor.progress()["drained"]
@@ -299,17 +305,80 @@ class TestOperationalGuards:
 
     def test_close_drains_first(self):
         db = build_crashed()
-        db.instant_restart(background=True, redo_workers=2)
+        db.instant_restart(background=True)
         db.close()  # must wait for the drain, then checkpoint cleanly
         assert db.stats.snapshot().get("db.close_drain_failures", 0) == 0
 
     def test_crash_aborts_governor(self):
         db = build_crashed()
-        db.instant_restart(background=True, redo_workers=2)
+        db.instant_restart(background=True)
         db.crash()
         assert db.recovery is None
         assert db.recovery_state == "steady"  # no governor: not recovering
         db.restart()
+        assert all_rows(db) == {i: f"v{i}" for i in range(ROWS)}
+        db.close()
+
+    def test_one_background_thread_and_crash_leaves_none(self, monkeypatch):
+        """The drain runs on exactly one thread, and ``crash()`` stops
+        it: no recovery thread outlives the incarnation."""
+        parked = threading.Event()
+        ensure_recovered = RecoveryGovernor.ensure_recovered
+
+        def park_background(governor, page_id, by="ondemand"):
+            if by == "background":
+                parked.set()
+                governor._stop.wait(10.0)  # until the crash stops it
+            ensure_recovered(governor, page_id, by)
+
+        monkeypatch.setattr(RecoveryGovernor, "ensure_recovered", park_background)
+        db = build_crashed()
+        before = set(threading.enumerate())
+        db.instant_restart(background=True)
+        assert parked.wait(10.0)
+        started = [t for t in threading.enumerate() if t not in before]
+        assert len(started) == 1
+        db.crash()
+        assert not started[0].is_alive()
+        monkeypatch.undo()
+        db.restart()
+        assert all_rows(db) == {i: f"v{i}" for i in range(ROWS)}
+        db.close()
+
+    def test_fatal_io_on_the_background_thread_finishes_the_crash(self, monkeypatch):
+        """A permanent I/O fault on the background thread crashes the
+        database from that thread; the crash must not try to join the
+        thread it runs on, so it finishes like any other."""
+        db = build_crashed()
+        db.instant_restart(background=False)
+        read = db.disk.read
+        main = threading.current_thread()
+
+        def fail_off_main(page_id):
+            if threading.current_thread() is not main:
+                raise PermanentIOError(f"injected fault reading page {page_id}")
+            return read(page_id)
+
+        monkeypatch.setattr(db.disk, "read", fail_off_main)
+        governor = db.recovery
+        governor.start_background()
+        governor._thread.join(10.0)
+        assert not governor._thread.is_alive()
+        assert db.stats.get("db.io_panics") == 1
+        assert db.stats.get("db.crashes") == 2  # build_crashed's, then this one
+        assert db.crashed and db.recovery is None
+        monkeypatch.undo()
+        db.restart()
+        assert all_rows(db) == {i: f"v{i}" for i in range(ROWS)}
+        db.close()
+
+    def test_more_than_one_redo_worker_is_refused(self):
+        db = build_crashed()
+        with pytest.raises(ConfigError, match="redo_workers"):
+            db.instant_restart(redo_workers=2)
+        assert db.crashed  # refused before restart began
+        db.instant_restart(redo_workers=1)
+        assert db.recovery.wait_drained(timeout=10.0)
         assert all_rows(db) == {i: f"v{i}" for i in range(ROWS)}
         db.close()
 

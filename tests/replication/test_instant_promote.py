@@ -18,7 +18,7 @@ from tests.replication.test_standby import caught_up, insert, make_primary
 ROWS = 150  # enough volume for leaf splits and a real redo backlog
 
 
-def promoted_standby(instant_kwargs=None):
+def promoted_standby():
     """Primary with committed load → caught-up standby → primary gone →
     instant promotion.  Returns (standby, restart report)."""
     db, server = make_primary()
@@ -30,7 +30,7 @@ def promoted_standby(instant_kwargs=None):
     assert caught_up(db, standby), standby.status()
     db.crash()
     server.abort()
-    report = standby.promote(instant=True, **(instant_kwargs or {}))
+    report = standby.promote(instant=True)
     return standby, report
 
 
@@ -55,9 +55,9 @@ class TestInstantPromotion:
         standby.close()
 
     def test_promote_while_drain_still_running_is_complete(self):
-        """Don't touch anything: let the background workers do all the
+        """Don't touch anything: let the background thread do all the
         recovery, then verify the full state arrived."""
-        standby, report = promoted_standby({"redo_workers": 2})
+        standby, report = promoted_standby()
         db: Database = standby.db
         assert report.governor.wait_drained(timeout=10.0)
         with db.transaction() as txn:

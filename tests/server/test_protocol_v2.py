@@ -16,6 +16,7 @@ from repro.codec.frames import MAGIC, PROTOCOL_V2, try_parse_frame
 from repro.codec.ops import OP_HELLO
 from repro.common.errors import (
     DatabaseClosedError,
+    ProtocolError,
     ServerError,
     SessionStateError,
     UniqueKeyViolationError,
@@ -144,6 +145,21 @@ class TestPipelining:
                     raise RuntimeError("abandon")
             assert not future.done
             assert client.ping()  # connection still healthy
+
+    def test_unencodable_argument_fails_only_its_request(self, server):
+        """An argument the codec cannot encode raises from the
+        ``request()`` that queued it; the requests queued before it
+        still flush and the client stays usable."""
+        with server.connect_loopback() as client:
+            pipe = client.pipeline()
+            first = pipe.insert("t", {"id": 700, "name": "ok"})
+            with pytest.raises(ProtocolError, match="not codec-encodable"):
+                pipe.insert("t", {"id": 701, "name": object()})
+            assert pipe.pending == 1
+            pipe.flush()
+            assert "slot" in first.result()
+            assert client.ping()
+            assert not client.closed
 
     def test_lost_connection_fails_every_queued_future(self, server):
         """The server goes away with requests queued: the flush raises

@@ -414,6 +414,53 @@ class TestShutdown:
             server.connect_loopback()
         db.close()
 
+    def test_abort_racing_a_session_spawn_joins_only_started_threads(
+        self, monkeypatch
+    ):
+        """``abort()`` lands while a session thread is being spawned: it
+        must not find the thread listed before it has started (joining
+        it would raise), and the spawned session is closed with the rest."""
+        db = build_db()
+        server = DatabaseServer(db, ServerConfig(workers=1)).start(listen=False)
+        spawning, release = threading.Event(), threading.Event()
+        start = threading.Thread.start
+
+        def slow_session_start(thread):
+            if thread.name.startswith("db-session-"):
+                spawning.set()
+                release.wait(10.0)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", slow_session_start)
+
+        def connect():
+            try:
+                server.connect_loopback().close()
+            except (OSError, ServerError):
+                pass  # the abort closed the new session's transport first
+
+        errors: list[BaseException] = []
+
+        def abort():
+            try:
+                server.abort()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        connecting = threading.Thread(target=connect)
+        connecting.start()
+        assert spawning.wait(10.0)
+        aborting = threading.Thread(target=abort)
+        aborting.start()
+        aborting.join(0.5)  # an abort that does not wait for the spawn ends here
+        release.set()
+        connecting.join(10.0)
+        aborting.join(10.0)
+        assert not connecting.is_alive() and not aborting.is_alive()
+        assert errors == []
+        _join_sessions(server)
+        db.close()
+
 
 class TestTcp:
     def test_crud_over_real_socket(self):
