@@ -18,10 +18,12 @@ happened to trip over it.  This verifier checks, record by record:
 - **CLR undo-next termination** — a CLR's ``undo_next_lsn`` is NULL or
   strictly behind its own LSN, and names a record of its own
   transaction when in range.
-- **Transaction state ordering** — PREPARE → COMMIT/ROLLBACK → END per
-  transaction (presumed-abort means a missing END is fine, a *second*
-  END never is); after COMMIT only END; nothing after END.  Restart
-  losers log CLRs then END with no ROLLBACK record — allowed.
+- **Transaction state ordering** — per transaction, PREPARE → COMMIT,
+  or PREPARE → ROLLBACK → END.  A COMMIT ends a committed transaction:
+  nothing follows it, an END included.  Presumed abort means a missing
+  END after a rollback is fine, a *second* END never is; nothing
+  follows an END.  Restart losers log CLRs then END with no ROLLBACK
+  record — allowed.
 - **Purge framing** (PR 6) — ``op == "purge"`` records are redo-only
   (``undoable=False``) and live in a system transaction that does
   nothing else and never rolls back.
@@ -46,9 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.wal.log import LogManager
 
 #: File header for dumped logs: magic, then the stream's first LSN.
-#: Version 2 dumps hold fixed-header record bodies (see
-#: :mod:`repro.wal.records`); version 1 held tagged-dict bodies.
-MAGIC = b"RPRWAL2\x00"
+#: Version 3 dumps hold compact-header record bodies (see
+#: :mod:`repro.wal.records`); version 2 held fixed-header bodies and
+#: version 1 tagged-dict bodies.
+MAGIC = b"RPRWAL3\x00"
 
 #: Ops of the page records that may start a chain (NULL prev_page_lsn).
 _FORMAT_OPS = frozenset({"format", "page_format"})
@@ -109,7 +112,7 @@ class WalCheckReport:
 @dataclass
 class _TxnState:
     last_lsn: int
-    #: "active" → "prepared" → "committed"/"aborted" → "ended"
+    #: "active" → "prepared" → "committed", or → "aborted" → "ended"
     status: str = "active"
     has_purge: bool = False
     has_other_work: bool = False
@@ -237,6 +240,9 @@ def _check_txn_ordering(
     if state.status == "ended":
         report.add(lsn, f"txn {txn_id}: {kind.value} record after END")
         return
+    if state.status == "committed":
+        report.add(lsn, f"txn {txn_id}: {kind.value} record after COMMIT")
+        return
     if kind is RecordKind.PREPARE:
         if state.status != "active":
             report.add(lsn, f"txn {txn_id}: PREPARE while {state.status}")
@@ -252,17 +258,14 @@ def _check_txn_ordering(
         state.status = "aborted"
     elif kind is RecordKind.END:
         # END from "active" is legal: restart losers get CLRs then END
-        # with no ROLLBACK record (presumed abort), and a committed or
-        # rolled-back txn ENDs normally.
+        # with no ROLLBACK record (presumed abort), and a rolled-back
+        # txn ENDs normally.
         state.status = "ended"
     elif kind in (RecordKind.UPDATE, RecordKind.CLR, RecordKind.DUMMY_CLR):
         # Updates belong to the forward phase; CLRs to rollback.  Both
         # can legally appear while "active" (partial rollbacks, restart
-        # undo before any ROLLBACK record) or "aborted", but a
-        # committed txn writes nothing except its END.
-        if state.status == "committed":
-            report.add(lsn, f"txn {txn_id}: {kind.value} after COMMIT")
-        elif state.status == "prepared" and kind is RecordKind.UPDATE:
+        # undo before any ROLLBACK record) or "aborted".
+        if state.status == "prepared" and kind is RecordKind.UPDATE:
             report.add(lsn, f"txn {txn_id}: UPDATE after PREPARE")
 
 
@@ -344,7 +347,7 @@ def read_log_file(path: str | Path) -> tuple[int, list[LogRecord]]:
             # layout: e.g. a version 1 stream of tagged-dict bodies.
             raise WalCheckError(
                 f"{path}: record at LSN {first_lsn + offset} is not in the "
-                f"version 2 record format: {exc}"
+                f"version 3 record format: {exc}"
             ) from exc
         records.append(record)
         offset = next_offset

@@ -399,12 +399,9 @@ class HeapFile:
         latch.acquire("X")
         try:
             data = page.set_ghost(rid.slot, ghost=True, xmax=txn.txn_id)
+            # No row image: the ghosted slot keeps the row's bytes.
             record = update_record(
-                txn.txn_id,
-                RM_HEAP,
-                "delete",
-                page.page_id,
-                {"rid": rid, "data": data},
+                txn.txn_id, RM_HEAP, "delete", page.page_id, {"rid": rid}
             )
             ctx.log_page_change(txn, page, record)
         finally:
@@ -533,15 +530,23 @@ class HeapFile:
 
 
 class HeapResourceManager:
-    """Redo/undo handlers for heap log records."""
+    """Redo/undo handlers for heap log records.
+
+    Only ``insert`` carries the row image: a delete ghosts the slot and
+    leaves its bytes in place, so the redo of ``delete``, ``unghost_c``
+    and ``purge`` and the undo of ``delete`` read the row from the page
+    (redo applies a page's records in log order, so the slot holds the
+    row whenever one of them is replayed), and ``remove_c`` only frees
+    the slot."""
 
     def apply_redo(self, ctx: "Database", page: HeapPage, record: LogRecord) -> None:
-        if record.op == "format":
+        op = record.op
+        if op == "format":
             ctx.disk.ensure_allocator_above(record.page_id)
             page.reformat(record.payload["table_id"])
             return
         rid: RID = record.payload["rid"]
-        if record.op == "insert":
+        if op == "insert":
             page.place_record(
                 rid.slot,
                 record.payload["data"],
@@ -549,30 +554,24 @@ class HeapResourceManager:
                 xmin=record.txn_id,
                 xmax=0,
             )
-        elif record.op == "unghost_c":
+        elif op == "unghost_c":
             # Undo of a delete: the deleter's stamp comes off (xmin is
             # preserved — the original inserter's commit still governs).
-            page.place_record(
-                rid.slot, record.payload["data"], visible=True, xmax=0
-            )
-        elif record.op == "delete":
-            page.place_record(
-                rid.slot,
-                record.payload["data"],
-                visible=False,
-                xmax=record.txn_id,
-            )
+            page.set_ghost(rid.slot, ghost=False)
+        elif op == "delete":
+            data = page.set_ghost(rid.slot, ghost=True, xmax=record.txn_id)
             # Replayed deletes (restart redo, standby replay, PITR)
             # register the dead keys, same as the forward path.
-            ctx.mvcc_note_dead_raw(
-                page.table_id, rid, record.payload["data"], record.txn_id
-            )
-        elif record.op in ("remove_c", "purge"):
+            ctx.mvcc_note_dead_raw(page.table_id, rid, data, record.txn_id)
+        elif op == "remove_c":
             page.free_slot(rid.slot)
-            if record.op == "purge":
-                ctx.mvcc_forget_raw(page.table_id, rid, record.payload["data"])
+        elif op == "purge":
+            entry = page.version(rid.slot)
+            page.free_slot(rid.slot)
+            if entry is not None:
+                ctx.mvcc_forget_raw(page.table_id, rid, entry[0])
         else:
-            raise StorageError(f"unknown heap op {record.op!r}")
+            raise StorageError(f"unknown heap op {op!r}")
 
     def make_shell(self, record: LogRecord) -> HeapPage:
         return HeapPage(record.page_id, record.payload.get("table_id", 0))
@@ -590,26 +589,20 @@ class HeapResourceManager:
                 table = ctx._table_by_id(page.table_id)
                 if table is not None:
                     table.heap.note_room(page)
-                clr = clr_record(
-                    txn.txn_id,
-                    RM_HEAP,
-                    "remove_c",
-                    record.page_id,
-                    {"rid": rid, "data": record.payload["data"]},
-                    undo_next_lsn=record.prev_lsn,
-                )
+                compensation = "remove_c"
             elif record.op == "delete":
                 page.set_ghost(rid.slot, ghost=False)
-                clr = clr_record(
-                    txn.txn_id,
-                    RM_HEAP,
-                    "unghost_c",
-                    record.page_id,
-                    {"rid": rid, "data": record.payload["data"]},
-                    undo_next_lsn=record.prev_lsn,
-                )
+                compensation = "unghost_c"
             else:
                 raise StorageError(f"heap op {record.op!r} is not undoable")
+            clr = clr_record(
+                txn.txn_id,
+                RM_HEAP,
+                compensation,
+                record.page_id,
+                {"rid": rid},
+                undo_next_lsn=record.prev_lsn,
+            )
             incarnation.log_page_change(txn, page, clr)
         finally:
             latch.release()

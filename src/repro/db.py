@@ -35,6 +35,7 @@ with ``crash()``.
 from __future__ import annotations
 
 import itertools
+import threading
 from contextlib import contextmanager
 from operator import attrgetter
 from typing import Iterator
@@ -102,6 +103,10 @@ class Database:
         self.archive = None
         #: Primary-side replication state (enable_replication).
         self.replication = None
+        #: Serializes fatal-I/O crashes: the first fault of an
+        #: incarnation crashes it, and only that one counts.
+        self._panic_lock = threading.Lock()
+        self._panicked: Incarnation | None = None
         #: Everything a crash destroys; retired by crash() until
         #: restart() builds the next, and CLOSED after close().
         self.incarnation: Incarnation = Incarnation(self)
@@ -648,14 +653,23 @@ class Database:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def _on_fatal_io(self, exc: PermanentIOError) -> None:
-        """A disk I/O fault survived the retry budget: the cleanest
-        thing a database can do is stop — crash now (losing only what
-        a crash is allowed to lose) rather than limp on over a device
-        that lies.  The original error propagates to the caller, who
-        restarts when the storage is healthy again."""
-        if self.crashed or self.closed:
-            return
+    def _on_fatal_io(self, exc: PermanentIOError, incarnation: Incarnation) -> None:
+        """A disk I/O fault survived the retry budget in ``incarnation``:
+        the cleanest thing a database can do is stop — crash now
+        (losing only what a crash is allowed to lose) rather than limp
+        on over a device that lies.  The original error propagates to
+        the caller, who restarts when the storage is healthy again.
+
+        That holds also for the incarnation a restart is still building
+        (an instant restart's background thread runs before the
+        database opens): the crash retires it, so the restart raises
+        and the database stays crashed."""
+        with self._panic_lock:
+            if incarnation is not self.incarnation or incarnation.retired:
+                return  # already crashed, or closed
+            if incarnation is self._panicked:
+                return
+            self._panicked = incarnation
         self.stats.incr("db.io_panics")
         self.crash()
 
@@ -741,6 +755,9 @@ class Database:
             # A restart that fails leaves the database crashed.
             self.incarnation.retire(CRASHED)
             raise
+        if self.incarnation.retired:
+            # A fatal I/O fault crashed the incarnation being built.
+            raise RecoveryError("a permanent I/O fault crashed the restart")
         # Only now may transactions begin: before analysis sets the
         # txn-id floor, the new manager would hand out ids the log holds.
         self._open = self.incarnation

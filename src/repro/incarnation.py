@@ -14,6 +14,7 @@ incarnation per crash") instead of acting on the next one.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import TYPE_CHECKING, Callable, NoReturn
 
 from repro.common.errors import DatabaseClosedError
@@ -76,7 +77,7 @@ class Incarnation:
         self.failpoints = db.failpoints
         # What dies with this incarnation.
         self.buffer = BufferPool(db.disk, db.log, config.buffer_pool_pages, stats)
-        self.buffer.on_fatal_io = db._on_fatal_io
+        self.buffer.on_fatal_io = partial(db._on_fatal_io, incarnation=self)
         self.latches = LatchManager(stats, timeout=config.latch_timeout_seconds)
         self.locks = LockManager(stats, timeout=config.lock_timeout_seconds)
         self.txns = TransactionManager(db.log, self.locks, db.rm_registry, stats, self)

@@ -117,8 +117,9 @@ def _purge_slots(
 
     Redo-only records: a purge is never undone (the version it frees
     is by construction invisible to every snapshot), and replaying it
-    is idempotent.  The old row bytes ride along so replay can also
-    drop the standby's dead-key entries."""
+    is idempotent.  The record carries no row image: replay reads the
+    ghost's bytes from the page before it frees the slot, to drop the
+    standby's dead-key entries too."""
     tables_by_id = {t.table_id: t for t in db.tables.values()}
     purged = 0
     txn = ctx.txns.begin()
@@ -138,7 +139,7 @@ def _purge_slots(
                         RM_HEAP,
                         "purge",
                         rid.page_id,
-                        {"rid": rid, "data": entry[0]},
+                        {"rid": rid},
                         undoable=False,
                     )
                     ctx.log_page_change(

@@ -4,10 +4,10 @@ Starting from the last complete checkpoint's begin record (found via
 the master record), scan forward to the end of the (durable) log,
 rebuilding:
 
-- the **transaction table**: every transaction with log activity and no
-  END record, with its last LSN and undo-next LSN — the losers the undo
-  pass will roll back (transactions with a COMMIT but no END are
-  winners and merely get their END written);
+- the **transaction table**: every transaction with log activity and
+  neither a COMMIT nor an END record, with its last LSN and undo-next
+  LSN — the losers the undo pass will roll back, and the in-doubt 2PC
+  branches.  A COMMIT ends a committed transaction: no END follows it;
 - the **dirty page table**: page → recLSN for every page a redoable
   record touched, seeding redo's starting point (the minimum recLSN).
 """
@@ -33,8 +33,8 @@ _ROLLBACK = RecordKind.ROLLBACK
 _END = RecordKind.END
 _CKPT_BEGIN = RecordKind.CKPT_BEGIN
 _CKPT_END = RecordKind.CKPT_END
-_COMMITTED = TxnStatus.COMMITTED
 _PREPARED = TxnStatus.PREPARED
+_COMMITTED_VALUE = TxnStatus.COMMITTED.value
 _ROLLING_BACK = TxnStatus.ROLLING_BACK
 
 
@@ -51,12 +51,12 @@ class AnalysisResult:
     one); together with ``max_txn_id`` it re-establishes the no-reuse
     transaction-id floor without a full-history scan."""
     ended_txn_ids: set[int] = field(default_factory=set)
-    """Transactions whose END record fell inside the analysis span.
-    The checkpoint-payload merge must not resurrect them: a fuzzy
+    """Transactions whose COMMIT or END record fell inside the analysis
+    span.  The checkpoint-payload merge must not resurrect them: a fuzzy
     checkpoint snapshots its transaction table *between* its begin and
     end records, so a transaction that ends inside that window appears
-    both in the scan (which pops it at its END) and, stale, in the
-    payload."""
+    both in the scan (which pops it at its COMMIT or END) and, stale, in
+    the payload."""
     page_heads: dict[int, int] = field(default_factory=dict)
     """Page → LSN of the newest record seen for it: the tail of each
     dirty page's per-page log chain, merged from the scan and the
@@ -78,12 +78,6 @@ class AnalysisResult:
             t
             for t in self.transactions.values()
             if t.status in (TxnStatus.ACTIVE, TxnStatus.ROLLING_BACK)
-        ]
-
-    @property
-    def winners_needing_end(self) -> list[Transaction]:
-        return [
-            t for t in self.transactions.values() if t.status is TxnStatus.COMMITTED
         ]
 
     @property
@@ -135,17 +129,17 @@ def run_analysis(ctx: "Database") -> AnalysisResult:
                     txn.undo_next_lsn = lsn
             elif kind is _CLR or kind is _DUMMY_CLR:
                 txn.undo_next_lsn = undo_next_lsn or NULL_LSN
-            elif kind is _COMMIT:
-                txn.status = _COMMITTED
+            elif kind is _COMMIT or kind is _END:
+                # A COMMIT ends a committed transaction (no END follows
+                # it); an END ends a rolled-back one.
+                del transactions[txn_id]
+                ended_txn_ids.add(txn_id)
             elif kind is _PREPARE:
                 txn.status = _PREPARED
                 txn.gid = log.read(lsn).payload.get("gid")
                 txn.prepare_lsn = lsn
             elif kind is _ROLLBACK:
                 txn.status = _ROLLING_BACK
-            elif kind is _END:
-                del transactions[txn_id]
-                ended_txn_ids.add(txn_id)
 
         if page_id is not None and (kind is _UPDATE or kind is _CLR):
             if page_id not in dirty_pages:
@@ -172,6 +166,8 @@ def _merge_checkpoint(result: AnalysisResult, payload: dict) -> None:
         txn_id = entry["txn_id"]
         if txn_id in result.transactions or txn_id in result.ended_txn_ids:
             continue
+        if entry["status"] == _COMMITTED_VALUE:
+            continue  # a winner: nothing to undo, nothing to hold
         txn = Transaction(txn_id=txn_id)
         txn.status = TxnStatus(entry["status"])
         txn.last_lsn = entry["last_lsn"]

@@ -23,11 +23,13 @@ if TYPE_CHECKING:  # pragma: no cover
 def take_checkpoint(ctx: "Database") -> int:
     """Write a fuzzy checkpoint; returns the begin record's LSN."""
     begin = LogRecord(kind=RecordKind.CKPT_BEGIN, txn_id=0, undoable=False)
-    begin_lsn = ctx.log.append(begin)
+    begin_lsn = ctx.txns.append_checkpoint_begin(begin)
 
     txn_table = []
     for txn in ctx.txns.table_snapshot().values():
-        if txn.status in (TxnStatus.ENDED,):
+        # A transaction whose COMMIT is logged is a winner: its COMMIT
+        # precedes the begin record or is in the next analysis span.
+        if txn.status is TxnStatus.ENDED or txn.commit_lsn != NULL_LSN:
             continue
         entry = {
             "txn_id": txn.txn_id,

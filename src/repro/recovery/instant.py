@@ -70,8 +70,7 @@ from repro.recovery.media import ScrubResult, rebuild_page_from_log, run_scrub
 from repro.recovery.redo import RedoResult, replay_page, run_redo
 from repro.recovery.restart import RestartReport, reacquire_prepared_locks
 from repro.recovery.undo import run_undo
-from repro.txn.transaction import TxnStatus
-from repro.wal.records import NULL_LSN, LogRecord, end_record
+from repro.wal.records import NULL_LSN, LogRecord
 
 #: How long a page fix waits for another thread's in-flight on-demand
 #: recovery of the same page before giving up with
@@ -415,12 +414,6 @@ def run_instant_restart(ctx: "Database", background: bool = True) -> RestartRepo
     # covers every id allocated before the checkpoint (including all of
     # the redo span behind it); the analysis scan covers the rest.
     ctx.txns.adopt_floor(max(analysis.next_txn_id, analysis.max_txn_id + 1))
-
-    # Winners that committed but never wrote an END just need one.
-    for txn in analysis.winners_needing_end:
-        ctx.txns.log_for(txn, end_record(txn.txn_id))
-        txn.status = TxnStatus.ENDED
-        ctx.txns.forget(txn.txn_id)
 
     # In-doubt branches park with their locks re-held (eagerly, before
     # the database opens — conflicting work must block from the first

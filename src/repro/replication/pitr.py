@@ -107,8 +107,9 @@ def restore_to_lsn(
     restored.disk.ensure_allocator_above(max_page_id)
     # No master record: analysis scans from LSN 1 — correct (and the
     # point: the restore must not trust any checkpoint newer than the
-    # target).  restart() = repair tail, analysis, END the ended-less
-    # winners, undo the in-flight, then redo every dirty page along its
+    # target).  restart() = repair tail, analysis (a transaction whose
+    # COMMIT is in the clipped stream is a winner; one without is
+    # undone), undo the in-flight, then redo every dirty page along its
     # chain, scrub the rest, checkpoint.
     restored.restart()
     restored.stats.incr("recovery.pitr_restores")

@@ -23,7 +23,6 @@ from repro.codec.values import encode_lock_table
 from repro.common.errors import (
     CommitNotDurableError,
     DatabaseClosedError,
-    LogHaltedError,
     TransactionNotActiveError,
 )
 from repro.common.stats import StatsRegistry
@@ -45,9 +44,6 @@ from repro.wal.records import (
 VOTE_YES = "yes"
 VOTE_READ_ONLY = "read-only"
 
-#: What logging or releasing raises once a crash landed (see _end_committed).
-_CRASHED = (LogHaltedError, DatabaseClosedError)
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db import Database
     from repro.incarnation import Incarnation
@@ -56,8 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class PendingCommit:
     """A commit whose COMMIT record is appended but whose durability
-    force and phase 2 (lock release, END record, acknowledgement) are
-    deferred, so a server batch can pay one flush for many commits.
+    force and phase 2 (lock release, acknowledgement) are deferred, so a server batch can pay one flush for many commits.
 
     Locks stay held until :meth:`finish` — the strict read/ack contract
     is untouched; only the flush is coalesced.  ``finish`` is
@@ -129,6 +124,9 @@ class TransactionManager:
         #: Deferred commits awaiting their batched force, by txn id.
         self._pending_commits: dict[int, PendingCommit] = {}
         self._pending_lock = threading.Lock()
+        #: Orders COMMIT appends against checkpoint begin records (see
+        #: :meth:`append_checkpoint_begin`).
+        self._commit_order = threading.Lock()
         # A waiter blocked on a pending commit's locks completes that
         # commit itself instead of waiting out the batch (or, worse, a
         # lock timeout).
@@ -267,8 +265,24 @@ class TransactionManager:
             self.forget(txn.txn_id)
             self._stats.incr(("txn.committed", "txn.readonly_commits"))
             return None
-        commit_lsn = self.log_for(txn, commit_record(txn.txn_id))
+        commit_lsn = self._log_commit(txn, commit_record(txn.txn_id))
         return PendingCommit(self, txn, commit_lsn)
+
+    def _log_commit(self, txn: Transaction, record: LogRecord) -> int:
+        """Append ``txn``'s COMMIT record and note its LSN on ``txn`` in
+        one step that no checkpoint begin record falls inside."""
+        with self._commit_order:
+            lsn = txn.commit_lsn = self.log_for(txn, record)
+        return lsn
+
+    def append_checkpoint_begin(self, record: LogRecord) -> int:
+        """Append a checkpoint's begin record while no COMMIT is between
+        its append and its ``commit_lsn``.  A COMMIT before the begin
+        record is then already noted when the checkpoint reads the
+        table, and one after it is in the next analysis span: a
+        committed transaction never reaches a checkpoint as a loser."""
+        with self._commit_order:
+            return self._log.append(record)
 
     def _commit_finish(self, pending: "PendingCommit") -> None:
         """Phase 2 of commit, after a force covers the COMMIT record."""
@@ -296,7 +310,9 @@ class TransactionManager:
             gate(commit_lsn, txn.incarnation)
 
     def _end_committed(self, txn: Transaction, commit_lsn: int) -> None:
-        """Once a force covers the COMMIT record: timestamp, unlock, END."""
+        """Once a force covers the COMMIT record: timestamp, unlock,
+        forget.  The COMMIT record ends the transaction's log chain:
+        analysis retires a transaction at its COMMIT, so no END follows."""
         txn.status = TxnStatus.COMMITTED
         # Timestamp the commit (durable) before its locks drop: a
         # snapshot begun after the release must already see it.
@@ -306,12 +322,10 @@ class TransactionManager:
         try:
             released = self._locks.release_all(txn.txn_id)
             self._stats.incr("txn.locks_released_at_commit", released)
-            self.log_for(txn, end_record(txn.txn_id))
-        except _CRASHED:
+        except DatabaseClosedError:
             # The commit record is already durable — the transaction IS
             # committed and the caller must be acknowledged.  A crash
-            # landed right here: its locks died with the lock table, and
-            # restart handles a committed transaction without an END.
+            # landed right here: its locks died with the lock table.
             pass
         txn.status = TxnStatus.ENDED
         self.forget(txn.txn_id)
@@ -429,7 +443,7 @@ class TransactionManager:
             payload={"gid": txn.gid},
             undoable=False,
         )
-        commit_lsn = self.log_for(txn, commit)
+        commit_lsn = self._log_commit(txn, commit)
         self._log.force_for_commit(txn.last_lsn)
         self._end_committed(txn, commit_lsn)
         self._stats.incr(("txn.committed", "txn.prepared_committed"))

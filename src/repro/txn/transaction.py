@@ -17,7 +17,7 @@ from repro.wal.records import NULL_LSN
 
 class TxnStatus(enum.Enum):
     ACTIVE = "active"
-    COMMITTED = "committed"  # commit record written, end record pending
+    COMMITTED = "committed"  # commit record forced, locks being released
     ROLLING_BACK = "rolling_back"
     ENDED = "ended"
     ABORTED = "aborted"  # rollback finished
@@ -50,6 +50,9 @@ class Transaction:
     gid: str | None = None
     #: LSN of this branch's PREPARE record.
     prepare_lsn: int = NULL_LSN
+    #: LSN of the COMMIT record once it is appended (a checkpoint leaves
+    #: the transaction out of its table from then on).
+    commit_lsn: int = NULL_LSN
     #: The incarnation that began (or, restart analysis, adopted) this
     #: transaction: every operation on its behalf reaches the buffer
     #: pool, lock and latch tables and the log through it, so once a

@@ -17,7 +17,11 @@ Record categories (``kind``):
   record just undone.
 - ``DUMMY_CLR`` — the nested-top-action terminator (§1.2, Figure 9/10).
   Pure chain surgery: no page, no redo work.
-- ``COMMIT`` / ``ROLLBACK`` / ``END`` — transaction state transitions.
+- ``COMMIT`` — the last record of a committed transaction: no END
+  follows it, and restart analysis retires the transaction there.
+- ``ROLLBACK`` / ``END`` — a rollback's start and the end of a
+  rolled-back transaction's chain (restart undo of a loser writes the
+  END alone).
 - ``PREPARE`` — two-phase-commit phase-1 vote (presumed abort): the
   transaction's COMMIT-duration locks ride in the payload so a restarted
   shard can reacquire them and hold the transaction in-doubt until the
@@ -37,6 +41,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 from repro.codec.values import (
@@ -75,122 +80,210 @@ RM_TXN = "txn"
 
 # -- body layout ---------------------------------------------------------------
 #
-# A record body is one fixed struct header, then ``rm`` and ``op`` as
-# u8-length UTF-8 strings, then — only when it is non-empty — the
-# payload dict in the tagged value codec:
+# A record body is a kind byte and a flags byte, then only the header
+# fields the record has, in this order, then — only when it is
+# non-empty — the payload dict in the tagged value codec:
 #
-#   kind u8 | flags u8 | txn_id u64 | prev_lsn u64 | page_id u32 |
-#   prev_page_lsn u64 | undo_next_lsn u64 | rm | op | [payload]
+#   kind u8 | flags u8 | [txn_id u64] | [prev_lsn u64] | [op u8] |
+#   [page_id u32] | [prev_page_lsn u64] | [undo_next_lsn u64] |
+#   [rm, op as u8-length UTF-8 strings] | [payload]
 #
-# ``flags`` says whether the record is undoable and whether ``page_id``
-# and ``undo_next_lsn`` are present (absent ones are stored as 0).  Kind
-# codes are positions in this tuple, so new kinds go at the end; 0 is
-# never a kind, and no code is the tagged codec's dict tag (``D``), so a
-# body of the old tagged-dict format fails to decode instead of
-# misparsing.
+# ``flags`` says which fields are present: a zero ``txn_id``,
+# ``prev_lsn`` or ``prev_page_lsn`` and an absent ``page_id`` or
+# ``undo_next_lsn`` take no bytes.  The ``(rm, op)`` pair is a one-byte
+# code from ``_OPS``; the transaction-state pair (``txn``, no op) takes
+# no byte, and a pair outside the table is spelled out as two strings.
+# Each flags value fixes the header's shape, so the CRC frame and the
+# header are one precompiled struct unpack (``_SHAPES``).
+#
+# Kind codes are ``_KIND_BASE`` plus the kind's position in
+# ``_KIND_BY_CODE``, so new kinds go at the end.  The previous
+# fixed-header layout used the positions themselves (1–12): a body in
+# that layout is refused by name, never misparsed.  No code is the
+# tagged codec's dict tag (``D``), so an older tagged-dict body fails
+# to decode too.
 _KIND_BY_CODE: tuple[RecordKind | None, ...] = (None, *RecordKind)
+_KIND_BASE = 0x20
 #: Keyed by the kind's value: a ``str`` hashes in C, an Enum member
 #: through the Python-level ``Enum.__hash__``.
-_CODE_BY_VALUE = {kind.value: code for code, kind in enumerate(_KIND_BY_CODE) if kind}
+_CODE_BY_VALUE = {
+    kind.value: _KIND_BASE + code for code, kind in enumerate(_KIND_BY_CODE) if kind
+}
+#: Body byte 0 → its kind, None for a byte that is no kind code.
+_KIND_OF_BYTE: tuple[RecordKind | None, ...] = (
+    (None,) * _KIND_BASE
+    + _KIND_BY_CODE
+    + (None,) * (256 - _KIND_BASE - len(_KIND_BY_CODE))
+)
+#: The fixed-header layout's shortest body: a 38-byte header and two
+#: empty names.
+_LEGACY_MIN_BODY = 40
 
-_HEAD = struct.Struct(">BBQQIQQ")
-_PACK_HEAD = _HEAD.pack
-#: The CRC frame and the struct header in one unpack.
-_UNPACK_FRAMED_HEAD = struct.Struct(">II" + _HEAD.format[1:]).unpack_from
-_HEAD_SIZE = _HEAD.size
-_FRAME_SIZE = RECORD_FRAME.size
-#: Struct header plus two empty names: the shortest valid body.
-_MIN_BODY = _HEAD_SIZE + 2
+#: ``(rm, op)`` pairs by their one-byte code.  Code 0, the
+#: transaction-state pair, is never stored.  New pairs go at the end.
+_OPS: tuple[tuple[str, str], ...] = (
+    (RM_TXN, ""),
+    (RM_TXN, "prepare"),
+    (RM_TXN, "nta_end"),
+    (RM_HEAP, "format"),
+    (RM_HEAP, "insert"),
+    (RM_HEAP, "delete"),
+    (RM_HEAP, "unghost_c"),
+    (RM_HEAP, "remove_c"),
+    (RM_HEAP, "purge"),
+    (RM_BTREE, "page_format"),
+    (RM_BTREE, "insert_key"),
+    (RM_BTREE, "insert_key_c"),
+    (RM_BTREE, "delete_key"),
+    (RM_BTREE, "delete_key_c"),
+    (RM_BTREE, "leaf_shrink"),
+    (RM_BTREE, "chain_prev"),
+    (RM_BTREE, "chain_next"),
+    (RM_BTREE, "set_page"),
+    (RM_BTREE, "set_page_c"),
+)
+_OP_CODES = {pair: code for code, pair in enumerate(_OPS)}
+#: Decode side, padded so that any byte indexes it.
+_OPS_BY_BYTE: tuple[tuple[str, str] | None, ...] = _OPS + (None,) * (256 - len(_OPS))
+
 _F_UNDOABLE = 1
-_F_PAGE = 2
-_F_UNDO_NEXT = 4
+_F_TXN = 2
+_F_PREV = 4
+_F_OP = 8
+_F_PAGE = 16
+_F_PREV_PAGE = 32
+_F_UNDO_NEXT = 64
+_F_NAMES = 128
+#: The optional header fields in body order: their flag, struct code
+#: and the value an absent one reads as.
+_FIELDS = (
+    (_F_TXN, "Q", 0),
+    (_F_PREV, "Q", NULL_LSN),
+    (_F_OP, "B", 0),
+    (_F_PAGE, "I", None),
+    (_F_PREV_PAGE, "Q", NULL_LSN),
+    (_F_UNDO_NEXT, "Q", None),
+)
+#: Appended to an unpacked header so an absent field can be picked.
+_STAND_INS = (0, None)
+_FRAME_SIZE = RECORD_FRAME.size
+#: Offset of the flags byte from the start of a frame.
+_FLAGS_AT = _FRAME_SIZE + 1
 
-#: ``(rm, op)`` → their packed length-prefixed bytes; a handful of pairs
-#: cover every record, bounded like the codec's dict-key cache.
-_NAMES: dict[tuple[str, str], bytes] = {}
-_NAMES_MAX = 4096
+
+def _shape(flags: int) -> tuple:
+    """The header of one flags value: how to pack it and how to read it.
+
+    ``select`` picks the present fields out of ``(kind code, flags,
+    txn_id, prev_lsn, op code, page_id, prev_page_lsn, undo_next_lsn)``
+    for ``pack``.  ``unpack`` reads the CRC frame and the header at
+    once, and ``canonical`` maps that tuple plus ``_STAND_INS`` to
+    ``(crc, length, kind code, flags, txn_id, prev_lsn, op code,
+    page_id, prev_page_lsn, undo_next_lsn)``."""
+    present = [flag & flags for flag, _, _ in _FIELDS]
+    head = struct.Struct(">BB" + "".join(c for (_, c, _), p in zip(_FIELDS, present) if p))
+    framed = struct.Struct(RECORD_FRAME.format + head.format[1:])
+    select = [0, 1]  # kind code, flags
+    picks = [0, 1, 2, 3]  # crc, length, kind code, flags
+    at = 4
+    stand_ins_at = at + sum(map(bool, present))
+    for position, ((_, _, absent), here) in enumerate(zip(_FIELDS, present)):
+        if here:
+            select.append(2 + position)
+            picks.append(at)
+            at += 1
+        else:
+            picks.append(stand_ins_at + _STAND_INS.index(absent))
+    return (head.pack, itemgetter(*select)), (
+        framed.unpack_from, itemgetter(*picks), head.size
+    )
+
+
+#: By flags value: ``(pack, select)`` and ``(unpack, canonical,
+#: body_size)`` (see :func:`_shape`).
+_PACKERS, _SHAPES = zip(*map(_shape, range(256)))
 
 
 def _pack_names(rm: str, op: str) -> bytes:
-    packed = _NAMES.get((rm, op))
-    if packed is None:
-        rm_raw = rm.encode("utf-8")
-        op_raw = op.encode("utf-8")
-        if len(rm_raw) > 255 or len(op_raw) > 255:
-            raise WALError(f"rm/op names longer than 255 bytes: {rm!r}.{op!r}")
-        packed = bytes((len(rm_raw),)) + rm_raw + bytes((len(op_raw),)) + op_raw
-        if len(_NAMES) < _NAMES_MAX:
-            _NAMES[(rm, op)] = packed
-    return packed
+    """A pair outside ``_OPS`` as two length-prefixed strings."""
+    rm_raw = rm.encode("utf-8")
+    op_raw = op.encode("utf-8")
+    if len(rm_raw) > 255 or len(op_raw) > 255:
+        raise WALError(f"rm/op names longer than 255 bytes: {rm!r}.{op!r}")
+    return bytes((len(rm_raw),)) + rm_raw + bytes((len(op_raw),)) + op_raw
 
 
-#: The decode side of ``_NAMES``: a body's raw name bytes (both
-#: length-prefixed) → the interned ``(rm, op)`` pair, so parsing a
-#: record's names is one lookup instead of two UTF-8 decodes.  Bounded
-#: the same way.
-_NAMES_BY_RAW: dict[bytes, tuple[str, str]] = {}
+def _unpack_names(body, pos: int, offset: int) -> tuple[str, str, int]:
+    """Read the spelled-out ``(rm, op)`` at ``pos``; returns them and
+    the offset after them."""
+    try:
+        rm_end = pos + 1 + body[pos]
+        end = rm_end + 1 + body[rm_end]
+        if end > len(body):
+            raise IndexError(end)
+        rm = sys.intern(str(body[pos + 1 : rm_end], "utf-8"))
+        op = sys.intern(str(body[rm_end + 1 : end], "utf-8"))
+    except (IndexError, UnicodeDecodeError) as exc:
+        raise WALError(f"malformed rm/op names in log record at offset {offset}") from exc
+    return rm, op, end
 
 
-def _unpack_names(raw_names, offset: int) -> tuple[str, str]:
-    """``_parse``'s lookup on a miss, or on a buffer that cannot be
-    hashed (a writable ``memoryview`` or ``bytearray``)."""
-    raw_names = bytes(raw_names)
-    names = _NAMES_BY_RAW.get(raw_names)
-    if names is None:
-        size = raw_names[0]
-        try:
-            names = (
-                sys.intern(str(raw_names[1 : 1 + size], "utf-8")),
-                sys.intern(str(raw_names[2 + size :], "utf-8")),
-            )
-        except UnicodeDecodeError as exc:
-            raise WALError(f"malformed log record body at offset {offset}") from exc
-        if len(_NAMES_BY_RAW) < _NAMES_MAX:
-            _NAMES_BY_RAW[raw_names] = names
-    return names
+def _refuse(body, offset: int) -> WALError:
+    """The error for a CRC-valid body that is not a record in this
+    layout, naming the previous layout when it is one of its bodies."""
+    code = body[0] if len(body) else None
+    if len(body) >= _LEGACY_MIN_BODY and code in range(1, len(_KIND_BY_CODE)):
+        return WALError(
+            f"log record at offset {offset} is in the previous fixed-header "
+            f"layout (kind code {code}, 38-byte header), which this version "
+            "no longer reads"
+        )
+    return WALError(
+        f"malformed log record body at offset {offset} "
+        f"(byte 0 = {code}, {len(body)} bytes)"
+    )
 
 
 def _parse(raw, offset: int) -> tuple:
     """Validate the frame at ``offset`` and split its body.
 
-    Returns ``(fields, rm, op, body, payload_start, next_offset)``
-    where ``fields`` is the unpacked CRC frame and struct header:
-    ``(crc, length, kind code, flags, txn_id, prev_lsn, page_id,
-    prev_page_lsn, undo_next_lsn)``.  A frame that is cut short or
-    fails its CRC raises :class:`~repro.common.errors.CorruptLogError`
-    (the torn-tail signal); a CRC-valid body that is not a record in
-    this layout raises plain :class:`~repro.common.errors.WALError`.
+    Returns ``(kind, fields, rm, op, body, payload_start, next_offset)``
+    where ``fields`` is the canonical tuple of :func:`_shape`.  A frame
+    that is cut short or fails its CRC raises
+    :class:`~repro.common.errors.CorruptLogError` (the torn-tail
+    signal); a CRC-valid body that is not a record in this layout
+    raises plain :class:`~repro.common.errors.WALError`.
     """
     try:
-        fields = _UNPACK_FRAMED_HEAD(raw, offset)
+        unpack, canonical, body_size = _SHAPES[raw[offset + _FLAGS_AT]]
+        fields = unpack(raw, offset)
         length = fields[1]
-    except struct.error:
-        length = -1
+    except (IndexError, struct.error):
+        length, body_size = -1, 0
     start = offset + _FRAME_SIZE
     next_offset = start + length
-    if length < _MIN_BODY or next_offset > len(raw):
-        # Too short to hold a header: let the frame check say whether
-        # the frame itself is cut short or damaged.
+    if length < body_size or next_offset > len(raw):
+        # Let the frame check say whether the frame itself is cut short
+        # or damaged; if it is whole, the body is no record.
         body, _ = unframe_record(raw, offset)
-        raise WALError(f"log record body at offset {offset} is only {len(body)} bytes")
+        raise _refuse(body, offset)
     body = raw[start:next_offset]
     if zlib.crc32(body) != fields[0]:
         raise CorruptLogError(f"log record at offset {offset} failed its CRC check")
-    # The names end after the op length byte, which follows the rm name.
-    pos = _HEAD_SIZE + 2 + body[_HEAD_SIZE]
-    if pos <= length:
-        pos += body[pos - 1]
-    if pos > length or not 0 < fields[2] < len(_KIND_BY_CODE):
-        raise WALError(
-            f"malformed log record body at offset {offset} "
-            f"(kind code {fields[2]}, {length} bytes)"
-        )
-    raw_names = body[_HEAD_SIZE:pos]
-    try:
-        rm, op = _NAMES_BY_RAW[raw_names]
-    except (KeyError, TypeError, ValueError):
-        rm, op = _unpack_names(raw_names, offset)
-    return fields, rm, op, body, pos, next_offset
+    kind = _KIND_OF_BYTE[fields[2]]
+    flags = fields[3]
+    if kind is None or flags & _F_NAMES and flags & _F_OP:
+        raise _refuse(body, offset)
+    fields = canonical(fields + _STAND_INS)
+    pos = body_size
+    if flags & _F_NAMES:
+        rm, op, pos = _unpack_names(body, pos, offset)
+    else:
+        names = _OPS_BY_BYTE[fields[6]]
+        if names is None:
+            raise _refuse(body, offset)
+        rm, op = names
+    return kind, fields, rm, op, body, pos, next_offset
 
 
 @dataclass
@@ -237,28 +330,47 @@ class LogRecord:
 
     def to_bytes(self) -> bytes:
         """Serialize as a CRC-framed record (see
-        :func:`~repro.codec.values.frame_record`) in the fixed-header
+        :func:`~repro.codec.values.frame_record`) in the compact-header
         layout described at the top of this module."""
+        txn_id = self.txn_id
+        prev_lsn = self.prev_lsn
         page_id = self.page_id
+        prev_page_lsn = self.prev_page_lsn
         undo_next = self.undo_next_lsn
         flags = (
             (_F_UNDOABLE if self.undoable else 0)
+            | (_F_TXN if txn_id else 0)
+            | (_F_PREV if prev_lsn else 0)
             | (0 if page_id is None else _F_PAGE)
+            | (_F_PREV_PAGE if prev_page_lsn else 0)
             | (0 if undo_next is None else _F_UNDO_NEXT)
         )
+        op_code = _OP_CODES.get((self.rm, self.op))
+        if op_code is None:
+            flags |= _F_NAMES
+            op_code = 0
+        elif op_code:
+            flags |= _F_OP
+        pack, select = _PACKERS[flags]
         try:
-            body = _PACK_HEAD(
-                _CODE_BY_VALUE[self.kind._value_],
-                flags,
-                self.txn_id,
-                self.prev_lsn,
-                page_id or 0,
-                self.prev_page_lsn,
-                undo_next or 0,
+            body = pack(
+                *select(
+                    (
+                        _CODE_BY_VALUE[self.kind._value_],
+                        flags,
+                        txn_id,
+                        prev_lsn,
+                        op_code,
+                        page_id,
+                        prev_page_lsn,
+                        undo_next,
+                    )
+                )
             )
         except struct.error as exc:
             raise WALError(f"log record field out of range: {exc}") from exc
-        body += _pack_names(self.rm, self.op)
+        if flags & _F_NAMES:
+            body += _pack_names(self.rm, self.op)
         if self.payload:
             body += encode_value(self.payload)
         return frame_record(body)
@@ -270,23 +382,23 @@ class LogRecord:
         """Decode the framed record at ``offset`` (``raw`` may be any
         buffer, ``memoryview`` included); returns it, stamped with
         ``lsn``, and the offset of the next frame."""
-        fields, rm, op, body, pos, next_offset = _parse(raw, offset)
-        _, _, code, flags, txn_id, prev_lsn, page_id, prev_page_lsn, undo_next = fields
+        kind, fields, rm, op, body, pos, next_offset = _parse(raw, offset)
+        _, _, _, flags, txn_id, prev_lsn, _, page_id, prev_page_lsn, undo_next = fields
         payload: Any = {}
         if pos < len(body):
             payload, end = decode_value(body, pos)
             if not isinstance(payload, dict) or end != len(body):
                 raise WALError(f"malformed log record payload at offset {offset}")
         record = cls(  # positional: field order, half the cost of keywords
-            _KIND_BY_CODE[code],
+            kind,
             txn_id,
             prev_lsn,
             rm,
             op,
-            page_id if flags & _F_PAGE else None,
+            page_id,
             prev_page_lsn,
             payload,
-            undo_next if flags & _F_UNDO_NEXT else None,
+            undo_next,
             bool(flags & _F_UNDOABLE),
             lsn,
         )
@@ -337,23 +449,23 @@ def header_from_bytes(
     raw, offset: int = 0, lsn: int = NULL_LSN
 ) -> tuple[RecordHeader, int]:
     """Decode one framed record's header fields only (no payload)."""
-    fields, rm, op, _, _, next_offset = _parse(raw, offset)
-    _, _, code, flags, txn_id, prev_lsn, page_id, prev_page_lsn, undo_next = fields
+    kind, fields, rm, op, _, _, next_offset = _parse(raw, offset)
+    _, _, _, flags, txn_id, prev_lsn, _, page_id, prev_page_lsn, undo_next = fields
     return (
         _tuple_new(
             RecordHeader,
             (
                 lsn,
-                _KIND_BY_CODE[code],
+                kind,
                 txn_id,
                 prev_lsn,
                 rm,
                 op,
-                page_id if flags & _F_PAGE else None,
+                page_id,
                 prev_page_lsn,
-                undo_next if flags & _F_UNDO_NEXT else None,
+                undo_next,
                 bool(flags & _F_UNDOABLE),
-            )
+            ),
         ),
         next_offset,
     )
@@ -381,7 +493,8 @@ def commit_record(txn_id: int) -> LogRecord:
 
 
 def end_record(txn_id: int) -> LogRecord:
-    """Build the END record that closes a transaction's log chain."""
+    """Build the END record that closes a rolled-back transaction's log
+    chain (a committed one ends at its COMMIT)."""
     return LogRecord(
         RecordKind.END, txn_id, NULL_LSN, RM_TXN, "", None, NULL_LSN, {}, None, False
     )

@@ -106,7 +106,6 @@ def test_null_page_link_mid_chain_is_reported():
             upd(10, 1, NULL_LSN, page_id=7, op="format", undoable=False),
             upd(20, 1, 10, page_id=7, prev_page_lsn=10, op="insert"),
             rec(RecordKind.COMMIT, 30, 1, 20),
-            rec(RecordKind.END, 40, 1, 30, undoable=False),
             upd(50, 2, NULL_LSN, page_id=7, op="insert"),  # should link to 20
             upd(60, 2, 50, page_id=7, prev_page_lsn=50, op="delete"),
         ]
@@ -132,7 +131,6 @@ def test_pre_truncation_references_are_accepted():
         [
             upd(100, 1, 60, page_id=7, prev_page_lsn=80),
             rec(RecordKind.COMMIT, 120, 1, 100),
-            rec(RecordKind.END, 140, 1, 120, undoable=False),
         ],
         first_lsn=90,
     )
@@ -142,7 +140,7 @@ def test_pre_truncation_references_are_accepted():
 def test_duplicate_end_is_reported():
     msgs = findings(
         [
-            rec(RecordKind.COMMIT, 10, 1, NULL_LSN),
+            rec(RecordKind.ROLLBACK, 10, 1, NULL_LSN, undoable=False),
             rec(RecordKind.END, 20, 1, 10, undoable=False),
             rec(RecordKind.END, 30, 1, 20, undoable=False),
         ]
@@ -240,13 +238,13 @@ def test_bare_tagged_dict_stream_is_refused(tmp_path):
     body = encode_value({"kind": "commit", "txn_id": 1, "payload": {}})
     path = tmp_path / "v1.stream"
     path.write_bytes(frame_record(body))
-    with pytest.raises(WalCheckError, match="version 2 record format"):
+    with pytest.raises(WalCheckError, match="version 3 record format"):
         read_log_file(path)
 
 
-def test_bare_v2_stream_is_read(tmp_path):
+def test_bare_v3_stream_is_read(tmp_path):
     stream = upd(1, 1, NULL_LSN, page_id=3).to_bytes()
-    path = tmp_path / "v2.stream"
+    path = tmp_path / "v3.stream"
     path.write_bytes(stream)
     first_lsn, records = read_log_file(path)
     assert first_lsn == 1

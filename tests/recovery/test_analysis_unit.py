@@ -23,7 +23,7 @@ class TestTransactionTable:
         db.log.force()
         result = run_analysis(db)
         assert result.losers == []
-        assert result.winners_needing_end == []
+        assert result.transactions == {}
 
     def test_inflight_txn_is_a_loser(self):
         db = make_db()
@@ -37,7 +37,7 @@ class TestTransactionTable:
         assert losers[0].undo_next_lsn > 0
 
     def test_commit_without_end_is_a_winner(self):
-        """Crash between the commit record and the end record."""
+        """A COMMIT ends a committed transaction: no END follows it."""
         db = make_db()
         txn = db.begin()
         db.insert(txn, "t", {"id": 1, "val": "v"})
@@ -48,7 +48,8 @@ class TestTransactionTable:
         db.log.crash()
         result = run_analysis(db)
         assert result.losers == []
-        assert [t.txn_id for t in result.winners_needing_end] == [txn.txn_id]
+        assert txn.txn_id not in result.transactions
+        assert txn.txn_id in result.ended_txn_ids
 
     def test_undo_next_skips_clrs(self):
         """A transaction that was mid-rollback at the crash resumes
@@ -159,10 +160,11 @@ class TestDirtyPageTable:
 class TestEveryField:
     def test_every_kind_pinned_field_by_field(self):
         """One hand-built log with every kind analysis branches on —
-        a checkpoint pair with a transaction ending inside its window,
-        PREPARE with a gid, ROLLBACK, CLR, DUMMY_CLR, END, a heap
-        ``format`` record, page records before and after the checkpoint
-        — and every ``AnalysisResult`` field asserted exactly."""
+        a checkpoint pair with a transaction committing inside its
+        window, a committed entry in its table, PREPARE with a gid,
+        COMMIT, ROLLBACK, CLR, DUMMY_CLR, END, a heap ``format`` record,
+        page records before and after the checkpoint — and every
+        ``AnalysisResult`` field asserted exactly."""
         import struct
         from types import SimpleNamespace
 
@@ -200,11 +202,13 @@ class TestEveryField:
         # Before the checkpoint: not scanned, known only from its payload.
         pre_1 = log.append(key_insert(1, 10))
         pre_2 = log.append(heap_insert(2, 11))
-        commit_2 = log.append(kind(2, RecordKind.COMMIT))
+        log.append(kind(9, RecordKind.COMMIT))
         begin = log.append(kind(0, RecordKind.CKPT_BEGIN))
-        # Transaction 2 ends inside the checkpoint window; the snapshot
-        # below still lists it (stale) and must not resurrect it.
-        log.append(kind(2, RecordKind.END))
+        # Transaction 2 commits inside the checkpoint window; the
+        # snapshot below still lists it (stale) and must not resurrect
+        # it.  Transaction 9 committed before the window: its committed
+        # entry is a winner.
+        log.append(kind(2, RecordKind.COMMIT))
         log.append(
             LogRecord(
                 kind=RecordKind.CKPT_END,
@@ -214,8 +218,10 @@ class TestEveryField:
                     "txn_table": [
                         {"txn_id": 1, "status": "active", "last_lsn": pre_1,
                          "undo_next_lsn": pre_1},
-                        {"txn_id": 2, "status": "committed", "last_lsn": commit_2,
+                        {"txn_id": 2, "status": "active", "last_lsn": pre_2,
                          "undo_next_lsn": pre_2},
+                        {"txn_id": 9, "status": "committed", "last_lsn": 2,
+                         "undo_next_lsn": 2},
                         {"txn_id": 3, "status": "prepared", "last_lsn": 3,
                          "undo_next_lsn": 2, "gid": "g-3", "prepare_lsn": 3},
                     ],
@@ -242,9 +248,9 @@ class TestEveryField:
         nta_5 = log.append(dummy_clr(5, NULL_LSN))
         prepare_6 = log.append(prepare_record(6, "g-6", []))
         upd_7 = log.append(heap_insert(7, 11))
-        commit_7 = log.append(kind(7, RecordKind.COMMIT))
+        log.append(kind(7, RecordKind.COMMIT))
         upd_8 = log.append(key_insert(8, 14))
-        log.append(kind(8, RecordKind.COMMIT))
+        log.append(kind(8, RecordKind.ROLLBACK))
         last = log.append(kind(8, RecordKind.END))
         log.force()
         log.write_master(begin)
@@ -261,7 +267,6 @@ class TestEveryField:
             4: (TxnStatus.ROLLING_BACK, clr_4, upd_4a, None, NULL_LSN),
             5: (TxnStatus.ACTIVE, nta_5, NULL_LSN, None, NULL_LSN),
             6: (TxnStatus.PREPARED, prepare_6, NULL_LSN, "g-6", prepare_6),
-            7: (TxnStatus.COMMITTED, commit_7, upd_7, None, NULL_LSN),
         }
         assert result.dirty_pages == {
             10: pre_1, 11: pre_2, 12: fmt, 13: upd_4a, 14: upd_5,
@@ -274,10 +279,9 @@ class TestEveryField:
         assert result.records_scanned == 17
         assert result.max_txn_id == 8
         assert result.next_txn_id == 50
-        assert result.ended_txn_ids == {2, 8}
+        assert result.ended_txn_ids == {2, 7, 8}
         assert result.heap_formats == {7: {12}}
         assert [t.txn_id for t in result.losers] == [1, 4, 5]
-        assert [t.txn_id for t in result.winners_needing_end] == [7]
         assert [t.txn_id for t in result.prepared] == [3, 6]
         snapshot = stats.snapshot()
         assert snapshot["recovery.analysis_passes"] == 1

@@ -13,11 +13,17 @@ stop-the-world recovery reaches.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.common.config import DatabaseConfig
-from repro.common.errors import ConfigError, PermanentIOError
+from repro.common.errors import (
+    ConfigError,
+    DatabaseClosedError,
+    PermanentIOError,
+    ReproError,
+)
 from repro.db import Database
 from repro.recovery.instant import RecoveryGovernor
 
@@ -367,6 +373,48 @@ class TestOperationalGuards:
         assert db.stats.get("db.io_panics") == 1
         assert db.stats.get("db.crashes") == 2  # build_crashed's, then this one
         assert db.crashed and db.recovery is None
+        monkeypatch.undo()
+        db.restart()
+        assert all_rows(db) == {i: f"v{i}" for i in range(ROWS)}
+        db.close()
+
+    def test_fatal_io_before_the_restart_opens_fails_the_restart(self, monkeypatch):
+        """Every disk read off the main thread fails while an instant
+        restart runs.  The background thread starts before the database
+        opens, and the restart is held there until that thread is done:
+        its fault crashes the incarnation being built, so the restart
+        raises and the database stays crashed instead of opening over
+        a failed device."""
+        db = build_crashed()
+        read = db.disk.read
+        main = threading.current_thread()
+        faulted: list[threading.Thread] = []
+
+        def fail_off_main(page_id):
+            if threading.current_thread() is not main:
+                faulted.append(threading.current_thread())
+                raise PermanentIOError(f"injected fault reading page {page_id}")
+            return read(page_id)
+
+        rebuild = db._rebuild_mvcc_state
+
+        def after_the_background_thread():
+            # The last step before the database opens.
+            deadline = time.monotonic() + 10.0
+            while not faulted and time.monotonic() < deadline:
+                time.sleep(0.001)
+            faulted[0].join(10.0)
+            rebuild()
+
+        monkeypatch.setattr(db.disk, "read", fail_off_main)
+        monkeypatch.setattr(db, "_rebuild_mvcc_state", after_the_background_thread)
+        with pytest.raises(ReproError):
+            db.instant_restart(background=True)
+        assert faulted
+        assert db.stats.get("db.io_panics") == 1
+        assert db.crashed
+        with pytest.raises(DatabaseClosedError):
+            db.begin()
         monkeypatch.undo()
         db.restart()
         assert all_rows(db) == {i: f"v{i}" for i in range(ROWS)}

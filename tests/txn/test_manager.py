@@ -22,12 +22,15 @@ class TestCommit:
         # The commit record (the one after the update) is durable.
         assert table_db.log.flushed_lsn >= update_lsn
 
-    def test_commit_writes_commit_then_end(self, table_db):
+    def test_commit_record_ends_the_transaction(self, table_db):
+        """A commit is one append and one force: no END follows."""
         txn = table_db.begin()
         table_db.insert(txn, "t", {"id": 1, "val": "v"})
+        appended = table_db.log.records_appended
         table_db.commit(txn)
-        kinds = [r.kind for r in table_db.log.tail(2)]
-        assert kinds == [RecordKind.COMMIT, RecordKind.END]
+        assert table_db.log.records_appended == appended + 1
+        (last,) = table_db.log.tail(1)
+        assert (last.kind, last.txn_id) == (RecordKind.COMMIT, txn.txn_id)
 
     def test_commit_releases_locks(self, table_db):
         txn = table_db.begin()

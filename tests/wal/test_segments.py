@@ -14,8 +14,8 @@ from repro.wal.records import LogRecord, RecordKind, update_record
 
 @pytest.fixture
 def small_segments(monkeypatch):
-    """Segments of 200 bytes: a few ~100-byte frames each."""
-    monkeypatch.setattr(log_module, "SEGMENT_BYTES", 200)
+    """Segments of 150 bytes: two or three ~65-byte frames each."""
+    monkeypatch.setattr(log_module, "SEGMENT_BYTES", 150)
 
 
 def rec(i):
@@ -145,12 +145,12 @@ class TestTruncationAcrossSeals:
 
 
 def test_memory_grows_by_the_log_bytes_only():
-    """50k COMMIT records cost their bytes, not per-record objects."""
+    """100k COMMIT records cost their bytes, not per-record objects."""
     log = LogManager()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        for txn_id in range(50_000):
+        for txn_id in range(100_000):
             log.append(LogRecord(kind=RecordKind.COMMIT, txn_id=txn_id))
         after, _ = tracemalloc.get_traced_memory()
     finally:
