@@ -665,9 +665,11 @@ class Database:
         database opens): the crash retires it, so the restart raises
         and the database stays crashed."""
         with self._panic_lock:
-            if incarnation is not self.incarnation or incarnation.retired:
-                return  # already crashed, or closed
-            if incarnation is self._panicked:
+            if (
+                incarnation is not self.incarnation  # closed, or restarted since
+                or incarnation.retired
+                or incarnation is self._panicked  # another thread is crashing it
+            ):
                 return
             self._panicked = incarnation
         self.stats.incr("db.io_panics")
