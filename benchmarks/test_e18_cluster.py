@@ -32,6 +32,7 @@ from pathlib import Path
 from repro.cluster.client import ClusterClient
 from repro.cluster.coordinator import Coordinator
 from repro.cluster.routing import shard_for_key
+from repro.common.errors import DeadlockError, LockTimeoutError, TwoPhaseAbortError
 from repro.harness.report import format_table
 from repro.server.client import DatabaseClient
 
@@ -40,6 +41,8 @@ from _common import RESULTS_DIR, write_result
 WORKERS = 8
 REQUESTS_PER_WORKER = 120
 SRC = Path(__file__).resolve().parent.parent / "src"
+#: What a shard may refuse a transaction with: counted as an abort.
+REFUSED = (LockTimeoutError, DeadlockError, TwoPhaseAbortError)
 
 
 class ShardProcess:
@@ -73,12 +76,24 @@ class ShardProcess:
 
 def run_mix(shards: list[ShardProcess], cross_fraction: float,
             coordinator: Coordinator, phase: int = 0) -> dict:
-    """Closed-loop mixed workload; returns throughput + txn counts."""
+    """Closed-loop mixed workload; returns throughput + txn counts.
+
+    A transaction the shards refuse (lock timeout, deadlock victim, a
+    2PC abort) counts as an abort; any other exception in a worker
+    fails the run."""
     n = len(shards)
     counts = {"singles": 0, "cross": 0, "aborts": 0}
+    errors: list[BaseException] = []
     lock = threading.Lock()
 
     def worker(worker_id: int) -> None:
+        try:
+            run_worker(worker_id)
+        except BaseException as exc:  # noqa: BLE001 - reported after the join
+            with lock:
+                errors.append(exc)
+
+    def run_worker(worker_id: int) -> None:
         client = ClusterClient([s.connect() for s in shards], coordinator)
         # Distinct key range per worker AND per phase: the three
         # 3-shard measurements reuse the same shard processes.
@@ -102,17 +117,19 @@ def run_mix(shards: list[ShardProcess], cross_fraction: float,
                         if b is not None:
                             break
                     try:
-                        client.begin()
-                        client.insert("t", {"id": a, "pad": "x" * 16})
-                        client.insert("t", {"id": b, "pad": "x" * 16})
-                        client.commit()
+                        with client.transaction():
+                            client.insert("t", {"id": a, "pad": "x" * 16})
+                            client.insert("t", {"id": b, "pad": "x" * 16})
                         cross += 1
-                    except Exception:  # noqa: BLE001
+                    except REFUSED:
                         aborts += 1
                 else:
                     seq += 1
-                    client.insert("t", {"id": base + 10 * seq, "pad": "x" * 16})
-                    singles += 1
+                    try:
+                        client.insert("t", {"id": base + 10 * seq, "pad": "x" * 16})
+                        singles += 1
+                    except REFUSED:
+                        aborts += 1
         finally:
             client.close()
         with lock:
@@ -127,6 +144,7 @@ def run_mix(shards: list[ShardProcess], cross_fraction: float,
     for t in threads:
         t.join()
     elapsed = time.perf_counter() - start
+    assert not errors, f"{len(errors)} worker(s) died: {errors[0]!r}"
     total = counts["singles"] + counts["cross"]
     return {
         "shards": n,

@@ -9,10 +9,9 @@ experiments (E1, E7) compare like with like.
 The key distinction (§2.1):
 
 - **data-only locking** (ARIES/IM's headline): the lock of a key *is*
-  the lock on the corresponding record (or its data page, at page
-  granularity).  The index manager locks the record during fetches;
-  the record manager's own X lock covers inserts/deletes, so the index
-  takes *no* current-key lock for those.
+  the lock on the corresponding record.  The index manager locks the
+  record during fetches; the record manager's own X lock covers
+  inserts/deletes, so the index takes *no* current-key lock for those.
 - **index-specific locking**: explicit locks on keys in the index —
   ARIES/IM's variant locks individual (value, RID) keys; ARIES/KVL and
   System R lock key *values*, which in a nonunique index makes all
@@ -30,6 +29,7 @@ from repro.locks.modes import (
     LockMode,
     eof_lock_name,
     key_value_lock_name,
+    record_lock_name,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,7 +121,7 @@ class DataOnlyLocking(LockingProtocol):
     index_locks_current_key = False
 
     def key_lock_name(self, tree: "BTree", key: IndexKey) -> tuple:
-        return tree.ctx.heap_lock_name(tree.table_id, key.rid)
+        return record_lock_name(tree.table_id, key.rid)
 
     def insert_locks(self, tree, key, next_key, value_exists):
         # Next key: X instant.  Current key: none — the record manager

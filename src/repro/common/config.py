@@ -13,7 +13,6 @@ from typing import Literal, get_args
 
 from repro.common.errors import ConfigError
 
-LockGranularity = Literal["record", "page"]
 TreeLatchMode = Literal["latch", "lock"]
 
 
@@ -23,9 +22,6 @@ class DatabaseConfig:
 
     Parameters mirror the design choices called out in the paper:
 
-    - ``lock_granularity``: the granularity associated with the table
-      (§2.1: "at the locking granularity (page, record, ...) associated
-      with the table/file").
     - ``tree_latch_mode``: ``"latch"`` serializes SMOs with an X tree
       latch (§2.1); ``"lock"`` implements the §5 extension where SMOs
       take the tree lock in IX and upgrade to X only for nonleaf SMOs.
@@ -36,7 +32,6 @@ class DatabaseConfig:
 
     page_size: int = 4096
     buffer_pool_pages: int = 256
-    lock_granularity: LockGranularity = "record"
     tree_latch_mode: TreeLatchMode = "latch"
     enable_sm_bit: bool = True
     enable_delete_bit: bool = True
@@ -78,13 +73,11 @@ class DatabaseConfig:
     latch ordering under load, not as a tuned production daemon."""
 
     def __post_init__(self) -> None:
-        for name, mode in (
-            ("lock_granularity", LockGranularity),
-            ("tree_latch_mode", TreeLatchMode),
-        ):
-            value = getattr(self, name)
-            if value not in get_args(mode):
-                raise ConfigError(f"{name} {value!r} is not one of {get_args(mode)}")
+        if self.tree_latch_mode not in get_args(TreeLatchMode):
+            raise ConfigError(
+                f"tree_latch_mode {self.tree_latch_mode!r} is not one of "
+                f"{get_args(TreeLatchMode)}"
+            )
         if self.page_size < 512:
             raise ConfigError(f"page_size {self.page_size} is too small (< 512)")
         if self.buffer_pool_pages < 4:

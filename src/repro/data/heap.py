@@ -33,7 +33,6 @@ from repro.common.rid import RID
 from repro.locks.modes import (
     LockDuration,
     LockMode,
-    data_page_lock_name,
     record_lock_name,
 )
 from repro.storage.page import PAGE_OVERHEAD, Page
@@ -342,19 +341,11 @@ class HeapFile:
 
     # -- locking helper -----------------------------------------------------------
 
-    def lock_name_for(self, rid: RID) -> tuple:
-        """The data-only lock name for a record, honouring the table's
-        locking granularity (§2.1: record locks, or the data page id
-        which is part of the record id for page granularity)."""
-        if self._ctx.config.lock_granularity == "page":
-            return data_page_lock_name(self.table_id, rid.page_id)
-        return record_lock_name(self.table_id, rid)
-
     def _lock(self, txn: "Transaction", rid: RID, mode: LockMode) -> None:
         if txn.in_rollback:
             return
         txn.incarnation.locks.request(
-            txn.txn_id, self.lock_name_for(rid), mode, LockDuration.COMMIT
+            txn.txn_id, record_lock_name(self.table_id, rid), mode, LockDuration.COMMIT
         )
 
     # -- operations -------------------------------------------------------------------

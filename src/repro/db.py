@@ -59,7 +59,6 @@ from repro.btree.tree import BTree
 from repro.data.heap import HeapResourceManager
 from repro.data.table import Row, Table, decode_row
 from repro.incarnation import CLOSED, CRASHED, Incarnation
-from repro.locks.modes import data_page_lock_name, record_lock_name
 from repro.mvcc.gc import GcReport, run_mvcc_gc
 from repro.recovery.checkpoint import take_checkpoint
 from repro.recovery.instant import run_instant_restart
@@ -243,13 +242,6 @@ class Database:
 
     def index_by_id(self, index_id: int) -> BTree:
         return self._indexes_by_id[index_id]
-
-    def heap_lock_name(self, table_id: int, rid: RID) -> tuple:
-        """Data-only lock name for a record (§2.1: the record, or the
-        data page id that is part of the record id)."""
-        if self.config.lock_granularity == "page":
-            return data_page_lock_name(table_id, rid.page_id)
-        return record_lock_name(table_id, rid)
 
     # -- transactions ----------------------------------------------------------------
 

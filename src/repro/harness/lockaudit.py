@@ -28,7 +28,7 @@ from repro.harness.workload import WorkloadSpec, make_database
 @dataclass(frozen=True)
 class AuditRow:
     operation: str
-    lock_target: str  # "record" | "key" | "key value" | "eof" | "data page"
+    lock_target: str  # "record" | "key" | "key value" | "eof" | "tree"
     mode: str
     duration: str
     count: int
@@ -36,7 +36,6 @@ class AuditRow:
 
 _NAME_CLASS = {
     "rec": "record",
-    "dpage": "data page",
     "key": "key",
     "kv": "key value",
     "eof": "eof",

@@ -79,17 +79,13 @@ def stronger_duration(a: LockDuration, b: LockDuration) -> LockDuration:
 # -- lock name constructors ----------------------------------------------------
 #
 # Lock names are plain tuples; the first element is a namespace tag.
-# Data-only locking (§2.1) locks *records* (or data pages); the
+# Data-only locking (§2.1) locks *records*; the
 # index-specific variants lock key values; the EOF name locks the
 # "past the last key" condition for a given index.
 
 
 def record_lock_name(table_id: int, rid: object) -> tuple[str, int, object]:
     return ("rec", table_id, rid)
-
-
-def data_page_lock_name(table_id: int, page_id: int) -> tuple[str, int, int]:
-    return ("dpage", table_id, page_id)
 
 
 def key_value_lock_name(index_id: int, value: bytes) -> tuple[str, int, bytes]:

@@ -32,13 +32,16 @@ the session up.
 Graceful shutdown drains in-flight requests, closes every session
 (rolling back open transactions), stops the workers, and takes a final
 checkpoint so restart starts from a quiesced log.
+
+The listener, the accept thread, the session threads and the stop step
+are :class:`~repro.server.frontend.FrontEnd`'s, shared with the cluster
+router; the queue, the slots, the drain and the checkpoint are this
+module's alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import queue
-import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -51,13 +54,8 @@ from repro.common.errors import (
     ServerShutdownError,
 )
 from repro.db import Database
-from repro.server.client import DatabaseClient
-from repro.server.protocol import (
-    FrameConn,
-    SocketTransport,
-    error_response,
-    loopback_pair,
-)
+from repro.server.frontend import FrontEnd
+from repro.server.protocol import error_response
 from repro.server.session import Session
 
 
@@ -193,26 +191,19 @@ class _DeadlineWatch:
             self._expire(job)
 
 
-class DatabaseServer:
+class DatabaseServer(FrontEnd):
     """Serve one :class:`~repro.db.Database` to many sessions."""
+
+    session_class = Session
 
     def __init__(
         self, db: Database, config: ServerConfig = DEFAULT_SERVER_CONFIG
     ) -> None:
+        super().__init__(config.host, config.port)
         self.db = db
         self.config = config
         self._queue: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-        self._sessions: set[Session] = set()
-        self._sessions_lock = threading.Lock()
-        self._session_ids = itertools.count(1)
-        self._threads: list[threading.Thread] = []
         self._workers: list[threading.Thread] = []
-        self._listener: socket.socket | None = None
-        self._address: tuple[str, int] | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._stopping = False
-        self._started = False
-        self._shutdown_done = False
         self._executing = 0
         self._executing_lock = threading.Lock()
         #: One token per unit of engine concurrency (``workers``): a
@@ -234,81 +225,16 @@ class DatabaseServer:
 
         ``listen=False`` runs loopback-only — the in-process tests and
         the crash torture harness don't need a real socket."""
-        if self._started:
-            return self
-        self._started = True
-        for i in range(self.config.workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"db-worker-{i}", daemon=True
-            )
-            worker.start()
-            self._workers.append(worker)
-        self._deadlines.start()
-        if listen:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.config.host, self.config.port))
-            listener.listen(128)
-            self._listener = listener
-            self._address = listener.getsockname()
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="db-accept", daemon=True
-            )
-            self._accept_thread.start()
+        if not self._started:
+            for i in range(self.config.workers):
+                worker = threading.Thread(
+                    target=self._worker_loop, name=f"db-worker-{i}", daemon=True
+                )
+                worker.start()
+                self._workers.append(worker)
+            self._deadlines.start()
+        super().start(listen)
         return self
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """(host, port) the TCP listener is bound to."""
-        if self._address is None:
-            raise ServerShutdownError("server is not listening")
-        return self._address
-
-    def connect(self, timeout: float | None = 30.0) -> DatabaseClient:
-        """New client over real TCP to this server."""
-        host, port = self.address
-        return DatabaseClient.connect(host, port, timeout=timeout)
-
-    def connect_loopback(self) -> DatabaseClient:
-        """New client over an in-process socketpair (no TCP stack)."""
-        if self._stopping or not self._started:
-            raise ServerShutdownError("server is not accepting sessions")
-        server_end, client_end = loopback_pair()
-        self._spawn_session(server_end)
-        return DatabaseClient(FrameConn(client_end))
-
-    def _spawn_session(self, transport: SocketTransport) -> Session:
-        session = Session(self, FrameConn(transport), next(self._session_ids))
-        thread = threading.Thread(
-            target=session.serve,
-            name=f"db-session-{session.session_id}",
-            daemon=True,
-        )
-        # Under the lock shutdown takes its snapshot with, and started
-        # before it is listed: shutdown joins every thread it finds.
-        with self._sessions_lock:
-            self._sessions.add(session)
-            thread.start()
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
-        return session
-
-    def forget_session(self, session: Session) -> None:
-        with self._sessions_lock:
-            self._sessions.discard(session)
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed by shutdown
-            if self._stopping:
-                sock.close()
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._spawn_session(SocketTransport(sock))
 
     # -- request path ------------------------------------------------------
 
@@ -465,11 +391,6 @@ class DatabaseServer:
         with self._executing_lock:
             return self._executing
 
-    @property
-    def session_count(self) -> int:
-        with self._sessions_lock:
-            return len(self._sessions)
-
     # -- shutdown ----------------------------------------------------------
 
     def shutdown(self, drain: bool = True) -> bool:
@@ -483,41 +404,9 @@ class DatabaseServer:
         harness uses this after ``db.crash()``.
 
         Returns True if the drain completed before the timeout."""
-        if not self._started or self._shutdown_done:
+        if not self._started or self._stopping:
             return True
-        self._shutdown_done = True
-        self._stopping = True
-        if self._listener is not None:
-            # close() alone does not wake a thread blocked in accept();
-            # shutdown() does, so the accept thread exits before the
-            # session threads are joined below.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        drained = True
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout_seconds
-            while self._queue.qsize() > 0 or self.executing_count > 0:
-                if time.monotonic() > deadline:
-                    drained = False
-                    break
-                time.sleep(0.002)
-        # Unblock every session reader; cleanup rolls back open txns.
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-            threads = list(self._threads)
-        for session in sessions:
-            session.closing = True
-            session.conn.transport.close()
-        for thread in threads:
-            thread.join(timeout=5.0)
-        for session in sessions:
-            if not session.abandoned:
-                session.cleanup()
+        drained = self._stop(self._drain if drain else None)
         # Settle whatever is still queued (abort path / failed drain) so
         # session threads parked on job.event wake up and the bounded
         # queue has room for the worker sentinels.
@@ -541,6 +430,16 @@ class DatabaseServer:
         if drained and drain:
             self.db.stats.incr("server.drained_clean")
         return drained
+
+    def _drain(self) -> bool:
+        """Wait, up to the drain timeout, until nothing is queued or
+        executing; True if that happened in time."""
+        deadline = time.monotonic() + self.config.drain_timeout_seconds
+        while self._queue.qsize() > 0 or self.executing_count > 0:
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.002)
+        return True
 
     def abort(self) -> None:
         """Hard stop that never touches the database (post-crash)."""

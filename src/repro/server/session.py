@@ -15,6 +15,11 @@ batches, and ops that find every slot busy, execute on the server's
 worker pool (see :class:`~repro.server.server.DatabaseServer`).  The
 slots bound engine concurrency, and the pool's bounded queue applies
 backpressure.
+
+:class:`BaseSession` is what such a session shares with a cluster
+router's (:class:`~repro.cluster.router.RouterSession`): the read loop,
+the dispatch table built from the op registry, response shaping and
+idempotent cleanup.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from repro.server.protocol import FrameConn, error_response
 from repro.txn.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.server.frontend import FrontEnd
     from repro.server.server import DatabaseServer
     from repro.txn.manager import PendingCommit
 
@@ -57,16 +63,20 @@ MAX_BATCH_REQUESTS = 64
 _UNKNOWN = (None, None)
 
 
-class Session:
-    """Server-side state of one connected client."""
+class BaseSession:
+    """Server-side state of one connected client: the read loop, the
+    dispatch table built from the op registry, response shaping and
+    cleanup.  A subclass serves an op by defining its handler method
+    (an op with no handler is refused as unknown) and defines three
+    more: ``_serve_batch(batch)`` runs and answers one read's worth of
+    requests, False when the connection must drop; ``_txn_lost(exc)``
+    says whether a failed op ended the open transaction; and
+    ``_release()`` rolls that transaction back at cleanup."""
 
-    def __init__(
-        self, server: "DatabaseServer", conn: FrameConn, session_id: int
-    ) -> None:
+    def __init__(self, server: "FrontEnd", conn: FrameConn, session_id: int) -> None:
         self.server = server
         self.conn = conn
         self.session_id = session_id
-        self.txn: Transaction | None = None
         self.closing = False
         #: Set when a request timed out and the connection was dropped
         #: while the op was still running; whoever finishes the op then
@@ -74,37 +84,28 @@ class Session:
         self.abandoned = False
         self._cleanup_done = False
         self._cleanup_lock = threading.Lock()
-        #: Commits deferred by the batch currently executing on this
-        #: session (None outside batch execution).  Requests within a
-        #: batch run sequentially, so plain lists suffice.
-        self._batch_pending: "list[PendingCommit] | None" = None
         #: Op name → (spec, handler function), built once per session
         #: from the shared registry (:mod:`repro.codec.ops`) — the same
         #: table the client stubs and the docs read.
         cls = type(self)
-        self._handlers: dict[str, tuple[OpSpec, Callable[[Session, dict], object]]] = {
-            spec.name: (spec, getattr(cls, spec.handler)) for spec in OPS
+        self._handlers: dict[str, tuple[OpSpec, Callable[..., object]]] = {
+            spec.name: (spec, getattr(cls, spec.handler))
+            for spec in OPS
+            if hasattr(cls, spec.handler)
         }
 
     def _lookup(self, op: object) -> tuple:
-        """``(spec, handler)`` for ``op``; ``(None, None)`` for an
-        unknown op."""
+        """``(spec, handler)`` for ``op``; ``(None, None)`` for an op
+        this session does not serve."""
         return self._handlers.get(op, _UNKNOWN) if isinstance(op, str) else _UNKNOWN
 
     # -- connection thread -------------------------------------------------
 
     def serve(self) -> None:
-        """Read requests until EOF/close.
-
-        A pipelining client may have many frames in flight; each read
-        drains up to ``MAX_BATCH_REQUESTS`` of them and batchable ops
-        travel through the executor pool as one job (one admission pass,
-        commits coalesced into one group flush).  A lone request — the
-        non-pipelined path — runs right here when an engine slot is free
-        (see :meth:`DatabaseServer.submit`).
-        """
-        stats = self.server.db.stats
-        stats.incr("server.sessions_opened")
+        """Read requests until EOF/close: each read drains up to
+        ``MAX_BATCH_REQUESTS`` pipelined frames and hands them to
+        :meth:`_serve_batch`; a malformed frame gets one error frame and
+        ends the session."""
         try:
             while not self.closing:
                 try:
@@ -128,6 +129,72 @@ class Session:
             if not self.abandoned:
                 self.cleanup()
 
+    def cleanup(self) -> None:
+        """Release what the session holds and drop the connection.
+        Idempotent and safe from any thread."""
+        with self._cleanup_lock:
+            if self._cleanup_done:
+                return
+            self._cleanup_done = True
+        self._release()
+        self.conn.close()
+        self.server.forget_session(self)
+
+    # -- executing thread --------------------------------------------------
+
+    def _respond(self, request: dict) -> dict:
+        """Run one request through its handler; always returns a
+        response message."""
+        _, handler = self._lookup(request.get("op"))
+        try:
+            if handler is None:
+                raise ProtocolError(f"unknown op {request.get('op')!r}")
+            response = {"ok": True, "result": handler(self, request)}
+        except Exception as exc:  # noqa: BLE001,RPR005 - the wire needs *a* reply
+            response = error_response(exc)
+            if self._txn_lost(exc):
+                response["txn_aborted"] = True
+        response["corr_id"] = request.get("corr_id", 0)
+        return response
+
+    def _op_ping(self, request: dict) -> str:
+        return "pong"
+
+    def _op_close(self, request: dict) -> str:
+        self.closing = True
+        return "bye"
+
+
+class Session(BaseSession):
+    """A session of one :class:`~repro.server.server.DatabaseServer`."""
+
+    server: "DatabaseServer"
+
+    def __init__(
+        self, server: "DatabaseServer", conn: FrameConn, session_id: int
+    ) -> None:
+        super().__init__(server, conn, session_id)
+        self.txn: Transaction | None = None
+        #: Commits deferred by the batch currently executing on this
+        #: session (None outside batch execution).  Requests within a
+        #: batch run sequentially, so plain lists suffice.
+        self._batch_pending: "list[PendingCommit] | None" = None
+
+    # -- connection thread -------------------------------------------------
+
+    def serve(self) -> None:
+        """Read requests until EOF/close.
+
+        A pipelining client may have many frames in flight; each read
+        drains up to ``MAX_BATCH_REQUESTS`` of them and batchable ops
+        travel through the executor pool as one job (one admission pass,
+        commits coalesced into one group flush).  A lone request — the
+        non-pipelined path — runs right here when an engine slot is free
+        (see :meth:`DatabaseServer.submit`).
+        """
+        self.server.db.stats.incr("server.sessions_opened")
+        super().serve()
+
     def _serve_batch(self, batch: list[dict]) -> bool:
         """Dispatch one read's worth of requests in arrival order.
 
@@ -146,7 +213,7 @@ class Session:
             if not self._flush_run(run):
                 return False
             if spec is not None and spec.direct:
-                self.conn.write_message(self._execute_direct(request))
+                self.conn.write_message(self._respond(request))
                 continue
             response = self.server.submit(self, request)
             if response is None:
@@ -168,44 +235,21 @@ class Session:
         self.conn.write_messages(responses)
         return True
 
-    def cleanup(self) -> None:
-        """Roll back the open transaction and drop the connection.
-        Idempotent and safe from any thread."""
-        with self._cleanup_lock:
-            if self._cleanup_done:
-                return
-            self._cleanup_done = True
-        txn, self.txn = self.txn, None
-        if txn is not None and txn.is_active:
-            try:
-                self.server.db.rollback(txn)
-            except Exception:  # noqa: BLE001,RPR005 - failure counted; restart will undo
-                # Engine may have crashed under us; restart will undo.
-                self.server.db.stats.incr("server.cleanup_rollback_errors")
-        self.conn.close()
-        self.server.forget_session(self)
+    def _release(self) -> None:
+        self._abort_open_txn()
         self.server.db.stats.incr("server.sessions_closed")
 
     # -- executing thread (session or pool worker) ---------------------
 
     def execute(self, request: dict) -> dict:
         """Run one request; always returns a response message."""
-        _, handler = self._lookup(request.get("op"))
-        if handler is None:
-            response = error_response(
-                ProtocolError(f"unknown op {request.get('op')!r}")
-            )
-        else:
-            try:
-                response = {"ok": True, "result": handler(self, request)}
-            except _TXN_FATAL_ERRORS as exc:
-                self._abort_open_txn()
-                response = error_response(exc)
-                response["txn_aborted"] = True
-            except Exception as exc:  # noqa: BLE001,RPR005 - the wire needs *a* reply
-                response = error_response(exc)
-        response["corr_id"] = request.get("corr_id", 0)
-        return response
+        return self._respond(request)
+
+    def _txn_lost(self, exc: Exception) -> bool:
+        if isinstance(exc, _TXN_FATAL_ERRORS):
+            self._abort_open_txn()
+            return True
+        return False
 
     def execute_batch(self, requests: list[dict]) -> list[dict]:
         """Run a batch of requests sequentially, coalescing commits.
@@ -251,30 +295,16 @@ class Session:
         if pending is not None:
             self._batch_pending.append(pending)
 
-    def _execute_direct(self, request: dict) -> dict:
-        """Run a direct op inline (connection thread)."""
-        _, handler = self._lookup(request.get("op"))
-        try:
-            if handler is None:
-                raise ProtocolError(f"unknown op {request.get('op')!r}")
-            response = {"ok": True, "result": handler(self, request)}
-        except Exception as exc:  # noqa: BLE001,RPR005 - the wire needs *a* reply
-            response = error_response(exc)
-        response["corr_id"] = request.get("corr_id", 0)
-        return response
-
     def _abort_open_txn(self) -> None:
         txn, self.txn = self.txn, None
         if txn is not None and txn.is_active:
             try:
                 self.server.db.rollback(txn)
             except Exception:  # noqa: BLE001,RPR005 - failure counted; restart will undo
+                # Engine may have crashed under us; restart will undo.
                 self.server.db.stats.incr("server.cleanup_rollback_errors")
 
     # -- transaction ops ---------------------------------------------------
-
-    def _op_ping(self, request: dict) -> str:
-        return "pong"
 
     def _op_hello(self, request: dict) -> dict:
         """In-band hello (the connection-open handshake hello is
@@ -468,10 +498,6 @@ class Session:
             for name, value in self.server.db.stats.snapshot().items()
             if name.startswith(prefix)
         }
-
-    def _op_close(self, request: dict) -> str:
-        self.closing = True
-        return "bye"
 
     def _op_status(self, request: dict) -> dict:
         """Wire-level recovery state: ``recovering`` until an instant

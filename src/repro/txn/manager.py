@@ -124,9 +124,10 @@ class TransactionManager:
         #: Deferred commits awaiting their batched force, by txn id.
         self._pending_commits: dict[int, PendingCommit] = {}
         self._pending_lock = threading.Lock()
-        #: Orders COMMIT appends against checkpoint begin records (see
-        #: :meth:`append_checkpoint_begin`).
-        self._commit_order = threading.Lock()
+        #: Orders every transaction record's append-and-note against
+        #: checkpoint begin records (see :meth:`log_for`); reentrant, so
+        #: :meth:`_log_commit` notes a COMMIT's LSN under it too.
+        self._log_order = threading.RLock()
         # A waiter blocked on a pending commit's locks completes that
         # commit itself instead of waiting out the batch (or, worse, a
         # lock timeout).
@@ -215,6 +216,13 @@ class TransactionManager:
         """Chain ``record`` onto ``txn`` and append it to the log (a page
         record only through ``Incarnation.log_page_change``).
 
+        The append and the note are one step no checkpoint begin record
+        falls inside: a record before the begin record is already on the
+        transaction table the checkpoint reads, and one after it is in
+        the next analysis span.  So restart's undo never starts below a
+        loser's last record, and a committed transaction never reaches a
+        checkpoint as a loser.
+
         The append goes through the log handle of ``txn``'s own
         incarnation: a thread still holding a pre-crash transaction (a
         GC pass, a session unwinding) finds that handle retired, so its
@@ -225,8 +233,9 @@ class TransactionManager:
             )
         record.txn_id = txn.txn_id
         record.prev_lsn = txn.last_lsn
-        lsn = txn.incarnation.log.append(record)
-        txn.note_logged(lsn)
+        with self._log_order:
+            lsn = txn.incarnation.log.append(record)
+            txn.note_logged(lsn)
         return lsn
 
     # -- commit --------------------------------------------------------------------
@@ -269,19 +278,16 @@ class TransactionManager:
         return PendingCommit(self, txn, commit_lsn)
 
     def _log_commit(self, txn: Transaction, record: LogRecord) -> int:
-        """Append ``txn``'s COMMIT record and note its LSN on ``txn`` in
-        one step that no checkpoint begin record falls inside."""
-        with self._commit_order:
+        """:meth:`log_for` a COMMIT record and note its LSN on ``txn`` in
+        the same step."""
+        with self._log_order:
             lsn = txn.commit_lsn = self.log_for(txn, record)
         return lsn
 
     def append_checkpoint_begin(self, record: LogRecord) -> int:
-        """Append a checkpoint's begin record while no COMMIT is between
-        its append and its ``commit_lsn``.  A COMMIT before the begin
-        record is then already noted when the checkpoint reads the
-        table, and one after it is in the next analysis span: a
-        committed transaction never reaches a checkpoint as a loser."""
-        with self._commit_order:
+        """Append a checkpoint's begin record while no transaction record
+        is between its append and its note (see :meth:`log_for`)."""
+        with self._log_order:
             return self._log.append(record)
 
     def _commit_finish(self, pending: "PendingCommit") -> None:

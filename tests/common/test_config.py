@@ -39,8 +39,6 @@ class TestValidation:
         [
             ("tree_latch_mode", "locks"),
             ("tree_latch_mode", "tree_lock"),
-            ("lock_granularity", "pages"),
-            ("lock_granularity", "table"),
         ],
     )
     def test_unknown_mode_string_rejected(self, field, value):
@@ -50,9 +48,6 @@ class TestValidation:
     def test_every_listed_mode_accepted(self):
         for mode in ("latch", "lock"):
             assert DatabaseConfig(tree_latch_mode=mode).tree_latch_mode == mode
-        for granularity in ("record", "page"):
-            config = DatabaseConfig(lock_granularity=granularity)
-            assert config.lock_granularity == granularity
 
 
 class TestOverrides:

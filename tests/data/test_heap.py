@@ -3,8 +3,7 @@
 import pytest
 
 from repro.common.errors import KeyNotFoundError, PageOverflowError
-from repro.common.rid import RID
-from repro.locks.modes import LockMode
+from repro.locks.modes import LockMode, record_lock_name
 from tests.conftest import build_db
 
 
@@ -26,7 +25,7 @@ class TestInsertFetch:
         db = heap_db()
         txn = db.begin()
         rid = db.tables["t"].heap.insert(txn, b"x")
-        name = db.tables["t"].heap.lock_name_for(rid)
+        name = record_lock_name(db.tables["t"].table_id, rid)
         assert db.locks.held_mode(txn.txn_id, name) is LockMode.X
         db.commit(txn)
 
@@ -98,25 +97,6 @@ class TestGhostDeletes:
         db.tables["t"].heap.delete(txn, drop)
         db.commit(txn)
         assert db.tables["t"].heap.scan_rids() == [keep]
-
-
-class TestPageGranularity:
-    def test_page_lock_name(self):
-        db = build_db(lock_granularity="page")
-        db.create_table("t")
-        name = db.tables["t"].heap.lock_name_for(RID(7, 3))
-        assert name[0] == "dpage"
-        assert name[2] == 7  # page id, not the slot
-
-    def test_two_records_same_page_share_lock(self):
-        db = build_db(lock_granularity="page")
-        db.create_table("t")
-        txn = db.begin()
-        r1 = db.tables["t"].heap.insert(txn, b"a")
-        r2 = db.tables["t"].heap.insert(txn, b"b")
-        db.commit(txn)
-        heap = db.tables["t"].heap
-        assert heap.lock_name_for(r1) == heap.lock_name_for(r2)
 
 
 class TestRecovery:

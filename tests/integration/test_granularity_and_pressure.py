@@ -1,85 +1,7 @@
-"""Page-granularity data locking and buffer-pressure behaviour."""
+"""Buffer-pressure behaviour."""
 
-import pytest
-
-from repro.common.errors import BufferPoolFullError, LockTimeoutError
+from repro.common.errors import BufferPoolFullError
 from tests.conftest import build_db
-
-
-class TestPageGranularityLocking:
-    """§2.1: 'at the locking granularity (page, record, ...) associated
-    with the table/file' — the key lock becomes the data-page lock."""
-
-    def make_db(self):
-        db = build_db(lock_granularity="page", lock_timeout_seconds=0.5)
-        db.create_table("t")
-        db.create_index("t", "by_id", column="id", unique=True)
-        txn = db.begin()
-        for key in range(40):
-            db.insert(txn, "t", {"id": key, "val": "v" * 50})
-        db.commit(txn)
-        return db
-
-    def test_functional_parity(self):
-        db = self.make_db()
-        txn = db.begin()
-        assert db.fetch(txn, "t", "by_id", 7)["id"] == 7
-        db.delete_by_key(txn, "t", "by_id", 7)
-        db.insert(txn, "t", {"id": 7, "val": "new"})
-        db.commit(txn)
-        assert db.verify_indexes() == {}
-
-    def test_same_data_page_records_conflict(self):
-        """Two records on one heap page share a lock: a reader of one
-        blocks a writer of the other — the coarser tradeoff."""
-        db = self.make_db()
-        table = db.tables["t"]
-        txn = db.begin()
-        hits = [table.fetch_by_key(txn, "by_id", k) for k in range(40)]
-        db.commit(txn)
-        by_page = {}
-        for (rid, row) in hits:
-            by_page.setdefault(rid.page_id, []).append(row["id"])
-        page_keys = next(keys for keys in by_page.values() if len(keys) >= 2)
-
-        t1 = db.begin()
-        db.fetch(t1, "t", "by_id", page_keys[0])  # S on the data page
-        t2 = db.begin()
-        with pytest.raises(LockTimeoutError):
-            db.delete_by_key(t2, "t", "by_id", page_keys[1])  # X on same page
-        db.rollback(t2)
-        db.commit(t1)
-
-    def test_different_pages_do_not_conflict(self):
-        db = self.make_db()
-        table = db.tables["t"]
-        txn = db.begin()
-        hits = [table.fetch_by_key(txn, "by_id", k) for k in range(40)]
-        db.commit(txn)
-        pages = {}
-        for (rid, row) in hits:
-            pages.setdefault(rid.page_id, row["id"])
-        if len(pages) < 2:
-            pytest.skip("all rows landed on one heap page")
-        key_a, key_b = list(pages.values())[:2]
-        t1 = db.begin()
-        db.fetch(t1, "t", "by_id", key_a)
-        t2 = db.begin()
-        db.delete_by_key(t2, "t", "by_id", key_b)
-        db.commit(t2)
-        db.commit(t1)
-
-    def test_crash_recovery_page_granularity(self):
-        db = self.make_db()
-        txn = db.begin()
-        db.insert(txn, "t", {"id": 100, "val": "inflight"})
-        db.log.force()
-        db.crash()
-        db.restart()
-        check = db.begin()
-        assert db.fetch(check, "t", "by_id", 100) is None
-        assert db.fetch(check, "t", "by_id", 5) is not None
-        db.commit(check)
 
 
 class TestBufferPressure:

@@ -1,9 +1,12 @@
 """Restart recovery: analysis / redo / undo over committed, in-flight,
 and partially flushed state."""
 
+import threading
+
 import pytest
 
 from repro.txn.transaction import TxnStatus
+from repro.wal.records import RM_BTREE
 from tests.conftest import build_db, populate
 
 
@@ -212,6 +215,52 @@ class TestCheckpoints:
         check = db.begin()
         assert db.fetch(check, "t", "by_id", 99) is None
         db.commit(check)
+
+    def test_checkpoint_racing_a_losers_last_append(self):
+        """A checkpoint begun while a loser's last record is appended but
+        not yet noted on the transaction must not record the loser
+        without it: restart would never undo that record, and the index
+        would keep the loser's key over a heap row that is gone."""
+        db = make_db()
+        populate(db, range(10))
+        loser = db.begin()
+        db.insert(loser, "t", {"id": 100, "val": "first"})
+        appended, release = threading.Event(), threading.Event()
+        append = db.log.append
+
+        def append_then_hold(record):
+            lsn = append(record)
+            if record.txn_id == loser.txn_id and record.rm == RM_BTREE:
+                appended.set()
+                release.wait(10.0)
+            return lsn
+
+        db.log.append = append_then_hold
+        try:
+            inserting = threading.Thread(
+                target=db.insert, args=(loser, "t", {"id": 101, "val": "second"})
+            )
+            inserting.start()
+            assert appended.wait(10.0)
+            checkpointing = threading.Thread(target=db.checkpoint)
+            checkpointing.start()
+            checkpointing.join(0.5)  # a checkpoint that does not wait ends here
+            release.set()
+            inserting.join(10.0)
+            checkpointing.join(10.0)
+            assert not inserting.is_alive() and not checkpointing.is_alive()
+        finally:
+            release.set()
+            del db.log.append
+        db.log.force()
+        db.crash()
+        db.restart()
+        assert count_keys(db) == 10
+        check = db.begin()
+        assert db.fetch(check, "t", "by_id", 100) is None
+        assert db.fetch(check, "t", "by_id", 101) is None
+        db.commit(check)
+        assert db.verify_indexes() == {}
 
     def test_restart_ends_with_checkpoint(self):
         db = make_db()
