@@ -4,7 +4,7 @@ Starts a replicated primary (TCP server + WAL archive), attaches a hot
 standby that seeds from a fuzzy image copy and replays the shipped WAL
 continuously, serves a read from the standby at the replay horizon,
 shows replication lag from both sides, then kills the primary mid-load
-— with commits parked inside the group-commit flush window — and
+— with commits queued behind a log write that has not started — and
 promotes the standby.  The promoted database recovers with ordinary
 ARIES restart (the shipped log IS the primary's log, byte for byte),
 keeps every acknowledged commit, and takes over read-write traffic.
@@ -21,12 +21,12 @@ from repro.server import DatabaseServer, ServerConfig
 
 ROWS_BEFORE_STANDBY = 50
 LOAD_ROWS = 300
-#: Where a group-commit leader has taken a batch and not yet forced it.
+#: Where a commit force has queued for the log device and not yet written.
 FLUSH_WINDOW = "log.group_commit.before_flush"
 
 
 def build_primary() -> tuple[Database, DatabaseServer]:
-    db = Database(DatabaseConfig(group_commit=True))
+    db = Database(DatabaseConfig())
     db.create_table("events")
     db.create_index("events", "by_id", column="id", unique=True)
     db.attach_archive()  # trim_log() now archives instead of discarding
@@ -70,12 +70,12 @@ def main() -> None:
     row = standby.fetch("events", "by_id", acked[-1])
     print(f"standby read: id={acked[-1]} -> {row['note']!r}")
 
-    # Kill the primary with commits parked between group-commit enqueue
-    # and flush — the worst possible instant.  Parked committers get
-    # CommitNotDurableError (never a false ack); the standby has only
+    # Kill the primary with a commit queued for its log write and the
+    # write not started — the worst possible instant.  Queued committers
+    # get CommitNotDurableError (never a false ack); the standby has only
     # the durable prefix, which is exactly what may survive.  The
-    # committer leading the flush pauses at its failpoint with the
-    # batch taken; the crash resumes it as crashed.
+    # committer pauses at its failpoint holding the log device; the
+    # crash resumes it as crashed.
     db.failpoints.arm_pause(FLUSH_WINDOW)
     blocked = threading.Thread(
         target=lambda: _try_insert(server, 9_999), daemon=True

@@ -1,10 +1,10 @@
 """The database server end to end: TCP clients, group commit, restart.
 
-Starts a server on a localhost port over a group-committing database,
-connects real TCP clients that run concurrent bank transfers (explicit
-transactions, statement savepoints under the hood), shows how many log
-flushes group commit saved, then stops the server, crashes and
-recovers the database, and serves it again — the money survives.
+Starts a server on a localhost port, connects real TCP clients that run
+concurrent bank transfers (explicit transactions, statement savepoints
+under the hood), shows how many log flushes the coalesced commit forces
+saved, then stops the server, crashes and recovers the database, and
+serves it again — the money survives.
 
 Run:  python examples/server_demo.py
 """
@@ -22,15 +22,11 @@ TRANSFERS_PER_CLIENT = 25
 
 
 def build_db() -> Database:
-    # The flush is priced (200 us, about one NVMe fsync): group commit
-    # waits for partners only as long as a flush costs, so over a free
-    # flush every commit would force at once and nothing would be saved.
+    # The flush is priced (200 us, about one NVMe fsync): commits share
+    # a log write only by queueing behind one in progress, so over a
+    # free flush nearly every commit would write at once.
     db = Database(
-        DatabaseConfig(
-            group_commit=True,
-            lock_timeout_seconds=3.0,
-            log_flush_latency_seconds=0.0002,
-        )
+        DatabaseConfig(lock_timeout_seconds=3.0, log_flush_latency_seconds=0.0002)
     )
     db.create_table("accounts")
     db.create_index("accounts", "by_owner", column="owner", unique=True)

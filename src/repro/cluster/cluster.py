@@ -58,11 +58,7 @@ class Cluster:
             raise ValueError("num_shards must be >= 1")
         self.key_column = key_column
         self._listen = listen
-        self._config = config or DatabaseConfig(
-            group_commit=True,
-            group_commit_max_wait_seconds=0.001,
-            lock_timeout_seconds=1.0,
-        )
+        self._config = config or DatabaseConfig(lock_timeout_seconds=1.0)
         self._server_config = server_config or ServerConfig(
             workers=4,
             queue_depth=32,
@@ -177,7 +173,6 @@ class Cluster:
                 shard.db.close()
             except Exception:  # noqa: BLE001,RPR005 - best-effort teardown
                 pass
-        self.coordinator.close()
 
     def __enter__(self) -> "Cluster":
         return self

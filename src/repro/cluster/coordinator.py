@@ -12,11 +12,11 @@ lazy — it only saves recovery from re-pushing a decision every
 participant already applied.
 
 The coordinator's log is an ordinary :class:`~repro.wal.log.LogManager`
-(same CRC framing, group commit, crash/halt semantics as a shard's
-WAL), so concurrent commit decisions coalesce into batched flushes and
-the torture harness can pause a group-commit leader at the
-``log.group_commit.before_flush`` failpoint and crash it inside the
-flush window like any other log.
+(same CRC framing, coalesced forces, crash/halt semantics as a shard's
+WAL), so concurrent commit decisions share log writes and the torture
+harness can pause a decision's force at the
+``log.group_commit.before_flush`` failpoint and crash it before its
+write like any other log.
 """
 
 from __future__ import annotations
@@ -40,22 +40,11 @@ DECISION_ABORT = "abort"
 class Coordinator:
     """Owns the decision log and the in-doubt bookkeeping of one cluster."""
 
-    def __init__(
-        self,
-        name: str = "coord",
-        stats: StatsRegistry | None = None,
-        group_commit: bool = True,
-        group_commit_max_wait_seconds: float = 0.001,
-    ) -> None:
+    def __init__(self, name: str = "coord", stats: StatsRegistry | None = None) -> None:
         self.name = name
         self.stats = stats or StatsRegistry()
         self.failpoints = FailpointRegistry()
         self.log = LogManager(self.stats, self.failpoints)
-        self._group_commit = group_commit
-        if group_commit:
-            self.log.start_group_commit(
-                max_wait_seconds=group_commit_max_wait_seconds
-            )
         self._mutex = threading.Lock()
         self._seq = itertools.count(1)
         #: gid → participant shard ids, for every durable commit decision.
@@ -144,7 +133,7 @@ class Coordinator:
         definite abort)."""
         self.log.halt()
         self.log.crash()
-        # A group-commit leader paused at a failpoint resumes as crashed.
+        # A decision force paused at a failpoint resumes as crashed.
         self.failpoints.disarm_all(crash_paused=True)
         with self._mutex:
             self._committed.clear()
@@ -204,8 +193,3 @@ class Coordinator:
                 resolved += 1
         self.stats.incr("coord.recover_decisions_pushed", resolved)
         return resolved
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        self.log.stop_group_commit()

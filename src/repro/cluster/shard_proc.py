@@ -35,13 +35,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    db = Database(
-        DatabaseConfig(
-            group_commit=True,
-            group_commit_max_wait_seconds=0.001,
-            lock_timeout_seconds=2.0,
-        )
-    )
+    db = Database(DatabaseConfig(lock_timeout_seconds=2.0))
     for spec in filter(None, args.tables.split(",")):
         parts = spec.split(":")
         if len(parts) < 3:

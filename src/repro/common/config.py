@@ -8,7 +8,7 @@ to demonstrate why each ARIES/IM mechanism exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Literal, get_args
 
 from repro.common.errors import ConfigError
@@ -41,23 +41,12 @@ class DatabaseConfig:
     checkpoint_interval_records: int = 0
     """Write a fuzzy checkpoint every N log records (0 disables)."""
 
-    group_commit: bool = False
-    """Coalesce concurrent commit forces into batched synchronous log
-    flushes (the first committer to find no flush in progress leads
-    one on its own thread; the others park behind it).  Off by default:
-    single-threaded experiments want the paper's one-force-per-commit
-    accounting."""
-    group_commit_max_wait_seconds: float = 0.002
-    """Upper bound on how long a leader waits for partners before it
-    flushes.  The wait is also capped by ``log_flush_latency_seconds``
-    (waiting longer than a flush costs cannot pay for itself), so with
-    an unpriced flush a commit forces at once."""
     log_flush_latency_seconds: float = 0.0
-    """Simulated device latency charged per synchronous log flush
-    (0 disables).  The in-memory log makes flushes free, which hides
-    the cost group commit exists to amortize; benchmarks set this to a
-    realistic fsync latency so one-force-per-commit pays per commit
-    while a coalesced flush pays once per batch."""
+    """Simulated device latency charged per synchronous log write
+    (0 disables).  The in-memory log makes writes free, which hides the
+    cost coalesced forces amortize; benchmarks set this to a realistic
+    fsync latency, so a lone committer pays it once per commit and the
+    committers queued behind one write pay it once together."""
 
     mvcc_enabled: bool = True
     """Maintain version stamps and serve lock-free snapshot reads
@@ -72,7 +61,22 @@ class DatabaseConfig:
     crashed or closing; it exists so concurrent harnesses exercise GC's
     latch ordering under load, not as a tuned production daemon."""
 
-    def __post_init__(self) -> None:
+    # Constructor-only, not fields: ``bench/workloads.py`` passes
+    # ``group_commit=True, group_commit_max_wait_seconds=0.001``.  Every
+    # force coalesces, so only those values are accepted.
+    group_commit: InitVar[bool | None] = None
+    group_commit_max_wait_seconds: InitVar[float | None] = None
+
+    def __post_init__(
+        self, group_commit: bool | None, group_commit_max_wait_seconds: float | None
+    ) -> None:
+        if group_commit is not None and group_commit is not True:
+            raise ConfigError(f"group_commit must be True, got {group_commit!r}")
+        if group_commit_max_wait_seconds not in (None, 0.001):
+            raise ConfigError(
+                "group_commit_max_wait_seconds must be 0.001, got "
+                f"{group_commit_max_wait_seconds!r}"
+            )
         if self.tree_latch_mode not in get_args(TreeLatchMode):
             raise ConfigError(
                 f"tree_latch_mode {self.tree_latch_mode!r} is not one of "
@@ -86,8 +90,6 @@ class DatabaseConfig:
             raise ConfigError("timeouts must be positive")
         if self.checkpoint_interval_records < 0:
             raise ConfigError("checkpoint_interval_records must be >= 0")
-        if self.group_commit_max_wait_seconds < 0:
-            raise ConfigError("group_commit_max_wait_seconds must be >= 0")
         if self.log_flush_latency_seconds < 0:
             raise ConfigError("log_flush_latency_seconds must be >= 0")
         if self.mvcc_gc_interval_seconds < 0:

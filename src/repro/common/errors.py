@@ -81,10 +81,11 @@ class LogHaltedError(WALError):
 
 
 class CommitNotDurableError(WALError):
-    """A commit parked for a group-commit flush that never happened.
+    """A commit whose log write had not ended when a crash landed.
 
-    The crash landed between batch enqueue and the batched force, so
-    the commit record was lost with the volatile log tail.  The caller
+    The crash landed after the commit queued for its log write and
+    before that write ended, so the commit record was lost with the
+    volatile log tail.  The caller
     was *not* acknowledged: after restart the transaction is rolled
     back (or, in a narrow window, may have made it to disk — the
     classic indeterminate commit every networked database has).

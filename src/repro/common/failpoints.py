@@ -141,6 +141,17 @@ class FailpointRegistry:
 
     # -- the hook ---------------------------------------------------------
 
+    def armed(self, name: str) -> bool:
+        """Whether ``name`` is armed: lets a hot path skip a hit that
+        would do nothing (a skipped hit is not counted in :meth:`hits`).
+        Read without the lock; arming before the hitting thread starts
+        is seen."""
+        return (
+            name in self._pause_points
+            or name in self._crash_points
+            or name in self._callbacks
+        )
+
     def hit(self, name: str) -> None:
         """Called from production code at a named point."""
         with self._lock:

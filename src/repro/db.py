@@ -89,8 +89,6 @@ class Database:
         self.disk = DiskManager(config.page_size, self.stats, fault_injector)
         self.log = LogManager(self.stats, self.failpoints)
         self.log.flush_latency_seconds = config.log_flush_latency_seconds
-        if config.group_commit:
-            self.log.start_group_commit(config.group_commit_max_wait_seconds)
         self.rm_registry = ResourceManagerRegistry()
         self.rm_registry.register(RM_HEAP, HeapResourceManager())
         self.rm_registry.register(RM_BTREE, BTreeResourceManager())
@@ -598,11 +596,11 @@ class Database:
     def close(self) -> None:
         """Shut the engine down cleanly: roll back whatever is still
         active, force the log, flush every dirty page, take a final
-        checkpoint, retire the incarnation and drop it, and turn group
-        commit off.  Idempotent; a crashed instance skips the flush
-        work (its volatile state is already gone).  Afterwards
-        :meth:`begin` raises :class:`DatabaseClosedError`, and so does
-        any handle from before — a transaction, an open scan."""
+        checkpoint, and retire the incarnation and drop it.
+        Idempotent; a crashed instance skips the flush work (its
+        volatile state is already gone).  Afterwards :meth:`begin`
+        raises :class:`DatabaseClosedError`, and so does any handle
+        from before — a transaction, an open scan."""
         incarnation = self.incarnation
         if incarnation is CLOSED:
             return
@@ -630,7 +628,6 @@ class Database:
             self.flush_all_pages()
             self.checkpoint()
         self._drop_incarnation()
-        self.log.stop_group_commit()
         self.stats.incr("db.closes")
 
     def _drop_incarnation(self) -> None:
@@ -680,12 +677,15 @@ class Database:
         A thread still mid-transaction, an open scan or a held pin
         raises ``DatabaseClosedError`` at its next fix, unfix, latch,
         lock request or log append — also after :meth:`restart`.
-        Latch and lock waiters wake into it, committers parked for a
-        group-commit flush get ``CommitNotDurableError`` (they were
-        never acknowledged), and the paced GC thread is joined last."""
+        Latch and lock waiters wake into it, committers whose log write
+        had not ended get ``CommitNotDurableError`` (they were never
+        acknowledged), and the paced GC thread is joined last."""
         incarnation = self.incarnation
-        incarnation.retire(CRASHED)
+        # Halt first: the forces queued for the log device give up on
+        # it, and a page flush among them holds the pool mutex that
+        # retiring takes.
         self.log.halt()
+        incarnation.retire(CRASHED)
         keep_partial = 0
         if self.fault_injector is not None:
             keep_partial = self.fault_injector.tail_loss(self.log.unforced_bytes)
@@ -696,8 +696,8 @@ class Database:
             # Wake synchronous commits parked for a standby ack (their
             # outcome is in-doubt).
             self.replication.primary_crashed()
-        # Joined last: every wait a pass can be parked in (group-commit
-        # flush, failpoint, lock, latch, commit gate) has been woken.
+        # Joined last: every wait a pass can be parked in (log force,
+        # failpoint, lock, latch, commit gate) has been woken.
         incarnation.stop_gc_pacer()
         self.stats.incr("db.crashes")
 

@@ -7,9 +7,10 @@ lands on the same state, then run the end gates (the surviving logs
 verify clean under ``walcheck`` and the latch-order graph is acyclic).
 The kind of round (one scenario class each) chooses how it loads,
 crashes and recovers: ``engine`` is single-threaded under a seeded
-fault schedule; ``server`` runs client sessions on a group-committing
-server; ``failover`` crashes a replicated primary and promotes its
-standby; ``recovering`` serves from an instant restart while it drains;
+fault schedule; ``server`` runs client sessions on a server whose
+commits coalesce their log forces; ``failover`` crashes a replicated
+primary and promotes its standby; ``recovering`` serves from an
+instant restart while it drains;
 ``cluster`` mixes single- and cross-shard (2PC) transactions.
 
 The acked-state contract every kind is checked against:
@@ -121,9 +122,9 @@ class TortureSpec:
     crash_after_requests: int | None = None
     """Acknowledged requests after which the crash trigger pulls."""
     log_flush_latency_seconds: float = 0.0
-    """Price of one log flush.  Coalescing waits at most one flush's
-    price, so an unpriced round forces each commit at once, and only a
-    priced one shows group commit's saving."""
+    """Price of one log write.  Commits coalesce only behind a write in
+    progress, so an unpriced round mostly forces each commit at once,
+    and only a priced one shows the saving."""
     snapshot_readers: int = 0
     """Reader sessions racing the writers: each repeatedly opens a
     snapshot and reads one key twice, and the two answers must agree.
@@ -200,7 +201,7 @@ class TortureReport:
     # -- recovery ----------------------------------------------------------
     losers_undone: int = 0
     """Transactions the first recovery (restart or promotion) rolled back."""
-    # -- server: group commit over the whole round ------------------------
+    # -- server: coalesced commit forces over the whole round -----------
     flushes_saved: int = 0
     commits: int = 0
     sync_forces: int = 0
@@ -317,7 +318,7 @@ def _read_state(db: Database, seed: int, label: str) -> set[int]:
 
 # -- the client load -----------------------------------------------------------
 
-#: Where a group commit's leader has taken a batch and not yet forced it.
+#: Where a commit force has queued and not yet made its write.
 _FLUSH_WINDOW = "log.group_commit.before_flush"
 
 
@@ -495,9 +496,10 @@ class _Load:
     The trigger fires on the ``crash_after_requests``-th ack
     (:meth:`fire_on_ack`, a racing crash) or when a committer reaches
     the flush window after it (:meth:`hold_flush`, which parks that
-    leader with its batch taken until the crash resumes it as
-    crashed).  :meth:`wait` returns when it fires, when every writer
-    has finished, or at the timeout — whichever comes first."""
+    committer before its write, with the device held, until the crash
+    resumes it as crashed).  :meth:`wait` returns when it fires, when
+    every writer has finished, or at the timeout — whichever comes
+    first."""
 
     def __init__(
         self,
@@ -701,8 +703,6 @@ class _Scenario:
         return DatabaseConfig(
             page_size=spec.page_size,
             buffer_pool_pages=spec.buffer_pool_pages,
-            group_commit=True,
-            group_commit_max_wait_seconds=0.001,
             log_flush_latency_seconds=spec.log_flush_latency_seconds,
             lock_timeout_seconds=1.0,
             latch_timeout_seconds=5.0,
@@ -885,8 +885,8 @@ class _Engine(_Scenario):
 
 
 class _Server(_Scenario):
-    """Client sessions against a group-committing server; the crash
-    lands inside a group commit's take→flush window (``held_flush``), at
+    """Client sessions against a server; the crash lands between a
+    commit force's queueing and its write (``held_flush``), at
     a racing moment (``racing``), or after a drained shutdown
     (``graceful``)."""
 
@@ -1159,15 +1159,15 @@ class _Cluster(_Scenario):
 
     def crash(self) -> None:
         cluster = self.cluster
-        # Commits, prepares and decisions park in the victim logs'
-        # take→flush window, and the crash lands on them.
+        # Commits, prepares and decisions queue behind a force paused
+        # before its write in each victim log, and the crash lands on them.
         victims = []
         if self._hits("shard"):
             victims.append(cluster.shards[self.victim].db)
         if self._hits("coordinator"):
             victims.append(cluster.coordinator)
         self._run_to_trigger(victims, held=True)
-        # Each crash resumes its log's paused leader as crashed.
+        # Each crash resumes its log's paused force as crashed.
         if self._hits("coordinator"):
             cluster.crash_coordinator()
         if self._hits("shard"):

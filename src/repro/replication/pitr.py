@@ -96,7 +96,7 @@ def restore_to_lsn(
 
     restored = Database(
         config
-        or replace(source.config, group_commit=False, checkpoint_interval_records=0)
+        or replace(source.config, checkpoint_interval_records=0)
     )
     restored.log.load_stream(1, clipped)
     install_catalog(restored, catalog or catalog_snapshot(source))

@@ -110,7 +110,6 @@ class Standby:
             mvcc_enabled=bool(
                 snap["config"].get("mvcc_enabled", DEFAULT_CONFIG.mvcc_enabled)
             ),
-            group_commit=False,
             checkpoint_interval_records=0,
         )
         db = Database(config)
@@ -396,7 +395,5 @@ class Standby:
         self.stop()
         if self.db is not None and not self._promoted:
             # A standby database never committed anything of its own;
-            # closing it must not log (keep the LSN space clean) — just
-            # turn group commit off.
-            self.db.log.stop_group_commit()
+            # closing it must not log (keep the LSN space clean).
             self.db._drop_incarnation()

@@ -14,8 +14,8 @@ Architecture::
           │                             takes a slot per job and runs
           │                             Session.execute[_batch]
           ▼                                           ▼
-          engine (latches/locks serialize page access; group commit
-          coalesces the commit forces, led by a committing thread)
+          engine (latches/locks serialize page access; the log
+          coalesces the commit forces queued behind one write)
 
 The ``workers`` slots bound engine concurrency however a request
 arrives.  A lone request that finds a slot free skips the queue and

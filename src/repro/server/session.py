@@ -257,7 +257,7 @@ class Session(BaseSession):
         While the batch runs, every commit (explicit or autocommit)
         appends its COMMIT record but defers the log force; at the end
         one coalesced force covers them all (group commit for pipelined
-        clients, even with the log's group commit off).  Locks stay held until
+        clients, even when no other session commits).  Locks stay held until
         each commit finishes, so isolation is untouched; a waiter
         blocked on a deferred commit completes it early through the
         lock manager's resolver hook.  Each response reports its own

@@ -18,21 +18,22 @@ the last complete checkpoint's begin record — is stored in a separate
 stable cell and written atomically, like the master record on a real
 log device.
 
-Group commit (§1's synchronous-I/O measure is the motivation): when
-enabled, the first committer that finds no flush in progress becomes
-the *leader* and runs the flush routine on its own thread — take every
-parked committer as one batch, force once, settle the batch, and hand
-the next flush to the oldest committer that parked meanwhile.
-Committers park on their own event, so N commits cost ~1 log I/O
-instead of N, and no thread exists only to flush.  The leader waits
-for stragglers at most ``min(max_wait, flush price)``: coalescing
-cannot save more than one flush costs, so an unpriced flush is forced
-at once.  A commit is
-acknowledged only after the flush covering its commit record returns;
-a crash that lands between batch take and flush resolves the parked
-committers — the leader included — with
-:class:`CommitNotDurableError` (they were never acknowledged, so
-recovery is free to roll them back).
+Forcing (§1 counts synchronous log I/Os): one routine serves every
+force, a commit's and a WAL-rule page flush's alike.  A caller whose
+target a *finished* write covers returns at once.  Any other raises the
+shared wanted mark to its target and queues on the log device.  Holding
+the device, it finds its target covered by the write it queued behind
+and returns, or it writes everything queued so far, pays the device
+price, and only then raises the durable mark.  (A caller that finds the
+device idle and the write unpriced makes that write at once: it takes
+no time, so nothing could queue behind it.)  So one write's batch is
+whoever arrived during the previous write, no caller is acknowledged
+before the write that covers it has ended, and a lone caller writes
+exactly its own target.  A crash between queueing and writing loses
+the force, even once the resumed log has grown past its target: a
+commit raises :class:`CommitNotDurableError` (it was never
+acknowledged, so recovery is free to roll it back), any other force
+:class:`LogHaltedError`.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ from repro.wal.records import (
 #: gets a segment of its own).
 SEGMENT_BYTES = 1 << 20
 
-#: Group commit: a leader flushes as soon as this many commits are parked.
-GROUP_COMMIT_MAX_BATCH = 64
-
 #: The counters one appended record bumps, by kind value: one ``incr``
 #: of a tuple moves both.
 _APPEND_COUNTERS = {
@@ -75,36 +73,19 @@ _APPEND_COUNTERS = {
     for kind in RecordKind
 }
 
+#: How often a force queued for the log device looks for a halt or a
+#: crash (a writer paused ahead of it may never resume).
+_QUEUE_RECHECK_SECONDS = 0.02
 
-class _CommitWaiter:
-    """One committer parked for a group-commit flush.
+#: The failpoint a commit force hits after it queues, before it writes.
+_BEFORE_WRITE = "log.group_commit.before_flush"
 
-    ``outcome`` is set exactly once, by whoever resolves the waiter:
-    a leader (after its batched force) or :meth:`LogManager.crash`.
-    A handed-off leader's own waiter goes through its batch, so a crash
-    settles it like any other (a committer that found no leader has no
-    waiter: see ``LogManager._gc_lead_target``).  ``leads`` is set, with
-    the event, when a stepping-down leader hands the next flush to this
-    committer.  Each waiter carries its own event so resolving a batch
-    wakes exactly the committers in it — broadcasting on a shared
-    condition made every enqueue wake every parked committer (a
-    thundering herd that cost ~10% throughput at 16 sessions).
-    """
-
-    __slots__ = ("target", "outcome", "leads", "event")
-
-    def __init__(self, target: int) -> None:
-        self.target = target  # byte offset the flush must reach
-        self.outcome: str | None = None  # "durable" | "lost"
-        self.leads = False
-        self.event = threading.Event()
-
-    def settle(self, outcome: str) -> None:
-        """Resolve the waiter (idempotent-safe under ``_gc_cond``) and
-        wake its committer."""
-        if self.outcome is None:
-            self.outcome = outcome
-        self.event.set()
+#: The outcomes of a force, each the tuple of counters a commit force
+#: with that outcome bumps (a plain force counts only its write).
+_COVERED = ("log.group_commit_requests",)
+_SAVED = ("log.group_commit_requests", "log.group_commit_flushes_saved")
+_WROTE = ("log.group_commit_requests", "log.group_commit_batches", "log.sync_forces")
+_LOST = ("log.group_commit_requests", "log.group_commit_lost_in_crash")
 
 
 class LogManager:
@@ -133,24 +114,13 @@ class LogManager:
         #: Set by Database.crash(): refuse appends until restart begins,
         #: so threads still running against the dead instance fail fast.
         self._halted = False
-        # Group commit.  Lock ordering: _gc_cond may be held while
-        # taking _mutex, never the other way around.
-        self._gc_cond = threading.Condition()
-        self._gc_enabled = False
-        self._gc_max_wait = 0.002
-        self._gc_waiters: list[_CommitWaiter] = []
-        self._gc_inflight: list[_CommitWaiter] = []
-        #: A committer is running the flush routine, or has been handed
-        #: it (there is at most one leader; parked committers imply one).
-        self._gc_leading = False
-        #: A committer that found no leader leads with no waiter of its
-        #: own: its force target, and whether a crash lost it meanwhile
-        #: (0 and False while the leader is a handed-off waiter).
-        self._gc_lead_target = 0
-        self._gc_lead_lost = False
-        #: Threads in :meth:`stop_group_commit` waiting for the leader
-        #: to step down (a step-down notifies only when there are any).
-        self._gc_stoppers = 0
+        #: Crashes so far: a force queued before a crash is lost.
+        self._crashes = 0
+        #: The highest target a queued force has asked for; the next
+        #: write covers it.
+        self._force_wanted = 0
+        #: Callers inside a force (:attr:`group_commit_parked`).
+        self._forcers = 0
         # Flush notification: waited on by follow-mode iterators (WAL
         # shippers), notified whenever the durable prefix advances and
         # on halt/crash so followers wake promptly.  Own lock; never
@@ -166,10 +136,12 @@ class LogManager:
         self._archiver = None
         #: Simulated latency of one synchronous flush, in seconds (0
         #: disables).  The in-memory log makes durability free, which
-        #: hides exactly the cost group commit exists to amortize; the
-        #: E20 benchmark prices it here.  Flushes serialize on their own
-        #: channel lock (one log device), never on ``_mutex``.
+        #: hides exactly the cost coalesced forces amortize; E15 and
+        #: E20 price it here.
         self.flush_latency_seconds = 0.0
+        #: The log device: a queued force holds it from its coverage
+        #: check through its write.  Taken before ``_mutex``, never
+        #: while holding it.
         self._io_lock = threading.Lock()
 
     # -- append / force ----------------------------------------------------
@@ -244,6 +216,7 @@ class LogManager:
                 raise WALError("rebase requires a pristine (empty) log")
             self._truncated = self._open_start = base_lsn - 1
             self._flushed_len = self._truncated
+            self._force_wanted = 0
 
     def load_stream(self, base_lsn: int, data: bytes) -> None:
         """Adopt ``data`` as the durable log stream starting at
@@ -277,13 +250,127 @@ class LogManager:
     def force(self, lsn: int | None = None) -> None:
         """Make the log durable up to and including ``lsn`` (or all of it).
 
-        Counts one synchronous log I/O if any bytes actually move.
+        Counts one synchronous log I/O if this caller writes.  Raises
+        :class:`LogHaltedError` if a crash beats the write.
         """
+        self._force(lsn, False)
+
+    def force_for_commit(self, lsn: int) -> None:
+        """Durability point of a commit: :meth:`force`, counted as a
+        commit, stopping at the ``log.group_commit.before_flush``
+        failpoint before it writes.  Raises
+        :class:`CommitNotDurableError` if a crash beats the write (the
+        commit was never acknowledged)."""
+        self._force(lsn, True)
+
+    @property
+    def group_commit_parked(self) -> int:
+        """Callers inside a force that no finished write covered:
+        queued for the device or writing (the torture harness aims a
+        crash at this window)."""
+        with self._mutex:
+            return self._forcers
+
+    def _force(self, lsn: int | None, commit: bool) -> None:
+        """The one force routine (see the module docstring)."""
         with self._mutex:
             target = self._force_target_locked(lsn)
             if target <= self._flushed_len:
-                return  # already durable
-        self._force_bytes(target)
+                outcome = _COVERED
+            elif self._halted:
+                outcome = _LOST
+            else:
+                if target > self._force_wanted:
+                    self._force_wanted = target
+                if (
+                    self.flush_latency_seconds
+                    or self._io_lock.locked()
+                    or (commit and self._failpoints.armed(_BEFORE_WRITE))
+                ):
+                    outcome = None  # queue for the device
+                    crashes = self._crashes
+                    self._forcers += 1
+                else:
+                    # The device is idle and an unpriced write takes no
+                    # time: write now, as the device's next holder would.
+                    self._flushed_len = min(
+                        self._force_wanted, self._open_start + len(self._open)
+                    )
+                    outcome = _WROTE
+        if outcome is None:
+            try:
+                outcome = self._queue(target, crashes, commit)
+            finally:
+                with self._mutex:
+                    self._forcers -= 1
+        if outcome is _WROTE and self._flush_followers:
+            # A follower counts itself before it re-checks _flushed_len,
+            # which was raised above: it either is counted here or sees
+            # the new length, so skipping the notify loses no wake-up.
+            with self._flush_cond:
+                self._flush_cond.notify_all()
+        if commit:
+            self._stats.incr(outcome)
+        elif outcome is _WROTE:
+            self._stats.incr("log.sync_forces")
+        if outcome is _LOST:
+            if commit:
+                raise CommitNotDurableError(
+                    f"commit at LSN {lsn} lost: crash before its write"
+                )
+            raise LogHaltedError(f"force to LSN {lsn} lost: log halted by crash")
+
+    def _queue(self, target: int, crashes: int, commit: bool) -> tuple[str, ...]:
+        """Wait for the log device, then :meth:`_write` holding it."""
+        # A halt or crash releases the queue: the writer ahead may be
+        # paused for good, and a page flush queued here holds the pool
+        # mutex that retiring the crashed incarnation takes.
+        while not self._io_lock.acquire(timeout=_QUEUE_RECHECK_SECONDS):
+            with self._mutex:
+                outcome = self._settle_locked(target, crashes)
+            if outcome is not None:
+                return outcome
+        try:
+            return self._write(target, crashes, commit)
+        finally:
+            self._io_lock.release()
+
+    def _write(self, target: int, crashes: int, commit: bool) -> tuple[str, ...]:
+        """A queued force holding the device: its target is covered by
+        the write it queued behind, or it writes every queued target,
+        pays the device price, and only then raises the durable mark."""
+        # Unlocked read: while this caller holds the device, nobody
+        # else raises the mark.
+        if commit and target > self._flushed_len:
+            try:
+                # A test pauses here to land a crash on a write not yet
+                # made, with the callers queued behind it.
+                self._failpoints.hit(_BEFORE_WRITE)
+            except SimulatedCrash:
+                return _LOST  # a dead machine writes nothing
+        with self._mutex:
+            outcome = self._settle_locked(target, crashes)
+            if outcome is not None:
+                return outcome
+            upto = min(self._force_wanted, self._open_start + len(self._open))
+        if self.flush_latency_seconds:
+            time.sleep(self.flush_latency_seconds)
+        with self._mutex:
+            if crashes != self._crashes:
+                return _LOST  # the crash cut what was being written
+            self._flushed_len = upto
+        return _WROTE
+
+    def _settle_locked(self, target: int, crashes: int) -> tuple[str, ...] | None:
+        """A queued force's outcome before it writes, or None when it
+        must write (mutex held)."""
+        if crashes != self._crashes:
+            return _LOST
+        if target <= self._flushed_len:
+            return _SAVED
+        if self._halted:
+            return _LOST
+        return None
 
     def _force_target_locked(self, lsn: int | None) -> int:
         """Byte offset a force covering ``lsn`` must reach (mutex held):
@@ -301,246 +388,14 @@ class LogManager:
         # to at least ``lsn`` bytes is always safe.
         return min(lsn, end)
 
-    def _force_bytes(self, target: int) -> int:
-        """Make the stream durable up to byte offset ``target``; returns
-        the durable length."""
-        with self._mutex:
-            target = min(target, self._open_start + len(self._open))
-            if target <= self._flushed_len:
-                return self._flushed_len
-            self._flushed_len = target
-        latency = self.flush_latency_seconds
-        if latency > 0.0:
-            # Price the device write before acknowledging anyone:
-            # the caller (a committer, or a group commit's leader)
-            # returns — and acks — only after the simulated I/O.
-            with self._io_lock:
-                time.sleep(latency)
-        # A follower counts itself before it re-checks _flushed_len,
-        # which was raised above: it either is counted here or sees the
-        # new length, so skipping the notify loses no wake-up.
-        if self._flush_followers:
-            with self._flush_cond:
-                self._flush_cond.notify_all()
-        self._stats.incr("log.sync_forces")
-        return target
-
-    # -- group commit ------------------------------------------------------
-
-    def start_group_commit(self, max_wait_seconds: float = 0.002) -> None:
-        """Turn group commit on: :meth:`force_for_commit` now coalesces
-        concurrent committers' forces.  Idempotent."""
-        with self._gc_cond:
-            self._gc_enabled = True
-            self._gc_max_wait = max_wait_seconds
-
-    def stop_group_commit(self) -> None:
-        """Turn group commit off; later commits force individually.
-        Waits until no leader is active — leadership passes down the
-        parked committers until every one of them is acknowledged."""
-        with self._gc_cond:
-            self._gc_enabled = False
-            # Cut a leader's coalescing window short.
-            self._gc_cond.notify_all()
-            self._gc_stoppers += 1
-            try:
-                while self._gc_leading:
-                    self._gc_cond.wait()
-            finally:
-                self._gc_stoppers -= 1
-
-    @property
-    def group_commit_enabled(self) -> bool:
-        with self._gc_cond:
-            return self._gc_enabled
-
-    @property
-    def group_commit_parked(self) -> int:
-        """Committers currently parked (enqueued or mid-flush, the
-        leader included) — the torture harness uses this to aim a
-        crash at the take→flush window."""
-        with self._gc_cond:
-            return (
-                len(self._gc_waiters)
-                + len(self._gc_inflight)
-                + (self._gc_lead_target > 0)
-            )
-
-    def force_for_commit(self, lsn: int) -> None:
-        """Durability point of a commit.
-
-        With group commit off this is exactly :meth:`force`.  With it
-        on, the committer either leads — runs :meth:`_lead_flush` on its
-        own thread, covering itself and everyone parked at that moment —
-        or, when a flush is already in progress, parks until a leader's
-        flush covers its commit record (or hands it the next flush).
-        A committer that finds no leader has nobody parked ahead of it
-        either, so it leads without a waiter of its own.  Raises
-        :class:`CommitNotDurableError` if a crash wins the race (the
-        commit was never acknowledged).
-        """
-        # Read unlocked: the decision is re-checked under the condition.
-        if not self._gc_enabled:
-            self.force(lsn)
-            return
-        self._stats.incr("log.group_commit_requests")
-        waiter = None
-        with self._gc_cond:
-            # Atomic with crash resolution: halt is set before crash()
-            # settles parked waiters, so we either see the halt here or
-            # get settled by the crash — never park forever.
-            with self._mutex:
-                if self._halted:
-                    raise CommitNotDurableError(
-                        f"commit at LSN {lsn} lost: log halted by crash"
-                    )
-                target = self._force_target_locked(lsn)
-                if target <= self._flushed_len:
-                    return  # already durable (a later force covered it)
-            if not self._gc_enabled:
-                lead = False  # lost a race with stop_group_commit()
-            elif not self._gc_leading:
-                # No leader, so nobody is parked: lead, waiter-less.
-                self._gc_leading = lead = True
-                self._gc_lead_target = target
-            else:
-                lead = False
-                waiter = _CommitWaiter(target)
-                self._gc_waiters.append(waiter)
-                if (
-                    len(self._gc_waiters) + (self._gc_lead_target > 0)
-                    >= GROUP_COMMIT_MAX_BATCH
-                ):
-                    # A full batch closes the leader's window early.
-                    self._gc_cond.notify()
-        if lead:
-            durable = self._lead_flush(target)
-        elif waiter is None:
-            self._force_bytes(target)
-            return
-        else:
-            # Park outside the condition: a leader signals this
-            # waiter's own event, nobody else's.
-            waiter.event.wait()
-            if waiter.leads:
-                self._lead_flush()
-            durable = waiter.outcome == "durable"
-        if not durable:
-            raise CommitNotDurableError(
-                f"commit at LSN {lsn} lost: crash before the batched flush"
-            )
-
-    def _lead_flush(self, own: int = 0) -> bool:
-        """The flush routine, run by the leading committer on its own
-        thread: take every parked committer as one batch, force once
-        (covering ``own``, the target of a leader with no waiter; a
-        handed-off leader's waiter is in the batch), settle the batch.
-        Then step down — or, when committers parked during the flush,
-        hand the next flush to the oldest of them.  Handing off instead
-        of looping lets a leader return (and, above it, release its
-        locks) as soon as its own commit is durable.  Returns whether
-        ``own`` is durable.
-
-        The window for stragglers is bounded by what a flush costs:
-        waiting longer than one flush to save one flush loses, so an
-        unpriced flush (``flush_latency_seconds == 0``) is forced at
-        once and ``max_wait`` is only the upper bound."""
-        window = min(self._gc_max_wait, self.flush_latency_seconds)
-        solo = own > 0
-        try:
-            with self._gc_cond:
-                if window > 0.0:
-                    deadline = time.monotonic() + window
-                    while self._gc_enabled and (
-                        0 < len(self._gc_waiters) + solo < GROUP_COMMIT_MAX_BATCH
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._gc_cond.wait(remaining)
-                batch = self._gc_inflight = self._gc_waiters
-                self._gc_waiters = []
-            durable = NULL_LSN  # a crash settled everyone: nothing to force
-            if batch or solo:
-                try:
-                    # The take→flush window: the batch is taken, nothing
-                    # is forced yet.  A test pauses here to land a crash
-                    # on committers that are certainly parked.
-                    self._failpoints.hit("log.group_commit.before_flush")
-                except SimulatedCrash:
-                    # A dead machine forces nothing.  ``Database.crash``
-                    # has settled the batch already; a bare crash-armed
-                    # point has not, and its committers must not park
-                    # forever.
-                    pass
-                else:
-                    # ONE synchronous I/O for the batch.
-                    durable = self._force_bytes(
-                        max([own, *(w.target for w in batch)])
-                    )
-        except BaseException:
-            # Nobody may stay parked behind a leader that died.
-            with self._gc_cond:
-                self._gc_leading = False
-                self._gc_lead_target = 0
-                self._gc_lead_lost = False
-                self._resolve_waiters_after_crash()
-            raise
-        with self._gc_cond:
-            resolved = 0
-            for waiter in batch:
-                # A crash may have settled it first; settle() keeps the
-                # first outcome and (re-)sets the event.
-                waiter.settle("durable" if waiter.target <= durable else "lost")
-                resolved += waiter.outcome == "durable"
-            own_durable = solo and own <= durable and not self._gc_lead_lost
-            resolved += own_durable
-            self._gc_lead_target = 0
-            self._gc_lead_lost = False
-            if self._gc_inflight is batch:
-                self._gc_inflight = []
-            if self._gc_waiters:
-                successor = self._gc_waiters[0]
-                successor.leads = True
-                successor.event.set()
-            else:
-                self._gc_leading = False
-                if self._gc_stoppers:
-                    self._gc_cond.notify_all()
-        if durable != NULL_LSN:
-            self._stats.incr("log.group_commit_batches")
-            if resolved > 1:
-                self._stats.incr("log.group_commit_flushes_saved", resolved - 1)
-        return own_durable
-
-    def _resolve_waiters_after_crash(self) -> None:
-        """Settle every parked committer: durable if its bytes made the
-        forced prefix, lost otherwise (it was never acknowledged)."""
-        with self._gc_cond:
-            durable = self.flushed_lsn
-            pending = self._gc_waiters + self._gc_inflight
-            self._gc_waiters = []
-            self._gc_inflight = []
-            lost = 0
-            if self._gc_lead_target > durable and not self._gc_lead_lost:
-                # A waiter-less leader learns it when it settles.
-                self._gc_lead_lost = True
-                lost += 1
-            for waiter in pending:
-                if waiter.outcome is None and waiter.target > durable:
-                    lost += 1
-                waiter.settle(
-                    "durable" if waiter.target <= durable else "lost"
-                )
-            self._gc_cond.notify_all()
-        if lost:
-            self._stats.incr("log.group_commit_lost_in_crash", lost)
-
     # -- crash halt --------------------------------------------------------
 
     def halt(self) -> None:
         """Refuse appends until :meth:`resume` (set by Database.crash so
-        straggler threads cannot write stale records post-crash)."""
+        straggler threads cannot write stale records post-crash).  A
+        force queued for the device gives up within
+        :data:`_QUEUE_RECHECK_SECONDS`, lost unless a finished write
+        covers it."""
         with self._mutex:
             self._halted = True
         # Followers parked for new records must observe the halt.
@@ -967,10 +822,9 @@ class LogManager:
             self._cut_locked(keep)
             # Whatever survived is on stable storage by definition.
             self._flushed_len = keep
-        # Committers parked for a group-commit flush are settled now:
-        # durable if their record made the forced prefix, lost if the
-        # crash beat the batched flush.
-        self._resolve_waiters_after_crash()
+            self._force_wanted = 0
+            # Forces queued or writing now are lost when they look.
+            self._crashes += 1
         # Wake follow-mode iterators so they notice the halt promptly.
         with self._flush_cond:
             self._flush_cond.notify_all()

@@ -36,11 +36,7 @@ from tests.cluster.test_twopc import cross_shard_keys
 def cluster():
     with Cluster(
         num_shards=3,
-        config=DatabaseConfig(
-            group_commit=True,
-            group_commit_max_wait_seconds=0.001,
-            lock_timeout_seconds=0.2,
-        ),
+        config=DatabaseConfig(lock_timeout_seconds=0.2),
     ) as c:
         c.create_table("t")
         c.create_index("t", "by_id", column="id", unique=True)
@@ -163,7 +159,7 @@ class TestSingleNodePrepared:
     """Engine-level edges that don't need a full cluster."""
 
     def build(self):
-        db = Database(DatabaseConfig(group_commit=False))
+        db = Database(DatabaseConfig())
         db.attach_archive()
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)

@@ -49,6 +49,25 @@ class TestValidation:
         for mode in ("latch", "lock"):
             assert DatabaseConfig(tree_latch_mode=mode).tree_latch_mode == mode
 
+    def test_group_commit_arguments_accept_only_the_bench_values(self):
+        """Every force coalesces, so the two group-commit arguments the
+        bench workloads still pass are accepted at exactly those values,
+        set no field, and survive ``dataclasses.replace``."""
+        config = DatabaseConfig(
+            group_commit=True, group_commit_max_wait_seconds=0.001, page_size=1024
+        )
+        assert config == DatabaseConfig(page_size=1024)
+        assert len(dataclasses.fields(DatabaseConfig)) == 12
+        assert dataclasses.replace(config, page_size=2048).page_size == 2048
+        for bad in (
+            {"group_commit": False},
+            {"group_commit": 1},
+            {"group_commit_max_wait_seconds": 0.002},
+            {"group_commit_max_wait_seconds": 0},
+        ):
+            with pytest.raises(ConfigError):
+                DatabaseConfig(**bad)
+
 
 class TestOverrides:
     def test_with_overrides_returns_new_config(self):

@@ -19,7 +19,7 @@ FLUSH_WINDOW = "log.group_commit.before_flush"
 
 
 def make_primary(sync=False, **server_kwargs):
-    db = Database(DatabaseConfig(group_commit=True))
+    db = Database(DatabaseConfig())
     db.create_table("t")
     db.create_index("t", "by_id", column="id", unique=True)
     db.enable_replication(sync=sync, sync_timeout_seconds=1.0)
@@ -135,7 +135,7 @@ class TestFlushBoundary:
 class TestReconnect:
     def test_resumes_from_last_position_after_server_loss(self):
         db, server_holder = None, {}
-        db = Database(DatabaseConfig(group_commit=True))
+        db = Database(DatabaseConfig())
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)
         db.enable_replication()

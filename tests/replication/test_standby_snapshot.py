@@ -13,7 +13,7 @@ from repro.server import DatabaseServer, ServerConfig
 
 @pytest.fixture
 def primary():
-    db = Database(DatabaseConfig(group_commit=True))
+    db = Database(DatabaseConfig())
     db.create_table("t")
     db.create_index("t", "by_id", column="id", unique=True)
     db.enable_replication()
@@ -113,7 +113,7 @@ class TestStandbySnapshot:
         standby.close()
 
     def test_legacy_locking_fallback_without_mvcc(self):
-        db = Database(DatabaseConfig(group_commit=True, mvcc_enabled=False))
+        db = Database(DatabaseConfig(mvcc_enabled=False))
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)
         db.enable_replication()

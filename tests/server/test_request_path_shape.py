@@ -57,7 +57,7 @@ def served(monkeypatch):
         return real_select(*args, **kwargs)
 
     monkeypatch.setattr(select, "select", counting_select)
-    db = build_db(group_commit=True)
+    db = build_db()
     db.create_table("t")
     db.create_index("t", "by_id", column="id", unique=True)
     server = DatabaseServer(db, ServerConfig(workers=2)).start(listen=False)

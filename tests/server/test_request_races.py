@@ -135,7 +135,7 @@ class TestStress:
         """Six strict sessions against two engine slots, under a short
         switch interval: every insert lands, every fetch reads it, and
         both slot tokens are back when the sessions finish."""
-        db = build_db(group_commit=True)
+        db = build_db()
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)
         server = DatabaseServer(db, ServerConfig(workers=2)).start(listen=False)

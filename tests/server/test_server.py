@@ -324,7 +324,7 @@ class TestInlineExecution:
     def test_graceful_shutdown_drains_an_inline_request(self, monkeypatch):
         """A commit paused in its flush, inline on its session thread,
         holds shutdown(drain=True) until it finishes — and it commits."""
-        db = build_db(group_commit=True)
+        db = build_db()
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)
         server = DatabaseServer(db, ServerConfig(workers=2)).start(listen=False)

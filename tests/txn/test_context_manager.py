@@ -117,16 +117,6 @@ class TestDatabaseLifecycle:
         db.close()
         assert db.stats.get("recovery.checkpoints_taken") == before + 1
 
-    def test_close_stops_group_commit_flusher(self):
-        db = build_db(group_commit=True)
-        db.create_table("t")
-        db.create_index("t", "by_id", column="id", unique=True)
-        assert db.log.group_commit_enabled
-        with db.transaction() as txn:
-            db.insert(txn, "t", {"id": 1})
-        db.close()
-        assert not db.log.group_commit_enabled
-
     def test_close_after_crash_skips_flush_work(self):
         db = make_db()
         with db.transaction() as txn:

@@ -80,12 +80,11 @@ def test_force_with_nobody_parked_does_not_notify():
 
 
 def test_stress_committers_and_a_follower_lose_no_wake_up():
-    """Group-commit committers (leading waiter-less, parking, taking
-    hand-offs) race a follower under a short switch interval: every
-    commit is durable when acknowledged, and the follower, whose waits
-    end only on a notify, sees every record."""
+    """Committers (writing at once, or queued behind another's write)
+    race a follower under a short switch interval: every commit is
+    durable when acknowledged, and the follower, whose waits end only
+    on a notify, sees every record."""
     log = LogManager()
-    log.start_group_commit(max_wait_seconds=0.001)
     log._flush_cond = NotifyOnlyCondition()  # noqa: SLF001 - waits end only on a notify
     committers, per_committer = 8, 100
     total = committers * per_committer
@@ -125,4 +124,3 @@ def test_stress_committers_and_a_follower_lose_no_wake_up():
     assert not follower.is_alive()
     assert late == []
     assert log.group_commit_parked == 0
-    log.stop_group_commit()

@@ -154,10 +154,9 @@ class TestFollowConcurrent:
         assert lsns == sorted(lsns) and len(set(lsns)) == total
 
     def test_follow_under_group_commit(self):
-        """Group commit batches forces; the follower must still see every
-        committed record and never outrun the batched flush boundary."""
+        """Concurrent commit forces coalesce; the follower must still see
+        every committed record and never outrun the durable boundary."""
         log = LogManager()
-        log.start_group_commit(max_wait_seconds=0.001)
         seen = Seen()
         violations = []
 
@@ -182,7 +181,6 @@ class TestFollowConcurrent:
             t.start()
         for t in threads:
             t.join()
-        log.stop_group_commit()
         log.force()
         total = 4 * 20
         assert seen.wait_for(total)

@@ -1,23 +1,27 @@
-"""Group commit: coalesced flushes, durability, crash resolution.
+"""Coalesced log forces: one write per queue, acks after the write, crashes.
 
-The first committer that finds no flush in progress leads: it takes
-every parked committer as one batch and covers it with one synchronous
-force, on its own thread.  These tests exercise the mechanism directly
-through LogManager and through the Database facade: coalescing actually
-saves flushes (under a priced flush), an unpriced lone commit forces at
-once, an acknowledged commit is always durable, and a crash landing
-between batch take and flush settles every parked committer — the
-leader included — with CommitNotDurableError.
+Every force goes through one routine.  A caller whose target a finished
+write covers returns at once; any other queues on the log device, and
+holding it either finds its target covered by the write it queued
+behind or writes everything queued so far.  These tests exercise that
+routine through LogManager and through the Database facade: callers
+queued behind one write share the next, no force returns before the
+write covering it has ended, an acknowledged commit is always durable,
+and a crash between queueing and writing loses every force in that
+window with CommitNotDurableError (LogHaltedError for a plain force).
 
-The take→flush window is reached deterministically: the leader pauses
-at the ``log.group_commit.before_flush`` failpoint with a batch taken
-and nothing forced, and :class:`_SpyWaiter` says when a committer has
-parked behind it.
+The window is reached deterministically: a commit force pauses at the
+``log.group_commit.before_flush`` failpoint holding the device with
+nothing written, and ``group_commit_parked`` says when the callers
+queued behind it have raised their targets.  A halt or crash releases
+the queue, so a crash never waits for the paused writer.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -28,7 +32,7 @@ from repro.wal import log as log_module
 from repro.wal.log import LogManager
 from repro.wal.records import LogRecord, RecordKind
 
-from tests.conftest import SpyCondition, build_db
+from tests.conftest import build_db
 
 FLUSH_WINDOW = "log.group_commit.before_flush"
 
@@ -37,108 +41,76 @@ def _append(log: LogManager, txn_id: int = 1) -> int:
     return log.append(LogRecord(kind=RecordKind.COMMIT, txn_id=txn_id))
 
 
-def _park_leader(log: LogManager, failpoints: FailpointRegistry) -> threading.Thread:
-    """Pause a leader on a sentinel commit, so committers that arrive
-    next queue behind it as waiters not yet taken.  Returns the
-    sentinel's thread (it finishes once the pause is released)."""
+def _wait_parked(log: LogManager, count: int) -> None:
+    """Return once ``count`` callers are inside a force: each has
+    raised its target and queued (or holds the device)."""
+    deadline = time.monotonic() + 5.0
+    while log.group_commit_parked < count:
+        assert time.monotonic() < deadline, f"{log.group_commit_parked} parked"
+        time.sleep(0.001)
+
+
+def _park_writer(log: LogManager, failpoints: FailpointRegistry) -> threading.Thread:
+    """Pause a commit force on a sentinel record at the failpoint,
+    holding the device with nothing written, so forces that arrive next
+    queue behind it.  Returns the sentinel's thread (it finishes once
+    the pause is released)."""
     failpoints.arm_pause(FLUSH_WINDOW)
-    sentinel = threading.Thread(
-        target=log.force_for_commit, args=(_append(log, txn_id=999),)
-    )
-    sentinel.start()
+    (sentinel,), _ = _outcomes(log, [_append(log, txn_id=999)])
     failpoints.wait_until_paused(FLUSH_WINDOW)
     return sentinel
 
 
-class _SpyWaiter(log_module._CommitWaiter):
-    """A commit waiter that reports when its committer parks: by the
-    time ``parked`` is released the waiter is already enqueued."""
+def _outcomes(log: LogManager, lsns: list[int], force=None) -> tuple[list, list]:
+    """Start one thread per LSN forcing it; returns the threads and the
+    list each appends "durable" or the error class name to."""
+    force = force or log.force_for_commit
+    outcomes: list[str] = []
+    lock = threading.Lock()
 
-    __slots__ = ()
-    parked = threading.Semaphore(0)
+    def run(lsn: int) -> None:
+        try:
+            force(lsn)
+        except (CommitNotDurableError, LogHaltedError) as exc:
+            with lock:
+                outcomes.append(type(exc).__name__)
+        else:
+            with lock:
+                outcomes.append("durable")
 
-    def __init__(self, target: int) -> None:
-        super().__init__(target)
-        wait = self.event.wait
-
-        def spy_wait(timeout=None):
-            _SpyWaiter.parked.release()
-            return wait(timeout)
-
-        self.event.wait = spy_wait
-
-
-@pytest.fixture
-def spy_waiters(monkeypatch):
-    """Install :class:`_SpyWaiter`; returns its ``parked`` semaphore."""
-    _SpyWaiter.parked = threading.Semaphore(0)
-    monkeypatch.setattr(log_module, "_CommitWaiter", _SpyWaiter)
-    return _SpyWaiter.parked
-
-
-class TestLifecycle:
-    def test_disabled_by_default(self):
-        log = LogManager()
-        assert not log.group_commit_enabled
-        lsn = _append(log)
-        log.force_for_commit(lsn)  # plain force path
-        assert log.flushed_lsn >= lsn
-
-    def test_start_stop_idempotent(self):
-        log = LogManager()
-        log.start_group_commit()
-        log.start_group_commit()
-        assert log.group_commit_enabled
-        log.stop_group_commit()
-        log.stop_group_commit()
-        assert not log.group_commit_enabled
-
-    def test_stop_flushes_leftovers(self, spy_waiters):
-        failpoints = FailpointRegistry()
-        log = LogManager(failpoints=failpoints)
-        # The only wait on the group-commit condition here is the
-        # stopper's (the flush is unpriced, so no leader waits out a
-        # window): its ``parked`` says the stop has begun.
-        log._gc_cond = stopping = SpyCondition(threading.RLock())  # noqa: SLF001 - test instruments the wait path
-        log.start_group_commit(max_wait_seconds=0.001)
-        sentinel = _park_leader(log, failpoints)
-        lsn = _append(log)
-        done = threading.Event()
-
-        def committer():
-            log.force_for_commit(lsn)
-            done.set()
-
-        thread = threading.Thread(target=committer)
+    threads = [threading.Thread(target=run, args=(lsn,)) for lsn in lsns]
+    for thread in threads:
         thread.start()
-        # The sentinel's batch is in flight; the committer is a waiter.
-        assert spy_waiters.acquire(timeout=5.0)
-        assert log.group_commit_parked == 2
-        # Stop with the waiter still queued.  stop_group_commit waits
-        # for the paused leader, so it runs on a helper thread and the
-        # pause is released once the stop has begun.
-        stopper = threading.Thread(target=log.stop_group_commit)
-        stopper.start()
-        assert stopping.parked.wait(5.0)
-        assert not log.group_commit_enabled
-        failpoints.release(FLUSH_WINDOW)
-        stopper.join(5.0)
-        # Leftovers must still be flushed and acked.
-        assert done.wait(5.0)
-        thread.join(5.0)
-        sentinel.join(5.0)
-        assert log.flushed_lsn >= lsn
+    return threads, outcomes
+
+
+class _Device:
+    """Stands in for the ``time`` module of :mod:`repro.wal.log`: says
+    when a priced write starts sleeping and when it has ended."""
+
+    def __init__(self) -> None:
+        self.started = threading.Event()
+        self.ended = threading.Event()
+
+    def sleep(self, seconds: float) -> None:
+        self.started.set()
+        time.sleep(seconds)
+        self.ended.set()
+
+    @staticmethod
+    def monotonic() -> float:
+        return time.monotonic()
 
 
 class TestCoalescing:
     def test_unpriced_lone_commit_forces_on_the_calling_thread(self):
-        """With a free flush there is nothing to wait for: the committer
-        leads, forces at once on its own thread, and no thread exists
-        only to flush."""
+        """With nobody ahead there is nothing to wait for: the committer
+        writes at once, on its own thread, and no thread exists only to
+        flush."""
+        threads_before = set(threading.enumerate())
         failpoints = FailpointRegistry()
         stats = StatsRegistry()
         log = LogManager(stats, failpoints)
-        log.start_group_commit(max_wait_seconds=0.05)
         flushed_on: list[threading.Thread] = []
         failpoints.arm_callback(
             FLUSH_WINDOW, lambda: flushed_on.append(threading.current_thread())
@@ -150,64 +122,52 @@ class TestCoalescing:
         assert stats.get("log.sync_forces") == 1
         assert stats.get("log.group_commit_batches") == 1
         assert log.group_commit_parked == 0
-        assert "wal-group-commit" not in {t.name for t in threading.enumerate()}
-        log.stop_group_commit()
+        assert set(threading.enumerate()) == threads_before
 
-    def test_lone_committer_leads_without_a_waiter(self, monkeypatch):
-        """A committer that finds no leader has nobody parked ahead of
-        it: it leads with no waiter (and no event) of its own, and
-        still forces exactly once through the batch routine."""
+    def test_lone_committer_leads_without_a_waiter(self):
+        """A lone committer is its own batch and writes exactly its own
+        target: a record appended after its commit stays unforced, so
+        single-threaded force counts are one per commit."""
         stats = StatsRegistry()
         log = LogManager(stats)
-        log.start_group_commit(max_wait_seconds=0.05)
-        made: list[int] = []
-        monkeypatch.setattr(log_module, "_CommitWaiter", made.append)
         for txn_id in (1, 2):
-            log.force_for_commit(_append(log, txn_id))
-        assert made == []
+            lsn = _append(log, txn_id)
+            _append(log, txn_id + 10)  # after the commit: not its target
+            log.force_for_commit(lsn)
+            assert log.flushed_lsn == log.force_target(lsn)
+            assert log.unforced_bytes > 0
         assert stats.get("log.sync_forces") == 2
+        assert stats.get("log.group_commit_requests") == 2
         assert stats.get("log.group_commit_batches") == 2
+        assert stats.get("log.group_commit_flushes_saved") == 0
         assert log.group_commit_parked == 0
-        log.stop_group_commit()
 
-    def test_batch_costs_one_sync_force(self, spy_waiters):
-        """N committers park behind a leader paused in its take→flush
-        window; releasing it costs exactly two forces — its own batch,
-        then one for all N."""
+    def test_batch_costs_one_sync_force(self):
+        """k committers queue behind a write paused before it starts;
+        releasing it costs exactly one more sync force, which covers
+        them all, and counts k flushes saved."""
         failpoints = FailpointRegistry()
         stats = StatsRegistry()
         log = LogManager(stats, failpoints)
-        log.start_group_commit(max_wait_seconds=0.05)
-        sentinel = _park_leader(log, failpoints)
+        sentinel = _park_writer(log, failpoints)
         lsns = [_append(log, txn_id=i + 1) for i in range(8)]
-        threads = [
-            threading.Thread(target=log.force_for_commit, args=(lsn,))
-            for lsn in lsns
-        ]
-        for thread in threads:
-            thread.start()
-        for _ in threads:
-            spy_waiters.acquire()
-        assert log.group_commit_parked == 9
+        threads, outcomes = _outcomes(log, lsns)
+        _wait_parked(log, 9)
         forces_before = stats.get("log.sync_forces")
         failpoints.release(FLUSH_WINDOW)
         for thread in threads + [sentinel]:
             thread.join(5.0)
+        assert outcomes == ["durable"] * 8
         assert log.flushed_lsn >= max(lsns)
-        assert stats.get("log.sync_forces") - forces_before == 2
-        assert stats.get("log.group_commit_flushes_saved") == 7
+        assert stats.get("log.sync_forces") - forces_before == 1
+        assert stats.get("log.group_commit_flushes_saved") == 8
         assert log.group_commit_parked == 0
-        log.stop_group_commit()
 
     def test_flushes_saved_counter(self):
         """Concurrent committers on a database show flushes saved in
         the stats (the e15/acceptance assertion in miniature).  The
-        flush is priced: coalescing saves only what a flush costs."""
-        db = build_db(
-            group_commit=True,
-            group_commit_max_wait_seconds=0.005,
-            log_flush_latency_seconds=0.0002,
-        )
+        flush is priced: commits queue only behind a write in progress."""
+        db = build_db(log_flush_latency_seconds=0.0002)
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)
 
@@ -228,66 +188,143 @@ class TestCoalescing:
         assert snap.get("log.group_commit_requests", 0) >= 80
         assert snap.get("log.group_commit_batches", 0) >= 1
         assert snap.get("log.group_commit_flushes_saved", 0) > 0
-        # The point of the feature: far fewer sync I/Os than commits.
+        # The point of coalescing: far fewer sync I/Os than commits.
         assert forces < commits
         db.close()
 
+    def test_priced_committers_under_a_short_switch_interval(self):
+        """More committers than cores race a priced device with a short
+        switch interval: every commit is durable when acknowledged, the
+        counts add up, and no caller is left counted inside a force."""
+        stats = StatsRegistry()
+        log = LogManager(stats)
+        log.flush_latency_seconds = 0.0001
+        late: list[int] = []
+
+        def commit() -> None:
+            for _ in range(30):
+                lsn = _append(log)
+                log.force_for_commit(lsn)
+                if log.flushed_lsn < log.force_target(lsn):
+                    late.append(lsn)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=commit) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert late == []
+        assert log.group_commit_parked == 0
+        requests = stats.get("log.group_commit_requests")
+        writes = stats.get("log.sync_forces")
+        assert requests == 240
+        assert writes == stats.get("log.group_commit_batches")
+        assert writes + stats.get("log.group_commit_flushes_saved") <= requests
+        assert writes < requests
+
     def test_already_durable_commit_returns_without_parking(self):
-        log = LogManager()
-        log.start_group_commit()
+        """A commit a finished write already covers returns at once,
+        without queueing for the log device: not even behind a writer
+        paused on it for good."""
+        failpoints = FailpointRegistry()
+        stats = StatsRegistry()
+        log = LogManager(stats, failpoints)
         lsn = _append(log)
         log.force()  # covers the record before the commit asks
-        log.force_for_commit(lsn)  # must not park or deadlock
-        log.stop_group_commit()
+        sentinel = _park_writer(log, failpoints)
+        log.force_for_commit(lsn)
+        log.force(lsn)
+        assert log.group_commit_parked == 1  # the paused writer alone
+        assert stats.get("log.sync_forces") == 1
+        assert stats.get("log.group_commit_requests") == 1
+        failpoints.release(FLUSH_WINDOW)
+        sentinel.join(5.0)
+
+
+class TestAckAfterTheWrite:
+    @pytest.mark.parametrize("kind", ["commit", "page flush"])
+    def test_a_force_covered_by_a_write_in_progress_waits_for_it(
+        self, monkeypatch, kind
+    ):
+        """B is appended before A; a thread forces A under a 0.2 s write
+        price.  B's target lies under that write, but B must not return
+        before the write has ended — whether B is a commit or a WAL-rule
+        page flush."""
+        device = _Device()
+        monkeypatch.setattr(log_module, "time", device)
+        log = LogManager()
+        log.flush_latency_seconds = 0.2
+        b = _append(log, txn_id=1)
+        a = _append(log, txn_id=2)
+        writer = threading.Thread(target=log.force_for_commit, args=(a,))
+        writer.start()
+        assert device.started.wait(5.0)
+        if kind == "commit":
+            log.force_for_commit(b)
+        else:
+            log.force(b)
+        assert device.ended.is_set(), "acknowledged before the write ended"
+        assert log.flushed_lsn >= log.force_target(b)
+        writer.join(5.0)
+        assert not writer.is_alive()
 
 
 class TestCrashResolution:
-    def test_crash_between_enqueue_and_flush_raises(self, spy_waiters):
-        """The acceptance-criteria window: committers parked when the
-        crash lands were never acknowledged and must learn it."""
+    def test_crash_between_enqueue_and_flush_raises(self):
+        """The acceptance-criteria window: committers queued behind a
+        write that has not started when the crash lands were never
+        acknowledged and must learn it — every one of them."""
         failpoints = FailpointRegistry()
-        log = LogManager(failpoints=failpoints)
-        log.start_group_commit()
-        failpoints.arm_pause(FLUSH_WINDOW)
+        stats = StatsRegistry()
+        log = LogManager(stats, failpoints)
+        sentinel = _park_writer(log, failpoints)
         lsns = [_append(log, txn_id=i + 1) for i in range(3)]
-        outcomes: list[str] = []
-        lock = threading.Lock()
-
-        def committer(lsn: int) -> None:
-            try:
-                log.force_for_commit(lsn)
-            except CommitNotDurableError:
-                with lock:
-                    outcomes.append("lost")
-            else:
-                with lock:
-                    outcomes.append("durable")
-
-        threads = [threading.Thread(target=committer, args=(lsn,)) for lsn in lsns]
-        for thread in threads:
-            thread.start()
-        failpoints.wait_until_paused(FLUSH_WINDOW)
-        # The first committer leads (paused above); the other two park.
-        for _ in range(2):
-            assert spy_waiters.acquire(timeout=5.0)
-        assert log.group_commit_parked == 3
+        threads, outcomes = _outcomes(log, lsns)
+        _wait_parked(log, 4)
+        durable_before = log.flushed_lsn
         log.halt()
         log.crash()
-        # The paused leader resumes as crashed, as in Database.crash.
+        # The paused writer resumes as crashed, as in Database.crash.
         failpoints.disarm_all(crash_paused=True)
-        for thread in threads:
+        for thread in threads + [sentinel]:
             thread.join(5.0)
-        assert outcomes == ["lost", "lost", "lost"]
-        log.stop_group_commit()
+        assert outcomes == ["CommitNotDurableError"] * 3
+        assert log.flushed_lsn == durable_before
+        assert stats.get("log.group_commit_lost_in_crash") == 4
+        assert log.group_commit_parked == 0
 
-    def test_crash_under_a_paused_lone_leader_loses_its_commit(self):
-        """A leader with no waiter of its own learns a crash from the
-        log, not from its force: after the crash the resumed log grows
-        past its commit record's offset, so its own force "covers" the
-        target with the next incarnation's bytes — it must still fail."""
+    def test_a_page_flush_queued_in_the_window_is_lost_too(self):
+        """A halt releases a WAL-rule force queued behind the paused
+        writer at once: a page flush holds the pool mutex a crash must
+        take, so it may not wait for a writer that never resumes."""
         failpoints = FailpointRegistry()
         log = LogManager(failpoints=failpoints)
-        log.start_group_commit()
+        sentinel = _park_writer(log, failpoints)
+        (flusher,), outcomes = _outcomes(log, [_append(log)], force=log.force)
+        _wait_parked(log, 2)
+        log.halt()
+        flusher.join(5.0)
+        assert not flusher.is_alive()
+        assert outcomes == ["LogHaltedError"]
+        log.crash()
+        failpoints.disarm_all(crash_paused=True)
+        sentinel.join(5.0)
+        assert log.group_commit_parked == 0
+
+    def test_crash_under_a_paused_lone_leader_loses_its_commit(self):
+        """A lone committer learns a crash from the crash count, not
+        from the log's length: after the crash the resumed log grows
+        past its commit record's offset, so a write now would "cover"
+        its target with the next incarnation's bytes — it must still
+        fail."""
+        failpoints = FailpointRegistry()
+        log = LogManager(failpoints=failpoints)
         failpoints.arm_pause(FLUSH_WINDOW)
         lsn = _append(log)
         outcome: list[str] = []
@@ -314,15 +351,30 @@ class TestCrashResolution:
         assert not thread.is_alive()
         assert outcome == ["lost"]
         assert log.group_commit_parked == 0
-        log.stop_group_commit()
+
+    def test_crash_during_the_write_loses_it(self, monkeypatch):
+        """A crash that lands while the write is being paid for cuts
+        what was being written: the commit is lost and the durable mark
+        does not move past the crash."""
+        device = _Device()
+        monkeypatch.setattr(log_module, "time", device)
+        log = LogManager()
+        log.flush_latency_seconds = 0.2
+        threads, outcomes = _outcomes(log, [_append(log)])
+        assert device.started.wait(5.0)
+        log.halt()
+        log.crash()
+        threads[0].join(5.0)
+        assert outcomes == ["CommitNotDurableError"]
+        assert log.flushed_lsn == 0
+        assert log.end_lsn == 1
 
     def test_crash_after_flush_is_durable(self):
-        """A committer whose batch flushed before the crash was
+        """A committer whose write ended before the crash was
         acknowledged; the crash must not retract that."""
         log = LogManager()
-        log.start_group_commit(max_wait_seconds=0.001)
         lsn = _append(log)
-        log.force_for_commit(lsn)  # returns only after the flush
+        log.force_for_commit(lsn)  # returns only after the write
         log.halt()
         log.crash()
         # The record survived the crash.
@@ -330,23 +382,23 @@ class TestCrashResolution:
 
     def test_commit_after_halt_fails_fast(self):
         log = LogManager()
-        log.start_group_commit()
         lsn = _append(log)
         log.halt()
         with pytest.raises(CommitNotDurableError):
             log.force_for_commit(lsn)
         with pytest.raises(LogHaltedError):
+            log.force(lsn)
+        with pytest.raises(LogHaltedError):
             _append(log)
-        log.stop_group_commit()
 
 
 class TestDatabaseIntegration:
     def test_crash_on_a_flusher_paused_in_the_window_forces_nothing(self):
-        """The leader stops at its failpoint with the batch taken and
-        unforced; the crash resumes it as crashed, so its commit is
-        lost, its bytes never reach stable storage, and restart rolls
-        it back while the commit acknowledged before it survives."""
-        db = build_db(group_commit=True)
+        """The committer stops at its failpoint before its write; the
+        crash resumes it as crashed, so its commit is lost, its bytes
+        never reach stable storage, and restart rolls it back while the
+        commit acknowledged before it survives."""
+        db = build_db()
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)
         with db.transaction() as txn:
@@ -375,8 +427,7 @@ class TestDatabaseIntegration:
         assert result == ["lost"]
         assert db.log.flushed_lsn == durable_before
         db.restart()
-        # Group commit survived the leader's simulated crash and serves
-        # new commits.
+        # The log serves new commits after the paused force's crash.
         with db.transaction() as txn:
             assert db.fetch(txn, "t", "by_id", 0) is not None  # acked → durable
             assert db.fetch(txn, "t", "by_id", 1) is None  # lost → gone
@@ -384,7 +435,7 @@ class TestDatabaseIntegration:
         db.close()
 
     def test_acknowledged_commits_survive_crash(self):
-        db = build_db(group_commit=True, group_commit_max_wait_seconds=0.001)
+        db = build_db()
         db.create_table("t")
         db.create_index("t", "by_id", column="id", unique=True)
         for key in range(20):
