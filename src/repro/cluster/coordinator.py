@@ -128,9 +128,10 @@ class Coordinator:
 
     def crash(self) -> None:
         """Coordinator process failure: the unforced log tail and every
-        in-memory table are lost; decision forces in flight resolve to
-        ``CommitNotDurableError`` (their callers treat that as a
-        definite abort)."""
+        in-memory table are lost; a decision force in flight is durable
+        if the kept prefix holds it, otherwise it raises
+        ``CommitNotDurableError`` (its caller treats that as a definite
+        abort, and restart finds no such decision)."""
         self.log.halt()
         self.log.crash()
         # A decision force paused at a failpoint resumes as crashed.

@@ -176,6 +176,7 @@ class FailpointRegistry:
                 raise SimulatedCrash(name)
 
     def hits(self, name: str) -> int:
-        """How many times ``name`` has been reached (armed or not)."""
+        """How many times ``name`` has been reached, armed or not (a hot
+        path that asks :meth:`armed` first skips an unarmed hit)."""
         with self._lock:
             return self._hit_counts.get(name, 0)

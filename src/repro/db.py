@@ -679,7 +679,8 @@ class Database:
         lock request or log append — also after :meth:`restart`.
         Latch and lock waiters wake into it, committers whose log write
         had not ended get ``CommitNotDurableError`` (they were never
-        acknowledged), and the paced GC thread is joined last."""
+        acknowledged) unless the torn tail kept their records, and the
+        paced GC thread is joined last."""
         incarnation = self.incarnation
         # Halt first: the forces queued for the log device give up on
         # it, and a page flush among them holds the pool mutex that

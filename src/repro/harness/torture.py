@@ -391,10 +391,8 @@ class _Session(_Acked):
             # record exists to survive.
             self.lost += 1
         except CommitNotDurableError:  # noqa: RPR005 - outcome recorded as in-doubt
-            # Almost always the record died with the volatile tail —
-            # but a crash can land *after* the batched flush covered it
-            # (or race a commit straddling restart), so the contract is
-            # in-doubt, not no.
+            # The crash kept no commit record; counted in-doubt all
+            # the same, the weaker claim.
             self.lost += 1
             self.unknown.add(key)
         except (DatabaseClosedError, ServerShutdownError, ShardUnavailableError):

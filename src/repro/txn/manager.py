@@ -244,11 +244,9 @@ class TransactionManager:
         pending = self._commit_start(txn)
         if pending is None:
             return  # read-only: nothing was logged, nothing to force
-        # The one synchronous log I/O of the normal path.  Under group
-        # commit this parks until a batched flush covers the commit
-        # record and may raise CommitNotDurableError if a crash wins the
-        # race — in which case the transaction was never acknowledged
-        # and restart rolls it back.
+        # The one synchronous log I/O of the normal path.  It raises
+        # CommitNotDurableError if a crash wins the race: the
+        # transaction was never acknowledged and restart rolls it back.
         self._log.force_for_commit(pending.last_lsn)
         self._commit_finish(pending)
 

@@ -20,20 +20,18 @@ log device.
 
 Forcing (§1 counts synchronous log I/Os): one routine serves every
 force, a commit's and a WAL-rule page flush's alike.  A caller whose
-target a *finished* write covers returns at once.  Any other raises the
+target a *finished* write covers returns at once; any other raises the
 shared wanted mark to its target and queues on the log device.  Holding
-the device, it finds its target covered by the write it queued behind
-and returns, or it writes everything queued so far, pays the device
-price, and only then raises the durable mark.  (A caller that finds the
-device idle and the write unpriced makes that write at once: it takes
-no time, so nothing could queue behind it.)  So one write's batch is
-whoever arrived during the previous write, no caller is acknowledged
-before the write that covers it has ended, and a lone caller writes
-exactly its own target.  A crash between queueing and writing loses
-the force, even once the resumed log has grown past its target: a
-commit raises :class:`CommitNotDurableError` (it was never
-acknowledged, so recovery is free to roll it back), any other force
-:class:`LogHaltedError`.
+the device, it finds its target covered by the write it queued behind,
+or it writes everything queued so far, pays the device price, and only
+then raises the durable mark.  (An unpriced write to an idle device,
+with no failpoint armed, is made at once under the log mutex.)  So one
+write's batch is whoever arrived during the previous write, and nobody
+is acknowledged before the write covering it has ended.  A crash
+decides each force it overtakes by the prefix it kept, however far the
+resumed log grows; after a halt no write starts.  A lost commit raises
+:class:`CommitNotDurableError` (it was never acknowledged, so recovery
+rolls it back), any other force :class:`LogHaltedError`.
 """
 
 from __future__ import annotations
@@ -114,11 +112,15 @@ class LogManager:
         #: Set by Database.crash(): refuse appends until restart begins,
         #: so threads still running against the dead instance fail fast.
         self._halted = False
-        #: Crashes so far: a force queued before a crash is lost.
-        self._crashes = 0
+        #: The prefix each crash kept, in crash order (its length is
+        #: the crash count): it decides the forces that crash overtook.
+        self._kept: list[int] = []
         #: The highest target a queued force has asked for; the next
         #: write covers it.
         self._force_wanted = 0
+        #: Where the write in progress ends (0 when none is): a halt
+        #: does not release the forces it covers.
+        self._writing = 0
         #: Callers inside a force (:attr:`group_commit_parked`).
         self._forcers = 0
         # Flush notification: waited on by follow-mode iterators (WAL
@@ -275,28 +277,26 @@ class LogManager:
         """The one force routine (see the module docstring)."""
         with self._mutex:
             target = self._force_target_locked(lsn)
+            crashes = len(self._kept)
             if target <= self._flushed_len:
                 outcome = _COVERED
-            elif self._halted:
-                outcome = _LOST
+            elif self._halted and target > self._writing:
+                outcome = _LOST  # no write starts after a halt
             else:
+                outcome = None
                 if target > self._force_wanted:
                     self._force_wanted = target
                 if (
-                    self.flush_latency_seconds
-                    or self._io_lock.locked()
-                    or (commit and self._failpoints.armed(_BEFORE_WRITE))
+                    not self.flush_latency_seconds
+                    and not (commit and self._failpoints.armed(_BEFORE_WRITE))
+                    and not self._io_lock.locked()
                 ):
-                    outcome = None  # queue for the device
-                    crashes = self._crashes
-                    self._forcers += 1
-                else:
-                    # The device is idle and an unpriced write takes no
-                    # time: write now, as the device's next holder would.
-                    self._flushed_len = min(
-                        self._force_wanted, self._open_start + len(self._open)
-                    )
+                    # An idle device and a write that costs nothing:
+                    # the write ends here.
+                    self._flushed_len = self._write_end_locked()
                     outcome = _WROTE
+                else:
+                    self._forcers += 1
         if outcome is None:
             try:
                 outcome = self._queue(target, crashes, commit)
@@ -347,29 +347,39 @@ class LogManager:
                 # made, with the callers queued behind it.
                 self._failpoints.hit(_BEFORE_WRITE)
             except SimulatedCrash:
-                return _LOST  # a dead machine writes nothing
+                # A dead machine writes nothing: what survives decides.
+                with self._mutex:
+                    return self._settle_locked(target, crashes) or _LOST
         with self._mutex:
             outcome = self._settle_locked(target, crashes)
             if outcome is not None:
                 return outcome
-            upto = min(self._force_wanted, self._open_start + len(self._open))
+            upto = self._writing = self._write_end_locked()
         if self.flush_latency_seconds:
             time.sleep(self.flush_latency_seconds)
         with self._mutex:
-            if crashes != self._crashes:
-                return _LOST  # the crash cut what was being written
+            self._writing = 0
+            if crashes != len(self._kept):
+                # The crash cut what was being written.
+                return self._settle_locked(target, crashes)
             self._flushed_len = upto
         return _WROTE
 
+    def _write_end_locked(self) -> int:
+        """Where the next write ends: every queued target (mutex held)."""
+        return min(self._force_wanted, self._open_start + len(self._open))
+
     def _settle_locked(self, target: int, crashes: int) -> tuple[str, ...] | None:
-        """A queued force's outcome before it writes, or None when it
-        must write (mutex held)."""
-        if crashes != self._crashes:
-            return _LOST
+        """A force's outcome without a write of its own, or None while
+        it must wait or write (mutex held).  ``crashes`` is the crash
+        count when it queued."""
+        if crashes != len(self._kept):
+            # The first crash since it queued kept its target or not.
+            return _SAVED if target <= self._kept[crashes] else _LOST
         if target <= self._flushed_len:
             return _SAVED
-        if self._halted:
-            return _LOST
+        if self._halted and target > self._writing:
+            return _LOST  # no write starts after a halt
         return None
 
     def _force_target_locked(self, lsn: int | None) -> int:
@@ -392,10 +402,10 @@ class LogManager:
 
     def halt(self) -> None:
         """Refuse appends until :meth:`resume` (set by Database.crash so
-        straggler threads cannot write stale records post-crash).  A
-        force queued for the device gives up within
-        :data:`_QUEUE_RECHECK_SECONDS`, lost unless a finished write
-        covers it."""
+        straggler threads cannot write stale records post-crash).  No
+        write starts after it: a force queued for the device that no
+        write in progress covers gives up within
+        :data:`_QUEUE_RECHECK_SECONDS`, lost."""
         with self._mutex:
             self._halted = True
         # Followers parked for new records must observe the halt.
@@ -823,8 +833,8 @@ class LogManager:
             # Whatever survived is on stable storage by definition.
             self._flushed_len = keep
             self._force_wanted = 0
-            # Forces queued or writing now are lost when they look.
-            self._crashes += 1
+            # Forces queued or writing now are decided by it when they look.
+            self._kept.append(keep)
         # Wake follow-mode iterators so they notice the halt promptly.
         with self._flush_cond:
             self._flush_cond.notify_all()

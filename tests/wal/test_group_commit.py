@@ -7,14 +7,16 @@ behind or writes everything queued so far.  These tests exercise that
 routine through LogManager and through the Database facade: callers
 queued behind one write share the next, no force returns before the
 write covering it has ended, an acknowledged commit is always durable,
-and a crash between queueing and writing loses every force in that
-window with CommitNotDurableError (LogHaltedError for a plain force).
+and a force a crash overtakes is decided by the prefix that crash kept:
+durable if it holds the force's target, otherwise lost with
+CommitNotDurableError (LogHaltedError for a plain force).
 
 The window is reached deterministically: a commit force pauses at the
 ``log.group_commit.before_flush`` failpoint holding the device with
 nothing written, and ``group_commit_parked`` says when the callers
-queued behind it have raised their targets.  A halt or crash releases
-the queue, so a crash never waits for the paused writer.
+queued behind it have raised their targets.  A halt releases every
+queued force no write in progress covers, and a crash decides the rest,
+so a crash never waits for the paused writer.
 """
 
 from __future__ import annotations
@@ -100,6 +102,27 @@ class _Device:
     @staticmethod
     def monotonic() -> float:
         return time.monotonic()
+
+
+class _CrashAtFirstRelease:
+    """Stands in for the log device's lock: the first release, at the
+    end of the first write, lands a crash before a caller queued behind
+    that write can look at the durable mark."""
+
+    def __init__(self, log: LogManager) -> None:
+        self._lock = threading.Lock()
+        self._log = log
+        self._crashed = False
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self) -> None:
+        if not self._crashed:
+            self._crashed = True
+            self._log.halt()
+            self._log.crash()
+        self._lock.release()
 
 
 class TestCoalescing:
@@ -318,8 +341,8 @@ class TestCrashResolution:
         assert log.group_commit_parked == 0
 
     def test_crash_under_a_paused_lone_leader_loses_its_commit(self):
-        """A lone committer learns a crash from the crash count, not
-        from the log's length: after the crash the resumed log grows
+        """A lone committer learns a crash from the prefix that crash
+        kept, not from the log's length: after the crash the resumed log grows
         past its commit record's offset, so a write now would "cover"
         its target with the next incarnation's bytes — it must still
         fail."""
@@ -351,6 +374,75 @@ class TestCrashResolution:
         assert not thread.is_alive()
         assert outcome == ["lost"]
         assert log.group_commit_parked == 0
+
+    @pytest.mark.parametrize("kind", ["commit", "page flush"])
+    def test_a_crash_after_the_covering_write_keeps_the_queued_force(
+        self, monkeypatch, kind
+    ):
+        """B queues behind a write of A that covers it; the write ends,
+        and a crash lands before B has looked.  The crash kept A's
+        write, so B is durable: a commit reported lost here would be
+        aborted by its caller while recovery finds it committed."""
+        device = _Device()
+        monkeypatch.setattr(log_module, "time", device)
+        stats = StatsRegistry()
+        log = LogManager(stats)
+        log.flush_latency_seconds = 0.2
+        b = _append(log, txn_id=1)
+        a = _append(log, txn_id=2)
+        log._io_lock = _CrashAtFirstRelease(log)
+        (writer,), writer_outcome = _outcomes(log, [a], force=log.force)
+        assert device.started.wait(5.0)
+        force = log.force_for_commit if kind == "commit" else log.force
+        (queued,), outcome = _outcomes(log, [b], force=force)
+        _wait_parked(log, 2)
+        queued.join(5.0)
+        writer.join(5.0)
+        assert outcome == writer_outcome == ["durable"]
+        assert stats.get("log.crashes") == 1
+        assert log.flushed_lsn >= log.force_target(a)
+        assert stats.get("log.group_commit_lost_in_crash") == 0
+
+    def test_a_halt_does_not_release_a_force_a_write_in_progress_covers(
+        self, monkeypatch
+    ):
+        """A halt releases the queue only for forces no write in
+        progress covers: B, queued behind a priced write of A, waits for
+        that write to end and is durable, as the crash that follows
+        keeps it."""
+        device = _Device()
+        monkeypatch.setattr(log_module, "time", device)
+        log = LogManager()
+        log.flush_latency_seconds = 0.2
+        b = _append(log, txn_id=1)
+        a = _append(log, txn_id=2)
+        (writer,), writer_outcome = _outcomes(log, [a])
+        assert device.started.wait(5.0)
+        (queued,), outcome = _outcomes(log, [b], force=log.force)
+        _wait_parked(log, 2)
+        log.halt()
+        queued.join(5.0)
+        assert device.ended.is_set(), "released before the covering write ended"
+        assert outcome == ["durable"]
+        writer.join(5.0)
+        assert writer_outcome == ["durable"]
+        log.crash()
+        assert log.flushed_lsn >= log.force_target(a)
+
+    def test_a_commit_whose_frame_the_torn_tail_kept_is_durable(self):
+        """The crash keeps a torn tail that holds the paused commit's
+        whole frame: recovery will find the commit, so its force must
+        not report it lost."""
+        failpoints = FailpointRegistry()
+        log = LogManager(failpoints=failpoints)
+        failpoints.arm_pause(FLUSH_WINDOW)
+        (committer,), outcome = _outcomes(log, [_append(log)])
+        failpoints.wait_until_paused(FLUSH_WINDOW)
+        log.halt()
+        log.crash(keep_partial_tail=log.unforced_bytes)
+        failpoints.disarm_all(crash_paused=True)
+        committer.join(5.0)
+        assert outcome == ["durable"]
 
     def test_crash_during_the_write_loses_it(self, monkeypatch):
         """A crash that lands while the write is being paid for cuts
