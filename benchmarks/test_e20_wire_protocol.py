@@ -8,8 +8,8 @@ transports in four configurations:
                       (the E15 configuration).
 - ``v2_pipelined``  — binary v2 frames, 16 autocommit ops per pipeline
                       flush; the server drains each flush as one batch
-                      (one admission pass, commits coalesced into one
-                      force).
+                      (one admission pass; each commit in it forces
+                      as it would alone).
 - ``strict_priced`` / ``batched_priced`` — the strict and the pipelined
   configuration with the log flush *priced*
   (``log_flush_latency_seconds``, standing in for a real fsync on this
@@ -24,7 +24,10 @@ protocol round-trips per op), and batched execution pays a small
 fraction of a synchronous force per write commit once the flush has a
 price (one force per write commit is what no coalescing pays) and
 beats the strict loop under the same price — the §1 synchronous-I/O
-claim carried through the wire protocol.  The 3x headline bar needs
+claim carried through the wire protocol.  A batch's commits run one
+after another on its worker, so the saving comes from the sixteen
+workers' commits sharing log writes: a commit that forces while a
+write is in progress rides the next one.  The 3x headline bar needs
 real parallel hardware (the engine alone saturates one core well below
 3x E15's rate), so — as with E18's scaling bar — it arms only when
 >= 4 CPUs are granted; the direction asserts unconditionally.
@@ -89,7 +92,6 @@ def run_one(*, pipeline_depth: int, flush_latency: float = 0.0) -> dict:
     result["write_commits"] = result["engine_commits"] - delta.get(
         "txn.readonly_commits", 0
     )
-    result["deferred_commits"] = delta.get("txn.deferred_commits", 0)
     result["sync_forces"] = delta.get("log.sync_forces", 0)
     result["server_batches"] = delta.get("server.batches", 0)
     result["server_batch_peak"] = delta.get("server.batch_peak", 0)
@@ -177,11 +179,10 @@ def test_e20_wire_protocol(benchmark):
     strict = median_throughput(results["v2_strict"])
     piped = median_throughput(results["v2_pipelined"])
     for r in results["v2_pipelined"]:
-        # Pipelined v2 actually exercised batch execution and deferred
-        # commits, not just a fatter client buffer.
+        # Pipelined v2 actually exercised batch execution, not just a
+        # fatter client buffer.
         assert r["server_batches"] > 0
         assert r["server_batch_peak"] >= 2
-        assert r["deferred_commits"] > 0
     # Direction asserts everywhere: pipelining must beat the strict
     # loop on the same hardware.
     assert piped > 1.1 * strict, (

@@ -65,7 +65,6 @@ from repro.recovery.instant import run_instant_restart
 from repro.recovery.restart import RestartReport
 from repro.storage.disk import DiskManager
 from repro.storage.faults import FaultInjector
-from repro.txn.manager import PendingCommit
 from repro.txn.rm import ResourceManagerRegistry
 from repro.txn.transaction import Transaction, TxnStatus
 from repro.wal.log import LogManager
@@ -270,25 +269,6 @@ class Database:
             self.end_snapshot(txn)
             return
         txn.incarnation.txns.commit(txn)
-        self._maybe_checkpoint()
-
-    def commit_deferred(self, txn: Transaction) -> PendingCommit | None:
-        """Append the COMMIT record but defer the durability force and
-        lock release so a server batch can coalesce many commits into
-        one flush.  Snapshot and read-only transactions complete
-        immediately and return None; any returned handle must be passed
-        to :meth:`finish_deferred`."""
-        if txn.snapshot is not None:
-            self.end_snapshot(txn)
-            return None
-        return txn.incarnation.txns.commit_deferred(txn)
-
-    def finish_deferred(self, pendings: list[PendingCommit | None]) -> None:
-        """Complete deferred commits under one coalesced log force;
-        each handle's outcome lands on its ``error`` field."""
-        live = [p for p in pendings if p is not None]
-        if live:
-            live[0].manager.finish_deferred(live)
         self._maybe_checkpoint()
 
     def rollback(self, txn: Transaction) -> None:

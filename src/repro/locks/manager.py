@@ -47,10 +47,6 @@ LockName = tuple
 #: ``__hash__`` is a Python-level call.
 _REQUEST_STAT_KEYS: dict[tuple[str, str], str] = {}
 
-#: How long a parked waiter sleeps between checks for pending-commit
-#: blockers (deferred batched commits it could complete itself).
-_PENDING_CHECK_INTERVAL = 0.05
-
 
 @dataclass
 class _Holder:
@@ -97,13 +93,6 @@ class LockManager:
         self._table: dict[LockName, _LockHead] = {}
         self._held_by_txn: dict[int, set[LockName]] = {}
         self.timeout = timeout
-        #: Optional hook ``resolver(holder_txn_ids) -> bool`` installed
-        #: by the transaction manager: given the holders blocking a
-        #: request, complete any whose commit is appended-but-deferred
-        #: (server batch execution) so their locks drop now instead of
-        #: at end of batch.  Called strictly *outside* ``_mutex`` — the
-        #: resolver releases locks, which re-enters the manager.
-        self.pending_commit_resolver = None
 
     def _request_counts(self) -> dict[str, int]:
         return dict(self._requests)
@@ -112,7 +101,6 @@ class LockManager:
         """Swap the table for ``retired`` — every later request raises —
         and wake every waiter into it."""
         self._stats.retire_source(self._request_counts)
-        self.pending_commit_resolver = None
         with self._mutex:
             self._table = self._held_by_txn = retired
             self._cond.notify_all()
@@ -161,7 +149,6 @@ class LockManager:
         stat_key = _REQUEST_STAT_KEYS.get(memo)
         if stat_key is None:
             stat_key = _REQUEST_STAT_KEYS[memo] = f"lock.requests.{mode}.{duration}"
-        resolver = self.pending_commit_resolver
         with self._mutex:
             requests = self._requests
             requests[stat_key] = requests.get(stat_key, 0) + 1
@@ -170,20 +157,6 @@ class LockManager:
             if conditional:
                 self._stats.incr("lock.conditional_misses")
                 raise LockNotGrantedError(f"lock {name!r} not immediately grantable")
-            blockers = (
-                self._blocking_holders(self._table[name], txn_id, mode)
-                if resolver
-                else ()
-            )
-        # A blocker may be a transaction whose commit is appended but
-        # deferred (server batch execution).  Complete it now — outside
-        # ``_mutex``, since finishing a commit releases its locks and
-        # re-enters this manager — then retry the immediate grant.
-        if blockers and resolver(blockers):
-            with self._mutex:
-                if self._grant_now(txn_id, name, mode, duration):
-                    return True
-        with self._mutex:
             head = self._table.setdefault(name, _LockHead())
             waiter = _Waiter(
                 txn_id=txn_id, mode=mode, is_conversion=txn_id in head.holders
@@ -209,26 +182,7 @@ class LockManager:
                     raise LockTimeoutError(
                         f"txn {txn_id} timed out waiting for {name!r} in {mode}"
                     )
-                if resolver is None:
-                    self._cond.wait(remaining)
-                    continue
-                # With a resolver installed, wait in short slices: a
-                # blocker's deferred commit may become resolvable while
-                # we are parked (e.g. its batch appended the COMMIT
-                # record after we queued).
-                self._cond.wait(min(remaining, _PENDING_CHECK_INTERVAL))
-                if waiter.granted:
-                    break
-                pending = self._blocking_holders(head, txn_id, mode)
-                if not pending:
-                    continue
-                self._mutex.release()
-                try:
-                    resolver(pending)
-                finally:
-                    # Re-enters the surrounding ``with self._mutex``
-                    # block, whose exit performs the release.
-                    self._mutex.acquire()  # noqa: RPR001 - paired with the enclosing with-block
+                self._cond.wait(remaining)
             # _process_queue installed the holder entry; fix up duration.
             self._finish_grant(head, txn_id, name, mode, duration)
             self._stats.record_lock(
@@ -393,22 +347,6 @@ class LockManager:
         head.queue[:] = [w for w in head.queue if not w.granted and not w.abandoned]
         if woke:
             self._cond.notify_all()
-
-    def _blocking_holders(self, head: _LockHead, txn_id: int, mode: LockMode) -> list:
-        """Txn ids of holders incompatible with what ``txn_id`` wants.
-
-        Callers pass the result to :attr:`pending_commit_resolver` after
-        dropping ``_mutex``; queued-waiter blockers (no-barging) are not
-        included — resolving a holder unblocks the queue head, which in
-        turn unblocks us.
-        """
-        holder = head.holders.get(txn_id)
-        target = convert(holder.mode, mode) if holder else mode
-        return [
-            t
-            for t, h in head.holders.items()
-            if t != txn_id and not compatible(h.mode, target)
-        ]
 
     def _build_waits_for(self) -> dict[int, set[int]]:
         """Waits-for graph: waiter → holders/earlier-waiters blocking it."""

@@ -253,8 +253,8 @@ class DatabaseServer(FrontEnd):
         """Admit and execute a run of pipelined requests as one job.
 
         The whole batch pays one admission-control pass and one queue
-        slot; the worker runs :meth:`Session.execute_batch`, which
-        coalesces the batch's commit forces into a single flush.
+        slot; the worker runs :meth:`Session.execute_batch`, whose
+        commits share log writes with those of other workers.
         Returns the response list (request order), or None on timeout.
         """
         return self._submit_job(

@@ -43,7 +43,6 @@ from repro.txn.transaction import Transaction
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.frontend import FrontEnd
     from repro.server.server import DatabaseServer
-    from repro.txn.manager import PendingCommit
 
 #: Statement errors that roll back to the statement savepoint but keep
 #: the surrounding transaction alive.
@@ -57,7 +56,7 @@ _STMT_SAVEPOINT = "__server_stmt__"
 #: Hard cap on rows one scan response may carry.
 MAX_SCAN_ROWS = 1000
 #: Most pipelined requests one connection read may drain into a single
-#: executor job (one admission pass, commits coalesced).
+#: executor job (one admission pass and one queue slot).
 MAX_BATCH_REQUESTS = 64
 
 _UNKNOWN = (None, None)
@@ -175,10 +174,6 @@ class Session(BaseSession):
     ) -> None:
         super().__init__(server, conn, session_id)
         self.txn: Transaction | None = None
-        #: Commits deferred by the batch currently executing on this
-        #: session (None outside batch execution).  Requests within a
-        #: batch run sequentially, so plain lists suffice.
-        self._batch_pending: "list[PendingCommit] | None" = None
 
     # -- connection thread -------------------------------------------------
 
@@ -187,8 +182,8 @@ class Session(BaseSession):
 
         A pipelining client may have many frames in flight; each read
         drains up to ``MAX_BATCH_REQUESTS`` of them and batchable ops
-        travel through the executor pool as one job (one admission pass,
-        commits coalesced into one group flush).  A lone request — the
+        travel through the executor pool as one job (one admission pass;
+        each commit forces as it would alone).  A lone request — the
         non-pipelined path — runs right here when an engine slot is free
         (see :meth:`DatabaseServer.submit`).
         """
@@ -252,48 +247,13 @@ class Session(BaseSession):
         return False
 
     def execute_batch(self, requests: list[dict]) -> list[dict]:
-        """Run a batch of requests sequentially, coalescing commits.
+        """Run a batch of requests sequentially, in arrival order.
 
-        While the batch runs, every commit (explicit or autocommit)
-        appends its COMMIT record but defers the log force; at the end
-        one coalesced force covers them all (group commit for pipelined
-        clients, even when no other session commits).  Locks stay held until
-        each commit finishes, so isolation is untouched; a waiter
-        blocked on a deferred commit completes it early through the
-        lock manager's resolver hook.  Each response reports its own
-        commit's true outcome — a failed force patches the response
-        after the fact.
+        A commit inside the batch is an ordinary commit: it forces the
+        log before the next request runs, and the batches of other
+        sessions running at the same time share log writes with it.
         """
-        responses: list[dict] = []
-        placements: list[tuple[int, "PendingCommit"]] = []
-        self._batch_pending = []
-        try:
-            for request in requests:
-                response = self.execute(request)
-                for pending in self._batch_pending:
-                    placements.append((len(responses), pending))
-                self._batch_pending.clear()
-                responses.append(response)
-        finally:
-            self._batch_pending = None
-        if placements:
-            self.server.db.finish_deferred([p for _, p in placements])
-            for index, pending in placements:
-                if pending.error is not None:
-                    patched = error_response(pending.error)
-                    patched["corr_id"] = responses[index].get("corr_id", 0)
-                    responses[index] = patched
-        return responses
-
-    def _commit_txn(self, txn: Transaction) -> None:
-        """Commit now, or defer into the executing batch's group."""
-        db = self.server.db
-        if self._batch_pending is None:
-            db.commit(txn)
-            return
-        pending = db.commit_deferred(txn)
-        if pending is not None:
-            self._batch_pending.append(pending)
+        return [self.execute(request) for request in requests]
 
     def _abort_open_txn(self) -> None:
         txn, self.txn = self.txn, None
@@ -334,7 +294,7 @@ class Session(BaseSession):
     def _op_commit(self, request: dict) -> int:
         txn = self._require_txn()
         self.txn = None
-        self._commit_txn(txn)
+        self.server.db.commit(txn)
         return txn.txn_id
 
     def _op_rollback(self, request: dict) -> int:
@@ -418,7 +378,7 @@ class Session(BaseSession):
                 db.rollback(txn)
             raise
         if txn.is_active:
-            self._commit_txn(txn)
+            self.server.db.commit(txn)
         return result
 
     def _op_insert(self, request: dict) -> dict:

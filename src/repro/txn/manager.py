@@ -50,56 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.locks.manager import LockManager
 
 
-class PendingCommit:
-    """A commit whose COMMIT record is appended but whose durability
-    force and phase 2 (lock release, acknowledgement) are deferred, so a server batch can pay one flush for many commits.
-
-    Locks stay held until :meth:`finish` — the strict read/ack contract
-    is untouched; only the flush is coalesced.  ``finish`` is
-    idempotent and thread-safe: the batch owner, or any lock waiter
-    blocked on this transaction (through the lock manager's
-    pending-commit resolver), may complete it; every caller observes
-    the one recorded outcome.
-    """
-
-    __slots__ = ("txn", "commit_lsn", "last_lsn", "error", "manager", "_lock", "_finished")
-
-    def __init__(
-        self, manager: "TransactionManager", txn: Transaction, commit_lsn: int
-    ) -> None:
-        #: The manager that appended the COMMIT record (and finishes it).
-        self.manager = manager
-        self.txn = txn
-        self.commit_lsn = commit_lsn
-        self.last_lsn = txn.last_lsn
-        self.error: Exception | None = None
-        self._lock = threading.Lock()
-        self._finished = False
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
-    def finish(self) -> Exception | None:
-        """Force the log through this COMMIT record and run phase 2.
-
-        Returns the failure (``CommitNotDurableError`` when a crash won
-        the race) or None; concurrent callers block until the first
-        finisher's outcome is recorded, then return it.
-        """
-        with self._lock:
-            if not self._finished:
-                try:
-                    self.manager._log.force_for_commit(self.last_lsn)
-                    self.manager._commit_finish(self)
-                except Exception as exc:  # noqa: BLE001,RPR005 - outcome stored, re-raised by the batch owner
-                    self.error = exc
-                finally:
-                    self._finished = True
-                    self.manager._unregister_pending(self.txn.txn_id)
-        return self.error
-
-
 class TransactionManager:
     """Owns the transaction table of one incarnation and drives
     commit/rollback.  Every transaction it begins or adopts carries
@@ -121,17 +71,10 @@ class TransactionManager:
         self._mutex = threading.Lock()
         self._next_txn_id = 1
         self._table: dict[int, Transaction] = {}
-        #: Deferred commits awaiting their batched force, by txn id.
-        self._pending_commits: dict[int, PendingCommit] = {}
-        self._pending_lock = threading.Lock()
         #: Orders every transaction record's append-and-note against
         #: checkpoint begin records (see :meth:`log_for`); reentrant, so
         #: :meth:`_log_commit` notes a COMMIT's LSN under it too.
         self._log_order = threading.RLock()
-        # A waiter blocked on a pending commit's locks completes that
-        # commit itself instead of waiting out the batch (or, worse, a
-        # lock timeout).
-        locks.pending_commit_resolver = self.resolve_pending_commits
         #: Optional synchronous-replication gate, called with the commit
         #: record's LSN after the transaction is locally durable and
         #: fully ended.  Raising withholds the *acknowledgement* only —
@@ -241,24 +184,12 @@ class TransactionManager:
     # -- commit --------------------------------------------------------------------
 
     def commit(self, txn: Transaction) -> None:
-        pending = self._commit_start(txn)
-        if pending is None:
-            return  # read-only: nothing was logged, nothing to force
-        # The one synchronous log I/O of the normal path.  It raises
-        # CommitNotDurableError if a crash wins the race: the
-        # transaction was never acknowledged and restart rolls it back.
-        self._log.force_for_commit(pending.last_lsn)
-        self._commit_finish(pending)
+        """Append the COMMIT record, force the log through it, then
+        timestamp, unlock and forget the transaction.
 
-    def _commit_start(self, txn: Transaction) -> "PendingCommit | None":
-        """Phase 1 of commit: validate and append the COMMIT record.
-
-        Read-only transactions complete entirely here and return None:
-        they logged nothing, so ARIES needs no COMMIT/END records and
-        no force for them — the common autocommit-read shape skips the
-        log altogether.  Otherwise the returned handle still holds its
-        locks and awaits :meth:`_commit_finish` after a force covering
-        ``last_lsn``.
+        Read-only transactions skip the log: they logged nothing, so
+        ARIES needs no COMMIT/END records and no force for them — the
+        common autocommit-read shape never touches the log.
         """
         if not txn.is_active:
             raise TransactionNotActiveError(f"cannot commit {txn!r}")
@@ -271,27 +202,13 @@ class TransactionManager:
             txn.status = TxnStatus.ENDED
             self.forget(txn.txn_id)
             self._stats.incr(("txn.committed", "txn.readonly_commits"))
-            return None
+            return
         commit_lsn = self._log_commit(txn, commit_record(txn.txn_id))
-        return PendingCommit(self, txn, commit_lsn)
-
-    def _log_commit(self, txn: Transaction, record: LogRecord) -> int:
-        """:meth:`log_for` a COMMIT record and note its LSN on ``txn`` in
-        the same step."""
-        with self._log_order:
-            lsn = txn.commit_lsn = self.log_for(txn, record)
-        return lsn
-
-    def append_checkpoint_begin(self, record: LogRecord) -> int:
-        """Append a checkpoint's begin record while no transaction record
-        is between its append and its note (see :meth:`log_for`)."""
-        with self._log_order:
-            return self._log.append(record)
-
-    def _commit_finish(self, pending: "PendingCommit") -> None:
-        """Phase 2 of commit, after a force covers the COMMIT record."""
-        txn = pending.txn
-        commit_lsn = pending.commit_lsn
+        # The one synchronous log I/O of the normal path.  It raises
+        # CommitNotDurableError if a crash wins the race: the
+        # transaction was never acknowledged and restart rolls it back.
+        # Concurrent committers share the write through the log's queue.
+        self._log.force_for_commit(commit_lsn)
         if txn.incarnation.retired:
             # A crash landed while this commit was in flight and the
             # force may have run against the *resumed* log (the record
@@ -307,11 +224,23 @@ class TransactionManager:
         # Synchronous replication holds the *acknowledgement* (not the
         # commit — that is already durable and irreversible) until a
         # standby confirms durable receipt.  Read-only transactions
-        # changed nothing a failover could lose, so they skip the gate
-        # (they never reach here — see _commit_start).
+        # changed nothing a failover could lose, so they skip the gate.
         gate = self.commit_gate
         if gate is not None:
             gate(commit_lsn, txn.incarnation)
+
+    def _log_commit(self, txn: Transaction, record: LogRecord) -> int:
+        """:meth:`log_for` a COMMIT record and note its LSN on ``txn`` in
+        the same step."""
+        with self._log_order:
+            lsn = txn.commit_lsn = self.log_for(txn, record)
+        return lsn
+
+    def append_checkpoint_begin(self, record: LogRecord) -> int:
+        """Append a checkpoint's begin record while no transaction record
+        is between its append and its note (see :meth:`log_for`)."""
+        with self._log_order:
+            return self._log.append(record)
 
     def _end_committed(self, txn: Transaction, commit_lsn: int) -> None:
         """Once a force covers the COMMIT record: timestamp, unlock,
@@ -334,61 +263,20 @@ class TransactionManager:
         txn.status = TxnStatus.ENDED
         self.forget(txn.txn_id)
 
-    # -- deferred (batched) commits ------------------------------------------
+    # -- frozen benchmark entry points ------------------------------------------
     #
-    # Server-side batch execution coalesces the commits of one request
-    # batch into a single log force: each commit appends its COMMIT
-    # record immediately (locks held, nothing acknowledged) and parks as
-    # a PendingCommit; the batch owner finishes them all under one
-    # force.  A transaction blocked on a pending commit's locks need not
-    # wait for the batch to end — the lock manager's pending-commit
-    # resolver lets the *waiter* complete the pending commit (force +
-    # phase 2), which is exactly flush pipelining: the log write was
-    # already issued, the waiter just pays for (part of) the flush.
+    # The benchmark's tracer wraps these two names (bench/trace.py
+    # TARGETS), so they stay until the tracer stops rebinding engine
+    # attributes.  Nothing in the engine calls them: a commit inside a
+    # server batch is an ordinary :meth:`commit`.
 
-    def commit_deferred(self, txn: Transaction) -> "PendingCommit | None":
-        """Append ``txn``'s COMMIT record but defer its durability
-        force and phase 2.  Returns None when the commit completed
-        outright (read-only fast path); otherwise the handle *must*
-        eventually be finished (see :meth:`finish_deferred`)."""
-        pending = self._commit_start(txn)
-        if pending is None:
-            return None
-        with self._pending_lock:
-            self._pending_commits[txn.txn_id] = pending
-        self._stats.incr("txn.deferred_commits")
-        return pending
+    def commit_deferred(self, txn: Transaction) -> None:
+        """Kept for the benchmark's tracer: an ordinary :meth:`commit`."""
+        self.commit(txn)
 
-    def finish_deferred(self, pendings: "list[PendingCommit]") -> None:
-        """Complete a batch of deferred commits under one coalesced
-        force covering the newest COMMIT record.  Individual outcomes
-        (including failures) land on each handle's ``error``."""
-        live = [p for p in pendings if p is not None and not p.finished]
-        if not live:
-            return
-        try:
-            self._log.force_for_commit(max(p.last_lsn for p in live))
-        except CommitNotDurableError:  # noqa: RPR005 - each finish() re-forces and records its own outcome per handle
-            pass
-        for pending in live:
-            pending.finish()
-
-    def resolve_pending_commits(self, txn_ids: "list[int]") -> bool:
-        """Lock-manager hook: complete any pending deferred commits
-        among ``txn_ids`` (they hold locks the caller is blocked on).
-        Returns True if any commit was completed."""
-        completed = False
-        for txn_id in txn_ids:
-            with self._pending_lock:
-                pending = self._pending_commits.get(txn_id)
-            if pending is not None:
-                pending.finish()
-                completed = True
-        return completed
-
-    def _unregister_pending(self, txn_id: int) -> None:
-        with self._pending_lock:
-            self._pending_commits.pop(txn_id, None)
+    def finish_deferred(self, pendings: list) -> None:
+        """Kept for the benchmark's tracer: every commit finishes in
+        :meth:`commit`, so there is nothing left to finish."""
 
     # -- two-phase commit (presumed abort) --------------------------------------
 

@@ -12,7 +12,7 @@ from repro.common.errors import (
 from repro.common.stats import LockAuditEntry, StatsRegistry
 from repro.locks.manager import LockManager
 from repro.locks.modes import LockDuration, LockMode
-from tests.conftest import SpyCondition
+from tests.conftest import SpyCondition, build_db
 
 NAME = ("rec", 1, "a")
 OTHER = ("rec", 1, "b")
@@ -27,6 +27,18 @@ def _spy_on(locks: LockManager) -> SpyCondition:
     while the waiter is queued and still holds the manager's mutex."""
     locks._cond = SpyCondition(locks._mutex)  # noqa: SLF001 - test instruments the wait path
     return locks._cond  # noqa: SLF001
+
+
+class _TimeoutSpy(SpyCondition):
+    """Records the timeout of every wait."""
+
+    def __init__(self, lock) -> None:
+        super().__init__(lock)
+        self.timeouts: list[float | None] = []
+
+    def wait(self, timeout=None):
+        self.timeouts.append(timeout)
+        return super().wait(timeout)
 
 
 class TestGranting:
@@ -113,6 +125,35 @@ class TestReleasing:
         locks.release_all(1)
         t.join(timeout=5)
         assert granted.is_set()
+
+    def test_waiter_parks_once_for_its_whole_timeout(self):
+        """A conflicting request waits on the condition variable once,
+        with all of its remaining timeout, and the release wakes it: no
+        polling, so a lost wake-up would show as a lock timeout.  The
+        manager is a database's, with its transaction manager wired."""
+        db = build_db()
+        try:
+            locks = db.locks
+            locks._cond = cond = _TimeoutSpy(locks._mutex)  # noqa: SLF001 - test instruments the wait path
+            holder, waiter = db.begin(), db.begin()
+            locks.request(holder.txn_id, NAME, LockMode.X, LockDuration.COMMIT)
+            granted = threading.Event()
+
+            def wait_for_lock():
+                locks.request(waiter.txn_id, NAME, LockMode.S, LockDuration.COMMIT)
+                granted.set()
+
+            t = threading.Thread(target=wait_for_lock)
+            t.start()
+            assert cond.parked.wait(5)
+            locks.release_all(holder.txn_id)
+            t.join(timeout=5)
+            assert not t.is_alive()
+            assert granted.is_set()
+            assert len(cond.timeouts) == 1
+            assert cond.timeouts[0] > locks.timeout - 1.0
+        finally:
+            db.close()
 
 
 class TestFairness:

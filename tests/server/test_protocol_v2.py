@@ -1,5 +1,6 @@
 """Protocol v2 end-to-end: negotiation, pipelining, batch execution,
-structured errors, and the deferred-commit resolver.
+structured errors, and the commit path a batch shares with every
+other request.
 
 Everything here runs against a real server over loopback transports —
 the same code path TCP takes, minus the kernel socket.
@@ -7,6 +8,7 @@ the same code path TCP takes, minus the kernel socket.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 
@@ -15,6 +17,7 @@ import pytest
 from repro.codec.frames import MAGIC, PROTOCOL_V2, try_parse_frame
 from repro.codec.ops import OP_HELLO
 from repro.common.errors import (
+    CommitNotDurableError,
     DatabaseClosedError,
     ProtocolError,
     ServerError,
@@ -24,7 +27,9 @@ from repro.common.errors import (
 from repro.server import DatabaseClient, DatabaseServer, FrameConn, ServerConfig
 from repro.server.protocol import loopback_pair
 
-from tests.conftest import build_db
+from tests.conftest import build_db, lock_wait_queued
+
+FLUSH_WINDOW = "log.group_commit.before_flush"
 
 
 @pytest.fixture
@@ -198,9 +203,6 @@ class TestBatchExecution:
             stats = client.server_stats()
             assert stats.get("server.batches", 0) >= 1
             assert stats.get("server.batch_peak", 0) >= 2
-            # Autocommit writes inside a batch defer their commits into
-            # one coalesced force.
-            assert stats.get("txn.deferred_commits", 0) >= 2
 
     def test_batch_with_failures_keeps_order_and_corr_ids(self, server):
         with server.connect_loopback() as client:
@@ -228,20 +230,17 @@ class TestBatchExecution:
             assert "slot" in second.result()
 
 
-class TestDeferredCommit:
-    def test_blocked_waiter_resolves_pending_commit(self):
+class TestCommitPath:
+    def test_contender_waits_for_the_commit_then_sees_the_key(self):
+        """A contender parked on a writer's key lock is woken by the
+        writer's ordinary commit and then finds the key taken."""
         db = build_db()
         try:
             db.create_table("t")
             db.create_index("t", "by_id", column="id", unique=True)
             writer = db.begin()
             db.insert(writer, "t", {"id": 1, "name": "first"})
-            pending = db.commit_deferred(writer)
-            assert pending is not None and not pending.finished
-
-            # A second transaction needs the key lock the deferred
-            # commit still holds; the lock manager's resolver must
-            # complete the pending commit instead of deadlocking on it.
+            queued = lock_wait_queued(db)
             outcome: list[object] = []
 
             def contender() -> None:
@@ -256,19 +255,52 @@ class TestDeferredCommit:
 
             thread = threading.Thread(target=contender)
             thread.start()
+            assert queued.wait(10)
+            assert outcome == []
+            db.commit(writer)
             thread.join(timeout=10)
             assert not thread.is_alive()
-            # The first commit won: the contender saw its unique key.
             assert len(outcome) == 1
             assert isinstance(outcome[0], UniqueKeyViolationError)
-            assert pending.finished
-
-            # finish_deferred after a waiter already finished: no-op.
-            db.finish_deferred([pending])
-            assert db.stats.snapshot().get("txn.deferred_commits", 0) == 1
             reader = db.begin()
             assert db.fetch(reader, "t", "by_id", 1)["name"] == "first"
             db.commit(reader)
+        finally:
+            db.close()
+
+    def test_crash_inside_a_batch_answers_each_commit_by_its_outcome(self):
+        """The second autocommit write of a pipelined batch is paused
+        before its log write when the crash lands: the first response
+        is acknowledged and survives restart, the paused one reports
+        its commit not durable, and no later response claims one."""
+        db = build_db()
+        db.create_table("t")
+        db.create_index("t", "by_id", column="id", unique=True)
+        server = DatabaseServer(db, ServerConfig(workers=2)).start(listen=False)
+        hits = itertools.count()
+        db.failpoints.arm_pause(FLUSH_WINDOW, when=lambda: next(hits) == 1)
+        client = server.connect_loopback()
+        pipe = client.pipeline()
+        futures = [pipe.insert("t", {"id": i, "name": "b"}) for i in range(4)]
+        flusher = threading.Thread(target=pipe.flush)
+        flusher.start()
+        db.failpoints.wait_until_paused(FLUSH_WINDOW)
+        db.crash()
+        flusher.join(timeout=15)
+        assert not flusher.is_alive()
+        server.abort()
+        client.close()
+        assert db.stats.snapshot().get("server.batch_peak", 0) == 4
+        first, paused, *later = futures
+        assert "slot" in first.result()
+        assert isinstance(paused.error, CommitNotDurableError)
+        assert all(f.error is not None for f in later)
+        db.restart()
+        try:
+            txn = db.begin()
+            assert db.fetch(txn, "t", "by_id", 0)["name"] == "b"
+            assert [db.fetch(txn, "t", "by_id", i) for i in (1, 2, 3)] == [None] * 3
+            db.commit(txn)
         finally:
             db.close()
 
